@@ -9,10 +9,13 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/cache"
 	"repro/internal/data"
+	"repro/internal/eval"
+	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/sparsity"
 )
 
 func main() {
@@ -39,29 +42,29 @@ func main() {
 
 	// 3. Quality: dense vs DIP at 50% MLP density.
 	win := 64
-	densePPL, _ := core.Quality(m, core.Dense(), testToks, win)
-	dipPPL, density := core.Quality(m, core.NewDIP(0.5), testToks, win)
+	densePPL, _ := eval.PerplexityUnderScheme(m, sparsity.Dense{}, testToks, win)
+	dipPPL, density := eval.PerplexityUnderScheme(m, sparsity.NewDIP(0.5), testToks, win)
 	fmt.Printf("\ndense ppl     : %6.3f (density 1.00)\n", densePPL)
 	fmt.Printf("DIP   ppl     : %6.3f (density %.2f)\n", dipPPL, density)
 
 	// 4. System: coupled cache + transfer simulation on an A18-class
 	//    device with DRAM fitting half the 4-bit model.
-	sys := core.DefaultSystem()
+	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU}
 	sys.MaxTokens = 2000
-	densePt, err := core.Evaluate(m, core.Dense(), testToks, sys)
+	densePt, err := eval.SystemEvaluate(m, sparsity.Dense{}, testToks, sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dipPt, err := core.Evaluate(m, core.NewDIP(0.5), testToks, sys)
+	dipPt, err := eval.SystemEvaluate(m, sparsity.NewDIP(0.5), testToks, sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	caPt, err := core.Evaluate(m, core.NewDIPCA(0.5, 0.2), testToks, sys)
+	caPt, err := eval.SystemEvaluate(m, sparsity.NewDIPCA(0.5, 0.2), testToks, sys)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%-8s %8s %10s %10s\n", "scheme", "ppl", "tok/s", "hit rate")
-	for _, pt := range []core.Point{densePt, dipPt, caPt} {
+	for _, pt := range []eval.Point{densePt, dipPt, caPt} {
 		fmt.Printf("%-8s %8.3f %10.3f %9.1f%%\n", pt.Scheme, pt.PPL, pt.Throughput, 100*pt.HitRate)
 	}
 	fmt.Println("\nDIP-CA trades a small perplexity increase for cache hits and throughput.")

@@ -109,7 +109,7 @@ type Cluster struct {
 	parked     []*serving.Migrant // migrants with nowhere to go during a total outage
 	held       []int              // arrivals held at the ingress during a total outage
 	migrations int                // suspended-session migrations (fresh re-routes excluded)
-	requeues   int          // fresh queue entries re-routed by drain/failover
+	requeues   int                // fresh queue entries re-routed by drain/failover
 	drains     int
 	failures   int // ground-truth crash onsets (scripted and unscripted)
 	order      int
@@ -371,11 +371,11 @@ func (c *Cluster) route(req serving.Request, tick int) (int, error) {
 	return 0, fmt.Errorf("cluster: router %q placed %q on unroutable node %d", c.router.Name(), req.ID, n)
 }
 
-// migrate re-places extracted queue entries on surviving nodes, one at a
+// migrate re-places extracted sessions on surviving nodes, one at a
 // time through the router (each placement sees the loads the previous one
 // left). The source is already marked drained or failed, so it is not a
 // candidate. Suspended-session migrants count toward the migration metric;
-// fresh entries are just re-routed paperwork.
+// never-admitted ones are just re-routed paperwork.
 func (c *Cluster) migrate(migs []*serving.Migrant, tick int) error {
 	for _, mig := range migs {
 		c.refreshLoads()
@@ -386,20 +386,21 @@ func (c *Cluster) migrate(migs []*serving.Migrant, tick int) error {
 			c.parked = append(c.parked, mig)
 			continue
 		}
-		node, err := c.route(mig.Entry.Req, tick)
+		sess := mig.Sess
+		node, err := c.route(c.reqs[sess.Index], tick)
 		if err != nil {
-			return fmt.Errorf("cluster: migrating %q: %w", mig.Entry.Req.ID, err)
+			return fmt.Errorf("cluster: migrating %q: %w", sess.ID, err)
 		}
 		if err := c.nodes[node].Accept(mig, tick); err != nil {
 			return err
 		}
-		if mig.Entry.Sess != nil {
+		if sess.State() == serving.Suspended {
 			c.migrations++
-			c.migrated[mig.Entry.Index] = true
+			c.migrated[sess.Index] = true
 		} else {
 			c.requeues++
 			// A re-route can itself land on a dead-but-unsuspected node.
-			c.noteStrand(node, tick, mig.Entry.Index, mig.Entry.Req.ID)
+			c.noteStrand(node, tick, sess.Index, sess.ID)
 		}
 	}
 	return nil

@@ -1,0 +1,97 @@
+package cluster
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/serving"
+	"repro/internal/serving/faults"
+	"repro/internal/serving/obs"
+)
+
+// Engine.Run and Cluster.Run are the same loop written twice (seeded
+// same-tick shuffle, inject, step, fast-forward, stall detection). Until one
+// of them is deleted (ROADMAP 3(a)) this test pins them to each other: a
+// one-node cluster with no drain, failures, or chaos must be indistinguishable
+// from the bare engine — node report and event log — on a run where
+// preemption, fault retry, and shedding all fire.
+func TestOneNodeClusterEqualsEngine(t *testing.T) {
+	trained(t)
+	run := func(arb serving.ArbPolicy, noFuse, clustered bool) (*serving.Report, []obs.Event) {
+		reqs := requests(t, 22,
+			func(i int) string { return "t" },
+			func(i int) int { return 1 + i%3 },
+			func(i int) serving.SLO {
+				if i%2 == 0 {
+					return serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: 24 + 4*(i%5)}
+				}
+				return serving.SLO{Class: "batch"}
+			})
+		w, err := serving.PoissonArrivals(reqs, 0.7, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix, err := faults.Mix(0.08, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := nodeCfg(arb, 2, noFuse)
+		cfg.Preempt = serving.DeadlinePreempt()
+		cfg.Faults = mix
+		cfg.ShedQueueBudget = 5
+		if !clustered {
+			rec := obs.NewRecorder(obs.Config{Window: 8})
+			cfg.Obs = rec
+			e, err := serving.NewEngine(zoo.m, cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep, rec.Events()
+		}
+		c, err := New(zoo.m, Config{
+			Nodes: []serving.Config{cfg}, Seed: cfg.Seed, Obs: &obs.Config{Window: 8},
+		}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.ReconcileObs(); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Nodes[0].Report, c.Events()
+	}
+	for _, arb := range serving.Policies() {
+		for _, noFuse := range []bool{false, true} {
+			want, wantEv := run(arb, noFuse, false)
+			got, gotEv := run(arb, noFuse, true)
+			if want.Shed == 0 || want.Retries == 0 || want.Preemptions == 0 {
+				t.Fatalf("%v noFuse=%v: the trace must exercise shedding, retry, and preemption; got shed %d, retries %d, preempts %d",
+					arb, noFuse, want.Shed, want.Retries, want.Preemptions)
+			}
+			want.Wall, got.Wall = serving.WallClock{}, serving.WallClock{}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%v noFuse=%v: one-node cluster report differs from the engine's:\nengine  %+v\ncluster %+v", arb, noFuse, want, got)
+			}
+			var wantLog, gotLog bytes.Buffer
+			if err := obs.WriteJSONL(&wantLog, wantEv); err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.WriteJSONL(&gotLog, gotEv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantLog.Bytes(), gotLog.Bytes()) {
+				t.Errorf("%v noFuse=%v: one-node cluster event log (%d events) differs from the engine's (%d events)",
+					arb, noFuse, len(gotEv), len(wantEv))
+			}
+			t.Logf("%v noFuse=%v: %d events, shed %d, retries %d, preempts %d", arb, noFuse, len(wantEv), want.Shed, want.Retries, want.Preemptions)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"repro/internal/serving"
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
 )
@@ -252,14 +253,15 @@ func (c *Cluster) confirmDown(tick, node int) error {
 	}
 	migs := c.nodes[node].Evacuate(tick)
 	for _, mig := range migs {
-		if mig.Entry.Sess == nil && c.strandAttempts[mig.Entry.Index] > 0 {
+		sess := mig.Sess
+		if sess.State() == serving.Queued && c.strandAttempts[sess.Index] > 0 {
 			// Retry accounting for stranded requests: the re-route backs
 			// off like a faulted session's retry, de-synchronized by the
 			// seeded jitter, so failover does not thundering-herd the
 			// survivors.
-			nb := tick + c.retry.Backoff(c.cfg.Seed, mig.Entry.Index, c.strandAttempts[mig.Entry.Index])
-			if nb > mig.Entry.NotBefore {
-				mig.Entry.NotBefore = nb
+			nb := tick + c.retry.Backoff(c.cfg.Seed, sess.Index, c.strandAttempts[sess.Index])
+			if nb > sess.NotBefore {
+				sess.NotBefore = nb
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/serving"
@@ -71,9 +70,9 @@ type Report struct {
 	// placements — 1.0 is a perfect spread), and cross-node queueing: the
 	// total and per-migrant mean ticks migrated sessions spent suspended
 	// (their ResumeDelayTicks, which spans the node hop).
-	Placements        []int
-	Imbalance         float64
-	Migrations        int
+	Placements []int
+	Imbalance  float64
+	Migrations int
 	// Requeues counts fresh (not-yet-admitted) queue entries re-routed off
 	// a draining or failing node — placement paperwork, not live-stream
 	// migrations.
@@ -151,38 +150,15 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 	if r.Wall.Seconds > 0 {
 		r.Wall.TokS = float64(r.TotalTokens) / r.Wall.Seconds
 	}
-	queues := make([]float64, 0, len(sessions))
-	turns := make([]float64, 0, len(sessions))
-	byClass := map[string][]serving.SessionMetrics{}
+	agg := serving.Summarize(sessions)
+	r.QueueP50, r.QueueP99 = agg.QueueP50, agg.QueueP99
+	r.TurnaroundP50, r.TurnaroundP99 = agg.TurnaroundP50, agg.TurnaroundP99
+	r.Deadlined, r.Attained, r.SLOAttainRate = agg.Deadlined, agg.Attained, agg.AttainRate
+	r.Classes = agg.Classes
 	for _, sm := range sessions {
-		if sm.Outcome != serving.OutcomeShed {
-			queues = append(queues, float64(sm.QueueTicks))
-		}
-		if sm.Outcome == serving.OutcomeOK {
-			turns = append(turns, sm.Turnaround)
-		}
-		if sm.DeadlineTick != serving.NoDeadline && sm.Outcome != serving.OutcomeCancelled {
-			r.Deadlined++
-			if sm.Attained {
-				r.Attained++
-			}
-		}
 		if c.migrated[sm.Index] {
 			r.MigratedWaitTicks += sm.ResumeDelayTicks
 		}
-		class := sm.SLO.Class
-		if class == "" {
-			class = "default"
-		}
-		byClass[class] = append(byClass[class], sm)
-	}
-	r.QueueP50 = serving.Percentile(queues, 0.50)
-	r.QueueP99 = serving.Percentile(queues, 0.99)
-	r.TurnaroundP50 = serving.Percentile(turns, 0.50)
-	r.TurnaroundP99 = serving.Percentile(turns, 0.99)
-	r.SLOAttainRate = 1
-	if r.Deadlined > 0 {
-		r.SLOAttainRate = float64(r.Attained) / float64(r.Deadlined)
 	}
 	if r.Migrations > 0 {
 		r.MeanMigrantWait = float64(r.MigratedWaitTicks) / float64(r.Migrations)
@@ -204,14 +180,6 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 		}
 		r.Imbalance = float64(maxP) / mean
 	}
-	names := make([]string, 0, len(byClass))
-	for name := range byClass {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r.Classes = append(r.Classes, classMetrics(name, byClass[name]))
-	}
 	if c.cfg.Obs != nil {
 		merged := obs.Counts{}
 		for _, rec := range c.recs {
@@ -220,37 +188,6 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 		r.Counts = &merged
 	}
 	return r
-}
-
-// classMetrics mirrors the single-engine per-class aggregation over the
-// merged cluster session set.
-func classMetrics(name string, sms []serving.SessionMetrics) serving.ClassMetrics {
-	cm := serving.ClassMetrics{Class: name, Sessions: len(sms)}
-	queues := make([]float64, 0, len(sms))
-	turns := make([]float64, 0, len(sms))
-	for _, sm := range sms {
-		if sm.Outcome != serving.OutcomeShed {
-			queues = append(queues, float64(sm.QueueTicks))
-		}
-		if sm.Outcome == serving.OutcomeOK {
-			turns = append(turns, sm.Turnaround)
-		}
-		if sm.DeadlineTick != serving.NoDeadline && sm.Outcome != serving.OutcomeCancelled {
-			cm.Deadlined++
-			if sm.Attained {
-				cm.Attained++
-			}
-		}
-	}
-	cm.AttainRate = 1
-	if cm.Deadlined > 0 {
-		cm.AttainRate = float64(cm.Attained) / float64(cm.Deadlined)
-	}
-	cm.QueueP50 = serving.Percentile(queues, 0.50)
-	cm.QueueP99 = serving.Percentile(queues, 0.99)
-	cm.TurnaroundP50 = serving.Percentile(turns, 0.50)
-	cm.TurnaroundP99 = serving.Percentile(turns, 0.99)
-	return cm
 }
 
 func sum(xs []int) int {
@@ -270,54 +207,17 @@ func (r *Report) ReconcileObs() error {
 	if r.Counts == nil {
 		return fmt.Errorf("cluster: report carries no merged event counts (run with Config.Obs set)")
 	}
-	var okFinishes, shedSessions, admitted int
-	var stepFaults, revocations, cancellations int
-	for _, nr := range r.Nodes {
-		stepFaults += nr.Report.StepFaults
-		revocations += nr.Report.Revocations
-		cancellations += nr.Report.Cancellations
-		for _, sm := range nr.Report.Sessions {
-			switch sm.Outcome {
-			case serving.OutcomeOK:
-				okFinishes++
-				admitted++
-			case serving.OutcomeShed:
-				shedSessions++
-			default:
-				admitted++
-			}
-		}
+	nodes := make([]*serving.Report, len(r.Nodes))
+	for n := range r.Nodes {
+		nodes[n] = r.Nodes[n].Report
 	}
 	c := *r.Counts
-	checks := []struct {
-		name            string
-		events, counter int
-	}{
-		{"arrivals vs reported sessions", c.Arrivals, r.Sessions},
-		{"admit events vs admitted sessions", c.Admits, admitted},
-		{"migrate-suspend events vs Report.Migrations", c.Migrations, r.Migrations},
-		{"step-fault events vs node step faults", c.StepFaults, stepFaults},
-		{"revocation events vs node revocations", c.Revocations, revocations},
-		{"cancel-fault events vs node cancellations", c.Cancellations, cancellations},
-		{"cancelled finish events vs node cancellations", c.Cancelled, cancellations},
-		{"retry events vs Report.Retries", c.Retries, r.Retries},
-		{"fault-suspend events vs Report.Retries", c.FaultSuspends, r.Retries},
-		{"failed finish events vs Report.Failed", c.Failed, r.Failed},
-		{"preemption suspend events vs Report.Preemptions", c.Preemptions, r.Preemptions},
-		{"shed+degrade events vs Report.Shed", c.ShedArrivals + c.Degraded, r.Shed},
-		{"shed+degrade events vs shed sessions", c.ShedArrivals + c.Degraded, shedSessions},
-		{"ok finish events vs ok sessions", c.FinishedOK, okFinishes},
-		{"heartbeat-miss events vs Report.HeartbeatMisses", c.HeartbeatMisses, r.HeartbeatMisses},
-		{"suspect events vs Report.Suspects", c.Suspects, r.Suspects},
-		{"confirm events vs Report.Confirms", c.Confirms, r.Confirms},
-		{"rejoin events vs Report.Rejoins", c.Rejoins, r.Rejoins},
-		{"strand events vs Report.Stranded", c.Stranded, r.Stranded},
-	}
-	for _, ck := range checks {
-		if ck.events != ck.counter {
-			return fmt.Errorf("cluster: observability reconciliation failed on %s: %d event(s) vs %d",
-				ck.name, ck.events, ck.counter)
-		}
-	}
-	return nil
+	return serving.Reconcile("cluster", append(serving.ObsChecks(c, nodes...),
+		serving.ObsCheck{Name: "migrate-suspend events vs Report.Migrations", Events: c.Migrations, Counter: r.Migrations},
+		serving.ObsCheck{Name: "heartbeat-miss events vs Report.HeartbeatMisses", Events: c.HeartbeatMisses, Counter: r.HeartbeatMisses},
+		serving.ObsCheck{Name: "suspect events vs Report.Suspects", Events: c.Suspects, Counter: r.Suspects},
+		serving.ObsCheck{Name: "confirm events vs Report.Confirms", Events: c.Confirms, Counter: r.Confirms},
+		serving.ObsCheck{Name: "rejoin events vs Report.Rejoins", Events: c.Rejoins, Counter: r.Rejoins},
+		serving.ObsCheck{Name: "strand events vs Report.Stranded", Events: c.Stranded, Counter: r.Stranded},
+	))
 }

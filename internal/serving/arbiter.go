@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/sparsity"
 )
 
@@ -60,18 +61,19 @@ func Policies() []ArbPolicy {
 	return []ArbPolicy{ArbExclusive, ArbFairShare, ArbGreedy, ArbShared}
 }
 
-// grant reserves a budget fraction for a newly admitted (or resumed)
-// session under the partitioned policies, recording greedy claims on the
-// engine pool. The pool is clamped to [0, 1] on every mutation: repeated
-// admit/suspend/retire cycles accumulate floating-point error in
-// `claimed`, and an unclamped pool would eventually grant late sessions
-// shares slightly above 1 or below 0.
-func (e *Engine) grant(sess *Session) float64 {
+// grant issues a newly admitted (or resumed) session a private cache at its
+// policy share of the budget, recording the share on the session and greedy
+// claims on the engine pool. The pool is clamped to [0, 1] on every
+// mutation: repeated admit/suspend/retire cycles accumulate floating-point
+// error in `claimed`, and an unclamped pool would eventually grant late
+// sessions shares slightly above 1 or below 0.
+func (e *Engine) grant(sess *Session) *cache.ModelCache {
+	share := 1.0 // ArbExclusive: the full over-committed budget
 	switch e.cfg.Arb {
 	case ArbFairShare:
-		return 1 / float64(e.cfg.MaxActive)
+		share = 1 / float64(e.cfg.MaxActive)
 	case ArbGreedy:
-		share := 1 - e.claimed
+		share = 1 - e.claimed
 		if share < 0 {
 			share = 0
 		}
@@ -80,10 +82,9 @@ func (e *Engine) grant(sess *Session) float64 {
 		}
 		e.claimed = clamp01(e.claimed + share)
 		sess.claim = share
-		return share
-	default: // ArbExclusive
-		return 1
 	}
+	sess.Share = share
+	return cache.NewModelCache(e.cfg.System.Policy, scaledCaps(e.plan.Caps, share), e.plan.NUnits)
 }
 
 // releaseClaim returns a session's greedy claim to the pool. Whenever no

@@ -2,7 +2,7 @@ package serving
 
 import (
 	"fmt"
-	"time"
+	"strconv"
 
 	"repro/internal/eval"
 	"repro/internal/parallel"
@@ -79,7 +79,7 @@ func (e *Engine) Run() (*Report, error) {
 		}
 		tick++
 	}
-	return e.report(tick, time.Since(e.wallStart)), nil //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
+	return e.Finalize(tick), nil
 }
 
 // shuffleArrivals applies the seeded same-tick arrival shuffle that makes
@@ -96,11 +96,12 @@ func (e *Engine) shuffleArrivals(arrivals []int) []int {
 	return e.shuffle
 }
 
-// emitFinish records a session's terminal event (no-op with tracing off).
+// emitFinish records a session's terminal event (no-op with tracing off,
+// and for shed sessions, whose shed or degrade event is the terminal one).
 // OK finishes carry the 1-based sub-quantum drain step, the same
 // path-identical offset the report's FinishSubStep uses.
 func (e *Engine) emitFinish(tick, slot int, sess *Session) {
-	if e.obs == nil {
+	if e.obs == nil || sess.outcome == OutcomeShed {
 		return
 	}
 	detail := obs.DetailOK
@@ -112,6 +113,13 @@ func (e *Engine) emitFinish(tick, slot int, sess *Session) {
 		detail, sub = obs.DetailCancelled, 0
 	}
 	e.obs.Emit(obs.Event{Tick: tick, SubStep: sub, Slot: slot, Kind: obs.KindFinish, Session: sess.ID, Detail: detail})
+}
+
+// emitFault records an injected fault landing on a running session.
+func (e *Engine) emitFault(tick, slot int, sess *Session, detail string) {
+	if e.obs != nil {
+		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindFault, Session: sess.ID, Detail: detail})
+	}
 }
 
 // obsTickStart feeds the tick-start telemetry (queue depth, per-class SLO
@@ -128,8 +136,8 @@ func (e *Engine) obsTickStart(tick int, active []*Session, queued int) (tok int,
 		tok += st.Decoded
 		hits += st.Hits
 		misses += st.Misses
-		if s.deadlineTick != NoDeadline {
-			e.obs.ObserveSlack(tick, className(s.SLO), s.deadlineTick-tick)
+		if s.Deadline != NoDeadline {
+			e.obs.ObserveSlack(tick, className(s.SLO), s.Deadline-tick)
 		}
 	}
 	e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindStepBatch, Detail: widthDetail(len(active))})
@@ -157,34 +165,30 @@ func (e *Engine) obsTickEnd(tick int, active []*Session, tokPre int, hitPre, mis
 }
 
 // widthDetail renders a batch width for the event log.
-func widthDetail(n int) string { return fmt.Sprintf("width=%d", n) }
+func widthDetail(n int) string { return "width=" + strconv.Itoa(n) }
 
 // degrade sheds queued optional work under sustained pressure: fresh,
-// deadline-less entries (never-admitted best-effort requests) are dropped
+// deadline-less sessions (never-admitted best-effort requests) are dropped
 // newest-first until the queue dips below the shed budget. Suspended
 // sessions are never degraded away — work already invested is kept — and
-// deadlined entries are exactly what degradation is making room for.
-func (e *Engine) degrade(queue []*QueueEntry, tick int, finished *[]Finished) []*QueueEntry {
-	for len(queue) >= e.cfg.ShedQueueBudget {
+// deadlined ones are exactly what degradation is making room for.
+func (e *Engine) degrade(tick int) {
+	for len(e.queue) >= e.cfg.ShedQueueBudget {
 		drop := -1
-		for i, qe := range queue {
-			if qe.Sess == nil && qe.Deadline == NoDeadline && (drop < 0 || qe.Order > queue[drop].Order) {
+		for i, s := range e.queue {
+			if s.state == Queued && s.Deadline == NoDeadline && (drop < 0 || s.Order > e.queue[drop].Order) {
 				drop = i
 			}
 		}
 		if drop < 0 {
 			break
 		}
-		qe := queue[drop]
-		e.shedArrive[qe.Index], e.shedTick[qe.Index] = qe.ArriveTick, tick
-		e.shedCount++
+		sess := e.take(drop)
 		if e.obs != nil {
-			e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindDegrade, Session: qe.Req.ID})
+			e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindDegrade, Session: sess.ID})
 		}
-		*finished = append(*finished, Finished{Index: qe.Index, ID: qe.Req.ID, Tick: tick})
-		queue = append(queue[:drop], queue[drop+1:]...)
+		e.terminate(sess, tick, -1, OutcomeShed)
 	}
-	return queue
 }
 
 // deadlineOf resolves a request's absolute deadline tick at arrival.

@@ -82,9 +82,8 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 	}
 	active := make([]*Session, 0, k)
 	for i := range reqs {
-		qe := &QueueEntry{Req: e.reqs[i], Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
-		sess, err := e.admit(qe, i, 0)
-		if err != nil {
+		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
+		if err := e.admit(sess, 0, i); err != nil {
 			t.Fatal(err)
 		}
 		active = append(active, sess)
@@ -122,9 +121,8 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 	}
 	active2 := make([]*Session, 0, k)
 	for i := range e2.reqs {
-		qe := &QueueEntry{Req: e2.reqs[i], Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
-		sess, err := e2.admit(qe, i, 0)
-		if err != nil {
+		sess := &Session{ID: e2.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
+		if err := e2.admit(sess, 0, i); err != nil {
 			t.Fatal(err)
 		}
 		active2 = append(active2, sess)

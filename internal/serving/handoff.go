@@ -32,13 +32,15 @@ func (e *Engine) Begin() error {
 	return nil
 }
 
-// Inject delivers one workload arrival to the admission queue at the given
-// tick. The order stamp is the caller's monotone arrival counter — Run owns
+// Inject delivers one workload arrival at the given tick: it creates the
+// request's Session — the one record it keeps until the report — and queues
+// it. The order stamp is the caller's monotone arrival counter — Run owns
 // its own; a cluster passes one global counter so FCFS order stays total
 // across nodes — and is consumed only when the arrival is queued. Inject
-// reports shed=true when admission control drops the arrival at the door
-// (the caller reports it back to the workload as finished); the engine has
-// already done the shed accounting and event emission either way.
+// reports shed=true when admission control drops the arrival at the door:
+// the engine has done the shed accounting and event emission, and the
+// caller reports it back to the workload as finished (StepTick's notices
+// start over each tick, so the door-shed is not repeated there).
 func (e *Engine) Inject(idx, tick, order int) (shed bool, err error) {
 	if !e.ran {
 		return false, fmt.Errorf("serving: Inject before Begin")
@@ -47,29 +49,29 @@ func (e *Engine) Inject(idx, tick, order int) (shed bool, err error) {
 		return false, fmt.Errorf("serving: workload %q yielded request index %d outside its %d-request universe",
 			e.w.Name(), idx, len(e.reqs))
 	}
-	if e.arrived[idx] {
-		return false, fmt.Errorf("serving: workload %q yielded request %d (%q) twice", e.w.Name(), idx, e.reqs[idx].ID)
+	req := &e.reqs[idx]
+	if e.sessions[idx] != nil {
+		return false, fmt.Errorf("serving: workload %q yielded request %d (%q) twice", e.w.Name(), idx, req.ID)
 	}
-	e.arrived[idx] = true
+	sess := &Session{
+		ID: req.ID, Index: idx, SLO: req.SLO,
+		ArriveTick: tick, Order: order, Deadline: deadlineOf(tick, req.SLO),
+	}
+	e.sessions[idx] = sess
 	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindArrive,
-			Session: e.reqs[idx].ID, Detail: className(e.reqs[idx].SLO)})
+		e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindArrive, Session: sess.ID, Detail: className(sess.SLO)})
 	}
 	if e.cfg.ShedQueueBudget > 0 && len(e.queue) >= e.cfg.ShedQueueBudget {
 		// Admission control: the queue is at budget, so the arrival
 		// is shed outright — it never holds a slot, never decodes,
 		// and reports back to the workload as finished next tick.
-		e.shedArrive[idx], e.shedTick[idx] = tick, tick
-		e.shedCount++
 		if e.obs != nil {
-			e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindShed, Session: e.reqs[idx].ID})
+			e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindShed, Session: sess.ID})
 		}
+		e.terminate(sess, tick, -1, OutcomeShed)
 		return true, nil
 	}
-	e.queue = append(e.queue, &QueueEntry{
-		Req: e.reqs[idx], Index: idx, ArriveTick: tick, Order: order,
-		Deadline: deadlineOf(tick, e.reqs[idx].SLO),
-	})
+	e.queue = append(e.queue, sess)
 	return false, nil
 }
 
@@ -93,7 +95,7 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 			e.pressure = 0
 		}
 		if e.pressure >= e.cfg.DegradeTicks {
-			e.queue = e.degrade(e.queue, tick, &e.fin)
+			e.degrade(tick)
 		}
 	}
 	// Fault application, in slot order on the batch as of tick start, so
@@ -115,41 +117,15 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 			switch {
 			case e.cfg.Faults.Cancel(tick, slot):
 				e.cancels++
-				if e.obs != nil {
-					e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindFault, Session: s.ID, Detail: obs.DetailCancel})
-				}
-				e.finish(s, tick, OutcomeCancelled)
-				e.emitFinish(tick, slot, s)
-				e.fin = append(e.fin, Finished{Index: s.Index, ID: s.ID, Tick: tick})
+				e.emitFault(tick, slot, s, obs.DetailCancel)
+				e.terminate(s, tick, slot, OutcomeCancelled)
 			case e.cfg.Faults.Revoke(tick, slot) && e.cfg.Arb != ArbShared:
 				// An eviction storm takes the session's grant (or greedy
 				// claim) and the decode state built on it; under ArbShared
 				// there is no per-session grant to revoke.
-				e.revokes++
-				if e.obs != nil {
-					e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindFault, Session: s.ID, Detail: obs.DetailRevoke})
-				}
-				if qe := e.faultSuspend(s, tick, slot, true); qe != nil {
-					e.queue = append(e.queue, qe)
-				} else {
-					e.failed++
-					e.finish(s, tick, OutcomeFailed)
-					e.emitFinish(tick, slot, s)
-					e.fin = append(e.fin, Finished{Index: s.Index, ID: s.ID, Tick: tick})
-				}
+				e.displace(s, tick, slot, CauseRevoke)
 			case e.cfg.Faults.StepFault(tick, slot):
-				e.stepFaults++
-				if e.obs != nil {
-					e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindFault, Session: s.ID, Detail: obs.DetailStep})
-				}
-				if qe := e.faultSuspend(s, tick, slot, false); qe != nil {
-					e.queue = append(e.queue, qe)
-				} else {
-					e.failed++
-					e.finish(s, tick, OutcomeFailed)
-					e.emitFinish(tick, slot, s)
-					e.fin = append(e.fin, Finished{Index: s.Index, ID: s.ID, Tick: tick})
-				}
+				e.displace(s, tick, slot, CauseFault)
 			default:
 				live = append(live, s)
 			}
@@ -158,65 +134,41 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 		// A capacity dip takes the highest-numbered slots offline;
 		// displaced sessions park (stream retained) until capacity
 		// returns or another slot frees.
-		for len(e.active) > e.cfg.MaxActive-offline {
-			last := len(e.active) - 1
-			e.queue = append(e.queue, e.dipSuspend(e.active[last], tick, last))
-			e.active = e.active[:last]
-		}
+		e.shrink(e.cfg.MaxActive-offline, tick)
 	}
 	for len(e.active) < e.cfg.MaxActive-offline {
-		best := -1
-		for i := range e.queue {
-			if e.queue[i].NotBefore > tick {
-				continue // still backing off after a fault
-			}
-			if best < 0 || e.sched.Less(e.queue[i], e.queue[best]) {
-				best = i
-			}
-		}
+		best := e.pick(tick, nil)
 		if best < 0 {
 			break
 		}
-		qe := e.queue[best]
-		e.queue = append(e.queue[:best], e.queue[best+1:]...)
-		sess, err := e.place(qe, &e.rank, tick, len(e.active))
-		if err != nil {
+		sess := e.take(best)
+		if err := e.place(sess, tick, len(e.active)); err != nil {
 			return nil, false, err
 		}
 		e.active = append(e.active, sess)
 	}
-	// Preemption: with the batch full and entries still queued, let the
-	// preemptor pull rank. Each round suspends the named victim in
+	// Preemption: with the batch full and sessions still queued, let the
+	// preemptor pull rank. Each round displaces the named victim in
 	// place (the slot keeps its position, so shared-cache commit order
-	// stays the slot order) and admits the scheduler-best entry among
-	// those able to preempt; the loop re-scans because a suspended
+	// stays the slot order) and places the scheduler-best session among
+	// those able to preempt; the loop re-scans because a displaced
 	// session re-enters the queue and may itself outrank a third
 	// session. Strict preemptors guarantee termination: every takeover
-	// strictly lowers the displaced slot's pressure rank. Entries still
+	// strictly lowers the displaced slot's pressure rank. Sessions still
 	// backing off cannot preempt — their backoff gates placement however
 	// the slot would be obtained.
 	for len(e.queue) > 0 && len(e.active) > 0 {
-		slot := e.pre.Victim(e.active)
+		slot := e.cfg.Preempt.Victim(e.active)
 		if slot < 0 {
 			break
 		}
-		qi := -1
-		for i, qe := range e.queue {
-			if qe.NotBefore > tick {
-				continue
-			}
-			if e.pre.Outranks(qe, e.active[slot]) && (qi < 0 || e.sched.Less(e.queue[i], e.queue[qi])) {
-				qi = i
-			}
-		}
+		qi := e.pick(tick, e.active[slot])
 		if qi < 0 {
 			break
 		}
-		qe := e.queue[qi]
-		e.queue = append(e.queue[:qi], e.queue[qi+1:]...)
-		e.queue = append(e.queue, e.suspend(e.active[slot], tick, slot))
-		sess, err := e.place(qe, &e.rank, tick, slot)
-		if err != nil {
+		sess := e.take(qi)
+		e.displace(e.active[slot], tick, slot, CausePreempt)
+		if err := e.place(sess, tick, slot); err != nil {
 			return nil, false, err
 		}
 		e.active[slot] = sess
@@ -242,12 +194,7 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 	live := e.active[:0]
 	for slot, s := range e.active {
 		if s.stream.Done() {
-			e.retire(s, post)
-			if e.obs != nil {
-				e.emitFinish(post, slot, s)
-				e.obs.ObserveGood(post, s.stream.Pos())
-			}
-			e.fin = append(e.fin, Finished{Index: s.Index, ID: s.ID, Tick: post})
+			e.terminate(s, post, slot, OutcomeOK)
 		} else {
 			live = append(live, s)
 		}
@@ -262,21 +209,41 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 // means the queue holds nothing that a clock advance alone would unstick
 // (the engine then waits on arrivals or migrations).
 func (e *Engine) NextEvent(tick int) (next int, ok bool) {
-	for _, qe := range e.queue {
-		switch {
-		case qe.NotBefore > tick:
-			if !ok || qe.NotBefore < next {
-				next, ok = qe.NotBefore, true
-			}
-		default:
-			// Eligible but unplaced: only a dip can cause that; step
-			// one tick and re-check capacity.
-			if !ok || tick+1 < next {
-				next, ok = tick+1, true
-			}
+	for _, s := range e.queue {
+		t := s.NotBefore
+		if t <= tick {
+			// Eligible but unplaced: only a dip can cause that; step one
+			// tick and re-check capacity.
+			t = tick + 1
+		}
+		if !ok || t < next {
+			next, ok = t, true
 		}
 	}
 	return next, ok
+}
+
+// pick returns the queue index of the session the scheduler ranks first
+// among those past their backoff — and, when a victim is named, able to
+// preempt it — or -1 when there is none.
+func (e *Engine) pick(tick int, victim *Session) int {
+	best := -1
+	for i, s := range e.queue {
+		if s.NotBefore > tick || victim != nil && !e.cfg.Preempt.Outranks(s, victim) {
+			continue
+		}
+		if best < 0 || e.cfg.Sched.Less(s, e.queue[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// take removes session i from the queue.
+func (e *Engine) take(i int) *Session {
+	s := e.queue[i]
+	e.queue = append(e.queue[:i], e.queue[i+1:]...)
+	return s
 }
 
 // Busy reports whether the engine still holds queued or active sessions.
@@ -291,53 +258,41 @@ func (e *Engine) ActiveCount() int { return len(e.active) }
 // Slots is the configured batch width.
 func (e *Engine) Slots() int { return e.cfg.MaxActive }
 
-// Finalize closes a stepped run at the given tick count and builds the
-// report, exactly as Run does when the workload drains.
-func (e *Engine) Finalize(ticks int) *Report {
-	return e.report(ticks, time.Since(e.wallStart)) //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
-}
-
-// Migrant is a session in flight between engines: the queue entry (fresh,
-// or suspended with its live stream) plus any private cache the stream
-// held, released on the source and re-granted verbatim on the target —
-// the simulated analogue of shipping KV/cache state with the session.
+// Migrant is a session in flight between engines: the record itself —
+// Queued, or Suspended with its live stream — plus any private cache the
+// stream held, released on the source and re-granted verbatim on the target
+// — the simulated analogue of shipping KV/cache state with the session.
 // Shared-arbitration sessions never carry a cache; they re-attach to the
 // target's shared cache. Fair/greedy sessions re-acquire a grant from the
 // target's pool at placement, and a revoked exclusive session migrates
 // stateless and is re-granted a full budget on resume.
 type Migrant struct {
-	Entry *QueueEntry
+	Sess  *Session
 	Cache *cache.ModelCache
 }
 
-// extract detaches one queue entry from this engine for migration. A
-// suspended session logs a KindSuspend/DetailMigrate event, releases its
-// claim and cache (carrying a private cache with it), and is struck from
-// this engine's session table so exactly one node reports it.
-func (e *Engine) extract(qe *QueueEntry, tick int) *Migrant {
-	mig := &Migrant{Entry: qe}
-	if sess := qe.Sess; sess != nil {
+// extract strikes one queued session from this engine for migration, so
+// exactly one node reports it and a later failover can migrate it back (a
+// node that crashed, recovered, and rejoined may legitimately re-host a
+// request it held before the crash). A suspended session logs a
+// KindSuspend/DetailMigrate event and takes displace's detach step — claim
+// returned, cache uncoupled and carried along if private — but stays
+// Suspended under its original cause: the hop is not a second displacement.
+func (e *Engine) extract(sess *Session, tick int) *Migrant {
+	mig := &Migrant{Sess: sess}
+	if sess.state == Suspended {
 		if e.obs != nil {
 			e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindSuspend, Session: sess.ID, Detail: obs.DetailMigrate})
 		}
-		e.releaseClaim(sess)
-		if mc := sess.stream.Cache(); mc != nil {
-			sess.stream.Release()
-			if mc != e.shared {
-				mig.Cache = mc
-			}
+		if mc := e.detach(sess); mc != e.shared {
+			mig.Cache = mc
 		}
-		e.sessions[sess.Index] = nil
 	}
-	// The request no longer lives on this engine: clear the duplicate-
-	// arrival guard so a later failover can migrate it back (a node that
-	// crashed, recovered, and rejoined may legitimately re-host a request
-	// it held before the crash).
-	e.arrived[qe.Index] = false
+	e.sessions[sess.Index] = nil
 	return mig
 }
 
-// ExtractQueue removes every queued entry — fresh and suspended — in queue
+// ExtractQueue removes every queued session — fresh and suspended — in queue
 // order for placement elsewhere. Used by administrative drain: the node
 // stops holding waiting work but keeps decoding its active sessions to
 // completion.
@@ -346,72 +301,73 @@ func (e *Engine) ExtractQueue(tick int) []*Migrant {
 		return nil
 	}
 	migs := make([]*Migrant, 0, len(e.queue))
-	for _, qe := range e.queue {
-		migs = append(migs, e.extract(qe, tick))
+	for _, sess := range e.queue {
+		migs = append(migs, e.extract(sess, tick))
 	}
 	e.queue = e.queue[:0]
 	return migs
 }
 
-// Evacuate fails the node: every active session is parked in slot order
-// through the capacity-dip suspension machinery (stream retained, grant
-// released per policy), then the whole queue — the parked sessions
-// included — is extracted for failover placement on surviving nodes.
+// Evacuate fails the node: every active session is displaced in slot order
+// as by a capacity dip (stream retained, grant released per policy), then
+// the whole queue — the displaced sessions included — is extracted for
+// failover placement on surviving nodes.
 func (e *Engine) Evacuate(tick int) []*Migrant {
-	if n := len(e.active); n > 0 {
-		e.dipSlotTicks += n
-	}
-	for len(e.active) > 0 {
-		last := len(e.active) - 1
-		e.queue = append(e.queue, e.dipSuspend(e.active[last], tick, last))
-		e.active = e.active[:last]
-	}
+	e.dipSlotTicks += len(e.active)
+	e.shrink(0, tick)
 	return e.ExtractQueue(tick)
 }
 
-// Accept adopts a migrant into this engine's queue. Suspended sessions are
-// re-registered under their original submission index (so reports stay
-// keyed by the workload universe), re-granted their carried cache or this
-// engine's shared cache, and resume through the ordinary backfill path with
-// their suspension cause intact. Fresh entries keep their arrival stamp,
-// order, and deadline — their arrival was already admitted and logged on
-// the source, so migration bypasses this node's shed budget.
+// shrink displaces the highest-numbered slots, as by a capacity dip, until
+// at most n sessions are running.
+func (e *Engine) shrink(n, tick int) {
+	for last := len(e.active) - 1; last >= n; last-- {
+		e.displace(e.active[last], tick, last, CauseDip)
+		e.active = e.active[:last]
+	}
+}
+
+// Accept adopts a migrant into this engine's queue under its original
+// submission index (so reports stay keyed by the workload universe), with
+// its arrival stamp, order, deadline, and — if suspended — cause intact; it
+// is placed through the ordinary backfill path. Its arrival was already
+// admitted and logged on the source, so migration bypasses this node's shed
+// budget. A suspended session re-attaches to this engine's shared cache or,
+// under ArbExclusive, to the private cache it carried; otherwise resume
+// issues a fresh grant from this engine's pool. The migrant is input from
+// another engine, so a session that is running or finished there is
+// rejected rather than adopted.
 func (e *Engine) Accept(mig *Migrant, tick int) error {
 	if !e.ran {
 		return fmt.Errorf("serving: Accept before Begin")
 	}
-	qe := mig.Entry
-	if qe == nil {
+	sess := mig.Sess
+	if sess == nil {
 		return fmt.Errorf("serving: Accept of empty migrant")
 	}
-	if qe.Index < 0 || qe.Index >= len(e.reqs) {
+	if sess.Index < 0 || sess.Index >= len(e.reqs) {
 		return fmt.Errorf("serving: migrant %q index %d outside this engine's %d-request universe",
-			qe.Req.ID, qe.Index, len(e.reqs))
+			sess.ID, sess.Index, len(e.reqs))
 	}
-	if sess := qe.Sess; sess != nil {
-		if e.sessions[qe.Index] != nil {
-			return fmt.Errorf("serving: migrant %q collides with a live session at index %d", qe.Req.ID, qe.Index)
-		}
+	if e.sessions[sess.Index] != nil {
+		return fmt.Errorf("serving: migrant %q duplicates request index %d on this engine", sess.ID, sess.Index)
+	}
+	switch sess.state {
+	case Queued:
+	case Suspended:
 		if sess.stream.Deferred() != (e.cfg.Arb == ArbShared) {
-			return fmt.Errorf("serving: session %q cannot migrate between shared and partitioned arbitration", qe.Req.ID)
+			return fmt.Errorf("serving: session %q cannot migrate between shared and partitioned arbitration", sess.ID)
 		}
 		switch {
-		case mig.Cache != nil:
-			sess.stream.Regrant(mig.Cache)
 		case e.cfg.Arb == ArbShared:
 			sess.stream.Regrant(e.shared)
-		case e.cfg.Arb == ArbExclusive:
-			// No state arrived (the grant was revoked before migration):
-			// placement issues a fresh full-budget grant.
-			sess.needGrant = true
+		case e.cfg.Arb == ArbExclusive && mig.Cache != nil:
+			sess.stream.Regrant(mig.Cache)
 		}
-		e.arrived[qe.Index] = true
-		e.sessions[qe.Index] = sess
-	} else if e.arrived[qe.Index] {
-		return fmt.Errorf("serving: migrant %q duplicates request index %d", qe.Req.ID, qe.Index)
-	} else {
-		e.arrived[qe.Index] = true
+	default:
+		return fmt.Errorf("serving: migrant %q is %v: only queued or suspended sessions migrate", sess.ID, sess.state)
 	}
-	e.queue = append(e.queue, qe)
+	e.sessions[sess.Index] = sess
+	e.queue = append(e.queue, sess)
 	return nil
 }

@@ -135,11 +135,11 @@ type Report struct {
 	// or degraded away. DipSlotTicks is capacity lost to dips (slot·ticks
 	// while work existed); MeanRecoverTicks averages fault → re-placement
 	// delay over granted retries.
-	Injector                             string
+	Injector                               string
 	StepFaults, Revocations, Cancellations int
-	Retries, Failed, Shed                int
-	DipSlotTicks                         int
-	MeanRecoverTicks                     float64
+	Retries, Failed, Shed                  int
+	DipSlotTicks                           int
+	MeanRecoverTicks                       float64
 	// GoodTokens counts tokens of completed sessions' surviving work;
 	// Goodput is GoodTokens per simulated second. TotalTokens / SimTokS
 	// above count *all* decoded tokens — including work discarded by
@@ -168,53 +168,79 @@ func (r *Report) ReconcileObs() error {
 	if r.Obs == nil {
 		return fmt.Errorf("serving: report carries no observer snapshot (run with Config.Obs set)")
 	}
-	var okFinishes, shedSessions, admitted int
-	for _, sm := range r.Sessions {
-		switch sm.Outcome {
-		case OutcomeOK:
-			okFinishes++
-			admitted++
-		case OutcomeShed:
-			shedSessions++
-		default:
-			admitted++
+	return Reconcile("serving", ObsChecks(r.Obs.Counts, r))
+}
+
+// ObsCheck is one reconciliation row: an event-derived count and the
+// independently kept counter it must equal.
+type ObsCheck struct {
+	Name            string
+	Events, Counter int
+}
+
+// ObsChecks declares the reconciliation rows every engine run obeys, over
+// one report or — for a cluster, whose books only balance in aggregate,
+// since a session admits on its source node and finishes on its target —
+// the sum of its nodes' reports.
+func ObsChecks(c obs.Counts, reports ...*Report) []ObsCheck {
+	var sessions, okFinishes, shedSessions int
+	var sum Report
+	for _, r := range reports {
+		sessions += len(r.Sessions)
+		for _, sm := range r.Sessions {
+			switch sm.Outcome {
+			case OutcomeOK:
+				okFinishes++
+			case OutcomeShed:
+				shedSessions++
+			}
 		}
+		sum.StepFaults += r.StepFaults
+		sum.Revocations += r.Revocations
+		sum.Cancellations += r.Cancellations
+		sum.Retries += r.Retries
+		sum.Failed += r.Failed
+		sum.Preemptions += r.Preemptions
+		sum.Shed += r.Shed
 	}
-	c := r.Obs.Counts
-	checks := []struct {
-		name            string
-		events, counter int
-	}{
-		{"arrivals vs reported sessions", c.Arrivals, len(r.Sessions)},
-		{"admit events vs admitted sessions", c.Admits, admitted},
-		{"step-fault events vs Report.StepFaults", c.StepFaults, r.StepFaults},
-		{"revocation events vs Report.Revocations", c.Revocations, r.Revocations},
-		{"cancel-fault events vs Report.Cancellations", c.Cancellations, r.Cancellations},
-		{"cancelled finish events vs Report.Cancellations", c.Cancelled, r.Cancellations},
-		{"retry events vs Report.Retries", c.Retries, r.Retries},
-		{"fault-suspend events vs Report.Retries", c.FaultSuspends, r.Retries},
-		{"failed finish events vs Report.Failed", c.Failed, r.Failed},
-		{"preemption suspend events vs Report.Preemptions", c.Preemptions, r.Preemptions},
-		{"shed+degrade events vs Report.Shed", c.ShedArrivals + c.Degraded, r.Shed},
+	return []ObsCheck{
+		{"arrivals vs reported sessions", c.Arrivals, sessions},
+		{"admit events vs admitted sessions", c.Admits, sessions - shedSessions},
+		{"step-fault events vs Report.StepFaults", c.StepFaults, sum.StepFaults},
+		{"revocation events vs Report.Revocations", c.Revocations, sum.Revocations},
+		{"cancel-fault events vs Report.Cancellations", c.Cancellations, sum.Cancellations},
+		{"cancelled finish events vs Report.Cancellations", c.Cancelled, sum.Cancellations},
+		{"retry events vs Report.Retries", c.Retries, sum.Retries},
+		{"fault-suspend events vs Report.Retries", c.FaultSuspends, sum.Retries},
+		{"failed finish events vs Report.Failed", c.Failed, sum.Failed},
+		{"preemption suspend events vs Report.Preemptions", c.Preemptions, sum.Preemptions},
+		{"shed+degrade events vs Report.Shed", c.ShedArrivals + c.Degraded, sum.Shed},
 		{"shed+degrade events vs shed sessions", c.ShedArrivals + c.Degraded, shedSessions},
 		{"ok finish events vs ok sessions", c.FinishedOK, okFinishes},
 	}
+}
+
+// Reconcile fails on the first divergent row, naming it; pkg prefixes the
+// error with the package whose report is being checked.
+func Reconcile(pkg string, checks []ObsCheck) error {
 	for _, ck := range checks {
-		if ck.events != ck.counter {
-			return fmt.Errorf("serving: observability reconciliation failed on %s: %d event(s) vs %d",
-				ck.name, ck.events, ck.counter)
+		if ck.Events != ck.Counter {
+			return fmt.Errorf("%s: observability reconciliation failed on %s: %d event(s) vs %d",
+				pkg, ck.Name, ck.Events, ck.Counter)
 		}
 	}
 	return nil
 }
 
-// report assembles the Report after the engine loop drains.
-func (e *Engine) report(ticks int, wall time.Duration) *Report {
+// Finalize closes a run at the given tick count and assembles the Report —
+// Run's last step when the workload drains, and a stepped driver's.
+func (e *Engine) Finalize(ticks int) *Report {
+	wall := time.Since(e.wallStart) //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
 	r := &Report{
-		Workload: e.w.Name(), Sched: e.sched.Name(), Preemptor: e.pre.Name(), Arb: e.cfg.Arb,
-		Ticks: ticks, Preemptions: e.preempts, Wall: WallClock{Seconds: wall.Seconds()},
+		Workload: e.w.Name(), Sched: e.cfg.Sched.Name(), Preemptor: e.cfg.Preempt.Name(), Arb: e.cfg.Arb,
+		Ticks: ticks, Preemptions: e.displaced[CausePreempt], Wall: WallClock{Seconds: wall.Seconds()},
 		Injector:   "none",
-		StepFaults: e.stepFaults, Revocations: e.revokes, Cancellations: e.cancels,
+		StepFaults: e.displaced[CauseFault], Revocations: e.displaced[CauseRevoke], Cancellations: e.cancels,
 		Retries: e.retries, Failed: e.failed, Shed: e.shedCount,
 		DipSlotTicks: e.dipSlotTicks,
 	}
@@ -230,31 +256,21 @@ func (e *Engine) report(ticks int, wall time.Duration) *Report {
 	}
 	var simSeconds float64
 	var hits, misses int64
-	var deadlined, attained int
 	simLats := make([]float64, 0, len(e.sessions))
-	queues := make([]float64, 0, len(e.sessions))
-	turns := make([]float64, 0, len(e.sessions))
-	byClass := make(map[string][]SessionMetrics)
-	for i, s := range e.sessions {
-		if s == nil {
-			if e.shedTick[i] < 0 {
-				continue // admission failed mid-run; Run already returned an error
-			}
+	for _, s := range e.sessions {
+		if s == nil || s.state != Done {
+			continue // never here, migrated away, or — a run cut short — unfinished
+		}
+		if s.outcome == OutcomeShed {
 			// Shed at admission control (or degraded away): never admitted,
 			// never decoded. A deadlined shed request is an SLO miss.
-			req := e.reqs[i]
-			sm := SessionMetrics{
-				ID: req.ID, Index: i, SLO: req.SLO, Outcome: OutcomeShed,
-				ArriveTick: e.shedArrive[i], FinishTick: e.shedTick[i],
-				FinishTime:   float64(e.shedTick[i]),
-				Turnaround:   float64(e.shedTick[i] - e.shedArrive[i]),
-				DeadlineTick: deadlineOf(e.shedArrive[i], req.SLO),
-			}
-			r.Sessions = append(r.Sessions, sm)
-			if sm.DeadlineTick != NoDeadline {
-				deadlined++
-			}
-			byClass[className(req.SLO)] = append(byClass[className(req.SLO)], sm)
+			r.Sessions = append(r.Sessions, SessionMetrics{
+				ID: s.ID, Index: s.Index, SLO: s.SLO, Outcome: OutcomeShed,
+				ArriveTick: s.ArriveTick, FinishTick: s.finishTick,
+				FinishTime:   float64(s.finishTick),
+				Turnaround:   float64(s.finishTick - s.ArriveTick),
+				DeadlineTick: s.Deadline,
+			})
 			continue
 		}
 		pt := s.stream.Point()
@@ -262,25 +278,21 @@ func (e *Engine) report(ticks int, wall time.Duration) *Report {
 		if s.finishSub > 0 && s.finishSub < e.cfg.Quantum {
 			finishTime = float64(s.finishTick-1) + float64(s.finishSub)/float64(e.cfg.Quantum)
 		}
-		outcome := s.outcome
-		if outcome == "" {
-			outcome = OutcomeOK
-		}
 		sm := SessionMetrics{
 			ID: s.ID, Index: s.Index, Point: pt,
 			Tokens: s.stream.Pos(), Decoded: s.stream.Decoded(),
 			Share: s.Share, SLO: s.SLO, AdmitRank: s.AdmitRank,
-			ArriveTick: s.arriveTick, AdmitTick: s.admitTick, FinishTick: s.finishTick,
-			QueueTicks:       s.admitTick - s.arriveTick,
-			TurnaroundTicks:  s.finishTick - s.arriveTick,
+			ArriveTick: s.ArriveTick, AdmitTick: s.admitTick, FinishTick: s.finishTick,
+			QueueTicks:       s.admitTick - s.ArriveTick,
+			TurnaroundTicks:  s.finishTick - s.ArriveTick,
 			FinishSubStep:    s.finishSub,
 			FinishTime:       finishTime,
-			Turnaround:       finishTime - float64(s.arriveTick),
-			DeadlineTick:     s.deadlineTick,
-			Attained:         outcome == OutcomeOK && finishTime <= float64(s.deadlineTick),
+			Turnaround:       finishTime - float64(s.ArriveTick),
+			DeadlineTick:     s.Deadline,
+			Attained:         s.outcome == OutcomeOK && finishTime <= float64(s.Deadline),
 			Preemptions:      s.preempts,
 			ResumeDelayTicks: s.resumeDelay,
-			Outcome:          outcome,
+			Outcome:          s.outcome,
 			Faults:           s.faultCount,
 			Retries:          s.attempts - 1,
 			RecoverTicks:     s.recoverTicks,
@@ -292,18 +304,9 @@ func (e *Engine) report(ticks int, wall time.Duration) *Report {
 		hits += h
 		misses += m
 		simLats = append(simLats, pt.LatencyS)
-		queues = append(queues, float64(sm.QueueTicks))
-		if outcome == OutcomeOK {
+		if s.outcome == OutcomeOK {
 			r.GoodTokens += sm.Tokens
-			turns = append(turns, sm.Turnaround)
 		}
-		if sm.DeadlineTick != NoDeadline && outcome != OutcomeCancelled {
-			deadlined++
-			if sm.Attained {
-				attained++
-			}
-		}
-		byClass[className(s.SLO)] = append(byClass[className(s.SLO)], sm)
 	}
 	if r.Wall.Seconds > 0 {
 		r.Wall.TokS = float64(r.TotalTokens) / r.Wall.Seconds
@@ -319,22 +322,47 @@ func (e *Engine) report(ticks int, wall time.Duration) *Report {
 	r.SimLatencyP50 = Percentile(simLats, 0.50)
 	r.SimLatencyP90 = Percentile(simLats, 0.90)
 	r.SimLatencyP99 = Percentile(simLats, 0.99)
-	r.QueueP50 = Percentile(queues, 0.50)
-	r.QueueP90 = Percentile(queues, 0.90)
-	r.QueueP99 = Percentile(queues, 0.99)
-	r.TurnaroundP50 = Percentile(turns, 0.50)
-	r.TurnaroundP90 = Percentile(turns, 0.90)
-	r.TurnaroundP99 = Percentile(turns, 0.99)
-	r.SLOAttainRate = attainRate(attained, deadlined)
+	sum := Summarize(r.Sessions)
+	r.QueueP50, r.QueueP90, r.QueueP99 = sum.QueueP50, sum.QueueP90, sum.QueueP99
+	r.TurnaroundP50, r.TurnaroundP90, r.TurnaroundP99 = sum.TurnaroundP50, sum.TurnaroundP90, sum.TurnaroundP99
+	r.SLOAttainRate = sum.AttainRate
+	r.Classes = sum.Classes
+	return r
+}
+
+// Summary is the aggregation of a set of session records that does not
+// depend on which engine produced them: delay percentiles, SLO attainment,
+// and the per-class breakdown. An engine summarizes its own sessions, a
+// cluster the merged set of all its nodes'.
+type Summary struct {
+	// ClassMetrics holds the whole set's figures (Class is empty).
+	ClassMetrics
+	QueueP90, TurnaroundP90 float64
+	// Classes breaks the set down per SLO class, sorted by class label.
+	Classes []ClassMetrics
+}
+
+// Summarize aggregates session records. Queueing delay is over admitted
+// sessions (shed requests never queued to admission), turnaround over
+// completed ones, and attainment over deadlined sessions that were not
+// cancelled — a failed or shed deadlined request is a miss.
+func Summarize(sms []SessionMetrics) Summary {
+	var s Summary
+	s.ClassMetrics, s.QueueP90, s.TurnaroundP90 = classMetrics("", sms)
+	byClass := make(map[string][]SessionMetrics)
+	for _, sm := range sms {
+		byClass[className(sm.SLO)] = append(byClass[className(sm.SLO)], sm)
+	}
 	names := make([]string, 0, len(byClass))
 	for name := range byClass {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		r.Classes = append(r.Classes, classMetrics(name, byClass[name]))
+		cm, _, _ := classMetrics(name, byClass[name])
+		s.Classes = append(s.Classes, cm)
 	}
-	return r
+	return s
 }
 
 // className resolves an SLO's reporting label.
@@ -353,9 +381,10 @@ func attainRate(attained, deadlined int) float64 {
 	return float64(attained) / float64(deadlined)
 }
 
-// classMetrics aggregates one SLO class's sessions.
-func classMetrics(name string, sms []SessionMetrics) ClassMetrics {
-	cm := ClassMetrics{Class: name, Sessions: len(sms)}
+// classMetrics aggregates one group of sessions, also returning the two p90
+// delays only the whole-set summary reports.
+func classMetrics(name string, sms []SessionMetrics) (cm ClassMetrics, queueP90, turnP90 float64) {
+	cm = ClassMetrics{Class: name, Sessions: len(sms)}
 	queues := make([]float64, 0, len(sms))
 	turns := make([]float64, 0, len(sms))
 	for _, sm := range sms {
@@ -377,7 +406,7 @@ func classMetrics(name string, sms []SessionMetrics) ClassMetrics {
 	cm.QueueP99 = Percentile(queues, 0.99)
 	cm.TurnaroundP50 = Percentile(turns, 0.50)
 	cm.TurnaroundP99 = Percentile(turns, 0.99)
-	return cm
+	return cm, Percentile(queues, 0.90), Percentile(turns, 0.90)
 }
 
 // Percentile returns the nearest-rank p-quantile (p in [0,1]) of vals,

@@ -67,9 +67,9 @@ func TestRegistryNamesRoundTripThroughParsers(t *testing.T) {
 // Detail string, so two causes sharing a detail, or a cause colliding with
 // DetailMigrate, would silently double-count one bucket.
 func TestSuspendCauseDetailsAreDistinct(t *testing.T) {
-	seen := map[string]suspendCause{}
-	for _, by := range []suspendCause{byPreempt, byFault, byDip} {
-		d := causeDetail(by)
+	seen := map[string]Cause{}
+	for _, by := range []Cause{CausePreempt, CauseFault, CauseDip} {
+		d := displacements[by].detail
 		if d == "" {
 			t.Errorf("suspend cause %d maps to an empty event detail", by)
 		}
@@ -80,6 +80,11 @@ func TestSuspendCauseDetailsAreDistinct(t *testing.T) {
 		if d == obs.DetailMigrate {
 			t.Errorf("suspend cause %d collides with the cluster migration detail %q", by, d)
 		}
+	}
+	// A revocation is a fault to the reconcilers: both suspend under
+	// DetailFault, balanced against Report.Retries.
+	if d := displacements[CauseRevoke].detail; d != obs.DetailFault {
+		t.Errorf("revocations suspend under %q, want %q", d, obs.DetailFault)
 	}
 }
 

@@ -202,9 +202,8 @@ func TestDisabledObserverAddsNoTickAllocations(t *testing.T) {
 	}
 	active := make([]*Session, 0, k)
 	for i := range reqs {
-		qe := &QueueEntry{Req: e.reqs[i], Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
-		sess, err := e.admit(qe, i, 0)
-		if err != nil {
+		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
+		if err := e.admit(sess, 0, i); err != nil {
 			t.Fatal(err)
 		}
 		active = append(active, sess)

@@ -2,21 +2,22 @@ package serving
 
 import "fmt"
 
-// Preemptor decides whether a queued entry's scheduling pressure justifies
-// suspending a running session to make room for it. The engine consults it
-// every tick, after continuous batching has filled any free slots: while
-// some queued entry can name a victim, the victim is suspended — its
-// eval.Stream state is retained, its partitioned cache grant (and greedy
-// claim) is released, and under ArbShared only the slot frees — re-queued
-// with its original Order and ArriveTick, and the entry takes its slot. A
-// suspended session is resumed later through the ordinary admission path
-// and continues the same stream where it stopped.
+// Preemptor decides whether a waiting session's scheduling pressure
+// justifies suspending a running one to make room for it. The engine
+// consults it every tick, after continuous batching has filled any free
+// slots: while some waiting session can name a victim, the victim is
+// displaced (see Engine.displace, CausePreempt) — its eval.Stream state is
+// retained, its partitioned cache grant (and greedy claim) is released, and
+// under ArbShared only the slot frees — and the waiting session takes its
+// slot. The victim re-enters the queue as the same record, so schedulers
+// rank it exactly as before, and it is resumed later through the ordinary
+// backfill path, continuing the same stream where it stopped.
 //
-// Implementations must be deterministic pure functions of the entry and the
-// sessions' scheduling state (deadline, priority, order) — the preemption
-// scan runs serially in the engine loop, so any such policy keeps reports
-// bit-identical across runs and worker counts. They must also be strict:
-// an entry may only displace a session it strictly outranks, so a freshly
+// Implementations must be deterministic pure functions of the two sessions'
+// scheduling state (deadline, priority, order) — the preemption scan runs
+// serially in the engine loop, so any such policy keeps reports
+// bit-identical across runs and worker counts. They must also be strict: a
+// waiting session may only displace one it strictly outranks, so a freshly
 // suspended victim can never preempt its preemptor back and every
 // within-tick preemption chain terminates.
 type Preemptor interface {
@@ -24,14 +25,14 @@ type Preemptor interface {
 	Name() string
 	// Victim returns the index into active of the most preemptable running
 	// session under this policy (the loosest deadline, the lowest
-	// priority, …), or -1 when nothing is ever preemptable. The choice is
-	// entry-independent: the loosest victim is maximal, so an entry that
-	// cannot displace it cannot displace anyone. The engine computes it
-	// once per preemption round.
+	// priority, …), or -1 when nothing is ever preemptable. The choice
+	// does not depend on who is waiting: the loosest victim is maximal, so
+	// a session that cannot displace it cannot displace anyone. The engine
+	// computes it once per preemption round.
 	Victim(active []*Session) int
-	// Outranks reports whether the queued entry's pressure strictly
-	// exceeds the session's — the admission test against Victim's pick.
-	Outranks(qe *QueueEntry, s *Session) bool
+	// Outranks reports whether the waiting session's pressure strictly
+	// exceeds the running one's — the admission test against Victim's pick.
+	Outranks(waiting, running *Session) bool
 }
 
 // noPreempt never preempts — the engine's default, and PR 3's behavior.
@@ -40,13 +41,13 @@ type noPreempt struct{}
 // NoPreempt returns the do-nothing preemptor (the default).
 func NoPreempt() Preemptor { return noPreempt{} }
 
-func (noPreempt) Name() string                        { return "none" }
-func (noPreempt) Victim([]*Session) int               { return -1 }
-func (noPreempt) Outranks(*QueueEntry, *Session) bool { return false }
+func (noPreempt) Name() string                     { return "none" }
+func (noPreempt) Victim([]*Session) int            { return -1 }
+func (noPreempt) Outranks(*Session, *Session) bool { return false }
 
 // deadlinePreempt suspends the running session with the latest absolute
-// deadline (deadline-less sessions rank loosest of all) whenever the queued
-// entry's deadline is strictly earlier — EDF pressure extended from the
+// deadline (deadline-less sessions rank loosest of all) whenever the waiting
+// session's deadline is strictly earlier — EDF pressure extended from the
 // admission queue into the running batch. Strict inequality means
 // equal-deadline sessions never displace each other, and a preempted
 // session (whose deadline is by construction later than its preemptor's)
@@ -62,19 +63,19 @@ func (deadlinePreempt) Victim(active []*Session) int {
 	for i, s := range active {
 		// The loosest victim: latest deadline, then latest Order (the most
 		// recent arrival yields first among equals).
-		if v < 0 || s.deadlineTick > active[v].deadlineTick ||
-			(s.deadlineTick == active[v].deadlineTick && s.order > active[v].order) {
+		if v < 0 || s.Deadline > active[v].Deadline ||
+			(s.Deadline == active[v].Deadline && s.Order > active[v].Order) {
 			v = i
 		}
 	}
 	return v
 }
-func (deadlinePreempt) Outranks(qe *QueueEntry, s *Session) bool {
-	return qe.Deadline < s.deadlineTick
+func (deadlinePreempt) Outranks(waiting, running *Session) bool {
+	return waiting.Deadline < running.Deadline
 }
 
 // priorityPreempt suspends the lowest-priority running session whenever the
-// queued entry's SLO priority is strictly higher.
+// waiting session's SLO priority is strictly higher.
 type priorityPreempt struct{}
 
 // PriorityPreempt returns the strict-priority preemptor.
@@ -85,14 +86,14 @@ func (priorityPreempt) Victim(active []*Session) int {
 	v := -1
 	for i, s := range active {
 		if v < 0 || s.SLO.Priority < active[v].SLO.Priority ||
-			(s.SLO.Priority == active[v].SLO.Priority && s.order > active[v].order) {
+			(s.SLO.Priority == active[v].SLO.Priority && s.Order > active[v].Order) {
 			v = i
 		}
 	}
 	return v
 }
-func (priorityPreempt) Outranks(qe *QueueEntry, s *Session) bool {
-	return qe.Req.SLO.Priority > s.SLO.Priority
+func (priorityPreempt) Outranks(waiting, running *Session) bool {
+	return waiting.SLO.Priority > running.SLO.Priority
 }
 
 // Preemptors lists every built-in preemptor in declaration order.

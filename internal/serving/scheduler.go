@@ -2,45 +2,21 @@ package serving
 
 import "fmt"
 
-// QueueEntry is one request waiting for a batch slot.
-type QueueEntry struct {
-	Req   Request
-	Index int // submission index
-	// ArriveTick is when the workload released the request.
-	ArriveTick int
-	// Order is the seeded admission tiebreak: entries arriving on the same
-	// tick are ranked by a shuffle drawn from the engine's seeded RNG, and
-	// Order increases monotonically across ticks — so sorting by Order alone
-	// is seeded FCFS.
-	Order int
-	// Deadline is the absolute SLO deadline tick (ArriveTick +
-	// SLO.DeadlineTicks), or NoDeadline when the request has none.
-	Deadline int
-	// Sess is non-nil for a preempted session waiting to resume: admission
-	// continues its retained stream instead of building a new one. The
-	// entry keeps the session's original Order, ArriveTick, and Deadline,
-	// so schedulers rank a suspended session exactly as they ranked the
-	// fresh request.
-	Sess *Session
-	// NotBefore is the earliest tick the entry may be (re-)placed — a
-	// faulted session's retry backoff. The engine's backfill and preemption
-	// scans skip entries still backing off; schedulers never see the field.
-	NotBefore int
-}
-
 // NoDeadline is the Deadline of a request without an SLO deadline; it sorts
 // after every real deadline under EDF.
 const NoDeadline = int(^uint(0) >> 1)
 
 // Scheduler orders the admission queue. Whenever a batch slot frees, the
-// engine admits the queued entry that Less ranks first. Implementations
-// must be total orders over live entries — Order is unique, so ending every
-// comparison with it guarantees that (and keeps admission deterministic).
+// engine places the waiting session — fresh or suspended, ranked alike on
+// the Order, ArriveTick, and Deadline it arrived with — that Less ranks
+// first. Implementations must be total orders over live sessions — Order is
+// unique, so ending every comparison with it guarantees that (and keeps
+// admission deterministic).
 type Scheduler interface {
 	// Name identifies the policy (CLI-compatible: see ParseScheduler).
 	Name() string
 	// Less reports whether a should be admitted before b.
-	Less(a, b *QueueEntry) bool
+	Less(a, b *Session) bool
 }
 
 // fcfs admits in arrival order with the seeded same-tick shuffle — exactly
@@ -50,8 +26,8 @@ type fcfs struct{}
 // FCFS returns the first-come-first-served scheduler (the default).
 func FCFS() Scheduler { return fcfs{} }
 
-func (fcfs) Name() string               { return "fcfs" }
-func (fcfs) Less(a, b *QueueEntry) bool { return a.Order < b.Order }
+func (fcfs) Name() string            { return "fcfs" }
+func (fcfs) Less(a, b *Session) bool { return a.Order < b.Order }
 
 // priority admits the highest SLO priority first, FCFS within a class.
 type priority struct{}
@@ -60,8 +36,8 @@ type priority struct{}
 func Priority() Scheduler { return priority{} }
 
 func (priority) Name() string { return "prio" }
-func (priority) Less(a, b *QueueEntry) bool {
-	if pa, pb := a.Req.SLO.Priority, b.Req.SLO.Priority; pa != pb {
+func (priority) Less(a, b *Session) bool {
+	if pa, pb := a.SLO.Priority, b.SLO.Priority; pa != pb {
 		return pa > pb
 	}
 	return a.Order < b.Order
@@ -75,7 +51,7 @@ type edf struct{}
 func EDF() Scheduler { return edf{} }
 
 func (edf) Name() string { return "edf" }
-func (edf) Less(a, b *QueueEntry) bool {
+func (edf) Less(a, b *Session) bool {
 	if a.Deadline != b.Deadline {
 		return a.Deadline < b.Deadline
 	}

@@ -143,51 +143,143 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// Session is one admitted request's live state.
+// Session is the one record a request has on an engine, from its arrival in
+// Inject until the report: the scheduling stamps the queue is ranked on, the
+// decode stream once admitted, and the lifecycle state below. The same
+// pointer sits in the queue while waiting and in the batch while running,
+// and crosses nodes inside a Migrant.
 type Session struct {
 	ID    string
 	Index int // submission index in the workload's request universe
 	SLO   SLO
+	// ArriveTick is when the workload released the request. Order is the
+	// seeded admission tiebreak: same-tick arrivals are ranked by a shuffle
+	// drawn from the engine's seeded RNG and Order increases monotonically
+	// across ticks, so sorting by Order alone is seeded FCFS. Deadline is the
+	// absolute SLO deadline tick (ArriveTick + SLO.DeadlineTicks), or
+	// NoDeadline. All three are fixed at arrival, so schedulers rank a
+	// suspended session exactly as they ranked the fresh request.
+	ArriveTick, Order, Deadline int
+	// NotBefore is the earliest tick the session may be (re-)placed — a
+	// faulted session's retry backoff, or a stranded request's failover
+	// backoff. Backfill and preemption scans skip sessions still backing
+	// off; schedulers never see the field.
+	NotBefore int
 	// AdmitRank is the session's admission position (0 = first admitted).
 	AdmitRank int
 	// Share is the granted fraction of the cache budget (1 under ArbShared:
 	// the whole cache, shared).
 	Share float64
 
-	stream *eval.Stream
-	claim  float64 // greedy pool claim, released at suspension/retirement
-	order  int     // the request's queue Order, kept for re-queueing
+	// Lifecycle: only admit, resume, displace, and terminate move state;
+	// cause is meaningful while Suspended (and until the next displacement),
+	// outcome once Done.
+	state   State
+	cause   Cause
+	outcome Outcome
 
-	// Simulated-clock timeline: arrival (workload), admission (scheduler),
-	// finish (retirement), and the absolute SLO deadline (NoDeadline = none).
-	arriveTick, admitTick, finishTick, deadlineTick int
+	stream *eval.Stream // nil until admitted
+	claim  float64      // greedy pool claim, released at suspension/retirement
+
+	// Simulated-clock timeline after arrival: admission and termination.
+	admitTick, finishTick int
 	// finishSub is the 1-based sub-quantum step on which the stream drained
 	// (0 only for degenerate streams that never stepped): the sub-tick
 	// finish offset that de-quantizes turnaround and SLO accounting.
 	finishSub int
-	// Preemption bookkeeping: how often this session was suspended, the
-	// tick of the most recent suspension, and the cumulative ticks spent
-	// suspended (suspend → resume).
+	// Displacement bookkeeping: how often this session was preempted, the
+	// tick it last left its slot, and the cumulative ticks spent suspended
+	// (suspend → resume).
 	preempts, suspendTick, resumeDelay int
 	// Robustness bookkeeping: placement attempts consumed (1 after the
-	// first admission), faults suffered, ticks spent fault-suspended
-	// (fault → re-place), why the session last left its slot, and whether a
-	// revocation demands a fresh full-budget grant at resume (exclusive).
+	// first admission), faults suffered, and ticks spent fault-suspended
+	// (fault → re-place).
 	attempts, faultCount, recoverTicks int
-	suspendedBy                        suspendCause
-	needGrant                          bool
-	outcome                            Outcome
 }
 
-// suspendCause records why a session left its slot — resume accounting
-// differs between a preemption, an injected fault, and a capacity dip.
-type suspendCause int
+// State is a session's position in its lifecycle:
+//
+//	Queued ──admit──▶ Active ──terminate──▶ Done{ok|failed|cancelled}
+//	   │               │  ▲
+//	   │        displace  resume
+//	   │               ▼  │
+//	   │             Suspended{preempt|dip|fault|revoke}
+//	   └──terminate──▶ Done{shed}
+//
+// A transition from any other state is an engine bug and panics.
+type State uint8
 
 const (
-	byPreempt suspendCause = iota
-	byFault
-	byDip
+	// Queued: arrived and waiting for its first slot; no stream yet.
+	Queued State = iota
+	// Active: holding a batch slot and decoding.
+	Active
+	// Suspended: displaced from its slot with its stream retained, waiting
+	// in the queue to resume (see Cause).
+	Suspended
+	// Done: terminal (see Outcome).
+	Done
 )
+
+// String names the state.
+func (s State) String() string {
+	return [...]string{"queued", "active", "suspended", "done"}[s]
+}
+
+// State reports where the session is in its lifecycle.
+func (s *Session) State() State { return s.state }
+
+// transition moves the session along one legal edge.
+func (s *Session) transition(from, to State) {
+	if s.state != from {
+		panic(fmt.Sprintf("serving: session %q: illegal transition %v → %v from %v", s.ID, from, to, s.state))
+	}
+	s.state = to
+}
+
+// Cause is why a session left its slot. It selects the row of
+// displacements that displace applies, and resume accounting reads it back.
+type Cause uint8
+
+const (
+	// CausePreempt: a waiting session strictly outranked it.
+	CausePreempt Cause = iota
+	// CauseDip: its slot went offline (capacity dip, node evacuation).
+	CauseDip
+	// CauseFault: a transient step fault; decode state survives.
+	CauseFault
+	// CauseRevoke: its cache grant was revoked, taking the decode state
+	// built on it down too.
+	CauseRevoke
+)
+
+// displacements is the one table of what leaving a slot costs, by cause.
+// Every displaced session keeps its stream (traffic, meter, CE sums) and its
+// scheduling stamps; the rows differ in what else it keeps. A retained grant
+// resumes warm — exclusive stays bit-identical to an uninterrupted solo run
+// — and a released one resumes cold at a fresh grant.
+var displacements = [...]struct {
+	// detail is logged on the suspend event and again on the resume.
+	// Revocations log as faults: the reconcilers count both under
+	// FaultSuspends against Report.Retries.
+	detail string
+	// fault, when set, is the injected fault's own event detail, logged
+	// first. A fault counts against the session and consumes one attempt of
+	// the retry budget — terminating the session as failed when none is
+	// left — gates the resume behind the policy's seeded backoff, and
+	// prices the wait as recover ticks.
+	fault string
+	// destructive releases the grant under every partitioned policy and
+	// restarts the stream, which re-prefills from token 0 on resume; the
+	// other rows release only pooled (fair/greedy) grants, because only
+	// those free real memory for someone else.
+	destructive bool
+}{
+	CausePreempt: {detail: obs.DetailPreempt},
+	CauseDip:     {detail: obs.DetailDip},
+	CauseFault:   {detail: obs.DetailFault, fault: obs.DetailStep},
+	CauseRevoke:  {detail: obs.DetailFault, fault: obs.DetailRevoke, destructive: true},
+}
 
 // Outcome is a session's terminal state in the report.
 type Outcome string
@@ -210,15 +302,11 @@ type Engine struct {
 	cfg       Config
 	w         Workload
 	reqs      []Request // the workload's request universe
-	sched     Scheduler
-	pre       Preemptor
 	plan      *hwsim.Plan
 	shared    *cache.ModelCache // non-nil under ArbShared
-	sessions  []*Session        // by submission index, filled at admission
-	arrived   []bool            // duplicate-arrival guard, by submission index
+	sessions  []*Session        // by submission index: every request this engine holds or finished
 	claimed   float64           // greedy pool state: granted budget fraction
 	claimants int               // live sessions holding a nonzero greedy claim
-	preempts  int               // aggregate preemption count
 	ran       bool
 	wallStart time.Time
 
@@ -229,24 +317,23 @@ type Engine struct {
 	// order counter (Run's; a cluster passes its own global order), and
 	// the per-tick Finished scratch returned by StepTick.
 	rng    *tensor.RNG
-	queue  []*QueueEntry
+	queue  []*Session
 	active []*Session
 	rank   int
 	order  int
 	fin    []Finished
 
-	// Robustness state: the resolved retry policy, aggregate fault/recovery
-	// counters, shed requests by submission index (arrival and shed tick,
-	// -1 = not shed), and the sustained-pressure tick counter driving
-	// graceful degradation.
-	retry                        faults.RetryPolicy
-	stepFaults, revokes, cancels int
-	failed, retries              int
-	dipSlotTicks                 int
-	recoverTicks, recoveries     int
-	shedArrive, shedTick         []int
-	shedCount                    int
-	pressure                     int
+	// Robustness state: displacements by cause (preemptions, step faults,
+	// and revocations report from it), the resolved retry policy, aggregate
+	// fault/recovery counters, and the sustained-pressure tick counter
+	// driving graceful degradation.
+	displaced                [CauseRevoke + 1]int
+	retry                    faults.RetryPolicy
+	cancels, failed, retries int
+	dipSlotTicks             int
+	recoverTicks, recoveries int
+	shedCount                int
+	pressure                 int
 
 	// obs is the optional structured-event recorder (nil = tracing off; the
 	// engine guards every emission on it so the disabled path costs nothing
@@ -347,17 +434,12 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		m: m, cfg: cfg, w: w, reqs: reqs, sched: cfg.Sched, pre: cfg.Preempt, plan: plan,
-		obs:      cfg.Obs,
-		retry:    cfg.Retry.WithDefaults(),
-		sessions: make([]*Session, len(reqs)), arrived: make([]bool, len(reqs)),
-		shedArrive: make([]int, len(reqs)),
-		shedTick:   make([]int, len(reqs)),
-		batch:      make([]*eval.Stream, 0, cfg.MaxActive),
-		batchSess:  make([]*Session, 0, cfg.MaxActive),
-	}
-	for i := range e.shedArrive {
-		e.shedArrive[i], e.shedTick[i] = -1, -1
+		m: m, cfg: cfg, w: w, reqs: reqs, plan: plan,
+		obs:       cfg.Obs,
+		retry:     cfg.Retry.WithDefaults(),
+		sessions:  make([]*Session, len(reqs)),
+		batch:     make([]*eval.Stream, 0, cfg.MaxActive),
+		batchSess: make([]*Session, 0, cfg.MaxActive),
 	}
 	if cfg.Arb == ArbShared {
 		e.shared = plan.NewCache(cfg.System.Policy)
@@ -371,14 +453,11 @@ func (e *Engine) Plan() *hwsim.Plan { return e.plan }
 // SharedCache returns the shared cache under ArbShared, else nil.
 func (e *Engine) SharedCache() *cache.ModelCache { return e.shared }
 
-// admit builds the live session for a queued entry with an arbitrated cache.
-func (e *Engine) admit(qe *QueueEntry, rank, tick int) (*Session, error) {
-	req := qe.Req
-	sess := &Session{
-		ID: req.ID, Index: qe.Index, SLO: req.SLO, AdmitRank: rank, order: qe.Order,
-		arriveTick: qe.ArriveTick, admitTick: tick, deadlineTick: qe.Deadline,
-	}
-	scheme := sparsity.Clone(req.Scheme)
+// admit gives a queued session its first slot: an arbitrated cache grant, a
+// fresh stream over a clone of the request's scheme, and the next admission
+// rank.
+func (e *Engine) admit(sess *Session, tick, slot int) error {
+	req := &e.reqs[sess.Index]
 	var (
 		mc       *cache.ModelCache
 		deferred bool
@@ -386,73 +465,59 @@ func (e *Engine) admit(qe *QueueEntry, rank, tick int) (*Session, error) {
 	if e.cfg.Arb == ArbShared {
 		mc, sess.Share, deferred = e.shared, 1, true
 	} else {
-		share := e.grant(sess)
-		mc = cache.NewModelCache(e.cfg.System.Policy, scaledCaps(e.plan.Caps, share), e.plan.NUnits)
-		sess.Share = share
+		mc = e.grant(sess)
 	}
-	st, err := eval.NewStreamWith(e.m, scheme, req.Tokens, e.cfg.System, eval.StreamOpts{
+	st, err := eval.NewStreamWith(e.m, sparsity.Clone(req.Scheme), req.Tokens, e.cfg.System, eval.StreamOpts{
 		Plan: e.plan, Cache: mc, Deferred: deferred,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("serving: admitting %q: %w", req.ID, err)
+		return fmt.Errorf("serving: admitting %q: %w", req.ID, err)
 	}
-	sess.stream = st
-	sess.attempts = 1
-	e.sessions[qe.Index] = sess
-	return sess, nil
+	sess.transition(Queued, Active)
+	sess.stream, sess.attempts = st, 1
+	sess.AdmitRank, sess.admitTick = e.rank, tick
+	e.rank++
+	if e.obs != nil {
+		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindAdmit, Session: sess.ID, Detail: className(sess.SLO)})
+		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindGrant, Session: sess.ID, Detail: shareDetail(sess.Share)})
+	}
+	return nil
 }
 
-// place admits a fresh queue entry (consuming one admission rank) or
-// resumes a suspended one: the session's retained stream picks up where it
-// stopped, and under the partitioned pool policies a fresh cache is granted
-// at the policy's current share. ArbExclusive sessions keep their private
-// over-committed cache across the suspension (a resumed run is
-// bit-identical to an uninterrupted one), and ArbShared sessions keep the
-// shared cache — only the slot was freed.
-func (e *Engine) place(qe *QueueEntry, rank *int, tick, slot int) (*Session, error) {
-	if qe.Sess == nil {
-		sess, err := e.admit(qe, *rank, tick)
-		if err != nil {
-			return nil, err
-		}
-		*rank++
-		if e.obs != nil {
-			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindAdmit, Session: sess.ID, Detail: className(sess.SLO)})
-			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindGrant, Session: sess.ID, Detail: shareDetail(sess.Share)})
-		}
-		return sess, nil
-	}
-	sess := qe.Sess
+// resume puts a suspended session back in a slot: its retained stream picks
+// up where it stopped (or re-prefills, after a revocation). A stream that
+// still holds a cache — an exclusive session's private one, carried across
+// nodes if it migrated, or the shared cache — keeps it; one whose grant was
+// released is granted a fresh cache at the policy's current share.
+func (e *Engine) resume(sess *Session, tick, slot int) {
+	sess.transition(Suspended, Active)
 	delay := tick - sess.suspendTick
 	sess.resumeDelay += delay
-	if sess.suspendedBy == byFault {
+	if displacements[sess.cause].fault != "" {
 		// Time-to-recover: fault tick → the tick the session is re-placed.
 		sess.recoverTicks += delay
 		e.recoverTicks += delay
 		e.recoveries++
 	}
-	regranted := true
-	switch {
-	case e.cfg.Arb == ArbFairShare || e.cfg.Arb == ArbGreedy:
-		share := e.grant(sess)
-		sess.Share = share
-		sess.stream.Regrant(cache.NewModelCache(e.cfg.System.Policy, scaledCaps(e.plan.Caps, share), e.plan.NUnits))
-	case sess.needGrant:
-		// A revoked ArbExclusive session lost its private cache; grant a
-		// fresh one at the full over-committed budget, as at admission.
-		sess.Share = 1
-		sess.stream.Regrant(cache.NewModelCache(e.cfg.System.Policy, e.plan.Caps, e.plan.NUnits))
-	default:
-		regranted = false // exclusive/shared resume keeps its cache
+	regranted := sess.stream.Cache() == nil
+	if regranted {
+		sess.stream.Regrant(e.grant(sess))
 	}
-	sess.needGrant = false
 	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindResume, Session: sess.ID, Detail: causeDetail(sess.suspendedBy)})
+		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindResume, Session: sess.ID, Detail: displacements[sess.cause].detail})
 		if regranted {
 			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindGrant, Session: sess.ID, Detail: shareDetail(sess.Share)})
 		}
 	}
-	return sess, nil
+}
+
+// place puts the scheduler's pick into a slot, admitting or resuming it.
+func (e *Engine) place(sess *Session, tick, slot int) error {
+	if sess.state == Suspended {
+		e.resume(sess, tick, slot)
+		return nil
+	}
+	return e.admit(sess, tick, slot)
 }
 
 // shareDetail renders a grant's budget fraction for the event log; -1
@@ -462,134 +527,97 @@ func shareDetail(share float64) string {
 	return "share=" + strconv.FormatFloat(share, 'g', -1, 64)
 }
 
-// causeDetail maps a suspension cause to its event-detail constant.
-func causeDetail(c suspendCause) string {
-	switch c {
-	case byFault:
-		return obs.DetailFault
-	case byDip:
-		return obs.DetailDip
-	default:
-		return obs.DetailPreempt
+// displace takes a running session out of its slot and back into the queue
+// as the same record, applying the cause's row of displacements; the caller
+// frees or refills the slot. A fault terminates the session as failed
+// instead when its retry budget is exhausted. Events go out in the order
+// fault → suspend → release → retry.
+func (e *Engine) displace(sess *Session, tick, slot int, cause Cause) {
+	row := displacements[cause]
+	e.displaced[cause]++
+	if row.fault != "" {
+		e.emitFault(tick, slot, sess, row.fault)
+		sess.faultCount++
+		if sess.attempts >= e.retry.MaxAttempts {
+			e.terminate(sess, tick, slot, OutcomeFailed)
+			return
+		}
+		sess.attempts++
+		e.retries++
 	}
-}
-
-// suspend preempts a running session: its stream state is retained for a
-// later resume, its partitioned cache grant (fair/greedy) is released —
-// preemption frees real memory, so the partition's contents are lost and
-// the resume starts a cold cache at a fresh grant — and the session is
-// wrapped back into a queue entry carrying its original Order, ArriveTick,
-// and deadline so schedulers rank it exactly as before.
-func (e *Engine) suspend(sess *Session, tick, slot int) *QueueEntry {
-	sess.preempts++
-	e.preempts++
-	sess.suspendTick = tick
-	sess.suspendedBy = byPreempt
+	if cause == CausePreempt {
+		sess.preempts++ // the per-session share of displaced[CausePreempt]
+	}
+	sess.transition(Active, Suspended)
+	sess.cause, sess.suspendTick, sess.NotBefore = cause, tick, 0
 	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindSuspend, Session: sess.ID, Detail: obs.DetailPreempt})
+		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindSuspend, Session: sess.ID, Detail: row.detail})
 	}
-	switch e.cfg.Arb {
-	case ArbFairShare, ArbGreedy:
-		e.releaseClaim(sess)
-		sess.stream.Release()
-		e.emitRelease(tick, slot, sess)
-	}
-	return e.requeue(sess, 0)
-}
-
-// emitRelease records a cache grant / greedy claim release in the event
-// log (no-op with tracing off).
-func (e *Engine) emitRelease(tick, slot int, sess *Session) {
-	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindRelease, Session: sess.ID})
-	}
-}
-
-// dipSuspend parks a session displaced by a capacity dip: the same retained
-// stream and cache semantics as a preemption, but it is not counted as one
-// (nothing outranked the session — its slot went away) and costs no retry
-// attempt. The session is eligible for re-placement as soon as a slot frees.
-func (e *Engine) dipSuspend(sess *Session, tick, slot int) *QueueEntry {
-	sess.suspendTick = tick
-	sess.suspendedBy = byDip
-	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindSuspend, Session: sess.ID, Detail: obs.DetailDip})
-	}
-	switch e.cfg.Arb {
-	case ArbFairShare, ArbGreedy:
-		e.releaseClaim(sess)
-		sess.stream.Release()
-		e.emitRelease(tick, slot, sess)
-	}
-	return e.requeue(sess, 0)
-}
-
-// faultSuspend pulls a faulted session out of its slot, consuming one retry
-// attempt, or reports that the attempt budget is exhausted (nil). A
-// transient step fault retains decode state under the same cache semantics
-// as a preemption: exclusive and shared caches survive (warm resume — the
-// exclusive case stays bit-identical to an uninterrupted solo run), while
-// fair/greedy grants are released and resume cold. A destructive fault
-// (revocation) additionally tears down the stream's decode state with the
-// grant: the stream Restarts and re-prefills from scratch on resume,
-// keeping its meter and traffic — wasted work shows up as the
-// throughput−goodput gap. Either way the session re-enters the queue with
-// its original scheduler rank, gated by the retry policy's seeded backoff.
-func (e *Engine) faultSuspend(sess *Session, tick, slot int, destructive bool) *QueueEntry {
-	sess.faultCount++
-	if sess.attempts >= e.retry.MaxAttempts {
-		return nil
-	}
-	sess.attempts++
-	e.retries++
-	sess.suspendTick = tick
-	sess.suspendedBy = byFault
-	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindSuspend, Session: sess.ID, Detail: obs.DetailFault})
-	}
-	if destructive {
-		e.releaseClaim(sess)
-		sess.stream.Release()
-		sess.stream.Restart()
-		sess.needGrant = e.cfg.Arb == ArbExclusive
-		e.emitRelease(tick, slot, sess)
-	} else {
-		switch e.cfg.Arb {
-		case ArbFairShare, ArbGreedy:
-			e.releaseClaim(sess)
-			sess.stream.Release()
-			e.emitRelease(tick, slot, sess)
+	if row.destructive || e.cfg.Arb == ArbFairShare || e.cfg.Arb == ArbGreedy {
+		e.detach(sess)
+		if row.destructive {
+			sess.stream.Restart()
+		}
+		if e.obs != nil {
+			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindRelease, Session: sess.ID})
 		}
 	}
-	backoff := e.retry.Backoff(e.cfg.Seed, sess.Index, sess.attempts-1)
-	if e.obs != nil {
-		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindRetry, Session: sess.ID,
-			Detail: fmt.Sprintf("attempt=%d backoff=%d", sess.attempts, backoff)})
+	if row.fault != "" {
+		backoff := e.retry.Backoff(e.cfg.Seed, sess.Index, sess.attempts-1)
+		sess.NotBefore = tick + backoff
+		if e.obs != nil {
+			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindRetry, Session: sess.ID,
+				Detail: retryDetail(sess.attempts, backoff)})
+		}
 	}
-	return e.requeue(sess, tick+backoff)
+	e.queue = append(e.queue, sess)
 }
 
-// requeue wraps a suspended session back into a queue entry carrying its
-// original Order, ArriveTick, and deadline so schedulers rank it exactly as
-// before; notBefore gates re-placement (retry backoff).
-func (e *Engine) requeue(sess *Session, notBefore int) *QueueEntry {
-	return &QueueEntry{
-		Req: e.reqs[sess.Index], Index: sess.Index, Sess: sess,
-		ArriveTick: sess.arriveTick, Order: sess.order, Deadline: sess.deadlineTick,
-		NotBefore: notBefore,
-	}
+// retryDetail renders a granted retry for the event log.
+func retryDetail(attempt, backoff int) string {
+	var buf [48]byte
+	b := append(buf[:0], "attempt="...)
+	b = strconv.AppendInt(b, int64(attempt), 10)
+	b = append(b, " backoff="...)
+	b = strconv.AppendInt(b, int64(backoff), 10)
+	return string(b)
 }
 
-// finish finalizes a session with its terminal outcome and releases any
-// greedy claim. Failed and cancelled sessions keep their stream, so the
-// report still prices the partial work they did.
-func (e *Engine) finish(sess *Session, tick int, oc Outcome) {
-	sess.finishTick = tick
-	sess.outcome = oc
+// detach returns the session's greedy claim to the pool and uncouples its
+// stream from its cache, handing that cache back (nil if already released).
+// displace drops it — the grant's memory is freed — while a migration hop
+// ships a private one with the session.
+func (e *Engine) detach(sess *Session) *cache.ModelCache {
 	e.releaseClaim(sess)
+	mc := sess.stream.Cache()
+	sess.stream.Release()
+	return mc
 }
 
-// retire finalizes a successfully drained session.
-func (e *Engine) retire(sess *Session, tick int) {
-	e.finish(sess, tick, OutcomeOK)
+// terminate is the single exit from the lifecycle: it stamps the outcome
+// and finish tick, returns any greedy claim, counts and logs the outcome,
+// and posts the Finished notice StepTick hands back to the workload. The
+// stream stays with the record, so the report still prices the partial work
+// of failed and cancelled sessions. Shed sessions leave from the queue — the
+// caller has logged the shed or degrade event that stands in for a finish —
+// and everything else from a slot.
+func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
+	from := Active
+	if oc == OutcomeShed {
+		from = Queued
+	}
+	sess.transition(from, Done)
+	sess.finishTick, sess.outcome = tick, oc
+	e.releaseClaim(sess)
+	switch oc {
+	case OutcomeFailed:
+		e.failed++
+	case OutcomeShed:
+		e.shedCount++
+	}
+	e.emitFinish(tick, slot, sess)
+	if oc == OutcomeOK && e.obs != nil {
+		e.obs.ObserveGood(tick, sess.stream.Pos())
+	}
+	e.fin = append(e.fin, Finished{Index: sess.Index, ID: sess.ID, Tick: tick})
 }
