@@ -156,6 +156,7 @@ func trainLayer(mlp *nn.GLUMLP, scheme sparsity.Scheme, layer int, xs, ys []tens
 			applyDelta(fused.Gate.P.W, mlp.Gate.P.W, ad.Gate)
 		} else {
 			copy(fused.Gate.P.W.Data, mlp.Gate.P.W.Data)
+			fused.Gate.P.W.Invalidate()
 		}
 		// Masked forward through the scheme on the fused weights.
 		y, ta := scheme.Forward(layer, x, fused, nil)
@@ -264,6 +265,7 @@ func applyDelta(dst, base *tensor.Mat, a *Adapter) {
 			}
 		}
 	}
+	dst.Invalidate()
 }
 
 func cloneMLP(mlp *nn.GLUMLP) *nn.GLUMLP {
@@ -271,6 +273,9 @@ func cloneMLP(mlp *nn.GLUMLP) *nn.GLUMLP {
 	copy(c.Up.P.W.Data, mlp.Up.P.W.Data)
 	copy(c.Gate.P.W.Data, mlp.Gate.P.W.Data)
 	copy(c.Down.P.W.Data, mlp.Down.P.W.Data)
+	c.Up.P.W.Invalidate()
+	c.Gate.P.W.Invalidate()
+	c.Down.P.W.Invalidate()
 	return c
 }
 
@@ -285,6 +290,7 @@ func Fuse(m *model.Model, adapters []LayerAdapters) (*model.Model, error) {
 	src, dst := m.Params(), clone.Params()
 	for i := range src {
 		copy(dst[i].W.Data, src[i].W.Data)
+		dst[i].W.Invalidate()
 	}
 	for l, ad := range adapters {
 		mlp := clone.Blocks[l].MLP

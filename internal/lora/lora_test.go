@@ -1,12 +1,15 @@
 package lora
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/prune"
+	"repro/internal/quant"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
@@ -204,5 +207,91 @@ func TestTrainWorksWithCATS(t *testing.T) {
 	t.Logf("CATS %.3f -> CATS+LoRA %.3f", before, after)
 	if after >= before*1.05 {
 		t.Fatalf("CATS+LoRA much worse than CATS: %.4f -> %.4f", before, after)
+	}
+}
+
+// Every code path that rewrites a weight matrix must leave the sparse
+// kernels reading the new weights, not the input-major mirror of the old
+// ones: one row per mutator — warm the mirror, mutate, and hold MatVecSparse
+// to the same product on a fresh copy of the weights (whose mirror is built
+// from the current Data). A row whose mutator forgot Invalidate trips the
+// kernel's stale-mirror panic, or fails the comparison.
+func TestSparseKernelSeesEveryWeightMutation(t *testing.T) {
+	const rows, cols = 16, 8
+	rng := tensor.NewRNG(41)
+	calib := make([]tensor.Vec, 32)
+	for i := range calib {
+		calib[i] = tensor.NewVec(cols)
+		for j := range calib[i] {
+			calib[i][j] = rng.NormFloat32()
+		}
+	}
+	x := calib[0]
+	idx := []int{5, 0, 3, 6, 1}
+	sameProduct := func(name string, w *tensor.Mat) {
+		t.Helper()
+		got := tensor.MatVecSparse(w, x, idx, nil)
+		want := tensor.MatVecSparse(w.Clone(), x, idx, nil)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: MatVecSparse[%d] = %v on the mutated matrix, %v on a fresh copy of it", name, i, got[i], want[i])
+			}
+		}
+	}
+	mutators := []struct {
+		name string
+		fn   func(p *nn.Param) error
+	}{
+		{"Adam.Step", func(p *nn.Param) error {
+			p.G.RandNorm(rng, 1)
+			nn.NewAdam(0.1).Step([]*nn.Param{p}, 1)
+			return nil
+		}},
+		{"LoadParams", func(p *nn.Param) error {
+			src := nn.NewParam(p.Name, rows, cols)
+			src.Init(rng, 1)
+			var buf bytes.Buffer
+			if err := nn.SaveParams(&buf, []*nn.Param{src}); err != nil {
+				return err
+			}
+			return nn.LoadParams(&buf, []*nn.Param{p})
+		}},
+		{"GradCheck", func(p *nn.Param) error {
+			nn.GradCheck(p, 3, func() float64 { sameProduct("GradCheck (inside loss)", p.W); return 0 }, 0.5)
+			p.W.Data[3]++ // GradCheck restores the entry; move it so the row is not vacuous
+			p.W.Invalidate()
+			return nil
+		}},
+		{"applyDelta", func(p *nn.Param) error {
+			a := NewAdapter("t", rows, cols, 2, rng)
+			a.B.W.RandNorm(rng, 1)
+			applyDelta(p.W, p.W.Clone(), a)
+			return nil
+		}},
+		{"quant.BQMatrix", func(p *nn.Param) error { return quant.BQMatrix(p.W, calib, quant.BQOpts{Bits: 2, GroupSize: 4}) }},
+		{"quant.VQMatrix", func(p *nn.Param) error { quant.VQMatrix(p.W, quant.DefaultVQOpts(2)); return nil }},
+		{"prune.SparseGPTMatrix", func(p *nn.Param) error {
+			return prune.SparseGPTMatrix(p.W, calib, prune.Unstructured, prune.Opts{Sparsity: 0.5, BlockSize: 4, PercDamp: 0.01})
+		}},
+		{"prune.MagnitudeMatrix", func(p *nn.Param) error { prune.MagnitudeMatrix(p.W, 0.5); return nil }},
+		{"Mat.Set", func(p *nn.Param) error { p.W.Set(2, 5, 9); return nil }},
+		{"Mat.RandNorm", func(p *nn.Param) error { p.W.RandNorm(rng, 3); return nil }},
+	}
+	for _, mu := range mutators {
+		p := nn.NewParam("w", rows, cols)
+		p.Init(rng, 1)
+		sameProduct(mu.name+" (warm-up)", p.W)
+		before := p.W.Clone()
+		if err := mu.fn(p); err != nil {
+			t.Fatalf("%s: %v", mu.name, err)
+		}
+		changed := false
+		for i, v := range before.Data {
+			changed = changed || v != p.W.Data[i]
+		}
+		if !changed {
+			t.Fatalf("%s left the weights unchanged; the row proves nothing", mu.name)
+		}
+		sameProduct(mu.name, p.W)
 	}
 }

@@ -58,6 +58,7 @@ func (a *Adam) Step(params []*Param, lrScale float32) {
 			vhat := v[i] / bc2
 			p.W.Data[i] -= lr * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)
 		}
+		p.W.Invalidate()
 		p.ZeroGrad()
 	}
 }
@@ -81,11 +82,15 @@ func CosineLR(t, warmup, total int) float32 {
 func GradCheck(p *Param, i int, loss func() float64, h float32) (analytic, numeric float64) {
 	analytic = float64(p.G.Data[i])
 	orig := p.W.Data[i]
-	p.W.Data[i] = orig + h
+	set := func(x float32) {
+		p.W.Data[i] = x
+		p.W.Invalidate()
+	}
+	set(orig + h)
 	up := loss()
-	p.W.Data[i] = orig - h
+	set(orig - h)
 	down := loss()
-	p.W.Data[i] = orig
+	set(orig)
 	numeric = (up - down) / (2 * float64(h))
 	return analytic, numeric
 }

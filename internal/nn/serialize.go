@@ -99,6 +99,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 		for j := range p.W.Data {
 			p.W.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*j:]))
 		}
+		p.W.Invalidate()
 		loaded[string(nameBuf)] = true
 	}
 	for _, p := range params {

@@ -175,6 +175,7 @@ func MagnitudeMatrix(w *tensor.Mat, sparsity float64) {
 	for _, i := range tensor.TopKIndices(score, k) {
 		w.Data[i] = 0
 	}
+	w.Invalidate()
 }
 
 // CalibrationActivations collects, for every layer, the MLP input vectors
@@ -273,6 +274,7 @@ func cloneModel(m *model.Model) (*model.Model, error) {
 			return nil, fmt.Errorf("prune: clone parameter %s size mismatch", src[i].Name)
 		}
 		copy(dst[i].W.Data, src[i].W.Data)
+		dst[i].W.Invalidate()
 	}
 	return clone, nil
 }

@@ -224,6 +224,7 @@ func VQMatrix(w *tensor.Mat, opts VQOpts) {
 			i++
 		}
 	}
+	w.Invalidate()
 }
 
 func min(a, b int) int {
@@ -347,5 +348,6 @@ func copyParams(src, dst *model.Model) {
 	sp, dp := src.Params(), dst.Params()
 	for i := range sp {
 		copy(dp[i].W.Data, sp[i].W.Data)
+		dp[i].W.Invalidate()
 	}
 }

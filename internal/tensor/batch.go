@@ -37,6 +37,7 @@ func ReuseMat(m *Mat, rows, cols int) *Mat {
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:rows*cols]
+	m.Invalidate()
 	return m
 }
 
@@ -258,34 +259,26 @@ func maskedMatVecColsBatchRange(m, xs *Mat, active [][]bool, out *Mat, lo, hi in
 	}
 }
 
-// SparseBatchScratch holds MatVecSparseBatch's gathered (unit, value)
-// pairs. A zero value is ready; buffers grow lazily and are reused, so
-// steady-state fused decode does not allocate here. One scratch must not be
-// shared across concurrent calls.
+// SparseBatchScratch holds MatVecSparseBatch's per-column accumulator. A
+// zero value is ready; the buffer grows lazily and is reused, so steady-state
+// fused decode does not allocate here. One scratch must not be shared across
+// concurrent calls.
 type SparseBatchScratch struct {
-	js     []int32
-	xv     []float32
-	starts []int
-	tmp    []float32
+	acc []float32
 }
-
-// sparseColsCrossover is the mean pairs-per-column below which the serial
-// sparse kernel switches to the column-major walk: with short unit lists
-// the row-major fused walk pays its per-(row, column) loop setup more often
-// than it computes, while the column-major walk amortizes setup over whole
-// output columns exactly like the single-RHS kernel.
-const sparseColsCrossover = 32
 
 // MatVecSparseBatch computes out = m · xs using, for each column b, only
 // the input coordinates listed in idxs[b] — B sessions' sparse products
-// with differing per-session unit lists, fused into one pass over the
-// output rows (each weight row stays hot while all B sessions consume it).
-// out is zeroed first, like MatVecSparse; scratch may be nil to allocate
-// internally. Per output column the contributions accumulate in idxs[b]
-// order with the same zero-input skip, so results are bit-identical to B
-// MatVecSparse calls.
+// with differing per-session unit lists. Each column runs the single-RHS
+// kernel (sparseAccum, on m's input-major mirror) into a contiguous
+// accumulator that is then scattered into column b, all inside one split of
+// the output rows. out is overwritten, like MatVecSparse; scratch may be nil
+// to allocate internally. Results are bit-identical to B MatVecSparse calls.
 func MatVecSparseBatch(m *Mat, xs *Mat, idxs [][]int, out *Mat, scratch *SparseBatchScratch) *Mat {
 	B := xs.Cols
+	if xs.Rows != m.Cols {
+		panic(fmt.Sprintf("tensor: MatVecSparseBatch xs rows %d != cols %d", xs.Rows, m.Cols))
+	}
 	if len(idxs) != B {
 		panic("tensor: MatVecSparseBatch idxs length mismatch")
 	}
@@ -295,92 +288,33 @@ func MatVecSparseBatch(m *Mat, xs *Mat, idxs [][]int, out *Mat, scratch *SparseB
 	if out.Rows != m.Rows || out.Cols != B {
 		panic("tensor: MatVecSparseBatch out shape mismatch")
 	}
-	var local SparseBatchScratch
-	s := scratch
-	if s == nil {
-		s = &local
+	if scratch == nil {
+		scratch = new(SparseBatchScratch)
 	}
-	// Gather each column's non-zero (unit, value) pairs once, up front.
-	// Dropping the zero entries here is exactly MatVecSparse's per-element
-	// skip — zeros contribute no accumulation step either way — applied once
-	// instead of once per output row, and it leaves the row walk branchless.
-	if cap(s.starts) < B+1 {
-		s.starts = make([]int, B+1)
+	scratch.acc = grow(scratch.acc, m.Rows)
+	acc, t := scratch.acc, m.inputMajor()
+	total := 0
+	for _, idx := range idxs {
+		total += len(idx)
 	}
-	s.starts = s.starts[:B+1]
-	s.js = s.js[:0]
-	s.xv = s.xv[:0]
-	for b, idx := range idxs {
-		s.starts[b] = len(s.js)
-		for _, j := range idx {
-			x := xs.Data[j*B+b]
-			if x == 0 {
-				continue
-			}
-			s.js = append(s.js, int32(j))
-			s.xv = append(s.xv, x)
-		}
-	}
-	s.starts[B] = len(s.js)
-	total := len(s.js)
-	if m.Rows*total <= parallelFlops {
-		if total < sparseColsCrossover*B {
-			matVecSparseBatchCols(m, s, out)
-		} else {
-			matVecSparseBatchRange(m, s, out, 0, m.Rows)
-		}
+	if parallel.Procs() == 1 || m.Rows*total <= parallelFlops {
+		sparseBatchRange(t, xs, idxs, out, acc, 0, m.Rows)
 		return out
 	}
 	parallel.For(m.Rows, rowGrain(total), func(lo, hi int) {
-		matVecSparseBatchRange(m, s, out, lo, hi)
+		sparseBatchRange(t, xs, idxs, out, acc, lo, hi)
 	})
 	return out
 }
 
-// matVecSparseBatchCols is the serial short-list path: one column at a
-// time, unit-outer/row-inner into a contiguous accumulator — the exact
-// structure (and floating-point order) of matVecSparseRange — then a
-// scatter into the column. Used below sparseColsCrossover pairs per column.
-func matVecSparseBatchCols(m *Mat, s *SparseBatchScratch, out *Mat) {
+func sparseBatchRange(t, xs *Mat, idxs [][]int, out *Mat, acc []float32, lo, hi int) {
 	B := out.Cols
-	rows := m.Rows
-	if cap(s.tmp) < rows {
-		s.tmp = make([]float32, rows)
-	}
-	tmp := s.tmp[:rows]
-	for b := 0; b < B; b++ {
-		jb := s.js[s.starts[b]:s.starts[b+1]]
-		xb := s.xv[s.starts[b]:s.starts[b+1]]
-		for i := range tmp {
-			tmp[i] = 0
-		}
-		for t, j := range jb {
-			x := xb[t]
-			off := int(j)
-			for i := 0; i < rows; i++ {
-				tmp[i] += m.Data[off] * x
-				off += m.Cols
-			}
-		}
-		for i, v := range tmp {
-			out.Data[i*B+b] = v
-		}
-	}
-}
-
-func matVecSparseBatchRange(m *Mat, s *SparseBatchScratch, out *Mat, lo, hi int) {
-	B := out.Cols
-	for i := lo; i < hi; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*B : (i+1)*B]
-		for b := 0; b < B; b++ {
-			jb := s.js[s.starts[b]:s.starts[b+1]]
-			xb := s.xv[s.starts[b]:s.starts[b+1]]
-			var acc float32
-			for t, j := range jb {
-				acc += mrow[j] * xb[t]
-			}
-			orow[b] = acc
+	acc = acc[lo:hi]
+	for b, idx := range idxs {
+		clear(acc)
+		sparseAccum(t, xs.Data, B, b, idx, acc, lo)
+		for i, v := range acc {
+			out.Data[(lo+i)*B+b] = v
 		}
 	}
 }

@@ -119,6 +119,67 @@ func BenchmarkMatVecSparseBatch8(b *testing.B) {
 	}
 }
 
+// The bandwidth-bound analog's projections at DIP-CA-50's keep counts
+// (up 768×256 keeping 166 inputs, down 256×768 keeping 154 GLU units). Each
+// iteration takes the next of six distinct matrices — the analog's six MLP
+// projections per token — so the weights are not L2-resident between
+// iterations the way a single 768 KB matrix would be.
+const benchMats = 6
+
+func benchSparseShape(rows, cols, k int) (ms []*Mat, x Vec, idx []int) {
+	rng := NewRNG(8)
+	for range benchMats {
+		m := NewMat(rows, cols)
+		m.RandNorm(rng, 1)
+		ms = append(ms, m)
+	}
+	x = NewVec(cols)
+	for i := range x {
+		x[i] = rng.NormFloat32()
+	}
+	return ms, x, rng.Perm(cols)[:k]
+}
+
+func benchMatVecSparse(b *testing.B, rows, cols, k int) {
+	ms, x, idx := benchSparseShape(rows, cols, k)
+	out := NewVec(rows)
+	for _, m := range ms {
+		MatVecSparse(m, x, idx, out) // build the mirrors outside the timer
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatVecSparse(ms[i%benchMats], x, idx, out)
+	}
+}
+
+func BenchmarkMatVecSparse768x256k166(b *testing.B) { benchMatVecSparse(b, 768, 256, 166) }
+func BenchmarkMatVecSparse256x768k154(b *testing.B) { benchMatVecSparse(b, 256, 768, 154) }
+
+func benchMatVecSparseBatch8(b *testing.B, rows, cols, k int) {
+	ms, _, _ := benchSparseShape(rows, cols, k)
+	rng := NewRNG(9)
+	xs := NewMat(cols, 8)
+	xs.RandNorm(rng, 1)
+	idxs := make([][]int, 8)
+	for c := range idxs {
+		idxs[c] = rng.Perm(cols)[:k]
+	}
+	out := NewMat(rows, 8)
+	var scratch SparseBatchScratch
+	for _, m := range ms {
+		MatVecSparseBatch(m, xs, idxs, out, &scratch)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatVecSparseBatch(ms[i%benchMats], xs, idxs, out, &scratch)
+	}
+}
+
+func BenchmarkMatVecSparseBatch8x768x256k166(b *testing.B) { benchMatVecSparseBatch8(b, 768, 256, 166) }
+func BenchmarkMatVecSparseBatch8x256x768k154(b *testing.B) { benchMatVecSparseBatch8(b, 256, 768, 154) }
+
 // BenchmarkMaskedMatVecColsBatch8 is the masked variant with per-column
 // masks.
 func BenchmarkMaskedMatVecColsBatch8(b *testing.B) {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -152,6 +153,11 @@ func (v Vec) Mean() float64 {
 type Mat struct {
 	Rows, Cols int
 	Data       []float32
+
+	// mirror is the input-major copy (m.T()) the sparse kernels read, built
+	// on their first use. Mat's own mutators drop it; code that writes Data
+	// directly must call Invalidate afterwards.
+	mirror atomic.Pointer[Mat]
 }
 
 // NewMat returns a zeroed Rows x Cols matrix.
@@ -174,7 +180,44 @@ func NewMatFrom(rows, cols int, data []float32) *Mat {
 func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m *Mat) Set(i, j int, x float32) { m.Data[i*m.Cols+j] = x }
+func (m *Mat) Set(i, j int, x float32) {
+	m.Data[i*m.Cols+j] = x
+	m.Invalidate()
+}
+
+// Invalidate drops the input-major mirror so the next sparse product
+// rebuilds it from Data. Call it after writing m.Data (or a Row alias)
+// directly; Set, SetCol, Zero, RandNorm, AddOuter and ReuseMat do so
+// themselves.
+func (m *Mat) Invalidate() {
+	if m.mirror.Load() != nil {
+		m.mirror.Store(nil)
+	}
+}
+
+// inputMajor returns m's input-major mirror: row j is column j of m, so one
+// pruned-input unit is one contiguous run of m.Rows floats. The first call
+// builds it; concurrent first calls build identical copies and one is
+// published. Every later call spot-checks a few entries against Data, so a
+// write that skipped Invalidate fails loudly instead of decoding with stale
+// weights.
+func (m *Mat) inputMajor() *Mat {
+	t := m.mirror.Load()
+	if t == nil {
+		t = m.T()
+		m.mirror.CompareAndSwap(nil, t)
+		return t
+	}
+	stale := t.Rows != m.Cols || t.Cols != m.Rows
+	for k, n := 0, len(m.Data); k < 8 && n > 0 && !stale; k++ {
+		p := k * (n - 1) / 7
+		stale = math.Float32bits(m.Data[p]) != math.Float32bits(t.Data[(p%m.Cols)*m.Rows+p/m.Cols])
+	}
+	if stale {
+		panic("tensor: Mat written without Invalidate")
+	}
+	return t
+}
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
@@ -191,6 +234,7 @@ func (m *Mat) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
+	m.Invalidate()
 }
 
 // Col copies column j into dst (allocating if dst is nil) and returns it.
@@ -215,6 +259,7 @@ func (m *Mat) SetCol(j int, src Vec) {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+j] = src[i]
 	}
+	m.Invalidate()
 }
 
 // T returns the transpose of m as a new matrix.
@@ -234,6 +279,7 @@ func (m *Mat) RandNorm(rng *RNG, std float32) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat32() * std
 	}
+	m.Invalidate()
 }
 
 // MatVec computes out = m · x where x has length m.Cols and out has length
@@ -316,6 +362,7 @@ func AddOuter(m *Mat, alpha float32, a, b Vec) {
 	if len(a) != m.Rows || len(b) != m.Cols {
 		panic("tensor: AddOuter dimension mismatch")
 	}
+	m.Invalidate()
 	if m.Rows*m.Cols <= parallelFlops {
 		addOuterRange(m, alpha, a, b, 0, m.Rows)
 		return
@@ -408,7 +455,13 @@ func maskedMatVecColsRange(m *Mat, x Vec, active []bool, out Vec, lo, hi int) {
 // MatVecSparse computes out = m · x using only the input coordinates listed
 // in idx (x's other coordinates are treated as pruned). idx must be a list
 // of valid column indices; duplicates are summed twice and are a caller bug.
+// The product reads m's input-major mirror, one contiguous row per listed
+// unit, and each out[i] accumulates its terms in idx order with zero inputs
+// skipped.
 func MatVecSparse(m *Mat, x Vec, idx []int, out Vec) Vec {
+	if len(x) != m.Cols {
+		panic(fmt.Sprintf("tensor: MatVecSparse x length %d != cols %d", len(x), m.Cols))
+	}
 	if out == nil {
 		out = NewVec(m.Rows)
 	}
@@ -416,24 +469,53 @@ func MatVecSparse(m *Mat, x Vec, idx []int, out Vec) Vec {
 		panic("tensor: MatVecSparse out length mismatch")
 	}
 	out.Zero()
-	if m.Rows*len(idx) <= parallelFlops {
-		matVecSparseRange(m, x, idx, out, 0, m.Rows)
+	t := m.inputMajor()
+	if parallel.Procs() == 1 || m.Rows*len(idx) <= parallelFlops {
+		sparseAccum(t, x, 1, 0, idx, out, 0)
 		return out
 	}
 	parallel.For(m.Rows, rowGrain(len(idx)), func(lo, hi int) {
-		matVecSparseRange(m, x, idx, out, lo, hi)
+		sparseAccum(t, x, 1, 0, idx, out[lo:hi], lo)
 	})
 	return out
 }
 
-func matVecSparseRange(m *Mat, x Vec, idx []int, out Vec, lo, hi int) {
+// sparseAccum is the one sparse kernel, shared by MatVecSparse and
+// MatVecSparseBatch: acc[i] += Σ t[j][lo+i] · x[j·stride+first] over the
+// units j of idx whose input is non-zero, where t is the input-major mirror.
+// Four units go through each pass over acc, so acc is loaded and stored once
+// per four contiguous mirror rows; within a pass the four terms are added one
+// after another, so every acc[i] receives its terms in idx order — the same
+// float32 sequence as a unit-at-a-time loop.
+func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float32, lo int) {
+	var off [4]int
+	var xv [4]float32
+	n := 0
 	for _, j := range idx {
-		xj := x[j]
-		if xj == 0 {
+		v := x[j*stride+first]
+		if v == 0 {
 			continue
 		}
-		for i := lo; i < hi; i++ {
-			out[i] += m.Data[i*m.Cols+j] * xj
+		off[n], xv[n] = j*t.Cols+lo, v
+		if n++; n < 4 {
+			continue
+		}
+		n = 0
+		r0, r1 := t.Data[off[0]:][:len(acc)], t.Data[off[1]:][:len(acc)]
+		r2, r3 := t.Data[off[2]:][:len(acc)], t.Data[off[3]:][:len(acc)]
+		x0, x1, x2, x3 := xv[0], xv[1], xv[2], xv[3]
+		for i, s := range acc {
+			s += r0[i] * x0
+			s += r1[i] * x1
+			s += r2[i] * x2
+			s += r3[i] * x3
+			acc[i] = s
+		}
+	}
+	for q := 0; q < n; q++ {
+		r, v := t.Data[off[q]:][:len(acc)], xv[q]
+		for i := range acc {
+			acc[i] += r[i] * v
 		}
 	}
 }
