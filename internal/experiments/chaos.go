@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cache"
-	"repro/internal/eval"
-	"repro/internal/hwsim"
-	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
 	"repro/internal/sparsity"
@@ -25,101 +21,56 @@ import (
 // no-recovery baseline (retry budget 1, no shedding) on the identical
 // trace and fault schedule.
 func Chaos(l *Lab) ([]*Table, error) {
-	name := model.Phi3MedSim
-	m := l.Model(name)
-	toks := l.TestTokens(0)
-	win := l.EvalWin()
-	sessTokens := l.evalTokens() / 4
-	k := 8
-	if l.Scale == model.ScalePaper {
-		k = 12
-	}
-	if l.ServeSmoke {
-		k = 6
-		sessTokens = 2 * win
-	}
+	s := l.Serve
+	x := l.requestMix(8, 12, 6)
 	scheme := sparsity.NewDIP(0.5)
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
-	slots := 2
-	const quantum = 8
-	maxStream := sessTokens + 2*win
-	svcTicks := (maxStream + quantum - 1) / quantum
-	deadline := l.ServeSLO
-	if deadline <= 0 {
-		deadline = (k/slots + 2) * svcTicks
-	}
-	rate := l.ServeRate
-	if rate <= 0 {
-		rate = float64(slots) / float64(svcTicks)
-	}
-
+	const slots = 2
+	deadline := x.deadline(slots)
 	makeWorkload := func() (serving.Workload, error) {
-		reqs := make([]serving.Request, k)
-		for i := range reqs {
-			n := sessTokens + (i%3)*win
-			start := 0
-			if len(toks) > n {
-				start = (i * 997) % (len(toks) - n)
-			}
-			slo := serving.SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("c%02d", i),
-				Scheme: scheme,
-				Tokens: toks[start : start+n],
-				SLO:    slo,
-			}
-		}
-		return serving.PoissonArrivals(reqs, rate, l.ServeSeed+1)
+		reqs := x.requests(scheme, deadline, func(i int) string { return fmt.Sprintf("c%02d", i) })
+		return x.poisson(reqs, slots)
 	}
 
 	faultRates := []float64{0.02, 0.05}
-	if l.ServeFaults > 0 {
-		faultRates = []float64{l.ServeFaults}
+	if s.Faults > 0 {
+		faultRates = []float64{s.Faults}
 	}
-	retryAttempts := l.ServeRetry
+	retryAttempts := s.Retry
 	if retryAttempts <= 0 {
 		retryAttempts = 3
 	}
-	shedBudget := l.ServeShed
+	shedBudget := s.Shed
 	if shedBudget <= 0 {
 		shedBudget = 2 * slots
 	}
-	arbs := []serving.ArbPolicy{serving.ArbFairShare, serving.ArbExclusive}
-	preempts := []serving.Preemptor{serving.NoPreempt(), serving.DeadlinePreempt()}
-	if l.ServeSmoke {
-		arbs = []serving.ArbPolicy{serving.ArbFairShare}
+	arbSweep := []serving.ArbPolicy{serving.ArbFairShare, serving.ArbExclusive}
+	if s.Smoke {
+		arbSweep = arbSweep[:1]
 	}
-	if l.ServeArb != "" {
-		a, err := serving.ParseArbPolicy(l.ServeArb)
-		if err != nil {
-			return nil, err
-		}
-		arbs = []serving.ArbPolicy{a}
+	arbs, err := axis(s.Arb, serving.ParseArbPolicy, arbSweep...)
+	if err != nil {
+		return nil, err
 	}
-	if l.ServePreempt != "" {
-		p, err := serving.ParsePreemptor(l.ServePreempt)
-		if err != nil {
-			return nil, err
-		}
-		preempts = []serving.Preemptor{p}
+	preempts, err := axis(s.Preempt, serving.ParsePreemptor, serving.NoPreempt(), serving.DeadlinePreempt())
+	if err != nil {
+		return nil, err
 	}
 
 	runCell := func(frate float64, recover bool, pre serving.Preemptor, arb serving.ArbPolicy) (*serving.Report, error) {
-		plan, err := faults.Mix(frate, l.ServeSeed+2)
+		plan, err := faults.Mix(frate, s.Seed+2)
 		if err != nil {
 			return nil, err
 		}
 		rec := l.obsRecorder()
 		cfg := serving.Config{
-			System: sys, Arb: arb, Sched: serving.EDF(), Preempt: pre,
-			MaxActive: slots, Quantum: quantum, Seed: l.ServeSeed,
+			System: x.sys, Arb: arb, Sched: serving.EDF(), Preempt: pre,
+			MaxActive: slots, Quantum: quantum, Seed: s.Seed,
 			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 1},
-			Obs:    rec,
+			Obs: rec,
 		}
+		mode := "none"
 		if recover {
+			mode = "recovery"
 			cfg.Retry = faults.RetryPolicy{MaxAttempts: retryAttempts}
 			cfg.ShedQueueBudget = shedBudget
 			cfg.Degrade = true
@@ -128,7 +79,7 @@ func Chaos(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := serving.NewEngine(m, cfg, w)
+		e, err := serving.NewEngine(x.m, cfg, w)
 		if err != nil {
 			return nil, err
 		}
@@ -136,20 +87,11 @@ func Chaos(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rec != nil {
-			if err := rep.ReconcileObs(); err != nil {
-				return nil, fmt.Errorf("chaos: rate %v %s/%s: %w", frate, pre.Name(), arb, err)
-			}
-			mode := "none"
-			if recover {
-				mode = "recovery"
-			}
-			cell := fmt.Sprintf("%v-%s-%s-%s", frate, mode, pre.Name(), arb)
-			if err := l.writeCellEvents(cell, rec); err != nil {
-				return nil, err
-			}
+		if err := rep.ReconcileObs(); err != nil {
+			return nil, fmt.Errorf("chaos: rate %v %s/%s: %w", frate, pre.Name(), arb, err)
 		}
-		return rep, nil
+		cell := fmt.Sprintf("%v-%s-%s-%s", frate, mode, pre.Name(), arb)
+		return rep, l.writeCellEvents(cell, rec.Events())
 	}
 
 	out := &Table{

@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/eval"
-	"repro/internal/hwsim"
-	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
@@ -33,102 +28,47 @@ import (
 // count, either decode path; every run's rolled-up report is reconciled
 // against its merged per-node event log.
 func ClusterServe(l *Lab) ([]*Table, error) {
-	name := model.Phi3MedSim
-	m := l.Model(name)
-	toks := l.TestTokens(0)
-	win := l.EvalWin()
-	sessTokens := l.evalTokens() / 4
-	k := 12
-	if l.Scale == model.ScalePaper {
-		k = 24
-	}
-	if l.ServeSmoke {
-		k = 9
-		sessTokens = 2 * win
-	}
+	s := l.Serve
+	x := l.requestMix(12, 24, 9)
+	svcTicks := x.svcTicks
 	scheme := sparsity.NewDIPCA(0.5, 0.2)
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
 	const slotsPerNode = 2
-	const quantum = 8
-	maxStream := sessTokens + 2*win
-	svcTicks := (maxStream + quantum - 1) / quantum
 	nodesAxis := []int{1, 3}
-	if l.ServeNodes > 0 {
-		nodesAxis = []int{l.ServeNodes}
-	}
-	maxNodes := 0
-	for _, n := range nodesAxis {
-		if n > maxNodes {
-			maxNodes = n
-		}
+	if s.Nodes > 0 {
+		nodesAxis = []int{s.Nodes}
 	}
 	// The deadline is sized so the spread cluster attains it while a
 	// hot-spotted node's serial backlog misses from the third wave on.
-	deadline := l.ServeSLO
-	if deadline <= 0 {
-		waves := k / (slotsPerNode * maxNodes)
-		if waves < 1 {
-			waves = 1
-		}
-		deadline = (waves + 2) * svcTicks
-	}
+	deadline := x.deadline(slotsPerNode * slices.Max(nodesAxis))
 
 	makeWorkload := func(nodes int) (serving.Workload, error) {
-		reqs := make([]serving.Request, k)
-		for i := range reqs {
-			n := sessTokens + (i%3)*win
-			start := 0
-			if len(toks) > n {
-				start = (i * 997) % (len(toks) - n)
-			}
-			// Skew: three of four sessions belong to the hot tenant; the
-			// rest are singleton tenants. The router's affinity key is the
-			// prefix before '/'.
-			tenant := fmt.Sprintf("t%02d", i)
+		// Skew: three of four sessions belong to the hot tenant; the rest
+		// are singleton tenants. The router's affinity key is the prefix
+		// before '/'.
+		reqs := x.requests(scheme, deadline, func(i int) string {
 			if i%4 != 3 {
-				tenant = "hot"
+				return fmt.Sprintf("hot/s%02d", i)
 			}
-			slo := serving.SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("%s/s%02d", tenant, i),
-				Scheme: scheme,
-				Tokens: toks[start : start+n],
-				SLO:    slo,
-			}
-		}
-		rate := l.ServeRate
-		if rate <= 0 {
-			// Arrival rate ≈ the cell's aggregate service rate, so every
-			// node count faces the same per-capacity load.
-			rate = float64(nodes*slotsPerNode) / float64(svcTicks)
-		}
-		return serving.PoissonArrivals(reqs, rate, l.ServeSeed+1)
+			return fmt.Sprintf("t%02d/s%02d", i, i)
+		})
+		// Every node count faces the same per-capacity load.
+		return x.poisson(reqs, nodes*slotsPerNode)
 	}
 
-	routers := cluster.RouterNames()
-	if l.ServeRouter != "" {
-		if _, err := cluster.ParseRouter(l.ServeRouter); err != nil {
-			return nil, err
-		}
-		routers = []string{l.ServeRouter}
+	routers, err := axis(s.Router, func(name string) (string, error) {
+		_, err := cluster.ParseRouter(name)
+		return name, err
+	}, cluster.RouterNames()...)
+	if err != nil {
+		return nil, err
 	}
-	arbs := []serving.ArbPolicy{serving.ArbExclusive, serving.ArbFairShare}
-	if l.ServeArb != "" {
-		a, err := serving.ParseArbPolicy(l.ServeArb)
-		if err != nil {
-			return nil, err
-		}
-		arbs = []serving.ArbPolicy{a}
+	arbs, err := axis(s.Arb, serving.ParseArbPolicy, serving.ArbExclusive, serving.ArbFairShare)
+	if err != nil {
+		return nil, err
 	}
-	fuse := l.ServeFuse
-	if fuse == "" {
-		fuse = "on"
-	}
-	if fuse != "on" && fuse != "off" && fuse != "both" {
-		return nil, fmt.Errorf("cluster: unknown -fuse mode %q (on|off|both)", fuse)
+	fuse, err := s.fuseMode()
+	if err != nil {
+		return nil, err
 	}
 
 	// runScenario replays one seeded trace through a cluster configured for
@@ -142,19 +82,19 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		nodeCfgs := make([]serving.Config, nodes)
 		for i := range nodeCfgs {
 			nodeCfgs[i] = serving.Config{
-				System: sys, Arb: arb, Sched: serving.EDF(),
+				System: x.sys, Arb: arb, Sched: serving.EDF(),
 				MaxActive: slotsPerNode, Quantum: quantum,
-				Seed: l.ServeSeed, NoFuse: noFuse,
+				Seed: s.Seed, NoFuse: noFuse,
 			}
 		}
 		cfg := cluster.Config{
-			Nodes: nodeCfgs, Router: router, Seed: l.ServeSeed,
-			Obs: &obs.Config{Window: l.ServeObsWindow},
+			Nodes: nodeCfgs, Router: router, Seed: s.Seed,
+			Obs: &obs.Config{Window: s.ObsWindow},
 		}
 		switch scenario {
 		case "steady":
 		case "drain":
-			cfg.DrainTick = l.ServeDrainTick
+			cfg.DrainTick = s.DrainTick
 			if cfg.DrainTick <= 0 {
 				cfg.DrainTick = svcTicks
 			}
@@ -162,23 +102,23 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		case "fail":
 			cfg.Failures = []cluster.Failure{{Node: failNode, Tick: svcTicks / 2, Ticks: svcTicks}}
 		case "chaos-heartbeat", "chaos-oracle", "chaos-off":
-			rt := l.ServeRecoverTicks
+			rt := s.RecoverTicks
 			if rt <= 0 {
 				rt = svcTicks / 2
 			}
 			cfg.Chaos = faults.NodeChaos{
-				Seed: l.ServeSeed + 2, CrashRate: l.ServeNodeChaos, RecoverTicks: rt,
+				Seed: s.Seed + 2, CrashRate: s.NodeChaos, RecoverTicks: rt,
 			}
 			cfg.Detect = cluster.Detect{
 				Mode:        strings.TrimPrefix(scenario, "chaos-"),
-				MissConfirm: l.ServeDetectMiss,
+				MissConfirm: s.DetectMiss,
 			}
 		}
 		w, err := makeWorkload(nodes)
 		if err != nil {
 			return nil, nil, err
 		}
-		c, err := cluster.New(m, cfg, w)
+		c, err := cluster.New(x.m, cfg, w)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,7 +149,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 	}
 	for _, nodes := range nodesAxis {
 		rs := routers
-		if nodes == 1 && l.ServeRouter == "" {
+		if nodes == 1 && s.Router == "" {
 			// With one node every router degenerates to the same placement;
 			// one representative row is enough.
 			rs = routers[:1]
@@ -220,6 +160,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				wall := rep.Wall
 				var unfusedWall serving.WallClock
 				if fuse == "both" {
 					unfused, uevents, err := runScenario(nodes, routerName, arb, true, "steady", 0)
@@ -227,27 +168,13 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 						return nil, err
 					}
 					unfusedWall = unfused.Wall
-					fw := rep.Wall
 					stripClusterWall(rep)
 					stripClusterWall(unfused)
-					if !reflect.DeepEqual(rep, unfused) {
-						return nil, fmt.Errorf("cluster: n%d/%s/%s: fused report diverged from the per-session path",
-							nodes, routerName, arb)
-					}
-					var fb, ub bytes.Buffer
-					if err := obs.WriteJSONL(&fb, events); err != nil {
+					if err := sameSim(fmt.Sprintf("cluster: n%d/%s/%s", nodes, routerName, arb), rep, unfused, events, uevents); err != nil {
 						return nil, err
 					}
-					if err := obs.WriteJSONL(&ub, uevents); err != nil {
-						return nil, err
-					}
-					if !bytes.Equal(fb.Bytes(), ub.Bytes()) {
-						return nil, fmt.Errorf("cluster: n%d/%s/%s: merged event log diverged between fused and per-session paths",
-							nodes, routerName, arb)
-					}
-					rep.Wall = fw
 				}
-				if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-steady", nodes, routerName, arb), events); err != nil {
+				if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-steady", nodes, routerName, arb), events); err != nil {
 					return nil, err
 				}
 				drainMoved, drainAttain := any("-"), any("-")
@@ -257,7 +184,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-drain", nodes, routerName, arb), devents); err != nil {
+					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-drain", nodes, routerName, arb), devents); err != nil {
 						return nil, err
 					}
 					drainMoved, drainAttain = drain.Migrations+drain.Requeues, drain.SLOAttainRate
@@ -275,14 +202,14 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-fail", nodes, routerName, arb), fevents); err != nil {
+					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-fail", nodes, routerName, arb), fevents); err != nil {
 						return nil, err
 					}
 					failMigr, failGoodput = fail.Migrations, fail.Goodput
 				}
 				detectLag, rejoins, stranded := any("-"), any("-"), any("-")
 				chaosAttain, oracleAttain, offAttain := any("-"), any("-"), any("-")
-				if nodes > 1 && l.ServeNodeChaos > 0 {
+				if nodes > 1 && s.NodeChaos > 0 {
 					// The chaos replay: the same trace under unscripted
 					// crash+recover chaos, once per detector mode. The
 					// heartbeat run is the measured system, the zero-lag
@@ -292,7 +219,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-chaos", nodes, routerName, arb), cevents); err != nil {
+					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-chaos", nodes, routerName, arb), cevents); err != nil {
 						return nil, err
 					}
 					oracle, _, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-oracle", 0)
@@ -312,7 +239,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					failMigr, failGoodput,
 					detectLag, rejoins, stranded,
 					chaosAttain, oracleAttain, offAttain,
-					fuse, rep.Wall.TokS}
+					fuse, wall.TokS}
 				if fuse == "both" {
 					row = append(row, unfusedWall.TokS)
 				}
@@ -328,11 +255,11 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		"fail_* replays it with the steady run's most-loaded node failing mid-run: active sessions are evacuated and fail over with their stream and cache state carried to surviving nodes (fail_migr counts live-stream migrations)",
 		"every run's rolled-up report is reconciled against its merged per-node event log (cluster-level: per-node books cannot balance under migration)",
 	)
-	if l.ServeNodeChaos > 0 {
+	if s.NodeChaos > 0 {
 		out.Notes = append(out.Notes,
-			fmt.Sprintf("chaos_* replays the cell's trace under unscripted node chaos (-node-chaos %g: seeded per-tick crash draws with timed restarts and rejoin probation): detect_lag is the heartbeat detector's mean crash-to-confirmation lag in ticks, stranded counts placements made onto dead-but-unconfirmed nodes, and chaos/oracle/off_attain price that lag — the zero-lag oracle bounds the detector from above, detection-off (work frozen until restart) from below", l.ServeNodeChaos))
+			fmt.Sprintf("chaos_* replays the cell's trace under unscripted node chaos (-node-chaos %g: seeded per-tick crash draws with timed restarts and rejoin probation): detect_lag is the heartbeat detector's mean crash-to-confirmation lag in ticks, stranded counts placements made onto dead-but-unconfirmed nodes, and chaos/oracle/off_attain price that lag — the zero-lag oracle bounds the detector from above, detection-off (work frozen until restart) from below", s.NodeChaos))
 	}
-	if l.ServeEvents != "" {
+	if s.Events != "" {
 		out.Notes = append(out.Notes,
 			"with -events each scenario wrote <prefix>-n<N>-<router>-<arb>-<scenario> merged event logs (node field disambiguates replicas)")
 	}

@@ -292,8 +292,8 @@ func TestRegistryRunsEverything(t *testing.T) {
 	}
 	// serve runs at its CI smoke size here; its wall-clock columns vary per
 	// run, so only the structural checks below apply.
-	sharedLab.ServeSmoke = true
-	defer func() { sharedLab.ServeSmoke = false }()
+	sharedLab.Serve.Smoke = true
+	defer func() { sharedLab.Serve.Smoke = false }()
 	// Smoke-run the cheap drivers not covered above through the registry.
 	for _, id := range []string{"tab5", "tab6", "tab7", "fig8", "fig14", "tab3", "tab4", "abl-alloc", "serve", "chaos"} {
 		tables, err := Run(sharedLab, id)

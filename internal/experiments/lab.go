@@ -35,93 +35,9 @@ type Lab struct {
 	CheckpointDir string
 	// Log receives progress lines (nil silences).
 	Log io.Writer
-	// ServeSeed seeds the serving engine's arrival-shuffle RNG and the
-	// Poisson arrival trace (dipbench -seed), making the serve scenario's
-	// admission order and arrival timing reproducible.
-	ServeSeed uint64
-	// ServeSmoke shrinks the serve scenario to a CI-sized smoke run
-	// (dipbench -small).
-	ServeSmoke bool
-	// ServeWorkload restricts the serve grid to one workload kind (dipbench
-	// -workload: fixed|poisson|closed|trace; "" sweeps the open/closed-loop
-	// kinds).
-	ServeWorkload string
-	// ServeSched restricts the serve grid to one scheduler (dipbench -sched:
-	// fcfs|prio|edf; "" sweeps all).
-	ServeSched string
-	// ServePreempt restricts the serve grid to one preemption policy
-	// (dipbench -preempt: none|deadline|prio; "" sweeps none and deadline,
-	// smoke runs default to none).
-	ServePreempt string
-	// ServeArb restricts the serve grid to one arbitration policy (dipbench
-	// -arb: exclusive|fair|greedy|shared; "" sweeps fair and shared — the
-	// two contended regimes).
-	ServeArb string
-	// ServeRate overrides the Poisson arrival rate in requests per tick
-	// (dipbench -rate; 0 = arrival rate ≈ service rate).
-	ServeRate float64
-	// ServeSLO overrides the interactive class's deadline in ticks (dipbench
-	// -slo; 0 = a generous scale-derived default).
-	ServeSLO int
-	// ServeTrace is the trace file (JSON or CSV) replayed by the trace
-	// workload (dipbench -trace).
-	ServeTrace string
-	// ServeFuse selects the serving decode path (dipbench -fuse): "on" (or
-	// "", the default) uses the fused multi-RHS batched step, "off" the
-	// per-session path, and "both" runs every grid cell through both paths,
-	// asserts their simulated reports are bit-identical, and records both
-	// wall throughputs.
-	ServeFuse string
-	// ServeFaults enables seeded fault injection in the serve and chaos
-	// scenarios (dipbench -faults): the overall transient-fault rate of the
-	// faults.Mix plan, in [0, 1]. Zero disables injection in serve and keeps
-	// the chaos grid's default rate sweep.
-	ServeFaults float64
-	// ServeRetry overrides the per-request retry budget under fault
-	// injection (dipbench -retry: total attempts; 0 = the engine default 3,
-	// 1 = no recovery).
-	ServeRetry int
-	// ServeShed sets the admission-control queue budget under fault
-	// injection (dipbench -shed; 0 = no shedding). A positive budget also
-	// enables graceful degradation of queued best-effort work.
-	ServeShed int
-	// ServeEvents enables structured event tracing and names the path
-	// prefix for the per-cell event logs (dipbench -events; each grid cell
-	// writes <prefix>-<cell>.<ext>). Empty disables tracing unless
-	// ServeObsWindow asks for windowed telemetry.
-	ServeEvents string
-	// ServeEventsFormat picks the event-log encoding (dipbench
-	// -events-format; an obs format name, "" = JSONL).
-	ServeEventsFormat string
-	// ServeObsWindow sets the moving-window width in simulated ticks for
-	// the windowed telemetry snapshot (dipbench -obs-window; 0 = the obs
-	// package default). A positive width enables tracing even without
-	// ServeEvents, surfacing the snapshot on each cell's report.
-	ServeObsWindow int
-	// ServeNodes restricts the cluster scenario to one replica count
-	// (dipbench -nodes; 0 sweeps 1 and 3). Setting it on dipbench also
-	// routes -serve to the cluster grid.
-	ServeNodes int
-	// ServeRouter restricts the cluster grid to one routing policy
-	// (dipbench -router: hash|least-loaded|slo; "" sweeps all).
-	ServeRouter string
-	// ServeDrainTick overrides the tick at which the cluster drain scenario
-	// drains its last node (dipbench -drain-tick; 0 = one service time into
-	// the run).
-	ServeDrainTick int
-	// ServeNodeChaos enables unscripted node chaos in the cluster grid
-	// (dipbench -node-chaos): the per-node per-tick crash probability, in
-	// [0, 1]. Positive values add a chaos replay per multi-node cell, run
-	// through the heartbeat detector, the zero-lag oracle, and with
-	// detection off, pricing detection lag in the chaos_* columns.
-	ServeNodeChaos float64
-	// ServeDetectMiss overrides the heartbeat detector's confirmation
-	// threshold in consecutive missed heartbeats (dipbench -detect-miss;
-	// 0 = the cluster default 4).
-	ServeDetectMiss int
-	// ServeRecoverTicks overrides how long a chaos-crashed node stays down
-	// before restarting (dipbench -recover-ticks; 0 = half a service time).
-	ServeRecoverTicks int
+	// Serve describes the serving run the serve, chaos and cluster grids
+	// execute (dipbench binds its serving flags straight onto it).
+	Serve Scenario
 
 	tok    *data.Tokenizer
 	splits data.Splits

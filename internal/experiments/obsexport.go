@@ -11,7 +11,7 @@ import (
 // obsTracing reports whether the lab's flags ask the serving scenarios to
 // attach an event recorder (either to export per-cell logs, or just to
 // surface the windowed-telemetry snapshot on each report).
-func (l *Lab) obsTracing() bool { return l.ServeEvents != "" || l.ServeObsWindow > 0 }
+func (l *Lab) obsTracing() bool { return l.Serve.Events != "" || l.Serve.ObsWindow > 0 }
 
 // obsRecorder builds a fresh recorder for one grid cell. Recorders are
 // single-run (Bind rejects reuse), so every engine gets its own. Tracing is
@@ -19,39 +19,30 @@ func (l *Lab) obsTracing() bool { return l.ServeEvents != "" || l.ServeObsWindow
 // its event log, whether or not the user asked for exports — while the
 // extra telemetry columns and per-cell log files stay gated on obsTracing.
 func (l *Lab) obsRecorder() *obs.Recorder {
-	return obs.NewRecorder(obs.Config{Window: l.ServeObsWindow})
+	return obs.NewRecorder(obs.Config{Window: l.Serve.ObsWindow})
 }
 
 // obsFormat resolves the lab's event-log format ("" defaults to JSONL).
 func (l *Lab) obsFormat() (string, error) {
-	if l.ServeEventsFormat == "" {
+	if l.Serve.EventsFormat == "" {
 		return obs.FormatJSONL, nil
 	}
-	return obs.ParseFormat(l.ServeEventsFormat)
+	return obs.ParseFormat(l.Serve.EventsFormat)
 }
 
-// writeCellEvents exports one cell's event log to
-// <ServeEvents>-<cell>.<ext>, creating parent directories as needed. A nil
-// recorder or an unset -events prefix is a no-op.
-func (l *Lab) writeCellEvents(cell string, rec *obs.Recorder) error {
-	if rec == nil {
-		return nil
-	}
-	return l.writeCellEventLog(cell, rec.Events())
-}
-
-// writeCellEventLog is writeCellEvents for a pre-merged event slice — the
-// cluster scenario's node logs arrive already merged onto the shared tick
-// timeline rather than inside one recorder.
-func (l *Lab) writeCellEventLog(cell string, events []obs.Event) error {
-	if l.ServeEvents == "" {
+// writeCellEvents exports one cell's event log — a recorder's, or the
+// cluster grid's node logs already merged onto the shared tick timeline —
+// to <Events>-<cell>.<ext>, creating parent directories as needed. An unset
+// -events prefix is a no-op.
+func (l *Lab) writeCellEvents(cell string, events []obs.Event) error {
+	if l.Serve.Events == "" {
 		return nil
 	}
 	format, err := l.obsFormat()
 	if err != nil {
 		return err
 	}
-	path := fmt.Sprintf("%s-%s%s", l.ServeEvents, cell, obs.FormatExt(format))
+	path := fmt.Sprintf("%s-%s%s", l.Serve.Events, cell, obs.FormatExt(format))
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err

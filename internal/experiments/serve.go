@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"reflect"
+	"strings"
 
-	"repro/internal/cache"
-	"repro/internal/eval"
-	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
@@ -29,21 +25,9 @@ import (
 // under contention) and is bit-identical for a fixed -seed; host wall
 // throughput rides along as the final annotation column.
 func Serve(l *Lab) ([]*Table, error) {
-	name := model.Phi3MedSim
-	m := l.Model(name)
-	toks := l.TestTokens(0)
-	win := l.EvalWin()
-	sessTokens := l.evalTokens() / 4
-	k := 8
-	if l.Scale == model.ScalePaper {
-		k = 16
-	}
-	if l.ServeSmoke {
-		k = 6
-		sessTokens = 2 * win
-	}
+	s := l.Serve
+	x := l.requestMix(8, 16, 6)
 	scheme := sparsity.NewDIPCA(0.5, 0.2)
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
 	// Batch width is a serving-policy knob, not a host property: capping it
 	// below the session count exercises queueing and slot backfill, while
 	// the wall-clock fan-out inside a tick is still bounded by the worker
@@ -52,35 +36,17 @@ func Serve(l *Lab) ([]*Table, error) {
 	if l.Scale == model.ScalePaper {
 		slotCap = 8
 	}
-	slots := k
-	if slots > slotCap {
-		slots = slotCap
-	}
-	const quantum = 8
-	// svcTicks bounds one session's pure decode time (the longest stream at
-	// quantum tokens per tick); arrival rates, think times, and the default
-	// deadline are expressed in these service units so the scenario scales
-	// with -scale and -small.
-	maxStream := sessTokens + 2*win
-	svcTicks := (maxStream + quantum - 1) / quantum
-	deadline := l.ServeSLO
-	if deadline <= 0 {
-		// Generous: enough for a full wave of queueing ahead of you.
-		deadline = (k/slots + 2) * svcTicks
-	}
+	slots := min(x.k, slotCap)
+	deadline := x.deadline(slots)
 
-	// Session i decodes its own slice of the test split; lengths vary by up
-	// to two windows so slots free at different ticks and continuous
-	// batching has something to backfill. Even submissions are interactive
-	// (priority 2, deadlined), odd are batch (best effort).
 	// The trace file is loaded once; the grid re-binds the parsed entries
 	// per cell (each engine consumes its own workload cursor).
 	var traceEntries []serving.TraceEntry
-	if l.ServeWorkload == "trace" {
-		if l.ServeTrace == "" {
+	if s.Workload == "trace" {
+		if s.Trace == "" {
 			return nil, fmt.Errorf("serve: the trace workload needs a trace file (dipbench -trace)")
 		}
-		f, err := os.Open(l.ServeTrace)
+		f, err := os.Open(s.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
@@ -93,52 +59,24 @@ func Serve(l *Lab) ([]*Table, error) {
 	}
 
 	makeReqs := func() []serving.Request {
-		reqs := make([]serving.Request, k)
-		for i := range reqs {
-			n := sessTokens + (i%3)*win
-			start := 0
-			if len(toks) > n {
-				start = (i * 997) % (len(toks) - n)
-			}
-			slo := serving.SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("s%02d", i),
-				Scheme: scheme,
-				Tokens: toks[start : start+n],
-				SLO:    slo,
-			}
-		}
-		return reqs
+		return x.requests(scheme, deadline, func(i int) string { return fmt.Sprintf("s%02d", i) })
 	}
 	newWorkload := func(kind string) (serving.Workload, error) {
 		switch kind {
 		case "fixed":
 			return serving.FixedBatch(makeReqs()), nil
 		case "poisson":
-			rate := l.ServeRate
-			if rate <= 0 {
-				// Arrival rate ≈ aggregate service rate: enough load to form
-				// queues without unbounded backlog.
-				rate = float64(slots) / float64(svcTicks)
-			}
-			return serving.PoissonArrivals(makeReqs(), rate, l.ServeSeed+1)
+			return x.poisson(makeReqs(), slots)
 		case "closed":
-			users := slots
-			if users < 2 {
-				users = 2
-			}
-			reqs := makeReqs()
+			users := max(slots, 2)
 			scripts := make([][]serving.Request, users)
-			for i, r := range reqs {
+			for i, r := range makeReqs() {
 				scripts[i%users] = append(scripts[i%users], r)
 			}
-			return serving.ClosedLoop(scripts, svcTicks/2)
+			return serving.ClosedLoop(scripts, x.svcTicks/2)
 		case "trace":
 			return serving.TraceWorkload(traceEntries, serving.TraceBinder{
-				Corpus: toks,
+				Corpus: x.toks,
 				Scheme: func(name string) (sparsity.Scheme, error) {
 					switch name {
 					case "", "dipca":
@@ -154,45 +92,31 @@ func Serve(l *Lab) ([]*Table, error) {
 	}
 
 	workloads := []string{"fixed", "poisson", "closed"}
-	scheds := []serving.Scheduler{serving.FCFS(), serving.Priority(), serving.EDF()}
-	arbs := []serving.ArbPolicy{serving.ArbFairShare, serving.ArbShared}
-	preempts := []serving.Preemptor{serving.NoPreempt(), serving.DeadlinePreempt()}
-	if l.ServeSmoke {
+	schedSweep := []serving.Scheduler{serving.FCFS(), serving.Priority(), serving.EDF()}
+	preemptSweep := []serving.Preemptor{serving.NoPreempt(), serving.DeadlinePreempt()}
+	if s.Smoke {
 		workloads = []string{"fixed", "poisson"}
-		scheds = []serving.Scheduler{serving.FCFS(), serving.EDF()}
-		preempts = []serving.Preemptor{serving.NoPreempt()}
+		schedSweep = []serving.Scheduler{serving.FCFS(), serving.EDF()}
+		preemptSweep = preemptSweep[:1]
 	}
-	if l.ServeWorkload != "" {
-		workloads = []string{l.ServeWorkload}
+	if s.Workload != "" {
+		workloads = []string{s.Workload}
 	}
-	if l.ServeSched != "" {
-		s, err := serving.ParseScheduler(l.ServeSched)
-		if err != nil {
-			return nil, err
-		}
-		scheds = []serving.Scheduler{s}
+	scheds, err := axis(s.Sched, serving.ParseScheduler, schedSweep...)
+	if err != nil {
+		return nil, err
 	}
-	if l.ServePreempt != "" {
-		p, err := serving.ParsePreemptor(l.ServePreempt)
-		if err != nil {
-			return nil, err
-		}
-		preempts = []serving.Preemptor{p}
+	preempts, err := axis(s.Preempt, serving.ParsePreemptor, preemptSweep...)
+	if err != nil {
+		return nil, err
 	}
-	if l.ServeArb != "" {
-		a, err := serving.ParseArbPolicy(l.ServeArb)
-		if err != nil {
-			return nil, err
-		}
-		arbs = []serving.ArbPolicy{a}
+	arbs, err := axis(s.Arb, serving.ParseArbPolicy, serving.ArbFairShare, serving.ArbShared)
+	if err != nil {
+		return nil, err
 	}
-
-	fuse := l.ServeFuse
-	if fuse == "" {
-		fuse = "on"
-	}
-	if fuse != "on" && fuse != "off" && fuse != "both" {
-		return nil, fmt.Errorf("serve: unknown -fuse mode %q (on|off|both)", fuse)
+	fuse, err := s.fuseMode()
+	if err != nil {
+		return nil, err
 	}
 	cols := []string{"workload", "sched", "preempt", "policy", "sessions", "slots",
 		"sim_tok_s", "goodput", "hit_rate", "mean_ppl", "p50_lat_ms", "p99_lat_ms",
@@ -220,24 +144,24 @@ func Serve(l *Lab) ([]*Table, error) {
 	// cells stay bit-identical for a fixed seed because fault draws are pure
 	// functions of (seed, tick, slot).
 	var plan faults.Injector
-	if l.ServeFaults > 0 {
-		p, err := faults.Mix(l.ServeFaults, l.ServeSeed+2)
+	if s.Faults > 0 {
+		p, err := faults.Mix(s.Faults, s.Seed+2)
 		if err != nil {
 			return nil, err
 		}
 		plan = p
 	}
-	runCell := func(kind string, sched serving.Scheduler, pre serving.Preemptor, arb serving.ArbPolicy, noFuse bool) (*serving.Report, *obs.Recorder, error) {
+	runCell := func(cell, kind string, sched serving.Scheduler, pre serving.Preemptor, arb serving.ArbPolicy, noFuse bool) (*serving.Report, *obs.Recorder, error) {
 		w, err := newWorkload(kind)
 		if err != nil {
 			return nil, nil, err
 		}
 		rec := l.obsRecorder()
-		e, err := serving.NewEngine(m, serving.Config{
-			System: sys, Arb: arb, Sched: sched, Preempt: pre,
-			MaxActive: slots, Quantum: quantum, Seed: l.ServeSeed, NoFuse: noFuse,
-			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: l.ServeRetry},
-			ShedQueueBudget: l.ServeShed, Degrade: l.ServeShed > 0,
+		e, err := serving.NewEngine(x.m, serving.Config{
+			System: x.sys, Arb: arb, Sched: sched, Preempt: pre,
+			MaxActive: slots, Quantum: quantum, Seed: s.Seed, NoFuse: noFuse,
+			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: s.Retry},
+			ShedQueueBudget: s.Shed, Degrade: s.Shed > 0,
 			Obs: rec,
 		}, w)
 		if err != nil {
@@ -247,13 +171,10 @@ func Serve(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if rec != nil {
-			// The reconciliation invariant is cheap; holding it on every
-			// cell means an exported event log always sums to the report
-			// beside it.
-			if err := rep.ReconcileObs(); err != nil {
-				return nil, nil, fmt.Errorf("serve: %s/%s/%s/%s: %w", kind, sched.Name(), pre.Name(), arb, err)
-			}
+		// The reconciliation invariant is cheap; holding it on every cell
+		// means an exported event log always sums to the report beside it.
+		if err := rep.ReconcileObs(); err != nil {
+			return nil, nil, fmt.Errorf("serve: %s: %w", cell, err)
 		}
 		return rep, rec, nil
 	}
@@ -261,47 +182,29 @@ func Serve(l *Lab) ([]*Table, error) {
 		for _, sched := range scheds {
 			for _, pre := range preempts {
 				for _, arb := range arbs {
-					rep, rec, err := runCell(kind, sched, pre, arb, fuse == "off")
+					cell := fmt.Sprintf("%s/%s/%s/%s", kind, sched.Name(), pre.Name(), arb)
+					rep, rec, err := runCell(cell, kind, sched, pre, arb, fuse == "off")
 					if err != nil {
 						return nil, err
 					}
+					wall := rep.Wall
 					var unfusedWall serving.WallClock
 					if fuse == "both" {
-						unfused, urec, err := runCell(kind, sched, pre, arb, true)
+						unfused, urec, err := runCell(cell, kind, sched, pre, arb, true)
 						if err != nil {
 							return nil, err
 						}
-						// The fused path's whole contract: apart from the wall
-						// annotation, both reports must be bit-identical.
 						unfusedWall = unfused.Wall
-						fw, uw := rep.Wall, unfused.Wall
 						rep.Wall, unfused.Wall = serving.WallClock{}, serving.WallClock{}
-						if !reflect.DeepEqual(rep, unfused) {
-							return nil, fmt.Errorf("serve: %s/%s/%s/%s: fused report diverged from the per-session path",
-								kind, sched.Name(), pre.Name(), arb)
-						}
-						rep.Wall, unfused.Wall = fw, uw
-						if rec != nil {
-							// Stronger than the report check: the full event
-							// stream must match byte for byte too.
-							var fb, ub bytes.Buffer
-							if err := obs.WriteJSONL(&fb, rec.Events()); err != nil {
-								return nil, err
-							}
-							if err := obs.WriteJSONL(&ub, urec.Events()); err != nil {
-								return nil, err
-							}
-							if !bytes.Equal(fb.Bytes(), ub.Bytes()) {
-								return nil, fmt.Errorf("serve: %s/%s/%s/%s: event log diverged between fused and per-session paths",
-									kind, sched.Name(), pre.Name(), arb)
-							}
+						if err := sameSim("serve: "+cell, rep, unfused, rec.Events(), urec.Events()); err != nil {
+							return nil, err
 						}
 						fusedTokens += rep.TotalTokens
-						fusedSeconds += fw.Seconds
+						fusedSeconds += wall.Seconds
 						unfusedTokens += unfused.TotalTokens
-						unfusedSeconds += uw.Seconds
+						unfusedSeconds += unfusedWall.Seconds
 					}
-					if err := l.writeCellEvents(fmt.Sprintf("%s-%s-%s-%s", kind, sched.Name(), pre.Name(), arb), rec); err != nil {
+					if err := l.writeCellEvents(strings.ReplaceAll(cell, "/", "-"), rec.Events()); err != nil {
 						return nil, err
 					}
 					var ppl float64
@@ -323,7 +226,7 @@ func Serve(l *Lab) ([]*Table, error) {
 					if l.obsTracing() {
 						row = append(row, rep.Obs.TokensPerTick, rep.Obs.MeanQueueDepth)
 					}
-					row = append(row, fuse, rep.Wall.TokS)
+					row = append(row, fuse, wall.TokS)
 					if fuse == "both" {
 						row = append(row, unfusedWall.TokS)
 					}

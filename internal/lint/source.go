@@ -8,17 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // This file is the syntax-only side of the loader: one parse pass over a
-// package directory plus the source-inspection helpers the repo's
-// keep-in-sync tests share (flag-declaration extraction, string-list
-// literals, exported-function scans). Before these existed, dipbench's and
-// the experiment registry's tests each hand-rolled their own ast.Inspect
-// walkers over their own parser calls; now every AST-shaped test and the
-// analyzer suite go through this one code path.
+// package directory plus the exported-function scan the experiment
+// registry's keep-in-sync test runs over its own package source, through
+// the same parse code path as the analyzer suite.
 
 // ParseDir parses every .go file in one directory — test files included,
 // no type-checking — into a single syntax-only Package. Tests use it to
@@ -55,68 +51,6 @@ func ParseDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// FlagDecls returns every `flag.X("name", ..., "usage")` declaration in
-// the package as name → usage. Any flag-package call whose first and last
-// arguments are string literals counts, so Bool/Int/String/Duration and
-// the Var forms are all caught.
-func FlagDecls(pkg *Package) map[string]string {
-	flags := make(map[string]string)
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "flag" {
-				return true
-			}
-			name, ok1 := StrLit(call.Args[0])
-			usage, ok2 := StrLit(call.Args[len(call.Args)-1])
-			if ok1 && ok2 {
-				flags[name] = usage
-			}
-			return true
-		})
-	}
-	return flags
-}
-
-// StringLists returns every `[]string{...}` composite literal in the
-// package whose elements are all string literals, in source order.
-func StringLists(pkg *Package) [][]string {
-	var lists [][]string
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			at, ok := lit.Type.(*ast.ArrayType)
-			if !ok {
-				return true
-			}
-			if id, ok := at.Elt.(*ast.Ident); !ok || id.Name != "string" {
-				return true
-			}
-			elems := make([]string, 0, len(lit.Elts))
-			for _, e := range lit.Elts {
-				s, ok := StrLit(e)
-				if !ok {
-					return true
-				}
-				elems = append(elems, s)
-			}
-			lists = append(lists, elems)
-			return true
-		})
-	}
-	return lists
-}
-
 // ExportedFuncs returns the names of every exported top-level function
 // (methods excluded) whose type matches the predicate, sorted.
 func ExportedFuncs(pkg *Package, match func(*ast.FuncType) bool) []string {
@@ -134,15 +68,4 @@ func ExportedFuncs(pkg *Package, match func(*ast.FuncType) bool) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// StrLit unquotes a string-literal expression; ok is false for anything
-// else.
-func StrLit(e ast.Expr) (string, bool) {
-	bl, ok := e.(*ast.BasicLit)
-	if !ok || bl.Kind != token.STRING {
-		return "", false
-	}
-	s, err := strconv.Unquote(bl.Value)
-	return s, err == nil
 }
