@@ -64,22 +64,28 @@ func (s Stats) HitRate() float64 {
 }
 
 // GroupCache caches the units of one weight group at one layer.
+//
+// Eviction order is one total order for every policy: the victim is the
+// evictable unit with the smallest (key, unit) pair, where key[u] is the
+// policy's single per-unit number — the last-use stamp (LRU), the insertion
+// stamp (FIFO) or the use count (LFU, LFU-aged; counted for non-resident
+// units too, so a returning unit keeps its history). The evictable units —
+// resident and not part of the access being processed — sit in an indexed
+// binary min-heap on that order. A unit of the current access leaves the
+// heap when the access starts and re-enters under its new key when it ends,
+// so "in the heap" is the eviction-protection test and a miss takes the
+// heap top in O(log capacity).
 type GroupCache struct {
 	policy   Policy
 	capacity int
 	nunits   int
-	resident []bool
 	count    int
+	clock    int64
 
-	clock   int64
-	lastUse []int64 // LRU
-	freq    []int64 // LFU
-
-	// inflight[u] == clock marks u as part of the access being processed,
-	// giving pickVictim an O(1) protection check instead of scanning the
-	// current unit list per candidate (the dominant cost of cache-coupled
-	// evaluation before this existed).
-	inflight []int64
+	resident []bool
+	key      []int64
+	heap     []int32 // evictable units, min-heap on (key, unit)
+	pos      []int32 // pos[u] is u's index in heap, or -1
 
 	// Belady state: for each unit, the (ascending) positions in the access
 	// stream where it is used, and a cursor into that list.
@@ -91,8 +97,11 @@ type GroupCache struct {
 }
 
 // NewGroupCache returns a cache over nunits units holding at most capacity
-// of them. capacity is clamped to [0, nunits].
+// of them. capacity is clamped to [0, nunits]; a negative nunits panics.
 func NewGroupCache(policy Policy, capacity, nunits int) *GroupCache {
+	if nunits < 0 {
+		panic("cache: negative unit universe")
+	}
 	if capacity < 0 {
 		capacity = 0
 	}
@@ -102,15 +111,19 @@ func NewGroupCache(policy Policy, capacity, nunits int) *GroupCache {
 	if policy == PolicyNone {
 		capacity = 0
 	}
-	return &GroupCache{
+	g := &GroupCache{
 		policy:   policy,
 		capacity: capacity,
 		nunits:   nunits,
 		resident: make([]bool, nunits),
-		lastUse:  make([]int64, nunits),
-		freq:     make([]int64, nunits),
-		inflight: make([]int64, nunits),
+		key:      make([]int64, nunits),
+		heap:     make([]int32, 0, capacity),
+		pos:      make([]int32, nunits),
 	}
+	for u := range g.pos {
+		g.pos[u] = -1
+	}
+	return g
 }
 
 // Capacity returns the unit capacity.
@@ -159,7 +172,9 @@ func (g *GroupCache) nextUse(u int) int32 {
 }
 
 // AccessSparse processes one token's access to the listed units, updating
-// residency per the policy, and returns the hit and miss unit counts.
+// residency per the policy, and returns the hit and miss unit counts. A
+// unit listed twice is touched twice: the first occurrence may miss and
+// insert, the repeat then hits.
 func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	if g.capacity == 0 {
 		g.stats.Misses += int64(len(units))
@@ -167,13 +182,22 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	}
 	g.clock++
 	g.maybeAge()
+	// Every unit of the access is needed this token, so none may be evicted
+	// by another's miss: take the resident ones out of the heap up front.
 	for _, u := range units {
-		g.inflight[u] = g.clock
+		if uint(u) >= uint(g.nunits) {
+			panic(fmt.Sprintf("cache: unit %d outside the universe of %d", u, g.nunits))
+		}
+		if p := g.pos[u]; p >= 0 {
+			g.heapRemove(int(p))
+		}
 	}
 	for _, u := range units {
-		g.freq[u]++
-		if g.policy != PolicyFIFO {
-			g.lastUse[u] = g.clock
+		switch g.policy {
+		case PolicyLRU:
+			g.key[u] = g.clock
+		case PolicyLFU, PolicyLFUAged:
+			g.key[u]++
 		}
 		if g.resident[u] {
 			hits++
@@ -181,6 +205,11 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		}
 		misses++
 		g.insert(u)
+	}
+	for _, u := range units {
+		if g.resident[u] && g.pos[u] < 0 {
+			g.heapPush(u)
+		}
 	}
 	g.stats.Hits += int64(hits)
 	g.stats.Misses += int64(misses)
@@ -190,88 +219,143 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	return hits, misses
 }
 
-// insert makes u resident, evicting per policy when full. Units of the
-// in-flight access (stamped with the current clock) are protected from
-// eviction — they are needed this token.
+// insert makes u, a unit of the access being processed, resident when the
+// cache has room or a victim to give up; otherwise u bypasses the cache
+// (the paper's low-density regime, where the active units exceed the cache
+// and are loaded straight to the processing unit). u joins the heap when
+// the access ends.
 func (g *GroupCache) insert(u int) {
 	if g.count < g.capacity {
-		g.resident[u] = true
 		g.count++
-		g.noteInsert(u)
+	} else if !g.evictFor(u) {
 		return
 	}
-	victim := g.pickVictim()
-	if victim < 0 {
-		// Everything resident is needed this token; bypass the cache for u
-		// (the paper's low-density regime where active neurons exceed the
-		// cache and are loaded straight to the processing unit).
-		return
-	}
-	if g.policy == PolicyBelady && g.nextUse(u) >= g.nextUse(victim) {
-		// Optimal-with-bypass: the incoming unit is needed again no sooner
-		// than the best victim, so caching it cannot help — stream it to
-		// the processing unit and keep the cache contents.
-		return
-	}
-	g.resident[victim] = false
 	g.resident[u] = true
-	g.noteInsert(u)
-	g.stats.Evictions++
+	if g.policy == PolicyFIFO {
+		g.key[u] = g.clock
+	}
 }
 
-// pickVictim returns the resident unit to evict, or -1 when every resident
-// unit is in the current access set.
-func (g *GroupCache) pickVictim() int {
-	inFlight := func(v int) bool { return g.inflight[v] == g.clock }
-	best := -1
-	switch g.policy {
-	case PolicyLRU, PolicyFIFO:
-		// For FIFO, lastUse holds the insertion stamp (never refreshed on
-		// hits), so the same minimum-stamp scan implements both.
-		var bestUse int64 = 1<<62 - 1
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) && g.lastUse[v] < bestUse {
-				best, bestUse = v, g.lastUse[v]
-			}
+// evictFor frees one slot for u by evicting the heap top, and reports
+// false when nothing may be evicted: every resident unit is needed this
+// token, or (Belady) keeping the cache contents serves the future better.
+func (g *GroupCache) evictFor(u int) bool {
+	if len(g.heap) == 0 {
+		return false
+	}
+	at := 0
+	if g.policy == PolicyBelady {
+		at = g.beladyVictim()
+		if g.nextUse(u) >= g.nextUse(int(g.heap[at])) {
+			// Optimal-with-bypass: the incoming unit is needed again no sooner
+			// than the best victim, so caching it cannot help.
+			return false
 		}
-	case PolicyLFU, PolicyLFUAged:
-		var bestFreq int64 = 1<<62 - 1
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) && g.freq[v] < bestFreq {
-				best, bestFreq = v, g.freq[v]
-			}
-		}
-	case PolicyBelady:
-		var bestNext int32 = -1
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) {
-				if nu := g.nextUse(v); nu > bestNext {
-					best, bestNext = v, nu
-				}
-			}
-		}
-	default:
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) {
-				return v
-			}
+	}
+	g.resident[g.heap[at]] = false
+	g.heapRemove(at)
+	g.stats.Evictions++
+	return true
+}
+
+// beladyVictim returns the heap index of the evictable unit whose next use
+// is farthest away, lowest unit on ties. Belady keeps a scan (over the
+// evictable units, not the universe) because its order cannot be
+// maintained incrementally: next use is a function of the stream position,
+// not of the unit's own touches, so a key computed at a unit's last touch
+// goes stale as soon as the replayed stream departs from the recorded one
+// (a position the trace promised passes without the touch; see
+// TestBeladyKeyAtLastTouchGoesStale). It is an offline oracle; its keys
+// stay zero and the heap serves it only as the set of evictable units.
+func (g *GroupCache) beladyVictim() int {
+	best, bestUnit, bestNext := 0, int32(-1), int32(-1)
+	for i, v := range g.heap {
+		if nu := g.nextUse(int(v)); nu > bestNext || (nu == bestNext && v < bestUnit) {
+			best, bestUnit, bestNext = i, v, nu
 		}
 	}
 	return best
 }
 
+// less orders the heap: smaller key first, lower unit on ties.
+func (g *GroupCache) less(u, v int32) bool {
+	ku, kv := g.key[u], g.key[v]
+	return ku < kv || (ku == kv && u < v)
+}
+
+// heapPush adds u to the evictable set.
+func (g *GroupCache) heapPush(u int) {
+	g.heap = append(g.heap, int32(u))
+	g.siftUp(len(g.heap) - 1)
+}
+
+// heapRemove takes the unit at heap index i out of the evictable set.
+func (g *GroupCache) heapRemove(i int) {
+	last := len(g.heap) - 1
+	g.pos[g.heap[i]] = -1
+	moved := g.heap[last]
+	g.heap = g.heap[:last]
+	if i == last {
+		return
+	}
+	g.heap[i] = moved
+	g.siftDown(i)
+	if g.heap[i] == moved {
+		g.siftUp(i)
+	}
+}
+
+// siftUp moves the unit at heap index i toward the root until its parent is
+// not larger, carrying it in a register and writing it once.
+func (g *GroupCache) siftUp(i int) {
+	u := g.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		v := g.heap[parent]
+		if !g.less(u, v) {
+			break
+		}
+		g.heap[i], g.pos[v] = v, int32(i)
+		i = parent
+	}
+	g.heap[i], g.pos[u] = u, int32(i)
+}
+
+// siftDown moves the unit at heap index i toward the leaves until neither
+// child is smaller.
+func (g *GroupCache) siftDown(i int) {
+	n := len(g.heap)
+	u := g.heap[i]
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		v := g.heap[child]
+		if r := child + 1; r < n && g.less(g.heap[r], v) {
+			child, v = r, g.heap[r]
+		}
+		if !g.less(v, u) {
+			break
+		}
+		g.heap[i], g.pos[v] = v, int32(i)
+		i = child
+	}
+	g.heap[i], g.pos[u] = u, int32(i)
+}
+
 // AccessDense processes a token that reads every unit of the group. Dense
 // groups behave like statically pinned weights: the first access fills the
-// cache to capacity with units 0..capacity-1 and later accesses hit on the
-// pinned set — no churn, because evicting under a cyclic full scan can
-// never help.
+// cache to capacity with the lowest-numbered units not yet resident (units
+// 0..capacity-1 on a group only ever read densely) and later accesses hit
+// on the pinned set — no churn, because evicting under a cyclic full scan
+// can never help. Pinned units are evictable by later sparse accesses.
 func (g *GroupCache) AccessDense() (hits, misses int) {
-	if g.count < g.capacity {
-		for u := 0; u < g.capacity; u++ {
-			if !g.resident[u] {
-				g.resident[u] = true
-				g.count++
-			}
+	for u := 0; g.count < g.capacity; u++ {
+		if !g.resident[u] {
+			g.resident[u] = true
+			g.count++
+			g.heapPush(u)
 		}
 	}
 	hits = g.count

@@ -19,24 +19,18 @@ const (
 // PolicyLFUAged.
 const AgingPeriod = 256
 
-// fifoState augments GroupCache for insertion-order tracking. To keep the
-// core struct small, FIFO reuses lastUse as the insertion stamp: the stamp
-// is written only on insert, never on hit.
-func (g *GroupCache) noteInsert(u int) {
-	if g.policy == PolicyFIFO {
-		g.lastUse[u] = g.clock
-	}
-}
-
-// maybeAge halves all frequency counters once per aging period.
+// maybeAge halves every use count once per aging period. Floor division can
+// reorder units (3 and 2 both become 1, and the tie then goes to the lower
+// unit), so the heap is rebuilt; it runs between accesses, when every
+// resident unit is in the heap.
 func (g *GroupCache) maybeAge() {
-	if g.policy != PolicyLFUAged {
+	if g.policy != PolicyLFUAged || g.clock%AgingPeriod != 0 {
 		return
 	}
-	if g.clock%AgingPeriod != 0 {
-		return
+	for u := range g.key {
+		g.key[u] /= 2
 	}
-	for i := range g.freq {
-		g.freq[i] /= 2
+	for i := len(g.heap)/2 - 1; i >= 0; i-- {
+		g.siftDown(i)
 	}
 }

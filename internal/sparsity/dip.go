@@ -29,8 +29,12 @@ type DIP struct {
 	CacheAware bool
 
 	// scratch buffers reused across calls (schemes are used sequentially;
-	// parallel evaluations give each worker its own copy via Clone).
+	// parallel evaluations give each worker its own copy via Clone). The
+	// unit lists Forward hands out through TokenAccess.Units are inIdx and
+	// gluIdx: they stay valid until the next Forward on this DIP.
 	scoreIn, scoreGLU, u, g, h, y tensor.Vec
+	topk                          tensor.TopKScratch
+	inIdx, gluIdx                 []int
 }
 
 // CloneStateless implements StatefulScheme.
@@ -97,12 +101,12 @@ func (s *DIP) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) 
 	s.scoreIn = absScores(x, resize(s.scoreIn, dim))
 	s.reweight(s.scoreIn, layer, GroupUpGate, cache)
 	kIn := keepCount(s.RhoIn, dim)
-	inIdx := tensor.TopKIndices(s.scoreIn, kIn)
+	s.inIdx = tensor.TopKIndicesInto(s.scoreIn, kIn, &s.topk, s.inIdx)
 	// Stage 2: approximate GLU with pruned input columns.
 	s.u = resize(s.u, dff)
 	s.g = resize(s.g, dff)
-	tensor.MatVecSparse(mlp.Up.P.W, x, inIdx, s.u)
-	tensor.MatVecSparse(mlp.Gate.P.W, x, inIdx, s.g)
+	tensor.MatVecSparse(mlp.Up.P.W, x, s.inIdx, s.u)
+	tensor.MatVecSparse(mlp.Gate.P.W, x, s.inIdx, s.g)
 	s.h = resize(s.h, dff)
 	for i := range s.h {
 		s.h[i] = s.u[i] * mlp.Act.Apply(s.g[i])
@@ -111,12 +115,12 @@ func (s *DIP) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) 
 	s.scoreGLU = absScores(s.h, resize(s.scoreGLU, dff))
 	s.reweight(s.scoreGLU, layer, GroupDown, cache)
 	kGLU := keepCount(s.RhoGLU, dff)
-	gluIdx := tensor.TopKIndices(s.scoreGLU, kGLU)
+	s.gluIdx = tensor.TopKIndicesInto(s.scoreGLU, kGLU, &s.topk, s.gluIdx)
 	s.y = resize(s.y, dim)
-	y := tensor.MatVecSparse(mlp.Down.P.W, s.h, gluIdx, s.y)
+	y := tensor.MatVecSparse(mlp.Down.P.W, s.h, s.gluIdx, s.y)
 	var ta TokenAccess
-	ta.Groups[GroupUpGate] = GroupAccess{Kind: AccessSparse, Units: inIdx}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: gluIdx}
+	ta.Groups[GroupUpGate] = GroupAccess{Kind: AccessSparse, Units: s.inIdx}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.gluIdx}
 	return y, ta
 }
 

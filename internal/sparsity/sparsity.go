@@ -130,7 +130,10 @@ type Scheme interface {
 	Name() string
 	// Forward computes the MLP output for x at the given layer and reports
 	// the weight units it read. cache may be nil; only cache-aware schemes
-	// consult it.
+	// consult it. The returned vector and the TokenAccess.Units lists may
+	// alias the scheme's scratch (DIP's do): they stay valid until the next
+	// Forward on the same scheme, so a caller that keeps them across calls
+	// copies them — the rule BatchScratch states for ForwardBatch.
 	Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) (tensor.Vec, TokenAccess)
 }
 

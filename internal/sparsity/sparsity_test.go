@@ -2,10 +2,12 @@ package sparsity
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -483,5 +485,39 @@ func TestKeepCount(t *testing.T) {
 	}
 	if keepCount(2, 10) != 10 {
 		t.Fatal("keepCount ceiling")
+	}
+}
+
+// DIP selects its units into scratch it owns: the lists must be the ones a
+// fresh scheme (fresh heap, fresh index slices) would return, in the same
+// order, on every call; a clone must not share the buffers; and a warmed-up
+// Forward must not allocate.
+func TestDIPForwardReusesItsOwnTopKScratch(t *testing.T) {
+	defer parallel.SetProcs(parallel.Procs())
+	parallel.SetProcs(1)
+	mlp := newTestMLP(31, 32, 64, nn.ActSiLU)
+	s := NewDIP(0.5)
+	for tok := uint64(0); tok < 5; tok++ {
+		x := randVec(40+tok, 32)
+		y, ta := s.Forward(0, x, mlp, nil)
+		wantY, want := NewDIP(0.5).Forward(0, x, mlp, nil)
+		if !vecClose(y, wantY, 0) {
+			t.Fatalf("token %d: output differs from a fresh scheme's", tok)
+		}
+		for _, g := range []GroupID{GroupUpGate, GroupDown} {
+			if !reflect.DeepEqual(ta.Groups[g].Units, want.Groups[g].Units) {
+				t.Fatalf("token %d %v: units %v, fresh scheme says %v", tok, g, ta.Groups[g].Units, want.Groups[g].Units)
+			}
+		}
+	}
+	_, ta := s.Forward(0, randVec(50, 32), mlp, nil)
+	kept := append([]int(nil), ta.Groups[GroupDown].Units...)
+	Clone(s).Forward(0, randVec(51, 32), mlp, nil)
+	if !reflect.DeepEqual(ta.Groups[GroupDown].Units, kept) {
+		t.Fatal("a clone's Forward overwrote the original's unit list")
+	}
+	x := randVec(52, 32)
+	if a := testing.AllocsPerRun(10, func() { s.Forward(0, x, mlp, nil) }); a != 0 {
+		t.Errorf("DIP.Forward allocates %v objects/call at steady state, want 0", a)
 	}
 }

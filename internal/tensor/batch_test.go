@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/parallel"
@@ -170,6 +171,98 @@ func TestTopKIndicesIntoMatchesTopKIndices(t *testing.T) {
 			for i := range want {
 				if idx[i] != want[i] {
 					t.Fatalf("n=%d k=%d: index %d is %d, want %d (order matters)", n, k, i, idx[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// refTopKIndices is the selection as it stood before siftDownHV carried the
+// displaced entry: a swap at every level. Its final heap array is the
+// order every caller of TopKIndices has always seen.
+func refTopKIndices(score Vec, k int) []int {
+	n := len(score)
+	if k >= n {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx
+	}
+	if k <= 0 {
+		return nil
+	}
+	heap := make([]hv, k)
+	siftDown := func(pos int) {
+		for {
+			l, r := 2*pos+1, 2*pos+2
+			smallest := pos
+			if l < k && lessHV(heap[l], heap[smallest]) {
+				smallest = l
+			}
+			if r < k && lessHV(heap[r], heap[smallest]) {
+				smallest = r
+			}
+			if smallest == pos {
+				return
+			}
+			heap[pos], heap[smallest] = heap[smallest], heap[pos]
+			pos = smallest
+		}
+	}
+	for i := range heap {
+		heap[i] = hv{score[i], i}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for i := k; i < n; i++ {
+		if lessHV(hv{score[i], i}, heap[0]) {
+			continue
+		}
+		heap[0] = hv{score[i], i}
+		siftDown(0)
+	}
+	idx := make([]int, k)
+	for i, h := range heap {
+		idx[i] = h.i
+	}
+	return idx
+}
+
+// The returned order is the heap's final array layout; it feeds sparse
+// accumulation and the eviction sequence, so the hole-moving sift must
+// leave exactly the array the swapping one did — on ties, zeros of both
+// signs, and every k from none to all.
+func TestTopKIndicesOrderMatchesSwapSiftReference(t *testing.T) {
+	rng := NewRNG(11)
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{1, 2, 7, 64, 256, 768} {
+		for trial := 0; trial < 6; trial++ {
+			score := NewVec(n)
+			for i := range score {
+				switch v := rng.NormFloat32(); {
+				case trial%2 == 1 && i%3 == 0 && i > 0:
+					score[i] = score[i-1]
+				case i%7 == 3:
+					score[i] = 0
+				case i%7 == 5:
+					score[i] = negZero
+				case trial >= 4:
+					score[i] = v // signed scores, as calibration passes them
+				default:
+					score[i] = float32(math.Abs(float64(v)))
+				}
+			}
+			for _, k := range []int{0, 1, n / 2, n - 1, n} {
+				got, want := TopKIndices(score, k), refTopKIndices(score, k)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d k=%d: %d indices, reference has %d", n, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d k=%d trial %d: position %d holds %d, reference %d", n, k, trial, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -166,24 +166,33 @@ func lessHV(a, b hv) bool {
 	return a.i > b.i
 }
 
-// siftDownHV restores the min-heap property from pos downward.
+// siftDownHV restores the min-heap property from pos downward. The displaced
+// entry is carried in a register and written once where it settles; the
+// comparisons are the ones a swap at every level would make, in the same
+// order, so the final array — which is the order TopKIndicesInto returns —
+// is the same.
 func siftDownHV(heap []hv, pos int) {
 	k := len(heap)
+	e := heap[pos]
 	for {
-		l, r := 2*pos+1, 2*pos+2
-		smallest := pos
-		if l < k && lessHV(heap[l], heap[smallest]) {
-			smallest = l
+		l := 2*pos + 1
+		if l >= k {
+			break
 		}
-		if r < k && lessHV(heap[r], heap[smallest]) {
-			smallest = r
+		child, m := pos, e
+		if lessHV(heap[l], m) {
+			child, m = l, heap[l]
 		}
-		if smallest == pos {
-			return
+		if r := l + 1; r < k && lessHV(heap[r], m) {
+			child, m = r, heap[r]
 		}
-		heap[pos], heap[smallest] = heap[smallest], heap[pos]
-		pos = smallest
+		if child == pos {
+			break
+		}
+		heap[pos] = m
+		pos = child
 	}
+	heap[pos] = e
 }
 
 // TopKAbsMask returns a boolean mask keeping the k largest-magnitude
