@@ -13,15 +13,12 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/serving"
-	"repro/internal/serving/faults"
-	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
@@ -130,10 +127,8 @@ func serveBenchModel() *model.Model {
 // fused decode path on or off, reporting aggregate decoded tokens per wall
 // second as a custom metric. Engines are single-shot, so each iteration
 // builds a fresh one; construction cost (plan probe, admission) is shared
-// by both variants and small next to the decode loop. With observed set,
-// each engine gets a fresh event recorder — the tracing-on overhead the CI
-// compares against the plain fused run.
-func serveBench(b *testing.B, noFuse, observed bool) {
+// by both variants and small next to the decode loop.
+func serveBench(b *testing.B, noFuse bool) {
 	m := serveBenchModel()
 	const batch = 8
 	const win = 32
@@ -159,13 +154,9 @@ func serveBench(b *testing.B, noFuse, observed bool) {
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var rec *obs.Recorder
-		if observed {
-			rec = obs.NewRecorder(obs.Config{})
-		}
 		e, err := serving.NewEngine(m, serving.Config{
 			System: sys, Arb: serving.ArbShared, MaxActive: batch,
-			Quantum: 8, Seed: 1, NoFuse: noFuse, Obs: rec,
+			Quantum: 8, Seed: 1, NoFuse: noFuse,
 		}, serving.FixedBatch(makeReqs()))
 		if err != nil {
 			b.Fatal(err)
@@ -183,149 +174,12 @@ func serveBench(b *testing.B, noFuse, observed bool) {
 // BenchmarkServeBatched is the serving engine's fused multi-RHS decode path
 // at batch 8: one batched step per token sub-quantum walks every weight
 // matrix once for all eight sessions.
-func BenchmarkServeBatched(b *testing.B) { serveBench(b, false, false) }
+func BenchmarkServeBatched(b *testing.B) { serveBench(b, false) }
 
 // BenchmarkServeUnbatched is the same workload through the per-session
 // path (each session steps independently) — the PR 3 baseline the fused
 // path is measured against.
-func BenchmarkServeUnbatched(b *testing.B) { serveBench(b, true, false) }
-
-// BenchmarkServeObserved is BenchmarkServeBatched with an event recorder
-// attached: every scheduling decision is logged and the windowed telemetry
-// trackers run. The CI asserts its tok/s stays within a bounded fraction of
-// the plain fused run — observability must be cheap when on, free when off
-// (the off path is pinned to zero allocations by the serving tests).
-func BenchmarkServeObserved(b *testing.B) { serveBench(b, false, true) }
-
-// BenchmarkClusterRouted decodes the BenchmarkServeBatched workload through
-// the three-node sim-cluster instead of one engine: a skewed tenant mix
-// (three of four sessions share a tenant) placed by the least-loaded
-// router, node ticks fanned out over the worker pool. Reported tok/s is
-// aggregate decoded tokens per wall second across all replicas — the
-// cluster-path overhead (routing, per-node stepping, report rollup) is
-// priced against the single-engine runs above.
-func BenchmarkClusterRouted(b *testing.B) {
-	m := serveBenchModel()
-	const nodes = 3
-	const perNode = 8
-	const win = 32
-	rng := tensor.NewRNG(9)
-	toks := make([]int, 8192)
-	for i := range toks {
-		toks[i] = int(rng.Uint64() % uint64(m.Cfg.Vocab))
-	}
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
-	scheme := sparsity.NewDIPCA(0.5, 0.2)
-	makeReqs := func() []serving.Request {
-		reqs := make([]serving.Request, nodes*perNode)
-		for i := range reqs {
-			n := 2*win + (i%2)*win
-			tenant := fmt.Sprintf("t%d", i)
-			if i%4 != 3 {
-				tenant = "hot"
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("%s/s%d", tenant, i),
-				Scheme: scheme,
-				Tokens: toks[i*128 : i*128+n],
-			}
-		}
-		return reqs
-	}
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodeCfgs := make([]serving.Config, nodes)
-		for n := range nodeCfgs {
-			nodeCfgs[n] = serving.Config{
-				System: sys, Arb: serving.ArbShared, MaxActive: perNode,
-				Quantum: 8, Seed: 1,
-			}
-		}
-		c, err := cluster.New(m, cluster.Config{
-			Nodes: nodeCfgs, Router: cluster.LeastLoaded(), Seed: 1,
-		}, serving.FixedBatch(makeReqs()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := c.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += rep.TotalTokens
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "tok/s")
-}
-
-// BenchmarkClusterChaos is BenchmarkClusterRouted under unscripted node
-// chaos with the heartbeat failure detector on: seeded per-tick crash
-// draws take nodes down mid-decode, the detector confirms them after its
-// miss budget, live streams fail over to survivors, and crashed nodes
-// restart through rejoin probation. Reported tok/s prices the whole
-// detect/evacuate/re-prefill/rejoin machinery against the chaos-free
-// routed run above. The draws are deterministic, so every iteration
-// replays the identical crash schedule; the guard asserts the schedule
-// actually exercises a crash and a rejoin.
-func BenchmarkClusterChaos(b *testing.B) {
-	m := serveBenchModel()
-	const nodes = 3
-	const perNode = 8
-	const win = 32
-	rng := tensor.NewRNG(9)
-	toks := make([]int, 8192)
-	for i := range toks {
-		toks[i] = int(rng.Uint64() % uint64(m.Cfg.Vocab))
-	}
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
-	scheme := sparsity.NewDIPCA(0.5, 0.2)
-	makeReqs := func() []serving.Request {
-		reqs := make([]serving.Request, nodes*perNode)
-		for i := range reqs {
-			n := 2*win + (i%2)*win
-			tenant := fmt.Sprintf("t%d", i)
-			if i%4 != 3 {
-				tenant = "hot"
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("%s/s%d", tenant, i),
-				Scheme: scheme,
-				Tokens: toks[i*128 : i*128+n],
-			}
-		}
-		return reqs
-	}
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodeCfgs := make([]serving.Config, nodes)
-		for n := range nodeCfgs {
-			nodeCfgs[n] = serving.Config{
-				System: sys, Arb: serving.ArbShared, MaxActive: perNode,
-				Quantum: 8, Seed: 1,
-			}
-		}
-		c, err := cluster.New(m, cluster.Config{
-			Nodes: nodeCfgs, Router: cluster.LeastLoaded(), Seed: 1,
-			Chaos:  faults.NodeChaos{Seed: 13, CrashRate: 0.02, RecoverTicks: 12},
-			Detect: cluster.Detect{Mode: "heartbeat"},
-		}, serving.FixedBatch(makeReqs()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := c.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Failures == 0 || rep.Rejoins == 0 {
-			b.Fatalf("chaos schedule did not exercise crash+rejoin (failures=%d rejoins=%d)",
-				rep.Failures, rep.Rejoins)
-		}
-		total += rep.TotalTokens
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "tok/s")
-}
+func BenchmarkServeUnbatched(b *testing.B) { serveBench(b, true) }
 
 // BenchmarkFig2Trends regenerates the Figure-2 trend fits.
 func BenchmarkFig2Trends(b *testing.B) {

@@ -403,11 +403,6 @@ func (mc *ModelCache) Cached(layer int, g sparsity.GroupID, unit int) bool {
 	return gc.Resident(unit)
 }
 
-// Group returns the cache for (layer, group), or nil when unused.
-func (mc *ModelCache) Group(layer int, g sparsity.GroupID) *GroupCache {
-	return mc.groups[layer][g]
-}
-
 // AccessResult reports one token's traffic for one layer in units.
 type AccessResult struct {
 	HitUnits, MissUnits [sparsity.NumGroups]int

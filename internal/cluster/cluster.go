@@ -6,9 +6,11 @@
 // rejoin — and a cluster-level Report that rolls up the per-node reports
 // plus router and detector metrics.
 //
-// The control plane is serial and runs on tick boundaries in node order:
-// same-tick arrivals are shuffled by the cluster's seeded RNG and routed
-// one at a time (each placement sees the loads left by the previous one),
+// The tick loop is serving.Drive — the one a lone engine runs — with the
+// cluster as its Control (see control, below Run). The control plane is
+// serial and runs on tick boundaries in node order: Drive shuffles same-tick
+// arrivals with the seeded RNG and hands them over one at a time to be
+// routed (each placement sees the loads left by the previous one),
 // lifecycle transitions and the failure-detector pass fire before routing,
 // and migrants are re-placed through the same router. Only the node decode
 // ticks fan out over internal/parallel, with results collected in node
@@ -42,11 +44,9 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
-	"repro/internal/tensor"
 )
 
 // Failure schedules one scripted node outage: the node crashes at Tick —
@@ -141,9 +141,8 @@ type Cluster struct {
 	deadTicks      int // total node-ticks spent ground-truth dead
 	stallHorizon   int
 
-	cand    []int
-	loads   []Load
-	shuffle []int
+	cand  []int
+	loads []Load
 }
 
 // Detector modes, parsed from Detect.Mode.
@@ -425,11 +424,82 @@ func (c *Cluster) lifecycle(tick int) error {
 	return c.detectTick(tick)
 }
 
-// nextLifecycle reports the earliest future lifecycle boundary the clock
+// Run drains the workload across the cluster and returns the rolled-up
+// report: serving.Drive over the node engines with the cluster as its
+// Control — lifecycle and the detector pass before each tick's arrivals,
+// routed placement, ground-truth-dead nodes frozen.
+func (c *Cluster) Run() (*Report, error) {
+	if c.ran {
+		return nil, fmt.Errorf("cluster: cluster already ran")
+	}
+	c.ran = true
+	wallStart := time.Now() //lint:allow wallclock Wall annotation origin; the cluster advances only on the shared tick clock
+	ticks, err := serving.Drive(c.w, c.cfg.Seed, c.nodes, control{c}, c.stallHorizon)
+	if err != nil {
+		return nil, err
+	}
+	return c.report(ticks, time.Since(wallStart)), nil //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
+}
+
+// control is the cluster's serving.Control.
+type control struct{ *Cluster }
+
+// Before applies the tick's lifecycle, then drains the ingress hold ahead of
+// the tick's arrivals, in the order the requests were held (Place re-holds
+// whatever still finds no routable node).
+func (c control) Before(tick int, fin []serving.Finished) ([]serving.Finished, error) {
+	if err := c.lifecycle(tick); err != nil {
+		return fin, err
+	}
+	held := c.held
+	c.held = nil
+	for _, idx := range held {
+		shed, err := c.Place(idx, tick)
+		if err != nil {
+			return fin, err
+		}
+		if shed {
+			fin = append(fin, serving.Finished{Index: idx, ID: c.reqs[idx].ID, Tick: tick})
+		}
+	}
+	return fin, nil
+}
+
+// Place routes one request index onto a node and injects it. During a total
+// outage — every surviving node down or drained — the request waits at the
+// cluster ingress instead and is injected when the detector readmits a node;
+// its SLO clock starts at that later injection tick.
+func (c control) Place(idx, tick int) (shed bool, err error) {
+	c.refreshLoads()
+	if len(c.routable(tick)) == 0 {
+		c.held = append(c.held, idx)
+		return false, nil
+	}
+	node, err := c.route(c.reqs[idx], tick)
+	if err != nil {
+		return false, err
+	}
+	if c.nodes[node].Inject(idx, tick, c.order) {
+		return true, nil
+	}
+	c.order++
+	c.placements[node]++
+	// The detector may still trust a node that is already dead; a placement
+	// onto one is stranded until the confirmation re-routes it.
+	c.noteStrand(node, tick, idx, c.reqs[idx].ID)
+	return false, nil
+}
+
+// Frozen nodes are the ground-truth-dead ones: their queues and suspended
+// sessions hold state but nothing decodes until restart (or evacuation at
+// confirmation).
+func (c control) Frozen(node int) bool { return c.wasDead[node] }
+
+// NextWake reports the earliest future lifecycle boundary the clock
 // must not skip. While the detector is armed — chaos can draw a crash on
 // any tick, or some node is dead or mid-transition — that is every tick;
 // otherwise only a pending drain or scripted failure onset pins the clock.
-func (c *Cluster) nextLifecycle(tick int) (next int, ok bool) {
+func (c control) NextWake(tick int) (next int, ok bool) {
 	if c.armed() {
 		return tick + 1, true
 	}
@@ -444,171 +514,5 @@ func (c *Cluster) nextLifecycle(tick int) (next int, ok bool) {
 	return next, ok
 }
 
-// Run drains the workload across the cluster and returns the rolled-up
-// report. The loop mirrors a single engine's: lifecycle, then routed
-// arrivals, then one parallel node tick with index-ordered collection,
-// then either a clock increment or a fast-forward to the next event.
-func (c *Cluster) Run() (*Report, error) {
-	if c.ran {
-		return nil, fmt.Errorf("cluster: cluster already ran")
-	}
-	c.ran = true
-	wallStart := time.Now() //lint:allow wallclock Wall annotation origin; the cluster advances only on the shared tick clock
-	for _, e := range c.nodes {
-		if err := e.Begin(); err != nil {
-			return nil, err
-		}
-	}
-	rng := tensor.NewRNG(c.cfg.Seed)
-	var finished []serving.Finished
-	type stepResult struct {
-		fin     []serving.Finished
-		stepped bool
-		err     error
-	}
-	steps := make([]stepResult, len(c.nodes))
-	// place routes one request index onto a node and injects it. During a
-	// total outage — every surviving node down or drained — the request
-	// waits at the cluster ingress instead and is injected when the
-	// detector readmits a node; its SLO clock starts at that later
-	// injection tick.
-	place := func(idx, tick int) error {
-		c.refreshLoads()
-		if len(c.routable(tick)) == 0 {
-			c.held = append(c.held, idx)
-			return nil
-		}
-		node, err := c.route(c.reqs[idx], tick)
-		if err != nil {
-			return err
-		}
-		shed, err := c.nodes[node].Inject(idx, tick, c.order)
-		if err != nil {
-			return err
-		}
-		if shed {
-			finished = append(finished, serving.Finished{Index: idx, ID: c.reqs[idx].ID, Tick: tick})
-		} else {
-			c.order++
-			c.placements[node]++
-			// The detector may still trust a node that is already dead; a
-			// placement onto one is stranded until the confirmation
-			// re-routes it.
-			c.noteStrand(node, tick, idx, c.reqs[idx].ID)
-		}
-		return nil
-	}
-	tick, lastProgress := 0, 0
-	for !c.w.Done() || c.busy() || len(c.parked) > 0 || len(c.held) > 0 {
-		if err := c.lifecycle(tick); err != nil {
-			return nil, err
-		}
-		if len(c.held) > 0 {
-			// Drain the ingress hold ahead of this tick's arrivals, in the
-			// order the requests were held (place re-holds whatever still
-			// finds no routable node).
-			held := c.held
-			c.held = nil
-			for _, idx := range held {
-				if err := place(idx, tick); err != nil {
-					return nil, err
-				}
-			}
-		}
-		arrivals := c.w.Next(tick, finished)
-		finished = finished[:0]
-		if len(arrivals) > 1 {
-			perm := rng.Perm(len(arrivals))
-			c.shuffle = c.shuffle[:0]
-			for _, j := range perm {
-				c.shuffle = append(c.shuffle, arrivals[j])
-			}
-			arrivals = c.shuffle
-		}
-		for _, idx := range arrivals {
-			if idx < 0 || idx >= len(c.reqs) {
-				return nil, fmt.Errorf("cluster: workload %q yielded request index %d outside its %d-request universe",
-					c.w.Name(), idx, len(c.reqs))
-			}
-			if err := place(idx, tick); err != nil {
-				return nil, err
-			}
-		}
-		// One cluster tick: every live node steps concurrently — node
-		// state is disjoint and recorders are per-node — and results are
-		// collected in node index order, so the merged outcome is
-		// order-independent of the worker pool. Ground-truth-dead nodes
-		// are frozen: their queues and suspended sessions hold state but
-		// nothing decodes until restart (or evacuation at confirmation).
-		parallel.For(len(c.nodes), 1, func(lo, hi int) {
-			for n := lo; n < hi; n++ {
-				if c.wasDead[n] {
-					steps[n] = stepResult{}
-					continue
-				}
-				fin, stepped, err := c.nodes[n].StepTick(tick)
-				steps[n] = stepResult{fin: fin, stepped: stepped, err: err}
-			}
-		})
-		stepped := false
-		for n := range steps {
-			if steps[n].err != nil {
-				return nil, fmt.Errorf("cluster: node %d: %w", n, steps[n].err)
-			}
-			finished = append(finished, steps[n].fin...)
-			stepped = stepped || steps[n].stepped
-		}
-		if stepped || len(arrivals) > 0 {
-			lastProgress = tick
-		}
-		if tick-lastProgress > c.stallHorizon {
-			return nil, fmt.Errorf("cluster: no node progressed for %d ticks (tick %d): work is frozen beyond every restart and probation horizon",
-				c.stallHorizon, tick)
-		}
-		if !stepped {
-			next, ok := c.w.NextArrival()
-			if ok && next <= tick {
-				ok = false
-			}
-			for _, e := range c.nodes {
-				if nt, nok := e.NextEvent(tick); nok && (!ok || nt < next) {
-					next, ok = nt, true
-				}
-			}
-			if nt, nok := c.nextLifecycle(tick); nok && (!ok || nt < next) {
-				next, ok = nt, true
-			}
-			if len(finished) > 0 && (!ok || tick+1 < next) {
-				next, ok = tick+1, true
-			}
-			if !ok {
-				if c.w.Done() && c.queued() == 0 {
-					break
-				}
-				return nil, fmt.Errorf("cluster: workload %q stalled at tick %d: not done, nothing active, next arrival %d (ok=%v)",
-					c.w.Name(), tick, next, ok)
-			}
-			tick = next
-			continue
-		}
-		tick++
-	}
-	return c.report(tick, time.Since(wallStart)), nil //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
-}
-
-func (c *Cluster) busy() bool {
-	for _, e := range c.nodes {
-		if e.Busy() {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cluster) queued() int {
-	total := len(c.parked) + len(c.held)
-	for _, e := range c.nodes {
-		total += e.QueueDepth()
-	}
-	return total
-}
+// Pending counts parked migrants and held arrivals.
+func (c control) Pending() int { return len(c.parked) + len(c.held) }

@@ -403,3 +403,63 @@ func TestDrainStopsPlacementAndMigratesQueue(t *testing.T) {
 		t.Fatalf("node 1 credited %d placements, want the 2 made before the drain", rep.Nodes[1].Placements)
 	}
 }
+
+// brokenWorkload is internal/serving's hostile test workload (trace_test.go
+// there; test helpers do not cross packages): it yields emit[i] on its i-th
+// Next call whatever the tick, and NextArrival lies — a past tick, never
+// delivered — so a loop that trusted it would fast-forward in place forever.
+type brokenWorkload struct {
+	reqs []serving.Request
+	emit [][]int
+	tick int
+}
+
+func (b *brokenWorkload) Name() string                { return "broken" }
+func (b *brokenWorkload) Requests() []serving.Request { return b.reqs }
+func (b *brokenWorkload) Done() bool                  { return b.tick >= len(b.emit) }
+func (b *brokenWorkload) NextArrival() (int, bool)    { return 0, true }
+func (b *brokenWorkload) Next(int, []serving.Finished) []int {
+	if b.tick < len(b.emit) {
+		b.tick++
+		return b.emit[b.tick-1]
+	}
+	return nil
+}
+
+// The run loop owns the checks on what a workload yields, so a hostile
+// workload earns the same named error from a lone engine and from a cluster
+// — including the duplicate whose two copies least-loaded routing sends to
+// different nodes, where no single engine's table could see both.
+func TestHostileWorkloadsFailByNameOnEngineAndCluster(t *testing.T) {
+	trained(t)
+	reqs := requests(t, 2,
+		func(int) string { return "t" },
+		func(int) int { return 1 },
+		func(int) serving.SLO { return serving.SLO{} })
+	for _, row := range []struct {
+		name, want string
+		emit       [][]int
+	}{
+		{"out of range", "outside its 2-request universe", [][]int{{0}, {5}}},
+		{"duplicate", "twice", [][]int{{0}, {0}, {1}}},
+		{"stalled", "stalled at tick", [][]int{{}, {}}}, // not done, nothing active, no credible next arrival
+	} {
+		cfg := nodeCfg(serving.ArbFairShare, 2, false)
+		e, err := serving.NewEngine(zoo.m, cfg, &brokenWorkload{reqs: reqs, emit: row.emit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s, lone engine: got %v, want an error naming %q", row.name, err, row.want)
+		}
+		c, err := New(zoo.m, Config{
+			Nodes: []serving.Config{cfg, cfg, cfg}, Router: LeastLoaded(), Seed: 5,
+		}, &brokenWorkload{reqs: reqs, emit: row.emit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := c.Run(); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s, 3-node cluster: got %v (report %+v), want an error naming %q", row.name, err, rep, row.want)
+		}
+	}
+}

@@ -10,15 +10,17 @@ import (
 	"repro/internal/serving/obs"
 )
 
-// Engine.Run and Cluster.Run are the same loop written twice (seeded
-// same-tick shuffle, inject, step, fast-forward, stall detection). Until one
-// of them is deleted (ROADMAP 3(a)) this test pins them to each other: a
-// one-node cluster with no drain, failures, or chaos must be indistinguishable
+// Engine.Run and Cluster.Run are both serving.Drive; what can still differ
+// is the Control each passes. A one-node cluster with no drain, failures, or
+// chaos has nothing for its Control to do, so it must be indistinguishable
 // from the bare engine — node report and event log — on a run where
-// preemption, fault retry, and shedding all fire.
+// preemption, fault retry, and shedding all fire. The closed-loop rows put
+// the feedback path through the cluster's Control: arrivals shed at the door
+// and terminations on a tick that decoded nothing both reach the workload,
+// which only then schedules the user's next request.
 func TestOneNodeClusterEqualsEngine(t *testing.T) {
 	trained(t)
-	run := func(arb serving.ArbPolicy, noFuse, clustered bool) (*serving.Report, []obs.Event) {
+	run := func(closed bool, arb serving.ArbPolicy, noFuse, clustered bool) (*serving.Report, []obs.Event) {
 		reqs := requests(t, 22,
 			func(i int) string { return "t" },
 			func(i int) int { return 1 + i%3 },
@@ -28,7 +30,19 @@ func TestOneNodeClusterEqualsEngine(t *testing.T) {
 				}
 				return serving.SLO{Class: "batch"}
 			})
-		w, err := serving.PoissonArrivals(reqs, 0.7, 5)
+		var w serving.Workload
+		var err error
+		if closed {
+			// Eleven users, two requests each, all knocking at tick 0: six
+			// find the queue at budget.
+			scripts := make([][]serving.Request, 11)
+			for u := range scripts {
+				scripts[u] = reqs[2*u : 2*u+2]
+			}
+			w, err = serving.ClosedLoop(scripts, 3)
+		} else {
+			w, err = serving.PoissonArrivals(reqs, 0.7, 5)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,30 +82,32 @@ func TestOneNodeClusterEqualsEngine(t *testing.T) {
 		}
 		return rep.Nodes[0].Report, c.Events()
 	}
-	for _, arb := range serving.Policies() {
-		for _, noFuse := range []bool{false, true} {
-			want, wantEv := run(arb, noFuse, false)
-			got, gotEv := run(arb, noFuse, true)
-			if want.Shed == 0 || want.Retries == 0 || want.Preemptions == 0 {
-				t.Fatalf("%v noFuse=%v: the trace must exercise shedding, retry, and preemption; got shed %d, retries %d, preempts %d",
-					arb, noFuse, want.Shed, want.Retries, want.Preemptions)
+	for _, closed := range []bool{false, true} {
+		for _, arb := range serving.Policies() {
+			for _, noFuse := range []bool{false, true} {
+				want, wantEv := run(closed, arb, noFuse, false)
+				got, gotEv := run(closed, arb, noFuse, true)
+				if want.Shed == 0 || want.Retries == 0 || want.Preemptions == 0 {
+					t.Fatalf("closed=%v %v noFuse=%v: the trace must exercise shedding, retry, and preemption; got shed %d, retries %d, preempts %d",
+						closed, arb, noFuse, want.Shed, want.Retries, want.Preemptions)
+				}
+				want.Wall, got.Wall = serving.WallClock{}, serving.WallClock{}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("closed=%v %v noFuse=%v: one-node cluster report differs from the engine's:\nengine  %+v\ncluster %+v", closed, arb, noFuse, want, got)
+				}
+				var wantLog, gotLog bytes.Buffer
+				if err := obs.WriteJSONL(&wantLog, wantEv); err != nil {
+					t.Fatal(err)
+				}
+				if err := obs.WriteJSONL(&gotLog, gotEv); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wantLog.Bytes(), gotLog.Bytes()) {
+					t.Errorf("closed=%v %v noFuse=%v: one-node cluster event log (%d events) differs from the engine's (%d events)",
+						closed, arb, noFuse, len(gotEv), len(wantEv))
+				}
+				t.Logf("closed=%v %v noFuse=%v: %d events, shed %d, retries %d, preempts %d", closed, arb, noFuse, len(wantEv), want.Shed, want.Retries, want.Preemptions)
 			}
-			want.Wall, got.Wall = serving.WallClock{}, serving.WallClock{}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%v noFuse=%v: one-node cluster report differs from the engine's:\nengine  %+v\ncluster %+v", arb, noFuse, want, got)
-			}
-			var wantLog, gotLog bytes.Buffer
-			if err := obs.WriteJSONL(&wantLog, wantEv); err != nil {
-				t.Fatal(err)
-			}
-			if err := obs.WriteJSONL(&gotLog, gotEv); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantLog.Bytes(), gotLog.Bytes()) {
-				t.Errorf("%v noFuse=%v: one-node cluster event log (%d events) differs from the engine's (%d events)",
-					arb, noFuse, len(gotEv), len(wantEv))
-			}
-			t.Logf("%v noFuse=%v: %d events, shed %d, retries %d, preempts %d", arb, noFuse, len(wantEv), want.Shed, want.Retries, want.Preemptions)
 		}
 	}
 }

@@ -41,31 +41,13 @@ func (a *BatchArena) ensure(B int) {
 }
 
 // mlpHook is the batched MLP hook: one fused ForwardBatch per layer, then
-// per-stream instrumentation in slot order — density accounting plus either
-// an immediate cache access priced on the stream's meter (the coupled,
-// per-session-cache mode) or a copy into the stream's pending buffer (the
-// deferred, shared-cache mode). Per stream this is exactly what
-// coupledHook/deferredHook do one token at a time.
+// each stream records its column's accesses, in slot order, exactly as its
+// own hook does one token at a time.
 func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 	B := len(a.active)
 	sparsity.ForwardBatch(layer, a.schemes[:B], xs, a.m.Blocks[layer].MLP, a.views[:B], out, a.tas[:B], &a.sps)
 	for b, st := range a.active {
-		ta := &a.tas[b]
-		st.acc.Add(ta)
-		if st.deferred {
-			p := &st.pending[layer]
-			for g := range ta.Groups {
-				p.Groups[g].Kind = ta.Groups[g].Kind
-				p.Groups[g].Units = append(p.Groups[g].Units[:0], ta.Groups[g].Units...)
-			}
-		} else {
-			if layer == 0 {
-				st.meter.BeginToken()
-			}
-			res := st.mc.Access(layer, ta)
-			st.meter.AddAccess(res)
-			st.note(res)
-		}
+		st.record(layer, &a.tas[b])
 	}
 }
 
@@ -82,13 +64,9 @@ func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 func BatchStep(sts []*Stream, a *BatchArena) int {
 	a.active = a.active[:0]
 	for _, st := range sts {
-		if st.pos >= st.total {
-			continue
+		if st.pos < st.total {
+			a.active = append(a.active, st)
 		}
-		if st.deferred && st.dirty {
-			panic("eval: deferred Stream stepped with uncommitted accesses")
-		}
-		a.active = append(a.active, st)
 	}
 	B := len(a.active)
 	if B == 0 {
@@ -100,14 +78,7 @@ func BatchStep(sts []*Stream, a *BatchArena) int {
 		if st.m != m {
 			panic("eval: BatchStep streams must share one model")
 		}
-		if st.winPos == 0 {
-			if st.dec == nil {
-				st.dec = st.m.NewDecoder(st.hook)
-			} else {
-				st.dec.Reset()
-			}
-		}
-		a.decs[b] = st.dec
+		a.decs[b] = st.decoder()
 		a.ids[b] = st.tokens[st.pos]
 		a.schemes[b] = st.s
 		a.views[b] = st.mc
@@ -116,23 +87,7 @@ func BatchStep(sts []*Stream, a *BatchArena) int {
 	logits := m.StepBatch(a.decs[:B], a.ids[:B], a.hookFn, &a.db)
 	a.lcol = tensor.Reuse(a.lcol, logits.Rows)
 	for b, st := range a.active {
-		st.pos++
-		st.decoded++
-		st.winPos++
-		if st.winPos < st.win {
-			// This position predicts the next token of the same window; the
-			// window's final logits are context-only, as in Stream.Step.
-			lg := logits.Col(b, a.lcol)
-			st.winCE += tensor.LogSumExp(lg) - float64(lg[st.tokens[st.pos]])
-			st.preds++
-		} else {
-			st.ce += st.winCE
-			st.winCE = 0
-			st.winPos = 0
-		}
-		if st.deferred {
-			st.dirty = true
-		}
+		st.score(logits.Col(b, a.lcol))
 	}
 	return B
 }

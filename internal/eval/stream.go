@@ -162,53 +162,49 @@ func NewStreamWith(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemCo
 	if opts.Deferred {
 		st.deferred = true
 		st.pending = make([]sparsity.TokenAccess, len(m.Blocks))
-		st.hook = st.deferredHook()
 	}
 	return st, nil
 }
 
-// newCoupled wires a stream whose hook applies accesses to mc as they
-// happen, with the meter and density accumulator attached.
+// newCoupled wires a stream whose hook records every layer's accesses
+// against mc, with the meter and density accumulator attached.
 func newCoupled(m *model.Model, s sparsity.Scheme, tokens []int, win, total int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
 	st := &Stream{
 		m: m, s: s, tokens: tokens, win: win, total: total,
 		plan: plan, mc: mc, meter: plan.NewMeter(), acc: NewDensityAccumulator(m),
 	}
-	st.hook = st.coupledHook()
+	st.hook = func(layer int, x tensor.Vec) tensor.Vec {
+		y, ta := st.s.Forward(layer, x, st.m.Blocks[layer].MLP, st.mc)
+		st.record(layer, &ta)
+		return y
+	}
 	return st
 }
 
-// coupledHook is eval.Hook plus per-stream hit/miss accounting (the cache's
-// own totals would mix streams when the cache is shared).
-func (st *Stream) coupledHook() model.MLPHook {
-	return func(layer int, x tensor.Vec) tensor.Vec {
-		if layer == 0 {
-			st.meter.BeginToken()
-		}
-		y, ta := st.s.Forward(layer, x, st.m.Blocks[layer].MLP, st.mc)
-		st.acc.Add(&ta)
-		res := st.mc.Access(layer, &ta)
-		st.meter.AddAccess(res)
-		st.note(res)
-		return y
-	}
-}
-
-// deferredHook evaluates the scheme against the cache's current (tick-start)
-// state but buffers the accesses for Commit. Unit lists are copied because
-// schemes reuse their scratch between calls; the buffers are reused across
-// tokens, so steady-state stepping does not allocate.
-func (st *Stream) deferredHook() model.MLPHook {
-	return func(layer int, x tensor.Vec) tensor.Vec {
-		y, ta := st.s.Forward(layer, x, st.m.Blocks[layer].MLP, st.mc)
-		st.acc.Add(&ta)
+// record books one layer's accesses, however they were computed (the
+// stream's own hook, or a fused BatchStep): density accounting, then either
+// the cache access itself, priced on the meter with per-stream hit/miss
+// counts (the cache's own totals would mix streams when it is shared), or —
+// deferred — a copy into the pending buffer for Commit, the scheme having
+// seen the cache's tick-start state. Unit lists are copied because schemes
+// reuse their scratch between calls; the buffers are reused across tokens,
+// so steady-state stepping does not allocate.
+func (st *Stream) record(layer int, ta *sparsity.TokenAccess) {
+	st.acc.Add(ta)
+	if st.deferred {
 		p := &st.pending[layer]
 		for g := range ta.Groups {
 			p.Groups[g].Kind = ta.Groups[g].Kind
 			p.Groups[g].Units = append(p.Groups[g].Units[:0], ta.Groups[g].Units...)
 		}
-		return y
+		return
 	}
+	if layer == 0 {
+		st.meter.BeginToken()
+	}
+	res := st.mc.Access(layer, ta)
+	st.meter.AddAccess(res)
+	st.note(res)
 }
 
 func (st *Stream) note(res cache.AccessResult) {
@@ -226,6 +222,13 @@ func (st *Stream) Step() bool {
 	if st.pos >= st.total {
 		return false
 	}
+	st.score(st.decoder().Step(st.tokens[st.pos]))
+	return true
+}
+
+// decoder returns the decoder the next token steps through, fresh at a
+// window boundary. It is the prologue of every step, solo or fused.
+func (st *Stream) decoder() *model.Decoder {
 	if st.deferred && st.dirty {
 		panic("eval: deferred Stream stepped with uncommitted accesses")
 	}
@@ -236,7 +239,12 @@ func (st *Stream) Step() bool {
 			st.dec.Reset()
 		}
 	}
-	logits := st.dec.Step(st.tokens[st.pos])
+	return st.dec
+}
+
+// score is the epilogue of every step: it moves past the token whose logits
+// these are and scores them against the token that follows.
+func (st *Stream) score(logits tensor.Vec) {
 	st.pos++
 	st.decoded++
 	st.winPos++
@@ -253,7 +261,6 @@ func (st *Stream) Step() bool {
 	if st.deferred {
 		st.dirty = true
 	}
-	return true
 }
 
 // Commit applies the deferred accesses of the last Step to the (shared)

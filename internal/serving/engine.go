@@ -2,17 +2,19 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/eval"
 	"repro/internal/parallel"
 	"repro/internal/serving/obs"
+	"repro/internal/tensor"
 )
 
 // Run drains the workload to completion under continuous batching and
-// returns the aggregate report. Each tick the engine (1) collects the
-// workload's arrivals, shuffling same-tick groups with the seeded RNG and
-// queueing them — shedding arrivals beyond the admission budget and, under
+// returns the aggregate report: Drive over this one engine, every arrival
+// placed straight onto it. Each tick the engine (1) queues the workload's
+// arrivals — shedding arrivals beyond the admission budget and, under
 // sustained pressure with Degrade set, queued optional work — (2) applies
 // the fault plan to the running batch in slot order and parks sessions
 // displaced by a capacity dip, (3) fills free batch slots with the
@@ -25,75 +27,181 @@ import (
 // bit-identical across runs and worker counts; only the Wall annotation
 // varies.
 func (e *Engine) Run() (*Report, error) {
-	if err := e.Begin(); err != nil {
+	// A lone engine freezes nothing, so no stretch without progress is a
+	// livelock: a long capacity dip legitimately ticks through.
+	ticks, err := Drive(e.w, e.cfg.Seed, []*Engine{e}, solo{e}, math.MaxInt)
+	if err != nil {
 		return nil, err
 	}
-	var finished []Finished
-	tick := 0
-	for !e.w.Done() || len(e.queue) > 0 || len(e.active) > 0 {
-		arrivals := e.w.Next(tick, finished)
-		finished = finished[:0]
-		for _, idx := range e.shuffleArrivals(arrivals) {
-			shed, err := e.Inject(idx, tick, e.order)
-			if err != nil {
-				return nil, err
-			}
-			if shed {
-				finished = append(finished, Finished{Index: idx, ID: e.reqs[idx].ID, Tick: tick})
-			} else {
-				e.order++
-			}
-		}
-		fin, stepped, err := e.StepTick(tick)
-		if err != nil {
-			return nil, err
-		}
-		finished = append(finished, fin...)
-		if !stepped {
-			// Nothing to decode: an arrival gap, a closed-loop think pause,
-			// every queued session backing off after a fault, or a full
-			// capacity dip. Fast-forward the simulated clock to the earliest
-			// event that can change that — no spinning through sparse gaps.
-			next, ok := e.w.NextArrival()
-			if ok && next <= tick {
-				ok = false // scheduled in the past yet not yielded: no help
-			}
-			if nt, nok := e.NextEvent(tick); nok && (!ok || nt < next) {
-				next, ok = nt, true
-			}
-			if len(finished) > 0 && (!ok || tick+1 < next) {
-				// Terminations (cancel, retry exhaustion, shedding) this tick
-				// have not been reported yet; a closed-loop workload may
-				// schedule follow-ups once it hears. Deliver them next tick.
-				next, ok = tick+1, true
-			}
-			if !ok {
-				if e.w.Done() && len(e.queue) == 0 {
-					break // faults drained the last sessions this tick
-				}
-				return nil, fmt.Errorf("serving: workload %q stalled at tick %d: not done, nothing active, next arrival %d (ok=%v)",
-					e.w.Name(), tick, next, ok)
-			}
-			tick = next
-			continue
-		}
-		tick++
-	}
-	return e.Finalize(tick), nil
+	return e.Finalize(ticks), nil
 }
 
-// shuffleArrivals applies the seeded same-tick arrival shuffle that makes
-// ties deterministic without privileging workload emission order.
-func (e *Engine) shuffleArrivals(arrivals []int) []int {
-	if len(arrivals) <= 1 {
-		return arrivals
+// Control is what differs between driving one engine and driving a cluster
+// of them; Drive is everything else.
+type Control interface {
+	// Before runs at the top of each executed tick, ahead of its arrivals:
+	// node lifecycle, failure detection, re-placing what the ingress held.
+	// Terminations it causes (a held request shed at the door) are appended
+	// to fin, which the workload hears this same tick.
+	Before(tick int, fin []Finished) ([]Finished, error)
+	// Place delivers one arrival — an index Drive has validated and never
+	// delivered before — by Inject on the engine of its choosing, or holds
+	// it. shed reports an arrival admission control dropped at the door.
+	Place(idx, tick int) (shed bool, err error)
+	// Frozen reports an engine that holds its state but must not step.
+	Frozen(engine int) bool
+	// NextWake is the earliest future tick Before has work at; a
+	// fast-forward never jumps past it.
+	NextWake(tick int) (next int, ok bool)
+	// Pending counts work held outside every engine's queue.
+	Pending() int
+}
+
+// solo is the one-engine Control: pass-through placement, nothing else.
+type solo struct{ *Engine }
+
+func (solo) Before(_ int, fin []Finished) ([]Finished, error) { return fin, nil }
+func (solo) Frozen(int) bool                                  { return false }
+func (solo) NextWake(int) (int, bool)                         { return 0, false }
+func (solo) Pending() int                                     { return 0 }
+
+func (s solo) Place(idx, tick int) (bool, error) {
+	shed := s.Inject(idx, tick, s.order)
+	if !shed {
+		s.order++
 	}
-	perm := e.rng.Perm(len(arrivals))
-	e.shuffle = e.shuffle[:0]
-	for _, j := range perm {
-		e.shuffle = append(e.shuffle, arrivals[j])
+	return shed, nil
+}
+
+// Drive is the run loop: it drains the workload through the engines on one
+// shared tick clock and returns the tick count the reports close at. Each
+// tick runs ctl.Before, shuffles the workload's same-tick arrivals with the
+// seeded RNG (ties are deterministic without privileging emission order) and
+// places them one at a time, then steps every unfrozen engine — concurrently,
+// engine state being disjoint, with results collected in index order so the
+// outcome is independent of the worker pool. A tick on which nothing decoded
+// fast-forwards the clock to the earliest event that can change that. horizon
+// bounds how far the clock may run with no engine stepping and no arrival.
+func Drive(w Workload, seed uint64, engines []*Engine, ctl Control, horizon int) (ticks int, err error) {
+	for _, e := range engines {
+		if err := e.begin(); err != nil {
+			return 0, err
+		}
 	}
-	return e.shuffle
+	reqs := w.Requests()
+	delivered := make([]bool, len(reqs))
+	rng := tensor.NewRNG(seed)
+	var finished []Finished
+	var shuffle []int
+	type result struct {
+		fin     []Finished
+		stepped bool
+		err     error
+	}
+	steps := make([]result, len(engines))
+	tick, lastProgress := 0, 0
+	step := func(_, lo, hi int) {
+		for n := lo; n < hi; n++ {
+			steps[n] = result{}
+			if !ctl.Frozen(n) {
+				steps[n].fin, steps[n].stepped, steps[n].err = engines[n].stepTick(tick)
+			}
+		}
+	}
+	for !w.Done() || ctl.Pending() > 0 || busy(engines) {
+		if finished, err = ctl.Before(tick, finished); err != nil {
+			return 0, err
+		}
+		arrivals := w.Next(tick, finished)
+		finished = finished[:0]
+		if len(arrivals) > 1 {
+			shuffle = shuffle[:0]
+			for _, j := range rng.Perm(len(arrivals)) {
+				shuffle = append(shuffle, arrivals[j])
+			}
+			arrivals = shuffle
+		}
+		for _, idx := range arrivals {
+			if idx < 0 || idx >= len(reqs) {
+				return 0, fmt.Errorf("serving: workload %q yielded request index %d outside its %d-request universe",
+					w.Name(), idx, len(reqs))
+			}
+			if delivered[idx] {
+				return 0, fmt.Errorf("serving: workload %q yielded request %d (%q) twice", w.Name(), idx, reqs[idx].ID)
+			}
+			delivered[idx] = true
+			shed, err := ctl.Place(idx, tick)
+			if err != nil {
+				return 0, err
+			}
+			if shed {
+				finished = append(finished, Finished{Index: idx, ID: reqs[idx].ID, Tick: tick})
+			}
+		}
+		parallel.ForWorker(len(engines), 1, step)
+		stepped := false
+		for n := range steps {
+			if steps[n].err != nil {
+				return 0, fmt.Errorf("serving: engine %d: %w", n, steps[n].err)
+			}
+			finished = append(finished, steps[n].fin...)
+			stepped = stepped || steps[n].stepped
+		}
+		if stepped || len(arrivals) > 0 {
+			lastProgress = tick
+		}
+		if tick-lastProgress > horizon {
+			return 0, fmt.Errorf("serving: no engine progressed for %d ticks (tick %d): work is frozen beyond every restart and probation horizon",
+				horizon, tick)
+		}
+		if stepped {
+			tick++
+			continue
+		}
+		// Nothing decoded: an arrival gap, a closed-loop think pause, every
+		// queued session backing off after a fault, a full capacity dip, a
+		// frozen node. Fast-forward the simulated clock to the earliest event
+		// that can change that — no spinning through sparse gaps.
+		next, ok := w.NextArrival()
+		if ok && next <= tick {
+			ok = false // scheduled in the past yet not yielded: no help
+		}
+		queued := ctl.Pending()
+		for _, e := range engines {
+			queued += len(e.queue)
+			if nt, nok := e.nextEvent(tick); nok && (!ok || nt < next) {
+				next, ok = nt, true
+			}
+		}
+		if nt, nok := ctl.NextWake(tick); nok && (!ok || nt < next) {
+			next, ok = nt, true
+		}
+		if len(finished) > 0 && (!ok || tick+1 < next) {
+			// Terminations (cancel, retry exhaustion, shedding) this tick
+			// have not been reported yet; a closed-loop workload may
+			// schedule follow-ups once it hears. Deliver them next tick.
+			next, ok = tick+1, true
+		}
+		if !ok {
+			if w.Done() && queued == 0 {
+				break // faults drained the last sessions this tick
+			}
+			return 0, fmt.Errorf("serving: workload %q stalled at tick %d: not done, nothing active, next arrival %d (ok=%v)",
+				w.Name(), tick, next, ok)
+		}
+		tick = next
+	}
+	return tick, nil
+}
+
+// busy reports whether any engine still holds queued or active sessions.
+func busy(engines []*Engine) bool {
+	for _, e := range engines {
+		if len(e.queue) > 0 || len(e.active) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // emitFinish records a session's terminal event (no-op with tracing off,

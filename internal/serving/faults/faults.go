@@ -420,21 +420,6 @@ func (c NodeChaos) Enabled() bool {
 	return c.CrashRate > 0 || c.GrayRate > 0 || c.DropRate > 0
 }
 
-// NodeMix builds the canonical node-chaos mix at one intensity: crashes at
-// rate, gray windows at 2·rate, and heartbeat drops at rate/2, with the
-// default shapes. This is what dipbench -node-chaos uses.
-func NodeMix(rate float64, seed uint64) (NodeChaos, error) {
-	if rate < 0 || rate > 1 || rate != rate {
-		return NodeChaos{}, fmt.Errorf("faults: node mix rate must be a probability in [0, 1], got %v", rate)
-	}
-	gray := 2 * rate
-	if gray > 1 {
-		gray = 1
-	}
-	c := NodeChaos{Seed: seed, CrashRate: rate, GrayRate: gray, DropRate: rate / 2}
-	return c, nil
-}
-
 // NodePlan is a seeded node-lifecycle chaos schedule over the simulated
 // tick clock — the node-level sibling of Plan. Every method is a pure
 // retroactive window scan (the same trick Plan.Offline uses), so the

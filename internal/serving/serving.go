@@ -45,7 +45,6 @@ import (
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
-	"repro/internal/tensor"
 )
 
 // SLO is a request's service-level objective class.
@@ -154,7 +153,7 @@ type Session struct {
 	SLO   SLO
 	// ArriveTick is when the workload released the request. Order is the
 	// seeded admission tiebreak: same-tick arrivals are ranked by a shuffle
-	// drawn from the engine's seeded RNG and Order increases monotonically
+	// drawn from Drive's seeded RNG and Order increases monotonically
 	// across ticks, so sorting by Order alone is seeded FCFS. Deadline is the
 	// absolute SLO deadline tick (ArriveTick + SLO.DeadlineTicks), or
 	// NoDeadline. All three are fixed at arrival, so schedulers rank a
@@ -310,13 +309,10 @@ type Engine struct {
 	ran       bool
 	wallStart time.Time
 
-	// Tick-loop run state, owned by Begin and shared by Run and the
-	// stepped API (Inject/StepTick) so a cluster can drive many engines on
-	// one clock: the seeded arrival-shuffle RNG, the admission queue, the
-	// active batch, the admission-rank counter, the engine-owned arrival
-	// order counter (Run's; a cluster passes its own global order), and
-	// the per-tick Finished scratch returned by StepTick.
-	rng    *tensor.RNG
+	// Run state Drive advances through Inject and stepTick: the admission
+	// queue, the active batch, the admission-rank counter, the arrival order
+	// counter of a lone run (a cluster passes its own global order), and the
+	// per-tick Finished scratch stepTick returns.
 	queue  []*Session
 	active []*Session
 	rank   int
@@ -342,12 +338,10 @@ type Engine struct {
 
 	// Per-tick scratch, reused across the run so steady-state ticks do not
 	// allocate engine-side: the fused-step batch (streams plus their
-	// sessions, for sub-quantum finish accounting) and arena, and the
-	// same-tick arrival shuffle buffer.
+	// sessions, for sub-quantum finish accounting) and arena.
 	arena     eval.BatchArena
 	batch     []*eval.Stream
 	batchSess []*Session
-	shuffle   []int
 }
 
 // NewEngine validates the configuration and lays out the shared memory
@@ -446,9 +440,6 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// Plan exposes the engine's memory layout (for reporting).
-func (e *Engine) Plan() *hwsim.Plan { return e.plan }
 
 // SharedCache returns the shared cache under ArbShared, else nil.
 func (e *Engine) SharedCache() *cache.ModelCache { return e.shared }
@@ -596,7 +587,7 @@ func (e *Engine) detach(sess *Session) *cache.ModelCache {
 
 // terminate is the single exit from the lifecycle: it stamps the outcome
 // and finish tick, returns any greedy claim, counts and logs the outcome,
-// and posts the Finished notice StepTick hands back to the workload. The
+// and posts the Finished notice stepTick hands back to the workload. The
 // stream stays with the record, so the report still prices the partial work
 // of failed and cancelled sessions. Shed sessions leave from the queue — the
 // caller has logged the shed or degrade event that stands in for a finish —

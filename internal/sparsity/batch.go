@@ -1,8 +1,6 @@
 package sparsity
 
 import (
-	"fmt"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -28,21 +26,14 @@ import (
 // copy them (the eval layer's pending buffers already do).
 type BatchScratch struct {
 	u, g, h *tensor.Mat
+	dense   nn.MLPBatchScratch
 	score   tensor.Vec
 	xcol    tensor.Vec
-	zcol    tensor.Vec
-	ycol    tensor.Vec
 	topk    tensor.TopKScratch
 	sparse  tensor.SparseBatchScratch
 	idxsA   [][]int
 	idxsB   [][]int
-
 	dips    []*DIP
-	glus    []*GLUPrune
-	oracles []*GLUOracle
-	gates   []*GatePrune
-	ups     []*UpPrune
-	cats    []*CATS
 }
 
 // growIdxs sizes a per-column unit-list table to B columns, keeping the
@@ -54,30 +45,18 @@ func growIdxs(idxs [][]int, B int) [][]int {
 	return idxs[:B]
 }
 
-// collect gathers schemes into dst when every element has concrete type T.
-func collect[T Scheme](dst []T, schemes []Scheme) ([]T, bool) {
-	dst = dst[:0]
-	for _, sc := range schemes {
-		t, ok := sc.(T)
-		if !ok {
-			return dst, false
-		}
-		dst = append(dst, t)
-	}
-	return dst, true
-}
-
 // ForwardBatch evaluates one MLP layer for the B sessions whose post-norm
 // inputs are the columns of xs (dim × B), writing each session's block
 // output into the matching column of out (dim × B) and its weight-access
 // record into tas[b]. schemes[b] and caches[b] are session b's scheme
 // instance and cache view (views may be nil or differ per session).
 //
-// Homogeneous batches of the fusable schemes (dense, dip/dip-ca, glu,
-// glu-oracle, gate, up, cats) take a fused path: dense stages run as
-// multi-RHS kernels and sparse stages carry per-column unit lists.
-// Mixed-type batches and schemes without a fused path (dejavu) fall back to
-// per-column Forward calls — still bit-identical, just unfused.
+// The schemes that serve traffic have a fused path: an all-Dense batch runs
+// as multi-RHS kernels and an all-DIP one (DIP and DIP-CA) carries per-column
+// unit lists through the sparse multi-RHS kernels. Every other batch — mixed
+// types, and the single-RHS baselines of the paper's tables (glu, glu-oracle,
+// gate, up, cats, dejavu) — is evaluated column by column with the scheme's
+// own Forward: still bit-identical, just unfused.
 func ForwardBatch(layer int, schemes []Scheme, xs *tensor.Mat, mlp *nn.GLUMLP, caches []CacheView, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
 	B := xs.Cols
 	if len(schemes) != B || len(caches) != B || len(tas) != B {
@@ -86,59 +65,24 @@ func ForwardBatch(layer int, schemes []Scheme, xs *tensor.Mat, mlp *nn.GLUMLP, c
 	if out == nil || out.Rows != mlp.Dim || out.Cols != B {
 		panic("sparsity: ForwardBatch out shape mismatch")
 	}
-	// Dispatch on the first scheme's concrete type, then verify the batch is
-	// homogeneous for that type; heterogeneous batches fall through.
-	switch schemes[0].(type) {
-	case *DIP:
-		if dips, ok := collect(s.dips[:0], schemes); ok {
-			s.dips = dips
-			forwardBatchDIP(layer, dips, xs, mlp, caches, out, tas, s)
-			return
-		}
-	case *GLUPrune:
-		if glus, ok := collect(s.glus[:0], schemes); ok {
-			s.glus = glus
-			forwardBatchGLU(glus, xs, mlp, out, tas, s)
-			return
-		}
-	case *GLUOracle:
-		if oracles, ok := collect(s.oracles[:0], schemes); ok {
-			s.oracles = oracles
-			forwardBatchGLUOracle(oracles, xs, mlp, out, tas, s)
-			return
-		}
-	case *GatePrune:
-		if gates, ok := collect(s.gates[:0], schemes); ok {
-			s.gates = gates
-			forwardBatchGate(gates, xs, mlp, out, tas, s)
-			return
-		}
-	case *UpPrune:
-		if ups, ok := collect(s.ups[:0], schemes); ok {
-			s.ups = ups
-			forwardBatchUp(ups, xs, mlp, out, tas, s)
-			return
-		}
-	case *CATS:
-		if cats, ok := collect(s.cats[:0], schemes); ok {
-			s.cats = cats
-			forwardBatchCATS(layer, cats, xs, mlp, out, tas, s)
-			return
-		}
-	case Dense:
-		allDense := true
-		for _, sc := range schemes[1:] {
-			if _, ok := sc.(Dense); !ok {
-				allDense = false
-				break
-			}
-		}
-		if allDense {
-			forwardBatchDense(xs, mlp, out, tas, s)
-			return
+	s.dips = s.dips[:0]
+	dense := 0
+	for _, sc := range schemes {
+		switch sc := sc.(type) {
+		case *DIP:
+			s.dips = append(s.dips, sc)
+		case Dense:
+			dense++
 		}
 	}
-	// Fallback: per-column single-RHS evaluation (mixed or unfusable batch).
+	if len(s.dips) == B {
+		forwardBatchDIP(layer, s.dips, xs, mlp, caches, out, tas, s)
+		return
+	}
+	if dense == B {
+		forwardBatchDense(xs, mlp, out, tas, s)
+		return
+	}
 	for b, sc := range schemes {
 		s.xcol = xs.Col(b, tensor.Reuse(s.xcol, mlp.Dim))
 		y, ta := sc.Forward(layer, s.xcol, mlp, caches[b])
@@ -163,14 +107,7 @@ func colAbsScores(xs *tensor.Mat, b int, dst tensor.Vec) tensor.Vec {
 // forwardBatchDense is the fused no-pruning path: one ApplyBatch for the
 // whole batch, dense access records per session.
 func forwardBatchDense(xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	B := xs.Cols
-	s.u = tensor.MatVecBatch(mlp.Up.P.W, xs, tensor.ReuseMat(s.u, mlp.DFF, B))
-	s.g = tensor.MatVecBatch(mlp.Gate.P.W, xs, tensor.ReuseMat(s.g, mlp.DFF, B))
-	s.h = tensor.ReuseMat(s.h, mlp.DFF, B)
-	for i, g := range s.g.Data {
-		s.h.Data[i] = s.u.Data[i] * mlp.Act.Apply(g)
-	}
-	tensor.MatVecBatch(mlp.Down.P.W, s.h, out)
+	mlp.ApplyBatch(xs, out, &s.dense)
 	for b := range tas {
 		tas[b] = TokenAccess{}
 		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
@@ -215,164 +152,5 @@ func forwardBatchDIP(layer int, dips []*DIP, xs *tensor.Mat, mlp *nn.GLUMLP, cac
 		tas[b] = TokenAccess{}
 		tas[b].Groups[GroupUpGate] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
 		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idxsB[b]}
-	}
-}
-
-// forwardBatchGLU fuses GLU pruning: the dense GLU runs as two multi-RHS
-// products, the top-K masks stay per column, and the down projection is a
-// sparse multi-RHS product over the per-column unit lists.
-func forwardBatchGLU(glus []*GLUPrune, xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	s.idxsA = batchGLUStage(xs, mlp, s, func(b int) float64 { return glus[b].RhoGLU })
-	tensor.MatVecSparseBatch(mlp.Down.P.W, s.h, s.idxsA, out, &s.sparse)
-	for b := range tas {
-		tas[b] = TokenAccess{}
-		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-	}
-}
-
-// forwardBatchGLUOracle is forwardBatchGLU with the oracle's access record:
-// all three groups sparsify to the selected unit set.
-func forwardBatchGLUOracle(oracles []*GLUOracle, xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	s.idxsA = batchGLUStage(xs, mlp, s, func(b int) float64 { return oracles[b].Rho })
-	tensor.MatVecSparseBatch(mlp.Down.P.W, s.h, s.idxsA, out, &s.sparse)
-	for b := range tas {
-		tas[b] = TokenAccess{}
-		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-		tas[b].Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-	}
-}
-
-// batchGLUStage computes the fused dense GLU into s.h and the per-column
-// top-K unit lists for the given keep fractions, returning the lists.
-func batchGLUStage(xs *tensor.Mat, mlp *nn.GLUMLP, s *BatchScratch, rho func(b int) float64) [][]int {
-	dff := mlp.DFF
-	B := xs.Cols
-	s.u = tensor.MatVecBatch(mlp.Up.P.W, xs, tensor.ReuseMat(s.u, dff, B))
-	s.g = tensor.MatVecBatch(mlp.Gate.P.W, xs, tensor.ReuseMat(s.g, dff, B))
-	s.h = tensor.ReuseMat(s.h, dff, B)
-	for i, g := range s.g.Data {
-		s.h.Data[i] = s.u.Data[i] * mlp.Act.Apply(g)
-	}
-	idxs := growIdxs(s.idxsA, B)
-	for b := 0; b < B; b++ {
-		s.score = colAbsScores(s.h, b, tensor.Reuse(s.score, dff))
-		k := keepCount(rho(b), dff)
-		idxs[b] = tensor.TopKIndicesInto(s.score, k, &s.topk, idxs[b])
-	}
-	return idxs
-}
-
-// forwardBatchGate fuses Gate pruning's dense stage (one multi-RHS product
-// over W_g); the per-unit row walks keep their per-column unit sets and run
-// per column.
-func forwardBatchGate(gates []*GatePrune, xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	dff := mlp.DFF
-	B := xs.Cols
-	s.g = tensor.MatVecBatch(mlp.Gate.P.W, xs, tensor.ReuseMat(s.g, dff, B))
-	s.idxsA = growIdxs(s.idxsA, B)
-	for b, gp := range gates {
-		s.score = tensor.Reuse(s.score, dff)
-		s.zcol = s.g.Col(b, tensor.Reuse(s.zcol, dff))
-		for i, v := range s.zcol {
-			a := mlp.Act.Apply(v)
-			if a < 0 {
-				a = -a
-			}
-			s.score[i] = a
-		}
-		k := keepCount(gp.Rho, dff)
-		s.idxsA[b] = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idxsA[b])
-		s.xcol = xs.Col(b, tensor.Reuse(s.xcol, mlp.Dim))
-		s.ycol = sparseRowsOutput(mlp, s.xcol, s.zcol, s.idxsA[b], tensor.Reuse(s.ycol, mlp.Dim))
-		out.SetCol(b, s.ycol)
-		tas[b] = TokenAccess{}
-		tas[b].Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-	}
-}
-
-// forwardBatchUp fuses Up pruning's dense stage (one multi-RHS product over
-// W_u); the sparse stage runs per column.
-func forwardBatchUp(ups []*UpPrune, xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	dim, dff := mlp.Dim, mlp.DFF
-	B := xs.Cols
-	s.u = tensor.MatVecBatch(mlp.Up.P.W, xs, tensor.ReuseMat(s.u, dff, B))
-	s.idxsA = growIdxs(s.idxsA, B)
-	wd := mlp.Down.P.W
-	for b, up := range ups {
-		s.zcol = s.u.Col(b, tensor.Reuse(s.zcol, dff))
-		s.score = absScores(s.zcol, tensor.Reuse(s.score, dff))
-		k := keepCount(up.Rho, dff)
-		s.idxsA[b] = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idxsA[b])
-		s.xcol = xs.Col(b, tensor.Reuse(s.xcol, dim))
-		s.ycol = tensor.Reuse(s.ycol, dim)
-		y := s.ycol
-		y.Zero()
-		for _, i := range s.idxsA[b] {
-			gi := tensor.Vec(mlp.Gate.P.W.Data[i*dim : (i+1)*dim]).Dot(s.xcol)
-			hi := s.zcol[i] * mlp.Act.Apply(gi)
-			if hi == 0 {
-				continue
-			}
-			for r := 0; r < dim; r++ {
-				y[r] += wd.Data[r*dff+i] * hi
-			}
-		}
-		out.SetCol(b, y)
-		tas[b] = TokenAccess{}
-		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idxsA[b]}
-	}
-}
-
-// forwardBatchCATS fuses CATS's dense stage (one multi-RHS product over
-// W_g); thresholding and the per-unit row walks run per column.
-func forwardBatchCATS(layer int, cats []*CATS, xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	dff := mlp.DFF
-	B := xs.Cols
-	s.g = tensor.MatVecBatch(mlp.Gate.P.W, xs, tensor.ReuseMat(s.g, dff, B))
-	s.idxsA = growIdxs(s.idxsA, B)
-	for b, c := range cats {
-		if layer >= len(c.Thresholds) {
-			panic(fmt.Sprintf("sparsity: CATS has %d thresholds, layer %d requested", len(c.Thresholds), layer))
-		}
-		thr := c.Thresholds[layer]
-		s.zcol = s.g.Col(b, tensor.Reuse(s.zcol, dff))
-		idx := s.idxsA[b][:0]
-		for i, v := range s.zcol {
-			a := mlp.Act.Apply(v)
-			if a < 0 {
-				a = -a
-			}
-			if a >= thr {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 { // keep at least the strongest unit
-			best, bestV := 0, float32(-1)
-			for i, v := range s.zcol {
-				a := mlp.Act.Apply(v)
-				if a < 0 {
-					a = -a
-				}
-				if a > bestV {
-					best, bestV = i, a
-				}
-			}
-			idx = append(idx, best)
-		}
-		s.idxsA[b] = idx
-		s.xcol = xs.Col(b, tensor.Reuse(s.xcol, mlp.Dim))
-		s.ycol = sparseRowsOutput(mlp, s.xcol, s.zcol, idx, tensor.Reuse(s.ycol, mlp.Dim))
-		out.SetCol(b, s.ycol)
-		tas[b] = TokenAccess{}
-		tas[b].Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
 	}
 }
