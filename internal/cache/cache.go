@@ -40,10 +40,6 @@ func (p Policy) String() string {
 		return "lfu"
 	case PolicyBelady:
 		return "belady"
-	case PolicyFIFO:
-		return "fifo"
-	case PolicyLFUAged:
-		return "lfu-aged"
 	default:
 		return "invalid"
 	}
@@ -67,14 +63,13 @@ func (s Stats) HitRate() float64 {
 //
 // Eviction order is one total order for every policy: the victim is the
 // evictable unit with the smallest (key, unit) pair, where key[u] is the
-// policy's single per-unit number — the last-use stamp (LRU), the insertion
-// stamp (FIFO) or the use count (LFU, LFU-aged; counted for non-resident
-// units too, so a returning unit keeps its history). The evictable units —
-// resident and not part of the access being processed — sit in an indexed
-// binary min-heap on that order. A unit of the current access leaves the
-// heap when the access starts and re-enters under its new key when it ends,
-// so "in the heap" is the eviction-protection test and a miss takes the
-// heap top in O(log capacity).
+// policy's single per-unit number — the last-use stamp (LRU) or the use
+// count (LFU; counted for non-resident units too, so a returning unit keeps
+// its history). The evictable units — resident and not part of the access
+// being processed — sit in an indexed binary min-heap on that order. A unit
+// of the current access leaves the heap when the access starts and re-enters
+// under its new key when it ends, so "in the heap" is the
+// eviction-protection test and a miss takes the heap top in O(log capacity).
 type GroupCache struct {
 	policy   Policy
 	capacity int
@@ -181,7 +176,6 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		return 0, len(units)
 	}
 	g.clock++
-	g.maybeAge()
 	// Every unit of the access is needed this token, so none may be evicted
 	// by another's miss: take the resident ones out of the heap up front.
 	for _, u := range units {
@@ -196,7 +190,7 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		switch g.policy {
 		case PolicyLRU:
 			g.key[u] = g.clock
-		case PolicyLFU, PolicyLFUAged:
+		case PolicyLFU:
 			g.key[u]++
 		}
 		if g.resident[u] {
@@ -231,9 +225,6 @@ func (g *GroupCache) insert(u int) {
 		return
 	}
 	g.resident[u] = true
-	if g.policy == PolicyFIFO {
-		g.key[u] = g.clock
-	}
 }
 
 // evictFor frees one slot for u by evicting the heap top, and reports

@@ -12,6 +12,16 @@ func TestPolicyStrings(t *testing.T) {
 			t.Fatalf("policy %d has no name", p)
 		}
 	}
+	if got := Policy(100).String(); got != "invalid" {
+		t.Fatalf("an unknown policy is named %q", got)
+	}
+}
+
+// Policy numbers travel in configs and reports; the four keep their values.
+func TestPolicyNumbersArePinned(t *testing.T) {
+	if got := [...]Policy{PolicyNone, PolicyLRU, PolicyLFU, PolicyBelady}; got != [...]Policy{0, 1, 2, 3} {
+		t.Fatalf("cache policies renumbered: %v", got)
+	}
 }
 
 func TestNoCacheAllMisses(t *testing.T) {
@@ -198,6 +208,9 @@ func TestModelCacheAccessAndView(t *testing.T) {
 	}
 	if !mc.Cached(0, sparsity.GroupUpGate, 1) || mc.Cached(1, sparsity.GroupUpGate, 1) {
 		t.Fatal("CacheView residency wrong")
+	}
+	if mc.Occupancy() != 3 {
+		t.Fatalf("occupancy %d after three cold inserts", mc.Occupancy())
 	}
 	res = mc.Access(0, &ta)
 	if res.HitUnits[sparsity.GroupUpGate] != 2 {

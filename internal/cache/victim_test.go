@@ -79,19 +79,12 @@ func (g *refCache) accessSparse(units []int) (hits, misses int) {
 		return 0, len(units)
 	}
 	g.clock++
-	if g.policy == PolicyLFUAged && g.clock%AgingPeriod == 0 {
-		for i := range g.freq {
-			g.freq[i] /= 2
-		}
-	}
 	for _, u := range units {
 		g.inflight[u] = g.clock
 	}
 	for _, u := range units {
 		g.freq[u]++
-		if g.policy != PolicyFIFO {
-			g.lastUse[u] = g.clock
-		}
+		g.lastUse[u] = g.clock
 		if g.resident[u] {
 			hits++
 			continue
@@ -111,9 +104,6 @@ func (g *refCache) insert(u int) {
 	if g.count < g.capacity {
 		g.resident[u] = true
 		g.count++
-		if g.policy == PolicyFIFO {
-			g.lastUse[u] = g.clock
-		}
 		return
 	}
 	victim := g.refPickVictim()
@@ -125,9 +115,6 @@ func (g *refCache) insert(u int) {
 	}
 	g.resident[victim] = false
 	g.resident[u] = true
-	if g.policy == PolicyFIFO {
-		g.lastUse[u] = g.clock
-	}
 	g.stats.Evictions++
 }
 
@@ -137,14 +124,14 @@ func (g *refCache) refPickVictim() int {
 	inFlight := func(v int) bool { return g.inflight[v] == g.clock }
 	best := -1
 	switch g.policy {
-	case PolicyLRU, PolicyFIFO:
+	case PolicyLRU:
 		var bestUse int64 = 1<<62 - 1
 		for v := 0; v < g.nunits; v++ {
 			if g.resident[v] && !inFlight(v) && g.lastUse[v] < bestUse {
 				best, bestUse = v, g.lastUse[v]
 			}
 		}
-	case PolicyLFU, PolicyLFUAged:
+	case PolicyLFU:
 		var bestFreq int64 = 1<<62 - 1
 		for v := 0; v < g.nunits; v++ {
 			if g.resident[v] && !inFlight(v) && g.freq[v] < bestFreq {
@@ -181,7 +168,7 @@ func (g *refCache) accessDense() (hits, misses int) {
 	return hits, misses
 }
 
-var victimPolicies = []Policy{PolicyLRU, PolicyLFU, PolicyFIFO, PolicyLFUAged, PolicyBelady}
+var victimPolicies = []Policy{PolicyLRU, PolicyLFU, PolicyBelady}
 
 // checkHeap holds g, between accesses, to the structure's invariants: pos
 // and heap describe the same set, that set is exactly the resident units
@@ -236,10 +223,10 @@ func sameAccess(g *GroupCache, ref *refCache, dense bool, units []int) error {
 // of every policy: random universes and capacities (including 0 and the
 // whole universe), skewed unit lists of every length from empty to longer
 // than the capacity (the bypass regime) with the occasional repeated unit,
-// dense accesses interleaved, and enough accesses to cross several aging
-// periods. Belady replays a stream that departs from its trace.
+// dense accesses interleaved. Belady replays a stream that departs from its
+// trace.
 func TestVictimSequenceMatchesScan(t *testing.T) {
-	const accesses = 4*AgingPeriod + 40
+	const accesses = 1064
 	for _, policy := range victimPolicies {
 		for trial := 0; trial < 12; trial++ {
 			state := uint64(policy)<<32 | uint64(trial)<<8 | 1
@@ -320,12 +307,12 @@ func FuzzGroupCacheVictims(f *testing.F) {
 	f.Add([]byte{1, 11, 3, 5, 0, 1, 2, 3, 4, 2, 5, 6, 2, 0, 0, 4, 7, 8, 9, 10, 255, 1, 3})
 	f.Add([]byte{2, 4, 4, 6, 0, 1, 2, 3, 0, 1, 255, 0, 2, 3, 3})
 	f.Add([]byte{4, 30, 7, 3, 1, 2, 3, 3, 9, 9, 1, 2, 20, 21, 255, 4, 5, 6, 7, 8})
-	// Past one aging period: the halving has to re-order the heap.
-	aged := []byte{3, 7, 3}
-	for i := 0; i < AgingPeriod+20; i++ {
-		aged = append(aged, 2, byte(i*i), byte(i/3))
+	// A long script on a small cache: hundreds of evictions, counts that grow.
+	long := []byte{1, 7, 3}
+	for i := 0; i < 276; i++ {
+		long = append(long, 2, byte(i*i), byte(i/3))
 	}
-	f.Add(aged)
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -431,20 +418,20 @@ func steadyLists(n, k, nunits int, skew float64) [][]int {
 
 func TestAccessSparseDoesNotAllocate(t *testing.T) {
 	lists := steadyLists(64, 40, 256, 1)
-	for _, policy := range []Policy{PolicyLRU, PolicyLFU, PolicyFIFO, PolicyLFUAged} {
+	for _, policy := range []Policy{PolicyLRU, PolicyLFU} {
 		g := NewGroupCache(policy, 60, 256)
 		i := 0
 		access := func() {
 			g.AccessSparse(lists[i%len(lists)])
 			i++
 		}
-		for i < 2*AgingPeriod {
+		for i < 512 {
 			access()
 		}
 		if g.Stats().Evictions == 0 {
 			t.Fatalf("%v: warm-up never evicted", policy)
 		}
-		if allocs := testing.AllocsPerRun(2*AgingPeriod, access); allocs != 0 {
+		if allocs := testing.AllocsPerRun(512, access); allocs != 0 {
 			t.Errorf("%v: %v allocations per AccessSparse at steady state", policy, allocs)
 		}
 	}
@@ -494,7 +481,7 @@ func TestHostileInputsPanicByName(t *testing.T) {
 // A unit listed twice is touched twice — the first occurrence misses and
 // inserts, the repeat hits — and enters the eviction order once.
 func TestRepeatedUnitHitsOnRepeat(t *testing.T) {
-	for _, policy := range []Policy{PolicyLRU, PolicyLFU, PolicyFIFO, PolicyLFUAged} {
+	for _, policy := range []Policy{PolicyLRU, PolicyLFU} {
 		g := NewGroupCache(policy, 2, 6)
 		if h, m := g.AccessSparse([]int{3, 3}); h != 1 || m != 1 {
 			t.Fatalf("%v: cold repeat hits=%d misses=%d, want 1/1", policy, h, m)

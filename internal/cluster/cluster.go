@@ -76,17 +76,13 @@ type Config struct {
 	// Failures schedules node outages (see Failure). Requires ≥ 2 nodes.
 	Failures []Failure
 	// Chaos schedules unscripted node lifecycle chaos — seeded crashes
-	// with timed restarts, gray windows, heartbeat drops (see
-	// faults.NodeChaos). The zero value is off; enabling it requires ≥ 2
-	// nodes.
+	// with timed restarts (see faults.NodeChaos). The zero value is off;
+	// enabling it requires ≥ 2 nodes.
 	Chaos faults.NodeChaos
 	// Detect tunes the failure detector watching the nodes' heartbeats
 	// (see Detect); the zero value is the heartbeat detector at default
 	// thresholds.
 	Detect Detect
-	// Retry shapes the backoff applied when stranded requests re-route at
-	// confirmation; the zero value uses the faults defaults.
-	Retry faults.RetryPolicy
 	// Obs, when non-nil, attaches one recorder per node; the cluster report
 	// then carries the merged event counts and Events() returns the k-way
 	// merged per-node logs.
@@ -124,7 +120,6 @@ type Cluster struct {
 	plan           *faults.NodePlan // nil with chaos off
 	detect         Detect           // defaulted
 	mode           int              // detHeartbeat | detOracle | detOff
-	retry          faults.RetryPolicy
 	health         []Health
 	wasDead        []bool
 	crashTick      []int
@@ -137,7 +132,6 @@ type Cluster struct {
 	hbMisses       int
 	suspects       int
 	confirms       int
-	lagMeasured    int // confirms of genuinely dead nodes (the lag samples)
 	deadTicks      int // total node-ticks spent ground-truth dead
 	stallHorizon   int
 
@@ -204,8 +198,8 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 	if err := cfg.Detect.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Retry.Validate(); err != nil {
-		return nil, err
+	if cfg.Obs != nil && cfg.Obs.Window < 0 {
+		return nil, fmt.Errorf("cluster: Config.Obs.Window must be non-negative (0 = default %d), got %d", obs.DefaultWindow, cfg.Obs.Window)
 	}
 	if cfg.DrainTick > 0 || len(cfg.Failures) > 0 || cfg.Chaos.Enabled() {
 		// Migration moves live streams between nodes, and a stream's
@@ -228,7 +222,6 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 		migrated:       map[int]bool{},
 		loads:          make([]Load, len(cfg.Nodes)),
 		detect:         cfg.Detect.withDefaults(),
-		retry:          cfg.Retry.WithDefaults(),
 		health:         make([]Health, len(cfg.Nodes)),
 		wasDead:        make([]bool, len(cfg.Nodes)),
 		crashTick:      make([]int, len(cfg.Nodes)),
@@ -260,8 +253,7 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 	// plus the chaos restart, detection, and probation horizons; anything
 	// beyond that is a livelock, reported instead of spun on.
 	c.stallHorizon = maxOutageEnd + cfg.DrainTick +
-		16*chaos.RecoverTicks + chaos.GrayTicks +
-		c.detect.MissConfirm + c.detect.ProbationTicks + 256
+		16*chaos.RecoverTicks + c.detect.MissConfirm + probationTicks + 256
 	for i, nc := range cfg.Nodes {
 		if nc.Obs != nil {
 			return nil, fmt.Errorf("cluster: node %d carries its own recorder; set Config.Obs instead", i)
@@ -269,11 +261,6 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 		if cfg.Obs != nil {
 			c.recs[i] = obs.NewRecorder(*cfg.Obs)
 			nc.Obs = c.recs[i]
-		}
-		if c.plan != nil && chaos.GrayRate > 0 {
-			// Gray windows dip the node's decode capacity through the
-			// ordinary slot-level fault machinery.
-			nc.Faults = grayFaults{inner: nc.Faults, plan: c.plan, node: i}
 		}
 		e, err := serving.NewEngine(m, nc, w)
 		if err != nil {
@@ -283,9 +270,6 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Nodes returns the number of replicas.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
 
 // Events returns the merged per-node event logs (nil without Config.Obs):
 // each event stamped with its node, interleaved by (tick, node) with

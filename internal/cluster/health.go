@@ -16,12 +16,11 @@ import (
 // Ground truth and the detector's view are deliberately separate. Ground
 // truth — is node n actually down at tick t? — is a pure function of the
 // scripted failure windows and the chaos plan's stateless crash draws. The
-// detector only sees heartbeats: one per node per tick, dropped while the
-// node is dead (or by chaos in flight), delayed by GrayLag while the node
-// is gray. The gap between the two views is the detection lag the reports
-// price: requests routed onto a dead-but-not-yet-confirmed node are
-// stranded, and failover migration happens at the confirmation tick, not
-// the failure tick.
+// detector only sees heartbeats: one per node per tick, missing exactly
+// while the node is dead. The gap between the two views is the detection
+// lag the reports price: requests routed onto a dead-but-not-yet-confirmed
+// node are stranded, and failover migration happens at the confirmation
+// tick, not the failure tick.
 
 // Health is the detector's view of one node.
 type Health int
@@ -29,8 +28,9 @@ type Health int
 const (
 	// Healthy nodes take placements normally.
 	Healthy Health = iota
-	// Suspect nodes missed MissSuspect consecutive heartbeats; the router
-	// avoids them while any healthy candidate remains.
+	// Suspect nodes missed two consecutive heartbeats (see
+	// Detect.missSuspect); the router avoids them while any healthy
+	// candidate remains.
 	Suspect
 	// Down nodes missed MissConfirm heartbeats and were evacuated; they
 	// take no placements until a heartbeat returns.
@@ -76,16 +76,18 @@ type Detect struct {
 	// or "off" (no detection and no failover — stranded work stays
 	// frozen on the dead node until its restart, the lower bound).
 	Mode string
-	// MissSuspect is how many consecutive missed heartbeats mark a node
-	// Suspect (0 = default 2; clamped to MissConfirm when larger).
-	MissSuspect int
 	// MissConfirm is how many consecutive missed heartbeats confirm a
 	// node Down and trigger failover (0 = default 4).
 	MissConfirm int
-	// ProbationTicks is the warm-up window a rejoining node serves before
-	// it counts as fully Healthy again (0 = default 8).
-	ProbationTicks int
 }
+
+// probationTicks is the warm-up window a rejoining node serves before it
+// counts as fully Healthy again.
+const probationTicks = 8
+
+// missSuspect is how many consecutive missed heartbeats mark a node
+// Suspect: two, or fewer when the confirmation budget is tighter.
+func (d Detect) missSuspect() int { return min(2, d.MissConfirm) }
 
 // Validate reports the first invalid Detect field by name.
 func (d Detect) Validate() error {
@@ -94,79 +96,21 @@ func (d Detect) Validate() error {
 	default:
 		return fmt.Errorf("cluster: Detect.Mode must be one of heartbeat|oracle|off, got %q", d.Mode)
 	}
-	if d.MissSuspect < 0 {
-		return fmt.Errorf("cluster: Detect.MissSuspect must be non-negative (0 = default 2), got %d", d.MissSuspect)
-	}
 	if d.MissConfirm < 0 {
 		return fmt.Errorf("cluster: Detect.MissConfirm must be non-negative (0 = default 4), got %d", d.MissConfirm)
-	}
-	if d.ProbationTicks < 0 {
-		return fmt.Errorf("cluster: Detect.ProbationTicks must be non-negative (0 = default 8), got %d", d.ProbationTicks)
 	}
 	return nil
 }
 
-// withDefaults resolves zero fields and clamps MissSuspect ≤ MissConfirm.
+// withDefaults resolves the zero fields.
 func (d Detect) withDefaults() Detect {
 	if d.Mode == "" {
 		d.Mode = "heartbeat"
 	}
-	if d.MissSuspect == 0 {
-		d.MissSuspect = 2
-	}
 	if d.MissConfirm == 0 {
 		d.MissConfirm = 4
 	}
-	if d.MissSuspect > d.MissConfirm {
-		d.MissSuspect = d.MissConfirm
-	}
-	if d.ProbationTicks == 0 {
-		d.ProbationTicks = 8
-	}
 	return d
-}
-
-// grayFaults adapts a node's slot-level fault injector to the cluster's
-// chaos plan: while the node is in a gray window it decodes at dipped
-// capacity (GraySlots offline), on top of whatever the inner plan injects.
-// Pure functions of (tick, node) only, so the wrapper is race-free under
-// the parallel node fan-out.
-type grayFaults struct {
-	inner faults.Injector // may be nil
-	plan  *faults.NodePlan
-	node  int
-}
-
-func (g grayFaults) Name() string {
-	if g.inner != nil {
-		return g.inner.Name() + "+gray"
-	}
-	return "gray"
-}
-
-func (g grayFaults) StepFault(tick, slot int) bool {
-	return g.inner != nil && g.inner.StepFault(tick, slot)
-}
-
-func (g grayFaults) Revoke(tick, slot int) bool {
-	return g.inner != nil && g.inner.Revoke(tick, slot)
-}
-
-func (g grayFaults) Cancel(tick, slot int) bool {
-	return g.inner != nil && g.inner.Cancel(tick, slot)
-}
-
-func (g grayFaults) Offline(tick int) int {
-	off := 0
-	if g.inner != nil {
-		off = g.inner.Offline(tick)
-	}
-	if g.plan.Gray(tick, g.node) && !g.plan.Dead(tick, g.node) {
-		if s := g.plan.Config().GraySlots; s > off {
-			off = s
-		}
-	}
-	return off
 }
 
 // deadAt is ground truth: whether node is actually down at tick, from the
@@ -180,47 +124,15 @@ func (c *Cluster) deadAt(tick, node int) bool {
 	return c.plan != nil && c.plan.Dead(tick, node)
 }
 
-// grayAt reports whether the node is in a gray window (dead wins over gray).
-func (c *Cluster) grayAt(tick, node int) bool {
-	return c.plan != nil && c.plan.Gray(tick, node) && !c.deadAt(tick, node)
-}
-
-// emits reports whether the heartbeat the node would send at tick leaves
-// the node at all: dead nodes send nothing, and chaos can drop one in
-// flight.
-func (c *Cluster) emits(tick, node int) bool {
-	if c.deadAt(tick, node) {
-		return false
-	}
-	return c.plan == nil || !c.plan.DropHeartbeat(tick, node)
-}
-
-// heartbeatAt reports whether a heartbeat from node arrives at tick: the
-// beat emitted at e lands at e+lag(e), where lag is 0 for a healthy node
-// and GrayLag for a gray one — so a gray node's beats run late and the
-// detector flaps it into Suspect.
-func (c *Cluster) heartbeatAt(tick, node int) bool {
-	if c.emits(tick, node) && !c.grayAt(tick, node) {
-		return true
-	}
-	if c.plan != nil {
-		e := tick - c.plan.Config().GrayLag
-		if e >= 0 && c.emits(e, node) && c.grayAt(e, node) {
-			return true
-		}
-	}
-	return false
-}
-
 // missesAt counts the consecutive ticks up to and including tick with no
-// heartbeat arrival from node, capped at MissConfirm (past the confirmation
-// threshold the exact count no longer matters). The backward scan keeps the
-// count a pure function of the tick clock, so fast-forwarded idle ticks
-// can never skew the detector.
+// heartbeat from node — a node beats exactly while it is alive — capped at
+// MissConfirm (past the confirmation threshold the exact count no longer
+// matters). The backward scan keeps the count a pure function of the tick
+// clock, so fast-forwarded idle ticks can never skew the detector.
 func (c *Cluster) missesAt(tick, node int) int {
 	bound := c.detect.MissConfirm
 	for d := 0; d <= bound && d <= tick; d++ {
-		if c.heartbeatAt(tick-d, node) {
+		if !c.deadAt(tick-d, node) {
 			return d
 		}
 	}
@@ -238,19 +150,17 @@ func (c *Cluster) emitHealth(tick, node int, kind obs.Kind, detail string) {
 	}
 }
 
-// confirmDown declares the node Down and fails it over: detection lag is
-// measured against the ground-truth crash tick when the node is genuinely
-// dead (a false-positive confirm has no lag to measure), active sessions
-// are evacuated with their live stream and cache state, and every stranded
-// request re-routes with retry backoff.
+// confirmDown declares the node Down and fails it over. Both detectors
+// confirm only on a tick the node is ground-truth dead (a heartbeat is
+// missing only then), so every confirm has a crash tick to measure its
+// detection lag against. Active sessions are evacuated with their live
+// stream and cache state, and every stranded request re-routes with retry
+// backoff.
 func (c *Cluster) confirmDown(tick, node int) error {
 	c.health[node] = Down
 	c.confirms++
 	c.emitHealth(tick, node, obs.KindConfirm, obs.DetailDown)
-	if c.wasDead[node] {
-		c.detectLagN[node] += tick - c.crashTick[node]
-		c.lagMeasured++
-	}
+	c.detectLagN[node] += tick - c.crashTick[node]
 	migs := c.nodes[node].Evacuate(tick)
 	for _, mig := range migs {
 		sess := mig.Sess
@@ -259,7 +169,7 @@ func (c *Cluster) confirmDown(tick, node int) error {
 			// off like a faulted session's retry, de-synchronized by the
 			// seeded jitter, so failover does not thundering-herd the
 			// survivors.
-			nb := tick + c.retry.Backoff(c.cfg.Seed, sess.Index, c.strandAttempts[sess.Index])
+			nb := tick + faults.RetryPolicy{}.Backoff(c.cfg.Seed, sess.Index, c.strandAttempts[sess.Index])
 			if nb > sess.NotBefore {
 				sess.NotBefore = nb
 			}
@@ -306,18 +216,15 @@ func (c *Cluster) detectTick(tick int) error {
 			}
 			continue
 		}
-		// Heartbeat detector.
-		beat := c.heartbeatAt(tick, n)
-		if !beat && c.health[n] != Down {
+		// Heartbeat detector: a node beats exactly while it is alive.
+		if dead && c.health[n] != Down {
 			c.hbMisses++
 			c.emitHealth(tick, n, obs.KindHeartbeatMiss, "")
 		}
 		switch c.health[n] {
 		case Down:
-			if beat {
-				// A heartbeat from a Down node is the rejoin signal —
-				// whether the node really restarted or the confirm was a
-				// false positive, the same probation path re-absorbs it.
+			if !dead {
+				// A heartbeat from a Down node is the rejoin signal.
 				c.startRejoin(tick, n)
 			}
 		case Rejoining:
@@ -327,7 +234,7 @@ func (c *Cluster) detectTick(tick int) error {
 				if err := c.confirmDown(tick, n); err != nil {
 					return err
 				}
-			case tick >= c.probation[n] && beat:
+			case tick >= c.probation[n] && !dead:
 				c.health[n] = Healthy
 				c.emitHealth(tick, n, obs.KindRejoin, obs.DetailHealthy)
 			}
@@ -337,7 +244,7 @@ func (c *Cluster) detectTick(tick int) error {
 				if err := c.confirmDown(tick, n); err != nil {
 					return err
 				}
-			case m >= c.detect.MissSuspect:
+			case m >= c.detect.missSuspect():
 				if c.health[n] == Healthy {
 					c.health[n] = Suspect
 					c.suspects++
@@ -369,7 +276,7 @@ func (c *Cluster) detectTick(tick int) error {
 // startRejoin moves a Down node into warm-up probation.
 func (c *Cluster) startRejoin(tick, node int) {
 	c.health[node] = Rejoining
-	c.probation[node] = tick + c.detect.ProbationTicks
+	c.probation[node] = tick + probationTicks
 	c.rejoinsN[node]++
 	c.emitHealth(tick, node, obs.KindRejoin, obs.DetailRejoining)
 }

@@ -18,9 +18,9 @@ import (
 // chaosCluster builds the pinned unscripted-chaos scenario the detector
 // tests share: three single-slot exclusive nodes, nine deadlined sessions
 // on Poisson arrivals, seeded node chaos (crashes with timed restarts),
-// and the requested detector mode. Everything is deterministic for the
-// pinned seeds, so the assertions on it are exact pins, not expectations.
-func chaosCluster(t *testing.T, mode string, noFuse bool, chaosSeed uint64, rate float64) *Cluster {
+// and the requested detector. Everything is deterministic for the pinned
+// seeds, so the assertions on it are exact pins, not expectations.
+func chaosCluster(t *testing.T, det Detect, noFuse bool, chaos faults.NodeChaos) *Cluster {
 	t.Helper()
 	reqs := requests(t, 9,
 		func(i int) string { return fmt.Sprintf("t%d", i%4) },
@@ -39,8 +39,8 @@ func chaosCluster(t *testing.T, mode string, noFuse bool, chaosSeed uint64, rate
 			nodeCfg(serving.ArbExclusive, 1, noFuse),
 		},
 		Router: LeastLoaded(), Seed: 23,
-		Chaos:  faults.NodeChaos{Seed: chaosSeed, CrashRate: rate, RecoverTicks: 20},
-		Detect: Detect{Mode: mode},
+		Chaos:  chaos,
+		Detect: det,
 		Obs:    &obs.Config{Window: 8},
 	}
 	c, err := New(zoo.m, cfg, w)
@@ -52,7 +52,7 @@ func chaosCluster(t *testing.T, mode string, noFuse bool, chaosSeed uint64, rate
 
 func runChaos(t *testing.T, mode string, noFuse bool, chaosSeed uint64, rate float64) (*Report, []obs.Event) {
 	t.Helper()
-	c := chaosCluster(t, mode, noFuse, chaosSeed, rate)
+	c := chaosCluster(t, Detect{Mode: mode}, noFuse, faults.NodeChaos{Seed: chaosSeed, CrashRate: rate, RecoverTicks: 20})
 	rep, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -121,14 +121,12 @@ func TestClusterLifecycleValidationNamedErrors(t *testing.T) {
 		}, "overlaps the drain"},
 		{"crash rate above one", func(c *Config) { c.Chaos.CrashRate = 1.5 }, "CrashRate"},
 		{"negative crash rate", func(c *Config) { c.Chaos.CrashRate = -0.1 }, "CrashRate"},
-		{"gray rate above one", func(c *Config) { c.Chaos.GrayRate = 2 }, "GrayRate"},
-		{"drop rate above one", func(c *Config) { c.Chaos.DropRate = 1.01 }, "DropRate"},
 		{"negative recover ticks", func(c *Config) {
 			c.Chaos.CrashRate, c.Chaos.RecoverTicks = 0.1, -1
 		}, "RecoverTicks"},
 		{"unknown detector mode", func(c *Config) { c.Detect.Mode = "psychic" }, "Detect.Mode"},
 		{"negative confirm threshold", func(c *Config) { c.Detect.MissConfirm = -2 }, "MissConfirm"},
-		{"negative probation", func(c *Config) { c.Detect.ProbationTicks = -1 }, "ProbationTicks"},
+		{"negative obs window", func(c *Config) { c.Obs = &obs.Config{Window: -1} }, "cluster: Config.Obs.Window"},
 		{"chaos on a single node", func(c *Config) {
 			c.Nodes = c.Nodes[:1]
 			c.Chaos.CrashRate = 0.1
@@ -195,12 +193,56 @@ func TestDetectionLagIsPricedAgainstOracleAndOff(t *testing.T) {
 	}
 }
 
+// With heartbeats lost only to death, a confirm can only name a dead node:
+// every confirm event lands on a tick where ground truth says the node is
+// down, so each one carries a detection-lag sample and the report's mean is
+// the plain per-confirm mean — across chaos seeds, miss budgets and outage
+// lengths, for the heartbeat detector and the oracle alike.
+func TestEveryConfirmIsOfADeadNode(t *testing.T) {
+	trained(t)
+	confirms := 0
+	for _, seed := range []uint64{19, 29, 41} {
+		for _, miss := range []int{1, 2, 4} {
+			for _, recover := range []int{6, 20} {
+				for _, mode := range []string{"heartbeat", "oracle"} {
+					c := chaosCluster(t, Detect{Mode: mode, MissConfirm: miss}, false,
+						faults.NodeChaos{Seed: seed, CrashRate: 0.04, RecoverTicks: recover})
+					rep, err := c.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("seed=%d miss=%d recover=%d %s", seed, miss, recover, mode)
+					n := 0
+					for _, ev := range c.Events() {
+						if ev.Kind != obs.KindConfirm {
+							continue
+						}
+						n++
+						if !c.deadAt(ev.Tick, ev.Node) {
+							t.Errorf("%s: node %d confirmed Down at tick %d while alive", name, ev.Node, ev.Tick)
+						}
+					}
+					if n != rep.Confirms {
+						t.Errorf("%s: %d confirm events, report counts %d", name, n, rep.Confirms)
+					}
+					if rep.Confirms > 0 && rep.MeanDetectLag != float64(rep.DetectLagTicks)/float64(rep.Confirms) {
+						t.Errorf("%s: mean lag %v is not %d ticks over %d confirms", name, rep.MeanDetectLag, rep.DetectLagTicks, rep.Confirms)
+					}
+					confirms += n
+				}
+			}
+		}
+	}
+	if confirms == 0 {
+		t.Fatal("no cell confirmed a node: the table exercised nothing")
+	}
+}
+
 // The chaos acceptance pin: one unscripted crash+recover run — detector,
 // stranded placements, rejoins and all — must be bit-identical across
 // worker counts and the fused/unfused decode paths: rolled-up report via
 // DeepEqual, merged event log byte for byte. Run under -race this also
-// proves the detector and the gray-fault wrapper never race the node
-// fan-out.
+// proves the detector never races the node fan-out.
 func TestClusterChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
 	defer parallel.SetProcs(parallel.Procs())

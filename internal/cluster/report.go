@@ -87,10 +87,10 @@ type Report struct {
 	// tally the detector's transitions; Stranded counts placements made
 	// onto already-dead nodes (re-routed with backoff at confirmation —
 	// or, detector off, frozen until the node restarts). DetectLagTicks
-	// sums crash→confirmation lag over confirms of genuinely dead nodes
-	// and MeanDetectLag is its per-confirm mean — the measured cost the
-	// zero-lag oracle mode sets to 0. Availability is the fraction of
-	// node-ticks the cluster's nodes were actually up.
+	// sums crash→confirmation lag over the confirms (each is of a
+	// ground-truth-dead node) and MeanDetectLag is its per-confirm mean —
+	// the measured cost the zero-lag oracle mode sets to 0. Availability is
+	// the fraction of node-ticks the cluster's nodes were actually up.
 	HeartbeatMisses int
 	Suspects        int
 	Confirms        int
@@ -163,8 +163,8 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 	if r.Migrations > 0 {
 		r.MeanMigrantWait = float64(r.MigratedWaitTicks) / float64(r.Migrations)
 	}
-	if c.lagMeasured > 0 {
-		r.MeanDetectLag = float64(r.DetectLagTicks) / float64(c.lagMeasured)
+	if r.Confirms > 0 {
+		r.MeanDetectLag = float64(r.DetectLagTicks) / float64(r.Confirms)
 	}
 	r.Availability = 1
 	if ticks > 0 && len(c.nodes) > 0 {

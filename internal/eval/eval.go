@@ -145,8 +145,6 @@ type SystemConfig struct {
 	Policy cache.Policy
 	// BytesPerWeight defaults to 0.5 (INT4, the Table 2 setting).
 	BytesPerWeight float64
-	// ExtraStaticWeights pins additional weights in DRAM (predictors).
-	ExtraStaticWeights int
 	// MaxTokens truncates the token stream (0 = use all).
 	MaxTokens int
 	// Win is the evaluation window length (defaults to model MaxSeq).

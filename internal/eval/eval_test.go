@@ -184,7 +184,6 @@ func TestSystemConfigValidateNamesBadField(t *testing.T) {
 		{func(c *SystemConfig) { c.Device.DRAMFraction = 0 }, "DRAMFraction"},
 		{func(c *SystemConfig) { c.Policy = cache.Policy(99) }, "Policy"},
 		{func(c *SystemConfig) { c.BytesPerWeight = -0.5 }, "BytesPerWeight"},
-		{func(c *SystemConfig) { c.ExtraStaticWeights = -1 }, "ExtraStaticWeights"},
 		{func(c *SystemConfig) { c.MaxTokens = -1 }, "MaxTokens"},
 		{func(c *SystemConfig) { c.Win = -1 }, "Win"},
 	}

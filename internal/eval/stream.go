@@ -26,8 +26,6 @@ func (cfg SystemConfig) Validate() error {
 		return fmt.Errorf("eval: SystemConfig.Policy %d is not a known cache policy", cfg.Policy)
 	case cfg.BytesPerWeight < 0:
 		return fmt.Errorf("eval: SystemConfig.BytesPerWeight must be non-negative (0 = INT4 default), got %v", cfg.BytesPerWeight)
-	case cfg.ExtraStaticWeights < 0:
-		return fmt.Errorf("eval: SystemConfig.ExtraStaticWeights must be non-negative, got %d", cfg.ExtraStaticWeights)
 	case cfg.MaxTokens < 0:
 		return fmt.Errorf("eval: SystemConfig.MaxTokens must be non-negative (0 = use all), got %d", cfg.MaxTokens)
 	case cfg.Win < 0:
@@ -119,9 +117,8 @@ func NewStream(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig
 		return nil, err
 	}
 	plan, err := hwsim.NewPlan(m, cfg.Device, hwsim.PlanOpts{
-		BytesPerWeight:     cfg.BytesPerWeight,
-		ExtraStaticWeights: cfg.ExtraStaticWeights,
-		Groups:             hwsim.ProbeGroups(s, m),
+		BytesPerWeight: cfg.BytesPerWeight,
+		Groups:         hwsim.ProbeGroups(s, m),
 	})
 	if err != nil {
 		return nil, err

@@ -156,7 +156,7 @@ func Fig6(l *Lab) ([]*Table, error) {
 		preds := l.Predictors(name)
 		c := &cells[ni*len(densities)+di]
 		c.accG = eval.MCAccuracy(m, &sparsity.GLUPrune{RhoGLU: rho}, l.Tokenizer(), items)
-		pred := &sparsity.Predictive{Rho: rho, Score: preds.ScoreFunc(), ParamsPerLayer: preds.ParamCount() / len(m.Blocks)}
+		pred := &sparsity.Predictive{Rho: rho, Score: preds.ScoreFunc()}
 		c.accP = eval.MCAccuracy(m, pred, l.Tokenizer(), items)
 		c.recall = predictorRecall(l, name, rho)
 		return nil

@@ -47,7 +47,7 @@ func qualityMethods(l *Lab, name string, density float64, includeSemi bool) []me
 	evals = append(evals,
 		methodEval{"gate", m, &sparsity.GatePrune{Rho: rowRho}},
 		methodEval{"up", m, &sparsity.UpPrune{Rho: rowRho}},
-		methodEval{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc(), ParamsPerLayer: preds.ParamCount() / len(m.Blocks)}},
+		methodEval{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}},
 		methodEval{"cats", m, cats},
 		methodEval{"cats+lora", l.Fused(name, cats, fmt.Sprintf("%.2f", rowRho), false), cats},
 		methodEval{"dip", m, dip},

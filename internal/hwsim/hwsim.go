@@ -78,24 +78,23 @@ type Plan struct {
 	layers    int
 }
 
+// Byte shares of a model that maps to a paper counterpart (models with no
+// PaperModelBytes entry use their actual static weights, unscaled).
+const (
+	// staticFraction is the share of model bytes outside the MLPs. Real GQA
+	// LLMs of the Phi/Mistral class keep ~15% of weights in
+	// embeddings+attention; the tiny analogs would misreport this ratio, so
+	// the plan uses the paper-scale share.
+	staticFraction = 0.15
+	// kvFraction is the KV-cache DRAM share of model bytes (the
+	// Phi-3-Medium @2k-context ratio).
+	kvFraction = 0.02
+)
+
 // PlanOpts tunes planning.
 type PlanOpts struct {
 	// BytesPerWeight defaults to 0.5 (INT4).
 	BytesPerWeight float64
-	// ExtraStaticWeights adds predictor or adapter weights to the pinned
-	// region (e.g. DejaVu predictors), expressed in simulated weights and
-	// scaled like MLP weights.
-	ExtraStaticWeights int
-	// StaticFraction is the share of model bytes outside the MLPs when the
-	// model maps to a paper counterpart. Real GQA LLMs of the Phi/Mistral
-	// class keep ~15% of weights in embeddings+attention; the tiny analogs
-	// would misreport this ratio, so the plan uses the paper-scale share.
-	// Defaults to 0.15. Ignored for models with no PaperModelBytes entry
-	// (their actual static weights are used unscaled).
-	StaticFraction float64
-	// KVFraction is the KV-cache DRAM share of model bytes (default 0.02,
-	// the Phi-3-Medium @2k-context ratio).
-	KVFraction float64
 	// Groups marks which weight groups the scheme touches; unused groups
 	// get no cache and their weights are not double-counted. Exactly one of
 	// the two MLP representations must be used per matrix (see
@@ -131,12 +130,6 @@ func NewPlan(m *model.Model, dev Device, opts PlanOpts) (*Plan, error) {
 	if !anyGroup {
 		return nil, fmt.Errorf("hwsim: no weight groups marked as used")
 	}
-	if opts.StaticFraction == 0 {
-		opts.StaticFraction = 0.15
-	}
-	if opts.KVFraction == 0 {
-		opts.KVFraction = 0.02
-	}
 	p := &Plan{Dev: dev, BytesPerWeight: opts.BytesPerWeight, layers: len(m.Blocks)}
 	rawMLPBytes := float64(m.MLPWeightCount()) * opts.BytesPerWeight
 	var staticWeightBytes float64
@@ -145,9 +138,9 @@ func NewPlan(m *model.Model, dev Device, opts PlanOpts) (*Plan, error) {
 		// over-represent embeddings/attention, so byte shares come from the
 		// paper-scale model while access *patterns* come from the analog.
 		p.ModelBytes = paper
-		p.MLPByteScale = (1 - opts.StaticFraction) * paper / rawMLPBytes
-		staticWeightBytes = opts.StaticFraction * paper
-		p.KVBytes = opts.KVFraction * paper
+		p.MLPByteScale = (1 - staticFraction) * paper / rawMLPBytes
+		staticWeightBytes = staticFraction * paper
+		p.KVBytes = kvFraction * paper
 	} else {
 		p.MLPByteScale = 1
 		staticWeightBytes = float64(m.StaticWeightCount()) * opts.BytesPerWeight
@@ -156,7 +149,7 @@ func NewPlan(m *model.Model, dev Device, opts PlanOpts) (*Plan, error) {
 		p.KVBytes = float64(2*m.Cfg.KVHeads*headDim*m.Cfg.MaxSeq*len(m.Blocks)) * 2
 	}
 	bpw := opts.BytesPerWeight * p.MLPByteScale
-	p.StaticBytes = staticWeightBytes + float64(opts.ExtraStaticWeights)*bpw + p.KVBytes
+	p.StaticBytes = staticWeightBytes + p.KVBytes
 	budget := dev.DRAMFraction * p.ModelBytes
 	p.CacheBudgetBytes = budget - p.StaticBytes
 	if p.CacheBudgetBytes < 0 {

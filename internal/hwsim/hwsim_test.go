@@ -103,15 +103,6 @@ func TestTinyDRAMGivesZeroCache(t *testing.T) {
 	}
 }
 
-func TestExtraStaticWeightsShrinkCache(t *testing.T) {
-	m := testModel()
-	base, _ := NewPlan(m, A18Like(), PlanOpts{Groups: dipGroups()})
-	with, _ := NewPlan(m, A18Like(), PlanOpts{Groups: dipGroups(), ExtraStaticWeights: 1000})
-	if with.CacheBudgetBytes >= base.CacheBudgetBytes {
-		t.Fatal("predictor weights should shrink the cache budget")
-	}
-}
-
 func TestMeterDenseFromFlash(t *testing.T) {
 	// With zero cache, a dense model reads all MLP bytes from Flash every
 	// token plus static from DRAM; latency must match hand arithmetic.

@@ -47,11 +47,6 @@ func (a *Attention) Params() []*Param {
 	return []*Param{a.Wq.P, a.Wk.P, a.Wv.P, a.Wo.P}
 }
 
-// WeightCount returns the number of scalar weights in the projections.
-func (a *Attention) WeightCount() int {
-	return CountParams(a)
-}
-
 // attnCtx retains the intermediates Backward needs.
 type attnCtx struct {
 	xs         []tensor.Vec   // inputs

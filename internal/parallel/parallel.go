@@ -137,13 +137,3 @@ func ForWorker(n, grain int, fn func(worker, lo, hi int)) {
 	fn(0, 0, chunk)
 	wg.Wait()
 }
-
-// Do runs the given functions, concurrently when workers are available, and
-// returns after all complete.
-func Do(fns ...func()) {
-	For(len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
-}

@@ -89,16 +89,6 @@ func TestSerialProcsRunsInline(t *testing.T) {
 	}
 }
 
-func TestDoRunsAll(t *testing.T) {
-	defer SetProcs(Procs())
-	SetProcs(4)
-	var a, b, c atomic.Bool
-	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("Do skipped a function")
-	}
-}
-
 func TestConcurrentForCallers(t *testing.T) {
 	defer SetProcs(Procs())
 	SetProcs(4)

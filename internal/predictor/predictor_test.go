@@ -120,7 +120,7 @@ func TestScoreFuncAndParamCount(t *testing.T) {
 		t.Fatalf("param count %d, want %d", set.ParamCount(), wantPer*len(m.Blocks))
 	}
 	// The set plugs into the Predictive scheme.
-	scheme := &sparsity.Predictive{Rho: 0.5, Score: sf, ParamsPerLayer: wantPer}
+	scheme := &sparsity.Predictive{Rho: 0.5, Score: sf}
 	y, ta := scheme.Forward(0, x, m.Blocks[0].MLP, nil)
 	if len(y) != m.Cfg.Dim {
 		t.Fatal("scheme output wrong size")

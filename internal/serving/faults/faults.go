@@ -14,7 +14,9 @@
 // cancellations (the client hangs up mid-stream), and capacity dips (slots
 // go offline for a tick window, simulating a degraded node). Recovery is
 // governed by RetryPolicy: a bounded attempt budget with seeded exponential
-// backoff measured in simulated ticks.
+// backoff measured in simulated ticks. One node-level kind sits beside them:
+// Crash, drawn by NodePlan for the cluster, takes a whole node down for a
+// restart window.
 package faults
 
 import "fmt"
@@ -39,12 +41,6 @@ const (
 	// Crash is a node-level kind (see NodePlan): the whole node freezes for
 	// a restart window. Slot scripts reject it — it has no slot target.
 	Crash
-	// Gray is a node-level kind: the node answers heartbeats late and
-	// decodes at dipped capacity for a window, without going down.
-	Gray
-	// HeartbeatDrop is a node-level kind: a healthy node's heartbeat is
-	// lost in flight, feeding false-positive pressure into a detector.
-	HeartbeatDrop
 )
 
 // String names the kind.
@@ -60,10 +56,6 @@ func (k Kind) String() string {
 		return "dip"
 	case Crash:
 		return "crash"
-	case Gray:
-		return "gray"
-	case HeartbeatDrop:
-		return "hb-drop"
 	default:
 		return "invalid"
 	}
@@ -244,8 +236,8 @@ func Scripted(events ...Event) (*Script, error) {
 			return nil, fmt.Errorf("faults: event %d: negative tick %d", i, e.Tick)
 		}
 		if e.Kind < Step || e.Kind > Dip {
-			// Node-level kinds (Crash, Gray, HeartbeatDrop) have no slot
-			// target; they belong to a cluster NodePlan, not a slot script.
+			// Crash is node-level and has no slot target; it belongs to a
+			// cluster NodePlan, not a slot script.
 			return nil, fmt.Errorf("faults: event %d: kind %d is not a slot-level fault", i, e.Kind)
 		}
 		if e.Slot < 0 {
@@ -345,12 +337,10 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 }
 
 // NodeChaos tunes unscripted node-level chaos for a cluster: whole-node
-// crashes with timed restarts, "gray" degradation windows (late heartbeats
-// plus dipped decode capacity), and in-flight heartbeat drops. Rates are
-// probabilities in [0, 1]; the zero value injects nothing. Like the
-// slot-level Config, every decision is a pure hash of (seed, kind, tick,
-// node), so a chaos schedule is bit-identical across worker counts, decode
-// paths, and REPRO_PROCS.
+// crashes with timed restarts. CrashRate is a probability in [0, 1]; the
+// zero value injects nothing. Like the slot-level Config, every decision is
+// a pure hash of (seed, kind, tick, node), so a chaos schedule is
+// bit-identical across worker counts, decode paths, and REPRO_PROCS.
 type NodeChaos struct {
 	// Seed drives every draw; a fixed seed fixes the whole node schedule.
 	Seed uint64
@@ -359,65 +349,30 @@ type NodeChaos struct {
 	// RecoverTicks is the restart delay: a crash beginning at tick s keeps
 	// the node down over [s, s+RecoverTicks) (0 = default 24).
 	RecoverTicks int
-	// GrayRate is the per-node-per-tick probability a gray window begins.
-	GrayRate float64
-	// GrayTicks is each gray window's length (0 = default 8).
-	GrayTicks int
-	// GraySlots is how many batch slots a gray node loses (0 = default 1).
-	GraySlots int
-	// GrayLag is how many ticks late a gray node's heartbeats arrive
-	// (0 = default 2).
-	GrayLag int
-	// DropRate is the per-node-per-tick probability a healthy node's
-	// heartbeat is lost in flight — false-positive detector pressure.
-	DropRate float64
 }
 
 // Validate reports the first invalid NodeChaos field by name.
 func (c NodeChaos) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"CrashRate", c.CrashRate}, {"GrayRate", c.GrayRate}, {"DropRate", c.DropRate}} {
-		if r.v < 0 || r.v > 1 || r.v != r.v {
-			return fmt.Errorf("faults: NodeChaos.%s must be a probability in [0, 1], got %v", r.name, r.v)
-		}
+	if c.CrashRate < 0 || c.CrashRate > 1 || c.CrashRate != c.CrashRate {
+		return fmt.Errorf("faults: NodeChaos.CrashRate must be a probability in [0, 1], got %v", c.CrashRate)
 	}
 	if c.RecoverTicks < 0 {
 		return fmt.Errorf("faults: NodeChaos.RecoverTicks must be non-negative (0 = default 24), got %d", c.RecoverTicks)
 	}
-	if c.GrayTicks < 0 {
-		return fmt.Errorf("faults: NodeChaos.GrayTicks must be non-negative (0 = default 8), got %d", c.GrayTicks)
-	}
-	if c.GraySlots < 0 {
-		return fmt.Errorf("faults: NodeChaos.GraySlots must be non-negative (0 = default 1), got %d", c.GraySlots)
-	}
-	if c.GrayLag < 0 {
-		return fmt.Errorf("faults: NodeChaos.GrayLag must be non-negative (0 = default 2), got %d", c.GrayLag)
-	}
 	return nil
 }
 
-// WithDefaults resolves the zero shape fields to the documented defaults.
+// WithDefaults resolves a zero RecoverTicks to the documented default.
 func (c NodeChaos) WithDefaults() NodeChaos {
 	if c.RecoverTicks == 0 {
 		c.RecoverTicks = 24
-	}
-	if c.GrayTicks == 0 {
-		c.GrayTicks = 8
-	}
-	if c.GraySlots == 0 {
-		c.GraySlots = 1
-	}
-	if c.GrayLag == 0 {
-		c.GrayLag = 2
 	}
 	return c
 }
 
 // Enabled reports whether the config injects anything at all.
 func (c NodeChaos) Enabled() bool {
-	return c.CrashRate > 0 || c.GrayRate > 0 || c.DropRate > 0
+	return c.CrashRate > 0
 }
 
 // NodePlan is a seeded node-lifecycle chaos schedule over the simulated
@@ -457,33 +412,6 @@ func (p *NodePlan) Dead(tick, node int) bool {
 		}
 	}
 	return false
-}
-
-// Gray reports whether a gray window covers (tick, node). A dead node is
-// not gray — callers check Dead first.
-func (p *NodePlan) Gray(tick, node int) bool {
-	if p.cfg.GrayRate == 0 {
-		return false
-	}
-	from := tick - p.cfg.GrayTicks + 1
-	if from < 0 {
-		from = 0
-	}
-	for s := from; s <= tick; s++ {
-		if draw(p.cfg.Seed, Gray, s, node) < p.cfg.GrayRate {
-			return true
-		}
-	}
-	return false
-}
-
-// DropHeartbeat reports whether the heartbeat the node emits at tick is
-// lost in flight.
-func (p *NodePlan) DropHeartbeat(tick, node int) bool {
-	if p.cfg.DropRate == 0 {
-		return false
-	}
-	return draw(p.cfg.Seed, HeartbeatDrop, tick, node) < p.cfg.DropRate
 }
 
 // Backoff returns the simulated-tick delay before retry number attempt

@@ -238,9 +238,17 @@ func TestRetryPolicy(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{Step: "step", Revoke: "revoke", Cancel: "cancel", Dip: "dip", Kind(9): "invalid"} {
+	for k, want := range map[Kind]string{Step: "step", Revoke: "revoke", Cancel: "cancel", Dip: "dip", Crash: "crash", Kind(9): "invalid"} {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
+	}
+}
+
+// The kind's number is hashed into every draw: renumbering one reseeds every
+// fault schedule and moves every seeded golden.
+func TestKindNumbersArePinned(t *testing.T) {
+	if got := [...]Kind{Step, Revoke, Cancel, Dip, Crash}; got != [...]Kind{0, 1, 2, 3, 4} {
+		t.Fatalf("fault kinds renumbered: %v", got)
 	}
 }

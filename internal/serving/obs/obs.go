@@ -309,9 +309,9 @@ type Recorder struct {
 	classes  []string
 }
 
-// NewRecorder builds a recorder; a negative window is rejected at Bind
-// time via NewEngine's validation path, so it panics here to fail fast in
-// direct use.
+// NewRecorder builds a recorder. A negative window is a caller bug and
+// panics; code that takes a Config from outside validates it first
+// (cluster.New returns a named error before building any recorder).
 func NewRecorder(cfg Config) *Recorder {
 	if cfg.Window < 0 {
 		panic(fmt.Sprintf("obs: Config.Window must be non-negative (0 = default %d), got %d", DefaultWindow, cfg.Window))
@@ -333,9 +333,6 @@ func NewRecorder(cfg Config) *Recorder {
 		slackN:   make(map[string]*Tracker),
 	}
 }
-
-// Window returns the configured moving-window width in ticks.
-func (r *Recorder) Window() int { return r.window }
 
 // Bind marks the recorder as owned by one engine run. A recorder carries
 // cumulative counts and an append-only log, so sharing one across engines

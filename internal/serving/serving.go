@@ -398,11 +398,6 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 	if cfg.DegradeTicks == 0 {
 		cfg.DegradeTicks = 4
 	}
-	if cfg.Obs != nil {
-		if err := cfg.Obs.Bind(); err != nil {
-			return nil, fmt.Errorf("serving: Config.Obs: %w", err)
-		}
-	}
 	var groups [sparsity.NumGroups]bool
 	for i, r := range reqs {
 		if r.Scheme == nil {
@@ -420,12 +415,18 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		}
 	}
 	plan, err := hwsim.NewPlan(m, cfg.System.Device, hwsim.PlanOpts{
-		BytesPerWeight:     cfg.System.BytesPerWeight,
-		ExtraStaticWeights: cfg.System.ExtraStaticWeights,
-		Groups:             groups,
+		BytesPerWeight: cfg.System.BytesPerWeight,
+		Groups:         groups,
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Bind last: a config rejected above must leave the caller's recorder
+	// free for the corrected retry.
+	if cfg.Obs != nil {
+		if err := cfg.Obs.Bind(); err != nil {
+			return nil, fmt.Errorf("serving: Config.Obs: %w", err)
+		}
 	}
 	e := &Engine{
 		m: m, cfg: cfg, w: w, reqs: reqs, plan: plan,

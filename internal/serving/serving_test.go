@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -365,6 +366,15 @@ func TestEngineRejections(t *testing.T) {
 		{ID: "x", Scheme: sparsity.NewDIP(0.5), Tokens: []int{1}, SLO: SLO{DeadlineTicks: -1}},
 	})); err == nil {
 		t.Fatal("negative deadline must be rejected")
+	}
+	// A rejected config leaves the caller's recorder unbound: fix the request,
+	// keep the recorder, and the retry succeeds.
+	rec := obs.NewRecorder(obs.Config{})
+	if _, err := NewEngine(zoo.m, Config{System: sysCfg(), Obs: rec}, FixedBatch([]Request{{ID: "x", Tokens: []int{1}}})); err == nil {
+		t.Fatal("nil scheme must be rejected with a recorder attached")
+	}
+	if _, err := NewEngine(zoo.m, Config{System: sysCfg(), Obs: rec}, FixedBatch(good)); err != nil {
+		t.Fatalf("retry with the same recorder after a rejected config: %v", err)
 	}
 	invalid := sysCfg()
 	invalid.Device.FlashBandwidth = 0

@@ -214,33 +214,5 @@ func TraceWorkload(entries []TraceEntry, b TraceBinder) (Workload, error) {
 		}
 		ticks[i] = e.Tick
 	}
-	return &traceWL{reqs: reqs, ticks: ticks}, nil
-}
-
-// traceWL replays a bound trace; identical mechanics to poisson, with
-// arrival ticks read from the file instead of drawn from an RNG.
-type traceWL struct {
-	reqs   []Request
-	ticks  []int
-	cursor int
-}
-
-func (w *traceWL) Name() string        { return "trace" }
-func (w *traceWL) Requests() []Request { return w.reqs }
-func (w *traceWL) Done() bool          { return w.cursor == len(w.reqs) }
-
-func (w *traceWL) NextArrival() (int, bool) {
-	if w.cursor == len(w.ticks) {
-		return 0, false
-	}
-	return w.ticks[w.cursor], true
-}
-
-func (w *traceWL) Next(tick int, _ []Finished) []int {
-	var out []int
-	for w.cursor < len(w.ticks) && w.ticks[w.cursor] <= tick {
-		out = append(out, w.cursor)
-		w.cursor++
-	}
-	return out
+	return &timetable{name: "trace", reqs: reqs, ticks: ticks}, nil
 }

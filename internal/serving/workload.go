@@ -49,49 +49,49 @@ type Finished struct {
 // WorkloadNames lists the built-in workload kinds in CLI order.
 func WorkloadNames() []string { return []string{"fixed", "poisson", "closed", "trace"} }
 
-// fixedBatch releases every request at tick 0 — PR 2's fixed-batch serving
-// as a Workload adapter. Combined with the FCFS scheduler it reproduces the
-// old engine bit for bit: same-tick arrivals are shuffled by the engine's
-// seeded RNG, which for one batch at tick 0 is exactly the old seeded
-// admission permutation.
-type fixedBatch struct {
-	reqs    []Request
-	emitted bool
-}
-
-// FixedBatch wraps a request slice as an all-arrive-at-tick-0 workload.
-func FixedBatch(reqs []Request) Workload { return &fixedBatch{reqs: reqs} }
-
-func (f *fixedBatch) Name() string        { return "fixed" }
-func (f *fixedBatch) Requests() []Request { return f.reqs }
-func (f *fixedBatch) Done() bool          { return f.emitted }
-
-func (f *fixedBatch) NextArrival() (int, bool) { return 0, !f.emitted }
-
-func (f *fixedBatch) Next(tick int, _ []Finished) []int {
-	if f.emitted {
-		return nil
-	}
-	f.emitted = true
-	out := make([]int, len(f.reqs))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// poisson is an open-loop arrival process: requests arrive in submission
-// order with exponential inter-arrival gaps at a fixed mean rate. Arrival
-// ticks are drawn once at construction from a dedicated seeded RNG, so the
-// trace is independent of engine state.
-type poisson struct {
+// timetable is every open-loop workload: requests arrive in submission
+// order at arrival ticks fixed at construction, so the schedule is
+// independent of engine state. The three constructors differ only in where
+// the ticks come from.
+type timetable struct {
+	name   string
 	reqs   []Request
 	ticks  []int // nondecreasing arrival tick per submission index
 	cursor int
 }
 
+func (w *timetable) Name() string        { return w.name }
+func (w *timetable) Requests() []Request { return w.reqs }
+func (w *timetable) Done() bool          { return w.cursor == len(w.reqs) }
+
+func (w *timetable) NextArrival() (int, bool) {
+	if w.cursor == len(w.ticks) {
+		return 0, false
+	}
+	return w.ticks[w.cursor], true
+}
+
+func (w *timetable) Next(tick int, _ []Finished) []int {
+	var out []int
+	for w.cursor < len(w.ticks) && w.ticks[w.cursor] <= tick {
+		out = append(out, w.cursor)
+		w.cursor++
+	}
+	return out
+}
+
+// FixedBatch wraps a request slice as an all-arrive-at-tick-0 workload —
+// PR 2's fixed-batch serving. Combined with the FCFS scheduler it reproduces
+// the old engine bit for bit: same-tick arrivals are shuffled by the
+// engine's seeded RNG, which for one batch at tick 0 is exactly the old
+// seeded admission permutation.
+func FixedBatch(reqs []Request) Workload {
+	return &timetable{name: "fixed", reqs: reqs, ticks: make([]int, len(reqs))}
+}
+
 // PoissonArrivals builds a seeded open-loop trace over reqs: arrivals are a
-// Poisson process with the given mean rate in requests per tick.
+// Poisson process with the given mean rate in requests per tick, the
+// exponential inter-arrival gaps drawn once from a dedicated seeded RNG.
 func PoissonArrivals(reqs []Request, rate float64, seed uint64) (Workload, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("serving: poisson workload has no requests")
@@ -107,27 +107,7 @@ func PoissonArrivals(reqs []Request, rate float64, seed uint64) (Workload, error
 		t += -math.Log(1-u) / rate
 		ticks[i] = int(t)
 	}
-	return &poisson{reqs: reqs, ticks: ticks}, nil
-}
-
-func (p *poisson) Name() string        { return "poisson" }
-func (p *poisson) Requests() []Request { return p.reqs }
-func (p *poisson) Done() bool          { return p.cursor == len(p.reqs) }
-
-func (p *poisson) NextArrival() (int, bool) {
-	if p.cursor == len(p.ticks) {
-		return 0, false
-	}
-	return p.ticks[p.cursor], true
-}
-
-func (p *poisson) Next(tick int, _ []Finished) []int {
-	var out []int
-	for p.cursor < len(p.ticks) && p.ticks[p.cursor] <= tick {
-		out = append(out, p.cursor)
-		p.cursor++
-	}
-	return out
+	return &timetable{name: "poisson", reqs: reqs, ticks: ticks}, nil
 }
 
 // closedLoop models N users replaying per-user scripts: each user issues

@@ -112,24 +112,12 @@ func (s *GatePrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (t
 
 // sparseRowsOutput computes Σ_{i∈idx} W_d[:,i] · (W_u[i,:]·x) · σ(g_i)
 // given precomputed gate pre-activations g, into out (allocated when nil).
+// It overwrites g on idx with the GLU activations h_i it feeds W_d.
 func sparseRowsOutput(mlp *nn.GLUMLP, x, g tensor.Vec, idx []int, out tensor.Vec) tensor.Vec {
-	if out == nil {
-		out = tensor.NewVec(mlp.Dim)
-	} else {
-		out.Zero()
-	}
-	wd := mlp.Down.P.W
 	for _, i := range idx {
-		u := tensor.Vec(mlp.Up.P.W.Data[i*mlp.Dim : (i+1)*mlp.Dim]).Dot(x)
-		hi := u * mlp.Act.Apply(g[i])
-		if hi == 0 {
-			continue
-		}
-		for r := 0; r < mlp.Dim; r++ {
-			out[r] += wd.Data[r*mlp.DFF+i] * hi
-		}
+		g[i] = mlp.Up.P.W.Row(i).Dot(x) * mlp.Act.Apply(g[i])
 	}
-	return out
+	return tensor.MatVecSparse(mlp.Down.P.W, g, idx, out)
 }
 
 // UpPrune is "Up pruning": the mirror of GatePrune — evaluate W_u x
@@ -153,25 +141,16 @@ func (s *UpPrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (ten
 	k := keepCount(s.Rho, mlp.DFF)
 	s.score = absScores(s.u, resize(s.score, mlp.DFF))
 	idx := tensor.TopKIndices(s.score, k)
-	s.y = resize(s.y, mlp.Dim)
-	y := s.y
-	y.Zero()
-	wd := mlp.Down.P.W
+	// u becomes the GLU activation h on the kept units.
 	for _, i := range idx {
-		gi := tensor.Vec(mlp.Gate.P.W.Data[i*mlp.Dim : (i+1)*mlp.Dim]).Dot(x)
-		hi := s.u[i] * mlp.Act.Apply(gi)
-		if hi == 0 {
-			continue
-		}
-		for r := 0; r < mlp.Dim; r++ {
-			y[r] += wd.Data[r*mlp.DFF+i] * hi
-		}
+		s.u[i] *= mlp.Act.Apply(mlp.Gate.P.W.Row(i).Dot(x))
 	}
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.u, idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: idx}
 	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return y, ta
+	return s.y, ta
 }
 
 // CATS is contextually-aware thresholding (Lee et al., 2024): like
@@ -243,11 +222,8 @@ type Predictive struct {
 	// Score returns predictor logits per unit. It must be safe for
 	// concurrent calls (the predictor package's ScoreFunc is pure).
 	Score ScoreFunc
-	// ParamsPerLayer is the predictor parameter count per layer, reported
-	// so memory accounting can include predictor overhead.
-	ParamsPerLayer int
 
-	yScratch tensor.Vec
+	h, y tensor.Vec
 }
 
 // Name implements Scheme.
@@ -255,7 +231,7 @@ func (s *Predictive) Name() string { return "dejavu" }
 
 // CloneStateless implements StatefulScheme.
 func (s *Predictive) CloneStateless() Scheme {
-	return &Predictive{Rho: s.Rho, Score: s.Score, ParamsPerLayer: s.ParamsPerLayer}
+	return &Predictive{Rho: s.Rho, Score: s.Score}
 }
 
 // Forward implements Scheme.
@@ -263,24 +239,14 @@ func (s *Predictive) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheVie
 	scores := s.Score(layer, x)
 	k := keepCount(s.Rho, mlp.DFF)
 	idx := tensor.TopKIndices(scores, k)
-	s.yScratch = resize(s.yScratch, mlp.Dim)
-	y := s.yScratch
-	y.Zero()
-	wd := mlp.Down.P.W
+	s.h = resize(s.h, mlp.DFF)
 	for _, i := range idx {
-		u := tensor.Vec(mlp.Up.P.W.Data[i*mlp.Dim : (i+1)*mlp.Dim]).Dot(x)
-		g := tensor.Vec(mlp.Gate.P.W.Data[i*mlp.Dim : (i+1)*mlp.Dim]).Dot(x)
-		hi := u * mlp.Act.Apply(g)
-		if hi == 0 {
-			continue
-		}
-		for r := 0; r < mlp.Dim; r++ {
-			y[r] += wd.Data[r*mlp.DFF+i] * hi
-		}
+		s.h[i] = mlp.Up.P.W.Row(i).Dot(x) * mlp.Act.Apply(mlp.Gate.P.W.Row(i).Dot(x))
 	}
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: idx}
 	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return y, ta
+	return s.y, ta
 }
