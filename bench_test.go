@@ -171,9 +171,10 @@ func serveBench(b *testing.B, noFuse bool) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "tok/s")
 }
 
-// BenchmarkServeBatched is the serving engine's fused multi-RHS decode path
-// at batch 8: one batched step per token sub-quantum walks every weight
-// matrix once for all eight sessions.
+// BenchmarkServeBatched is the serving engine's batched decode path at
+// batch 8: one batched step per token sub-quantum walks the attention
+// projections and the output head once for all eight sessions; each
+// session's DIP-CA MLP runs per column.
 func BenchmarkServeBatched(b *testing.B) { serveBench(b, false) }
 
 // BenchmarkServeUnbatched is the same workload through the per-session

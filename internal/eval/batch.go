@@ -40,7 +40,7 @@ func (a *BatchArena) ensure(B int) {
 	}
 }
 
-// mlpHook is the batched MLP hook: one fused ForwardBatch per layer, then
+// mlpHook is the batched MLP hook: one ForwardBatch per layer, then
 // each stream records its column's accesses, in slot order, exactly as its
 // own hook does one token at a time.
 func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
@@ -58,7 +58,9 @@ func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 // model; KV caches, window state, scheme state, and (possibly shared)
 // caches stay per-stream. Finished streams are skipped, so a draining batch
 // shrinks naturally. In deferred mode the caller must Commit every stepped
-// stream between BatchSteps, exactly as with Step.
+// stream between BatchSteps, exactly as with Step. The streams' schemes are
+// distinct instances; stateless values such as Dense{} may repeat (a
+// column's unit lists alias its scheme's scratch, see sparsity.ForwardBatch).
 //
 // It returns the number of streams advanced (0 when every stream is done).
 func BatchStep(sts []*Stream, a *BatchArena) int {

@@ -195,14 +195,23 @@ func (a *Attention) Step(x tensor.Vec, cache *KVCache) tensor.Vec {
 	v := tensor.MatVec(a.Wv.P.W, x, nil)
 	cache.Ks = append(cache.Ks, k)
 	cache.Vs = append(cache.Vs, v)
+	cat := tensor.NewVec(a.NHeads * a.HeadDim)
+	a.attend(q, cache, cat, tensor.NewVec(len(cache.Ks)))
+	return tensor.MatVec(a.Wo.P.W, cat, nil)
+}
+
+// attend is the per-session score → softmax → context loop of one decode
+// step, shared by Step and StepBatch: for each head of the query q it
+// scores every cached key, normalises, and accumulates the weighted values
+// into that head's slice of cat, which must arrive zeroed. scores is
+// scratch of len(cache.Ks), overwritten per head.
+func (a *Attention) attend(q tensor.Vec, cache *KVCache, cat, scores tensor.Vec) {
 	T := len(cache.Ks)
 	group := a.NHeads / a.NKV
 	hd := a.HeadDim
-	cat := tensor.NewVec(a.NHeads * hd)
 	for h := 0; h < a.NHeads; h++ {
 		g := h / group
 		qh := q[h*hd : (h+1)*hd]
-		scores := tensor.NewVec(T)
 		for s := 0; s < T; s++ {
 			ks := cache.Ks[s][g*hd : (g+1)*hd]
 			var dot float32
@@ -221,5 +230,4 @@ func (a *Attention) Step(x tensor.Vec, cache *KVCache) tensor.Vec {
 			}
 		}
 	}
-	return tensor.MatVec(a.Wo.P.W, cat, nil)
 }

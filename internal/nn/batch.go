@@ -84,41 +84,15 @@ func (a *Attention) StepBatch(xs *tensor.Mat, caches []*KVCache, out *tensor.Mat
 		s.slots = append(s.slots, attnBatchSlot{})
 	}
 	s.Cat = tensor.ReuseMat(s.Cat, a.NHeads*hd, B)
-	group := a.NHeads / a.NKV
 	parallel.For(B, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			sl := &s.slots[b]
-			c := caches[b]
-			T := len(c.Ks)
-			q := s.Q.Col(b, tensor.Grow(sl.q, a.NHeads*hd))
-			sl.q = q
-			cat := tensor.Grow(sl.cat, a.NHeads*hd)
-			sl.cat = cat
-			cat.Zero()
-			sl.scores = tensor.Grow(sl.scores, T)
-			for h := 0; h < a.NHeads; h++ {
-				g := h / group
-				qh := q[h*hd : (h+1)*hd]
-				scores := sl.scores
-				for t := 0; t < T; t++ {
-					ks := c.Ks[t][g*hd : (g+1)*hd]
-					var dot float32
-					for i := 0; i < hd; i++ {
-						dot += qh[i] * ks[i]
-					}
-					scores[t] = dot * a.scale
-				}
-				p := tensor.Softmax(scores, scores)
-				o := cat[h*hd : (h+1)*hd]
-				for t := 0; t < T; t++ {
-					vs := c.Vs[t][g*hd : (g+1)*hd]
-					ps := p[t]
-					for i := 0; i < hd; i++ {
-						o[i] += ps * vs[i]
-					}
-				}
-			}
-			s.Cat.SetCol(b, cat)
+			sl.q = s.Q.Col(b, tensor.Grow(sl.q, a.NHeads*hd))
+			sl.cat = tensor.Grow(sl.cat, a.NHeads*hd)
+			sl.cat.Zero()
+			sl.scores = tensor.Grow(sl.scores, len(caches[b].Ks))
+			a.attend(sl.q, caches[b], sl.cat, sl.scores)
+			s.Cat.SetCol(b, sl.cat)
 		}
 	})
 	if out == nil {

@@ -66,10 +66,13 @@ func TestFusedEngineMatchesPerSessionEngineBitForBit(t *testing.T) {
 // entries every decoder inherently appends (two per layer per stream per
 // token) plus whatever the cache simulator's eviction bookkeeping needs.
 // The budget below is deliberately tight — a regression that reintroduces
-// per-tick scratch (per-step logits, attention scores, batch tables) blows
-// straight past it.
+// per-tick scratch (per-step logits, attention scores, batch tables, a
+// batch-side copy of a scheme's buffers) blows straight past it. The count
+// moves with worker-pool hand-offs, so it is taken at one worker.
 func TestFusedTickSteadyStateAllocations(t *testing.T) {
 	trained(t)
+	defer parallel.SetProcs(parallel.Procs())
+	parallel.SetProcs(1)
 	const k, quantum = 4, 4
 	reqs := requests(t, k,
 		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
@@ -94,10 +97,12 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() { e.tickFused(active) })
 	layers := len(zoo.m.Blocks)
 	kvBudget := float64(quantum * k * layers * 2)
-	// Slack covers KV slice regrowth, sparse-gather regrowth, and
-	// cache-policy bookkeeping; it is far below the per-step scratch the
-	// unfused path allocates (pinned by the relative check below).
-	budget := kvBudget * 2.5
+	// Measured at one worker: 96 objects per fused tick against a KV floor of
+	// 64 and 235 for the unfused tick (120 fused at two workers). The slack
+	// over the floor is KV slice regrowth and cache-policy bookkeeping; the
+	// 112 the tick measured while DIP had its own batch path, which
+	// reallocated a score buffer twice per layer per step, is over budget.
+	budget := kvBudget * 1.6
 	if allocs > budget {
 		t.Fatalf("fused steady-state tick allocates %.0f objects, budget %.0f (KV floor %.0f)",
 			allocs, budget, kvBudget)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -154,6 +155,47 @@ func TestForwardBatchFallsBackForPredictive(t *testing.T) {
 		}
 		if err := accessEqual(&tas[b], &wantTA); err != nil {
 			t.Fatalf("col %d: %v", b, err)
+		}
+	}
+}
+
+// An all-DIP batch is each column's own Forward on that scheme's own
+// scratch, so after warm-up ForwardBatch allocates nothing — for plain DIP
+// and for DIP-CA re-weighting against a cache view. The fused DIP path this
+// replaced reallocated one score buffer twice per call (it flipped between
+// dim and dff), which is what this pins against coming back.
+func TestForwardBatchAllDIPDoesNotAllocate(t *testing.T) {
+	defer parallel.SetProcs(parallel.Procs())
+	parallel.SetProcs(1)
+	rng := tensor.NewRNG(9)
+	mlp := nn.NewGLUMLP("m", 64, 192, nn.ActSiLU, rng)
+	const B = 8
+	xs := tensor.NewMat(mlp.Dim, B)
+	for i := range xs.Data {
+		xs.Data[i] = rng.NormFloat32()
+	}
+	for _, tc := range []struct {
+		name string
+		base *DIP
+		view CacheView
+	}{
+		{"dip", NewDIP(0.5), nil},
+		{"dip-ca", NewDIPCA(0.5, 0.2), parityView{salt: 1}},
+	} {
+		schemes := make([]Scheme, B)
+		views := make([]CacheView, B)
+		for b := range schemes {
+			schemes[b] = Clone(tc.base)
+			views[b] = tc.view
+		}
+		var scratch BatchScratch
+		out := tensor.NewMat(mlp.Dim, B)
+		tas := make([]TokenAccess, B)
+		step := func() { ForwardBatch(0, schemes, xs, mlp, views, out, tas, &scratch) }
+		step() // builds the weight mirrors, grows every scratch buffer
+		step()
+		if a := testing.AllocsPerRun(20, step); a != 0 {
+			t.Errorf("%s: ForwardBatch allocates %v objects/call at batch %d, want 0", tc.name, a, B)
 		}
 	}
 }
