@@ -14,7 +14,6 @@
 //	dipbench -serve -seed 42          # reproducible arrivals and admission order
 //	dipbench -serve -workload poisson -rate 0.2 -sched edf -slo 200
 //	dipbench -serve -workload trace -trace trace.json -arb shared
-//	dipbench -serve -small -fuse both  # fused vs per-session decode, one report
 //	dipbench -serve -sched edf -preempt deadline  # deadline-aware preemption
 //	dipbench -serve -small -faults 0.05 -retry 3 -shed 8  # seeded chaos on the grid
 //	dipbench -exp chaos -small        # fault-injection grid: recovery vs baseline

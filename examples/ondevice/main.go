@@ -62,8 +62,6 @@ func main() {
 	}
 	fmt.Println("generation (tok/s is the simulated device rate):")
 	out := make([]int, 0, 64)
-	prevTokens := meter.Tokens()
-	_ = prevTokens
 	for i := 0; i < 64 && dec.Pos() < cfg.MaxSeq-1; i++ {
 		next := argmax(logits)
 		out = append(out, next)

@@ -154,41 +154,7 @@ func main() {
 		}
 	}
 
-	// 5. The decode path itself: by default the engine fuses each tick's
-	//    active sessions into multi-RHS tensor ops (every weight matrix is
-	//    walked once per tick, not once per session). NoFuse steps sessions
-	//    independently — same bit-identical report, different wall clock.
-	//    The fusion win grows with the model's matrix sizes; at this demo
-	//    scale the matrices are cache-resident, so expect rough parity.
-	fmt.Println("\n== fused vs per-session decode (identical reports, wall clock differs) ==")
-	var reps [2]*serving.Report
-	for i, noFuse := range []bool{false, true} {
-		workload, err := serving.PoissonArrivals(reqs, 0.25, 1234)
-		if err != nil {
-			log.Fatal(err)
-		}
-		engine, err := serving.NewEngine(m, serving.Config{
-			System: sys, Arb: serving.ArbShared, Sched: serving.EDF(),
-			MaxActive: 4, Quantum: 8, Seed: 42, NoFuse: noFuse,
-		}, workload)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if reps[i], err = engine.Run(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fused, unfused := reps[0], reps[1]
-	fmt.Printf("  %-12s %12s %12s\n", "", "fused", "per-session")
-	fmt.Printf("  %-12s %12.3f %12.3f  (simulated — must match exactly)\n", "sim tok/s", fused.SimTokS, unfused.SimTokS)
-	fmt.Printf("  %-12s %12.3f %12.3f\n", "hit rate", fused.HitRate, unfused.HitRate)
-	fmt.Printf("  %-12s %12.0f %12.0f  (host annotation)\n", "wall tok/s", fused.Wall.TokS, unfused.Wall.TokS)
-	if fused.SimTokS != unfused.SimTokS || fused.HitRate != unfused.HitRate || fused.Ticks != unfused.Ticks {
-		log.Fatal("fused and per-session reports diverged — the determinism contract is broken")
-	}
-	fmt.Println("  every simulated metric above is bit-identical across the two paths")
-
-	// 6. Fault injection and recovery: a seeded chaos plan (transient step
+	// 5. Fault injection and recovery: a seeded chaos plan (transient step
 	//    faults, cache-grant revocations, request cancellations, capacity
 	//    dips) drives failures from the same simulated tick clock — every
 	//    fault decision is a pure function of (seed, tick, slot), so a chaos
@@ -241,7 +207,7 @@ func main() {
 		}
 	}
 
-	// 7. Observability: attach a recorder and the engine narrates every
+	// 6. Observability: attach a recorder and the engine narrates every
 	//    scheduling decision — arrivals, admissions, preemptions, faults,
 	//    retries, finishes — as structured events on the same simulated tick
 	//    clock, so the event log is exactly as reproducible as the report.
@@ -295,7 +261,7 @@ func main() {
 	}
 	fmt.Printf("  Chrome trace written to %s — open it at https://ui.perfetto.dev\n", tracePath)
 
-	// 8. Scale-out: the sim-cluster runs replica engines on one shared tick
+	// 7. Scale-out: the sim-cluster runs replica engines on one shared tick
 	//    clock behind a session router. This trace is tenant-skewed — six
 	//    of nine sessions belong to one "hot" tenant, and the router's
 	//    affinity key is the ID prefix before '/' — so consistent hashing

@@ -119,7 +119,7 @@ type Cluster struct {
 	// backoff is drawn from.
 	plan           *faults.NodePlan // nil with chaos off
 	detect         Detect           // defaulted
-	mode           int              // detHeartbeat | detOracle | detOff
+	detectOff      bool             // Detect.Mode "off": no detection, no failover
 	health         []Health
 	wasDead        []bool
 	crashTick      []int
@@ -138,13 +138,6 @@ type Cluster struct {
 	cand  []int
 	loads []Load
 }
-
-// Detector modes, parsed from Detect.Mode.
-const (
-	detHeartbeat = iota
-	detOracle
-	detOff
-)
 
 // New validates the topology and builds one engine per node against the
 // shared workload. Every engine plans the full request universe, so a
@@ -232,14 +225,7 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 		rejoinsN:       make([]int, len(cfg.Nodes)),
 		strandAttempts: map[int]int{},
 	}
-	switch c.detect.Mode {
-	case "oracle":
-		c.mode = detOracle
-	case "off":
-		c.mode = detOff
-	default:
-		c.mode = detHeartbeat
-	}
+	c.detectOff = c.detect.Mode == "off"
 	chaos := cfg.Chaos.WithDefaults()
 	if cfg.Chaos.Enabled() {
 		plan, err := faults.NewNodePlan(cfg.Chaos)

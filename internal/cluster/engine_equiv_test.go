@@ -17,7 +17,9 @@ import (
 // preemption, fault retry, and shedding all fire. The closed-loop rows put
 // the feedback path through the cluster's Control: arrivals shed at the door
 // and terminations on a tick that decoded nothing both reach the workload,
-// which only then schedules the user's next request.
+// which only then schedules the user's next request. The engine runs at the
+// two noFuse values are also compared with each other: the closed-loop rows
+// are the only place fused ≡ per-session is held on a ClosedLoop workload.
 func TestOneNodeClusterEqualsEngine(t *testing.T) {
 	trained(t)
 	run := func(closed bool, arb serving.ArbPolicy, noFuse, clustered bool) (*serving.Report, []obs.Event) {
@@ -84,6 +86,8 @@ func TestOneNodeClusterEqualsEngine(t *testing.T) {
 	}
 	for _, closed := range []bool{false, true} {
 		for _, arb := range serving.Policies() {
+			var fused *serving.Report
+			var fusedLog []byte
 			for _, noFuse := range []bool{false, true} {
 				want, wantEv := run(closed, arb, noFuse, false)
 				got, gotEv := run(closed, arb, noFuse, true)
@@ -105,6 +109,11 @@ func TestOneNodeClusterEqualsEngine(t *testing.T) {
 				if !bytes.Equal(wantLog.Bytes(), gotLog.Bytes()) {
 					t.Errorf("closed=%v %v noFuse=%v: one-node cluster event log (%d events) differs from the engine's (%d events)",
 						closed, arb, noFuse, len(gotEv), len(wantEv))
+				}
+				if !noFuse {
+					fused, fusedLog = want, wantLog.Bytes()
+				} else if !reflect.DeepEqual(fused, want) || !bytes.Equal(fusedLog, wantLog.Bytes()) {
+					t.Errorf("closed=%v %v: the fused engine's report or event log differs from the per-session engine's:\nfused       %+v\nper-session %+v", closed, arb, fused, want)
 				}
 				t.Logf("closed=%v %v noFuse=%v: %d events, shed %d, retries %d, preempts %d", closed, arb, noFuse, len(wantEv), want.Shed, want.Retries, want.Preemptions)
 			}

@@ -63,7 +63,7 @@ func HealthNames() []string {
 	return []string{obs.DetailHealthy, obs.DetailSuspect, obs.DetailDown, obs.DetailRejoining}
 }
 
-// DetectModes lists the failure-detector modes ParseDetectMode accepts.
+// DetectModes lists the failure-detector modes Detect.Mode accepts.
 func DetectModes() []string { return []string{"heartbeat", "oracle", "off"} }
 
 // Detect tunes the cluster's failure detector. The zero value is the
@@ -102,13 +102,18 @@ func (d Detect) Validate() error {
 	return nil
 }
 
-// withDefaults resolves the zero fields.
+// withDefaults resolves the zero fields. The oracle is the heartbeat
+// detector with a confirmation budget of one miss — the crash tick itself —
+// so its lag is zero by construction, whatever budget was asked for.
 func (d Detect) withDefaults() Detect {
 	if d.Mode == "" {
 		d.Mode = "heartbeat"
 	}
 	if d.MissConfirm == 0 {
 		d.MissConfirm = 4
+	}
+	if d.Mode == "oracle" {
+		d.MissConfirm = 1
 	}
 	return d
 }
@@ -196,27 +201,11 @@ func (c *Cluster) detectTick(tick int) error {
 			c.deadTicks++
 		}
 		c.wasDead[n] = dead
-		switch c.mode {
-		case detOff:
-			continue
-		case detOracle:
-			// The zero-lag oracle: confirmation at the crash tick itself,
-			// rejoin probation identical to the heartbeat detector — the
-			// only difference between the two modes is detection lag.
-			switch {
-			case dead && c.health[n] != Down:
-				if err := c.confirmDown(tick, n); err != nil {
-					return err
-				}
-			case !dead && c.health[n] == Down:
-				c.startRejoin(tick, n)
-			case c.health[n] == Rejoining && tick >= c.probation[n]:
-				c.health[n] = Healthy
-				c.emitHealth(tick, n, obs.KindRejoin, obs.DetailHealthy)
-			}
+		if c.detectOff {
 			continue
 		}
-		// Heartbeat detector: a node beats exactly while it is alive.
+		// Heartbeat detector (the oracle too, at MissConfirm 1 — see
+		// withDefaults): a node beats exactly while it is alive.
 		if dead && c.health[n] != Down {
 			c.hbMisses++
 			c.emitHealth(tick, n, obs.KindHeartbeatMiss, "")

@@ -65,6 +65,6 @@ func Fig12(l *Lab) ([]*Table, error) {
 	fit.Notes = append(fit.Notes,
 		"fit: logit(rho_in) = a + b*logit(density)",
 		"on the narrow analogs the Pareto front allocates the input side (W_u/W_g) more density than W_d,",
-		"the opposite of the paper's 4k-wide models — residual-stream redundancy scales with width (see EXPERIMENTS.md)")
+		"the opposite of the paper's 4k-wide models — residual-stream redundancy scales with width")
 	return []*Table{trials, frontT, fit}, nil
 }

@@ -61,12 +61,10 @@ func Chaos(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec := l.obsRecorder()
 		cfg := serving.Config{
 			System: x.sys, Arb: arb, Sched: serving.EDF(), Preempt: pre,
 			MaxActive: slots, Quantum: quantum, Seed: s.Seed,
 			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 1},
-			Obs: rec,
 		}
 		mode := "none"
 		if recover {
@@ -79,19 +77,7 @@ func Chaos(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := serving.NewEngine(x.m, cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		if err := rep.ReconcileObs(); err != nil {
-			return nil, fmt.Errorf("chaos: rate %v %s/%s: %w", frate, pre.Name(), arb, err)
-		}
-		cell := fmt.Sprintf("%v-%s-%s-%s", frate, mode, pre.Name(), arb)
-		return rep, l.writeCellEvents(cell, rec.Events())
+		return l.runEngine(x, cfg, w, fmt.Sprintf("%v-%s-%s-%s", frate, mode, pre.Name(), arb))
 	}
 
 	out := &Table{

@@ -66,15 +66,11 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	fuse, err := s.fuseMode()
-	if err != nil {
-		return nil, err
-	}
 
 	// runScenario replays one seeded trace through a cluster configured for
 	// the cell, optionally with a drain or failure scripted in. failNode
 	// picks the outage target for the "fail" scenario.
-	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, noFuse bool, scenario string, failNode int) (*cluster.Report, []obs.Event, error) {
+	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, scenario string, failNode int) (*cluster.Report, []obs.Event, error) {
 		router, err := cluster.ParseRouter(routerName)
 		if err != nil {
 			return nil, nil, err
@@ -83,8 +79,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		for i := range nodeCfgs {
 			nodeCfgs[i] = serving.Config{
 				System: x.sys, Arb: arb, Sched: serving.EDF(),
-				MaxActive: slotsPerNode, Quantum: quantum,
-				Seed: s.Seed, NoFuse: noFuse,
+				MaxActive: slotsPerNode, Quantum: quantum, Seed: s.Seed,
 			}
 		}
 		cfg := cluster.Config{
@@ -132,20 +127,16 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		return rep, c.Events(), nil
 	}
 
-	cols := []string{"nodes", "router", "policy", "sessions", "slots",
-		"sim_tok_s", "goodput", "hit_rate", "slo_attain", "imbalance",
-		"queue_p50_t", "turn_p99_t", "drain_moved", "drain_attain",
-		"fail_migr", "fail_goodput",
-		"detect_lag", "rejoins", "stranded",
-		"chaos_attain", "oracle_attain", "off_attain",
-		"fused", "wall_tok_s"}
-	if fuse == "both" {
-		cols = append(cols, "wall_unfused_tok_s")
-	}
 	out := &Table{
-		ID:      "cluster",
-		Title:   "Sim-cluster grid: session routing, drain, and failover across replica engines on a skewed-tenant trace",
-		Columns: cols,
+		ID:    "cluster",
+		Title: "Sim-cluster grid: session routing, drain, and failover across replica engines on a skewed-tenant trace",
+		Columns: []string{"nodes", "router", "policy", "sessions", "slots",
+			"sim_tok_s", "goodput", "hit_rate", "slo_attain", "imbalance",
+			"queue_p50_t", "turn_p99_t", "drain_moved", "drain_attain",
+			"fail_migr", "fail_goodput",
+			"detect_lag", "rejoins", "stranded",
+			"chaos_attain", "oracle_attain", "off_attain",
+			"wall_tok_s"},
 	}
 	for _, nodes := range nodesAxis {
 		rs := routers
@@ -156,23 +147,9 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		}
 		for _, routerName := range rs {
 			for _, arb := range arbs {
-				rep, events, err := runScenario(nodes, routerName, arb, fuse == "off", "steady", 0)
+				rep, events, err := runScenario(nodes, routerName, arb, "steady", 0)
 				if err != nil {
 					return nil, err
-				}
-				wall := rep.Wall
-				var unfusedWall serving.WallClock
-				if fuse == "both" {
-					unfused, uevents, err := runScenario(nodes, routerName, arb, true, "steady", 0)
-					if err != nil {
-						return nil, err
-					}
-					unfusedWall = unfused.Wall
-					stripClusterWall(rep)
-					stripClusterWall(unfused)
-					if err := sameSim(fmt.Sprintf("cluster: n%d/%s/%s", nodes, routerName, arb), rep, unfused, events, uevents); err != nil {
-						return nil, err
-					}
 				}
 				if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-steady", nodes, routerName, arb), events); err != nil {
 					return nil, err
@@ -180,7 +157,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 				drainMoved, drainAttain := any("-"), any("-")
 				failMigr, failGoodput := any("-"), any("-")
 				if nodes > 1 {
-					drain, devents, err := runScenario(nodes, routerName, arb, fuse == "off", "drain", 0)
+					drain, devents, err := runScenario(nodes, routerName, arb, "drain", 0)
 					if err != nil {
 						return nil, err
 					}
@@ -198,7 +175,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 							hottest = n
 						}
 					}
-					fail, fevents, err := runScenario(nodes, routerName, arb, fuse == "off", "fail", hottest)
+					fail, fevents, err := runScenario(nodes, routerName, arb, "fail", hottest)
 					if err != nil {
 						return nil, err
 					}
@@ -215,35 +192,31 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					// heartbeat run is the measured system, the zero-lag
 					// oracle bounds it from above, and the detector-off run
 					// (stranded work frozen until restart) from below.
-					hb, cevents, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-heartbeat", 0)
+					hb, cevents, err := runScenario(nodes, routerName, arb, "chaos-heartbeat", 0)
 					if err != nil {
 						return nil, err
 					}
 					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-chaos", nodes, routerName, arb), cevents); err != nil {
 						return nil, err
 					}
-					oracle, _, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-oracle", 0)
+					oracle, _, err := runScenario(nodes, routerName, arb, "chaos-oracle", 0)
 					if err != nil {
 						return nil, err
 					}
-					offRep, _, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-off", 0)
+					offRep, _, err := runScenario(nodes, routerName, arb, "chaos-off", 0)
 					if err != nil {
 						return nil, err
 					}
 					detectLag, rejoins, stranded = hb.MeanDetectLag, hb.Rejoins, hb.Stranded
 					chaosAttain, oracleAttain, offAttain = hb.SLOAttainRate, oracle.SLOAttainRate, offRep.SLOAttainRate
 				}
-				row := []any{nodes, routerName, arb.String(), rep.Sessions, slotsPerNode,
+				out.AddRow(nodes, routerName, arb.String(), rep.Sessions, slotsPerNode,
 					rep.SimTokS, rep.Goodput, rep.HitRate, rep.SLOAttainRate, rep.Imbalance,
 					rep.QueueP50, rep.TurnaroundP99, drainMoved, drainAttain,
 					failMigr, failGoodput,
 					detectLag, rejoins, stranded,
 					chaosAttain, oracleAttain, offAttain,
-					fuse, wall.TokS}
-				if fuse == "both" {
-					row = append(row, unfusedWall.TokS)
-				}
-				out.AddRow(row...)
+					rep.Wall.TokS)
 			}
 		}
 	}
@@ -264,14 +237,4 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 			"with -events each scenario wrote <prefix>-n<N>-<router>-<arb>-<scenario> merged event logs (node field disambiguates replicas)")
 	}
 	return []*Table{out}, nil
-}
-
-// stripClusterWall zeroes the host-measured annotations on a cluster report
-// so the fused/per-session determinism check compares only the simulated
-// state.
-func stripClusterWall(rep *cluster.Report) {
-	rep.Wall = serving.WallClock{}
-	for i := range rep.Nodes {
-		rep.Nodes[i].Report.Wall = serving.WallClock{}
-	}
 }

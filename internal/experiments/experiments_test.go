@@ -143,7 +143,7 @@ func TestTable1DIPBeatsBaselines(t *testing.T) {
 	tab := findTable(t, tables, "tab1")
 	// Orderings that hold even at the miniature test scale (the full
 	// DIP-vs-gate separation needs paper scale and aggressive sparsity;
-	// see EXPERIMENTS.md and TestTable4 notes).
+	// see TestTable4 notes).
 	name := model.Phi3MedSim
 	dense := cellF(t, tab, map[string]string{"model": name, "method": "dense"}, "ppl")
 	oracle := cellF(t, tab, map[string]string{"model": name, "method": "glu-oracle"}, "ppl")
@@ -185,7 +185,7 @@ func TestTable2DIPCAWins(t *testing.T) {
 	// At miniature scale DIP-CA's perplexity cost can push its qualifying
 	// density above plain DIP's, so only require it to stay competitive;
 	// the strict DIP-CA > DIP separation is a paper-scale result (see
-	// EXPERIMENTS.md tab2, where it holds with margin).
+	// dipbench -exp tab2, where it holds with margin).
 	if dipca < 0.7*dip {
 		t.Fatalf("DIP-CA throughput %v collapsed relative to DIP %v", dipca, dip)
 	}

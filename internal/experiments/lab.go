@@ -1,9 +1,9 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index). Each driver takes
-// a Lab — a cache of trained model analogs, corpus splits, predictors and
-// adapters at a chosen scale — and returns renderable Tables with the same
-// rows/series the paper reports. cmd/dipbench and bench_test.go share
-// these drivers.
+// paper's evaluation (registry.go is the index; dipbench -list prints it).
+// Each driver takes a Lab — a cache of trained model analogs, corpus splits,
+// predictors and adapters at a chosen scale — and returns renderable Tables
+// with the same rows/series the paper reports. cmd/dipbench and
+// bench_test.go share these drivers.
 package experiments
 
 import (

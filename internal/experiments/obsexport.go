@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/serving"
 	"repro/internal/serving/obs"
 )
 
@@ -13,13 +14,27 @@ import (
 // surface the windowed-telemetry snapshot on each report).
 func (l *Lab) obsTracing() bool { return l.Serve.Events != "" || l.Serve.ObsWindow > 0 }
 
-// obsRecorder builds a fresh recorder for one grid cell. Recorders are
-// single-run (Bind rejects reuse), so every engine gets its own. Tracing is
-// always on for grid cells — every cell's report gets reconciled against
-// its event log, whether or not the user asked for exports — while the
-// extra telemetry columns and per-cell log files stay gated on obsTracing.
-func (l *Lab) obsRecorder() *obs.Recorder {
-	return obs.NewRecorder(obs.Config{Window: l.Serve.ObsWindow})
+// runEngine runs one single-engine grid cell: cfg on a fresh recorder
+// (recorders are single-run; tracing is on for every cell whether or not the
+// user asked for exports, only the telemetry columns and log files are gated
+// on obsTracing), the report reconciled against its event log — cheap, and it
+// means an exported log always sums to the report beside it — and the log
+// exported under the cell's name.
+func (l *Lab) runEngine(x mix, cfg serving.Config, w serving.Workload, cell string) (*serving.Report, error) {
+	rec := obs.NewRecorder(obs.Config{Window: l.Serve.ObsWindow})
+	cfg.Obs = rec
+	e, err := serving.NewEngine(x.m, cfg, w)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := e.Run()
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.ReconcileObs(); err != nil {
+		return nil, fmt.Errorf("cell %s: %w", cell, err)
+	}
+	return rep, l.writeCellEvents(cell, rec.Events())
 }
 
 // obsFormat resolves the lab's event-log format ("" defaults to JSONL).

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 
@@ -56,12 +54,6 @@ type Scenario struct {
 	// Trace is the trace file (JSON or CSV) replayed by the trace workload
 	// (-trace).
 	Trace string
-	// Fuse selects the serving decode path (-fuse): "on" (or "", the
-	// default) uses the fused multi-RHS batched step, "off" the per-session
-	// path, and "both" runs every grid cell through both paths, asserts
-	// their simulated reports are bit-identical, and records both wall
-	// throughputs.
-	Fuse string
 	// Faults enables seeded fault injection in the serve and chaos grids
 	// (-faults): the overall transient-fault rate of the faults.Mix plan, in
 	// (0, 1]. Zero disables injection in serve and keeps the chaos grid's
@@ -153,8 +145,6 @@ func namesOf[T any](registry []T, name func(T) string) []string {
 	return out
 }
 
-var fuseModes = []string{"on", "off", "both"}
-
 var scenarioFlags = []scenarioFlag{
 	{name: "small", grids: gridAll, field: func(s *Scenario) any { return &s.Smoke }, usage: "CI-sized smoke run (runs at -scale test, fewer sessions)"},
 	{name: "seed", grids: gridAll, field: func(s *Scenario) any { return &s.Seed }, usage: "seed for the arrival trace, admission tiebreak RNG and fault plans"},
@@ -166,7 +156,6 @@ var scenarioFlags = []scenarioFlag{
 	{name: "rate", grids: gridAll, field: func(s *Scenario) any { return &s.Rate }, usage: "poisson arrival rate in requests/tick (default: arrival ≈ service rate)"},
 	{name: "slo", grids: gridAll, field: func(s *Scenario) any { return &s.SLO }, usage: "interactive-class SLO deadline in ticks (default: scale-derived)"},
 	{name: "trace", grids: gridServe, field: func(s *Scenario) any { return &s.Trace }, usage: "trace file (JSON or CSV) to replay; implies -workload trace"},
-	{name: "fuse", grids: gridServe | gridCluster, field: func(s *Scenario) any { return &s.Fuse }, usage: "batched decode path; both runs each cell through both paths, checks the reports match bit for bit, and records both wall throughputs", names: fuseModes},
 	{name: "faults", grids: gridServe | gridChaos, field: func(s *Scenario) any { return &s.Faults }, usage: "seeded fault-injection rate in (0, 1] (faults.Mix; default: off for -serve, the rate sweep for chaos)", prob: true},
 	{name: "retry", grids: gridServe | gridChaos, field: func(s *Scenario) any { return &s.Retry }, usage: "retry budget in total attempts under fault injection (default: engine default 3; 1 = no recovery)"},
 	{name: "shed", grids: gridServe | gridChaos, field: func(s *Scenario) any { return &s.Shed }, usage: "admission-control queue budget (default: no shedding; also enables graceful degradation)"},
@@ -268,17 +257,6 @@ func (s *Scenario) Validate(exp string, set map[string]bool) error {
 	return nil
 }
 
-// fuseMode resolves Fuse's default.
-func (s Scenario) fuseMode() (string, error) {
-	if s.Fuse == "" {
-		return "on", nil
-	}
-	if !slices.Contains(fuseModes, s.Fuse) {
-		return "", fmt.Errorf("experiments: unknown fuse mode %q (%s)", s.Fuse, strings.Join(fuseModes, "|"))
-	}
-	return s.Fuse, nil
-}
-
 // axis is one grid dimension: the sweep, or the single value name parses to.
 func axis[T any](name string, parse func(string) (T, error), sweep ...T) ([]T, error) {
 	if name == "" {
@@ -363,24 +341,4 @@ func (x mix) poisson(reqs []serving.Request, slots int) (serving.Workload, error
 		rate = float64(slots) / float64(x.svcTicks)
 	}
 	return serving.PoissonArrivals(reqs, rate, x.s.Seed+1)
-}
-
-// sameSim holds the fused path's whole contract on one cell: with the wall
-// annotations zeroed by the caller, the two reports must be deeply equal
-// and — stronger — the two event streams byte-identical as JSONL.
-func sameSim(cell string, fused, unfused any, fusedEvents, unfusedEvents []obs.Event) error {
-	if !reflect.DeepEqual(fused, unfused) {
-		return fmt.Errorf("%s: fused report diverged from the per-session path", cell)
-	}
-	var fb, ub bytes.Buffer
-	if err := obs.WriteJSONL(&fb, fusedEvents); err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(&ub, unfusedEvents); err != nil {
-		return err
-	}
-	if !bytes.Equal(fb.Bytes(), ub.Bytes()) {
-		return fmt.Errorf("%s: event log diverged between fused and per-session paths", cell)
-	}
-	return nil
 }

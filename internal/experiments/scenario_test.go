@@ -56,7 +56,7 @@ func sample(f scenarioFlag) (alone, withCompanions []string) {
 func TestScenarioGridScope(t *testing.T) {
 	foreign := map[string][]string{
 		"serve":   {"nodes", "router", "drain-tick", "node-chaos", "detect-miss", "recover-ticks"},
-		"chaos":   {"workload", "trace", "sched", "fuse", "nodes", "router", "drain-tick", "node-chaos", "detect-miss", "recover-ticks"},
+		"chaos":   {"workload", "trace", "sched", "nodes", "router", "drain-tick", "node-chaos", "detect-miss", "recover-ticks"},
 		"cluster": {"workload", "trace", "sched", "preempt", "faults", "retry", "shed"},
 	}
 	for _, f := range scenarioFlags {
@@ -136,13 +136,13 @@ func TestScenarioRejects(t *testing.T) {
 	}
 	// The CI-shaped command lines stay valid.
 	for _, r := range []row{
-		{exp: "serve", args: "-small -workload poisson -seed 7 -fuse both"},
+		{exp: "serve", args: "-small -workload poisson -seed 7"},
 		{exp: "serve", args: "-small -workload poisson -sched edf -rate 1 -slo 24 -preempt deadline"},
 		{exp: "serve", args: "-small -sched edf -arb shared -faults 0.05 -retry 3 -shed 8 -events ev -events-format chrome -obs-window 64"},
 		{exp: "serve", args: "-trace t.json -arb shared"},
 		{exp: "chaos", args: "-small -faults 0.1 -retry 2 -shed 3 -preempt deadline -arb exclusive"},
 		{exp: "cluster", args: "-small -nodes 1 -rate 0.5 -slo 48"},
-		{exp: "cluster", args: "-small -nodes 3 -fuse both -arb fair -router slo -drain-tick 10"},
+		{exp: "cluster", args: "-small -nodes 3 -arb fair -router slo -drain-tick 10"},
 		{exp: "cluster", args: "-small -nodes 3 -node-chaos 0.03 -recover-ticks 60 -detect-miss 4 -events ev"},
 		{exp: "all", args: "-seed 3 -nodes 3 -faults 1"},
 	} {

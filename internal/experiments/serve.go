@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
-	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -114,32 +112,22 @@ func Serve(l *Lab) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	fuse, err := s.fuseMode()
-	if err != nil {
-		return nil, err
-	}
 	cols := []string{"workload", "sched", "preempt", "policy", "sessions", "slots",
 		"sim_tok_s", "goodput", "hit_rate", "mean_ppl", "p50_lat_ms", "p99_lat_ms",
 		"queue_p50_t", "turn_p99_t", "slo_attain", "preempts", "retries", "shed"}
 	if l.obsTracing() {
 		// Windowed telemetry from the observability snapshot: decode rate
 		// and queue depth over the trailing -obs-window ticks at finish.
-		// Inserted before the fused/wall tail so the wall annotation(s)
-		// stay the trailing columns the determinism checks strip.
+		// Inserted before the wall annotation so it stays the trailing
+		// column the determinism checks strip.
 		cols = append(cols, "win_tok_t", "win_q_depth")
 	}
-	cols = append(cols, "fused", "wall_tok_s")
-	if fuse == "both" {
-		cols = append(cols, "wall_unfused_tok_s")
-	}
+	cols = append(cols, "wall_tok_s")
 	out := &Table{
 		ID:      "serve",
 		Title:   "Workload grid: DIP-CA sessions, SLO classes, and pluggable schedulers under a shared cache budget (LFU, A18-class device)",
 		Columns: cols,
 	}
-	// Wall-throughput aggregates for the fuse-comparison summary table.
-	var fusedTokens, unfusedTokens int
-	var fusedSeconds, unfusedSeconds float64
 	// -faults threads the seeded chaos plan through every grid cell; the
 	// cells stay bit-identical for a fixed seed because fault draws are pure
 	// functions of (seed, tick, slot).
@@ -151,60 +139,21 @@ func Serve(l *Lab) ([]*Table, error) {
 		}
 		plan = p
 	}
-	runCell := func(cell, kind string, sched serving.Scheduler, pre serving.Preemptor, arb serving.ArbPolicy, noFuse bool) (*serving.Report, *obs.Recorder, error) {
-		w, err := newWorkload(kind)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := l.obsRecorder()
-		e, err := serving.NewEngine(x.m, serving.Config{
-			System: x.sys, Arb: arb, Sched: sched, Preempt: pre,
-			MaxActive: slots, Quantum: quantum, Seed: s.Seed, NoFuse: noFuse,
-			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: s.Retry},
-			ShedQueueBudget: s.Shed, Degrade: s.Shed > 0,
-			Obs: rec,
-		}, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := e.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		// The reconciliation invariant is cheap; holding it on every cell
-		// means an exported event log always sums to the report beside it.
-		if err := rep.ReconcileObs(); err != nil {
-			return nil, nil, fmt.Errorf("serve: %s: %w", cell, err)
-		}
-		return rep, rec, nil
-	}
 	for _, kind := range workloads {
 		for _, sched := range scheds {
 			for _, pre := range preempts {
 				for _, arb := range arbs {
-					cell := fmt.Sprintf("%s/%s/%s/%s", kind, sched.Name(), pre.Name(), arb)
-					rep, rec, err := runCell(cell, kind, sched, pre, arb, fuse == "off")
+					w, err := newWorkload(kind)
 					if err != nil {
 						return nil, err
 					}
-					wall := rep.Wall
-					var unfusedWall serving.WallClock
-					if fuse == "both" {
-						unfused, urec, err := runCell(cell, kind, sched, pre, arb, true)
-						if err != nil {
-							return nil, err
-						}
-						unfusedWall = unfused.Wall
-						rep.Wall, unfused.Wall = serving.WallClock{}, serving.WallClock{}
-						if err := sameSim("serve: "+cell, rep, unfused, rec.Events(), urec.Events()); err != nil {
-							return nil, err
-						}
-						fusedTokens += rep.TotalTokens
-						fusedSeconds += wall.Seconds
-						unfusedTokens += unfused.TotalTokens
-						unfusedSeconds += unfusedWall.Seconds
-					}
-					if err := l.writeCellEvents(strings.ReplaceAll(cell, "/", "-"), rec.Events()); err != nil {
+					rep, err := l.runEngine(x, serving.Config{
+						System: x.sys, Arb: arb, Sched: sched, Preempt: pre,
+						MaxActive: slots, Quantum: quantum, Seed: s.Seed,
+						Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: s.Retry},
+						ShedQueueBudget: s.Shed, Degrade: s.Shed > 0,
+					}, w, fmt.Sprintf("%s-%s-%s-%s", kind, sched.Name(), pre.Name(), arb))
+					if err != nil {
 						return nil, err
 					}
 					var ppl float64
@@ -226,11 +175,7 @@ func Serve(l *Lab) ([]*Table, error) {
 					if l.obsTracing() {
 						row = append(row, rep.Obs.TokensPerTick, rep.Obs.MeanQueueDepth)
 					}
-					row = append(row, fuse, wall.TokS)
-					if fuse == "both" {
-						row = append(row, unfusedWall.TokS)
-					}
-					out.AddRow(row...)
+					out.AddRow(append(row, rep.Wall.TokS)...)
 				}
 			}
 		}
@@ -251,37 +196,11 @@ func Serve(l *Lab) ([]*Table, error) {
 		"fair partitions the cache budget across slots; shared is one contended cache with slot-order commits",
 		"goodput counts only tokens of sessions that completed OK (retried prefixes, failed, cancelled, and shed work excluded); without -faults it equals sim_tok_s",
 		"wall_tok_s is the host annotation (sessions fan out over the worker pool); it varies run to run",
-		"fused=on decodes the batch through the multi-RHS kernels (one weight walk per tick); -fuse off|both selects the per-session path or both",
 	)
 	if l.obsTracing() {
 		out.Notes = append(out.Notes,
 			"win_tok_t / win_q_depth are the trailing -obs-window decode rate and mean queue depth from the observability snapshot; with -events each cell also wrote <prefix>-<cell> event logs, reconciled against the report counters",
 		)
 	}
-	tables := []*Table{out}
-	if fuse == "both" {
-		cmp := &Table{
-			ID:      "serve-fuse",
-			Title:   "Fused vs per-session decode: aggregate wall throughput over the whole grid",
-			Columns: []string{"cells", "fused_tok_s", "unfused_tok_s", "speedup"},
-			Notes: []string{
-				"every cell's simulated report was verified bit-identical across the two paths before timing was compared",
-				"aggregate wall tok/s = total decoded tokens / total engine wall seconds per path, summed over the grid",
-			},
-		}
-		ft, ut := 0.0, 0.0
-		if fusedSeconds > 0 {
-			ft = float64(fusedTokens) / fusedSeconds
-		}
-		if unfusedSeconds > 0 {
-			ut = float64(unfusedTokens) / unfusedSeconds
-		}
-		speedup := 0.0
-		if ut > 0 {
-			speedup = ft / ut
-		}
-		cmp.AddRow(len(out.Rows), ft, ut, speedup)
-		tables = append(tables, cmp)
-	}
-	return tables, nil
+	return []*Table{out}, nil
 }

@@ -4,14 +4,14 @@
 // Adapters are applied before column selection and fused into the base
 // weights afterwards, so inference carries no extra memory or compute.
 //
-// Training difference from the paper, documented in DESIGN.md: the paper
-// distills end-to-end against dense logits; this implementation distills
-// layer-locally — each layer's adapters minimize ‖MLP_sparse,W'(x) −
-// MLP_dense,W(x)‖² over calibration activations, with the pruning masks
-// treated as constants (straight-through). Layer-local reconstruction is
-// the same relaxation GPTQ/SparseGPT use and preserves the paper's
-// qualitative result: adapters recover a large share of the sparsification
-// loss, with larger gains at aggressive sparsity.
+// Training difference from the paper: the paper distills end-to-end
+// against dense logits; this implementation distills layer-locally — each
+// layer's adapters minimize ‖MLP_sparse,W'(x) − MLP_dense,W(x)‖² over
+// calibration activations, with the pruning masks treated as constants
+// (straight-through). Layer-local reconstruction is the same relaxation
+// GPTQ/SparseGPT use and preserves the paper's qualitative result: adapters
+// recover a large share of the sparsification loss, with larger gains at
+// aggressive sparsity.
 package lora
 
 import (

@@ -7,8 +7,8 @@ import (
 )
 
 // The simulated model family. Names carry a "-sim" suffix to make explicit
-// that these are scaled-down analogs of the paper's models (see DESIGN.md,
-// "Substitutions"): the relative ordering of widths/depths matches the real
+// that these are scaled-down analogs of the paper's models (README, opening
+// paragraph): the relative ordering of widths/depths matches the real
 // family (Phi-3-Medium largest, Phi-3-Mini smallest), which is what the
 // cross-model comparisons in Tables 1–4 exercise.
 const (

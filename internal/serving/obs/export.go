@@ -106,53 +106,64 @@ func traceTs(tick, subStep int) int64 {
 }
 
 // WriteChromeTrace renders the event log as Chrome trace-event JSON: tid 0
-// is the engine's control track (batch-width counter, shed/degrade
-// instants), tid s+1 is batch slot s. A session's residency is a span from
-// its admit/resume to its suspend/finish; because slots compact as
-// neighbors retire, the span closes on the track it opened on even if the
-// engine has since renumbered the slot.
+// is the engine's control track (batch-width counter, shed/degrade and
+// failure-detector instants), tid s+1 is batch slot s. A merged cluster log
+// gets one process per node (pid tracePid+Node), so two nodes' slot 0 are
+// two tracks. A session's residency is a span from its admit/resume to its
+// suspend/finish; because slots compact as neighbors retire — and a
+// migrant's suspend is emitted by the node it leaves — the span closes on
+// the track it opened on.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	out := chromeTrace{DisplayTimeUnit: "ms"}
-	add := func(te traceEvent) {
-		te.Pid = tracePid
+	add := func(node int, te traceEvent) {
+		te.Pid = tracePid + node
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
-	add(traceEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": "serving engine"}})
-	add(traceEvent{Name: "thread_name", Ph: "M", Tid: 0, Args: map[string]any{"name": "engine"}})
-	maxSlot := -1
+	maxSlot := []int{-1} // node → highest slot it used
 	for _, ev := range events {
-		if ev.Slot > maxSlot {
-			maxSlot = ev.Slot
+		for len(maxSlot) <= ev.Node {
+			maxSlot = append(maxSlot, -1)
+		}
+		maxSlot[ev.Node] = max(maxSlot[ev.Node], ev.Slot)
+	}
+	for n, slots := range maxSlot {
+		name := "serving engine"
+		if len(maxSlot) > 1 {
+			name = "node " + strconv.Itoa(n)
+		}
+		add(n, traceEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": name}})
+		add(n, traceEvent{Name: "thread_name", Ph: "M", Tid: 0, Args: map[string]any{"name": "engine"}})
+		for s := 0; s <= slots; s++ {
+			add(n, traceEvent{Name: "thread_name", Ph: "M", Tid: s + 1, Args: map[string]any{"name": "slot " + strconv.Itoa(s)}})
 		}
 	}
-	for s := 0; s <= maxSlot; s++ {
-		add(traceEvent{Name: "thread_name", Ph: "M", Tid: s + 1, Args: map[string]any{"name": "slot " + strconv.Itoa(s)}})
-	}
-	openTid := make(map[string]int) // session → tid its residency span opened on
+	type track struct{ node, tid int }
+	open := make(map[string]track) // session → track its residency span opened on
 	for _, ev := range events {
 		ts := traceTs(ev.Tick, ev.SubStep)
 		switch ev.Kind {
 		case KindAdmit, KindResume:
-			tid := ev.Slot + 1
-			openTid[ev.Session] = tid
-			add(traceEvent{Name: ev.Session, Ph: "B", Ts: ts, Tid: tid,
+			at := track{ev.Node, ev.Slot + 1}
+			open[ev.Session] = at
+			add(at.node, traceEvent{Name: ev.Session, Ph: "B", Ts: ts, Tid: at.tid,
 				Args: map[string]any{"kind": ev.Kind.String(), "detail": ev.Detail}})
 		case KindSuspend, KindFinish:
-			tid, open := openTid[ev.Session]
-			add(traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, Tid: ev.Slot + 1, S: "t",
+			add(ev.Node, traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, Tid: ev.Slot + 1, S: "t",
 				Args: map[string]any{"session": ev.Session}})
-			if open {
-				delete(openTid, ev.Session)
-				add(traceEvent{Name: ev.Session, Ph: "E", Ts: ts, Tid: tid})
+			if at, ok := open[ev.Session]; ok {
+				delete(open, ev.Session)
+				add(at.node, traceEvent{Name: ev.Session, Ph: "E", Ts: ts, Tid: at.tid})
 			}
 		case KindStepBatch:
-			add(traceEvent{Name: "batch width", Ph: "C", Ts: ts, Tid: 0,
+			add(ev.Node, traceEvent{Name: "batch width", Ph: "C", Ts: ts, Tid: 0,
 				Args: map[string]any{"width": detailInt(ev.Detail, "width=")}})
-		case KindFault, KindRetry, KindGrant, KindRelease:
-			add(traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, Tid: ev.Slot + 1, S: "t",
+		case KindFault, KindRetry, KindGrant, KindRelease,
+			// The detector kinds carry Slot -1: the node's control track.
+			KindHeartbeatMiss, KindSuspect, KindConfirm, KindRejoin, KindStrand:
+			add(ev.Node, traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, Tid: ev.Slot + 1, S: "t",
 				Args: map[string]any{"session": ev.Session}})
 		case KindArrive, KindShed, KindDegrade:
-			add(traceEvent{Name: ev.Kind.String() + ":" + ev.Session, Ph: "i", Ts: ts, Tid: 0, S: "t",
+			add(ev.Node, traceEvent{Name: ev.Kind.String() + ":" + ev.Session, Ph: "i", Ts: ts, Tid: 0, S: "t",
 				Args: map[string]any{"detail": ev.Detail}})
 		}
 	}

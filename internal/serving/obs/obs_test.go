@@ -206,3 +206,70 @@ func TestChromeTraceBalancesResidencySpans(t *testing.T) {
 		t.Errorf("emitted %d batch-width counter events, want 1", counters)
 	}
 }
+
+// A merged cluster log: each node is its own process, so two nodes' slot 0
+// are two tracks, every span closes where it opened — here node 0's session
+// finishes first, which on one shared track would close node 1's span — and
+// the detector's events are drawn.
+func TestChromeTraceSeparatesNodes(t *testing.T) {
+	events := MergeEvents(
+		[]Event{
+			{Tick: 0, Slot: 0, Kind: KindAdmit, Session: "a"},
+			{Tick: 1, Slot: 0, Kind: KindFinish, Session: "a", Detail: DetailOK},
+			{Tick: 3, Slot: -1, Kind: KindConfirm, Detail: DetailDown},
+		},
+		[]Event{
+			{Tick: 0, Slot: 0, Kind: KindAdmit, Session: "b"},
+			{Tick: 2, Slot: 0, Kind: KindFinish, Session: "b", Detail: DetailOK},
+		},
+	)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	type track struct{ pid, tid int }
+	open := make(map[track][]string) // span stack per track
+	began := make(map[string]track)
+	confirms := 0
+	for _, te := range trace.TraceEvents {
+		at := track{te.Pid, te.Tid}
+		switch {
+		case te.Ph == "B":
+			open[at] = append(open[at], te.Name)
+			began[te.Name] = at
+		case te.Ph == "E":
+			stack := open[at]
+			if len(stack) == 0 || stack[len(stack)-1] != te.Name {
+				t.Fatalf("E %q on pid %d tid %d closes span stack %v", te.Name, te.Pid, te.Tid, stack)
+			}
+			open[at] = stack[:len(stack)-1]
+		case te.Ph == "i" && te.Name == "confirm:"+DetailDown:
+			confirms++
+			if at != (track{tracePid, 0}) {
+				t.Errorf("node 0's confirm drawn on pid %d tid %d, want its control track", te.Pid, te.Tid)
+			}
+		}
+	}
+	if began["a"] == began["b"] {
+		t.Errorf("two nodes' slot-0 spans share pid %d tid %d", began["a"].pid, began["a"].tid)
+	}
+	for at, stack := range open {
+		if len(stack) > 0 {
+			t.Errorf("pid %d tid %d left spans open: %v", at.pid, at.tid, stack)
+		}
+	}
+	if confirms != 1 {
+		t.Errorf("drew %d confirm instants, want 1", confirms)
+	}
+}
