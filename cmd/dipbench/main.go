@@ -139,11 +139,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dipbench: -exp required (try -list)")
 		return 2
 	}
-	sc := model.ScalePaper
-	if *scale == "test" {
-		sc = model.ScaleTest
-	} else if *scale != "paper" {
-		fmt.Fprintf(os.Stderr, "dipbench: unknown scale %q\n", *scale)
+	sc, err := model.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dipbench: -scale: %v\n", err)
+		return 2
+	}
+	if *csvOut && *outDir == "" {
+		fmt.Fprintln(os.Stderr, "dipbench: -csv needs -out: the CSV files go beside <out>/<id>.txt")
 		return 2
 	}
 	if *procs > 0 {
@@ -198,16 +200,18 @@ func run() int {
 			if sink != nil {
 				tab.Render(sink)
 			}
-			if *csvOut && *outDir != "" {
+			if *csvOut {
 				f, err := os.Create(filepath.Join(*outDir, tab.ID+".csv"))
 				if err != nil {
 					sink.Close()
 					return fail("%v", err)
 				}
-				if err := tab.RenderCSV(f); err != nil {
-					fmt.Fprintf(os.Stderr, "dipbench: %v\n", err)
-				}
+				err = tab.RenderCSV(f)
 				f.Close()
+				if err != nil {
+					sink.Close()
+					return fail("%v", err)
+				}
 			}
 			bt := benchTable{ID: tab.ID, Rows: len(tab.Rows)}
 			if len(tab.Rows) > 0 {

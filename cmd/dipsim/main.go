@@ -35,9 +35,10 @@ func main() {
 		ckpt    = flag.String("ckpt", "", "checkpoint directory")
 	)
 	flag.Parse()
-	sc := model.ScalePaper
-	if *scale == "test" {
-		sc = model.ScaleTest
+	sc, err := model.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dipsim: -scale: %v\n", err)
+		os.Exit(2)
 	}
 	lab := experiments.NewLab(sc)
 	lab.CheckpointDir = *ckpt

@@ -25,9 +25,10 @@ func main() {
 		models = flag.String("models", "", "comma-separated analog names (default: all)")
 	)
 	flag.Parse()
-	sc := model.ScalePaper
-	if *scale == "test" {
-		sc = model.ScaleTest
+	sc, err := model.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "diptrain: -scale: %v\n", err)
+		os.Exit(2)
 	}
 	names := append(model.AnalogNames(), model.ReluFiedSim)
 	if *models != "" {

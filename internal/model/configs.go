@@ -33,6 +33,17 @@ const (
 	ScalePaper
 )
 
+// ParseScale maps a -scale flag value ("paper" or "test") to its Scale.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "paper":
+		return ScalePaper, nil
+	case "test":
+		return ScaleTest, nil
+	}
+	return 0, fmt.Errorf("model: unknown scale %q (want paper or test)", s)
+}
+
 // ConfigFor returns the architecture for a named model analog at a scale.
 func ConfigFor(name string, scale Scale) (Config, error) {
 	type dims struct{ dim, layers, heads, kv, dff int }

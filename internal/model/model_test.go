@@ -290,6 +290,23 @@ func TestConfigFor(t *testing.T) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Scale
+		ok   bool
+	}{
+		{"paper", ScalePaper, true},
+		{"test", ScaleTest, true},
+		{"tset", 0, false},
+	} {
+		got, err := ParseScale(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
 func TestWeightCounts(t *testing.T) {
 	m := New(tinyConfig(), 53)
 	mlp := m.MLPWeightCount()

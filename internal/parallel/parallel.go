@@ -1,7 +1,7 @@
 // Package parallel is the shared worker-pool layer for the repository: a
 // blocked-range executor sized from GOMAXPROCS (overridable via the
-// REPRO_PROCS environment variable or SetProcs) that the tensor kernels,
-// the nn token loops, and the experiment drivers all use.
+// REPRO_PROCS environment variable or SetProcs) that the nn token loops,
+// the serving tick and the experiment drivers all use.
 //
 // Design notes:
 //

@@ -49,8 +49,7 @@ type GLUOracle struct {
 	// Rho is the fraction of GLU units kept (equals the MLP density).
 	Rho float64
 
-	h, score, y tensor.Vec
-	glu         nn.MLPScratch
+	prune GLUPrune
 }
 
 // Name implements Scheme.
@@ -60,17 +59,12 @@ func (s *GLUOracle) Name() string { return "glu-oracle" }
 func (s *GLUOracle) CloneStateless() Scheme { return &GLUOracle{Rho: s.Rho} }
 
 // Forward implements Scheme.
-func (s *GLUOracle) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
-	s.h = mlp.GLUInto(x, resize(s.h, mlp.DFF), &s.glu)
-	k := keepCount(s.Rho, mlp.DFF)
-	s.score = absScores(s.h, resize(s.score, mlp.DFF))
-	idx := tensor.TopKIndices(s.score, k)
-	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, idx, resize(s.y, mlp.Dim))
-	var ta TokenAccess
-	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return s.y, ta
+func (s *GLUOracle) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) (tensor.Vec, TokenAccess) {
+	s.prune.RhoGLU = s.Rho
+	y, ta := s.prune.Forward(layer, x, mlp, cache)
+	ta.Groups[GroupUpRows] = ta.Groups[GroupDown]
+	ta.Groups[GroupGateRows] = ta.Groups[GroupDown]
+	return y, ta
 }
 
 // GatePrune is "Gate pruning" (Figure 5b / Eq. 5): evaluate σ(W_g x)

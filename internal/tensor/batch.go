@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // Multi-RHS (batched) kernels: each takes B input vectors packed as the
 // columns of a Mat and walks every weight row once, accumulating into B
@@ -16,9 +12,8 @@ import (
 // Determinism contract: every output column is produced by the same
 // floating-point accumulation order as the corresponding single-RHS kernel,
 // so a batched call is bit-for-bit equal to B independent single-RHS calls
-// (enforced by TestBatchKernelsMatchSingleRHSBitForBit). The parallel
-// cutoff follows the single-RHS rule with the flop count scaled by B:
-// blocked ranges split output rows only, never the accumulation order.
+// (enforced by TestBatchKernelsMatchSingleRHSBitForBit). Like the single-RHS
+// kernels they run on the caller's goroutine; fan-out is the caller's job.
 
 // ReuseMat returns m reshaped to rows × cols, reallocating only when the
 // backing array is too small. The Mat analogue of Reuse, plus in-place
@@ -83,19 +78,7 @@ func MatVecBatch(m *Mat, xs *Mat, out *Mat) *Mat {
 	if out.Rows != m.Rows || out.Cols != B {
 		panic("tensor: MatVecBatch out shape mismatch")
 	}
-	if m.Rows*m.Cols*B <= parallelFlops {
-		matVecBatchRange(m, xs, out, 0, m.Rows)
-		return out
-	}
-	parallel.For(m.Rows, rowGrain(m.Cols*B), func(lo, hi int) {
-		matVecBatchRange(m, xs, out, lo, hi)
-	})
-	return out
-}
-
-func matVecBatchRange(m, xs, out *Mat, lo, hi int) {
-	B := xs.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		orow := out.Data[i*B : (i+1)*B]
 		// Up to eight accumulators stay in registers across the row walk, so
@@ -145,6 +128,7 @@ func matVecBatchRange(m, xs, out *Mat, lo, hi int) {
 			orow[b] = s
 		}
 	}
+	return out
 }
 
 // MatTVecBatch computes out += mᵀ · xs for all B columns at once. xs is
@@ -163,25 +147,11 @@ func MatTVecBatch(m *Mat, xs *Mat, out *Mat) *Mat {
 	if out.Rows != m.Cols || out.Cols != B {
 		panic("tensor: MatTVecBatch out shape mismatch")
 	}
-	if m.Rows*m.Cols*B <= parallelFlops {
-		matTVecBatchRange(m, xs, out, 0, m.Cols)
-		return out
-	}
-	// Parallelize over disjoint output-row (weight-column) ranges, exactly
-	// like MatTVec: each out[j][b] accumulates in ascending-row order.
-	parallel.For(m.Cols, rowGrain(m.Rows*B), func(jlo, jhi int) {
-		matTVecBatchRange(m, xs, out, jlo, jhi)
-	})
-	return out
-}
-
-func matTVecBatchRange(m, xs, out *Mat, jlo, jhi int) {
-	B := xs.Cols
 	for i := 0; i < m.Rows; i++ {
 		xrow := xs.Data[i*B : (i+1)*B]
-		row := m.Data[i*m.Cols+jlo : i*m.Cols+jhi]
-		for jj, w := range row {
-			orow := out.Data[(jlo+jj)*B : (jlo+jj+1)*B]
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, w := range row {
+			orow := out.Data[j*B : (j+1)*B]
 			for b, x := range xrow {
 				if x == 0 {
 					continue
@@ -190,6 +160,7 @@ func matTVecBatchRange(m, xs, out *Mat, jlo, jhi int) {
 			}
 		}
 	}
+	return out
 }
 
 // MaskedMatVecColsBatch computes out = m~ · xs where each column b keeps
@@ -213,19 +184,7 @@ func MaskedMatVecColsBatch(m *Mat, xs *Mat, active [][]bool, out *Mat) *Mat {
 	if out.Rows != m.Rows || out.Cols != B {
 		panic("tensor: MaskedMatVecColsBatch out shape mismatch")
 	}
-	if m.Rows*m.Cols*B <= parallelFlops {
-		maskedMatVecColsBatchRange(m, xs, active, out, 0, m.Rows)
-		return out
-	}
-	parallel.For(m.Rows, rowGrain(m.Cols*B), func(lo, hi int) {
-		maskedMatVecColsBatchRange(m, xs, active, out, lo, hi)
-	})
-	return out
-}
-
-func maskedMatVecColsBatchRange(m, xs *Mat, active [][]bool, out *Mat, lo, hi int) {
-	B := xs.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		orow := out.Data[i*B : (i+1)*B]
 		// Register-tile pairs of columns (masks differ per column, so each
@@ -257,6 +216,7 @@ func maskedMatVecColsBatchRange(m, xs *Mat, active [][]bool, out *Mat, lo, hi in
 			orow[b] = s
 		}
 	}
+	return out
 }
 
 // SparseBatchScratch holds MatVecSparseBatch's per-column accumulator. A
@@ -271,9 +231,9 @@ type SparseBatchScratch struct {
 // the input coordinates listed in idxs[b] — B sessions' sparse products
 // with differing per-session unit lists. Each column runs the single-RHS
 // kernel (sparseAccum, on m's input-major mirror) into a contiguous
-// accumulator that is then scattered into column b, all inside one split of
-// the output rows. out is overwritten, like MatVecSparse; scratch may be nil
-// to allocate internally. Results are bit-identical to B MatVecSparse calls.
+// accumulator that is then scattered into column b. out is overwritten, like
+// MatVecSparse; scratch may be nil to allocate internally. Results are
+// bit-identical to B MatVecSparse calls.
 func MatVecSparseBatch(m *Mat, xs *Mat, idxs [][]int, out *Mat, scratch *SparseBatchScratch) *Mat {
 	B := xs.Cols
 	if xs.Rows != m.Cols {
@@ -293,28 +253,12 @@ func MatVecSparseBatch(m *Mat, xs *Mat, idxs [][]int, out *Mat, scratch *SparseB
 	}
 	scratch.acc = grow(scratch.acc, m.Rows)
 	acc, t := scratch.acc, m.inputMajor()
-	total := 0
-	for _, idx := range idxs {
-		total += len(idx)
-	}
-	if parallel.Procs() == 1 || m.Rows*total <= parallelFlops {
-		sparseBatchRange(t, xs, idxs, out, acc, 0, m.Rows)
-		return out
-	}
-	parallel.For(m.Rows, rowGrain(total), func(lo, hi int) {
-		sparseBatchRange(t, xs, idxs, out, acc, lo, hi)
-	})
-	return out
-}
-
-func sparseBatchRange(t, xs *Mat, idxs [][]int, out *Mat, acc []float32, lo, hi int) {
-	B := out.Cols
-	acc = acc[lo:hi]
 	for b, idx := range idxs {
 		clear(acc)
-		sparseAccum(t, xs.Data, B, b, idx, acc, lo)
+		sparseAccum(t, xs.Data, B, b, idx, acc)
 		for i, v := range acc {
-			out.Data[(lo+i)*B+b] = v
+			out.Data[i*B+b] = v
 		}
 	}
+	return out
 }

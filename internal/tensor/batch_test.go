@@ -3,8 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // batchOf packs B vectors as the columns of a Mat (the multi-RHS layout).
@@ -34,115 +32,90 @@ func randVecs(rng *RNG, B, n int, zeroFrac float64) []Vec {
 
 // The batched kernels' whole contract: each output column must be
 // bit-for-bit equal to an independent single-RHS call — including masked
-// and sparse variants with differing per-column masks/unit lists, at sizes
-// on both sides of the parallel cutoff, for any worker count.
+// and sparse variants with differing per-column masks/unit lists, at widths
+// that reach the 8-, 4- and 1-column register tiles.
 func TestBatchKernelsMatchSingleRHSBitForBit(t *testing.T) {
-	defer parallel.SetProcs(parallel.Procs())
 	shapes := []struct{ rows, cols, B int }{
 		{5, 3, 1},
 		{17, 9, 3},
-		{64, 48, 8},   // below the cutoff at B=1, above fused
-		{256, 192, 4}, // above the cutoff even single-RHS
+		{64, 48, 8},
+		{256, 192, 4},
 	}
-	for _, procs := range []int{1, 8} {
-		parallel.SetProcs(procs)
-		for _, sh := range shapes {
-			rng := NewRNG(uint64(sh.rows*1000 + sh.B))
-			m := NewMat(sh.rows, sh.cols)
-			m.RandNorm(rng, 1)
-			xs := randVecs(rng, sh.B, sh.cols, 0.2) // exact zeros exercise skips
-			ys := randVecs(rng, sh.B, sh.rows, 0.2)
+	for _, sh := range shapes {
+		rng := NewRNG(uint64(sh.rows*1000 + sh.B))
+		m := NewMat(sh.rows, sh.cols)
+		m.RandNorm(rng, 1)
+		xs := randVecs(rng, sh.B, sh.cols, 0.2) // exact zeros exercise skips
+		ys := randVecs(rng, sh.B, sh.rows, 0.2)
 
-			// MatVecBatch.
-			got := MatVecBatch(m, batchOf(xs), nil)
-			for b, x := range xs {
-				want := MatVec(m, x, nil)
-				for i := range want {
-					if got.At(i, b) != want[i] {
-						t.Fatalf("procs=%d %dx%dxB%d MatVecBatch[%d,%d] = %v, single %v",
-							procs, sh.rows, sh.cols, sh.B, i, b, got.At(i, b), want[i])
-					}
-				}
-			}
-
-			// MatTVecBatch (accumulating form: seed outputs with garbage).
-			acc := NewMat(sh.cols, sh.B)
-			wantAcc := make([]Vec, sh.B)
-			for b := 0; b < sh.B; b++ {
-				for j := 0; j < sh.cols; j++ {
-					acc.Set(j, b, float32(j%7)-3)
-				}
-				wantAcc[b] = acc.Col(b, nil)
-			}
-			MatTVecBatch(m, batchOf(ys), acc)
-			for b, y := range ys {
-				MatTVec(m, y, wantAcc[b])
-				for j := range wantAcc[b] {
-					if acc.At(j, b) != wantAcc[b][j] {
-						t.Fatalf("procs=%d MatTVecBatch[%d,%d] = %v, single %v",
-							procs, j, b, acc.At(j, b), wantAcc[b][j])
-					}
-				}
-			}
-
-			// MaskedMatVecColsBatch with a different mask per column.
-			masks := make([][]bool, sh.B)
-			for b := range masks {
-				masks[b] = make([]bool, sh.cols)
-				for j := range masks[b] {
-					masks[b][j] = rng.Float64() < 0.5
-				}
-			}
-			gotM := MaskedMatVecColsBatch(m, batchOf(xs), masks, nil)
-			for b, x := range xs {
-				want := MaskedMatVecCols(m, x, masks[b], nil)
-				for i := range want {
-					if gotM.At(i, b) != want[i] {
-						t.Fatalf("procs=%d MaskedMatVecColsBatch[%d,%d] = %v, single %v",
-							procs, i, b, gotM.At(i, b), want[i])
-					}
-				}
-			}
-
-			// MatVecSparseBatch with a different unit list per column
-			// (different lengths and orders, too).
-			idxs := make([][]int, sh.B)
-			for b := range idxs {
-				k := 1 + int(rng.Float64()*float64(sh.cols-1))
-				perm := rng.Perm(sh.cols)
-				idxs[b] = perm[:k]
-			}
-			gotS := MatVecSparseBatch(m, batchOf(xs), idxs, nil, nil)
-			for b, x := range xs {
-				want := MatVecSparse(m, x, idxs[b], nil)
-				for i := range want {
-					if gotS.At(i, b) != want[i] {
-						t.Fatalf("procs=%d MatVecSparseBatch[%d,%d] = %v, single %v",
-							procs, i, b, gotS.At(i, b), want[i])
-					}
+		// MatVecBatch.
+		got := MatVecBatch(m, batchOf(xs), nil)
+		for b, x := range xs {
+			want := MatVec(m, x, nil)
+			for i := range want {
+				if got.At(i, b) != want[i] {
+					t.Fatalf("%dx%dxB%d MatVecBatch[%d,%d] = %v, single %v",
+						sh.rows, sh.cols, sh.B, i, b, got.At(i, b), want[i])
 				}
 			}
 		}
-	}
-}
 
-// Batched kernels must also agree with themselves across worker counts
-// (the blocked ranges change, the accumulation order must not).
-func TestBatchKernelsDeterministicAcrossWorkerCounts(t *testing.T) {
-	defer parallel.SetProcs(parallel.Procs())
-	rng := NewRNG(99)
-	m := NewMat(256, 192)
-	m.RandNorm(rng, 1)
-	xs := batchOf(randVecs(rng, 8, 192, 0))
+		// MatTVecBatch (accumulating form: seed outputs with garbage).
+		acc := NewMat(sh.cols, sh.B)
+		wantAcc := make([]Vec, sh.B)
+		for b := 0; b < sh.B; b++ {
+			for j := 0; j < sh.cols; j++ {
+				acc.Set(j, b, float32(j%7)-3)
+			}
+			wantAcc[b] = acc.Col(b, nil)
+		}
+		MatTVecBatch(m, batchOf(ys), acc)
+		for b, y := range ys {
+			MatTVec(m, y, wantAcc[b])
+			for j := range wantAcc[b] {
+				if acc.At(j, b) != wantAcc[b][j] {
+					t.Fatalf("MatTVecBatch[%d,%d] = %v, single %v",
+						j, b, acc.At(j, b), wantAcc[b][j])
+				}
+			}
+		}
 
-	parallel.SetProcs(1)
-	serial := MatVecBatch(m, xs, nil)
-	parallel.SetProcs(8)
-	par := MatVecBatch(m, xs, nil)
-	for i := range serial.Data {
-		if serial.Data[i] != par.Data[i] {
-			t.Fatalf("MatVecBatch element %d differs across worker counts: %v vs %v",
-				i, serial.Data[i], par.Data[i])
+		// MaskedMatVecColsBatch with a different mask per column.
+		masks := make([][]bool, sh.B)
+		for b := range masks {
+			masks[b] = make([]bool, sh.cols)
+			for j := range masks[b] {
+				masks[b][j] = rng.Float64() < 0.5
+			}
+		}
+		gotM := MaskedMatVecColsBatch(m, batchOf(xs), masks, nil)
+		for b, x := range xs {
+			want := MaskedMatVecCols(m, x, masks[b], nil)
+			for i := range want {
+				if gotM.At(i, b) != want[i] {
+					t.Fatalf("MaskedMatVecColsBatch[%d,%d] = %v, single %v",
+						i, b, gotM.At(i, b), want[i])
+				}
+			}
+		}
+
+		// MatVecSparseBatch with a different unit list per column
+		// (different lengths and orders, too).
+		idxs := make([][]int, sh.B)
+		for b := range idxs {
+			k := 1 + int(rng.Float64()*float64(sh.cols-1))
+			perm := rng.Perm(sh.cols)
+			idxs[b] = perm[:k]
+		}
+		gotS := MatVecSparseBatch(m, batchOf(xs), idxs, nil, nil)
+		for b, x := range xs {
+			want := MatVecSparse(m, x, idxs[b], nil)
+			for i := range want {
+				if gotS.At(i, b) != want[i] {
+					t.Fatalf("MatVecSparseBatch[%d,%d] = %v, single %v",
+						i, b, gotS.At(i, b), want[i])
+				}
+			}
 		}
 	}
 }

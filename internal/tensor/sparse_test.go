@@ -62,27 +62,24 @@ func sparseCase(rng *RNG, rows, cols, k, B int) (m *Mat, xs []Vec, idxs [][]int)
 }
 
 // checkSparseAgainstOracle holds MatVecSparse and MatVecSparseBatch to the
-// oracle bit for bit, at one and at two workers, with the mirror both cold
-// (first call) and warm (second call).
+// oracle bit for bit, with the mirror both cold (first pass) and warm (second).
 func checkSparseAgainstOracle(t *testing.T, m *Mat, xs []Vec, idxs [][]int) {
 	t.Helper()
-	defer parallel.SetProcs(parallel.Procs())
 	B := len(xs)
 	batch := NewMat(m.Cols, B)
 	for b, x := range xs {
 		batch.SetCol(b, x)
 	}
 	var scratch SparseBatchScratch
-	for _, procs := range []int{1, 2, 1} {
-		parallel.SetProcs(procs)
+	for _, mirror := range []string{"cold", "warm"} {
 		got := MatVecSparseBatch(m, batch, idxs, nil, &scratch)
 		for b, x := range xs {
 			want := refMatVecSparse(m, x, idxs[b])
 			if err := sameBits(MatVecSparse(m, x, idxs[b], nil), want); err != nil {
-				t.Fatalf("%dx%d k=%d procs=%d MatVecSparse%v", m.Rows, m.Cols, len(idxs[b]), procs, err)
+				t.Fatalf("%dx%d k=%d mirror %s MatVecSparse%v", m.Rows, m.Cols, len(idxs[b]), mirror, err)
 			}
 			if err := sameBits(got.Col(b, nil), want); err != nil {
-				t.Fatalf("%dx%d k=%d procs=%d MatVecSparseBatch column %d %v", m.Rows, m.Cols, len(idxs[b]), procs, b, err)
+				t.Fatalf("%dx%d k=%d mirror %s MatVecSparseBatch column %d %v", m.Rows, m.Cols, len(idxs[b]), mirror, b, err)
 			}
 		}
 	}
@@ -101,8 +98,7 @@ func TestSparseKernelMatchesOracleBitForBit(t *testing.T) {
 			}
 		}
 	}
-	// The bandwidth-bound analog's projections at DIP-CA-50's keep counts:
-	// above parallelFlops, so two workers really split the output rows.
+	// The bandwidth-bound analog's projections at DIP-CA-50's keep counts.
 	for _, sh := range [][3]int{{768, 256, 166}, {256, 768, 154}} {
 		m, xs, idxs := sparseCase(rng, sh[0], sh[1], sh[2], 8)
 		checkSparseAgainstOracle(t, m, xs, idxs)
@@ -238,11 +234,10 @@ func TestSparseKernelsRejectWrongInputLength(t *testing.T) {
 	}
 }
 
-// Steady-state sparse decode at one worker allocates nothing: no closure (the
-// serial branch), no pair buffers, the accumulator lives in the scratch.
+// Steady-state decode at the analog's shapes allocates nothing inside a
+// kernel given caller-owned outputs: no closure, no pair buffers, the sparse
+// accumulator lives in the scratch.
 func TestSparseKernelsDoNotAllocate(t *testing.T) {
-	defer parallel.SetProcs(parallel.Procs())
-	parallel.SetProcs(1)
 	rng := NewRNG(23)
 	for _, sh := range [][3]int{{768, 256, 166}, {256, 768, 154}} {
 		m, xs, idxs := sparseCase(rng, sh[0], sh[1], sh[2], 8)
@@ -258,6 +253,12 @@ func TestSparseKernelsDoNotAllocate(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(10, func() { MatVecSparseBatch(m, batch, idxs, outs, &scratch) }); a != 0 {
 			t.Errorf("%dx%d MatVecSparseBatch allocates %v objects/call, want 0", m.Rows, m.Cols, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { MatVec(m, xs[0], out) }); a != 0 {
+			t.Errorf("%dx%d MatVec allocates %v objects/call, want 0", m.Rows, m.Cols, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { MatVecBatch(m, batch, outs) }); a != 0 {
+			t.Errorf("%dx%d MatVecBatch allocates %v objects/call, want 0", m.Rows, m.Cols, a)
 		}
 	}
 }

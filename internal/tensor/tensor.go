@@ -4,32 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"repro/internal/parallel"
 )
-
-// parallelFlops is the scalar-multiply count below which the matrix kernels
-// stay on the caller's goroutine. Blocked-range parallel execution only pays
-// for itself on genuinely large operations; the miniature analog matrices
-// (≤ ~12k flops per matvec) always take the serial path, keeping the hot
-// per-token loops free of scheduling overhead. Each parallel block gets at
-// least this much work, so results are bit-identical to serial execution:
-// every output element is produced by the same accumulation order regardless
-// of worker count.
-const parallelFlops = 1 << 15
-
-// rowGrain returns the minimum rows per parallel block so one block carries
-// at least parallelFlops scalar multiplies.
-func rowGrain(cols int) int {
-	if cols < 1 {
-		return parallelFlops
-	}
-	g := parallelFlops / cols
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
 
 // Vec is a dense float32 vector.
 type Vec []float32
@@ -294,18 +269,7 @@ func MatVec(m *Mat, x Vec, out Vec) Vec {
 	if len(out) != m.Rows {
 		panic("tensor: MatVec out length mismatch")
 	}
-	if m.Rows*m.Cols <= parallelFlops {
-		matVecRange(m, x, out, 0, m.Rows)
-		return out
-	}
-	parallel.For(m.Rows, rowGrain(m.Cols), func(lo, hi int) {
-		matVecRange(m, x, out, lo, hi)
-	})
-	return out
-}
-
-func matVecRange(m *Mat, x, out Vec, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float32
 		for j, w := range row {
@@ -313,6 +277,7 @@ func matVecRange(m *Mat, x, out Vec, lo, hi int) {
 		}
 		out[i] = s
 	}
+	return out
 }
 
 // MatTVec computes out = mᵀ · x where x has length m.Rows and out has
@@ -329,31 +294,17 @@ func MatTVec(m *Mat, x Vec, out Vec) Vec {
 	if len(out) != m.Cols {
 		panic("tensor: MatTVec out length mismatch")
 	}
-	if m.Rows*m.Cols <= parallelFlops {
-		matTVecRange(m, x, out, 0, m.Cols)
-		return out
-	}
-	// Parallelize over disjoint column ranges: each out[j] still accumulates
-	// contributions in ascending-row order, so results match serial exactly.
-	grain := rowGrain(m.Rows)
-	parallel.For(m.Cols, grain, func(jlo, jhi int) {
-		matTVecRange(m, x, out, jlo, jhi)
-	})
-	return out
-}
-
-func matTVecRange(m *Mat, x, out Vec, jlo, jhi int) {
 	for i := 0; i < m.Rows; i++ {
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols+jlo : i*m.Cols+jhi]
-		o := out[jlo:jhi]
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, w := range row {
-			o[j] += w * xi
+			out[j] += w * xi
 		}
 	}
+	return out
 }
 
 // AddOuter accumulates alpha * a bᵀ into m, where a has length m.Rows and b
@@ -363,17 +314,7 @@ func AddOuter(m *Mat, alpha float32, a, b Vec) {
 		panic("tensor: AddOuter dimension mismatch")
 	}
 	m.Invalidate()
-	if m.Rows*m.Cols <= parallelFlops {
-		addOuterRange(m, alpha, a, b, 0, m.Rows)
-		return
-	}
-	parallel.For(m.Rows, rowGrain(m.Cols), func(lo, hi int) {
-		addOuterRange(m, alpha, a, b, lo, hi)
-	})
-}
-
-func addOuterRange(m *Mat, alpha float32, a, b Vec, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		ai := alpha * a[i]
 		if ai == 0 {
 			continue
@@ -391,19 +332,7 @@ func MatMul(a, b *Mat) *Mat {
 		panic("tensor: MatMul inner dimension mismatch")
 	}
 	out := NewMat(a.Rows, b.Cols)
-	work := a.Rows * a.Cols * b.Cols
-	if work <= parallelFlops {
-		matMulRange(a, b, out, 0, a.Rows)
-		return out
-	}
-	parallel.For(a.Rows, rowGrain(a.Cols*b.Cols), func(lo, hi int) {
-		matMulRange(a, b, out, lo, hi)
-	})
-	return out
-}
-
-func matMulRange(a, b, out *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
 		for k, av := range arow {
@@ -416,6 +345,7 @@ func matMulRange(a, b, out *Mat, lo, hi int) {
 			}
 		}
 	}
+	return out
 }
 
 // MaskedMatVecCols computes out = m~ · x where m~ keeps only the columns j
@@ -429,18 +359,7 @@ func MaskedMatVecCols(m *Mat, x Vec, active []bool, out Vec) Vec {
 	if out == nil {
 		out = NewVec(m.Rows)
 	}
-	if m.Rows*m.Cols <= parallelFlops {
-		maskedMatVecColsRange(m, x, active, out, 0, m.Rows)
-		return out
-	}
-	parallel.For(m.Rows, rowGrain(m.Cols), func(lo, hi int) {
-		maskedMatVecColsRange(m, x, active, out, lo, hi)
-	})
-	return out
-}
-
-func maskedMatVecColsRange(m *Mat, x Vec, active []bool, out Vec, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float32
 		for j, w := range row {
@@ -450,6 +369,7 @@ func maskedMatVecColsRange(m *Mat, x Vec, active []bool, out Vec, lo, hi int) {
 		}
 		out[i] = s
 	}
+	return out
 }
 
 // MatVecSparse computes out = m · x using only the input coordinates listed
@@ -469,25 +389,18 @@ func MatVecSparse(m *Mat, x Vec, idx []int, out Vec) Vec {
 		panic("tensor: MatVecSparse out length mismatch")
 	}
 	out.Zero()
-	t := m.inputMajor()
-	if parallel.Procs() == 1 || m.Rows*len(idx) <= parallelFlops {
-		sparseAccum(t, x, 1, 0, idx, out, 0)
-		return out
-	}
-	parallel.For(m.Rows, rowGrain(len(idx)), func(lo, hi int) {
-		sparseAccum(t, x, 1, 0, idx, out[lo:hi], lo)
-	})
+	sparseAccum(m.inputMajor(), x, 1, 0, idx, out)
 	return out
 }
 
 // sparseAccum is the one sparse kernel, shared by MatVecSparse and
-// MatVecSparseBatch: acc[i] += Σ t[j][lo+i] · x[j·stride+first] over the
+// MatVecSparseBatch: acc[i] += Σ t[j][i] · x[j·stride+first] over the
 // units j of idx whose input is non-zero, where t is the input-major mirror.
 // Four units go through each pass over acc, so acc is loaded and stored once
 // per four contiguous mirror rows; within a pass the four terms are added one
 // after another, so every acc[i] receives its terms in idx order — the same
 // float32 sequence as a unit-at-a-time loop.
-func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float32, lo int) {
+func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float32) {
 	var off [4]int
 	var xv [4]float32
 	n := 0
@@ -496,7 +409,7 @@ func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float3
 		if v == 0 {
 			continue
 		}
-		off[n], xv[n] = j*t.Cols+lo, v
+		off[n], xv[n] = j*t.Cols, v
 		if n++; n < 4 {
 			continue
 		}

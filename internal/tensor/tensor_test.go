@@ -472,6 +472,63 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+func TestQuantileMatchesSortReference(t *testing.T) {
+	rng := NewRNG(7)
+	cases := [][]float32{
+		{3},
+		{1, 2},
+		{5, 5, 5, 5, 5}, // equal runs must not degrade quickselect
+		{0, 0, 0, 1, 2, 0, 0},
+	}
+	big := make([]float32, 4001)
+	for i := range big {
+		big[i] = rng.NormFloat32()
+	}
+	cases = append(cases, big)
+	zeros := make([]float32, 2000) // ReLU-style zero spike
+	for i := range zeros[:200] {
+		zeros[i] = rng.NormFloat32()
+	}
+	cases = append(cases, zeros)
+	for ci, vals := range cases {
+		for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.77, 0.999, 1} {
+			got := Quantile(vals, q)
+			want := sortQuantileRef(vals, q)
+			if got != want {
+				t.Fatalf("case %d q=%v: Quantile=%v, sort reference=%v", ci, q, got, want)
+			}
+		}
+	}
+}
+
+// sortQuantileRef is the original sort-based implementation, kept as the
+// reference the quickselect version must match bit-for-bit.
+func sortQuantileRef(values []float32, q float64) float32 {
+	if len(values) == 0 {
+		return 0
+	}
+	sorted := make([]float32, len(values))
+	copy(sorted, values)
+	for i := 1; i < len(sorted); i++ { // insertion sort: reference only
+		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	frac := float32(pos - float64(lo))
+	if lo+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
 func TestHistogram(t *testing.T) {
 	counts, edges := Histogram([]float32{0.1, 0.2, 0.9, -5, 99}, 2, 0, 1)
 	if len(edges) != 3 {
