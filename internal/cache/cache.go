@@ -385,13 +385,14 @@ func NewModelCache(policy Policy, caps, nunits [][sparsity.NumGroups]int) *Model
 	return mc
 }
 
-// Cached implements sparsity.CacheView.
-func (mc *ModelCache) Cached(layer int, g sparsity.GroupID, unit int) bool {
+// Resident implements sparsity.CacheView: the group's live residency slice,
+// nil for a group the scheme does not use.
+func (mc *ModelCache) Resident(layer int, g sparsity.GroupID) []bool {
 	gc := mc.groups[layer][g]
 	if gc == nil {
-		return false
+		return nil
 	}
-	return gc.Resident(unit)
+	return gc.resident
 }
 
 // AccessResult reports one token's traffic for one layer in units.

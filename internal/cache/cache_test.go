@@ -206,7 +206,7 @@ func TestModelCacheAccessAndView(t *testing.T) {
 	if res.MissUnits[sparsity.GroupUpGate] != 2 || res.MissUnits[sparsity.GroupDown] != 1 {
 		t.Fatalf("cold access result: %+v", res)
 	}
-	if !mc.Cached(0, sparsity.GroupUpGate, 1) || mc.Cached(1, sparsity.GroupUpGate, 1) {
+	if !mc.Resident(0, sparsity.GroupUpGate)[1] || mc.Resident(1, sparsity.GroupUpGate)[1] || mc.Resident(0, sparsity.GroupUpRows) != nil {
 		t.Fatal("CacheView residency wrong")
 	}
 	if mc.Occupancy() != 3 {

@@ -214,6 +214,7 @@ type Decoder struct {
 	// buffers serves every step without reallocation.
 	buf, out tensor.Vec
 	mlp      nn.MLPScratch
+	attn     nn.AttnBatchScratch
 }
 
 // NewDecoder returns a fresh decoding session.
@@ -256,7 +257,7 @@ func (d *Decoder) Step(id int) tensor.Vec {
 	buf := d.buf
 	for l, b := range d.m.Blocks {
 		b.Norm1.Apply(x, buf)
-		attnOut := b.Attn.Step(buf, d.caches[l])
+		attnOut := b.Attn.Step(buf, d.caches[l], &d.attn)
 		x.Add(attnOut)
 		b.Norm2.Apply(x, buf)
 		var out tensor.Vec

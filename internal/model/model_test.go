@@ -117,6 +117,23 @@ func TestDecoderMatchesForward(t *testing.T) {
 	}
 }
 
+// A warmed-up solo step allocates what outlives it and nothing else: per
+// layer the key and value the KV cache retains, plus the embedding copy the
+// residual stream is built on and the logits it returns. Attention's query,
+// context, scores and output come from the decoder's scratch.
+func TestDecoderStepAllocatesOnlyWhatItRetains(t *testing.T) {
+	cfg := tinyConfig()
+	m := New(cfg, 13)
+	dec := m.NewDecoder(nil)
+	for pos := 0; pos < 17; pos++ { // past a KV slice doubling; the next is at 32
+		dec.Step(pos % cfg.Vocab)
+	}
+	want := float64(2*cfg.Layers + 2)
+	if a := testing.AllocsPerRun(10, func() { dec.Step(3) }); a != want {
+		t.Fatalf("Decoder.Step allocates %v objects, want %v (K and V per layer, embedding, logits)", a, want)
+	}
+}
+
 func TestHookInvocationOrder(t *testing.T) {
 	m := New(tinyConfig(), 17)
 	ids := []int{1, 2, 3}

@@ -188,16 +188,30 @@ type KVCache struct {
 // Step runs attention for one new position given the cache, appends the new
 // key/value, and returns the attention output. It matches Forward exactly
 // (verified in tests), so perplexity measured incrementally equals the
-// teacher-forced value.
-func (a *Attention) Step(x tensor.Vec, cache *KVCache) tensor.Vec {
-	q := tensor.MatVec(a.Wq.P.W, x, nil)
-	k := tensor.MatVec(a.Wk.P.W, x, nil)
-	v := tensor.MatVec(a.Wv.P.W, x, nil)
-	cache.Ks = append(cache.Ks, k)
-	cache.Vs = append(cache.Vs, v)
-	cat := tensor.NewVec(a.NHeads * a.HeadDim)
-	a.attend(q, cache, cat, tensor.NewVec(len(cache.Ks)))
-	return tensor.MatVec(a.Wo.P.W, cat, nil)
+// teacher-forced value. The query, context, score and output buffers are
+// slot 0 of s — the buffers StepBatch uses for column 0 — so the returned
+// vector is valid until the next Step on s; nil allocates. The key and value
+// are retained by the cache and are the step's two allocations.
+func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch) tensor.Vec {
+	var local AttnBatchScratch
+	if s == nil {
+		s = &local
+	}
+	if len(s.slots) == 0 {
+		s.slots = make([]attnBatchSlot, 1)
+	}
+	sl, n := &s.slots[0], a.NHeads*a.HeadDim
+	sl.q = tensor.MatVec(a.Wq.P.W, x, tensor.Grow(sl.q, n))
+	cache.Ks = append(cache.Ks, tensor.MatVec(a.Wk.P.W, x, nil))
+	cache.Vs = append(cache.Vs, tensor.MatVec(a.Wv.P.W, x, nil))
+	sl.cat = tensor.Grow(sl.cat, n)
+	sl.cat.Zero()
+	if T := len(cache.Ks); cap(sl.scores) < T {
+		sl.scores = make(tensor.Vec, 2*T) // the history grows by one a step
+	}
+	a.attend(sl.q, cache, sl.cat, sl.scores[:len(cache.Ks)])
+	sl.out = tensor.MatVec(a.Wo.P.W, sl.cat, tensor.Grow(sl.out, a.Dim))
+	return sl.out
 }
 
 // attend is the per-session score → softmax → context loop of one decode

@@ -44,9 +44,10 @@ func (m *GLUMLP) ApplyBatch(xs, out *tensor.Mat, s *MLPBatchScratch) *tensor.Mat
 }
 
 // attnBatchSlot is one session's private buffers inside a fused attention
-// step: slot b is only ever touched by the goroutine handling column b.
+// step: slot b is only ever touched by the goroutine handling column b. out
+// is the single-session Step's output; StepBatch writes its caller's Mat.
 type attnBatchSlot struct {
-	q, cat, scores tensor.Vec
+	q, cat, scores, out tensor.Vec
 }
 
 // AttnBatchScratch holds the fused attention-step buffers for a batch of

@@ -290,7 +290,7 @@ func TestAttentionStepMatchesForward(t *testing.T) {
 	ys, _ := attn.Forward(xs)
 	cache := &KVCache{}
 	for t2, x := range xs {
-		y := attn.Step(x, cache)
+		y := attn.Step(x, cache, nil)
 		for i := range y {
 			if math.Abs(float64(y[i]-ys[t2][i])) > 1e-5 {
 				t.Fatalf("Step diverges from Forward at position %d", t2)

@@ -98,7 +98,7 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 	layers := len(zoo.m.Blocks)
 	kvBudget := float64(quantum * k * layers * 2)
 	// Measured at one worker: 96 objects per fused tick against a KV floor of
-	// 64 and 235 for the unfused tick (120 fused at two workers). The slack
+	// 64 and 108 for the unfused tick (120 fused at two workers). The slack
 	// over the floor is KV slice regrowth and cache-policy bookkeeping; the
 	// 112 the tick measured while DIP had its own batch path, which
 	// reallocated a score buffer twice per layer per step, is over budget.
@@ -113,9 +113,10 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 		}
 	}
 
-	// The same workload through the unfused tick must allocate several times
-	// more — the fusion satellite's whole point is that batch/slot scratch
-	// is reused across ticks instead of reallocated per session step.
+	// The same workload through the unfused tick allocates its own embedding
+	// copy and logits per session step on top of the KV floor (its attention
+	// scratch is the decoder's since Attention.Step takes one; it was 235
+	// objects a tick before), so the fused tick must not allocate more.
 	e2, err := NewEngine(zoo.m, Config{
 		System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: quantum, Seed: 1, NoFuse: true,
 	}, FixedBatch(requests(t, k,
@@ -136,7 +137,7 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 		e2.tickShared(active2)
 	}
 	unfused := testing.AllocsPerRun(5, func() { e2.tickShared(active2) })
-	if allocs*2 > unfused {
+	if allocs > unfused {
 		t.Fatalf("fused tick allocates %.0f objects, unfused %.0f — fusion no longer pays its way", allocs, unfused)
 	}
 }

@@ -35,6 +35,7 @@ package serving
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -399,6 +400,7 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		cfg.DegradeTicks = 4
 	}
 	var groups [sparsity.NumGroups]bool
+	var probed []sparsity.Scheme // the distinct scheme values seen so far
 	for i, r := range reqs {
 		if r.Scheme == nil {
 			return nil, fmt.Errorf("serving: request %d (%q) has no scheme", i, r.ID)
@@ -409,6 +411,10 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		if r.SLO.DeadlineTicks < 0 {
 			return nil, fmt.Errorf("serving: request %d (%q) has negative deadline %d", i, r.ID, r.SLO.DeadlineTicks)
 		}
+		if probedBefore(probed, r.Scheme) {
+			continue
+		}
+		probed = append(probed, r.Scheme)
 		used := hwsim.ProbeGroups(sparsity.Clone(r.Scheme), m)
 		for g := range groups {
 			groups[g] = groups[g] || used[g]
@@ -440,6 +446,22 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		e.shared = plan.NewCache(cfg.System.Policy)
 	}
 	return e, nil
+}
+
+// probedBefore reports whether s is one of probed: the same pointer, or an
+// equal value of a comparable type. Requests that share a scheme touch the
+// same weight groups, so one probe forward stands for all of them; a scheme
+// of a type == would panic on is probed every time.
+func probedBefore(probed []sparsity.Scheme, s sparsity.Scheme) bool {
+	if !reflect.TypeOf(s).Comparable() {
+		return false
+	}
+	for _, p := range probed {
+		if p == s {
+			return true
+		}
+	}
+	return false
 }
 
 // SharedCache returns the shared cache under ArbShared, else nil.

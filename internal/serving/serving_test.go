@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
+	"repro/internal/tensor"
 )
 
 // zoo holds one trained tiny model shared across the package's tests.
@@ -390,6 +392,57 @@ func TestEngineRejections(t *testing.T) {
 	}
 	if _, err := e.Run(); err == nil {
 		t.Fatal("second Run must be rejected")
+	}
+}
+
+// countingScheme is dense decoding that counts its Forwards. A pointer, so
+// requests can share one; not stateful, so Clone hands the same one back.
+type countingScheme struct{ forwards int }
+
+func (c *countingScheme) Name() string { return "counting" }
+func (c *countingScheme) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, v sparsity.CacheView) (tensor.Vec, sparsity.TokenAccess) {
+	c.forwards++
+	return sparsity.Dense{}.Forward(layer, x, mlp, v)
+}
+
+// sliceScheme is a scheme value == cannot compare (it would panic).
+type sliceScheme struct {
+	sparsity.Dense
+	forwards []int
+}
+
+func (s sliceScheme) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, v sparsity.CacheView) (tensor.Vec, sparsity.TokenAccess) {
+	s.forwards[0]++
+	return s.Dense.Forward(layer, x, mlp, v)
+}
+
+// NewEngine sizes the memory plan from one probe forward per distinct scheme
+// value, not per request: N requests sharing a scheme probe it once, in
+// whatever order a mix interleaves them, and the plan covers the union.
+func TestNewEngineProbesEachDistinctSchemeOnce(t *testing.T) {
+	trained(t)
+	a, b := &countingScheme{}, &countingScheme{}
+	uncomparable := sliceScheme{forwards: make([]int, 1)}
+	dip := sparsity.NewDIP(0.5)
+	reqs := requests(t, 12, func(i int) sparsity.Scheme {
+		return []sparsity.Scheme{a, b, sparsity.Dense{}, dip, uncomparable, a}[i%6]
+	}, func(int) int { return 1 })
+	e, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.forwards != 1 || b.forwards != 1 {
+		t.Fatalf("shared schemes probed %d and %d times over 12 requests, want once each", a.forwards, b.forwards)
+	}
+	if uncomparable.forwards[0] != 2 {
+		t.Fatalf("an uncomparable scheme value was probed %d times, want once per request (2)", uncomparable.forwards[0])
+	}
+	want, err := hwsim.NewPlan(zoo.m, sysCfg().Device, hwsim.PlanOpts{Groups: [sparsity.NumGroups]bool{true, true, true, true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(e.plan, want) {
+		t.Fatal("the plan is not the one over the union of dense's row groups and DIP's column groups")
 	}
 }
 

@@ -14,9 +14,18 @@ import (
 // cache-aware reweighting genuinely per-column.
 type parityView struct{ salt int }
 
-func (v parityView) Cached(layer int, _ GroupID, unit int) bool {
-	return (unit+layer+v.salt)%2 == 0
+func (v parityView) Resident(layer int, _ GroupID) []bool {
+	return parityUnits[(layer+v.salt)%2:]
 }
+
+// parityUnits[u] is true for even u; its tail from 1 is true for odd u.
+var parityUnits = func() []bool {
+	res := make([]bool, 1025)
+	for u := range res {
+		res[u] = u%2 == 0
+	}
+	return res
+}()
 
 func batchCols(vecs []tensor.Vec) *tensor.Mat {
 	m := tensor.NewMat(len(vecs[0]), len(vecs))

@@ -1,6 +1,8 @@
 package sparsity
 
 import (
+	"math"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -70,36 +72,57 @@ func (s *DIP) TargetDensity() float64 { return (2*s.RhoIn + s.RhoGLU) / 3 }
 // (used by the evaluation harness to reject invalid Belady replays).
 func (s *DIP) IsCacheAware() bool { return s.CacheAware && s.Gamma < 1 }
 
-// reweight applies Eq. 10 in place: s_i = |x_i|·(c_i + γ(1−c_i)) / ‖x‖∞.
-// The ‖x‖∞ normalization keeps γ comparable across tokens with different
-// dynamic ranges; it does not change the ranking for a fixed token but is
-// retained for fidelity with the paper (and because Figure 10's γ sweep
-// reports the normalized scores).
-func (s *DIP) reweight(scores tensor.Vec, layer int, group GroupID, cache CacheView) {
+// score writes one stage's ranking scores into dst: |src_i|, and under
+// cache-aware masking Eq. 10's s_i = |src_i|·(c_i + γ(1−c_i)) / ‖src‖∞ with
+// c read from the group's residency slice. The ‖src‖∞ normalization keeps γ
+// comparable across tokens with different dynamic ranges; it does not change
+// the ranking for a fixed token but is retained for fidelity with the paper
+// (and because Figure 10's γ sweep reports the normalized scores).
+func (s *DIP) score(src, dst tensor.Vec, layer int, group GroupID, cache CacheView) tensor.Vec {
 	if !s.CacheAware || s.Gamma >= 1 || cache == nil {
-		return
+		return absScores(src, dst)
 	}
-	norm := scores.MaxAbs()
+	var norm float32
+	for i, v := range src {
+		// |v| as absScores takes it (−0 stays −0), written on the bits so the
+		// sign test compiles to a conditional move, not a coin-flip branch.
+		b := math.Float32bits(v)
+		if v < 0 {
+			b &^= 1 << 31
+		}
+		a := math.Float32frombits(b)
+		if a > norm {
+			norm = a
+		}
+		dst[i] = a
+	}
 	if norm == 0 {
 		norm = 1
 	}
 	inv := 1 / norm
-	gamma := float32(s.Gamma)
-	for i := range scores {
-		w := gamma
-		if cache.Cached(layer, group, i) {
-			w = 1
+	// Indexed by residency, so the weight is a load and not a branch the
+	// cache state decides.
+	weight := [2]float32{float32(s.Gamma) * inv, inv}
+	resident := cache.Resident(layer, group)
+	resident = resident[:min(len(resident), len(dst))]
+	for i, r := range resident {
+		c := 0
+		if r {
+			c = 1
 		}
-		scores[i] *= w * inv
+		dst[i] *= weight[c]
 	}
+	for i := len(resident); i < len(dst); i++ {
+		dst[i] *= weight[0]
+	}
+	return dst
 }
 
 // Forward implements Scheme.
 func (s *DIP) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) (tensor.Vec, TokenAccess) {
 	dim, dff := mlp.Dim, mlp.DFF
 	// Stage 1: input pruning.
-	s.scoreIn = absScores(x, resize(s.scoreIn, dim))
-	s.reweight(s.scoreIn, layer, GroupUpGate, cache)
+	s.scoreIn = s.score(x, resize(s.scoreIn, dim), layer, GroupUpGate, cache)
 	kIn := keepCount(s.RhoIn, dim)
 	s.inIdx = tensor.TopKIndicesInto(s.scoreIn, kIn, &s.topk, s.inIdx)
 	// Stage 2: approximate GLU with pruned input columns.
@@ -112,8 +135,7 @@ func (s *DIP) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) 
 		s.h[i] = s.u[i] * mlp.Act.Apply(s.g[i])
 	}
 	// Stage 3: GLU pruning on the approximate activations.
-	s.scoreGLU = absScores(s.h, resize(s.scoreGLU, dff))
-	s.reweight(s.scoreGLU, layer, GroupDown, cache)
+	s.scoreGLU = s.score(s.h, resize(s.scoreGLU, dff), layer, GroupDown, cache)
 	kGLU := keepCount(s.RhoGLU, dff)
 	s.gluIdx = tensor.TopKIndicesInto(s.scoreGLU, kGLU, &s.topk, s.gluIdx)
 	s.y = resize(s.y, dim)

@@ -85,8 +85,10 @@ const (
 
 // GroupAccess records one group's usage for one token.
 type GroupAccess struct {
-	Kind  AccessKind
-	Units []int // valid when Kind == AccessSparse
+	Kind AccessKind
+	// Units, valid when Kind == AccessSparse, lists the units read in
+	// ascending order (a top-K selection or an in-order threshold sweep).
+	Units []int
 }
 
 // TokenAccess records the weight traffic of one MLP evaluation.
@@ -117,11 +119,13 @@ func (ta *TokenAccess) Density(dim, dff int) float64 {
 }
 
 // CacheView exposes the DRAM cache state to cache-aware schemes. A nil
-// CacheView (or one that always reports false) reduces DIP-CA to DIP.
+// CacheView reduces DIP-CA to DIP.
 type CacheView interface {
-	// Cached reports whether unit u of group g at the given layer currently
-	// resides in DRAM.
-	Cached(layer int, g GroupID, unit int) bool
+	// Resident returns the residency of group g at the given layer: element
+	// u is true while unit u resides in DRAM. The slice is the cache's own —
+	// read-only, current until the next access — and a nil or short slice
+	// means the units beyond it are not resident.
+	Resident(layer int, g GroupID) []bool
 }
 
 // Scheme computes a sparse MLP forward pass for single tokens.
@@ -130,10 +134,11 @@ type Scheme interface {
 	Name() string
 	// Forward computes the MLP output for x at the given layer and reports
 	// the weight units it read. cache may be nil; only cache-aware schemes
-	// consult it. The returned vector and the TokenAccess.Units lists may
-	// alias the scheme's scratch (DIP's do): they stay valid until the next
-	// Forward on the same scheme, so a caller that keeps them across calls
-	// copies them — the rule BatchScratch states for ForwardBatch.
+	// consult it. Every TokenAccess.Units list is ascending. The returned
+	// vector and the Units lists may alias the scheme's scratch (DIP's do):
+	// they stay valid until the next Forward on the same scheme, so a caller
+	// that keeps them across calls copies them — the rule BatchScratch states
+	// for ForwardBatch.
 	Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) (tensor.Vec, TokenAccess)
 }
 

@@ -3,6 +3,7 @@ package sparsity
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -245,8 +246,12 @@ func TestDIPApproximationImprovesWithDensity(t *testing.T) {
 // A fake cache view for DIP-CA tests.
 type fakeCache struct{ cached map[[3]int]bool }
 
-func (f *fakeCache) Cached(layer int, g GroupID, unit int) bool {
-	return f.cached[[3]int{layer, int(g), unit}]
+func (f *fakeCache) Resident(layer int, g GroupID) []bool {
+	res := make([]bool, 128)
+	for u := range res {
+		res[u] = f.cached[[3]int{layer, int(g), u}]
+	}
+	return res
 }
 
 func TestDIPCAPrefersCachedUnits(t *testing.T) {
@@ -298,6 +303,63 @@ func TestDIPCANilCacheEqualsDIP(t *testing.T) {
 	b, _ := NewDIP(0.5).Forward(0, x, mlp, nil)
 	if !vecClose(a, b, 1e-6) {
 		t.Fatal("DIP-CA with nil cache should equal DIP")
+	}
+}
+
+// Both stages hand out their units in ascending order, plain and
+// cache-aware, with and without a cache to read.
+func TestDIPForwardReturnsAscendingUnits(t *testing.T) {
+	mlp := newTestMLP(29, 32, 96, nn.ActSiLU)
+	fc := &fakeCache{cached: map[[3]int]bool{}}
+	for i := 0; i < 96; i += 3 {
+		fc.cached[[3]int{0, int(GroupUpGate), i % 32}] = true
+		fc.cached[[3]int{0, int(GroupDown), i}] = true
+	}
+	for _, s := range []*DIP{NewDIP(0.5), NewDIPCA(0.5, 0.2)} {
+		for _, view := range []CacheView{nil, fc} {
+			for tok := uint64(0); tok < 4; tok++ {
+				_, ta := s.Forward(0, randVec(60+tok, 32), mlp, view)
+				for _, g := range []GroupID{GroupUpGate, GroupDown} {
+					units := ta.Groups[g].Units
+					if len(units) == 0 || !sort.IntsAreSorted(units) {
+						t.Fatalf("%s cache=%v token %d %v: units %v, want a non-empty ascending list", s.Name(), view != nil, tok, g, units)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The one-pass score is Eq. 10 as the three passes it replaced computed it —
+// |x|, then ‖x‖∞, then ·(w·inv) — to the bit, −0 and an all-zero token
+// included, for resident, non-resident and out-of-slice units.
+func TestDIPScoreMatchesThreePassReference(t *testing.T) {
+	s := NewDIPCA(0.5, 0.2)
+	fc := &fakeCache{cached: map[[3]int]bool{{0, int(GroupDown), 1}: true, {0, int(GroupDown), 4}: true}}
+	negZero := float32(math.Copysign(0, -1))
+	for _, src := range []tensor.Vec{{-3, 0.5, negZero, 2, -0.25, 7, -7}, {0, negZero, 0}, randVec(61, 200)} {
+		want := absScores(src, nil)
+		var norm float32
+		for _, a := range want {
+			norm = max(norm, a)
+		}
+		if norm == 0 {
+			norm = 1
+		}
+		inv := 1 / norm
+		for i := range want {
+			w := float32(s.Gamma)
+			if fc.cached[[3]int{0, int(GroupDown), i}] {
+				w = 1
+			}
+			want[i] *= w * inv
+		}
+		got := s.score(src, tensor.NewVec(len(src)), 0, GroupDown, fc)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("score[%d] of %v = %v, three-pass reference %v", i, src, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -489,7 +551,7 @@ func TestKeepCount(t *testing.T) {
 }
 
 // DIP selects its units into scratch it owns: the lists must be the ones a
-// fresh scheme (fresh heap, fresh index slices) would return, in the same
+// fresh scheme (fresh key buffer, fresh index slices) would return, in the same
 // order, on every call; a clone must not share the buffers; and a warmed-up
 // Forward must not allocate.
 func TestDIPForwardReusesItsOwnTopKScratch(t *testing.T) {

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -121,8 +123,7 @@ func TestBatchKernelsMatchSingleRHSBitForBit(t *testing.T) {
 }
 
 // TopKIndicesInto must return the same indices in the same order as
-// TopKIndices — the order feeds sparse accumulation and cache access, so
-// it is part of the bit-for-bit contract, not a nicety.
+// TopKIndices, whatever the scratch and index buffer held before.
 func TestTopKIndicesIntoMatchesTopKIndices(t *testing.T) {
 	rng := NewRNG(7)
 	var scratch TopKScratch
@@ -143,16 +144,32 @@ func TestTopKIndicesIntoMatchesTopKIndices(t *testing.T) {
 			}
 			for i := range want {
 				if idx[i] != want[i] {
-					t.Fatalf("n=%d k=%d: index %d is %d, want %d (order matters)", n, k, i, idx[i], want[i])
+					t.Fatalf("n=%d k=%d: index %d is %d, want %d", n, k, i, idx[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// refTopKIndices is the selection as it stood before siftDownHV carried the
-// displaced entry: a swap at every level. Its final heap array is the
-// order every caller of TopKIndices has always seen.
+// hv and lessHV are the (value, index) entries and the order of the binary
+// min-heap TopKIndices selected with until it became a quickselect.
+type hv struct {
+	v float32
+	i int
+}
+
+func lessHV(a, b hv) bool {
+	if a.v != b.v {
+		return a.v < b.v
+	}
+	return a.i > b.i
+}
+
+// refTopKIndices is that heap selection, kept as the oracle for which indices
+// are selected: the k largest scores, the lower index on equal scores, +0
+// equal to −0. The order it returns them in (the heap's final array) is not
+// part of the contract any more. NaN-free input only — lessHV has no place
+// for a NaN.
 func refTopKIndices(score Vec, k int) []int {
 	n := len(score)
 	if k >= n {
@@ -203,11 +220,30 @@ func refTopKIndices(score Vec, k int) []int {
 	return idx
 }
 
-// The returned order is the heap's final array layout; it feeds sparse
-// accumulation and the eviction sequence, so the hole-moving sift must
-// leave exactly the array the swapping one did — on ties, zeros of both
-// signs, and every k from none to all.
-func TestTopKIndicesOrderMatchesSwapSiftReference(t *testing.T) {
+// checkTopKAgainstHeap holds TopKIndices(score, k) to its contract on
+// NaN-free scores: strictly ascending, and as a set exactly the heap's.
+func checkTopKAgainstHeap(t *testing.T, score Vec, k int) {
+	t.Helper()
+	got, want := TopKIndices(score, k), refTopKIndices(score, k)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d k=%d: %d indices, reference has %d", len(score), k, len(got), len(want))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			t.Fatalf("n=%d k=%d: position %d holds %d after %d, want strictly ascending", len(score), k, i, got[i], got[i-1])
+		}
+	}
+	sort.Ints(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("n=%d k=%d: %d-th selected index is %d, the heap selects %d", len(score), k, i, got[i], want[i])
+		}
+	}
+}
+
+// The selected set is the heap's and the order is ascending — on ties, zeros
+// of both signs, signed scores, and every k from none to all.
+func TestTopKIndicesSelectsHeapSetAscending(t *testing.T) {
 	rng := NewRNG(11)
 	negZero := float32(math.Copysign(0, -1))
 	for _, n := range []int{1, 2, 7, 64, 256, 768} {
@@ -227,17 +263,28 @@ func TestTopKIndicesOrderMatchesSwapSiftReference(t *testing.T) {
 					score[i] = float32(math.Abs(float64(v)))
 				}
 			}
-			for _, k := range []int{0, 1, n / 2, n - 1, n} {
-				got, want := TopKIndices(score, k), refTopKIndices(score, k)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d k=%d: %d indices, reference has %d", n, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d k=%d trial %d: position %d holds %d, reference %d", n, k, trial, i, got[i], want[i])
-					}
-				}
+			for k := 0; k <= n; k++ {
+				checkTopKAgainstHeap(t, score, k)
 			}
+		}
+	}
+}
+
+// k ≤ 0 hands the caller's buffer back empty instead of dropping it, and a
+// NaN is selected only once every number is.
+func TestTopKIndicesKeepsBufferAndRanksNaNLast(t *testing.T) {
+	buf := make([]int, 3, 8)
+	for _, k := range []int{0, -2} {
+		if got := TopKIndicesInto(Vec{1, 2, 3}, k, nil, buf); got == nil || len(got) != 0 || cap(got) != cap(buf) {
+			t.Fatalf("k=%d: got %v (cap %d), want the caller's buffer at length 0", k, got, cap(got))
+		}
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	score := Vec{nan, -inf, 2, nan, -1, inf}
+	for k, want := range [][]int{{}, {5}, {2, 5}, {2, 4, 5}, {1, 2, 4, 5}, {0, 1, 2, 4, 5}, {0, 1, 2, 3, 4, 5}} {
+		got := TopKIndices(score, k)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("k=%d of %v: selected %v, want %v", k, score, got, want)
 		}
 	}
 }

@@ -84,31 +84,26 @@ func LogSumExp(logits Vec) float64 {
 	return float64(maxv) + math.Log(sum)
 }
 
-// TopKIndices returns the indices of the k largest values of score, in no
-// particular order. k is clamped to [0, len(score)]. Ties are broken by
-// lower index to keep results deterministic. The selection is O(n log k)
-// via a binary min-heap over (value, index) pairs.
+// TopKIndices returns the indices of the k largest values of score in
+// ascending index order. k is clamped to [0, len(score)]; k ≤ 0 selects
+// nothing. Equal scores are kept lowest index first, with +0 and −0 equal;
+// a NaN ranks below every number (−Inf included) and NaNs tie with each
+// other. The selection is expected O(n): see TopKIndicesInto.
 func TopKIndices(score Vec, k int) []int {
 	return TopKIndicesInto(score, k, nil, nil)
 }
 
-// TopKScratch holds the reusable heap of TopKIndicesInto.
+// TopKScratch holds the reusable key buffer of TopKIndicesInto.
 type TopKScratch struct {
-	heap []hv
+	keys []uint32
 }
 
-// hv is one heap entry of the top-k selection.
-type hv struct {
-	v float32
-	i int
-}
-
-// TopKIndicesInto is TopKIndices with caller-owned storage: the selection
-// heap comes from s and the result is appended to idx[:0] (both may be nil
-// to allocate). The returned indices are identical — including order — to
-// TopKIndices on the same input, so per-token hot loops can drop the two
-// allocations per call without perturbing downstream accumulation or cache
-// access order.
+// TopKIndicesInto is TopKIndices with caller-owned storage: the selection's
+// working copy comes from s and the result is written over idx[:0] (both may
+// be nil to allocate; k ≤ 0 returns idx[:0], so a hot loop keeps its buffer).
+// Each score becomes a uint32 key of the same order, kthLargestKey finds the
+// k-th largest on the key copy, and one ascending sweep emits every index
+// whose key is above that threshold plus the lowest-indexed ties at it.
 func TopKIndicesInto(score Vec, k int, s *TopKScratch, idx []int) []int {
 	n := len(score)
 	if k >= n {
@@ -119,80 +114,81 @@ func TopKIndicesInto(score Vec, k int, s *TopKScratch, idx []int) []int {
 		return idx
 	}
 	if k <= 0 {
-		return nil
+		return idx[:0]
 	}
 	var local TopKScratch
 	if s == nil {
 		s = &local
 	}
-	// Min-heap of the current top-k: heap[0] is the smallest kept value.
-	if cap(s.heap) < k {
-		s.heap = make([]hv, k)
+	s.keys = grow(s.keys, n)
+	for i, v := range score {
+		s.keys[i] = orderKey(v)
 	}
-	heap := s.heap[:k]
-	for i := 0; i < k; i++ {
-		heap[i] = hv{score[i], i}
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDownHV(heap, i)
-	}
-	h0 := heap[0]
-	for i := k; i < n; i++ {
-		v := score[i]
-		// Inlined "heap[0] < candidate" (ties lose to the lower index, so a
-		// candidate with v == h0.v never displaces the root): this is the hot
-		// comparison — most elements lose to the current minimum and never
-		// touch the heap.
-		if v < h0.v || (v == h0.v && i > h0.i) {
-			continue
-		}
-		heap[0] = hv{v, i}
-		siftDownHV(heap, 0)
-		h0 = heap[0]
-	}
+	t, ties := kthLargestKey(s.keys, k)
 	idx = grow(idx, k)
-	for i, h := range heap {
-		idx[i] = h.i
+	for i, w := 0, 0; w < k; i++ {
+		key := orderKey(score[i])
+		idx[w] = i
+		if key != t {
+			w += above(key, t)
+		} else if ties > 0 {
+			ties--
+			w++
+		}
 	}
 	return idx
 }
 
-// lessHV orders heap entries: smaller value first, ties broken so the
-// higher index is "smaller" (loses, keeping results deterministic).
-func lessHV(a, b hv) bool {
-	if a.v != b.v {
-		return a.v < b.v
+// orderKey maps v to a uint32 ordered like the scores top-K ranks: key(a) <
+// key(b) exactly when a < b, −0 and +0 share a key, and every NaN gets key 0,
+// below −Inf's. A non-negative float gets its sign bit set; a negative one
+// has every bit flipped, so the larger magnitude is the smaller key.
+func orderKey(v float32) uint32 {
+	if v != v {
+		return 0
 	}
-	return a.i > b.i
+	b := math.Float32bits(v + 0) // −0 + 0 is +0
+	return b ^ (uint32(int32(b)>>31) | 1<<31)
 }
 
-// siftDownHV restores the min-heap property from pos downward. The displaced
-// entry is carried in a register and written once where it settles; the
-// comparisons are the ones a swap at every level would make, in the same
-// order, so the final array — which is the order TopKIndicesInto returns —
-// is the same.
-func siftDownHV(heap []hv, pos int) {
-	k := len(heap)
-	e := heap[pos]
+// above is 1 when a > b and 0 otherwise, without a branch.
+func above(a, b uint32) int { return int((uint64(b) - uint64(a)) >> 63) }
+
+// kthLargestKey returns the k-th largest of keys (1 ≤ k ≤ len(keys)) and how
+// many of the keys equal to it are among the k largest. keys is overwritten.
+// It is a three-way quickselect around a median-of-three pivot: one pass
+// counts the keys above and below the pivot, a second compacts the side the
+// k-th largest is on — or none when it is the pivot itself, which is how a
+// run of equal scores (ReLU's exact zeros) ends in one round. Both passes are
+// branch-free, so the cost does not depend on how predictable the scores are,
+// and every round removes at least the pivot.
+func kthLargestKey(keys []uint32, k int) (kth uint32, ties int) {
 	for {
-		l := 2*pos + 1
-		if l >= k {
-			break
+		x, y, z := keys[0], keys[len(keys)/2], keys[len(keys)-1]
+		p := max(min(x, y), min(max(x, y), z))
+		more, less := 0, 0
+		for _, c := range keys {
+			more += above(c, p)
+			less += above(p, c)
 		}
-		child, m := pos, e
-		if lessHV(heap[l], m) {
-			child, m = l, heap[l]
+		// flip = 0 keeps the keys above p; all-ones reverses the key order, so
+		// the same compaction keeps the keys below.
+		var flip uint32
+		if k > more {
+			equal := len(keys) - more - less
+			if k <= more+equal {
+				return p, k - more
+			}
+			k -= more + equal
+			flip = ^uint32(0)
 		}
-		if r := l + 1; r < k && lessHV(heap[r], m) {
-			child, m = r, heap[r]
+		w := 0
+		for _, c := range keys {
+			keys[w] = c
+			w += above(c^flip, p^flip)
 		}
-		if child == pos {
-			break
-		}
-		heap[pos] = m
-		pos = child
+		keys = keys[:w]
 	}
-	heap[pos] = e
 }
 
 // TopKAbsMask returns a boolean mask keeping the k largest-magnitude
@@ -218,101 +214,43 @@ func TopKAbsMask(x Vec, k int, scratch Vec) []bool {
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the values using linear
 // interpolation between order statistics. The input is not modified. The
-// order statistics are found by quickselect in expected O(n) rather than a
-// full sort; results are identical to the sort-based computation.
+// order statistics come from the selection top-K uses (expected O(n) rather
+// than a full sort); results are identical to the sort-based computation.
 func Quantile(values []float32, q float64) float32 {
 	n := len(values)
 	if n == 0 {
 		return 0
 	}
-	if q <= 0 {
-		m := values[0]
-		for _, v := range values[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	}
-	if q >= 1 {
-		m := values[0]
-		for _, v := range values[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	buf := make([]float32, n)
-	copy(buf, values)
-	pos := q * float64(n-1)
+	pos := min(max(q, 0), 1) * float64(n-1)
 	lo := int(pos)
-	frac := float32(pos - float64(lo))
-	a := selectKth(buf, lo)
-	if lo+1 >= n {
+	keys := make([]uint32, n)
+	for i, v := range values {
+		keys[i] = orderKey(v)
+	}
+	ka, _ := kthLargestKey(keys, n-lo) // the lo-th smallest
+	// The next order statistic is ka again when it repeats past position lo,
+	// else the smallest key above it.
+	atMost, next := 0, ^uint32(0)
+	for _, v := range values {
+		if k := orderKey(v); k <= ka {
+			atMost++
+		} else if k < next {
+			next = k
+		}
+	}
+	a, frac := keyValue(ka), float32(pos-float64(lo))
+	if lo+1 >= n || frac == 0 {
 		return a
 	}
-	// selectKth leaves buf[lo+1:] ≥ buf[lo], so the next order statistic is
-	// the minimum of the right partition.
-	b := buf[lo+1]
-	for _, v := range buf[lo+2:] {
-		if v < b {
-			b = v
-		}
+	if atMost > lo+1 {
+		next = ka
 	}
-	return a*(1-frac) + b*frac
+	return a*(1-frac) + keyValue(next)*frac
 }
 
-// selectKth partially orders buf so buf[k] holds the k-th smallest value,
-// with buf[:k] ≤ buf[k] ≤ buf[k+1:]. Iterative quickselect with
-// median-of-three Hoare partitioning (robust to runs of equal values, e.g.
-// the exact-zero spikes of ReLU activations).
-func selectKth(buf []float32, k int) float32 {
-	lo, hi := 0, len(buf)-1
-	for lo < hi {
-		j := hoarePartition(buf, lo, hi)
-		if k <= j {
-			hi = j
-		} else {
-			lo = j + 1
-		}
-	}
-	return buf[k]
-}
-
-// hoarePartition partitions buf[lo:hi+1] around a median-of-three pivot and
-// returns j such that buf[lo..j] ≤ pivot ≤ buf[j+1..hi].
-func hoarePartition(buf []float32, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if buf[mid] < buf[lo] {
-		buf[mid], buf[lo] = buf[lo], buf[mid]
-	}
-	if buf[hi] < buf[lo] {
-		buf[hi], buf[lo] = buf[lo], buf[hi]
-	}
-	if buf[hi] < buf[mid] {
-		buf[hi], buf[mid] = buf[mid], buf[hi]
-	}
-	pivot := buf[mid]
-	i, j := lo-1, hi+1
-	for {
-		for {
-			i++
-			if buf[i] >= pivot {
-				break
-			}
-		}
-		for {
-			j--
-			if buf[j] <= pivot {
-				break
-			}
-		}
-		if i >= j {
-			return j
-		}
-		buf[i], buf[j] = buf[j], buf[i]
-	}
+// keyValue is the float orderKey(v) came from (+0 for either zero).
+func keyValue(k uint32) float32 {
+	return math.Float32frombits(k ^ (uint32(int32(^k)>>31) | 1<<31))
 }
 
 // Histogram buckets values into nbins equal-width bins over [min, max] and

@@ -105,6 +105,32 @@ func TestSparseKernelMatchesOracleBitForBit(t *testing.T) {
 	}
 }
 
+// With an ascending unit list — what TopKIndices returns — every output of
+// MatVecSparse adds its terms in ascending-j order, which is the masked
+// product of Eq. 3 term for term. Zero-free inputs: the sparse kernel skips a
+// zero input where the masked one adds its ±0 product.
+func TestSortedSparseListIsTheMaskedProduct(t *testing.T) {
+	rng := NewRNG(37)
+	for _, sh := range [][2]int{{1, 1}, {5, 7}, {37, 13}, {96, 32}, {256, 768}} {
+		m := NewMat(sh[0], sh[1])
+		m.RandNorm(rng, 1)
+		x := NewVec(sh[1])
+		for j := range x {
+			x[j] = rng.NormFloat32() + 4
+		}
+		for _, k := range []int{0, 1, sh[1] / 2, sh[1]} {
+			idx := TopKIndices(x, k)
+			active := make([]bool, sh[1])
+			for _, j := range idx {
+				active[j] = true
+			}
+			if err := sameBits(MatVecSparse(m, x, idx, nil), MaskedMatVecCols(m, x, active, nil)); err != nil {
+				t.Fatalf("%dx%d k=%d: MatVecSparse%v (MaskedMatVecCols)", sh[0], sh[1], k, err)
+			}
+		}
+	}
+}
+
 // FuzzMatVecSparse decodes bytes into (shape, idx, x): two shape bytes, then
 // per unit one index byte and four value bytes (any bit pattern, so NaNs,
 // infinities, denormals and both zeros reach the kernel). Duplicate units are
@@ -143,6 +169,53 @@ func FuzzMatVecSparse(f *testing.F) {
 		}
 		if err := sameBits(got.Col(0, nil), NewVec(rows)); err != nil {
 			t.Fatalf("MatVecSparseBatch empty column 0 %v", err)
+		}
+	})
+}
+
+// FuzzTopKIndices decodes bytes into (k, scores): one byte of k, then four
+// bytes per score — any bit pattern, so NaNs, infinities, denormals, both
+// zeros and duplicates reach the selection. The result is always k-clamped in
+// length, strictly ascending and in range; on NaN-free input it is the heap's
+// set, and with NaNs no NaN is selected while a number is left out.
+func FuzzTopKIndices(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 0, 0, 0, 0, 0, 128})
+	f.Add([]byte{3, 0, 0, 192, 127, 0, 0, 128, 255, 0, 0, 128, 127, 1, 0, 0, 0, 0, 0, 192, 255, 219, 15, 73, 64})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := int(int8(data[0]))
+		var score Vec
+		hasNaN := false
+		for data = data[1:]; len(data) >= 4; data = data[4:] {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(data))
+			hasNaN = hasNaN || v != v
+			score = append(score, v)
+		}
+		if !hasNaN {
+			checkTopKAgainstHeap(t, score, k)
+			return
+		}
+		got := TopKIndices(score, k)
+		if want := min(max(k, 0), len(score)); len(got) != want {
+			t.Fatalf("k=%d of %d scores: %d indices, want %d", k, len(score), len(got), want)
+		}
+		selected := make([]bool, len(score))
+		for i, j := range got {
+			if j < 0 || j >= len(score) || (i > 0 && got[i-1] >= j) {
+				t.Fatalf("k=%d: selection %v is not ascending inside [0, %d)", k, got, len(score))
+			}
+			selected[j] = true
+		}
+		nanIn, numberOut := false, false
+		for j, v := range score {
+			nanIn = nanIn || (selected[j] && v != v)
+			numberOut = numberOut || (!selected[j] && v == v)
+		}
+		if nanIn && numberOut {
+			t.Fatalf("k=%d of %v: %v selects a NaN and leaves a number out", k, score, got)
 		}
 	})
 }

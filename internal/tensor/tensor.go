@@ -91,22 +91,6 @@ func (v Vec) Norm2() float32 {
 	return float32(math.Sqrt(s))
 }
 
-// MaxAbs returns the maximum absolute value in v (the L∞ norm). It returns
-// 0 for an empty vector.
-func (v Vec) MaxAbs() float32 {
-	var m float32
-	for _, x := range v {
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of the elements of v in float64 precision.
 func (v Vec) Sum() float64 {
 	var s float64

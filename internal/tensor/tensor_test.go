@@ -109,12 +109,6 @@ func TestVecOps(t *testing.T) {
 	if v[1] != 4 {
 		t.Fatalf("Scale wrong: %v", v)
 	}
-	if got := (Vec{-3, 2}).MaxAbs(); got != 3 {
-		t.Fatalf("MaxAbs = %v", got)
-	}
-	if got := (Vec{}).MaxAbs(); got != 0 {
-		t.Fatalf("MaxAbs empty = %v", got)
-	}
 	if got := (Vec{3, 4}).Norm2(); math.Abs(float64(got)-5) > 1e-6 {
 		t.Fatalf("Norm2 = %v", got)
 	}
