@@ -177,9 +177,10 @@ func serveBench(b *testing.B, noFuse bool) {
 // session's DIP-CA MLP runs per column.
 func BenchmarkServeBatched(b *testing.B) { serveBench(b, false) }
 
-// BenchmarkServeUnbatched is the same workload through the per-session
-// path (each session steps independently) — the PR 3 baseline the fused
-// path is measured against.
+// BenchmarkServeUnbatched is the same workload with Config.NoFuse: the same
+// decode loop, each sub-step advancing every session with its own Step,
+// fanned out over the worker pool — the per-session baseline the fused step
+// is measured against.
 func BenchmarkServeUnbatched(b *testing.B) { serveBench(b, true) }
 
 // BenchmarkFig2Trends regenerates the Figure-2 trend fits.

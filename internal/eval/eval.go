@@ -44,7 +44,9 @@ func (d *DensityAccumulator) Mean() float64 {
 // HookOpts couples optional instrumentation into a scheme hook.
 type HookOpts struct {
 	// Cache, when set, is accessed per (layer, token) and exposed to
-	// cache-aware schemes.
+	// cache-aware schemes. Cache and Meter serve text generation
+	// (examples/ondevice), which a teacher-forced Stream cannot drive; a
+	// cache-coupled evaluation of a fixed token stream is a Stream.
 	Cache *cache.ModelCache
 	// Meter, when set, accumulates transfer costs (BeginToken fires on
 	// each layer-0 call).

@@ -38,7 +38,7 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 		s := sparsity.NewDIP(density)
 		groups := hwsim.ProbeGroups(s, m)
 		// Uniform baseline.
-		uni, err := runPlanned(l, m, s, test, win, groups, nil)
+		uni, err := runPlanned(m, s, test, win, groups, nil)
 		if err != nil {
 			return err
 		}
@@ -49,7 +49,7 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 			m.Forward(test[start:start+win], recHook)
 		}
 		weights := hwsim.LayerWeightsFromTrace(rec, len(m.Blocks))
-		wtd, err := runPlanned(l, m, s, test, win, groups, weights)
+		wtd, err := runPlanned(m, s, test, win, groups, weights)
 		if err != nil {
 			return err
 		}
@@ -68,10 +68,11 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 	return []*Table{out}, nil
 }
 
-// runPlanned evaluates a scheme under a custom plan (optionally with
-// non-uniform layer weights applied).
-func runPlanned(l *Lab, m *model.Model, s sparsity.Scheme, test []int, win int, groups [sparsity.NumGroups]bool, weights []float64) (eval.Point, error) {
-	plan, err := hwsim.NewPlan(m, hwsim.A18Like(), hwsim.PlanOpts{Groups: groups})
+// runPlanned evaluates a scheme as a cache-coupled stream under a custom
+// plan (optionally with non-uniform layer weights applied).
+func runPlanned(m *model.Model, s sparsity.Scheme, test []int, win int, groups [sparsity.NumGroups]bool, weights []float64) (eval.Point, error) {
+	dev := hwsim.A18Like()
+	plan, err := hwsim.NewPlan(m, dev, hwsim.PlanOpts{Groups: groups})
 	if err != nil {
 		return eval.Point{}, err
 	}
@@ -80,14 +81,12 @@ func runPlanned(l *Lab, m *model.Model, s sparsity.Scheme, test []int, win int, 
 			return eval.Point{}, err
 		}
 	}
-	mc := plan.NewCache(cache.PolicyLFU)
-	meter := plan.NewMeter()
-	acc := eval.NewDensityAccumulator(m)
-	hook := eval.Hook(m, s, eval.HookOpts{Cache: mc, Meter: meter, Density: acc})
-	ppl := model.Perplexity(m, test, win, hook)
-	st := mc.TotalStats()
-	return eval.Point{
-		Scheme: s.Name(), Density: acc.Mean(), PPL: ppl,
-		Throughput: meter.Throughput(), HitRate: st.HitRate(), LatencyS: meter.Latency(),
-	}, nil
+	st, err := eval.NewStreamWith(m, s, test, eval.SystemConfig{Device: dev, Policy: cache.PolicyLFU, Win: win},
+		eval.StreamOpts{Plan: plan, Cache: plan.NewCache(cache.PolicyLFU)})
+	if err != nil {
+		return eval.Point{}, err
+	}
+	for st.Step() {
+	}
+	return st.Point(), nil
 }

@@ -28,7 +28,6 @@ type DecodeBatch struct {
 	logits *tensor.Mat  // Vocab × B
 	kvs    []*nn.KVCache
 	attn   nn.AttnBatchScratch
-	mlp    nn.MLPBatchScratch
 }
 
 // ensure sizes the arena for a batch of width B over model m.
@@ -55,13 +54,13 @@ func (s *DecodeBatch) ensure(m *Model, B int) {
 // returns the next-token logits as the columns of a Vocab × B matrix owned
 // by the arena (valid until the next StepBatch on the same arena). Each
 // decoder keeps its own KV caches and position; the shared work — the
-// attention projections, the dense MLP (or the batched hook), and the
-// output head — runs as multi-RHS kernels that walk each weight matrix once
-// for the whole batch.
+// attention projections and the output head — runs as multi-RHS kernels
+// that walk each weight matrix once for the whole batch, and the MLP is
+// hook's (sparsity.ForwardBatch fuses the dense one the same way).
 //
-// The per-decoder MLPHook installed by NewDecoder is NOT consulted: hook
-// replaces it for the whole batch (pass nil for the dense model). Apart
-// from that substitution, StepBatch is bit-identical per column to calling
+// The per-decoder MLPHook installed by NewDecoder is NOT consulted: hook is
+// required and replaces it for the whole batch. Apart from that
+// substitution, StepBatch is bit-identical per column to calling
 // decs[b].Step(ids[b]) independently — same KV appends, same accumulation
 // orders — which is what makes the serving engine's fused and per-session
 // paths interchangeable.
@@ -98,11 +97,7 @@ func (m *Model) StepBatch(decs []*Decoder, ids []int, hook BatchMLPHook, s *Deco
 			blk.Norm2.Apply(s.x[b], s.buf)
 			s.xn.SetCol(b, s.buf)
 		}
-		if hook != nil {
-			hook(l, s.xn, s.mOut)
-		} else {
-			blk.MLP.ApplyBatch(s.xn, s.mOut, &s.mlp)
-		}
+		hook(l, s.xn, s.mOut)
 		for b := range decs {
 			s.mOut.AddColTo(b, s.x[b])
 		}

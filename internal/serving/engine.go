@@ -307,59 +307,31 @@ func deadlineOf(arriveTick int, slo SLO) int {
 	return arriveTick + slo.DeadlineTicks
 }
 
-// tickPartitioned advances each active session by up to Quantum tokens.
-// Partitioned sessions share no mutable state — each owns its scheme clone,
-// decoder, cache, and meter — so the batch fans out over the worker pool
-// and per-session results cannot depend on scheduling. A session that
-// drains mid-quantum records the 1-based sub-step it drained on: every
-// session's q-th step of a tick is sub-step q in all three tick paths, so
-// the offset is bit-identical fused or not.
-func (e *Engine) tickPartitioned(active []*Session) {
-	parallel.For(len(active), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := active[i]
-			for q := 1; q <= e.cfg.Quantum; q++ {
-				if !s.stream.Step() {
-					break
-				}
-				if s.stream.Done() {
-					s.finishSub = q
-					break
-				}
-			}
-		}
-	})
-}
-
-// tickFused advances the active batch by the token quantum through the
-// fused multi-RHS decode path: each sub-step collects the unfinished slots
-// in slot order and issues one eval.BatchStep, which walks every weight
-// matrix once for the whole batch instead of once per session. Under
-// ArbShared the buffered accesses are then committed serially in slot order
-// — the same deterministic interleaving as tickShared — while partitioned
-// sessions apply their accesses to their private caches inside the fused
-// step. Either way the per-session outputs, cache traffic, and meters are
-// bit-identical to the unfused ticks (enforced by the fuse tests).
-func (e *Engine) tickFused(active []*Session) {
-	for q := 0; q < e.cfg.Quantum; q++ {
+// decode advances the active batch by the token quantum in lockstep
+// sub-steps. Sub-step q collects the unfinished sessions in slot order and
+// advances each by one token: through one fused eval.BatchStep, which walks
+// every weight matrix once for the whole batch, or — under NoFuse, and for a
+// lone session, where there is nothing to fuse — through each stream's own
+// Step, fanned out over the worker pool (partitioned sessions share no
+// mutable state, and deferred ones only read the shared cache). Under
+// ArbShared the buffered accesses are then committed serially in slot order,
+// so the shared cache sees one deterministic interleaving for any worker
+// count; partitioned sessions apply theirs to their private caches inside
+// the step. Either advance is bit-identical to the other (the fuse tests pin
+// it). A session that drains records q, its 1-based finish sub-step.
+func (e *Engine) decode(active []*Session) {
+	for q := 1; q <= e.cfg.Quantum; q++ {
 		e.batch = e.batch[:0]
-		e.batchSess = e.batchSess[:0]
 		for _, s := range active {
 			if !s.stream.Done() {
 				e.batch = append(e.batch, s.stream)
-				e.batchSess = append(e.batchSess, s)
 			}
 		}
 		if len(e.batch) == 0 {
 			return
 		}
-		if len(e.batch) == 1 {
-			// A one-session "batch" has nothing to fuse — the multi-RHS
-			// gather/scatter would be pure overhead. Both paths are
-			// bit-identical (the fuse tests pin it), so degenerate batches
-			// take the single-stream step. Common under open-loop workloads
-			// whose arrival gaps drain the batch.
-			e.batch[0].Step()
+		if e.cfg.NoFuse || len(e.batch) == 1 {
+			parallel.ForWorker(len(e.batch), 1, e.stepEach)
 		} else {
 			eval.BatchStep(e.batch, &e.arena)
 		}
@@ -368,34 +340,13 @@ func (e *Engine) tickFused(active []*Session) {
 				st.Commit()
 			}
 		}
-		for _, s := range e.batchSess {
-			if s.stream.Done() {
-				s.finishSub = q + 1
-			}
-		}
-	}
-}
-
-// tickShared advances the batch in lockstep sub-steps: every sub-step
-// computes all sessions' token forwards in parallel — reading the shared
-// cache's state as of the previous commit — then applies their buffered
-// accesses serially in slot order. The shared cache therefore sees one
-// deterministic interleaving for a fixed admission order, independent of
-// worker count, and the parallel phase never races the serial writes.
-func (e *Engine) tickShared(active []*Session) {
-	for q := 0; q < e.cfg.Quantum; q++ {
-		parallel.For(len(active), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				// Each worker owns a disjoint session range, so recording
-				// the finish sub-step here cannot race.
-				s := active[i]
-				if s.stream.Step() && s.stream.Done() {
-					s.finishSub = q + 1
-				}
-			}
-		})
 		for _, s := range active {
-			s.stream.Commit()
+			// Done and not yet stamped: drained on this sub-step — unless it
+			// never stepped at all (a request shorter than one window), which
+			// keeps sub-step 0.
+			if s.finishSub == 0 && s.stream.Done() && s.stream.Decoded() > 0 {
+				s.finishSub = q
+			}
 		}
 	}
 }

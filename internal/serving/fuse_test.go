@@ -61,6 +61,39 @@ func TestFusedEngineMatchesPerSessionEngineBitForBit(t *testing.T) {
 	}
 }
 
+// steadyDecodeAllocs admits k long DIP-CA sessions straight into a shared-
+// cache engine, warms the arenas and KV capacity, and returns the objects one
+// steady-state decode of the batch allocates.
+func steadyDecodeAllocs(t *testing.T, k, quantum int, noFuse bool) float64 {
+	t.Helper()
+	e, err := NewEngine(zoo.m, Config{
+		System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: quantum, Seed: 1, NoFuse: noFuse,
+	}, FixedBatch(requests(t, k,
+		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
+		func(int) int { return 6 }))) // long enough to stay active throughout
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := make([]*Session, 0, k)
+	for i := range e.reqs {
+		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
+		if err := e.admit(sess, 0, i); err != nil {
+			t.Fatal(err)
+		}
+		active = append(active, sess)
+	}
+	for i := 0; i < 3; i++ {
+		e.decode(active)
+	}
+	allocs := testing.AllocsPerRun(5, func() { e.decode(active) })
+	for _, s := range active {
+		if s.stream.Done() {
+			t.Fatal("measurement ran off the end of a stream; lengthen the requests")
+		}
+	}
+	return allocs
+}
+
 // The fused tick's steady-state allocations: everything engine-side is
 // reused across ticks, so the only per-tick allocations are the KV-cache
 // entries every decoder inherently appends (two per layer per stream per
@@ -74,31 +107,10 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 	defer parallel.SetProcs(parallel.Procs())
 	parallel.SetProcs(1)
 	const k, quantum = 4, 4
-	reqs := requests(t, k,
-		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
-		func(int) int { return 6 }) // long enough to stay active throughout
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: quantum, Seed: 1,
-	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := make([]*Session, 0, k)
-	for i := range reqs {
-		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
-		if err := e.admit(sess, 0, i); err != nil {
-			t.Fatal(err)
-		}
-		active = append(active, sess)
-	}
-	for i := 0; i < 3; i++ { // warm the arenas and KV capacity
-		e.tickFused(active)
-	}
-	allocs := testing.AllocsPerRun(5, func() { e.tickFused(active) })
-	layers := len(zoo.m.Blocks)
-	kvBudget := float64(quantum * k * layers * 2)
+	allocs := steadyDecodeAllocs(t, k, quantum, false)
+	kvBudget := float64(quantum * k * len(zoo.m.Blocks) * 2)
 	// Measured at one worker: 96 objects per fused tick against a KV floor of
-	// 64 and 108 for the unfused tick (120 fused at two workers). The slack
+	// 64 and 100 with NoFuse (120 fused at two workers). The slack
 	// over the floor is KV slice regrowth and cache-policy bookkeeping; the
 	// 112 the tick measured while DIP had its own batch path, which
 	// reallocated a score buffer twice per layer per step, is over budget.
@@ -107,37 +119,34 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 		t.Fatalf("fused steady-state tick allocates %.0f objects, budget %.0f (KV floor %.0f)",
 			allocs, budget, kvBudget)
 	}
-	for _, s := range active {
-		if s.stream.Done() {
-			t.Fatal("measurement ran off the end of a stream; lengthen the requests")
-		}
-	}
 
-	// The same workload through the unfused tick allocates its own embedding
-	// copy and logits per session step on top of the KV floor (its attention
-	// scratch is the decoder's since Attention.Step takes one; it was 235
-	// objects a tick before), so the fused tick must not allocate more.
-	e2, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: quantum, Seed: 1, NoFuse: true,
-	}, FixedBatch(requests(t, k,
-		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
-		func(int) int { return 6 })))
-	if err != nil {
-		t.Fatal(err)
-	}
-	active2 := make([]*Session, 0, k)
-	for i := range e2.reqs {
-		sess := &Session{ID: e2.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
-		if err := e2.admit(sess, 0, i); err != nil {
-			t.Fatal(err)
-		}
-		active2 = append(active2, sess)
-	}
-	for i := 0; i < 3; i++ {
-		e2.tickShared(active2)
-	}
-	unfused := testing.AllocsPerRun(5, func() { e2.tickShared(active2) })
-	if allocs > unfused {
+	// The same workload with NoFuse steps each session on its own, which
+	// allocates its own embedding copy and logits per session step on top of
+	// the KV floor (its attention scratch is the decoder's), so the fused
+	// tick must not allocate more.
+	if unfused := steadyDecodeAllocs(t, k, quantum, true); allocs > unfused {
 		t.Fatalf("fused tick allocates %.0f objects, unfused %.0f — fusion no longer pays its way", allocs, unfused)
+	}
+}
+
+// serve-overload's production path: at open-loop load the batch is mostly a
+// lone session, which decode advances through the stream's own Step with an
+// inline, allocation-free worker-pool dispatch. The engine must add nothing
+// to what that Step allocates per token — the two KV entries per layer plus
+// its embedding copy and logits — fused or not. Quantum 8 is the engine
+// default; the three warm-up ticks and AllocsPerRun's own warm-up call fill
+// the first 32-token window, so the KV slices have reached their capacity.
+func TestLoneSessionDecodeAllocatesOnlyTheStreamStep(t *testing.T) {
+	trained(t)
+	defer parallel.SetProcs(parallel.Procs())
+	parallel.SetProcs(1)
+	const quantum = 8
+	kvFloor := quantum * len(zoo.m.Blocks) * 2
+	budget := float64(kvFloor + 2*quantum)
+	for _, noFuse := range []bool{false, true} {
+		if allocs := steadyDecodeAllocs(t, 1, quantum, noFuse); allocs > budget {
+			t.Fatalf("noFuse=%v: one-session decode allocates %.0f objects, budget %.0f (KV floor %d)",
+				noFuse, allocs, budget, kvFloor)
+		}
 	}
 }

@@ -329,6 +329,47 @@ func TestFinishSubStepDeQuantizesTurnaround(t *testing.T) {
 	}
 }
 
+// A request shorter than one evaluation window has no tokens to decode: its
+// stream is done before it ever steps, so it reports sub-step 0 and an
+// integral finish, fused and per-session — even while it shares the batch
+// with a session that does step, so the decode loop runs its sub-steps.
+func TestNeverSteppedStreamKeepsSubStepZero(t *testing.T) {
+	trained(t)
+	for _, noFuse := range []bool{false, true} {
+		reqs := requests(t, 2,
+			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
+			func(int) int { return 1 })
+		reqs[1].Tokens = reqs[1].Tokens[:10]
+		e, err := NewEngine(zoo.m, Config{
+			System: sysCfg(), Arb: ArbShared, MaxActive: 2, Quantum: 4, Seed: 1, NoFuse: noFuse,
+		}, FixedBatch(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, sm := range rep.Sessions {
+			if sm.ID != reqs[1].ID {
+				continue
+			}
+			found = true
+			if sm.Decoded != 0 || sm.Outcome != OutcomeOK {
+				t.Fatalf("noFuse=%v: short request should finish without decoding: %+v", noFuse, sm)
+			}
+			if sm.FinishSubStep != 0 || sm.FinishTime != float64(sm.FinishTick) {
+				t.Fatalf("noFuse=%v: never-stepped stream reports sub-step %d, finish time %v at tick %d; want 0 and an integral finish",
+					noFuse, sm.FinishSubStep, sm.FinishTime, sm.FinishTick)
+			}
+		}
+		if !found {
+			t.Fatalf("noFuse=%v: short request %q missing from the report", noFuse, reqs[1].ID)
+		}
+	}
+}
+
 func TestParsePreemptor(t *testing.T) {
 	for _, p := range Preemptors() {
 		got, err := ParsePreemptor(p.Name())

@@ -12,11 +12,11 @@
 // refills a slot the moment its session finishes; and a pluggable
 // Preemptor (none, deadline, prio) may suspend a running session whose
 // pressure a queued entry strictly outranks, resuming its retained stream
-// later (see Preemptor). Each tick the engine fans
-// the active batch out over the shared worker pool and advances every
-// session by a token quantum through eval.Stream — the same per-token
-// machinery SystemEvaluate uses, so a session evaluated alone is
-// bit-identical to a solo SystemEvaluate run.
+// later (see Preemptor). Each tick the engine advances every active session
+// by a token quantum in lockstep sub-steps, one fused multi-session step per
+// token, through eval.Stream — the same per-token machinery SystemEvaluate
+// uses, so a session evaluated alone is bit-identical to a solo
+// SystemEvaluate run.
 //
 // Cache arbitration (see ArbPolicy) decides how the plan's DRAM cache
 // budget is split across concurrent sessions: over-committed per-session
@@ -98,12 +98,11 @@ type Config struct {
 	// Seed drives the same-tick arrival shuffle. Fixed seed ⇒ fixed
 	// admission tiebreaks ⇒ bit-identical outputs and cache statistics.
 	Seed uint64
-	// NoFuse disables the fused multi-RHS decode path and falls back to
-	// stepping each session independently. The default (fused) tick
-	// collects the active slots and issues one batched step per token
-	// sub-quantum, walking every weight matrix once for the whole batch.
-	// Reports are bit-identical either way (enforced in tests); the flag
-	// exists to measure the fusion win and to pin the equivalence in CI.
+	// NoFuse advances each session with its own Step inside the one decode
+	// loop — the reference the bit-identity suites and bench/ compare the
+	// fused step against. By default each token sub-step of a multi-session
+	// batch is one fused step that walks every weight matrix once for the
+	// whole batch. Reports are bit-identical either way (enforced in tests).
 	NoFuse bool
 
 	// Faults injects seeded failures into the engine loop (nil = reliable
@@ -338,11 +337,11 @@ type Engine struct {
 	obs *obs.Recorder
 
 	// Per-tick scratch, reused across the run so steady-state ticks do not
-	// allocate engine-side: the fused-step batch (streams plus their
-	// sessions, for sub-quantum finish accounting) and arena.
-	arena     eval.BatchArena
-	batch     []*eval.Stream
-	batchSess []*Session
+	// allocate engine-side: the sub-step's streams, the fused step's arena,
+	// and the per-session step decode fans batch out with.
+	arena    eval.BatchArena
+	batch    []*eval.Stream
+	stepEach func(worker, lo, hi int)
 }
 
 // NewEngine validates the configuration and lays out the shared memory
@@ -436,11 +435,15 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 	}
 	e := &Engine{
 		m: m, cfg: cfg, w: w, reqs: reqs, plan: plan,
-		obs:       cfg.Obs,
-		retry:     cfg.Retry.WithDefaults(),
-		sessions:  make([]*Session, len(reqs)),
-		batch:     make([]*eval.Stream, 0, cfg.MaxActive),
-		batchSess: make([]*Session, 0, cfg.MaxActive),
+		obs:      cfg.Obs,
+		retry:    cfg.Retry.WithDefaults(),
+		sessions: make([]*Session, len(reqs)),
+		batch:    make([]*eval.Stream, 0, cfg.MaxActive),
+	}
+	e.stepEach = func(_, lo, hi int) {
+		for _, st := range e.batch[lo:hi] {
+			st.Step()
+		}
 	}
 	if cfg.Arb == ArbShared {
 		e.shared = plan.NewCache(cfg.System.Policy)

@@ -194,9 +194,10 @@ func TraceWorkload(entries []TraceEntry, b TraceBinder) (Workload, error) {
 		if e.Tokens <= 0 {
 			return nil, fmt.Errorf("serving: trace entry %q: tokens must be positive, got %d", e.ID, e.Tokens)
 		}
-		if e.Start < 0 || e.Start+e.Tokens > len(b.Corpus) {
-			return nil, fmt.Errorf("serving: trace entry %q: tokens [%d:%d) outside corpus of %d",
-				e.ID, e.Start, e.Start+e.Tokens, len(b.Corpus))
+		// Compared without adding: Start+Tokens can overflow an int.
+		if e.Start < 0 || e.Start > len(b.Corpus)-e.Tokens {
+			return nil, fmt.Errorf("serving: trace entry %q: %d tokens from start %d outside corpus of %d",
+				e.ID, e.Tokens, e.Start, len(b.Corpus))
 		}
 		scheme, err := b.Scheme(e.Scheme)
 		if err != nil {

@@ -144,6 +144,16 @@ func TestTraceWorkloadReplay(t *testing.T) {
 			t.Fatalf("%s: expected error", tc.name)
 		}
 	}
+	// A start so large that start+tokens wraps negative must be rejected by
+	// name, not pass the bounds check and panic slicing the corpus.
+	wrap, err := ParseTrace(strings.NewReader("id,tick,tokens,start\nx,0,1,9223372036854775807\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TraceWorkload(wrap, testBinder(t)); err == nil || !strings.Contains(err.Error(), `trace entry "x"`) ||
+		!strings.Contains(err.Error(), "outside corpus") {
+		t.Fatalf("overflowing start should be a named error, got %v", err)
+	}
 }
 
 // A buggy workload (out-of-range or duplicate indices) must fail loudly,
