@@ -6,7 +6,7 @@
 //	dipbench -exp tab1                # one experiment at paper scale
 //	dipbench -exp all -out results/   # everything, one file per experiment
 //	dipbench -exp tab2 -scale test    # fast miniature run
-//	dipbench -exp tab1 -ckpt ckpts/   # reuse checkpoints from diptrain
+//	dipbench -exp tab1 -ckpt ckpts/   # checkpoints written by the first run that trains them
 //	dipbench -exp tab2 -procs 1       # pin the worker pool (serial run)
 //	dipbench -exp tab2 -cpuprofile cpu.out -memprofile mem.out
 //	dipbench -serve                   # serving grid: workload × scheduler × arbitration
@@ -89,7 +89,7 @@ func run() int {
 		exp        = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		scale      = flag.String("scale", "paper", "paper | test")
-		ckpt       = flag.String("ckpt", "", "checkpoint directory (shared with diptrain)")
+		ckpt       = flag.String("ckpt", "", "checkpoint directory (written by the first run that trains them)")
 		outDir     = flag.String("out", "", "write each experiment's tables to <out>/<id>.txt as well as stdout")
 		csvOut     = flag.Bool("csv", false, "also write <out>/<id>-<table>.csv for plotting")
 		verbose    = flag.Bool("v", true, "log lab progress to stderr")

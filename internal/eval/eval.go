@@ -1,6 +1,6 @@
 // Package eval is the measurement harness: it wires a sparsity scheme into
-// a model's MLP hook — optionally coupled to the DRAM cache simulator and
-// transfer-cost meter — and reports the paper's three KPIs: model quality
+// a model's MLP hook — or into a Stream coupled to the DRAM cache simulator
+// and transfer-cost meter — and reports the paper's three KPIs: model quality
 // (perplexity, multiple-choice accuracy), memory (measured MLP density),
 // and throughput (simulated tokens/second).
 package eval
@@ -41,16 +41,10 @@ func (d *DensityAccumulator) Mean() float64 {
 	return d.sum / float64(d.n)
 }
 
-// HookOpts couples optional instrumentation into a scheme hook.
+// HookOpts couples optional instrumentation into a scheme hook. A hook
+// passes no CacheView, so it scores plain masks; a cache-coupled evaluation
+// of a token stream is a Stream.
 type HookOpts struct {
-	// Cache, when set, is accessed per (layer, token) and exposed to
-	// cache-aware schemes. Cache and Meter serve text generation
-	// (examples/ondevice), which a teacher-forced Stream cannot drive; a
-	// cache-coupled evaluation of a fixed token stream is a Stream.
-	Cache *cache.ModelCache
-	// Meter, when set, accumulates transfer costs (BeginToken fires on
-	// each layer-0 call).
-	Meter *hwsim.Meter
 	// Recorder, when set, records access traces (for Belady's first pass).
 	Recorder *cache.TraceRecorder
 	// Density, when set, accumulates measured MLP density.
@@ -60,26 +54,13 @@ type HookOpts struct {
 // Hook builds a model.MLPHook evaluating the scheme with the requested
 // instrumentation.
 func Hook(m *model.Model, s sparsity.Scheme, opts HookOpts) model.MLPHook {
-	var view sparsity.CacheView
-	if opts.Cache != nil {
-		view = opts.Cache
-	}
 	return func(layer int, x tensor.Vec) tensor.Vec {
-		if opts.Meter != nil && layer == 0 {
-			opts.Meter.BeginToken()
-		}
-		y, ta := s.Forward(layer, x, m.Blocks[layer].MLP, view)
+		y, ta := s.Forward(layer, x, m.Blocks[layer].MLP, nil)
 		if opts.Density != nil {
 			opts.Density.Add(&ta)
 		}
 		if opts.Recorder != nil {
 			opts.Recorder.Record(layer, &ta)
-		}
-		if opts.Cache != nil {
-			res := opts.Cache.Access(layer, &ta)
-			if opts.Meter != nil {
-				opts.Meter.AddAccess(res)
-			}
 		}
 		return y
 	}

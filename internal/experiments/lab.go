@@ -7,8 +7,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -31,7 +33,8 @@ import (
 type Lab struct {
 	Scale model.Scale
 	// CheckpointDir, when non-empty, persists trained base models across
-	// processes (written by cmd/diptrain, read by cmd/dipbench).
+	// processes: the first run that trains an analog writes it, later runs
+	// load it while its Config still matches model.ConfigFor.
 	CheckpointDir string
 	// Log receives progress lines (nil silences).
 	Log io.Writer
@@ -190,16 +193,22 @@ func (l *Lab) trainOpts() model.TrainOpts {
 func (l *Lab) Model(name string) *model.Model {
 	l.init()
 	return l.memoize("model/"+name, func() any {
-		if l.CheckpointDir != "" {
-			path := l.checkpointPath(name)
-			if m, err := model.LoadCheckpointFile(path); err == nil {
-				l.logf("loaded %s from %s", name, path)
-				return m
-			}
-		}
 		cfg, err := model.ConfigFor(name, l.Scale)
 		if err != nil {
 			panic(err)
+		}
+		path := l.checkpointPath(name)
+		if l.CheckpointDir != "" {
+			m, err := model.LoadCheckpointFile(path)
+			switch {
+			case err == nil && m.Cfg == cfg:
+				l.logf("loaded %s from %s", name, path)
+				return m
+			case err == nil:
+				l.logf("checkpoint %s is for %+v, want %+v; retraining", path, m.Cfg, cfg)
+			case !errors.Is(err, fs.ErrNotExist):
+				l.logf("warning: loading %s checkpoint: %v; retraining", name, err)
+			}
 		}
 		m := model.New(cfg, 1000+hash(name))
 		l.logf("training %s (%d params)...", name, countParams(m))
@@ -209,10 +218,12 @@ func (l *Lab) Model(name string) *model.Model {
 			panic(fmt.Sprintf("experiments: training %s: %v", name, err))
 		}
 		if l.CheckpointDir != "" {
-			if err := os.MkdirAll(l.CheckpointDir, 0o755); err == nil {
-				if err := model.SaveCheckpointFile(l.checkpointPath(name), m); err != nil {
-					l.logf("warning: saving %s checkpoint: %v", name, err)
-				}
+			err := os.MkdirAll(l.CheckpointDir, 0o755)
+			if err == nil {
+				err = model.SaveCheckpointFile(path, m)
+			}
+			if err != nil {
+				l.logf("warning: saving %s checkpoint: %v", name, err)
 			}
 		}
 		return m
