@@ -1,9 +1,9 @@
-// Package repro_test hosts the benchmark harness: one testing.B benchmark
-// per table and figure of the paper. Each benchmark executes the full
-// experiment driver (at miniature scale, so `go test -bench=.` completes on
-// a laptop); `cmd/dipbench -exp <id>` runs the same drivers at paper scale.
-// Reported metrics: ns/op is the wall time of regenerating the artifact,
-// and custom metrics surface the headline quantity of each experiment.
+// Package repro_test hosts the benchmark harness: BenchmarkDrivers runs
+// every experiment driver, one sub-benchmark per table and figure of the
+// paper (at miniature scale, so `go test -bench=.` completes on a laptop);
+// `cmd/dipbench -exp <id>` runs the same drivers at paper scale. Reported
+// metrics: ns/op is the wall time of regenerating the artifact, and custom
+// metrics surface the headline quantities of each experiment.
 package repro_test
 
 import (
@@ -38,22 +38,6 @@ func lab(b *testing.B) *experiments.Lab {
 		benchLab.Warm(model.Phi3MedSim, model.Mistral7BSim)
 	})
 	return benchLab
-}
-
-// runExperiment is the shared benchmark body.
-func runExperiment(b *testing.B, id string) []*experiments.Table {
-	l := lab(b)
-	var tables []*experiments.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		tables, err = experiments.Run(l, id)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-	b.StopTimer()
-	return tables
 }
 
 // metric extracts a float cell from the first row matching the filters.
@@ -94,12 +78,6 @@ func metric(tables []*experiments.Table, tableID string, match map[string]string
 		}
 	}
 	return 0, false
-}
-
-func report(b *testing.B, tables []*experiments.Table, tableID string, match map[string]string, col, unit string) {
-	if v, ok := metric(tables, tableID, match, col); ok {
-		b.ReportMetric(v, unit)
-	}
 }
 
 // serveBenchModel is the bandwidth-bound miniature analog the serving
@@ -183,113 +161,59 @@ func BenchmarkServeBatched(b *testing.B) { serveBench(b, false) }
 // is measured against.
 func BenchmarkServeUnbatched(b *testing.B) { serveBench(b, true) }
 
-// BenchmarkFig2Trends regenerates the Figure-2 trend fits.
-func BenchmarkFig2Trends(b *testing.B) {
-	tables := runExperiment(b, "fig2")
-	report(b, tables, "fig2-fits", map[string]string{"series": "model_b_params"}, "annual_rate", "model-growth/yr")
+// headlines are the custom metrics BenchmarkDrivers reports: for experiment
+// id, column col of the first row of table whose cells equal match.
+var headlines = []struct {
+	id, table string
+	match     map[string]string
+	col, unit string
+}{
+	{"fig2", "fig2-fits", map[string]string{"series": "model_b_params"}, "annual_rate", "model-growth/yr"},
+	{"fig3", "fig3-zeros", map[string]string{"model": model.ReluFiedSim}, "exact_zero_frac", "relu-zero-frac"},
+	{"fig4", "fig4-ppl", map[string]string{"strategy": "global"}, "ppl", "global-ppl"},
+	{"fig4", "fig4-ppl", map[string]string{"strategy": "per-token"}, "ppl", "per-token-ppl"},
+	{"fig6", "fig6", map[string]string{"model": model.ReluFiedSim, "strategy": "glu-predictive", "glu_density": "0.500"}, "pred_recall", "relu-recall"},
+	{"tab1", "tab1", map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "ppl", "dip-ppl"},
+	{"tab3", "tab3", map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "ppl", "dip-ppl"},
+	{"tab4", "tab4", map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "ppl", "dip-ppl"},
+	{"tab5", "tab5", map[string]string{"model": model.Phi3MedSim, "method": "dip", "task": "spelling"}, "acc_%", "dip-spelling-acc%"},
+	{"fig8", "fig8", map[string]string{"method": "dip", "density": "0.600"}, "ppl", "dip-ppl@0.6"},
+	{"tab2", "tab2", map[string]string{"model": model.Phi3MedSim, "method": "dip-ca"}, "tok_s_@+0.5ppl", "dipca-tok/s"},
+	{"tab2", "tab2", map[string]string{"model": model.Phi3MedSim, "method": "dense"}, "tok_s_@+0.5ppl", "dense-tok/s"},
+	{"fig9", "fig9", map[string]string{"config": "bq4"}, "ppl", "bq4-ppl"},
+	{"fig10", "fig10", map[string]string{"gamma": "0.200"}, "tok_s", "tok/s@γ=0.2"},
+	{"fig11", "fig11", map[string]string{"config": "dip-belady", "density": "0.600"}, "hit_rate", "belady-hit-rate"},
+	{"fig11", "fig11", map[string]string{"config": "dip-ca-lfu", "density": "0.600"}, "hit_rate", "dipca-hit-rate"},
+	{"tab6", "tab6", map[string]string{"device": "dram-6gb", "method": "dip-ca"}, "tok_s_@+0.5ppl", "dipca-6gb-tok/s"},
+	{"abl-alloc", "abl-alloc", map[string]string{"allocation": "uniform", "density": "0.500"}, "hit_rate", "uniform-hit-rate"},
+	{"abl-alloc", "abl-alloc", map[string]string{"allocation": "trace-weighted", "density": "0.500"}, "hit_rate", "weighted-hit-rate"},
+	{"tab7", "tab7", map[string]string{"device": "flash-2GBs", "method": "dip-ca"}, "tok_s_@+0.5ppl", "dipca-2GBs-tok/s"},
 }
 
-// BenchmarkFig3ActivationHist regenerates the activation histograms.
-func BenchmarkFig3ActivationHist(b *testing.B) {
-	tables := runExperiment(b, "fig3")
-	report(b, tables, "fig3-zeros", map[string]string{"model": model.ReluFiedSim}, "exact_zero_frac", "relu-zero-frac")
-}
-
-// BenchmarkFig4Thresholding regenerates the thresholding comparison.
-func BenchmarkFig4Thresholding(b *testing.B) {
-	tables := runExperiment(b, "fig4")
-	report(b, tables, "fig4-ppl", map[string]string{"strategy": "global"}, "ppl", "global-ppl")
-	report(b, tables, "fig4-ppl", map[string]string{"strategy": "per-token"}, "ppl", "per-token-ppl")
-}
-
-// BenchmarkFig6Predictability regenerates the predictor-gap figure.
-func BenchmarkFig6Predictability(b *testing.B) {
-	tables := runExperiment(b, "fig6")
-	report(b, tables, "fig6", map[string]string{"model": model.ReluFiedSim, "strategy": "glu-predictive", "glu_density": "0.500"}, "pred_recall", "relu-recall")
-}
-
-// BenchmarkTable1Methods50 regenerates the 50%-density method grid.
-func BenchmarkTable1Methods50(b *testing.B) {
-	tables := runExperiment(b, "tab1")
-	report(b, tables, "tab1", map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "ppl", "dip-ppl")
-}
-
-// BenchmarkTable3Methods60 regenerates the 60%-density grid.
-func BenchmarkTable3Methods60(b *testing.B) {
-	tables := runExperiment(b, "tab3")
-	report(b, tables, "tab3", map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "ppl", "dip-ppl")
-}
-
-// BenchmarkTable4Methods40 regenerates the 40%-density grid.
-func BenchmarkTable4Methods40(b *testing.B) {
-	tables := runExperiment(b, "tab4")
-	report(b, tables, "tab4", map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "ppl", "dip-ppl")
-}
-
-// BenchmarkTable5Tasks regenerates the task battery.
-func BenchmarkTable5Tasks(b *testing.B) {
-	tables := runExperiment(b, "tab5")
-	report(b, tables, "tab5", map[string]string{"model": model.Phi3MedSim, "method": "dip", "task": "spelling"}, "acc_%", "dip-spelling-acc%")
-}
-
-// BenchmarkFig8Pareto regenerates the density-sweep Pareto curves.
-func BenchmarkFig8Pareto(b *testing.B) {
-	tables := runExperiment(b, "fig8")
-	report(b, tables, "fig8", map[string]string{"method": "dip", "density": "0.600"}, "ppl", "dip-ppl@0.6")
-}
-
-// BenchmarkFig14ParetoOthers regenerates the remaining analogs' sweeps.
-func BenchmarkFig14ParetoOthers(b *testing.B) {
-	runExperiment(b, "fig14")
-}
-
-// BenchmarkTable2Throughput regenerates the throughput table.
-func BenchmarkTable2Throughput(b *testing.B) {
-	tables := runExperiment(b, "tab2")
-	report(b, tables, "tab2", map[string]string{"model": model.Phi3MedSim, "method": "dip-ca"}, "tok_s_@+0.5ppl", "dipca-tok/s")
-	report(b, tables, "tab2", map[string]string{"model": model.Phi3MedSim, "method": "dense"}, "tok_s_@+0.5ppl", "dense-tok/s")
-}
-
-// BenchmarkFig9Quant regenerates the quantization comparison.
-func BenchmarkFig9Quant(b *testing.B) {
-	tables := runExperiment(b, "fig9")
-	report(b, tables, "fig9", map[string]string{"config": "bq4"}, "ppl", "bq4-ppl")
-}
-
-// BenchmarkFig10Gamma regenerates the γ ablation.
-func BenchmarkFig10Gamma(b *testing.B) {
-	tables := runExperiment(b, "fig10")
-	report(b, tables, "fig10", map[string]string{"gamma": "0.200"}, "tok_s", "tok/s@γ=0.2")
-}
-
-// BenchmarkFig11Policies regenerates the eviction-policy comparison.
-func BenchmarkFig11Policies(b *testing.B) {
-	tables := runExperiment(b, "fig11")
-	report(b, tables, "fig11", map[string]string{"config": "dip-belady", "density": "0.600"}, "hit_rate", "belady-hit-rate")
-	report(b, tables, "fig11", map[string]string{"config": "dip-ca-lfu", "density": "0.600"}, "hit_rate", "dipca-hit-rate")
-}
-
-// BenchmarkFig12Allocation regenerates the allocation calibration.
-func BenchmarkFig12Allocation(b *testing.B) {
-	runExperiment(b, "fig12")
-}
-
-// BenchmarkTable6DRAM regenerates the DRAM-size ablation.
-func BenchmarkTable6DRAM(b *testing.B) {
-	tables := runExperiment(b, "tab6")
-	report(b, tables, "tab6", map[string]string{"device": "dram-6gb", "method": "dip-ca"}, "tok_s_@+0.5ppl", "dipca-6gb-tok/s")
-}
-
-// BenchmarkAblAllocation regenerates the uniform-vs-weighted cache
-// allocation ablation (paper Appendix A's negative finding).
-func BenchmarkAblAllocation(b *testing.B) {
-	tables := runExperiment(b, "abl-alloc")
-	report(b, tables, "abl-alloc", map[string]string{"allocation": "uniform", "density": "0.500"}, "hit_rate", "uniform-hit-rate")
-	report(b, tables, "abl-alloc", map[string]string{"allocation": "trace-weighted", "density": "0.500"}, "hit_rate", "weighted-hit-rate")
-}
-
-// BenchmarkTable7Flash regenerates the Flash-speed ablation.
-func BenchmarkTable7Flash(b *testing.B) {
-	tables := runExperiment(b, "tab7")
-	report(b, tables, "tab7", map[string]string{"device": "flash-2GBs", "method": "dip-ca"}, "tok_s_@+0.5ppl", "dipca-2GBs-tok/s")
+// BenchmarkDrivers regenerates every registered experiment, one
+// sub-benchmark per id (BenchmarkDrivers/fig2 runs one), and reports each
+// experiment's headline metrics.
+func BenchmarkDrivers(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			l := lab(b)
+			var tables []*experiments.Table
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tables, err = experiments.Run(l, id); err != nil {
+					b.Fatalf("%s: %v", id, err)
+				}
+			}
+			b.StopTimer()
+			for _, h := range headlines {
+				if h.id != id {
+					continue
+				}
+				if v, ok := metric(tables, h.table, h.match, h.col); ok {
+					b.ReportMetric(v, h.unit)
+				}
+			}
+		})
+	}
 }

@@ -71,7 +71,6 @@ func Chaos(l *Lab) ([]*Table, error) {
 			mode = "recovery"
 			cfg.Retry = faults.RetryPolicy{MaxAttempts: retryAttempts}
 			cfg.ShedQueueBudget = shedBudget
-			cfg.Degrade = true
 		}
 		w, err := makeWorkload()
 		if err != nil {

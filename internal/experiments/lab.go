@@ -269,9 +269,9 @@ func (l *Lab) SparseGPT(name string, pattern prune.Pattern, sparsityFrac float64
 }
 
 // CalibStats returns the memoized calibration activation statistics for the
-// analog (512 recorded MLP evaluations, the NewCATS setting). Collecting
-// stats is a full dense calibration pass; sharing one collection across
-// every CATS density avoids repeating it per operating point.
+// analog (512 recorded MLP evaluations). Collecting stats is a full dense
+// calibration pass; sharing one collection across every CATS density avoids
+// repeating it per operating point.
 func (l *Lab) CalibStats(name string) *sparsity.LayerStats {
 	m := l.Model(name)
 	return l.memoize("calibstats/"+name, func() any {

@@ -151,7 +151,7 @@ func Serve(l *Lab) ([]*Table, error) {
 						System: x.sys, Arb: arb, Sched: sched, Preempt: pre,
 						MaxActive: slots, Quantum: quantum, Seed: s.Seed,
 						Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: s.Retry},
-						ShedQueueBudget: s.Shed, Degrade: s.Shed > 0,
+						ShedQueueBudget: s.Shed,
 					}, w, fmt.Sprintf("%s-%s-%s-%s", kind, sched.Name(), pre.Name(), arb))
 					if err != nil {
 						return nil, err

@@ -286,20 +286,6 @@ func (m *Model) TrainStep(ids, targets []int) float64 {
 	return loss
 }
 
-// DistillStep runs a forward/backward pass with a knowledge-distillation
-// loss against fixed teacher logits (mean KL(teacher‖student)), returning
-// the loss. Used for LoRA fine-tuning.
-func (m *Model) DistillStep(ids []int, teacher []tensor.Vec) float64 {
-	logits, back := m.forwardTrain(ids)
-	dlogits := make([]tensor.Vec, len(logits))
-	for i := range dlogits {
-		dlogits[i] = tensor.NewVec(m.Cfg.Vocab)
-	}
-	loss := nn.KLDivergence(teacher, logits, dlogits)
-	back(dlogits)
-	return loss
-}
-
 // forwardTrain runs the full forward pass retaining every layer context and
 // returns the logits plus a backward closure that accumulates parameter
 // gradients when fed ∂loss/∂logits.

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/nn"
 	"repro/internal/parallel"
@@ -11,19 +10,17 @@ import (
 
 // TrainOpts controls From-scratch language-model training.
 type TrainOpts struct {
-	Steps   int
-	Batch   int     // sequences per optimizer step
-	SeqLen  int     // tokens per sequence
-	LR      float32 // base Adam learning rate
-	Warmup  int     // warmup steps for the cosine schedule
-	Seed    uint64  // window-sampling seed
-	Log     io.Writer
-	LogEach int
+	Steps  int
+	Batch  int     // sequences per optimizer step
+	SeqLen int     // tokens per sequence
+	LR     float32 // base Adam learning rate
+	Warmup int     // warmup steps for the cosine schedule
+	Seed   uint64  // window-sampling seed
 }
 
 // DefaultTrainOpts returns the settings used by the experiment drivers.
 func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{Steps: 300, Batch: 4, SeqLen: 64, LR: 3e-3, Warmup: 20, Seed: 1234, LogEach: 50}
+	return TrainOpts{Steps: 300, Batch: 4, SeqLen: 64, LR: 3e-3, Warmup: 20, Seed: 1234}
 }
 
 // Train fits the model on the token stream with Adam, sampling random
@@ -62,9 +59,6 @@ func Train(m *Model, tokens []int, opts TrainOpts) (float64, error) {
 			running = batchLoss
 		} else {
 			running = 0.95*running + 0.05*batchLoss
-		}
-		if opts.Log != nil && opts.LogEach > 0 && (step+1)%opts.LogEach == 0 {
-			fmt.Fprintf(opts.Log, "step %4d/%d loss %.4f ppl %.3f\n", step+1, opts.Steps, running, nn.Perplexity(running))
 		}
 	}
 	if err := nn.CheckFinite(m); err != nil {
@@ -149,51 +143,4 @@ func ContinuationLogProb(m *Model, prompt, cont []int, hook MLPHook) float64 {
 		lp += float64(logits[t][ids[t+1]]) - lse
 	}
 	return lp / float64(len(cont))
-}
-
-// Generate samples n tokens autoregressively after consuming the prompt,
-// using temperature sampling (temp ≤ 0 means greedy argmax). The hook
-// applies to both prompt ingestion and generation, so cache-aware schemes
-// warm their caches on the prompt exactly as a device would.
-func Generate(m *Model, prompt []int, n int, temp float64, seed uint64, hook MLPHook) []int {
-	dec := m.NewDecoder(hook)
-	rng := tensor.NewRNG(seed)
-	var logits tensor.Vec
-	for _, id := range prompt {
-		logits = dec.Step(id)
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n && dec.Pos() < m.Cfg.MaxSeq; i++ {
-		next := sample(logits, temp, rng)
-		out = append(out, next)
-		if dec.Pos() >= m.Cfg.MaxSeq {
-			break
-		}
-		logits = dec.Step(next)
-	}
-	return out
-}
-
-func sample(logits tensor.Vec, temp float64, rng *tensor.RNG) int {
-	if temp <= 0 {
-		best, bestV := 0, logits[0]
-		for i, v := range logits {
-			if v > bestV {
-				best, bestV = i, v
-			}
-		}
-		return best
-	}
-	scaled := logits.Clone()
-	scaled.Scale(float32(1 / temp))
-	p := tensor.Softmax(scaled, scaled)
-	r := rng.Float32()
-	var cum float32
-	for i, pi := range p {
-		cum += pi
-		if r < cum {
-			return i
-		}
-	}
-	return len(p) - 1
 }

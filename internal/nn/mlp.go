@@ -206,38 +206,5 @@ func CrossEntropy(logits []tensor.Vec, targets []int, dlogits []tensor.Vec) floa
 	return total / float64(len(logits))
 }
 
-// KLDivergence computes mean KL(teacher ‖ student) over positions from
-// teacher and student logits and optionally writes the student-logit
-// gradient (p_student − p_teacher, scaled by 1/T). This is the knowledge
-// distillation loss used for LoRA fine-tuning.
-func KLDivergence(teacher, student []tensor.Vec, dstudent []tensor.Vec) float64 {
-	if len(teacher) != len(student) {
-		panic("nn: KLDivergence length mismatch")
-	}
-	var total float64
-	scale := float32(1 / float64(len(student)))
-	for t := range student {
-		pt := tensor.Softmax(teacher[t], nil)
-		lseS := tensor.LogSumExp(student[t])
-		lseT := tensor.LogSumExp(teacher[t])
-		var kl float64
-		for i, p := range pt {
-			if p > 0 {
-				logPT := float64(teacher[t][i]) - lseT
-				logPS := float64(student[t][i]) - lseS
-				kl += float64(p) * (logPT - logPS)
-			}
-		}
-		total += kl
-		if dstudent != nil {
-			ps := tensor.Softmax(student[t], dstudent[t])
-			for i := range ps {
-				ps[i] = (ps[i] - pt[i]) * scale
-			}
-		}
-	}
-	return total / float64(len(student))
-}
-
 // Perplexity converts a mean cross-entropy (nats/token) to perplexity.
 func Perplexity(meanCE float64) float64 { return math.Exp(meanCE) }

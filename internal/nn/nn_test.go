@@ -383,39 +383,6 @@ func TestCrossEntropyUniform(t *testing.T) {
 	}
 }
 
-func TestKLDivergence(t *testing.T) {
-	a := []tensor.Vec{{1, 2, 3}}
-	// Identical distributions have zero KL.
-	if kl := KLDivergence(a, a, nil); math.Abs(kl) > 1e-6 {
-		t.Fatalf("KL(p,p) = %v", kl)
-	}
-	b := []tensor.Vec{{3, 2, 1}}
-	if kl := KLDivergence(a, b, nil); kl <= 0 {
-		t.Fatalf("KL of different distributions should be positive, got %v", kl)
-	}
-	// Gradient check.
-	rng := tensor.NewRNG(14)
-	teacher := randSeq(rng, 2, 4)
-	student := randSeq(rng, 2, 4)
-	dl := []tensor.Vec{tensor.NewVec(4), tensor.NewVec(4)}
-	KLDivergence(teacher, student, dl)
-	for t2 := 0; t2 < 2; t2++ {
-		for i := 0; i < 4; i++ {
-			const h = 1e-3
-			orig := student[t2][i]
-			student[t2][i] = orig + h
-			up := KLDivergence(teacher, student, nil)
-			student[t2][i] = orig - h
-			down := KLDivergence(teacher, student, nil)
-			student[t2][i] = orig
-			num := (up - down) / (2 * h)
-			if math.Abs(num-float64(dl[t2][i])) > 1e-2 {
-				t.Fatalf("KL grad (%d,%d): analytic %v numeric %v", t2, i, dl[t2][i], num)
-			}
-		}
-	}
-}
-
 func TestAdamReducesLoss(t *testing.T) {
 	rng := tensor.NewRNG(15)
 	lin := NewLinear("lin", 3, 3, rng)

@@ -8,7 +8,6 @@
 package predictor
 
 import (
-	"io"
 	"math"
 
 	"repro/internal/model"
@@ -109,7 +108,6 @@ type TrainOpts struct {
 	// TopFrac is the positive-target fraction (default 0.10).
 	TopFrac float64
 	Seed    uint64
-	Log     io.Writer
 }
 
 // DefaultTrainOpts mirrors the paper's protocol at reproduction scale.

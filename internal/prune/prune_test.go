@@ -194,17 +194,6 @@ func TestSparseGPTModelEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMagnitudeModel(t *testing.T) {
-	m, _, _ := trainedTiny(t)
-	pruned, err := MagnitudeModel(m, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := MLPSparsity(pruned); math.Abs(got-0.3) > 0.02 {
-		t.Fatalf("sparsity = %v", got)
-	}
-}
-
 func TestPatternString(t *testing.T) {
 	if Unstructured.String() != "unstructured" || Semi2of4.String() != "2:4" || Semi4of8.String() != "4:8" {
 		t.Fatal("pattern names wrong")

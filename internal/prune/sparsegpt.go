@@ -228,20 +228,6 @@ func SparseGPTModel(m *model.Model, tokens []int, win int, pattern Pattern, opts
 	return clone, nil
 }
 
-// MagnitudeModel returns a copy of m with magnitude-pruned MLPs.
-func MagnitudeModel(m *model.Model, sparsity float64) (*model.Model, error) {
-	clone, err := cloneModel(m)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range clone.Blocks {
-		MagnitudeMatrix(b.MLP.Up.P.W, sparsity)
-		MagnitudeMatrix(b.MLP.Gate.P.W, sparsity)
-		MagnitudeMatrix(b.MLP.Down.P.W, sparsity)
-	}
-	return clone, nil
-}
-
 // MLPSparsity measures the achieved zero fraction across MLP weights.
 func MLPSparsity(m *model.Model) float64 {
 	var zero, total int

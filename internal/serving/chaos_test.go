@@ -229,7 +229,7 @@ func TestChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 			System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
 			MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
 			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
-			ShedQueueBudget: 3, Degrade: true, DegradeTicks: 2,
+			ShedQueueBudget: 3,
 		}, mixedPressureTrace(t))
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestAdmissionShedAndDegrade(t *testing.T) {
 	}
 	e, err := NewEngine(zoo.m, Config{
 		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1,
-		ShedQueueBudget: 2, Degrade: true, DegradeTicks: 2,
+		ShedQueueBudget: 2,
 	}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +347,9 @@ func TestShedNotifiesClosedLoopWorkload(t *testing.T) {
 	byID := map[string]SessionMetrics{}
 	for _, sm := range rep.Sessions {
 		byID[sm.ID] = sm
+		if sm.Outcome == OutcomeShed && sm.FinishTick != sm.ArriveTick {
+			t.Fatalf("scenario broken: %s was degraded, not shed at the door: %+v", sm.ID, sm)
+		}
 	}
 	if len(rep.Sessions) != 3 {
 		t.Fatalf("%d sessions reported, want all 3 (shed included): %+v", len(rep.Sessions), rep.Sessions)
@@ -390,7 +393,7 @@ func TestRetryAndSheddingBeatNoRecoveryBaseline(t *testing.T) {
 		e, err := NewEngine(zoo.m, Config{
 			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: DeadlinePreempt(),
 			MaxActive: 2, Quantum: 8, Seed: 2,
-			Faults: plan, Retry: retry, ShedQueueBudget: shed, Degrade: shed > 0,
+			Faults: plan, Retry: retry, ShedQueueBudget: shed,
 		}, w)
 		if err != nil {
 			t.Fatal(err)
@@ -500,10 +503,7 @@ func TestConfigValidationNamedErrors(t *testing.T) {
 		{"negative MaxActive", func(c *Config) { c.MaxActive = -1 }, "MaxActive"},
 		{"negative Quantum", func(c *Config) { c.Quantum = -8 }, "Quantum"},
 		{"negative shed budget", func(c *Config) { c.ShedQueueBudget = -2 }, "ShedQueueBudget"},
-		{"degrade without budget", func(c *Config) { c.Degrade = true }, "Degrade"},
-		{"negative degrade window", func(c *Config) { c.ShedQueueBudget = 2; c.Degrade = true; c.DegradeTicks = -1 }, "DegradeTicks"},
 		{"negative retry attempts", func(c *Config) { c.Retry.MaxAttempts = -1 }, "MaxAttempts"},
-		{"negative retry backoff", func(c *Config) { c.Retry.BackoffBase = -1 }, "BackoffBase"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

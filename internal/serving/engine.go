@@ -15,7 +15,7 @@ import (
 // returns the aggregate report: Drive over this one engine, every arrival
 // placed straight onto it. Each tick the engine (1) queues the workload's
 // arrivals — shedding arrivals beyond the admission budget and, under
-// sustained pressure with Degrade set, queued optional work — (2) applies
+// sustained pressure at that budget, queued optional work — (2) applies
 // the fault plan to the running batch in slot order and parks sessions
 // displaced by a capacity dip, (3) fills free batch slots with the
 // scheduler's picks among entries not still backing off — resuming
@@ -274,6 +274,10 @@ func (e *Engine) obsTickEnd(tick int, active []*Session, tokPre int, hitPre, mis
 
 // widthDetail renders a batch width for the event log.
 func widthDetail(n int) string { return "width=" + strconv.Itoa(n) }
+
+// degradeTicks is how many consecutive ticks the queue must sit at the shed
+// budget before degrade runs.
+const degradeTicks = 4
 
 // degrade sheds queued optional work under sustained pressure: fresh,
 // deadline-less sessions (never-admitted best-effort requests) are dropped

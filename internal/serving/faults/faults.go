@@ -83,113 +83,58 @@ type Injector interface {
 	Offline(tick int) int
 }
 
-// Config tunes a seeded Plan. Rates are probabilities in [0, 1]; the zero
-// value injects nothing.
-type Config struct {
-	// Seed drives every draw; a fixed seed fixes the whole fault schedule.
-	Seed uint64
-	// StepRate/RevokeRate/CancelRate are per-slot-per-tick probabilities.
-	StepRate   float64
-	RevokeRate float64
-	CancelRate float64
-	// DipRate is the per-tick probability that a capacity dip begins.
-	DipRate float64
-	// DipSlots is how many slots each dip takes offline (default 1).
-	DipSlots int
-	// DipTicks is how long each dip lasts in ticks (default 4).
-	DipTicks int
-}
-
-// Validate reports the first invalid Config field by name.
-func (c Config) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"StepRate", c.StepRate}, {"RevokeRate", c.RevokeRate},
-		{"CancelRate", c.CancelRate}, {"DipRate", c.DipRate}} {
-		if r.v < 0 || r.v > 1 || r.v != r.v {
-			return fmt.Errorf("faults: Config.%s must be a probability in [0, 1], got %v", r.name, r.v)
-		}
-	}
-	if c.DipSlots < 0 {
-		return fmt.Errorf("faults: Config.DipSlots must be non-negative (0 = default 1), got %d", c.DipSlots)
-	}
-	if c.DipTicks < 0 {
-		return fmt.Errorf("faults: Config.DipTicks must be non-negative (0 = default 4), got %d", c.DipTicks)
-	}
-	return nil
-}
-
-// Plan is a seeded fault schedule over the simulated tick clock.
+// Plan is the seeded chaos mix at one intensity rate: step faults at rate,
+// revocations at rate/2, cancellations at rate/4, and capacity dips starting
+// at rate/2, each taking dipSlots slot offline for dipTicks ticks.
 type Plan struct {
-	cfg Config
+	seed uint64
+	rate float64
 }
 
-// New validates cfg and builds a seeded plan, applying the DipSlots /
-// DipTicks defaults.
-func New(cfg Config) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.DipSlots == 0 {
-		cfg.DipSlots = 1
-	}
-	if cfg.DipTicks == 0 {
-		cfg.DipTicks = 4
-	}
-	return &Plan{cfg: cfg}, nil
-}
+// The shape of every dip a Plan draws.
+const (
+	dipSlots = 1
+	dipTicks = 4
+)
 
-// Mix builds the canonical chaos mix at one intensity: step faults at rate,
-// revocations at rate/2, cancellations at rate/4, and dips starting at
-// rate/2 (one slot, four ticks). This is what dipbench -faults uses.
+// Mix validates the rate and builds the seeded plan. This is what dipbench
+// -faults uses.
 func Mix(rate float64, seed uint64) (*Plan, error) {
 	if rate < 0 || rate > 1 || rate != rate {
 		return nil, fmt.Errorf("faults: mix rate must be a probability in [0, 1], got %v", rate)
 	}
-	return New(Config{
-		Seed:     seed,
-		StepRate: rate, RevokeRate: rate / 2, CancelRate: rate / 4,
-		DipRate: rate / 2,
-	})
+	return &Plan{seed: seed, rate: rate}, nil
 }
 
 // Name identifies the plan.
 func (p *Plan) Name() string { return "seeded" }
 
-// Config returns the plan's (defaulted) configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
 // StepFault draws the slot's transient-fault decision for this tick.
 func (p *Plan) StepFault(tick, slot int) bool {
-	return draw(p.cfg.Seed, Step, tick, slot) < p.cfg.StepRate
+	return draw(p.seed, Step, tick, slot) < p.rate
 }
 
 // Revoke draws the slot's grant-revocation decision for this tick.
 func (p *Plan) Revoke(tick, slot int) bool {
-	return draw(p.cfg.Seed, Revoke, tick, slot) < p.cfg.RevokeRate
+	return draw(p.seed, Revoke, tick, slot) < p.rate/2
 }
 
 // Cancel draws the slot's cancellation decision for this tick.
 func (p *Plan) Cancel(tick, slot int) bool {
-	return draw(p.cfg.Seed, Cancel, tick, slot) < p.cfg.CancelRate
+	return draw(p.seed, Cancel, tick, slot) < p.rate/4
 }
 
 // Offline reports how many slots are down at tick: a dip starting at tick s
-// (drawn per tick from the seed) covers [s, s+DipTicks). Overlapping dips
-// do not stack — the deepest one wins — so offline capacity is bounded by
-// DipSlots regardless of rate.
+// (drawn per tick from the seed) covers [s, s+dipTicks). Overlapping dips
+// do not stack, so offline capacity is bounded by dipSlots regardless of
+// rate.
 func (p *Plan) Offline(tick int) int {
-	if p.cfg.DipRate == 0 {
+	if p.rate == 0 {
 		return 0
 	}
-	from := tick - p.cfg.DipTicks + 1
-	if from < 0 {
-		from = 0
-	}
-	for s := from; s <= tick; s++ {
-		if draw(p.cfg.Seed, Dip, s, 0) < p.cfg.DipRate {
-			return p.cfg.DipSlots
+	for s := max(tick-dipTicks+1, 0); s <= tick; s++ {
+		if draw(p.seed, Dip, s, 0) < p.rate/2 {
+			return dipSlots
 		}
 	}
 	return 0
@@ -293,52 +238,41 @@ func (s *Script) Offline(tick int) int {
 }
 
 // RetryPolicy governs recovery of faulted sessions: how many placement
-// attempts a session gets and how long it backs off between them. The zero
-// value means "use the defaults" (3 attempts, base 2, cap 16); MaxAttempts
-// 1 disables recovery entirely — the no-recovery baseline chaos reports
-// compare against.
+// attempts a session gets. The zero value means the default 3 attempts;
+// MaxAttempts 1 disables recovery entirely — the no-recovery baseline chaos
+// reports compare against. Between attempts a session backs off (Backoff).
 type RetryPolicy struct {
 	// MaxAttempts is the total placement budget including the first
 	// admission (0 = default 3; 1 = a fault is fatal).
 	MaxAttempts int
-	// BackoffBase is the backoff before the first retry in ticks; each
-	// further retry doubles it (0 = default 2).
-	BackoffBase int
-	// BackoffMax caps the exponential growth (0 = default 16).
-	BackoffMax int
 }
 
-// Validate reports the first invalid RetryPolicy field by name.
+// Validate reports an invalid MaxAttempts by name.
 func (p RetryPolicy) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("faults: RetryPolicy.MaxAttempts must be non-negative (0 = default 3), got %d", p.MaxAttempts)
 	}
-	if p.BackoffBase < 0 {
-		return fmt.Errorf("faults: RetryPolicy.BackoffBase must be non-negative (0 = default 2), got %d", p.BackoffBase)
-	}
-	if p.BackoffMax < 0 {
-		return fmt.Errorf("faults: RetryPolicy.BackoffMax must be non-negative (0 = default 16), got %d", p.BackoffMax)
-	}
 	return nil
 }
 
-// WithDefaults resolves the zero fields to the documented defaults.
+// WithDefaults resolves a zero MaxAttempts to the documented default.
 func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = 3
 	}
-	if p.BackoffBase == 0 {
-		p.BackoffBase = 2
-	}
-	if p.BackoffMax == 0 {
-		p.BackoffMax = 16
-	}
 	return p
 }
 
+// The retry backoff: backoffBase ticks before the first retry, doubling per
+// further retry up to backoffMax.
+const (
+	backoffBase = 2
+	backoffMax  = 16
+)
+
 // NodeChaos tunes unscripted node-level chaos for a cluster: whole-node
 // crashes with timed restarts. CrashRate is a probability in [0, 1]; the
-// zero value injects nothing. Like the slot-level Config, every decision is
+// zero value injects nothing. Like the slot-level Plan, every decision is
 // a pure hash of (seed, kind, tick, node), so a chaos schedule is
 // bit-identical across worker counts, decode paths, and REPRO_PROCS.
 type NodeChaos struct {
@@ -392,9 +326,6 @@ func NewNodePlan(cfg NodeChaos) (*NodePlan, error) {
 	return &NodePlan{cfg: cfg.WithDefaults()}, nil
 }
 
-// Config returns the plan's (defaulted) configuration.
-func (p *NodePlan) Config() NodeChaos { return p.cfg }
-
 // Dead reports whether a crash window covers (tick, node): a crash drawn at
 // tick s keeps the node down over [s, s+RecoverTicks). Overlapping crashes
 // do not stack — the node is simply down until the last window ends.
@@ -416,28 +347,12 @@ func (p *NodePlan) Dead(tick, node int) bool {
 
 // Backoff returns the simulated-tick delay before retry number attempt
 // (1-based) of the session with the given submission index: exponential in
-// the attempt, capped at BackoffMax, plus a seeded jitter in [0,
-// BackoffBase) hashed from (seed, index, attempt) so contending sessions
-// de-synchronize deterministically. Always at least 1 tick, so a faulted
-// session can never be re-placed on the tick it faulted.
-func (p RetryPolicy) Backoff(seed uint64, index, attempt int) int {
-	p = p.WithDefaults()
-	if attempt < 1 {
-		attempt = 1
-	}
-	shift := attempt - 1
-	if shift > 30 {
-		shift = 30
-	}
-	d := p.BackoffBase << shift
-	if d > p.BackoffMax {
-		d = p.BackoffMax
-	}
-	if p.BackoffBase > 1 {
-		d += int(draw(seed, Kind(17), index, attempt) * float64(p.BackoffBase))
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+// the attempt, capped at backoffMax, plus a seeded jitter in [0,
+// backoffBase) hashed from (seed, index, attempt) so contending sessions
+// de-synchronize deterministically. Always at least backoffBase ticks, so a
+// faulted session can never be re-placed on the tick it faulted.
+func (RetryPolicy) Backoff(seed uint64, index, attempt int) int {
+	attempt = max(attempt, 1)
+	d := min(backoffBase<<min(attempt-1, 30), backoffMax)
+	return d + int(draw(seed, Kind(17), index, attempt)*backoffBase)
 }

@@ -42,7 +42,7 @@ func TestPlanDrawsAreStateless(t *testing.T) {
 // Different seeds, kinds, ticks, and slots must decorrelate, and the
 // empirical rate over a long horizon must track the configured one.
 func TestPlanRatesAndIndependence(t *testing.T) {
-	p, err := New(Config{Seed: 7, StepRate: 0.25})
+	p, err := Mix(0.25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPlanRatesAndIndependence(t *testing.T) {
 		t.Fatalf("empirical step-fault rate %.3f far from configured 0.25", rate)
 	}
 	// A different seed must give a different schedule.
-	q, _ := New(Config{Seed: 8, StepRate: 0.25})
+	q, _ := Mix(0.25, 8)
 	same := 0
 	for tick := 0; tick < 1000; tick++ {
 		if p.StepFault(tick, 0) == q.StepFault(tick, 0) {
@@ -71,7 +71,7 @@ func TestPlanRatesAndIndependence(t *testing.T) {
 		t.Fatalf("seeds 7 and 8 agree on %d/1000 draws — draws are not seed-sensitive", same)
 	}
 	// Zero rates never fire.
-	z, _ := New(Config{Seed: 7})
+	z, _ := Mix(0, 7)
 	for tick := 0; tick < 100; tick++ {
 		if z.StepFault(tick, 0) || z.Revoke(tick, 0) || z.Cancel(tick, 0) || z.Offline(tick) != 0 {
 			t.Fatalf("zero-rate plan fired at tick %d", tick)
@@ -79,62 +79,103 @@ func TestPlanRatesAndIndependence(t *testing.T) {
 	}
 }
 
-// A dip drawn at tick s must cover exactly [s, s+DipTicks) at DipSlots deep.
-func TestPlanDipWindow(t *testing.T) {
-	p, err := New(Config{Seed: 3, DipRate: 0.05, DipSlots: 2, DipTicks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a tick where a dip starts (the draw itself, not the window).
-	start := -1
-	for tick := 0; tick < 500; tick++ {
-		if draw(3, Dip, tick, 0) < 0.05 {
-			start = tick
-			break
-		}
-	}
-	if start < 0 {
-		t.Fatal("no dip drawn in 500 ticks at rate 0.05")
-	}
-	for off := 0; off < 3; off++ {
-		if got := p.Offline(start + off); got != 2 {
-			t.Fatalf("tick %d (dip started %d): offline %d, want 2", start+off, start, got)
+// The seeds, rates and horizon the inline oracles below check Mix over.
+var (
+	oracleSeeds = []uint64{3, 7, 99}
+	oracleRates = []float64{0.05, 0.3}
+)
+
+const oracleTicks = 2000
+
+// Mix's slot decisions against their rates, drawn inline: step faults at
+// rate, revocations at rate/2, cancellations at rate/4. The chaos tables and
+// event logs are pinned on exactly these draws.
+func TestMixSlotFaultsMatchTheirRates(t *testing.T) {
+	for _, rate := range oracleRates {
+		for _, seed := range oracleSeeds {
+			p, err := Mix(rate, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fired [3]bool
+			for tick := 0; tick <= oracleTicks; tick++ {
+				for slot := 0; slot < 4; slot++ {
+					got := [3]bool{p.StepFault(tick, slot), p.Revoke(tick, slot), p.Cancel(tick, slot)}
+					want := [3]bool{
+						draw(seed, Step, tick, slot) < rate,
+						draw(seed, Revoke, tick, slot) < rate/2,
+						draw(seed, Cancel, tick, slot) < rate/4,
+					}
+					if got != want {
+						t.Fatalf("rate %v seed %d (%d,%d): step/revoke/cancel %v, want %v", rate, seed, tick, slot, got, want)
+					}
+					for k, f := range got {
+						fired[k] = fired[k] || f
+					}
+				}
+			}
+			if fired != [3]bool{true, true, true} {
+				t.Fatalf("rate %v seed %d: a decision never fired: %v", rate, seed, fired)
+			}
 		}
 	}
 }
 
+// A dip starts wherever the dip draw is below rate/2 and covers exactly
+// [s, s+4) at one slot deep.
+func TestPlanDipWindow(t *testing.T) {
+	for _, rate := range oracleRates {
+		for _, seed := range oracleSeeds {
+			p, err := Mix(rate, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dipped := false
+			for tick := 0; tick <= oracleTicks; tick++ {
+				want := 0
+				for s := tick - 3; s <= tick; s++ {
+					if s >= 0 && draw(seed, Dip, s, 0) < rate/2 {
+						want = 1
+					}
+				}
+				if got := p.Offline(tick); got != want {
+					t.Fatalf("rate %v seed %d tick %d: offline %d, want %d", rate, seed, tick, got, want)
+				}
+				dipped = dipped || want > 0
+			}
+			if !dipped {
+				t.Fatalf("rate %v seed %d: no dip drawn", rate, seed)
+			}
+		}
+	}
+}
+
+// Mix validates its one rate, which sets all four: each must be a
+// probability.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Config
-		want string // substring of the error; "" = valid
+		rate float64
+		ok   bool
 	}{
-		{"zero value", Config{}, ""},
-		{"full rates", Config{StepRate: 1, RevokeRate: 1, CancelRate: 1, DipRate: 1}, ""},
-		{"negative step rate", Config{StepRate: -0.1}, "StepRate"},
-		{"step rate above one", Config{StepRate: 1.1}, "StepRate"},
-		{"NaN revoke rate", Config{RevokeRate: nan()}, "RevokeRate"},
-		{"negative cancel rate", Config{CancelRate: -1}, "CancelRate"},
-		{"dip rate above one", Config{DipRate: 2}, "DipRate"},
-		{"negative dip slots", Config{DipSlots: -1}, "DipSlots"},
-		{"negative dip ticks", Config{DipTicks: -2}, "DipTicks"},
+		{"zero value", 0, true},
+		{"full rates", 1, true},
+		{"negative step rate", -0.1, false},
+		{"step rate above one", 1.1, false},
+		{"NaN revoke rate", nan(), false},
+		{"negative cancel rate", -1, false},
+		{"dip rate above one", 3, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.cfg)
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
+			_, err := Mix(tc.rate, 1)
+			if tc.ok != (err == nil) {
+				t.Fatalf("Mix(%v): error %v, want ok=%v", tc.rate, err, tc.ok)
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v does not name %q", err, tc.want)
+			if err != nil && !strings.Contains(err.Error(), "rate") {
+				t.Fatalf("error %v does not name the rate", err)
 			}
 		})
-	}
-	if _, err := Mix(-0.5, 1); err == nil {
-		t.Fatal("Mix accepted a negative rate")
 	}
 }
 
@@ -177,49 +218,25 @@ func TestScriptedEvents(t *testing.T) {
 }
 
 func TestRetryPolicy(t *testing.T) {
-	// Defaults resolve as documented.
-	d := RetryPolicy{}.WithDefaults()
-	if d.MaxAttempts != 3 || d.BackoffBase != 2 || d.BackoffMax != 16 {
-		t.Fatalf("unexpected defaults: %+v", d)
+	if d := (RetryPolicy{}).WithDefaults(); d.MaxAttempts != 3 {
+		t.Fatalf("unexpected default: %+v", d)
 	}
-	// Negative fields are named errors.
-	for _, tc := range []struct {
-		p    RetryPolicy
-		want string
-	}{
-		{RetryPolicy{MaxAttempts: -1}, "MaxAttempts"},
-		{RetryPolicy{BackoffBase: -1}, "BackoffBase"},
-		{RetryPolicy{BackoffMax: -1}, "BackoffMax"},
-	} {
-		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("error %v does not name %q", err, tc.want)
-		}
+	if err := (RetryPolicy{MaxAttempts: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "MaxAttempts") {
+		t.Fatalf("error %v does not name MaxAttempts", err)
 	}
-	// Backoff grows exponentially up to the cap, stays ≥ 1, and is
-	// deterministic in (seed, index, attempt).
-	p := RetryPolicy{MaxAttempts: 5, BackoffBase: 2, BackoffMax: 8}
-	prevBase := 0
-	for attempt := 1; attempt <= 5; attempt++ {
-		b := p.Backoff(11, 0, attempt)
-		if b != p.Backoff(11, 0, attempt) {
-			t.Fatal("Backoff is not deterministic")
-		}
-		if b < 1 {
-			t.Fatalf("attempt %d: backoff %d < 1", attempt, b)
-		}
-		if b > p.BackoffMax+p.BackoffBase {
-			t.Fatalf("attempt %d: backoff %d above cap+jitter %d", attempt, b, p.BackoffMax+p.BackoffBase)
-		}
-		base := p.BackoffBase << (attempt - 1)
-		if base > p.BackoffMax {
-			base = p.BackoffMax
-		}
-		if base < prevBase {
-			t.Fatal("exponential base shrank")
-		}
-		prevBase = base
-		if b < base {
-			t.Fatalf("attempt %d: backoff %d below exponential base %d", attempt, b, base)
+	// Backoff is the exponential base min(2·2^(a−1), 16) plus a jitter in
+	// [0, 2), deterministic in (seed, index, attempt).
+	var p RetryPolicy
+	for attempt := 1; attempt <= 8; attempt++ {
+		base := min(2<<(attempt-1), 16)
+		for idx := 0; idx < 16; idx++ {
+			b := p.Backoff(11, idx, attempt)
+			if b != p.Backoff(11, idx, attempt) {
+				t.Fatal("Backoff is not deterministic")
+			}
+			if b < base || b >= base+2 {
+				t.Fatalf("attempt %d index %d: backoff %d outside [%d, %d)", attempt, idx, b, base, base+2)
+			}
 		}
 	}
 	// Different sessions jitter apart at least somewhere in a small range.
@@ -229,11 +246,6 @@ func TestRetryPolicy(t *testing.T) {
 	}
 	if !varies {
 		t.Fatal("backoff jitter never separates sessions")
-	}
-	// Minimum-delay policy: base 1 has no jitter room but still delays.
-	one := RetryPolicy{MaxAttempts: 2, BackoffBase: 1, BackoffMax: 1}
-	if got := one.Backoff(1, 0, 1); got != 1 {
-		t.Fatalf("base-1 backoff = %d, want exactly 1", got)
 	}
 }
 

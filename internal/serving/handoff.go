@@ -71,13 +71,13 @@ func (e *Engine) Inject(idx, tick, order int) (shed bool) {
 // the next call.
 func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 	e.fin = e.fin[:0]
-	if e.cfg.Degrade {
+	if e.cfg.ShedQueueBudget > 0 {
 		if len(e.queue) >= e.cfg.ShedQueueBudget {
 			e.pressure++
 		} else {
 			e.pressure = 0
 		}
-		if e.pressure >= e.cfg.DegradeTicks {
+		if e.pressure >= degradeTicks {
 			e.degrade(tick)
 		}
 	}

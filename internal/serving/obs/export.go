@@ -16,9 +16,9 @@ const (
 	// tests pin exact bytes).
 	FormatJSONL = "jsonl"
 	// FormatChrome writes Chrome trace-event JSON loadable in Perfetto or
-	// chrome://tracing: one track per batch slot with spans for session
-	// residency, instant markers for faults/preemptions/retries, and a
-	// batch-width counter track.
+	// chrome://tracing: one track per session with spans for its slot
+	// residency and instant markers for its arrival, faults, preemptions and
+	// retries, plus a control track with the batch-width counter.
 	FormatChrome = "chrome"
 )
 
@@ -105,66 +105,67 @@ func traceTs(tick, subStep int) int64 {
 	return int64(tick)*1000 + int64(subStep)
 }
 
-// WriteChromeTrace renders the event log as Chrome trace-event JSON: tid 0
-// is the engine's control track (batch-width counter, shed/degrade and
-// failure-detector instants), tid s+1 is batch slot s. A merged cluster log
-// gets one process per node (pid tracePid+Node), so two nodes' slot 0 are
-// two tracks. A session's residency is a span from its admit/resume to its
-// suspend/finish; because slots compact as neighbors retire — and a
-// migrant's suspend is emitted by the node it leaves — the span closes on
-// the track it opened on.
+// WriteChromeTrace renders the event log as Chrome trace-event JSON. A
+// merged cluster log gets one process per node (pid tracePid+Node). On each
+// node tid 0 is the engine's control track (batch-width counter and the
+// failure-detector instants), and every session has a track of its own,
+// named after it: tid 1 + its order of first appearance on that node. A
+// session's residency is a span on its track from its admit/resume to its
+// suspend/finish, so spans never cross however slots compact; the slot is in
+// each event's args. A migrant's suspend is emitted with slot -1 by the node
+// it leaves while parked in the queue, and closes nothing.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	out := chromeTrace{DisplayTimeUnit: "ms"}
 	add := func(node int, te traceEvent) {
 		te.Pid = tracePid + node
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
-	maxSlot := []int{-1} // node → highest slot it used
+	nodes := 1
 	for _, ev := range events {
-		for len(maxSlot) <= ev.Node {
-			maxSlot = append(maxSlot, -1)
-		}
-		maxSlot[ev.Node] = max(maxSlot[ev.Node], ev.Slot)
+		nodes = max(nodes, ev.Node+1)
 	}
-	for n, slots := range maxSlot {
+	tids := make([]map[string]int, nodes) // node → session → track
+	for n := range tids {
 		name := "serving engine"
-		if len(maxSlot) > 1 {
+		if nodes > 1 {
 			name = "node " + strconv.Itoa(n)
 		}
 		add(n, traceEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": name}})
 		add(n, traceEvent{Name: "thread_name", Ph: "M", Tid: 0, Args: map[string]any{"name": "engine"}})
-		for s := 0; s <= slots; s++ {
-			add(n, traceEvent{Name: "thread_name", Ph: "M", Tid: s + 1, Args: map[string]any{"name": "slot " + strconv.Itoa(s)}})
-		}
+		tids[n] = make(map[string]int)
 	}
-	type track struct{ node, tid int }
-	open := make(map[string]track) // session → track its residency span opened on
 	for _, ev := range events {
 		ts := traceTs(ev.Tick, ev.SubStep)
-		switch ev.Kind {
-		case KindAdmit, KindResume:
-			at := track{ev.Node, ev.Slot + 1}
-			open[ev.Session] = at
-			add(at.node, traceEvent{Name: ev.Session, Ph: "B", Ts: ts, Tid: at.tid,
-				Args: map[string]any{"kind": ev.Kind.String(), "detail": ev.Detail}})
-		case KindSuspend, KindFinish:
-			add(ev.Node, traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, Tid: ev.Slot + 1, S: "t",
-				Args: map[string]any{"session": ev.Session}})
-			if at, ok := open[ev.Session]; ok {
-				delete(open, ev.Session)
-				add(at.node, traceEvent{Name: ev.Session, Ph: "E", Ts: ts, Tid: at.tid})
-			}
-		case KindStepBatch:
+		if ev.Kind == KindStepBatch {
 			add(ev.Node, traceEvent{Name: "batch width", Ph: "C", Ts: ts, Tid: 0,
 				Args: map[string]any{"width": detailInt(ev.Detail, "width=")}})
-		case KindFault, KindRetry, KindGrant, KindRelease,
-			// The detector kinds carry Slot -1: the node's control track.
-			KindHeartbeatMiss, KindSuspect, KindConfirm, KindRejoin, KindStrand:
-			add(ev.Node, traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, Tid: ev.Slot + 1, S: "t",
-				Args: map[string]any{"session": ev.Session}})
-		case KindArrive, KindShed, KindDegrade:
-			add(ev.Node, traceEvent{Name: ev.Kind.String() + ":" + ev.Session, Ph: "i", Ts: ts, Tid: 0, S: "t",
-				Args: map[string]any{"detail": ev.Detail}})
+			continue
+		}
+		if ev.Kind == KindCommit {
+			continue
+		}
+		instant := traceEvent{Name: ev.Kind.String() + ":" + ev.Detail, Ph: "i", Ts: ts, S: "t"}
+		if ev.Session == "" {
+			add(ev.Node, instant) // a detector event: the node's control track
+			continue
+		}
+		tid, ok := tids[ev.Node][ev.Session]
+		if !ok {
+			tid = len(tids[ev.Node]) + 1
+			tids[ev.Node][ev.Session] = tid
+			add(ev.Node, traceEvent{Name: "thread_name", Ph: "M", Tid: tid, Args: map[string]any{"name": ev.Session}})
+		}
+		slot := map[string]any{"slot": ev.Slot}
+		switch ev.Kind {
+		case KindAdmit, KindResume:
+			add(ev.Node, traceEvent{Name: ev.Session, Ph: "B", Ts: ts, Tid: tid,
+				Args: map[string]any{"kind": ev.Kind.String(), "detail": ev.Detail, "slot": ev.Slot}})
+		default:
+			instant.Tid, instant.Args = tid, slot
+			add(ev.Node, instant)
+			if (ev.Kind == KindSuspend || ev.Kind == KindFinish) && ev.Slot >= 0 {
+				add(ev.Node, traceEvent{Name: ev.Session, Ph: "E", Ts: ts, Tid: tid, Args: slot})
+			}
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -77,9 +77,7 @@ const (
 	// router stops preferring the node (detail: DetailSuspect).
 	KindSuspect
 	// KindConfirm: misses crossed the confirmation threshold; the node is
-	// declared down and its work evacuates (detail: DetailDown; Session
-	// carries "lag=N" when the node was genuinely dead — the measured
-	// detection lag in ticks).
+	// declared down and its work evacuates (detail: DetailDown).
 	KindConfirm
 	// KindRejoin: a down node's heartbeat returned (detail:
 	// DetailRejoining — warm-up probation begins) or its probation ended
@@ -162,7 +160,7 @@ type Event struct {
 	// (arrivals, shedding, batch steps, commits).
 	Slot int `json:"slot"`
 	// Kind classifies the decision; Session names the request it concerns
-	// ("" for batch-level events); Detail carries the kind-specific
+	// ("" for batch- and node-level events); Detail carries the kind-specific
 	// qualifier documented on each Kind constant.
 	Kind    Kind   `json:"kind"`
 	Session string `json:"session,omitempty"`

@@ -152,6 +152,8 @@ func TestWriteJSONLIsParseableAndOrdered(t *testing.T) {
 	}
 }
 
+// Every residency span opens and closes on its session's own track, named
+// after the session, whatever slots the session moves through.
 func TestChromeTraceBalancesResidencySpans(t *testing.T) {
 	events := []Event{
 		{Tick: 0, Slot: -1, Kind: KindArrive, Session: "a"},
@@ -161,11 +163,21 @@ func TestChromeTraceBalancesResidencySpans(t *testing.T) {
 		{Tick: 2, Slot: 1, Kind: KindSuspend, Session: "b", Detail: DetailPreempt},
 		{Tick: 2, Slot: 1, Kind: KindAdmit, Session: "c"},
 		{Tick: 3, SubStep: 4, Slot: 0, Kind: KindFinish, Session: "a", Detail: DetailOK},
-		// "a" retired slot 0, so "b" resumes there — a different track from
+		// "a" retired slot 0, so "b" resumes there — a different slot from
 		// the one its first span lived on.
 		{Tick: 3, Slot: 0, Kind: KindResume, Session: "b", Detail: DetailPreempt},
 		{Tick: 4, SubStep: 2, Slot: 0, Kind: KindFinish, Session: "b", Detail: DetailOK},
 		{Tick: 4, Slot: 1, Kind: KindFinish, Session: "c", Detail: DetailOK},
+		// Compaction: "d" retires, "e" silently moves from slot 1 to slot 0,
+		// and "f" is admitted into slot 1 while "e"'s span is still open.
+		{Tick: 5, Slot: 0, Kind: KindAdmit, Session: "d"},
+		{Tick: 5, Slot: 1, Kind: KindAdmit, Session: "e"},
+		{Tick: 6, Slot: 0, Kind: KindFinish, Session: "d", Detail: DetailOK},
+		{Tick: 6, Slot: 1, Kind: KindAdmit, Session: "f"},
+		{Tick: 7, Slot: 0, Kind: KindFinish, Session: "e", Detail: DetailOK},
+		{Tick: 8, Slot: 0, Kind: KindFinish, Session: "f", Detail: DetailOK},
+		// A migrant leaving from the queue closes nothing.
+		{Tick: 9, Slot: -1, Kind: KindSuspend, Session: "g", Detail: DetailMigrate},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events); err != nil {
@@ -173,34 +185,53 @@ func TestChromeTraceBalancesResidencySpans(t *testing.T) {
 	}
 	var trace struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Tid  int    `json:"tid"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatal(err)
 	}
-	open := make(map[int][]string) // tid → span stack
-	counters := 0
+	type track struct{ pid, tid int }
+	named := make(map[track]string)
+	open := make(map[track][]string) // span stack per track
+	spans, counters := 0, 0
 	for _, te := range trace.TraceEvents {
+		at := track{te.Pid, te.Tid}
 		switch te.Ph {
-		case "B":
-			open[te.Tid] = append(open[te.Tid], te.Name)
-		case "E":
-			stack := open[te.Tid]
-			if len(stack) == 0 {
-				t.Fatalf("E event on tid %d with no open span", te.Tid)
+		case "M":
+			if te.Name == "thread_name" {
+				named[at] = te.Args["name"].(string)
 			}
-			open[te.Tid] = stack[:len(stack)-1]
+		case "B":
+			if named[at] != te.Name {
+				t.Errorf("B %q on pid %d tid %d, the track of %q", te.Name, te.Pid, te.Tid, named[at])
+			}
+			if _, ok := te.Args["slot"]; !ok {
+				t.Errorf("B %q carries no slot", te.Name)
+			}
+			open[at] = append(open[at], te.Name)
+			spans++
+		case "E":
+			stack := open[at]
+			if len(stack) == 0 || stack[len(stack)-1] != te.Name {
+				t.Fatalf("E %q on pid %d tid %d closes span stack %v", te.Name, te.Pid, te.Tid, stack)
+			}
+			open[at] = stack[:len(stack)-1]
 		case "C":
 			counters++
 		}
 	}
-	for tid, stack := range open {
+	for at, stack := range open {
 		if len(stack) > 0 {
-			t.Errorf("tid %d left spans open: %v", tid, stack)
+			t.Errorf("pid %d tid %d left spans open: %v", at.pid, at.tid, stack)
 		}
+	}
+	if spans != 7 {
+		t.Errorf("drew %d residency spans, want 7", spans)
 	}
 	if counters != 1 {
 		t.Errorf("emitted %d batch-width counter events, want 1", counters)

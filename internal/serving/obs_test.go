@@ -27,8 +27,8 @@ func chaosObsRun(t *testing.T, arb ArbPolicy, noFuse bool) (*Report, []byte) {
 		System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
 		MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
 		Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
-		ShedQueueBudget: 3, Degrade: true, DegradeTicks: 2,
-		Obs: rec,
+		ShedQueueBudget: 3,
+		Obs:             rec,
 	}, mixedPressureTrace(t))
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +124,8 @@ func TestEventLogGolden(t *testing.T) {
 		System: sysCfg(), Arb: ArbShared, Sched: EDF(), Preempt: DeadlinePreempt(),
 		MaxActive: 2, Quantum: 4, Seed: 5,
 		Faults: script, Retry: faults.RetryPolicy{MaxAttempts: 3},
-		ShedQueueBudget: 3, Degrade: true, DegradeTicks: 2,
-		Obs: rec,
+		ShedQueueBudget: 3,
+		Obs:             rec,
 	}, mixedPressureTrace(t))
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +166,8 @@ func TestObserverDoesNotPerturbReport(t *testing.T) {
 			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: DeadlinePreempt(),
 			MaxActive: 2, Quantum: 4, Seed: 5,
 			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
-			ShedQueueBudget: 3, Degrade: true, DegradeTicks: 2,
-			Obs: rec,
+			ShedQueueBudget: 3,
+			Obs:             rec,
 		}, mixedPressureTrace(t))
 		if err != nil {
 			t.Fatal(err)

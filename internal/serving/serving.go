@@ -116,17 +116,12 @@ type Config struct {
 	Retry faults.RetryPolicy
 	// ShedQueueBudget, when positive, is the admission-control budget: an
 	// arrival finding the queue already holding that many entries is shed
-	// (rejected, never admitted) instead of queued. 0 = never shed.
+	// (rejected, never admitted) instead of queued. A budget also degrades
+	// gracefully: once the queue has sat at it for degradeTicks consecutive
+	// ticks, the engine sheds queued *optional* work — fresh, deadline-less
+	// entries, newest first — to keep slack for deadlined requests instead
+	// of missing their SLOs. 0 = never shed.
 	ShedQueueBudget int
-	// Degrade enables graceful degradation: when the queue has sat at the
-	// shed budget for DegradeTicks consecutive ticks, the engine sheds
-	// queued *optional* work — fresh, deadline-less entries, newest first —
-	// to keep slack for deadlined requests instead of missing their SLOs.
-	// Requires a positive ShedQueueBudget.
-	Degrade bool
-	// DegradeTicks is the sustained-pressure window before Degrade acts
-	// (default 4).
-	DegradeTicks int
 
 	// Obs attaches a structured-event recorder (see internal/serving/obs):
 	// the engine emits one event per control-plane decision — always from
@@ -388,15 +383,6 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 	}
 	if cfg.ShedQueueBudget < 0 {
 		return nil, fmt.Errorf("serving: Config.ShedQueueBudget must be non-negative (0 = never shed), got %d", cfg.ShedQueueBudget)
-	}
-	if cfg.Degrade && cfg.ShedQueueBudget == 0 {
-		return nil, fmt.Errorf("serving: Config.Degrade needs a positive ShedQueueBudget to define pressure")
-	}
-	if cfg.DegradeTicks < 0 {
-		return nil, fmt.Errorf("serving: Config.DegradeTicks must be non-negative (0 = default 4), got %d", cfg.DegradeTicks)
-	}
-	if cfg.DegradeTicks == 0 {
-		cfg.DegradeTicks = 4
 	}
 	var groups [sparsity.NumGroups]bool
 	var probed []sparsity.Scheme // the distinct scheme values seen so far

@@ -179,10 +179,3 @@ func (st *LayerStats) CATSThresholds(rho float64) []float32 {
 	}
 	return out
 }
-
-// NewCATS calibrates a CATS scheme at the given intermediate keep fraction
-// using calibration tokens.
-func NewCATS(m *model.Model, tokens []int, win int, rho float64) *CATS {
-	st := CollectStats(m, tokens, win, 512)
-	return &CATS{Thresholds: st.CATSThresholds(rho)}
-}
