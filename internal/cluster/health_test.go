@@ -341,97 +341,96 @@ func TestRejoinedNodeServesNewSessionsBitIdenticalToSolo(t *testing.T) {
 	}
 }
 
-// Satellite: the fair/greedy suspend-resume spec, pinned at cluster level.
-// A session evacuated off a crashed fair-share (or greedy) node releases
-// its partition, so the failover resume re-fills a cold cache: with a
-// cache-independent scheme (plain DIP, as in the single-engine spec) decode
-// quality stays bit-equal to the same session in an undisturbed cluster,
-// the cache hit rate strictly drops, and the wasted re-prefill work is
-// priced in cluster goodput — same tokens, strictly lower goodput.
-func TestClusterFailoverUnderFairAndGreedyPaysReprefillNotQuality(t *testing.T) {
+// Satellite: the fair-share suspend-resume spec, pinned at cluster level.
+// A session evacuated off a crashed fair-share node releases its partition,
+// so the failover resume re-fills a cold cache: with a cache-independent
+// scheme (plain DIP, as in the single-engine spec) decode quality stays
+// bit-equal to the same session in an undisturbed cluster, the cache hit
+// rate strictly drops, and the wasted re-prefill work is priced in cluster
+// goodput — same tokens, strictly lower goodput.
+func TestClusterFailoverUnderFairPaysReprefillNotQuality(t *testing.T) {
 	trained(t)
-	for _, arb := range []serving.ArbPolicy{serving.ArbFairShare, serving.ArbGreedy} {
-		run := func(fail bool) *Report {
-			reqs := make([]serving.Request, 2)
-			for i := range reqs {
-				lo := i * 256
-				reqs[i] = serving.Request{
-					ID:     fmt.Sprintf("solo/s%02d", i),
-					Scheme: sparsity.NewDIP(0.5),
-					Tokens: zoo.tokens[lo : lo+96],
+	arb := serving.ArbFairShare
+	run := func(fail bool) *Report {
+		reqs := make([]serving.Request, 2)
+		for i := range reqs {
+			lo := i * 256
+			reqs[i] = serving.Request{
+				ID:     fmt.Sprintf("solo/s%02d", i),
+				Scheme: sparsity.NewDIP(0.5),
+				Tokens: zoo.tokens[lo : lo+96],
+			}
+		}
+		cfg := Config{
+			Nodes: []serving.Config{
+				nodeCfg(arb, 1, false),
+				nodeCfg(arb, 1, false),
+			},
+			Router: LeastLoaded(), Seed: 5,
+		}
+		if fail {
+			// Node 1 crashes at tick 2 — mid-decode for its session —
+			// and never comes back; the detector confirms and evacuates.
+			cfg.Failures = []Failure{{Node: 1, Tick: 2, Ticks: 1000}}
+		}
+		c, err := New(zoo.m, cfg, serving.FixedBatch(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := run(false)
+	fail := run(true)
+	if fail.Migrations != 1 {
+		t.Fatalf("arb=%v: expected exactly one failover migration, got %d", arb, fail.Migrations)
+	}
+	sess := func(r *Report, id string) serving.SessionMetrics {
+		for _, nr := range r.Nodes {
+			for _, sm := range nr.Report.Sessions {
+				if sm.ID == id {
+					return sm
 				}
 			}
-			cfg := Config{
-				Nodes: []serving.Config{
-					nodeCfg(arb, 1, false),
-					nodeCfg(arb, 1, false),
-				},
-				Router: LeastLoaded(), Seed: 5,
-			}
-			if fail {
-				// Node 1 crashes at tick 2 — mid-decode for its session —
-				// and never comes back; the detector confirms and evacuates.
-				cfg.Failures = []Failure{{Node: 1, Tick: 2, Ticks: 1000}}
-			}
-			c, err := New(zoo.m, cfg, serving.FixedBatch(reqs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
 		}
-		base := run(false)
-		fail := run(true)
-		if fail.Migrations != 1 {
-			t.Fatalf("arb=%v: expected exactly one failover migration, got %d", arb, fail.Migrations)
+		t.Fatalf("arb=%v: no session %q", arb, id)
+		return serving.SessionMetrics{}
+	}
+	for _, id := range []string{"solo/s00", "solo/s01"} {
+		b, f := sess(base, id), sess(fail, id)
+		if f.Outcome != serving.OutcomeOK {
+			t.Fatalf("arb=%v: session %q finished %q, want ok", arb, id, f.Outcome)
 		}
-		sess := func(r *Report, id string) serving.SessionMetrics {
-			for _, nr := range r.Nodes {
-				for _, sm := range nr.Report.Sessions {
-					if sm.ID == id {
-						return sm
-					}
-				}
-			}
-			t.Fatalf("arb=%v: no session %q", arb, id)
-			return serving.SessionMetrics{}
+		if f.Point.PPL != b.Point.PPL || f.Point.Density != b.Point.Density {
+			t.Fatalf("arb=%v: failover changed session %q decode quality:\nfail %+v\nbase %+v", arb, id, f.Point, b.Point)
 		}
-		for _, id := range []string{"solo/s00", "solo/s01"} {
-			b, f := sess(base, id), sess(fail, id)
-			if f.Outcome != serving.OutcomeOK {
-				t.Fatalf("arb=%v: session %q finished %q, want ok", arb, id, f.Outcome)
-			}
-			if f.Point.PPL != b.Point.PPL || f.Point.Density != b.Point.Density {
-				t.Fatalf("arb=%v: failover changed session %q decode quality:\nfail %+v\nbase %+v", arb, id, f.Point, b.Point)
-			}
-		}
-		// The migrated session (node 1's at placement, finishing on node 0)
-		// pays the cold re-prefill in hit rate.
-		migrated := ""
-		for _, sm := range base.Nodes[1].Report.Sessions {
-			migrated = sm.ID
-		}
-		if migrated == "" {
-			t.Fatalf("arb=%v: baseline placed nothing on node 1", arb)
-		}
-		bm, fm := sess(base, migrated), sess(fail, migrated)
-		if fm.Point.HitRate >= bm.Point.HitRate {
-			t.Fatalf("arb=%v: cold failover resume did not cost session %q hit rate: %v vs %v",
-				arb, migrated, fm.Point.HitRate, bm.Point.HitRate)
-		}
-		// Same tokens served, strictly lower goodput: the re-prefill ticks
-		// are wasted work the cluster pays for.
-		if fail.TotalTokens != base.TotalTokens || fail.GoodTokens != base.GoodTokens {
-			t.Fatalf("arb=%v: failover changed token totals: %d/%d vs %d/%d",
-				arb, fail.TotalTokens, fail.GoodTokens, base.TotalTokens, base.GoodTokens)
-		}
-		if fail.Goodput >= base.Goodput {
-			t.Fatalf("arb=%v: failover wasted work is not priced in goodput: %v vs %v",
-				arb, fail.Goodput, base.Goodput)
-		}
+	}
+	// The migrated session (node 1's at placement, finishing on node 0)
+	// pays the cold re-prefill in hit rate.
+	migrated := ""
+	for _, sm := range base.Nodes[1].Report.Sessions {
+		migrated = sm.ID
+	}
+	if migrated == "" {
+		t.Fatalf("arb=%v: baseline placed nothing on node 1", arb)
+	}
+	bm, fm := sess(base, migrated), sess(fail, migrated)
+	if fm.Point.HitRate >= bm.Point.HitRate {
+		t.Fatalf("arb=%v: cold failover resume did not cost session %q hit rate: %v vs %v",
+			arb, migrated, fm.Point.HitRate, bm.Point.HitRate)
+	}
+	// Same tokens served, strictly lower goodput: the re-prefill ticks
+	// are wasted work the cluster pays for.
+	if fail.TotalTokens != base.TotalTokens || fail.GoodTokens != base.GoodTokens {
+		t.Fatalf("arb=%v: failover changed token totals: %d/%d vs %d/%d",
+			arb, fail.TotalTokens, fail.GoodTokens, base.TotalTokens, base.GoodTokens)
+	}
+	if fail.Goodput >= base.Goodput {
+		t.Fatalf("arb=%v: failover wasted work is not priced in goodput: %v vs %v",
+			arb, fail.Goodput, base.Goodput)
 	}
 }
 

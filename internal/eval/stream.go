@@ -356,24 +356,6 @@ func (st *Stream) Traffic() (hits, misses int64) { return st.hits, st.misses }
 // the raw per-stream output, useful for bit-exact comparisons.
 func (st *Stream) CE() (float64, int) { return st.ce + st.winCE, st.preds }
 
-// StreamStats is a point-in-time snapshot of the stream's integer counters
-// — the per-tick feed for the serving engine's moving-window telemetry.
-// All fields are cumulative, so a caller differencing two snapshots gets
-// the interval's decode and traffic deltas.
-type StreamStats struct {
-	// Pos is the surviving consumed prefix; Decoded counts every token ever
-	// stepped, including work a Restart discarded.
-	Pos, Decoded int
-	// Hits/Misses are this stream's cumulative cache traffic in units.
-	Hits, Misses int64
-}
-
-// Stats snapshots the stream's counters without touching any float state,
-// so sampling it never perturbs the evaluation.
-func (st *Stream) Stats() StreamStats {
-	return StreamStats{Pos: st.pos, Decoded: st.decoded, Hits: st.hits, Misses: st.misses}
-}
-
 // Point summarizes the stream's KPIs so far. After the final Step it equals
 // what SystemEvaluate returns for the same configuration.
 func (st *Stream) Point() Point {

@@ -127,6 +127,9 @@ func TestScenarioRejects(t *testing.T) {
 		row{"cluster", "-nodes 3 -detect-miss 2", "detect-miss"},
 		row{"cluster", "-nodes 3 -recover-ticks 5", "recover-ticks"},
 		row{"serve", "-router hash -detect-miss 9", "router"},
+		// Retired policy values: the error lists the registry that survives.
+		row{"serve", "-arb greedy", `arb: unknown value "greedy" (known: exclusive|fair|shared)`},
+		row{"serve", "-preempt prio", `preempt: unknown value "prio" (known: none|deadline)`},
 	)
 	for _, r := range rows {
 		err := parseScenario(r.exp, strings.Fields(r.args)...)

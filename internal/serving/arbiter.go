@@ -19,10 +19,6 @@ const (
 	// ArbFairShare partitions the budget equally across the batch width:
 	// each session's private cache holds budget/MaxActive.
 	ArbFairShare
-	// ArbGreedy is first-come-first-served: each admitted session claims
-	// all remaining budget; sessions arriving after exhaustion decode
-	// cache-less (every access a Flash miss) until a claim is released.
-	ArbGreedy
 	// ArbShared backs every session with one shared cache at the full
 	// budget. Accesses are committed in slot order at every token, so
 	// sessions genuinely contend — and statistics stay deterministic for a
@@ -37,8 +33,6 @@ func (p ArbPolicy) String() string {
 		return "exclusive"
 	case ArbFairShare:
 		return "fair"
-	case ArbGreedy:
-		return "greedy"
 	case ArbShared:
 		return "shared"
 	default:
@@ -53,65 +47,22 @@ func ParseArbPolicy(s string) (ArbPolicy, error) {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("serving: unknown arbitration policy %q (exclusive|fair|greedy|shared)", s)
+	return 0, fmt.Errorf("serving: unknown arbitration policy %q (exclusive|fair|shared)", s)
 }
 
 // Policies lists every arbitration policy in declaration order.
 func Policies() []ArbPolicy {
-	return []ArbPolicy{ArbExclusive, ArbFairShare, ArbGreedy, ArbShared}
+	return []ArbPolicy{ArbExclusive, ArbFairShare, ArbShared}
 }
 
 // grant issues a newly admitted (or resumed) session a private cache at its
-// policy share of the budget, recording the share on the session and greedy
-// claims on the engine pool. The pool is clamped to [0, 1] on every
-// mutation: repeated admit/suspend/retire cycles accumulate floating-point
-// error in `claimed`, and an unclamped pool would eventually grant late
-// sessions shares slightly above 1 or below 0.
+// policy share of the budget and records the share on the session.
 func (e *Engine) grant(sess *Session) *cache.ModelCache {
-	share := 1.0 // ArbExclusive: the full over-committed budget
-	switch e.cfg.Arb {
-	case ArbFairShare:
-		share = 1 / float64(e.cfg.MaxActive)
-	case ArbGreedy:
-		share = 1 - e.claimed
-		if share < 0 {
-			share = 0
-		}
-		if share > 0 {
-			e.claimants++
-		}
-		e.claimed = clamp01(e.claimed + share)
-		sess.claim = share
+	sess.Share = 1.0 // ArbExclusive: the full over-committed budget
+	if e.cfg.Arb == ArbFairShare {
+		sess.Share = 1 / float64(e.cfg.MaxActive)
 	}
-	sess.Share = share
-	return cache.NewModelCache(e.cfg.System.Policy, scaledCaps(e.plan.Caps, share), e.plan.NUnits)
-}
-
-// releaseClaim returns a session's greedy claim to the pool. Whenever no
-// live session holds a claim the pool is reset to exactly 0, so drift from
-// long admit/retire cycles can never compound across pool generations.
-func (e *Engine) releaseClaim(sess *Session) {
-	if sess.claim > 0 {
-		e.claimants--
-		e.claimed -= sess.claim
-	}
-	sess.claim = 0
-	if e.claimants == 0 {
-		e.claimed = 0
-		return
-	}
-	e.claimed = clamp01(e.claimed)
-}
-
-// clamp01 pins a budget fraction into [0, 1].
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return cache.NewModelCache(e.cfg.System.Policy, scaledCaps(e.plan.Caps, sess.Share), e.plan.NUnits)
 }
 
 // scaledCaps scales per-layer per-group unit capacities by a budget

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/parallel"
 	"repro/internal/serving/faults"
+	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -212,47 +214,65 @@ func TestCapacityDipParksAndResumes(t *testing.T) {
 	}
 }
 
-// The determinism acceptance test for chaos runs: with a fixed fault seed,
-// the full report — faults injected, retries, sheds, outcomes, every session
-// metric — must be bit-identical across worker counts and fused/unfused
-// decode paths, for every arbitration policy. Run under -race this also
-// proves fault-driven batch recomposition never races the decode phases.
-func TestChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
-	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
+// chaosObsRun executes the chaos determinism scenario with a fresh recorder
+// and returns the report plus the serialized JSONL event log.
+func chaosObsRun(t *testing.T, arb ArbPolicy, noFuse bool) (*Report, []byte) {
+	t.Helper()
 	plan, err := faults.Mix(0.08, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(arb ArbPolicy, noFuse bool) *Report {
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
-			MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
-			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
-			ShedQueueBudget: 3,
-		}, mixedPressureTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	rec := obs.NewRecorder(obs.Config{Window: 16})
+	e, err := NewEngine(zoo.m, Config{
+		System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
+		MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
+		Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
+		ShedQueueBudget: 3,
+		Obs:             rec,
+	}, mixedPressureTrace(t))
+	if err != nil {
+		t.Fatal(err)
 	}
+	rep, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
+	return rep, buf.Bytes()
+}
+
+// chaosVariants are the execution paths every chaos determinism check
+// compares against the first: the fused decode at four workers.
+var chaosVariants = []struct {
+	procs  int
+	noFuse bool
+	name   string
+}{{4, false, "the fused path"}, {4, true, "the per-session path"}, {1, false, "one worker"}}
+
+// The determinism acceptance test for chaos runs: with a fixed fault seed,
+// the full report — faults injected, retries, sheds, outcomes, every session
+// metric, the observer snapshot — must be bit-identical across worker counts
+// and fused/unfused decode paths, for every arbitration policy. Run under
+// -race this also proves fault-driven batch recomposition never races the
+// decode phases.
+func TestChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
+	trained(t)
+	defer parallel.SetProcs(parallel.Procs())
 	injected := false
 	for _, arb := range Policies() {
-		parallel.SetProcs(4)
-		fused := stripWall(run(arb, false))
-		unfused := stripWall(run(arb, true))
-		if !reflect.DeepEqual(fused, unfused) {
-			t.Fatalf("arb=%v: chaos reports diverged between fused and per-session paths:\nfused   %+v\nunfused %+v",
-				arb, fused, unfused)
-		}
-		parallel.SetProcs(1)
-		serial := stripWall(run(arb, false))
-		if !reflect.DeepEqual(fused, serial) {
-			t.Fatalf("arb=%v: chaos report depends on worker count", arb)
+		var fused *Report
+		for i, v := range chaosVariants {
+			parallel.SetProcs(v.procs)
+			rep, _ := chaosObsRun(t, arb, v.noFuse)
+			rep = stripWall(rep)
+			if i == 0 {
+				fused = rep
+			} else if !reflect.DeepEqual(fused, rep) {
+				t.Fatalf("arb=%v: chaos report diverged on %s:\nfused   %+v\n%s %+v", arb, v.name, fused, v.name, rep)
+			}
 		}
 		injected = injected || fused.StepFaults+fused.Revocations+fused.Cancellations+fused.DipSlotTicks > 0
 	}
@@ -421,69 +441,66 @@ func TestRetryAndSheddingBeatNoRecoveryBaseline(t *testing.T) {
 	}
 }
 
-// Satellite: the resume spec beyond ArbExclusive. Under fair-share and
-// greedy arbitration a suspended session's partition is released, so the
-// resumed run re-fills a cold cache at a fresh grant: with a
-// cache-independent scheme the quality metrics stay bit-identical to an
-// uninterrupted run, while the cache hit rate strictly drops — the
-// documented re-prefill cost fault-triggered restarts inherit.
-func TestSuspendResumeSpecUnderFairAndGreedy(t *testing.T) {
+// Satellite: the resume spec beyond ArbExclusive. Under fair-share
+// arbitration a suspended session's partition is released, so the resumed
+// run re-fills a cold cache at a fresh grant: with a cache-independent scheme
+// the quality metrics stay bit-identical to an uninterrupted run, while the
+// cache hit rate strictly drops — the documented re-prefill cost
+// fault-triggered restarts inherit.
+func TestSuspendResumeSpecUnderFair(t *testing.T) {
 	trained(t)
-	for _, arb := range []ArbPolicy{ArbFairShare, ArbGreedy} {
-		run := func(pre Preemptor) *Report {
-			e, err := NewEngine(zoo.m, Config{
-				System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: pre,
-				MaxActive: 1, Quantum: 8, Seed: 3,
-			}, preemptTrace(t))
-			if err != nil {
-				t.Fatal(err)
+	run := func(pre Preemptor) *Report {
+		e, err := NewEngine(zoo.m, Config{
+			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: pre,
+			MaxActive: 1, Quantum: 8, Seed: 3,
+		}, preemptTrace(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := run(NoPreempt())
+	pre := run(DeadlinePreempt())
+	if pre.Preemptions == 0 {
+		t.Fatal("scenario broken, no preemption")
+	}
+	again := run(DeadlinePreempt())
+	if !reflect.DeepEqual(stripWall(pre), stripWall(again)) {
+		t.Fatal("suspend/resume run not reproducible")
+	}
+	sess := func(r *Report, id string) SessionMetrics {
+		for _, sm := range r.Sessions {
+			if sm.ID == id {
+				return sm
 			}
-			rep, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
 		}
-		base := run(NoPreempt())
-		pre := run(DeadlinePreempt())
-		if pre.Preemptions == 0 {
-			t.Fatalf("arb=%v: scenario broken, no preemption", arb)
-		}
-		again := run(DeadlinePreempt())
-		if !reflect.DeepEqual(stripWall(pre), stripWall(again)) {
-			t.Fatalf("arb=%v: suspend/resume run not reproducible", arb)
-		}
-		sess := func(r *Report, id string) SessionMetrics {
-			for _, sm := range r.Sessions {
-				if sm.ID == id {
-					return sm
-				}
-			}
-			t.Fatalf("no session %q in %+v", id, r.Sessions)
-			return SessionMetrics{}
-		}
-		bgPre, bgBase := sess(pre, "bg"), sess(base, "bg")
-		if bgPre.Preemptions == 0 {
-			t.Fatalf("arb=%v: bg was not the victim: %+v", arb, bgPre)
-		}
-		// With one slot, both policies grant the full budget, so the
-		// uninterrupted baseline is the within-policy reference. Quality is
-		// untouched by the cold resume; the hit rate strictly pays for it.
-		if bgPre.Point.PPL != bgBase.Point.PPL || bgPre.Point.Density != bgBase.Point.Density {
-			t.Fatalf("arb=%v: resume changed decode quality:\npre  %+v\nbase %+v", arb, bgPre.Point, bgBase.Point)
-		}
-		if bgPre.Point.HitRate >= bgBase.Point.HitRate {
-			t.Fatalf("arb=%v: cold resume did not cost hit rate: %v vs %v",
-				arb, bgPre.Point.HitRate, bgBase.Point.HitRate)
-		}
-		if bgPre.Tokens != 128 || bgPre.Outcome != OutcomeOK {
-			t.Fatalf("arb=%v: victim did not complete: %+v", arb, bgPre)
-		}
-		// The re-granted share is the policy's current one (full budget at
-		// one slot for both fair-share and greedy).
-		if bgPre.Share != 1 {
-			t.Fatalf("arb=%v: resume share %v, want the policy's full single-slot grant", arb, bgPre.Share)
-		}
+		t.Fatalf("no session %q in %+v", id, r.Sessions)
+		return SessionMetrics{}
+	}
+	bgPre, bgBase := sess(pre, "bg"), sess(base, "bg")
+	if bgPre.Preemptions == 0 {
+		t.Fatalf("bg was not the victim: %+v", bgPre)
+	}
+	// With one slot the fair share is the full budget, so the uninterrupted
+	// baseline is the within-policy reference. Quality is untouched by the
+	// cold resume; the hit rate strictly pays for it.
+	if bgPre.Point.PPL != bgBase.Point.PPL || bgPre.Point.Density != bgBase.Point.Density {
+		t.Fatalf("resume changed decode quality:\npre  %+v\nbase %+v", bgPre.Point, bgBase.Point)
+	}
+	if bgPre.Point.HitRate >= bgBase.Point.HitRate {
+		t.Fatalf("cold resume did not cost hit rate: %v vs %v", bgPre.Point.HitRate, bgBase.Point.HitRate)
+	}
+	if bgPre.Tokens != 128 || bgPre.Outcome != OutcomeOK {
+		t.Fatalf("victim did not complete: %+v", bgPre)
+	}
+	// The re-granted share is the policy's current one: the full budget at
+	// one slot.
+	if bgPre.Share != 1 {
+		t.Fatalf("resume share %v, want the policy's full single-slot grant", bgPre.Share)
 	}
 }
 

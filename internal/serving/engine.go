@@ -230,46 +230,37 @@ func (e *Engine) emitFault(tick, slot int, sess *Session, detail string) {
 	}
 }
 
-// obsTickStart feeds the tick-start telemetry (queue depth, per-class SLO
-// slack, the step-batch event) and snapshots the active streams' counters
-// so obsTickEnd can difference them. With tracing off it is a
-// zero-allocation no-op (pinned by TestDisabledObserverAddsNoTickAllocations).
-func (e *Engine) obsTickStart(tick int, active []*Session, queued int) (tok int, hits, misses int64) {
+// obsTickStart feeds the tick-start telemetry (queue depth, the step-batch
+// event) and returns the active streams' decoded-token total so obsTickEnd
+// can difference it. With tracing off it is a zero-allocation no-op (pinned
+// by TestDisabledObserverAddsNoTickAllocations).
+func (e *Engine) obsTickStart(tick int, active []*Session, queued int) int {
 	if e.obs == nil {
-		return 0, 0, 0
+		return 0
 	}
 	e.obs.ObserveQueue(tick, queued)
-	for _, s := range active {
-		st := s.stream.Stats()
-		tok += st.Decoded
-		hits += st.Hits
-		misses += st.Misses
-		if s.Deadline != NoDeadline {
-			e.obs.ObserveSlack(tick, className(s.SLO), s.Deadline-tick)
-		}
-	}
 	e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindStepBatch, Detail: widthDetail(len(active))})
-	return tok, hits, misses
+	return decodedTotal(active)
 }
 
-// obsTickEnd feeds the executed tick's decode deltas and, under ArbShared,
+// obsTickEnd feeds the executed tick's decoded tokens and, under ArbShared,
 // records the slot-order commit of the tick's buffered accesses.
-func (e *Engine) obsTickEnd(tick int, active []*Session, tokPre int, hitPre, missPre int64) {
+func (e *Engine) obsTickEnd(tick int, active []*Session, pre int) {
 	if e.obs == nil {
 		return
 	}
-	var tok int
-	var hits, misses int64
-	for _, s := range active {
-		st := s.stream.Stats()
-		tok += st.Decoded
-		hits += st.Hits
-		misses += st.Misses
-	}
-	e.obs.ObserveDecode(tick, tok-tokPre, hits-hitPre, misses-missPre)
+	e.obs.ObserveDecode(tick, decodedTotal(active)-pre)
 	if e.cfg.Arb == ArbShared {
 		e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindCommit, Detail: widthDetail(len(active))})
 	}
+}
+
+// decodedTotal sums the sessions' cumulative decoded tokens.
+func decodedTotal(active []*Session) (n int) {
+	for _, s := range active {
+		n += s.stream.Decoded()
+	}
+	return n
 }
 
 // widthDetail renders a batch width for the event log.

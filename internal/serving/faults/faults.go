@@ -9,8 +9,8 @@
 // Four fault kinds cover the failure modes a serving fleet treats as the
 // normal case: transient step faults (a session's decode quantum aborts
 // this tick; its stream state survives), grant revocations (a session's
-// partitioned cache grant or greedy claim is forcibly released — an
-// eviction storm — and its decode state is torn down with it), request
+// private cache grant is forcibly released — an eviction storm — and its
+// decode state is torn down with it), request
 // cancellations (the client hangs up mid-stream), and capacity dips (slots
 // go offline for a tick window, simulating a degraded node). Recovery is
 // governed by RetryPolicy: a bounded attempt budget with seeded exponential
@@ -28,8 +28,8 @@ const (
 	// Step aborts the target slot's decode quantum for one tick; the
 	// session's stream state survives and it retries after backoff.
 	Step Kind = iota
-	// Revoke forcibly releases the target slot's cache grant (or greedy
-	// claim) and tears down the decode state behind it; the session
+	// Revoke forcibly releases the target slot's cache grant and tears
+	// down the decode state behind it; the session
 	// re-prefills from scratch on retry. Under a shared cache there is no
 	// per-session grant to revoke, so the engine skips Revoke events there.
 	Revoke

@@ -103,9 +103,9 @@ func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 				e.emitFault(tick, slot, s, obs.DetailCancel)
 				e.terminate(s, tick, slot, OutcomeCancelled)
 			case e.cfg.Faults.Revoke(tick, slot) && e.cfg.Arb != ArbShared:
-				// An eviction storm takes the session's grant (or greedy
-				// claim) and the decode state built on it; under ArbShared
-				// there is no per-session grant to revoke.
+				// An eviction storm takes the session's grant and the
+				// decode state built on it; under ArbShared there is no
+				// per-session grant to revoke.
 				e.displace(s, tick, slot, CauseRevoke)
 			case e.cfg.Faults.StepFault(tick, slot):
 				e.displace(s, tick, slot, CauseFault)
@@ -162,9 +162,9 @@ func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 	// Telemetry brackets the decode from the serial loop: decode itself
 	// never touches the recorder, so the event stream and tracker feed are
 	// identical for any worker count and either way of advancing a sub-step.
-	tokPre, hitPre, missPre := e.obsTickStart(tick, e.active, len(e.queue))
+	pre := e.obsTickStart(tick, e.active, len(e.queue))
 	e.decode(e.active)
-	e.obsTickEnd(tick, e.active, tokPre, hitPre, missPre)
+	e.obsTickEnd(tick, e.active, pre)
 	post := tick + 1
 	live := e.active[:0]
 	for slot, s := range e.active {
@@ -235,8 +235,8 @@ func (e *Engine) Slots() int { return e.cfg.MaxActive }
 // stream held, released on the source and re-granted verbatim on the target
 // — the simulated analogue of shipping KV/cache state with the session.
 // Shared-arbitration sessions never carry a cache; they re-attach to the
-// target's shared cache. Fair/greedy sessions re-acquire a grant from the
-// target's pool at placement, and a revoked exclusive session migrates
+// target's shared cache. Fair-share sessions are granted a fresh partition
+// by the target at placement, and a revoked exclusive session migrates
 // stateless and is re-granted a full budget on resume.
 type Migrant struct {
 	Sess  *Session
@@ -247,9 +247,9 @@ type Migrant struct {
 // exactly one node reports it and a later failover can migrate it back (a
 // node that crashed, recovered, and rejoined may legitimately re-host a
 // request it held before the crash). A suspended session logs a
-// KindSuspend/DetailMigrate event and takes displace's detach step — claim
-// returned, cache uncoupled and carried along if private — but stays
-// Suspended under its original cause: the hop is not a second displacement.
+// KindSuspend/DetailMigrate event and takes displace's detach step — cache
+// uncoupled and carried along if private — but stays Suspended under its
+// original cause: the hop is not a second displacement.
 func (e *Engine) extract(sess *Session, tick int) *Migrant {
 	mig := &Migrant{Sess: sess}
 	if sess.state == Suspended {
@@ -306,9 +306,9 @@ func (e *Engine) shrink(n, tick int) {
 // admitted and logged on the source, so migration bypasses this node's shed
 // budget. A suspended session re-attaches to this engine's shared cache or,
 // under ArbExclusive, to the private cache it carried; otherwise resume
-// issues a fresh grant from this engine's pool. The migrant is input from
-// another engine, so a session that is running or finished there is
-// rejected rather than adopted.
+// grants it a fresh cache on this engine. The migrant is input from another
+// engine, so a session that is running or finished there is rejected rather
+// than adopted.
 func (e *Engine) Accept(mig *Migrant, tick int) error {
 	if !e.ran {
 		return fmt.Errorf("serving: Accept outside a run")

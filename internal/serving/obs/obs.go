@@ -11,10 +11,9 @@
 // the fused/unfused decode paths, so a trace file is a reproducible
 // artifact, not a sample.
 //
-// On top of the bus, a Recorder keeps moving-window trackers (throughput,
-// goodput, queue depth, cache hit rate, per-class SLO slack) with windows
-// measured in simulated ticks, exposed through Snapshot — the observed-stats
-// substrate the adaptive arbiter and a future /metrics endpoint consume.
+// On top of the bus, a Recorder keeps two moving-window trackers (decoded
+// throughput and admission-queue depth) with windows measured in simulated
+// ticks, exposed through Snapshot, which the serve grid's obs columns read.
 // Exporters serialize the event log as JSONL or as Chrome trace-event JSON
 // (see export.go).
 //
@@ -23,10 +22,7 @@
 // formatting to the tick hot path.
 package obs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind classifies an engine decision.
 type Kind int
@@ -46,7 +42,7 @@ const (
 	KindResume
 	// KindGrant: the arbiter granted a cache share (detail: "share=F").
 	KindGrant
-	// KindRelease: a partitioned cache grant or greedy claim was released.
+	// KindRelease: a fair-share or revoked cache grant was released.
 	KindRelease
 	// KindSuspend: a running session left its slot with its stream retained
 	// (detail: preempt, fault, dip, or migrate — the latter emitted by the
@@ -231,15 +227,6 @@ func (c *Counts) Add(o Counts) {
 	c.Stranded += o.Stranded
 }
 
-// ClassSlack is one SLO class's observed deadline slack over the window.
-type ClassSlack struct {
-	Class string `json:"class"`
-	// MeanSlackTicks averages (deadline − now) over every active deadlined
-	// session-tick observed in the window; negative means the class is
-	// running past its deadlines.
-	MeanSlackTicks float64 `json:"mean_slack_ticks"`
-}
-
 // Snapshot is the moving-window view at a tick — every field derives from
 // simulated-clock observations, so snapshots are bit-identical across
 // worker counts and decode paths.
@@ -250,22 +237,11 @@ type Snapshot struct {
 	Tick   int `json:"tick"`
 	Window int `json:"window"`
 	// TokensPerTick is decoded throughput over the window (all sessions,
-	// including work later discarded); GoodTokensPerTick counts only tokens
-	// of sessions that finished OK, credited at their finish tick.
-	TokensPerTick     float64 `json:"tokens_per_tick"`
-	GoodTokensPerTick float64 `json:"good_tokens_per_tick"`
-	// ArrivalsPerTick and FinishesPerTick are workload flow rates (finishes
-	// count every terminal outcome).
-	ArrivalsPerTick float64 `json:"arrivals_per_tick"`
-	FinishesPerTick float64 `json:"finishes_per_tick"`
+	// including work later discarded).
+	TokensPerTick float64 `json:"tokens_per_tick"`
 	// MeanQueueDepth averages the admission-queue depth at decode time over
 	// the window; ticks the engine fast-forwarded past count as empty.
 	MeanQueueDepth float64 `json:"mean_queue_depth"`
-	// HitRate is the window's cache hit fraction (0 with no traffic).
-	HitRate float64 `json:"hit_rate"`
-	// ClassSlack breaks observed SLO slack down per class, sorted by label;
-	// classes with no deadlined session-ticks in the window are omitted.
-	ClassSlack []ClassSlack `json:"class_slack,omitempty"`
 	// Counts aggregates the full event log since the start of the run.
 	Counts Counts `json:"counts"`
 }
@@ -292,19 +268,8 @@ type Recorder struct {
 	events []Event
 	counts Counts
 
-	tokens   *Tracker
-	good     *Tracker
-	arrivals *Tracker
-	finishes *Tracker
-	queue    *Tracker
-	hits     *Tracker
-	misses   *Tracker
-
-	// Per-class slack trackers (sum and observation count), with the class
-	// list kept sorted so snapshots never depend on map iteration order.
-	slackSum map[string]*Tracker
-	slackN   map[string]*Tracker
-	classes  []string
+	tokens *Tracker
+	queue  *Tracker
 }
 
 // NewRecorder builds a recorder. A negative window is a caller bug and
@@ -318,18 +283,7 @@ func NewRecorder(cfg Config) *Recorder {
 	if w == 0 {
 		w = DefaultWindow
 	}
-	return &Recorder{
-		window:   w,
-		tokens:   NewTracker(w),
-		good:     NewTracker(w),
-		arrivals: NewTracker(w),
-		finishes: NewTracker(w),
-		queue:    NewTracker(w),
-		hits:     NewTracker(w),
-		misses:   NewTracker(w),
-		slackSum: make(map[string]*Tracker),
-		slackN:   make(map[string]*Tracker),
-	}
+	return &Recorder{window: w, tokens: NewTracker(w), queue: NewTracker(w)}
 }
 
 // Bind marks the recorder as owned by one engine run. A recorder carries
@@ -344,14 +298,12 @@ func (r *Recorder) Bind() error {
 	return nil
 }
 
-// Emit appends one event to the log and folds it into the aggregate counts
-// and the arrival/finish flow trackers.
+// Emit appends one event to the log and folds it into the aggregate counts.
 func (r *Recorder) Emit(ev Event) {
 	r.events = append(r.events, ev)
 	switch ev.Kind {
 	case KindArrive:
 		r.counts.Arrivals++
-		r.arrivals.Observe(ev.Tick, 1)
 	case KindShed:
 		r.counts.ShedArrivals++
 	case KindDegrade:
@@ -391,7 +343,6 @@ func (r *Recorder) Emit(ev Event) {
 	case KindCommit:
 		r.counts.Commits++
 	case KindFinish:
-		r.finishes.Observe(ev.Tick, 1)
 		switch ev.Detail {
 		case DetailOK:
 			r.counts.FinishedOK++
@@ -415,38 +366,14 @@ func (r *Recorder) Emit(ev Event) {
 	}
 }
 
-// ObserveDecode records one executed tick's decoded tokens and cache
-// traffic deltas.
-func (r *Recorder) ObserveDecode(tick int, tokens int, hits, misses int64) {
+// ObserveDecode records one executed tick's decoded tokens.
+func (r *Recorder) ObserveDecode(tick, tokens int) {
 	r.tokens.Observe(tick, int64(tokens))
-	r.hits.Observe(tick, hits)
-	r.misses.Observe(tick, misses)
-}
-
-// ObserveGood credits a completed session's surviving tokens at its finish
-// tick.
-func (r *Recorder) ObserveGood(tick, tokens int) {
-	r.good.Observe(tick, int64(tokens))
 }
 
 // ObserveQueue records the admission-queue depth at decode time.
 func (r *Recorder) ObserveQueue(tick, depth int) {
 	r.queue.Observe(tick, int64(depth))
-}
-
-// ObserveSlack records one active deadlined session's remaining slack
-// (deadline − now, in ticks; negative past the deadline) under its class.
-func (r *Recorder) ObserveSlack(tick int, class string, slackTicks int) {
-	sum, ok := r.slackSum[class]
-	if !ok {
-		sum = NewTracker(r.window)
-		n := NewTracker(r.window)
-		r.slackSum[class], r.slackN[class] = sum, n
-		r.classes = append(r.classes, class)
-		sort.Strings(r.classes)
-	}
-	sum.Observe(tick, int64(slackTicks))
-	r.slackN[class].Observe(tick, 1)
 }
 
 // Events returns the full event log in emission order. The slice is the
@@ -461,26 +388,9 @@ func (r *Recorder) Counts() Counts { return r.counts }
 // the recorder may also sample mid-run between ticks.
 func (r *Recorder) Snapshot(tick int) Snapshot {
 	s := Snapshot{Tick: tick, Window: r.window, Counts: r.counts}
-	span := float64(r.tokens.Span(tick))
-	if span > 0 {
+	if span := float64(r.tokens.Span(tick)); span > 0 {
 		s.TokensPerTick = float64(r.tokens.Sum(tick)) / span
-		s.GoodTokensPerTick = float64(r.good.Sum(tick)) / span
-		s.ArrivalsPerTick = float64(r.arrivals.Sum(tick)) / span
-		s.FinishesPerTick = float64(r.finishes.Sum(tick)) / span
 		s.MeanQueueDepth = float64(r.queue.Sum(tick)) / span
-	}
-	if h, m := r.hits.Sum(tick), r.misses.Sum(tick); h+m > 0 {
-		s.HitRate = float64(h) / float64(h+m)
-	}
-	for _, class := range r.classes {
-		n := r.slackN[class].Sum(tick)
-		if n == 0 {
-			continue
-		}
-		s.ClassSlack = append(s.ClassSlack, ClassSlack{
-			Class:          class,
-			MeanSlackTicks: float64(r.slackSum[class].Sum(tick)) / float64(n),
-		})
 	}
 	return s
 }

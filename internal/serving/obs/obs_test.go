@@ -77,28 +77,16 @@ func TestRecorderCountsFollowKindAndDetail(t *testing.T) {
 
 func TestSnapshotRatesUseEffectiveWindow(t *testing.T) {
 	r := NewRecorder(Config{Window: 16})
-	r.ObserveDecode(0, 8, 6, 2)
-	r.ObserveDecode(1, 8, 7, 1)
+	r.ObserveDecode(0, 8)
+	r.ObserveDecode(1, 8)
 	r.ObserveQueue(0, 2)
 	r.ObserveQueue(1, 4)
-	r.ObserveSlack(0, "interactive", 10)
-	r.ObserveSlack(1, "interactive", 8)
-	r.ObserveGood(1, 16)
 	s := r.Snapshot(1)
 	if s.TokensPerTick != 8 {
 		t.Errorf("TokensPerTick = %v, want 8 (16 tokens over 2 elapsed ticks)", s.TokensPerTick)
 	}
-	if s.GoodTokensPerTick != 8 {
-		t.Errorf("GoodTokensPerTick = %v, want 8", s.GoodTokensPerTick)
-	}
 	if s.MeanQueueDepth != 3 {
 		t.Errorf("MeanQueueDepth = %v, want 3", s.MeanQueueDepth)
-	}
-	if want := 13.0 / 16.0; s.HitRate != want {
-		t.Errorf("HitRate = %v, want %v", s.HitRate, want)
-	}
-	if len(s.ClassSlack) != 1 || s.ClassSlack[0].Class != "interactive" || s.ClassSlack[0].MeanSlackTicks != 9 {
-		t.Errorf("ClassSlack = %+v, want one interactive entry at mean 9", s.ClassSlack)
 	}
 }
 

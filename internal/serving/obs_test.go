@@ -14,36 +14,6 @@ import (
 	"repro/internal/sparsity"
 )
 
-// chaosObsRun executes the chaos determinism scenario with a fresh recorder
-// and returns the report plus the serialized JSONL event log.
-func chaosObsRun(t *testing.T, arb ArbPolicy, noFuse bool) (*Report, []byte) {
-	t.Helper()
-	plan, err := faults.Mix(0.08, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder(obs.Config{Window: 16})
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
-		MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
-		Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
-		ShedQueueBudget: 3,
-		Obs:             rec,
-	}, mixedPressureTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	return rep, buf.Bytes()
-}
-
 // The observability acceptance test: the full event log — not just the
 // aggregate Report — must be bit-identical across worker counts and the
 // fused/per-session decode paths, for every arbitration policy, under
@@ -53,32 +23,36 @@ func TestEventLogDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
 	defer parallel.SetProcs(parallel.Procs())
 	for _, arb := range Policies() {
-		parallel.SetProcs(4)
-		_, fused := chaosObsRun(t, arb, false)
-		_, unfused := chaosObsRun(t, arb, true)
-		if !bytes.Equal(fused, unfused) {
-			t.Fatalf("arb=%v: event log diverged between fused and per-session paths", arb)
-		}
-		parallel.SetProcs(1)
-		_, serial := chaosObsRun(t, arb, false)
-		if !bytes.Equal(fused, serial) {
-			t.Fatalf("arb=%v: event log depends on worker count", arb)
-		}
-		if len(fused) == 0 {
-			t.Fatalf("arb=%v: scenario produced an empty event log", arb)
+		var fused []byte
+		for i, v := range chaosVariants {
+			parallel.SetProcs(v.procs)
+			_, log := chaosObsRun(t, arb, v.noFuse)
+			if len(log) == 0 {
+				t.Fatalf("arb=%v: scenario produced an empty event log on %s", arb, v.name)
+			}
+			if i == 0 {
+				fused = log
+			} else if !bytes.Equal(fused, log) {
+				t.Fatalf("arb=%v: event log diverged on %s", arb, v.name)
+			}
 		}
 	}
 }
 
 // Every aggregate the recorder derives from the event stream must agree
-// exactly with the Report counters the engine maintains independently; a
-// divergence means an emission site was dropped or double-fired.
+// exactly with the Report counters the engine maintains independently, on
+// every execution path; a divergence means an emission site was dropped or
+// double-fired.
 func TestEventCountsReconcileWithReport(t *testing.T) {
 	trained(t)
+	defer parallel.SetProcs(parallel.Procs())
 	for _, arb := range Policies() {
-		rep, _ := chaosObsRun(t, arb, false)
-		if err := rep.ReconcileObs(); err != nil {
-			t.Errorf("arb=%v: %v", arb, err)
+		for _, v := range chaosVariants {
+			parallel.SetProcs(v.procs)
+			rep, _ := chaosObsRun(t, arb, v.noFuse)
+			if err := rep.ReconcileObs(); err != nil {
+				t.Errorf("arb=%v on %s: %v", arb, v.name, err)
+			}
 		}
 	}
 }
@@ -152,18 +126,20 @@ func TestEventLogGolden(t *testing.T) {
 	}
 }
 
-// Attaching a recorder must not perturb the engine: the report minus the
-// snapshot itself (and the wall-clock annotation, which is outside the
-// determinism contract) must match an unobserved run bit for bit.
+// Attaching a recorder must not perturb the engine: under every arbitration
+// policy the report minus the snapshot itself (and the wall-clock
+// annotation, which is outside the determinism contract) must match an
+// unobserved run bit for bit. With the chaos determinism test this carries
+// its worker-count and decode-path guarantees over to unobserved runs.
 func TestObserverDoesNotPerturbReport(t *testing.T) {
 	trained(t)
-	run := func(rec *obs.Recorder) *Report {
+	run := func(arb ArbPolicy, rec *obs.Recorder) *Report {
 		plan, err := faults.Mix(0.08, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: DeadlinePreempt(),
+			System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
 			MaxActive: 2, Quantum: 4, Seed: 5,
 			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
 			ShedQueueBudget: 3,
@@ -179,10 +155,12 @@ func TestObserverDoesNotPerturbReport(t *testing.T) {
 		rep.Obs = nil
 		return stripWall(rep)
 	}
-	observed := run(obs.NewRecorder(obs.Config{}))
-	plain := run(nil)
-	if !reflect.DeepEqual(observed, plain) {
-		t.Fatalf("observer perturbed the report:\nobserved %+v\nplain    %+v", observed, plain)
+	for _, arb := range Policies() {
+		observed := run(arb, obs.NewRecorder(obs.Config{}))
+		plain := run(arb, nil)
+		if !reflect.DeepEqual(observed, plain) {
+			t.Fatalf("arb=%v: observer perturbed the report:\nobserved %+v\nplain    %+v", arb, observed, plain)
+		}
 	}
 }
 
@@ -212,8 +190,7 @@ func TestDisabledObserverAddsNoTickAllocations(t *testing.T) {
 		t.Fatal("engine bound a recorder nobody configured")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		tok, hits, misses := e.obsTickStart(0, active, 0)
-		e.obsTickEnd(0, active, tok, hits, misses)
+		e.obsTickEnd(0, active, e.obsTickStart(0, active, 0))
 		e.emitFinish(0, 0, active[0])
 	})
 	if allocs != 0 {

@@ -7,8 +7,8 @@ import "fmt"
 // consults it every tick, after continuous batching has filled any free
 // slots: while some waiting session can name a victim, the victim is
 // displaced (see Engine.displace, CausePreempt) — its eval.Stream state is
-// retained, its partitioned cache grant (and greedy claim) is released, and
-// under ArbShared only the slot frees — and the waiting session takes its
+// retained, its fair-share cache grant is released, and under ArbExclusive
+// or ArbShared only the slot frees — and the waiting session takes its
 // slot. The victim re-enters the queue as the same record, so schedulers
 // rank it exactly as before, and it is resumed later through the ordinary
 // backfill path, continuing the same stream where it stopped.
@@ -24,11 +24,11 @@ type Preemptor interface {
 	// Name identifies the policy (CLI-compatible: see ParsePreemptor).
 	Name() string
 	// Victim returns the index into active of the most preemptable running
-	// session under this policy (the loosest deadline, the lowest
-	// priority, …), or -1 when nothing is ever preemptable. The choice
-	// does not depend on who is waiting: the loosest victim is maximal, so
-	// a session that cannot displace it cannot displace anyone. The engine
-	// computes it once per preemption round.
+	// session under this policy (the loosest deadline, …), or -1 when
+	// nothing is ever preemptable. The choice does not depend on who is
+	// waiting: the loosest victim is maximal, so a session that cannot
+	// displace it cannot displace anyone. The engine computes it once per
+	// preemption round.
 	Victim(active []*Session) int
 	// Outranks reports whether the waiting session's pressure strictly
 	// exceeds the running one's — the admission test against Victim's pick.
@@ -74,30 +74,8 @@ func (deadlinePreempt) Outranks(waiting, running *Session) bool {
 	return waiting.Deadline < running.Deadline
 }
 
-// priorityPreempt suspends the lowest-priority running session whenever the
-// waiting session's SLO priority is strictly higher.
-type priorityPreempt struct{}
-
-// PriorityPreempt returns the strict-priority preemptor.
-func PriorityPreempt() Preemptor { return priorityPreempt{} }
-
-func (priorityPreempt) Name() string { return "prio" }
-func (priorityPreempt) Victim(active []*Session) int {
-	v := -1
-	for i, s := range active {
-		if v < 0 || s.SLO.Priority < active[v].SLO.Priority ||
-			(s.SLO.Priority == active[v].SLO.Priority && s.Order > active[v].Order) {
-			v = i
-		}
-	}
-	return v
-}
-func (priorityPreempt) Outranks(waiting, running *Session) bool {
-	return waiting.SLO.Priority > running.SLO.Priority
-}
-
 // Preemptors lists every built-in preemptor in declaration order.
-func Preemptors() []Preemptor { return []Preemptor{NoPreempt(), DeadlinePreempt(), PriorityPreempt()} }
+func Preemptors() []Preemptor { return []Preemptor{NoPreempt(), DeadlinePreempt()} }
 
 // ParsePreemptor maps a CLI name to its preemptor.
 func ParsePreemptor(s string) (Preemptor, error) {
@@ -106,5 +84,5 @@ func ParsePreemptor(s string) (Preemptor, error) {
 			return p, nil
 		}
 	}
-	return nil, fmt.Errorf("serving: unknown preemptor %q (none|deadline|prio)", s)
+	return nil, fmt.Errorf("serving: unknown preemptor %q (none|deadline)", s)
 }

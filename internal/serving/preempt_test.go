@@ -220,53 +220,6 @@ func TestPreemptionUnderEverySchedulerIsDeterministic(t *testing.T) {
 	}
 }
 
-// Regression: the greedy claim pool must stay clamped to [0, 1] through
-// long admit/suspend/resume/retire cycles and drain back to exactly 0 when
-// the last claim is released — no floating-point drift across pool
-// generations.
-func TestGreedyClaimPoolClampsAndDrains(t *testing.T) {
-	trained(t)
-	scripts := make([][]Request, 3)
-	for u := range scripts {
-		for k := 0; k < 4; k++ {
-			i := u*4 + k
-			slo := SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = SLO{Class: "interactive", Priority: 2, DeadlineTicks: 6}
-			}
-			scripts[u] = append(scripts[u], Request{
-				ID:     string(rune('a'+u)) + string(rune('0'+k)),
-				Scheme: sparsity.NewDIP(0.5),
-				Tokens: streamFor(t, i, 1+i%2),
-				SLO:    slo,
-			})
-		}
-	}
-	w, err := ClosedLoop(scripts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbGreedy, Sched: EDF(), Preempt: DeadlinePreempt(),
-		MaxActive: 2, Quantum: 4, Seed: 13,
-	}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.claimed != 0 || e.claimants != 0 {
-		t.Fatalf("greedy pool did not drain: claimed %v, claimants %d", e.claimed, e.claimants)
-	}
-	for _, sm := range rep.Sessions {
-		if sm.Share < 0 || sm.Share > 1 {
-			t.Fatalf("session %q granted out-of-range share %v", sm.ID, sm.Share)
-		}
-	}
-}
-
 // Sub-quantum finish offsets: a stream whose length is not a multiple of
 // the quantum drains mid-tick, and the report records the fractional
 // finish instead of quantizing to the tick boundary — identically on the

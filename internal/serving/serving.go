@@ -10,7 +10,7 @@
 // and deadline ticks). A pluggable Scheduler (FCFS, strict priority, or
 // earliest-deadline-first) orders the admission queue; continuous batching
 // refills a slot the moment its session finishes; and a pluggable
-// Preemptor (none, deadline, prio) may suspend a running session whose
+// Preemptor (none, deadline) may suspend a running session whose
 // pressure a queued entry strictly outranks, resuming its retained stream
 // later (see Preemptor). Each tick the engine advances every active session
 // by a token quantum in lockstep sub-steps, one fused multi-session step per
@@ -20,9 +20,8 @@
 //
 // Cache arbitration (see ArbPolicy) decides how the plan's DRAM cache
 // budget is split across concurrent sessions: over-committed per-session
-// caches (exclusive), equal partitions (fair-share), first-come-first-served
-// claims (greedy), or one genuinely shared cache with tick-ordered access
-// commits (shared).
+// caches (exclusive), equal partitions (fair-share), or one genuinely shared
+// cache with tick-ordered access commits (shared).
 //
 // Determinism contract: the engine runs on simulated time. Given a fixed
 // seed (same-tick arrivals are shuffled by a seeded RNG) every arrival,
@@ -64,6 +63,9 @@ type SLO struct {
 // scheme, with an SLO class. The scheme is cloned at admission, so the same
 // instance may back many requests.
 type Request struct {
+	// ID is unique within a workload: the event log, the Chrome trace's
+	// per-session tracks and the cluster's tenant key (the prefix before the
+	// first '/') all key on it.
 	ID     string
 	Scheme sparsity.Scheme
 	Tokens []int
@@ -173,7 +175,6 @@ type Session struct {
 	outcome Outcome
 
 	stream *eval.Stream // nil until admitted
-	claim  float64      // greedy pool claim, released at suspension/retirement
 
 	// Simulated-clock timeline after arrival: admission and termination.
 	admitTick, finishTick int
@@ -265,8 +266,8 @@ var displacements = [...]struct {
 	fault string
 	// destructive releases the grant under every partitioned policy and
 	// restarts the stream, which re-prefills from token 0 on resume; the
-	// other rows release only pooled (fair/greedy) grants, because only
-	// those free real memory for someone else.
+	// other rows release only fair-share grants, because only those free
+	// real memory for someone else.
 	destructive bool
 }{
 	CausePreempt: {detail: obs.DetailPreempt},
@@ -299,8 +300,6 @@ type Engine struct {
 	plan      *hwsim.Plan
 	shared    *cache.ModelCache // non-nil under ArbShared
 	sessions  []*Session        // by submission index: every request this engine holds or finished
-	claimed   float64           // greedy pool state: granted budget fraction
-	claimants int               // live sessions holding a nonzero greedy claim
 	ran       bool
 	wallStart time.Time
 
@@ -556,7 +555,7 @@ func (e *Engine) displace(sess *Session, tick, slot int, cause Cause) {
 	if e.obs != nil {
 		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindSuspend, Session: sess.ID, Detail: row.detail})
 	}
-	if row.destructive || e.cfg.Arb == ArbFairShare || e.cfg.Arb == ArbGreedy {
+	if row.destructive || e.cfg.Arb == ArbFairShare {
 		e.detach(sess)
 		if row.destructive {
 			sess.stream.Restart()
@@ -586,24 +585,22 @@ func retryDetail(attempt, backoff int) string {
 	return string(b)
 }
 
-// detach returns the session's greedy claim to the pool and uncouples its
-// stream from its cache, handing that cache back (nil if already released).
-// displace drops it — the grant's memory is freed — while a migration hop
-// ships a private one with the session.
+// detach uncouples the session's stream from its cache, handing that cache
+// back (nil if already released). displace drops it — the grant's memory is
+// freed — while a migration hop ships a private one with the session.
 func (e *Engine) detach(sess *Session) *cache.ModelCache {
-	e.releaseClaim(sess)
 	mc := sess.stream.Cache()
 	sess.stream.Release()
 	return mc
 }
 
 // terminate is the single exit from the lifecycle: it stamps the outcome
-// and finish tick, returns any greedy claim, counts and logs the outcome,
-// and posts the Finished notice stepTick hands back to the workload. The
-// stream stays with the record, so the report still prices the partial work
-// of failed and cancelled sessions. Shed sessions leave from the queue — the
-// caller has logged the shed or degrade event that stands in for a finish —
-// and everything else from a slot.
+// and finish tick, counts and logs the outcome, and posts the Finished
+// notice stepTick hands back to the workload. The stream stays with the
+// record, so the report still prices the partial work of failed and
+// cancelled sessions. Shed sessions leave from the queue — the caller has
+// logged the shed or degrade event that stands in for a finish — and
+// everything else from a slot.
 func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
 	from := Active
 	if oc == OutcomeShed {
@@ -611,7 +608,6 @@ func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
 	}
 	sess.transition(from, Done)
 	sess.finishTick, sess.outcome = tick, oc
-	e.releaseClaim(sess)
 	switch oc {
 	case OutcomeFailed:
 		e.failed++
@@ -619,8 +615,5 @@ func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
 		e.shedCount++
 	}
 	e.emitFinish(tick, slot, sess)
-	if oc == OutcomeOK && e.obs != nil {
-		e.obs.ObserveGood(tick, sess.stream.Pos())
-	}
 	e.fin = append(e.fin, Finished{Index: sess.Index, ID: sess.ID, Tick: tick})
 }

@@ -175,7 +175,9 @@ type TraceBinder struct {
 
 // TraceWorkload binds parsed entries and replays them in tick order (stable
 // within a tick, preserving file order). Submission indices follow the
-// replay order.
+// replay order. An entry with an empty id is named t<replay index>; an id,
+// given or generated, that repeats an earlier entry's is an error naming
+// both entries.
 func TraceWorkload(entries []TraceEntry, b TraceBinder) (Workload, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("serving: trace has no entries")
@@ -183,11 +185,18 @@ func TraceWorkload(entries []TraceEntry, b TraceBinder) (Workload, error) {
 	if b.Scheme == nil {
 		return nil, fmt.Errorf("serving: TraceBinder.Scheme is required")
 	}
-	sorted := append([]TraceEntry(nil), entries...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Tick < sorted[j].Tick })
-	reqs := make([]Request, len(sorted))
-	ticks := make([]int, len(sorted))
-	for i, e := range sorted {
+	// order holds file positions in replay order, so errors can name entries
+	// the way ParseTrace does.
+	order := make([]int, len(entries))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return entries[order[i]].Tick < entries[order[j]].Tick })
+	reqs := make([]Request, len(entries))
+	ticks := make([]int, len(entries))
+	named := make(map[string]int, len(entries)) // id → file position
+	for i, at := range order {
+		e := entries[at]
 		if e.Tick < 0 {
 			return nil, fmt.Errorf("serving: trace entry %q: negative tick %d", e.ID, e.Tick)
 		}
@@ -207,6 +216,11 @@ func TraceWorkload(entries []TraceEntry, b TraceBinder) (Workload, error) {
 		if id == "" {
 			id = fmt.Sprintf("t%03d", i)
 		}
+		if prev, dup := named[id]; dup {
+			return nil, fmt.Errorf("serving: trace entries %d and %d both have id %q: ids must be unique within a trace",
+				min(prev, at)+1, max(prev, at)+1, id)
+		}
+		named[id] = at
 		reqs[i] = Request{
 			ID:     id,
 			Scheme: scheme,

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -228,4 +229,94 @@ func TestEngineFastForwardsSparseGaps(t *testing.T) {
 	if rep.Ticks <= gap {
 		t.Fatalf("tick clock did not advance past the gap: %d", rep.Ticks)
 	}
+}
+
+// fuzzCorpus is a fixed 4096-token corpus whose token at position i is i, so
+// a bound stream's values say where in the corpus it was carved from.
+var fuzzCorpus = func() []int {
+	c := make([]int, 4096)
+	for i := range c {
+		c[i] = i
+	}
+	return c
+}()
+
+// denseBinder binds every entry to the dense scheme over fuzzCorpus; it
+// needs no trained model.
+func denseBinder() TraceBinder {
+	return TraceBinder{
+		Corpus: fuzzCorpus,
+		Scheme: func(string) (sparsity.Scheme, error) { return sparsity.Dense{}, nil },
+	}
+}
+
+// Two entries may not share an id, given or generated: the event log, the
+// Chrome trace's per-session tracks and the cluster's tenant key all key on
+// it. The error names both entries by file position.
+func TestTraceWorkloadRejectsRepeatedIDs(t *testing.T) {
+	for name, src := range map[string]string{
+		"generated, then given": `[{"tick":0,"tokens":32},{"id":"t000","tick":0,"tokens":64,"start":256}]`,
+		"given, then generated": `[{"id":"t001","tick":0,"tokens":32},{"tick":0,"tokens":32}]`,
+		"given twice":           "id,tick,tokens\na,0,8\na,4,8\n",
+	} {
+		entries, err := ParseTrace(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err = TraceWorkload(entries, denseBinder())
+		if err == nil || !strings.Contains(err.Error(), "entries 1 and 2") {
+			t.Errorf("%s: want an error naming entries 1 and 2, got %v", name, err)
+		}
+	}
+}
+
+// ParseTrace and TraceWorkload on generated bytes: neither panics, and an
+// accepted trace replays one uniquely named request per entry, each stream
+// inside the corpus, at nondecreasing arrival ticks.
+func FuzzParseTrace(f *testing.F) {
+	f.Add([]byte(`[{"tick":0,"tokens":32},{"id":"t000","tick":0,"tokens":64,"start":256}]`))
+	f.Add([]byte("id,tick,tokens,start\nx,0,1,9223372036854775807\n"))
+	f.Add([]byte("id,tick,tokens,start,class,priority,deadline_ticks,scheme\na,0,32,0,interactive,2,40,\nb,3,64,256,,,,dense\n"))
+	f.Add([]byte(`[{"id":"a","tick":0,"tokens":32,"class":"interactive","priority":2,"deadline_ticks":40},{"id":"b","tick":3,"tokens":64,"start":256}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := ParseTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		w, err := TraceWorkload(entries, denseBinder())
+		if err != nil {
+			return
+		}
+		reqs := w.Requests()
+		if len(reqs) != len(entries) {
+			t.Fatalf("%d entries bound to %d requests", len(entries), len(reqs))
+		}
+		ids := make(map[string]bool, len(reqs))
+		for i, r := range reqs {
+			if ids[r.ID] {
+				t.Fatalf("request %d repeats id %q", i, r.ID)
+			}
+			ids[r.ID] = true
+			n := len(r.Tokens)
+			if n == 0 || r.Tokens[0] < 0 || r.Tokens[n-1] != r.Tokens[0]+n-1 || r.Tokens[n-1] >= len(fuzzCorpus) {
+				t.Fatalf("request %q: %d tokens not a corpus stream", r.ID, n)
+			}
+		}
+		prev, delivered := 0, 0
+		for !w.Done() {
+			tick, ok := w.NextArrival()
+			if !ok || tick < prev {
+				t.Fatalf("next arrival %d (ok=%v) after tick %d with %d of %d delivered", tick, ok, prev, delivered, len(reqs))
+			}
+			got := w.Next(tick, nil)
+			if len(got) == 0 {
+				t.Fatalf("nothing arrives at announced tick %d", tick)
+			}
+			delivered += len(got)
+			prev = tick
+		}
+		if delivered != len(reqs) {
+			t.Fatalf("replay delivered %d of %d requests", delivered, len(reqs))
+		}
+	})
 }

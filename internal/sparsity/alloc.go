@@ -92,16 +92,5 @@ func (f FittedAllocator) Allocate(target float64) (rhoIn, rhoGLU float64) {
 		rhoIn -= (0.02 - rhoGLU) / 2
 		rhoGLU = 0.02
 	}
-	rhoIn = clamp01(rhoIn, 0.02)
-	return rhoIn, rhoGLU
-}
-
-func clamp01(x, lo float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+	return min(max(rhoIn, 0.02), 1), rhoGLU
 }
