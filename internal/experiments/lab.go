@@ -18,6 +18,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/lora"
 	"repro/internal/model"
+	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/predictor"
 	"repro/internal/prune"
@@ -211,7 +212,7 @@ func (l *Lab) Model(name string) *model.Model {
 			}
 		}
 		m := model.New(cfg, 1000+hash(name))
-		l.logf("training %s (%d params)...", name, countParams(m))
+		l.logf("training %s (%d params)...", name, nn.CountParams(m))
 		opts := l.trainOpts()
 		opts.Seed = 500 + hash(name)
 		if _, err := model.Train(m, l.tok.Encode(l.splits.Train), opts); err != nil {
@@ -258,9 +259,7 @@ func (l *Lab) SparseGPT(name string, pattern prune.Pattern, sparsityFrac float64
 	key := fmt.Sprintf("sparsegpt/%s/%v/%.2f", name, pattern, sparsityFrac)
 	return l.memoize(key, func() any {
 		l.logf("sparsegpt %s...", key)
-		opts := prune.DefaultOpts()
-		opts.Sparsity = sparsityFrac
-		p, err := prune.SparseGPTModel(m, l.CalibTokens(), l.EvalWin(), pattern, opts)
+		p, err := prune.SparseGPTModel(m, l.CalibTokens(), l.EvalWin(), pattern, sparsityFrac)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", key, err))
 		}
@@ -323,12 +322,4 @@ func hash(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func countParams(m *model.Model) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Size()
-	}
-	return n
 }

@@ -57,7 +57,7 @@ func Fig9(l *Lab) ([]*Table, error) {
 		switch {
 		case i < len(bqBits):
 			bits := bqBits[i]
-			qm, err := quant.BQModel(m, calib, win, quant.DefaultBQOpts(bits))
+			qm, err := quant.BQModel(m, calib, win, bits)
 			if err != nil {
 				return fmt.Errorf("bq%d: %w", bits, err)
 			}
@@ -65,7 +65,7 @@ func Fig9(l *Lab) ([]*Table, error) {
 			bqPPL[i] = model.Perplexity(qm, test, win, nil)
 		case i < len(bqBits)+len(vqBits):
 			bits := vqBits[i-len(bqBits)]
-			qm := quant.VQModel(m, quant.DefaultVQOpts(bits))
+			qm := quant.VQModel(m, bits)
 			vqModels[i-len(bqBits)] = qm
 			vqPPL[i-len(bqBits)] = model.Perplexity(qm, test, win, nil)
 		default:
@@ -78,10 +78,10 @@ func Fig9(l *Lab) ([]*Table, error) {
 		return nil, err
 	}
 	for i, bits := range bqBits {
-		out.AddRow(fmt.Sprintf("bq%d", bits), memoryMB(m, quant.BQBytesPerWeight(quant.DefaultBQOpts(bits)), 1), bqPPL[i])
+		out.AddRow(fmt.Sprintf("bq%d", bits), memoryMB(m, quant.BQBytesPerWeight(bits), 1), bqPPL[i])
 	}
 	for i, bits := range vqBits {
-		out.AddRow(fmt.Sprintf("vq%d", bits), memoryMB(m, quant.VQBytesPerWeight(quant.DefaultVQOpts(bits)), 1), vqPPL[i])
+		out.AddRow(fmt.Sprintf("vq%d", bits), memoryMB(m, quant.VQBytesPerWeight(bits), 1), vqPPL[i])
 	}
 	bpw := 0.5 + prune.MaskOverheadBits/8 // 4-bit payload + mask bit
 	out.AddRow("sparsegpt-50%+bq4", memoryMB(m, bpw, 0.5), sgPPL)
@@ -108,14 +108,14 @@ func Fig9(l *Lab) ([]*Table, error) {
 	}
 	for i, bits := range bqBits {
 		if bits == 4 {
-			if err := sweep(bqModels[i], "bq4", quant.BQBytesPerWeight(quant.DefaultBQOpts(4))); err != nil {
+			if err := sweep(bqModels[i], "bq4", quant.BQBytesPerWeight(4)); err != nil {
 				return nil, err
 			}
 		}
 	}
 	for i, bits := range vqBits {
 		if bits == 3 {
-			if err := sweep(vqModels[i], "vq3", quant.VQBytesPerWeight(quant.DefaultVQOpts(3))); err != nil {
+			if err := sweep(vqModels[i], "vq3", quant.VQBytesPerWeight(3)); err != nil {
 				return nil, err
 			}
 		}

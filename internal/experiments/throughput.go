@@ -218,7 +218,7 @@ func Fig10(l *Lab) ([]*Table, error) {
 		if maxV == 0 {
 			maxV = 1
 		}
-		q := func(p float64) float64 { return float64(quantile32(vals, p) / maxV) }
+		q := func(p float64) float64 { return float64(tensor.Quantile(vals, p) / maxV) }
 		dist.AddRow(layer, q(0.30), q(0.50), q(0.80), q(0.99), 1.0)
 	}
 	dist.Notes = append(dist.Notes,
@@ -254,10 +254,6 @@ func Fig10(l *Lab) ([]*Table, error) {
 	sweep.Notes = append(sweep.Notes,
 		"paper Figure 10 (right): γ ≈ 0.1–0.3 maximizes throughput at minor perplexity cost; γ=1 is plain DIP")
 	return []*Table{dist, sweep}, nil
-}
-
-func quantile32(vals []float32, p float64) float32 {
-	return tensor.Quantile(vals, p)
 }
 
 // Fig11 compares cache eviction policies against cache-aware masking on

@@ -58,93 +58,63 @@ type LayerAdapters struct {
 
 // TrainOpts configures adapter fine-tuning.
 type TrainOpts struct {
-	// Rank of the adapters (paper: 32 at 4k width; default dim/8, min 2).
-	Rank int
 	// Iterations of Adam over the calibration samples (default 400).
 	Iterations int
 	// MaxTokens bounds calibration MLP evaluations per layer (default 256).
 	MaxTokens int
-	LR        float32
-	Seed      uint64
 	// AdaptGate controls whether the gate matrix receives an adapter
 	// (true for DIP, false for CATS, following Section 6.1).
 	AdaptGate bool
 }
 
+const (
+	trainLR   = 2e-3 // Adam learning rate
+	trainSeed = 55   // adapter init and sample-order seed
+)
+
 // DefaultTrainOpts returns the settings used by the experiment drivers.
 func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{Iterations: 400, MaxTokens: 256, LR: 2e-3, Seed: 55, AdaptGate: true}
+	return TrainOpts{Iterations: 400, MaxTokens: 256, AdaptGate: true}
 }
 
 // Train fits adapters for every layer so the scheme's sparse MLP output
 // matches the dense output on calibration activations. The scheme is
 // evaluated against a temporary fused model each iteration via explicit
 // delta application, with masks recomputed per sample (straight-through).
+// Adapters have rank dim/8, at least 2 (the paper's 32 at 4k width, scaled).
 func Train(m *model.Model, scheme sparsity.Scheme, tokens []int, win int, opts TrainOpts) ([]LayerAdapters, error) {
-	if opts.Rank == 0 {
-		opts.Rank = m.Cfg.Dim / 8
-	}
-	if opts.Rank < 2 {
-		opts.Rank = 2
-	}
-	if opts.Iterations == 0 {
-		opts.Iterations = 400
-	}
-	if opts.MaxTokens == 0 {
-		opts.MaxTokens = 256
-	}
-	if opts.LR == 0 {
-		opts.LR = 2e-3
-	}
-	rng := tensor.NewRNG(opts.Seed)
-	// Collect calibration MLP inputs and dense outputs per layer.
-	L := len(m.Blocks)
-	ins := make([][]tensor.Vec, L)
-	outs := make([][]tensor.Vec, L)
-	count := 0
-	hook := func(layer int, x tensor.Vec) tensor.Vec {
-		mlp := m.Blocks[layer].MLP
-		y := mlp.Apply(x)
-		if layer == 0 {
-			count++
-		}
-		if count <= opts.MaxTokens {
-			ins[layer] = append(ins[layer], x.Clone())
-			outs[layer] = append(outs[layer], y.Clone())
-		}
-		return y
-	}
-	for start := 0; start+win <= len(tokens) && count < opts.MaxTokens; start += win {
-		m.Forward(tokens[start:start+win], hook)
-	}
-	adapters := make([]LayerAdapters, L)
-	for l := 0; l < L; l++ {
-		if len(ins[l]) == 0 {
+	rank := max(m.Cfg.Dim/8, 2)
+	rng := tensor.NewRNG(trainSeed)
+	ins := model.MLPInputs(m, tokens, win, opts.MaxTokens)
+	adapters := make([]LayerAdapters, len(ins))
+	for l, xs := range ins {
+		if len(xs) == 0 {
 			return nil, fmt.Errorf("lora: no calibration samples for layer %d", l)
 		}
-		ad, err := trainLayer(m.Blocks[l].MLP, scheme, l, ins[l], outs[l], opts, rng.Split(uint64(l)))
-		if err != nil {
-			return nil, err
+		mlp := m.Blocks[l].MLP
+		ys := make([]tensor.Vec, len(xs))
+		for i, x := range xs {
+			ys[i] = mlp.Apply(x)
 		}
-		adapters[l] = ad
+		adapters[l] = trainLayer(mlp, scheme, l, xs, ys, rank, opts, rng.Split(uint64(l)))
 	}
 	return adapters, nil
 }
 
 // trainLayer fits one layer's adapters by straight-through gradient descent
 // on the masked reconstruction loss.
-func trainLayer(mlp *nn.GLUMLP, scheme sparsity.Scheme, layer int, xs, ys []tensor.Vec, opts TrainOpts, rng *tensor.RNG) (LayerAdapters, error) {
+func trainLayer(mlp *nn.GLUMLP, scheme sparsity.Scheme, layer int, xs, ys []tensor.Vec, rank int, opts TrainOpts, rng *tensor.RNG) LayerAdapters {
 	dim, dff := mlp.Dim, mlp.DFF
 	ad := LayerAdapters{
-		Up:   NewAdapter(fmt.Sprintf("l%d.up", layer), dff, dim, opts.Rank, rng.Split(1)),
-		Down: NewAdapter(fmt.Sprintf("l%d.down", layer), dim, dff, opts.Rank, rng.Split(2)),
+		Up:   NewAdapter(fmt.Sprintf("l%d.up", layer), dff, dim, rank, rng.Split(1)),
+		Down: NewAdapter(fmt.Sprintf("l%d.down", layer), dim, dff, rank, rng.Split(2)),
 	}
 	params := append(ad.Up.Params(), ad.Down.Params()...)
 	if opts.AdaptGate {
-		ad.Gate = NewAdapter(fmt.Sprintf("l%d.gate", layer), dff, dim, opts.Rank, rng.Split(3))
+		ad.Gate = NewAdapter(fmt.Sprintf("l%d.gate", layer), dff, dim, rank, rng.Split(3))
 		params = append(params, ad.Gate.Params()...)
 	}
-	opt := nn.NewAdam(opts.LR)
+	opt := nn.NewAdam(trainLR)
 	fused := cloneMLP(mlp)
 	for it := 0; it < opts.Iterations; it++ {
 		i := rng.Intn(len(xs))
@@ -169,7 +139,7 @@ func trainLayer(mlp *nn.GLUMLP, scheme sparsity.Scheme, layer int, xs, ys []tens
 		backwardMasked(fused, ad, x, dy, inIdx, gluIdx)
 		opt.Step(params, 1)
 	}
-	return ad, nil
+	return ad
 }
 
 // extractMasks derives the active input-column set (nil = all) and the
@@ -286,12 +256,7 @@ func Fuse(m *model.Model, adapters []LayerAdapters) (*model.Model, error) {
 	if len(adapters) != len(m.Blocks) {
 		return nil, fmt.Errorf("lora: %d adapter sets for %d layers", len(adapters), len(m.Blocks))
 	}
-	clone := model.New(m.Cfg, 0)
-	src, dst := m.Params(), clone.Params()
-	for i := range src {
-		copy(dst[i].W.Data, src[i].W.Data)
-		dst[i].W.Invalidate()
-	}
+	clone := m.Clone()
 	for l, ad := range adapters {
 		mlp := clone.Blocks[l].MLP
 		if ad.Up != nil {

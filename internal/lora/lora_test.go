@@ -268,10 +268,10 @@ func TestSparseKernelSeesEveryWeightMutation(t *testing.T) {
 			applyDelta(p.W, p.W.Clone(), a)
 			return nil
 		}},
-		{"quant.BQMatrix", func(p *nn.Param) error { return quant.BQMatrix(p.W, calib, quant.BQOpts{Bits: 2, GroupSize: 4}) }},
-		{"quant.VQMatrix", func(p *nn.Param) error { quant.VQMatrix(p.W, quant.DefaultVQOpts(2)); return nil }},
-		{"prune.SparseGPTMatrix", func(p *nn.Param) error {
-			return prune.SparseGPTMatrix(p.W, calib, prune.Unstructured, prune.Opts{Sparsity: 0.5, BlockSize: 4, PercDamp: 0.01})
+		{"prune.Sweep(quant.RoundPlan)", func(p *nn.Param) error { return prune.Sweep(p.W, calib, quant.RoundPlan(2)) }},
+		{"quant.VQMatrix", func(p *nn.Param) error { quant.VQMatrix(p.W, 2); return nil }},
+		{"prune.Sweep(prune.MaskPlan)", func(p *nn.Param) error {
+			return prune.Sweep(p.W, calib, prune.MaskPlan(prune.Unstructured, 0.5))
 		}},
 		{"prune.MagnitudeMatrix", func(p *nn.Param) error { prune.MagnitudeMatrix(p.W, 0.5); return nil }},
 		{"Mat.Set", func(p *nn.Param) error { p.W.Set(2, 5, 9); return nil }},

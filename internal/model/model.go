@@ -103,6 +103,17 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
+// Clone returns a deep copy of m's weights under the same config.
+func (m *Model) Clone() *Model {
+	c := New(m.Cfg, 0)
+	dst := c.Params()
+	for i, p := range m.Params() {
+		copy(dst[i].W.Data, p.W.Data)
+		dst[i].W.Invalidate()
+	}
+	return c
+}
+
 // MLPWeightCount returns the total scalar weights in all MLP blocks — the
 // denominator for MLP-density metrics.
 func (m *Model) MLPWeightCount() int {
@@ -185,6 +196,26 @@ func (m *Model) Forward(ids []int, hook MLPHook) []tensor.Vec {
 		}
 	})
 	return logits
+}
+
+// MLPInputs runs the dense model over tokens in consecutive windows of win
+// and returns, per layer, the first maxTokens post-norm MLP inputs in token
+// order — the calibration set every offline fit (SparseGPT, GPTQ, CATS
+// thresholds, predictors, adapters) post-processes. Every layer records the
+// same tokens.
+func MLPInputs(m *Model, tokens []int, win, maxTokens int) [][]tensor.Vec {
+	ins := make([][]tensor.Vec, len(m.Blocks))
+	hook := func(layer int, x tensor.Vec) tensor.Vec {
+		if len(ins[layer]) < maxTokens {
+			ins[layer] = append(ins[layer], x.Clone())
+		}
+		return m.Blocks[layer].MLP.Apply(x)
+	}
+	last := len(ins) - 1
+	for start := 0; start+win <= len(tokens) && len(ins[last]) < maxTokens; start += win {
+		m.Forward(tokens[start:start+win], hook)
+	}
+	return ins
 }
 
 // workerScratch returns worker w's scratch slot, sized on first use. A

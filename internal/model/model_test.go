@@ -171,6 +171,55 @@ func TestDenseHookMatchesNilHook(t *testing.T) {
 	}
 }
 
+// MLPInputs is the hook's view of the dense forward: layer l's inputs in
+// token order, the same first maxTokens on every layer even when the
+// budget ends inside a window.
+func TestMLPInputsAreWhatTheHookSees(t *testing.T) {
+	m := New(tinyConfig(), 23)
+	ids := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2}
+	seen := make([][]tensor.Vec, len(m.Blocks))
+	m.Forward(ids[:5], func(layer int, x tensor.Vec) tensor.Vec {
+		seen[layer] = append(seen[layer], x.Clone())
+		return m.Blocks[layer].MLP.Apply(x)
+	})
+	m.Forward(ids[5:10], func(layer int, x tensor.Vec) tensor.Vec {
+		if len(seen[layer]) < 7 {
+			seen[layer] = append(seen[layer], x.Clone())
+		}
+		return m.Blocks[layer].MLP.Apply(x)
+	})
+	got := MLPInputs(m, ids, 5, 7)
+	for l := range seen {
+		if len(got[l]) != 7 {
+			t.Fatalf("layer %d: %d inputs, want 7", l, len(got[l]))
+		}
+		for i, x := range seen[l] {
+			for j := range x {
+				if math.Float32bits(got[l][i][j]) != math.Float32bits(x[j]) {
+					t.Fatalf("layer %d input %d differs from the hook's", l, i)
+				}
+			}
+		}
+	}
+}
+
+func TestCloneIsDeep(t *testing.T) {
+	m := New(tinyConfig(), 29)
+	c := m.Clone()
+	src, dst := m.Params(), c.Params()
+	for i := range src {
+		for j, v := range src[i].W.Data {
+			if math.Float32bits(dst[i].W.Data[j]) != math.Float32bits(v) {
+				t.Fatalf("%s[%d] = %v in the clone, %v in the original", src[i].Name, j, dst[i].W.Data[j], v)
+			}
+		}
+	}
+	dst[0].W.Data[0]++
+	if src[0].W.Data[0] == dst[0].W.Data[0] {
+		t.Fatal("the clone shares weights with the original")
+	}
+}
+
 func TestPerplexityUniformUntrained(t *testing.T) {
 	// A zero-initialized head gives near-uniform predictions only after
 	// training; instead check perplexity is finite and positive, and that

@@ -11,16 +11,19 @@ import (
 // TrainOpts controls From-scratch language-model training.
 type TrainOpts struct {
 	Steps  int
-	Batch  int     // sequences per optimizer step
-	SeqLen int     // tokens per sequence
-	LR     float32 // base Adam learning rate
-	Warmup int     // warmup steps for the cosine schedule
-	Seed   uint64  // window-sampling seed
+	Batch  int    // sequences per optimizer step
+	SeqLen int    // tokens per sequence
+	Seed   uint64 // window-sampling seed
 }
+
+const (
+	trainLR     = 3e-3 // base Adam learning rate
+	trainWarmup = 20   // warmup steps of the cosine schedule
+)
 
 // DefaultTrainOpts returns the settings used by the experiment drivers.
 func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{Steps: 300, Batch: 4, SeqLen: 64, LR: 3e-3, Warmup: 20, Seed: 1234}
+	return TrainOpts{Steps: 300, Batch: 4, SeqLen: 64, Seed: 1234}
 }
 
 // Train fits the model on the token stream with Adam, sampling random
@@ -33,7 +36,7 @@ func Train(m *Model, tokens []int, opts TrainOpts) (float64, error) {
 		return 0, fmt.Errorf("model: training stream of %d tokens too short for seqlen %d", len(tokens), opts.SeqLen)
 	}
 	rng := tensor.NewRNG(opts.Seed)
-	opt := nn.NewAdam(opts.LR)
+	opt := nn.NewAdam(trainLR)
 	params := m.Params()
 	running := 0.0
 	for step := 0; step < opts.Steps; step++ {
@@ -54,7 +57,7 @@ func Train(m *Model, tokens []int, opts TrainOpts) (float64, error) {
 				}
 			}
 		}
-		opt.Step(params, nn.CosineLR(step, opts.Warmup, opts.Steps))
+		opt.Step(params, nn.CosineLR(step, trainWarmup, opts.Steps))
 		if running == 0 {
 			running = batchLoss
 		} else {

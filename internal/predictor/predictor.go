@@ -86,121 +86,66 @@ func logOnePlusExp(z float64) float64 {
 	return math.Log1p(math.Exp(z))
 }
 
-// Set is one predictor per layer plus the target fraction they were
-// trained for.
+// Set is one predictor per layer.
 type Set struct {
 	Per []*Predictor
-	// TopFrac is the positive-target fraction used in training (0.10).
-	TopFrac float64
 }
 
 // TrainOpts configures predictor training.
 type TrainOpts struct {
-	// Hidden is the predictor hidden width (the paper uses 1000 units on
-	// 4k-wide models; scaled here). Defaults to dim/2.
-	Hidden int
 	// Epochs over the collected calibration activations (default 8).
 	Epochs int
 	// MaxTokens bounds calibration MLP evaluations per layer (default 384).
 	MaxTokens int
-	// LR is the Adam learning rate (default 3e-3).
-	LR float32
-	// TopFrac is the positive-target fraction (default 0.10).
-	TopFrac float64
-	Seed    uint64
 }
+
+const (
+	trainLR   = 3e-3 // Adam learning rate
+	topFrac   = 0.10 // positive-target fraction for SwiGLU models
+	trainSeed = 77   // init and epoch-order seed
+)
 
 // DefaultTrainOpts mirrors the paper's protocol at reproduction scale.
 func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{Epochs: 8, MaxTokens: 384, LR: 3e-3, TopFrac: 0.10, Seed: 77}
+	return TrainOpts{Epochs: 8, MaxTokens: 384}
 }
 
 // Train fits one predictor per layer on the model's calibration
-// activations. Targets are the TopFrac largest |GLU| units per token for
-// SwiGLU models; for ReLU models the naturally active units are used.
+// activations. Targets are the topFrac largest |GLU| units per token for
+// SwiGLU models; for ReLU models the naturally active units are used. The
+// hidden width is dim/2 (the paper uses 1000 units on 4k-wide models).
 func Train(m *model.Model, tokens []int, win int, opts TrainOpts) *Set {
-	if opts.Hidden == 0 {
-		opts.Hidden = m.Cfg.Dim / 2
-	}
-	if opts.Epochs == 0 {
-		opts.Epochs = 8
-	}
-	if opts.MaxTokens == 0 {
-		opts.MaxTokens = 384
-	}
-	if opts.LR == 0 {
-		opts.LR = 3e-3
-	}
-	if opts.TopFrac == 0 {
-		opts.TopFrac = 0.10
-	}
-	L := len(m.Blocks)
-	rng := tensor.NewRNG(opts.Seed)
-	// Collect (x, target) pairs per layer.
-	type sample struct {
-		x      tensor.Vec
-		target []bool
-	}
-	samples := make([][]sample, L)
-	count := 0
+	ins := model.MLPInputs(m, tokens, win, opts.MaxTokens)
+	L := len(ins)
+	targets := make([][][]bool, L)
 	scratch := tensor.NewVec(m.Cfg.DFF) // reused |GLU| score buffer
-	hook := func(layer int, x tensor.Vec) tensor.Vec {
-		mlp := m.Blocks[layer].MLP
-		if layer == 0 {
-			count++
+	for l, xs := range ins {
+		for _, x := range xs {
+			targets[l] = append(targets[l], target(m.Blocks[l].MLP.GLU(x, nil), m.Cfg.Act, scratch))
 		}
-		if count <= opts.MaxTokens {
-			h := mlp.GLU(x, nil)
-			var target []bool
-			if m.Cfg.Act == nn.ActReLU {
-				target = make([]bool, len(h))
-				anyActive := false
-				for i, v := range h {
-					if v != 0 {
-						target[i] = true
-						anyActive = true
-					}
-				}
-				if !anyActive {
-					target = tensor.TopKAbsMask(h, 1, scratch)
-				}
-			} else {
-				k := int(opts.TopFrac*float64(len(h)) + 0.5)
-				if k < 1 {
-					k = 1
-				}
-				target = tensor.TopKAbsMask(h, k, scratch)
-			}
-			samples[layer] = append(samples[layer], sample{x: x.Clone(), target: target})
-			return tensor.MatVec(mlp.Down.P.W, h, nil)
-		}
-		return mlp.Apply(x)
-	}
-	for start := 0; start+win <= len(tokens) && count < opts.MaxTokens; start += win {
-		m.Forward(tokens[start:start+win], hook)
 	}
 	// Pre-draw every layer's init stream and epoch permutations serially —
 	// the exact order the sequential implementation consumed the parent RNG —
 	// so per-layer training can fan out across workers while remaining
 	// bit-identical to a serial run.
-	set := &Set{TopFrac: opts.TopFrac, Per: make([]*Predictor, L)}
+	rng := tensor.NewRNG(trainSeed)
+	set := &Set{Per: make([]*Predictor, L)}
 	inits := make([]*tensor.RNG, L)
 	perms := make([][][]int, L)
 	for l := 0; l < L; l++ {
 		inits[l] = rng.Split(uint64(l))
 		perms[l] = make([][]int, opts.Epochs)
 		for ep := 0; ep < opts.Epochs; ep++ {
-			perms[l][ep] = rng.Perm(len(samples[l]))
+			perms[l][ep] = rng.Perm(len(ins[l]))
 		}
 	}
 	parallel.For(L, 1, func(lo, hi int) {
 		for l := lo; l < hi; l++ {
-			p := NewPredictor(l, m.Cfg.Dim, opts.Hidden, m.Cfg.DFF, inits[l])
-			opt := nn.NewAdam(opts.LR)
+			p := NewPredictor(l, m.Cfg.Dim, m.Cfg.Dim/2, m.Cfg.DFF, inits[l])
+			opt := nn.NewAdam(trainLR)
 			for ep := 0; ep < opts.Epochs; ep++ {
 				for _, i := range perms[l][ep] {
-					s := samples[l][i]
-					p.trainStep(s.x, s.target)
+					p.trainStep(ins[l][i], targets[l][i])
 					opt.Step(p.Params(), 1)
 				}
 			}
@@ -208,6 +153,27 @@ func Train(m *model.Model, tokens []int, win int, opts TrainOpts) *Set {
 		}
 	})
 	return set
+}
+
+// target marks the units a predictor should learn to select from the GLU
+// activations h: the active units of a ReLU model (the single largest when
+// none is), the topFrac largest |h| otherwise.
+func target(h tensor.Vec, act nn.Activation, scratch tensor.Vec) []bool {
+	if act != nn.ActReLU {
+		return tensor.TopKAbsMask(h, max(int(topFrac*float64(len(h))+0.5), 1), scratch)
+	}
+	t := make([]bool, len(h))
+	anyActive := false
+	for i, v := range h {
+		if v != 0 {
+			t[i] = true
+			anyActive = true
+		}
+	}
+	if !anyActive {
+		return tensor.TopKAbsMask(h, 1, scratch)
+	}
+	return t
 }
 
 // ScoreFunc adapts the set to the sparsity.Predictive interface.
@@ -233,35 +199,21 @@ func (s *Set) ParamCount() int {
 func RecallAtK(m *model.Model, s *Set, tokens []int, win int, rho float64, maxTokens int) float64 {
 	var total float64
 	var n int
-	count := 0
 	scratch := tensor.NewVec(m.Cfg.DFF)
-	hook := func(layer int, x tensor.Vec) tensor.Vec {
-		mlp := m.Blocks[layer].MLP
-		if layer == 0 {
-			count++
-		}
-		if count <= maxTokens {
-			h := mlp.GLU(x, nil)
-			k := int(rho*float64(len(h)) + 0.5)
-			if k < 1 {
-				k = 1
-			}
+	for l, xs := range model.MLPInputs(m, tokens, win, maxTokens) {
+		for _, x := range xs {
+			h := m.Blocks[l].MLP.GLU(x, nil)
+			k := max(int(rho*float64(len(h))+0.5), 1)
 			truth := tensor.TopKAbsMask(h, k, scratch)
-			predIdx := tensor.TopKIndices(s.Per[layer].Score(x), k)
 			hit := 0
-			for _, i := range predIdx {
+			for _, i := range tensor.TopKIndices(s.Per[l].Score(x), k) {
 				if truth[i] {
 					hit++
 				}
 			}
 			total += float64(hit) / float64(k)
 			n++
-			return tensor.MatVec(mlp.Down.P.W, h, nil)
 		}
-		return mlp.Apply(x)
-	}
-	for start := 0; start+win <= len(tokens) && count < maxTokens; start += win {
-		m.Forward(tokens[start:start+win], hook)
 	}
 	if n == 0 {
 		return 0

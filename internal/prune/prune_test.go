@@ -49,7 +49,7 @@ func TestSparseGPTUnstructuredSparsityLevel(t *testing.T) {
 	w := tensor.NewMat(16, 32)
 	w.RandNorm(rng, 1)
 	xs := calib(2, 128, 32)
-	if err := SparseGPTMatrix(w, xs, Unstructured, Opts{Sparsity: 0.5, BlockSize: 16, PercDamp: 0.01}); err != nil {
+	if err := Sweep(w, xs, MaskPlan(Unstructured, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := matrixSparsity(w); math.Abs(got-0.5) > 0.05 {
@@ -62,7 +62,7 @@ func TestSparseGPT24Pattern(t *testing.T) {
 	w := tensor.NewMat(8, 32)
 	w.RandNorm(rng, 1)
 	xs := calib(4, 128, 32)
-	if err := SparseGPTMatrix(w, xs, Semi2of4, DefaultOpts()); err != nil {
+	if err := Sweep(w, xs, MaskPlan(Semi2of4, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	// Every aligned group of 4 must have exactly 2 zeros.
@@ -86,7 +86,7 @@ func TestSparseGPT48Pattern(t *testing.T) {
 	w := tensor.NewMat(4, 32)
 	w.RandNorm(rng, 1)
 	xs := calib(6, 96, 32)
-	if err := SparseGPTMatrix(w, xs, Semi4of8, DefaultOpts()); err != nil {
+	if err := Sweep(w, xs, MaskPlan(Semi4of8, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < w.Rows; r++ {
@@ -124,7 +124,7 @@ func TestSparseGPTBeatsMagnitudeOnCalibrationLoss(t *testing.T) {
 		return s
 	}
 	sgpt := orig.Clone()
-	if err := SparseGPTMatrix(sgpt, xs, Unstructured, Opts{Sparsity: 0.5, BlockSize: 16, PercDamp: 0.01}); err != nil {
+	if err := Sweep(sgpt, xs, MaskPlan(Unstructured, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	mag := orig.Clone()
@@ -164,7 +164,7 @@ func trainedTiny(t *testing.T) (*model.Model, []int, []int) {
 
 func TestSparseGPTModelEndToEnd(t *testing.T) {
 	m, calibToks, testToks := trainedTiny(t)
-	pruned, err := SparseGPTModel(m, calibToks, 31, Unstructured, Opts{Sparsity: 0.5, BlockSize: 16, PercDamp: 0.01})
+	pruned, err := SparseGPTModel(m, calibToks, 31, Unstructured, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSparseGPTModelEndToEnd(t *testing.T) {
 		t.Fatalf("pruned model destroyed: %v vs dense %v", sparse, dense)
 	}
 	// Semi-structured 2:4 hurts more than unstructured (paper Table 1).
-	semi, err := SparseGPTModel(m, calibToks, 31, Semi2of4, DefaultOpts())
+	semi, err := SparseGPTModel(m, calibToks, 31, Semi2of4, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +200,18 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
+// 64 tokens in windows of 31: the third window crosses the budget, and
+// every layer, not only the first, must take its first two tokens.
 func TestCalibrationActivationsShape(t *testing.T) {
 	m, calibToks, _ := trainedTiny(t)
 	mlpIn, gluAct := CalibrationActivations(m, calibToks, 31, 64)
 	if len(mlpIn) != 2 || len(gluAct) != 2 {
 		t.Fatal("wrong layer count")
 	}
-	if len(mlpIn[0]) == 0 || len(mlpIn[0]) > 64+31 {
-		t.Fatalf("sample count %d out of range", len(mlpIn[0]))
+	for l := range mlpIn {
+		if len(mlpIn[l]) != 64 || len(gluAct[l]) != 64 {
+			t.Fatalf("layer %d: %d MLP inputs and %d GLU activations, want 64 each", l, len(mlpIn[l]), len(gluAct[l]))
+		}
 	}
 	if len(mlpIn[0][0]) != 16 || len(gluAct[0][0]) != 32 {
 		t.Fatal("activation dimensions wrong")

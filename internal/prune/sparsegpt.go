@@ -4,6 +4,10 @@
 // models are evaluated densely; their memory advantage is accounted
 // separately (1 extra bit per weight for the sparsity mask, following
 // Kuzmin et al., 2024).
+//
+// The OBS column sweep behind SparseGPT is also GPTQ's (quant.BQModel), so
+// it lives here once, as Sweep, and each method is a Plan: the rule that
+// says what a block of weights becomes.
 package prune
 
 import (
@@ -39,30 +43,31 @@ func (p Pattern) String() string {
 	}
 }
 
-// Opts configures SparseGPT.
-type Opts struct {
-	// Sparsity is the pruned fraction for Unstructured (N:M patterns fix it
-	// at 0.5).
-	Sparsity float64
-	// BlockSize is the lazy-update column block (default 32).
-	BlockSize int
-	// PercDamp scales the Hessian damping λ = PercDamp · mean(diag(H)).
-	PercDamp float64
-}
+const (
+	// BlockSize is the sweep's column block: SparseGPT's lazy-update block
+	// and GPTQ's scale/zero group.
+	BlockSize = 32
+	// percDamp scales the Hessian damping λ = percDamp · mean(diag(H)).
+	percDamp = 0.01
+	// calibTokens is the number of calibration tokens RewriteMLP fits on.
+	calibTokens = 256
+)
 
-// DefaultOpts mirrors the reference implementation's defaults.
-func DefaultOpts() Opts { return Opts{Sparsity: 0.5, BlockSize: 32, PercDamp: 0.01} }
+// A Plan decides what one block of columns [b0, b1) becomes. Sweep calls it
+// at each block start with the current, error-compensated rows and the
+// upper Cholesky factor U of the inverse Hessian; the returned rule maps
+// weight (r, j), at its turn in the column order, from the value it then
+// holds to the value it becomes.
+type Plan func(rows [][]float64, u *tensor.SymMat, b0, b1 int) func(r, j int, x float64) float64
 
-// SparseGPTMatrix prunes W (out×in, row-major) in place given the
-// calibration inputs xs (each of length in). It implements the OBS
-// column-sweep: using the upper Cholesky factor U of (XXᵀ + λI)⁻¹, each
-// pruned weight's error is propagated into the not-yet-processed columns,
-// which is what lets one-shot pruning reach 50% with modest damage.
-func SparseGPTMatrix(w *tensor.Mat, xs []tensor.Vec, pattern Pattern, opts Opts) error {
+// Sweep rewrites w (out×in, row-major) in place by the OBS column sweep over
+// the calibration inputs xs (each of length in). Rows are held in float64;
+// columns are visited in order, and the error of every weight the plan
+// changes is propagated into the not-yet-visited columns through
+// U = chol((2XXᵀ + λI)⁻¹), which is what lets one-shot pruning reach 50%,
+// and 3–4-bit rounding, with modest damage.
+func Sweep(w *tensor.Mat, xs []tensor.Vec, plan Plan) error {
 	n := w.Cols
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = 32
-	}
 	h := tensor.NewSymMat(n)
 	for _, x := range xs {
 		if len(x) != n {
@@ -70,7 +75,7 @@ func SparseGPTMatrix(w *tensor.Mat, xs []tensor.Vec, pattern Pattern, opts Opts)
 		}
 		h.AddOuterF64(2, x)
 	}
-	damp := opts.PercDamp * h.MeanDiag()
+	damp := percDamp * h.MeanDiag()
 	if damp <= 0 {
 		damp = 1e-4
 	}
@@ -83,81 +88,77 @@ func SparseGPTMatrix(w *tensor.Mat, xs []tensor.Vec, pattern Pattern, opts Opts)
 	if err != nil {
 		return fmt.Errorf("prune: cholesky of inverse hessian: %w", err)
 	}
-	// Work in float64 rows for the update sweep.
-	rows := w.Rows
-	wf := make([][]float64, rows)
-	for r := 0; r < rows; r++ {
-		wf[r] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			wf[r][j] = float64(w.At(r, j))
+	rows := make([][]float64, w.Rows)
+	for r := range rows {
+		rows[r] = make([]float64, n)
+		for j, v := range w.Row(r) {
+			rows[r][j] = float64(v)
 		}
 	}
-	groupLen, groupPrune := 0, 0
-	switch pattern {
-	case Semi2of4:
-		groupLen, groupPrune = 4, 2
-	case Semi4of8:
-		groupLen, groupPrune = 8, 4
-	}
-	for b0 := 0; b0 < n; b0 += opts.BlockSize {
-		b1 := b0 + opts.BlockSize
-		if b1 > n {
-			b1 = n
-		}
-		// Select the mask for this block per row.
-		masks := make([][]bool, rows) // true = prune
-		for r := 0; r < rows; r++ {
-			masks[r] = make([]bool, b1-b0)
-			score := make(tensor.Vec, b1-b0)
-			for j := b0; j < b1; j++ {
-				d := u.At(j, j)
-				score[j-b0] = float32(-(wf[r][j] * wf[r][j]) / (d * d)) // negate: top-k of negated = smallest saliency
-			}
-			switch pattern {
-			case Unstructured:
-				k := int(opts.Sparsity*float64(b1-b0) + 0.5)
-				for _, idx := range tensor.TopKIndices(score, k) {
-					masks[r][idx] = true
-				}
-			default:
-				for g0 := 0; g0 < b1-b0; g0 += groupLen {
-					g1 := g0 + groupLen
-					if g1 > b1-b0 {
-						g1 = b1 - b0
-					}
-					sub := score[g0:g1]
-					kp := groupPrune
-					if kp > len(sub) {
-						kp = len(sub)
-					}
-					for _, idx := range tensor.TopKIndices(sub, kp) {
-						masks[r][g0+idx] = true
-					}
-				}
-			}
-		}
-		// Sweep columns in the block, zeroing masked weights and
-		// compensating survivors to the right.
+	for b0 := 0; b0 < n; b0 += BlockSize {
+		b1 := min(b0+BlockSize, n)
+		rule := plan(rows, u, b0, b1)
 		for j := b0; j < b1; j++ {
 			d := u.At(j, j)
-			for r := 0; r < rows; r++ {
-				if !masks[r][j-b0] {
+			for r, row := range rows {
+				x := row[j]
+				q := rule(r, j, x)
+				if q == x {
 					continue
 				}
-				err := wf[r][j] / d
-				wf[r][j] = 0
+				e := (x - q) / d
+				row[j] = q
 				for k := j + 1; k < n; k++ {
-					wf[r][k] -= err * u.At(j, k)
+					row[k] -= e * u.At(j, k)
 				}
 			}
 		}
 	}
-	for r := 0; r < rows; r++ {
-		for j := 0; j < n; j++ {
-			w.Set(r, j, float32(wf[r][j]))
+	for r, row := range rows {
+		dst := w.Row(r)
+		for j, v := range row {
+			dst[j] = float32(v)
 		}
 	}
+	w.Invalidate()
 	return nil
+}
+
+// MaskPlan is SparseGPT's rule: in every row of a block, zero the weights
+// of smallest OBS saliency w²/U_jj² — 2 of every 4 (Semi2of4), 4 of every 8
+// (Semi4of8), or the sparsity fraction of the block (Unstructured) — and
+// leave the rest as the sweep finds them.
+func MaskPlan(pattern Pattern, sparsity float64) Plan {
+	return func(rows [][]float64, u *tensor.SymMat, b0, b1 int) func(r, j int, x float64) float64 {
+		width := b1 - b0
+		groupLen, drop := width, int(sparsity*float64(width)+0.5)
+		switch pattern {
+		case Semi2of4:
+			groupLen, drop = 4, 2
+		case Semi4of8:
+			groupLen, drop = 8, 4
+		}
+		mask := make([]bool, len(rows)*width) // true = prune
+		score := make(tensor.Vec, width)
+		for r, row := range rows {
+			for j := b0; j < b1; j++ {
+				d := u.At(j, j)
+				score[j-b0] = float32(-(row[j] * row[j]) / (d * d)) // negate: top-k of negated = smallest saliency
+			}
+			for g0 := 0; g0 < width; g0 += groupLen {
+				group := score[g0:min(g0+groupLen, width)]
+				for _, i := range tensor.TopKIndices(group, min(drop, len(group))) {
+					mask[r*width+g0+i] = true
+				}
+			}
+		}
+		return func(r, j int, x float64) float64 {
+			if mask[r*width+j-b0] {
+				return 0
+			}
+			return x
+		}
+	}
 }
 
 // MagnitudeMatrix zeroes the p smallest-magnitude weights of w in place
@@ -178,54 +179,45 @@ func MagnitudeMatrix(w *tensor.Mat, sparsity float64) {
 	w.Invalidate()
 }
 
-// CalibrationActivations collects, for every layer, the MLP input vectors
-// (inputs to W_u/W_g) and the GLU activation vectors (inputs to W_d) over
-// the calibration tokens.
+// CalibrationActivations returns, for every layer, the MLP input vectors
+// (inputs to W_u/W_g) and the GLU activation vectors (inputs to W_d) of the
+// first maxTokens calibration tokens.
 func CalibrationActivations(m *model.Model, tokens []int, win, maxTokens int) (mlpIn, gluAct [][]tensor.Vec) {
-	L := len(m.Blocks)
-	mlpIn = make([][]tensor.Vec, L)
-	gluAct = make([][]tensor.Vec, L)
-	count := 0
-	hook := func(layer int, x tensor.Vec) tensor.Vec {
-		mlp := m.Blocks[layer].MLP
-		if layer == 0 {
-			count++
+	mlpIn = model.MLPInputs(m, tokens, win, maxTokens)
+	gluAct = make([][]tensor.Vec, len(mlpIn))
+	for l, xs := range mlpIn {
+		for _, x := range xs {
+			gluAct[l] = append(gluAct[l], m.Blocks[l].MLP.GLU(x, nil))
 		}
-		if count <= maxTokens {
-			h := mlp.GLU(x, nil)
-			mlpIn[layer] = append(mlpIn[layer], x.Clone())
-			gluAct[layer] = append(gluAct[layer], h)
-			return tensor.MatVec(mlp.Down.P.W, h, nil)
-		}
-		return mlp.Apply(x)
-	}
-	for start := 0; start+win <= len(tokens) && count < maxTokens; start += win {
-		m.Forward(tokens[start:start+win], hook)
 	}
 	return mlpIn, gluAct
 }
 
-// SparseGPTModel returns a copy of m whose MLP matrices are pruned with
-// SparseGPT using calibration tokens. Attention and embeddings are left
-// dense, matching the paper's MLP-only sparsification.
-func SparseGPTModel(m *model.Model, tokens []int, win int, pattern Pattern, opts Opts) (*model.Model, error) {
-	clone, err := cloneModel(m)
-	if err != nil {
-		return nil, err
-	}
-	mlpIn, gluAct := CalibrationActivations(m, tokens, win, 256)
+// RewriteMLP returns a copy of m whose MLP matrices are swept by plan on
+// m's calibration activations: W_u and W_g on the MLP inputs, W_d on the
+// GLU activations. Attention and embeddings are left dense, matching the
+// paper's MLP-only compression.
+func RewriteMLP(m *model.Model, tokens []int, win int, plan Plan) (*model.Model, error) {
+	clone := m.Clone()
+	mlpIn, gluAct := CalibrationActivations(m, tokens, win, calibTokens)
 	for l, b := range clone.Blocks {
-		if err := SparseGPTMatrix(b.MLP.Up.P.W, mlpIn[l], pattern, opts); err != nil {
-			return nil, fmt.Errorf("layer %d up: %w", l, err)
-		}
-		if err := SparseGPTMatrix(b.MLP.Gate.P.W, mlpIn[l], pattern, opts); err != nil {
-			return nil, fmt.Errorf("layer %d gate: %w", l, err)
-		}
-		if err := SparseGPTMatrix(b.MLP.Down.P.W, gluAct[l], pattern, opts); err != nil {
-			return nil, fmt.Errorf("layer %d down: %w", l, err)
+		for _, p := range b.MLP.Params() {
+			xs := mlpIn[l]
+			if p == b.MLP.Down.P {
+				xs = gluAct[l]
+			}
+			if err := Sweep(p.W, xs, plan); err != nil {
+				return nil, fmt.Errorf("%s: %w", p.Name, err)
+			}
 		}
 	}
 	return clone, nil
+}
+
+// SparseGPTModel returns a copy of m whose MLP matrices are pruned with
+// SparseGPT to the pattern (at the given sparsity for Unstructured).
+func SparseGPTModel(m *model.Model, tokens []int, win int, pattern Pattern, sparsity float64) (*model.Model, error) {
+	return RewriteMLP(m, tokens, win, MaskPlan(pattern, sparsity))
 }
 
 // MLPSparsity measures the achieved zero fraction across MLP weights.
@@ -245,24 +237,6 @@ func MLPSparsity(m *model.Model) float64 {
 		return 0
 	}
 	return float64(zero) / float64(total)
-}
-
-// cloneModel deep-copies a model by rebuilding it and copying parameters.
-func cloneModel(m *model.Model) (*model.Model, error) {
-	clone := model.New(m.Cfg, 0)
-	src := m.Params()
-	dst := clone.Params()
-	if len(src) != len(dst) {
-		return nil, fmt.Errorf("prune: clone parameter count mismatch")
-	}
-	for i := range src {
-		if src[i].Size() != dst[i].Size() {
-			return nil, fmt.Errorf("prune: clone parameter %s size mismatch", src[i].Name)
-		}
-		copy(dst[i].W.Data, src[i].W.Data)
-		dst[i].W.Invalidate()
-	}
-	return clone, nil
 }
 
 // MaskOverheadBits is the per-weight bookkeeping cost of static sparsity: 1

@@ -4,41 +4,17 @@
 // van Baalen et al., 2024, simplified to 2-d sub-vectors). Both quantize
 // the MLP matrices of a model copy in place and report effective
 // bytes-per-weight including bookkeeping overheads, which drives the
-// memory axis of Figure 9.
+// memory axis of Figure 9. BQ is a rounding rule run by prune.Sweep, the
+// column sweep SparseGPT runs with a masking rule.
 package quant
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/model"
 	"repro/internal/prune"
 	"repro/internal/tensor"
 )
-
-// Method identifies a quantizer for reporting.
-type Method struct {
-	// Kind is "bq" or "vq".
-	Kind string
-	// Bits per weight for the payload (excluding overheads).
-	Bits int
-}
-
-// String names the method, e.g. "bq4" or "vq3".
-func (m Method) String() string { return fmt.Sprintf("%s%d", m.Kind, m.Bits) }
-
-// BQOpts configures blockwise quantization.
-type BQOpts struct {
-	Bits int
-	// GroupSize is the number of consecutive columns sharing a scale/zero
-	// pair (default 32).
-	GroupSize int
-	// PercDamp scales the Hessian damping (default 0.01).
-	PercDamp float64
-}
-
-// DefaultBQOpts returns the defaults used in the experiments.
-func DefaultBQOpts(bits int) BQOpts { return BQOpts{Bits: bits, GroupSize: 32, PercDamp: 0.01} }
 
 // quantizeValue rounds x to the nearest level of an asymmetric uniform
 // grid defined by (scale, zero, maxq) and returns the dequantized value.
@@ -81,120 +57,46 @@ func groupParams(w []float64, maxq int) (scale, zero float32) {
 	return scale, zero
 }
 
-// BQMatrix quantizes w in place with GPTQ error propagation using the
-// calibration inputs xs: columns are processed in order; the rounding
-// error of each column is folded into the remaining columns through the
-// inverse-Hessian Cholesky factor, exactly the SparseGPT update with
-// "prune" replaced by "round".
-func BQMatrix(w *tensor.Mat, xs []tensor.Vec, opts BQOpts) error {
-	if opts.GroupSize <= 0 {
-		opts.GroupSize = 32
-	}
-	if opts.PercDamp == 0 {
-		opts.PercDamp = 0.01
-	}
-	n := w.Cols
-	maxq := (1 << opts.Bits) - 1
-	h := tensor.NewSymMat(n)
-	for _, x := range xs {
-		if len(x) != n {
-			return fmt.Errorf("quant: calibration input length %d != cols %d", len(x), n)
+// RoundPlan is GPTQ's rule at the given bit width: at each block start,
+// every row gets a min-max asymmetric scale/zero pair over the block's
+// current (error-compensated) weights, and each weight becomes the nearest
+// grid level to the value it holds at its turn in the sweep.
+func RoundPlan(bits int) prune.Plan {
+	maxq := (1 << bits) - 1
+	return func(rows [][]float64, _ *tensor.SymMat, b0, b1 int) func(r, j int, x float64) float64 {
+		scales := make([]float32, len(rows))
+		zeros := make([]float32, len(rows))
+		for r, row := range rows {
+			scales[r], zeros[r] = groupParams(row[b0:b1], maxq)
 		}
-		h.AddOuterF64(2, x)
-	}
-	damp := opts.PercDamp * h.MeanDiag()
-	if damp <= 0 {
-		damp = 1e-4
-	}
-	h.AddDiag(damp)
-	hinv, err := h.Inverse()
-	if err != nil {
-		return fmt.Errorf("quant: hessian inversion: %w", err)
-	}
-	u, err := hinv.CholUpper()
-	if err != nil {
-		return fmt.Errorf("quant: cholesky: %w", err)
-	}
-	rows := w.Rows
-	wf := make([][]float64, rows)
-	for r := 0; r < rows; r++ {
-		wf[r] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			wf[r][j] = float64(w.At(r, j))
+		return func(r, _ int, x float64) float64 {
+			return float64(quantizeValue(float32(x), scales[r], zeros[r], maxq))
 		}
 	}
-	for g0 := 0; g0 < n; g0 += opts.GroupSize {
-		g1 := g0 + opts.GroupSize
-		if g1 > n {
-			g1 = n
-		}
-		// Per-row scale/zero over the group's *current* (error-compensated)
-		// weights.
-		scales := make([]float32, rows)
-		zeros := make([]float32, rows)
-		for r := 0; r < rows; r++ {
-			scales[r], zeros[r] = groupParams(wf[r][g0:g1], maxq)
-		}
-		for j := g0; j < g1; j++ {
-			d := u.At(j, j)
-			for r := 0; r < rows; r++ {
-				orig := wf[r][j]
-				q := float64(quantizeValue(float32(orig), scales[r], zeros[r], maxq))
-				errv := (orig - q) / d
-				wf[r][j] = q
-				for k := j + 1; k < n; k++ {
-					wf[r][k] -= errv * u.At(j, k)
-				}
-			}
-		}
-	}
-	for r := 0; r < rows; r++ {
-		for j := 0; j < n; j++ {
-			w.Set(r, j, float32(wf[r][j]))
-		}
-	}
-	return nil
 }
 
 // BQBytesPerWeight returns the effective storage per weight: payload bits
-// plus fp16 scale and zero per group.
-func BQBytesPerWeight(opts BQOpts) float64 {
-	group := opts.GroupSize
-	if group <= 0 {
-		group = 32
-	}
-	bits := float64(opts.Bits) + 32.0/float64(group)
-	return bits / 8
+// plus fp16 scale and zero per group of prune.BlockSize columns.
+func BQBytesPerWeight(bits int) float64 {
+	return (float64(bits) + 32.0/prune.BlockSize) / 8
 }
 
-// VQOpts configures vector quantization.
-type VQOpts struct {
-	// Bits is the per-weight budget; with SubDim-sized sub-vectors the
-	// codebook has 2^(Bits·SubDim) entries.
-	Bits int
-	// SubDim is the sub-vector length (default 2).
-	SubDim int
-	// Iters is the number of k-means iterations (default 15).
-	Iters int
-	// Seed seeds the k-means initialization.
-	Seed uint64
-}
+const (
+	// vqSubDim is the VQ sub-vector length: with b bits per weight the
+	// codebook has 2^(b·vqSubDim) entries.
+	vqSubDim = 2
+	// vqIters is the number of k-means iterations.
+	vqIters = 15
+	// vqSeed seeds the k-means initialization.
+	vqSeed = 7
+)
 
-// DefaultVQOpts returns the defaults used in the experiments.
-func DefaultVQOpts(bits int) VQOpts { return VQOpts{Bits: bits, SubDim: 2, Iters: 15, Seed: 7} }
-
-// VQMatrix vector-quantizes w in place: rows are cut into SubDim-length
-// sub-vectors, a k-means codebook is fit over all sub-vectors, and each
-// sub-vector is replaced by its nearest centroid.
-func VQMatrix(w *tensor.Mat, opts VQOpts) {
-	if opts.SubDim <= 0 {
-		opts.SubDim = 2
-	}
-	if opts.Iters <= 0 {
-		opts.Iters = 15
-	}
-	k := 1 << (opts.Bits * opts.SubDim)
-	sd := opts.SubDim
+// VQMatrix vector-quantizes w in place at the given bits per weight: rows
+// are cut into vqSubDim-length sub-vectors, a k-means codebook is fit over
+// all sub-vectors, and each sub-vector is replaced by its nearest centroid.
+func VQMatrix(w *tensor.Mat, bits int) {
+	const sd = vqSubDim
+	k := 1 << (bits * sd)
 	// Gather sub-vectors (pad the tail with zeros when cols % sd != 0).
 	var subs [][]float32
 	for r := 0; r < w.Rows; r++ {
@@ -208,10 +110,7 @@ func VQMatrix(w *tensor.Mat, opts VQOpts) {
 	if len(subs) == 0 {
 		return
 	}
-	if k > len(subs) {
-		k = len(subs)
-	}
-	cent := kmeans(subs, k, opts.Iters, opts.Seed)
+	cent := kmeans(subs, min(k, len(subs)), vqIters, vqSeed)
 	// Replace each sub-vector with its nearest centroid.
 	i := 0
 	for r := 0; r < w.Rows; r++ {
@@ -225,13 +124,6 @@ func VQMatrix(w *tensor.Mat, opts VQOpts) {
 		}
 	}
 	w.Invalidate()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func dist2(a, b []float32) float64 {
@@ -308,46 +200,23 @@ func kmeans(xs [][]float32, k, iters int, seed uint64) [][]float32 {
 // per weight; the shared codebook is amortized to ~0 for realistic matrix
 // sizes, plus a per-row fp16 scale would add 16/cols bits — negligible and
 // omitted, matching the paper's accounting.
-func VQBytesPerWeight(opts VQOpts) float64 {
-	return float64(opts.Bits) / 8
+func VQBytesPerWeight(bits int) float64 {
+	return float64(bits) / 8
 }
 
-// BQModel returns a copy of m with all MLP matrices blockwise-quantized
-// using GPTQ error propagation on calibration tokens.
-func BQModel(m *model.Model, tokens []int, win int, opts BQOpts) (*model.Model, error) {
-	clone := model.New(m.Cfg, 0)
-	copyParams(m, clone)
-	mlpIn, gluAct := prune.CalibrationActivations(m, tokens, win, 256)
-	for l, b := range clone.Blocks {
-		if err := BQMatrix(b.MLP.Up.P.W, mlpIn[l], opts); err != nil {
-			return nil, fmt.Errorf("layer %d up: %w", l, err)
-		}
-		if err := BQMatrix(b.MLP.Gate.P.W, mlpIn[l], opts); err != nil {
-			return nil, fmt.Errorf("layer %d gate: %w", l, err)
-		}
-		if err := BQMatrix(b.MLP.Down.P.W, gluAct[l], opts); err != nil {
-			return nil, fmt.Errorf("layer %d down: %w", l, err)
-		}
-	}
-	return clone, nil
+// BQModel returns a copy of m with all MLP matrices blockwise-quantized to
+// the given bits with GPTQ error propagation on calibration tokens.
+func BQModel(m *model.Model, tokens []int, win, bits int) (*model.Model, error) {
+	return prune.RewriteMLP(m, tokens, win, RoundPlan(bits))
 }
 
 // VQModel returns a copy of m with all MLP matrices vector-quantized.
-func VQModel(m *model.Model, opts VQOpts) *model.Model {
-	clone := model.New(m.Cfg, 0)
-	copyParams(m, clone)
+func VQModel(m *model.Model, bits int) *model.Model {
+	clone := m.Clone()
 	for _, b := range clone.Blocks {
-		VQMatrix(b.MLP.Up.P.W, opts)
-		VQMatrix(b.MLP.Gate.P.W, opts)
-		VQMatrix(b.MLP.Down.P.W, opts)
+		for _, p := range b.MLP.Params() {
+			VQMatrix(p.W, bits)
+		}
 	}
 	return clone
-}
-
-func copyParams(src, dst *model.Model) {
-	sp, dp := src.Params(), dst.Params()
-	for i := range sp {
-		copy(dp[i].W.Data, sp[i].W.Data)
-		dp[i].W.Invalidate()
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/prune"
 	"repro/internal/tensor"
 )
 
@@ -54,7 +55,7 @@ func TestBQMatrixErrorDecreasesWithBits(t *testing.T) {
 	var prev float64 = math.Inf(1)
 	for _, bits := range []int{2, 3, 4, 8} {
 		w := orig.Clone()
-		if err := BQMatrix(w, xs, DefaultBQOpts(bits)); err != nil {
+		if err := prune.Sweep(w, xs, RoundPlan(bits)); err != nil {
 			t.Fatal(err)
 		}
 		e := reconErr(orig, w, xs)
@@ -65,7 +66,7 @@ func TestBQMatrixErrorDecreasesWithBits(t *testing.T) {
 	}
 	// 8-bit is near-lossless: orders of magnitude below the 2-bit error.
 	w2 := orig.Clone()
-	if err := BQMatrix(w2, xs, DefaultBQOpts(2)); err != nil {
+	if err := prune.Sweep(w2, xs, RoundPlan(2)); err != nil {
 		t.Fatal(err)
 	}
 	if e2 := reconErr(orig, w2, xs); prev > e2/50 {
@@ -74,12 +75,12 @@ func TestBQMatrixErrorDecreasesWithBits(t *testing.T) {
 }
 
 func TestBQQuantizedValuesOnGrid(t *testing.T) {
-	// With GroupSize == Cols and no error propagation possible in the last
-	// column, check values land on a small set of levels per row group.
+	// With one block spanning every column, each row shares one scale/zero
+	// pair, so its values land on at most 2^bits levels.
 	rng := tensor.NewRNG(3)
 	w := tensor.NewMat(4, 16)
 	w.RandNorm(rng, 1)
-	if err := BQMatrix(w, calib(4, 64, 16), BQOpts{Bits: 2, GroupSize: 16}); err != nil {
+	if err := prune.Sweep(w, calib(4, 64, 16), RoundPlan(2)); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < w.Rows; r++ {
@@ -101,7 +102,7 @@ func TestBQBeatsRTNStyleNoCompensation(t *testing.T) {
 	orig.RandNorm(rng, 1)
 	xs := calib(6, 256, 48)
 	gptq := orig.Clone()
-	if err := BQMatrix(gptq, xs, DefaultBQOpts(2)); err != nil {
+	if err := prune.Sweep(gptq, xs, RoundPlan(2)); err != nil {
 		t.Fatal(err)
 	}
 	// RTN: quantize each group without compensation.
@@ -109,8 +110,8 @@ func TestBQBeatsRTNStyleNoCompensation(t *testing.T) {
 	maxq := (1 << 2) - 1
 	for r := 0; r < rtn.Rows; r++ {
 		row := rtn.Row(r)
-		for g := 0; g < len(row); g += 32 {
-			end := g + 32
+		for g := 0; g < len(row); g += prune.BlockSize {
+			end := g + prune.BlockSize
 			if end > len(row) {
 				end = len(row)
 			}
@@ -134,7 +135,7 @@ func TestVQMatrixCodebookSize(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	w := tensor.NewMat(16, 32)
 	w.RandNorm(rng, 1)
-	VQMatrix(w, DefaultVQOpts(2)) // 2 bits × 2-dim → 16 centroids
+	VQMatrix(w, 2) // 2 bits × 2-dim → 16 centroids
 	pairs := map[[2]float32]bool{}
 	for r := 0; r < w.Rows; r++ {
 		row := w.Row(r)
@@ -156,23 +157,20 @@ func TestVQErrorDecreasesWithBits(t *testing.T) {
 	orig.RandNorm(rng, 1)
 	xs := calib(10, 64, 32)
 	w2 := orig.Clone()
-	VQMatrix(w2, DefaultVQOpts(2))
+	VQMatrix(w2, 2)
 	w3 := orig.Clone()
-	VQMatrix(w3, DefaultVQOpts(3))
+	VQMatrix(w3, 3)
 	if reconErr(orig, w3, xs) >= reconErr(orig, w2, xs) {
 		t.Fatal("3-bit VQ should beat 2-bit VQ")
 	}
 }
 
 func TestBytesPerWeight(t *testing.T) {
-	if got := BQBytesPerWeight(DefaultBQOpts(4)); math.Abs(got-(4+1.0)/8) > 1e-9 {
+	if got := BQBytesPerWeight(4); math.Abs(got-(4+1.0)/8) > 1e-9 {
 		t.Fatalf("BQ4 bytes/weight = %v", got)
 	}
-	if got := VQBytesPerWeight(DefaultVQOpts(3)); got != 3.0/8 {
+	if got := VQBytesPerWeight(3); got != 3.0/8 {
 		t.Fatalf("VQ3 bytes/weight = %v", got)
-	}
-	if MethodBQ4 := (Method{Kind: "bq", Bits: 4}); MethodBQ4.String() != "bq4" {
-		t.Fatal("method name wrong")
 	}
 }
 
@@ -195,12 +193,12 @@ func TestModelQuantEndToEnd(t *testing.T) {
 	calibToks := tok.Encode(splits.Calib)
 	dense := model.Perplexity(m, testToks, 31, nil)
 
-	bq4, err := BQModel(m, calibToks, 31, DefaultBQOpts(4))
+	bq4, err := BQModel(m, calibToks, 31, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p4 := model.Perplexity(bq4, testToks, 31, nil)
-	bq2, err := BQModel(m, calibToks, 31, DefaultBQOpts(2))
+	bq2, err := BQModel(m, calibToks, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +209,7 @@ func TestModelQuantEndToEnd(t *testing.T) {
 	if p4 > dense*2 {
 		t.Fatalf("BQ4 ppl %v too far above dense %v", p4, dense)
 	}
-	vq3 := VQModel(m, DefaultVQOpts(3))
+	vq3 := VQModel(m, 3)
 	pv3 := model.Perplexity(vq3, testToks, 31, nil)
 	if pv3 > dense*4 {
 		t.Fatalf("VQ3 destroyed the model: %v vs %v", pv3, dense)

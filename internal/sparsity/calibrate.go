@@ -96,31 +96,25 @@ func (s *GLUThreshold) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheV
 }
 
 // LayerStats collects per-layer activation magnitudes from a calibration
-// run: the absolute GLU activations, the absolute gate activations
-// σ(W_g x), and the absolute MLP inputs.
+// run: the absolute GLU activations and the absolute gate activations
+// σ(W_g x).
 type LayerStats struct {
 	AbsGLU  [][]float32 // [layer][sample]
 	AbsGate [][]float32
-	AbsIn   [][]float32
 }
 
 // CollectStats runs the dense model over the calibration tokens (windowed)
-// and gathers the activation statistics every scheme calibration needs.
-// maxTokens bounds the number of MLP evaluations recorded per layer.
+// and gathers the activation statistics every scheme calibration needs
+// from the first maxTokens MLP inputs of each layer.
 func CollectStats(m *model.Model, tokens []int, win, maxTokens int) *LayerStats {
-	L := len(m.Blocks)
+	ins := model.MLPInputs(m, tokens, win, maxTokens)
 	st := &LayerStats{
-		AbsGLU:  make([][]float32, L),
-		AbsGate: make([][]float32, L),
-		AbsIn:   make([][]float32, L),
+		AbsGLU:  make([][]float32, len(ins)),
+		AbsGate: make([][]float32, len(ins)),
 	}
-	count := 0
-	hook := func(layer int, x tensor.Vec) tensor.Vec {
+	for layer, xs := range ins {
 		mlp := m.Blocks[layer].MLP
-		if layer == 0 {
-			count++
-		}
-		if count <= maxTokens {
+		for _, x := range xs {
 			u := tensor.MatVec(mlp.Up.P.W, x, nil)
 			g := tensor.MatVec(mlp.Gate.P.W, x, nil)
 			for i := range u {
@@ -135,17 +129,7 @@ func CollectStats(m *model.Model, tokens []int, win, maxTokens int) *LayerStats 
 				st.AbsGLU[layer] = append(st.AbsGLU[layer], h)
 				st.AbsGate[layer] = append(st.AbsGate[layer], ga)
 			}
-			for _, v := range x {
-				if v < 0 {
-					v = -v
-				}
-				st.AbsIn[layer] = append(st.AbsIn[layer], v)
-			}
 		}
-		return mlp.Apply(x)
-	}
-	for start := 0; start+win <= len(tokens) && count < maxTokens; start += win {
-		m.Forward(tokens[start:start+win], hook)
 	}
 	return st
 }
