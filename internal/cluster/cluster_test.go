@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -13,9 +11,7 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/serving"
-	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -74,11 +70,20 @@ func requests(t *testing.T, n int, tenant func(i int) string, wins func(i int) i
 	return reqs
 }
 
-func nodeCfg(arb serving.ArbPolicy, slots int, noFuse bool) serving.Config {
+func nodeCfg(arb serving.ArbPolicy, slots int) serving.Config {
 	return serving.Config{
 		System: sysCfg(), Arb: arb, Sched: serving.EDF(),
-		MaxActive: slots, Quantum: 4, Seed: 11, NoFuse: noFuse,
+		MaxActive: slots, Quantum: 4, Seed: 11,
 	}
+}
+
+// replicas is n nodes of one arbitration policy and batch width.
+func replicas(n int, arb serving.ArbPolicy, slots int) []serving.Config {
+	nodes := make([]serving.Config, n)
+	for i := range nodes {
+		nodes[i] = nodeCfg(arb, slots)
+	}
+	return nodes
 }
 
 func TestRouterNamesRoundTripThroughParser(t *testing.T) {
@@ -140,12 +145,15 @@ func TestConsistentHashIsTenantAffineAndStableUnderNodeLoss(t *testing.T) {
 	}
 }
 
-// clusterGrid runs the drain+failover scenario used by the determinism
-// test: three heterogeneous nodes (different arbitration and batch
-// widths), a mid-run failure on node 1, a later drain of node 2, Poisson
-// arrivals, tracing on.
-func clusterGrid(t *testing.T, router Router, noFuse bool) (*Report, []obs.Event) {
-	t.Helper()
+// The acceptance pin: the whole cluster — rolled-up report, per-node
+// reports, and the merged per-node event logs — must be bit-identical
+// across the variant matrix, for every router policy, through a run that
+// exercises failover migration AND an administrative drain: three
+// heterogeneous nodes (different arbitration and batch widths), Poisson
+// arrivals, a mid-run failure on node 1 and a later drain of node 2. Run
+// under -race this also proves the parallel node fan-out never races.
+func TestClusterDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
+	trained(t)
 	reqs := requests(t, 8,
 		func(i int) string {
 			if i%3 == 0 {
@@ -160,87 +168,26 @@ func clusterGrid(t *testing.T, router Router, noFuse bool) (*Report, []obs.Event
 			}
 			return serving.SLO{Class: "batch"}
 		})
-	w, err := serving.PoissonArrivals(reqs, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Nodes: []serving.Config{
-			nodeCfg(serving.ArbExclusive, 2, noFuse),
-			nodeCfg(serving.ArbFairShare, 1, noFuse),
-			nodeCfg(serving.ArbExclusive, 1, noFuse),
-		},
-		Router: router, Seed: 19,
-		DrainTick: 9, DrainNode: 2,
-		Failures: []Failure{{Node: 1, Tick: 5, Ticks: 12}},
-		Obs:      &obs.Config{Window: 8},
-	}
-	c, err := New(zoo.m, cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.ReconcileObs(); err != nil {
-		t.Fatal(err)
-	}
-	return rep, c.Events()
-}
-
-// stripWall zeroes the host-measured annotations — the only fields outside
-// the determinism contract.
-func stripWall(rep *Report) {
-	rep.Wall = serving.WallClock{}
-	for i := range rep.Nodes {
-		rep.Nodes[i].Report.Wall = serving.WallClock{}
-	}
-}
-
-// The acceptance pin: the whole cluster — rolled-up report, per-node
-// reports, and the merged per-node event logs — must be bit-identical
-// across worker counts and the fused/unfused decode paths, for every
-// router policy, through a run that exercises failover migration AND an
-// administrative drain. Run under -race this also proves the parallel
-// node fan-out never races.
-func TestClusterDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
-	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
 	for _, name := range RouterNames() {
-		router, err := ParseRouter(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var baseRep *Report
-		var baseLog []byte
-		for _, noFuse := range []bool{false, true} {
-			for _, procs := range []int{4, 1} {
-				parallel.SetProcs(procs)
-				rep, events := clusterGrid(t, router, noFuse)
-				stripWall(rep)
-				if rep.Migrations == 0 {
+		router := must(ParseRouter(name))(t)
+		matrix(t, row{name: "router " + name, cfg: Config{
+			Nodes: []serving.Config{
+				nodeCfg(serving.ArbExclusive, 2),
+				nodeCfg(serving.ArbFairShare, 1),
+				nodeCfg(serving.ArbExclusive, 1),
+			},
+			Router: router, Seed: 19,
+			DrainTick: 9, DrainNode: 2,
+			Failures: []Failure{{Node: 1, Tick: 5, Ticks: 12}},
+		}, w: func(t *testing.T) serving.Workload { return must(serving.PoissonArrivals(reqs, 0.5, 3))(t) },
+			guard: func(t *testing.T, o outcome) {
+				if o.rep.Migrations == 0 {
 					t.Fatalf("router %s: failover scenario produced no migrations", name)
 				}
-				if rep.Drains != 1 || rep.Failures != 1 {
-					t.Fatalf("router %s: lifecycle ran %d drains / %d failures, want 1/1", name, rep.Drains, rep.Failures)
+				if o.rep.Drains != 1 || o.rep.Failures != 1 {
+					t.Fatalf("router %s: lifecycle ran %d drains / %d failures, want 1/1", name, o.rep.Drains, o.rep.Failures)
 				}
-				var buf bytes.Buffer
-				if err := obs.WriteJSONL(&buf, events); err != nil {
-					t.Fatal(err)
-				}
-				if baseRep == nil {
-					baseRep, baseLog = rep, buf.Bytes()
-					continue
-				}
-				if !reflect.DeepEqual(baseRep, rep) {
-					t.Fatalf("router %s: report diverges at noFuse=%v procs=%d", name, noFuse, procs)
-				}
-				if !bytes.Equal(baseLog, buf.Bytes()) {
-					t.Fatalf("router %s: merged event log diverges at noFuse=%v procs=%d", name, noFuse, procs)
-				}
-			}
-		}
+			}})
 	}
 }
 
@@ -258,47 +205,29 @@ func TestClusterMigratedExclusiveSessionMatchesUninterruptedSolo(t *testing.T) {
 		func(i int) int { return 3 },
 		func(i int) serving.SLO { return serving.SLO{} })
 	cfg := Config{
-		Nodes: []serving.Config{
-			nodeCfg(serving.ArbExclusive, 1, false),
-			nodeCfg(serving.ArbExclusive, 1, false),
-		},
+		Nodes:  replicas(2, serving.ArbExclusive, 1),
 		Router: LeastLoaded(), Seed: 5,
 		// Node 1 fails at tick 2 — mid-decode for whichever session it
 		// holds (each stream needs ~24 ticks) — and stays down for good.
 		Failures: []Failure{{Node: 1, Tick: 2, Ticks: 1000}},
 	}
-	c, err := New(zoo.m, cfg, serving.FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, cfg, serving.FixedBatch(reqs))
 	if rep.Migrations != 1 {
 		t.Fatalf("expected exactly one migrated session, got %d", rep.Migrations)
 	}
 	if rep.MigratedWaitTicks <= 0 {
 		t.Fatalf("migrated session shows no cross-node queueing (wait %d ticks)", rep.MigratedWaitTicks)
 	}
-	seen := 0
 	for _, nr := range rep.Nodes {
 		for _, sm := range nr.Report.Sessions {
-			seen++
 			if sm.Outcome != serving.OutcomeOK {
 				t.Fatalf("session %q finished %q, want ok", sm.ID, sm.Outcome)
 			}
-			solo, err := eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[sm.Index].Tokens, sysCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
+			solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[sm.Index].Tokens, sysCfg()))(t)
 			if sm.Point != solo {
 				t.Fatalf("session %q diverged from solo evaluation:\nserved %+v\nsolo   %+v", sm.ID, sm.Point, solo)
 			}
 		}
-	}
-	if seen != len(reqs) {
-		t.Fatalf("%d sessions reported across nodes, want %d", seen, len(reqs))
 	}
 	// Both sessions must have ended up on the surviving node.
 	if n := len(rep.Nodes[0].Report.Sessions); n != 2 {
@@ -313,33 +242,20 @@ func TestClusterMigratedExclusiveSessionMatchesUninterruptedSolo(t *testing.T) {
 // and a six-deep serial queue misses from the third on.
 func TestLeastLoadedBeatsConsistentHashOnSkewedTenants(t *testing.T) {
 	trained(t)
-	run := func(router Router) *Report {
-		reqs := requests(t, 6,
-			func(i int) string { return "hot" },
-			func(i int) int { return 2 },
-			func(i int) serving.SLO {
-				return serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: 20}
-			})
-		cfg := Config{
-			Nodes: []serving.Config{
-				nodeCfg(serving.ArbExclusive, 1, false),
-				nodeCfg(serving.ArbExclusive, 1, false),
-				nodeCfg(serving.ArbExclusive, 1, false),
-			},
+	reqs := requests(t, 6,
+		func(i int) string { return "hot" },
+		func(i int) int { return 2 },
+		func(i int) serving.SLO {
+			return serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: 20}
+		})
+	runRouter := func(router Router) *Report {
+		return run(t, Config{
+			Nodes:  replicas(3, serving.ArbExclusive, 1),
 			Router: router, Seed: 5,
-		}
-		c, err := New(zoo.m, cfg, serving.FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		}, serving.FixedBatch(reqs))
 	}
-	hash := run(ConsistentHash())
-	ll := run(LeastLoaded())
+	hash := runRouter(ConsistentHash())
+	ll := runRouter(LeastLoaded())
 	if placed := len(hash.Placements); placed != 3 {
 		t.Fatalf("placement vector has %d entries, want 3", placed)
 	}
@@ -365,21 +281,11 @@ func TestDrainStopsPlacementAndMigratesQueue(t *testing.T) {
 		func(i int) int { return 2 },
 		func(i int) serving.SLO { return serving.SLO{} })
 	cfg := Config{
-		Nodes: []serving.Config{
-			nodeCfg(serving.ArbExclusive, 1, false),
-			nodeCfg(serving.ArbExclusive, 1, false),
-		},
+		Nodes:  replicas(2, serving.ArbExclusive, 1),
 		Router: LeastLoaded(), Seed: 5,
 		DrainTick: 1, DrainNode: 1,
 	}
-	c, err := New(zoo.m, cfg, serving.FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, cfg, serving.FixedBatch(reqs))
 	if rep.Drains != 1 || !rep.Nodes[1].Drained {
 		t.Fatalf("drain not recorded: drains=%d node1.Drained=%v", rep.Drains, rep.Nodes[1].Drained)
 	}
@@ -388,9 +294,6 @@ func TestDrainStopsPlacementAndMigratesQueue(t *testing.T) {
 	// was actively decoding.
 	if n0, n1 := len(rep.Nodes[0].Report.Sessions), len(rep.Nodes[1].Report.Sessions); n0 != 3 || n1 != 1 {
 		t.Fatalf("sessions split %d/%d across nodes, want 3/1 after the drain migration", n0, n1)
-	}
-	if rep.Sessions != 4 {
-		t.Fatalf("cluster reports %d sessions, want 4", rep.Sessions)
 	}
 	for _, nr := range rep.Nodes {
 		for _, sm := range nr.Report.Sessions {
@@ -444,20 +347,14 @@ func TestHostileWorkloadsFailByNameOnEngineAndCluster(t *testing.T) {
 		{"duplicate", "twice", [][]int{{0}, {0}, {1}}},
 		{"stalled", "stalled at tick", [][]int{{}, {}}}, // not done, nothing active, no credible next arrival
 	} {
-		cfg := nodeCfg(serving.ArbFairShare, 2, false)
-		e, err := serving.NewEngine(zoo.m, cfg, &brokenWorkload{reqs: reqs, emit: row.emit})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := nodeCfg(serving.ArbFairShare, 2)
+		e := must(serving.NewEngine(zoo.m, cfg, &brokenWorkload{reqs: reqs, emit: row.emit}))(t)
 		if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s, lone engine: got %v, want an error naming %q", row.name, err, row.want)
 		}
-		c, err := New(zoo.m, Config{
+		c := must(New(zoo.m, Config{
 			Nodes: []serving.Config{cfg, cfg, cfg}, Router: LeastLoaded(), Seed: 5,
-		}, &brokenWorkload{reqs: reqs, emit: row.emit})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, &brokenWorkload{reqs: reqs, emit: row.emit}))(t)
 		if rep, err := c.Run(); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s, 3-node cluster: got %v (report %+v), want an error naming %q", row.name, err, rep, row.want)
 		}

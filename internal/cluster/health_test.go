@@ -1,66 +1,46 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/parallel"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
-// chaosCluster builds the pinned unscripted-chaos scenario the detector
-// tests share: three single-slot exclusive nodes, nine deadlined sessions
-// on Poisson arrivals, seeded node chaos (crashes with timed restarts),
-// and the requested detector. Everything is deterministic for the pinned
-// seeds, so the assertions on it are exact pins, not expectations.
-func chaosCluster(t *testing.T, det Detect, noFuse bool, chaos faults.NodeChaos) *Cluster {
-	t.Helper()
+// chaosRow is the pinned unscripted-chaos scenario the detector tests
+// share: three single-slot exclusive nodes, nine deadlined sessions on
+// Poisson arrivals, seeded node chaos (crashes with timed restarts), and the
+// requested detector. Everything is deterministic for the pinned seeds, so
+// the assertions on it are exact pins, not expectations.
+func chaosRow(t *testing.T, det Detect, chaos faults.NodeChaos) row {
 	reqs := requests(t, 9,
 		func(i int) string { return fmt.Sprintf("t%d", i%4) },
 		func(i int) int { return 2 },
 		func(i int) serving.SLO {
 			return serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: 64}
 		})
-	w, err := serving.PoissonArrivals(reqs, 0.25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Nodes: []serving.Config{
-			nodeCfg(serving.ArbExclusive, 1, noFuse),
-			nodeCfg(serving.ArbExclusive, 1, noFuse),
-			nodeCfg(serving.ArbExclusive, 1, noFuse),
+	return row{
+		name: fmt.Sprintf("chaos %s seed=%d rate=%v", det.Mode, chaos.Seed, chaos.CrashRate),
+		cfg: Config{
+			Nodes:  replicas(3, serving.ArbExclusive, 1),
+			Router: LeastLoaded(), Seed: 23,
+			Chaos:  chaos,
+			Detect: det,
 		},
-		Router: LeastLoaded(), Seed: 23,
-		Chaos:  chaos,
-		Detect: det,
-		Obs:    &obs.Config{Window: 8},
+		w: func(t *testing.T) serving.Workload { return must(serving.PoissonArrivals(reqs, 0.25, 7))(t) },
 	}
-	c, err := New(zoo.m, cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
-func runChaos(t *testing.T, mode string, noFuse bool, chaosSeed uint64, rate float64) (*Report, []obs.Event) {
+func runChaos(t *testing.T, mode string, chaosSeed uint64, rate float64) *Report {
 	t.Helper()
-	c := chaosCluster(t, Detect{Mode: mode}, noFuse, faults.NodeChaos{Seed: chaosSeed, CrashRate: rate, RecoverTicks: 20})
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.ReconcileObs(); err != nil {
-		t.Fatal(err)
-	}
-	return rep, c.Events()
+	r := chaosRow(t, Detect{Mode: mode}, faults.NodeChaos{Seed: chaosSeed, CrashRate: rate, RecoverTicks: 20})
+	r.cfg.Obs = &obs.Config{Window: 8}
+	return run(t, r.cfg, r.w(t))
 }
 
 // The health-state names double as obs event details; both directions of
@@ -103,10 +83,7 @@ func TestClusterLifecycleValidationNamedErrors(t *testing.T) {
 		func(i int) serving.SLO { return serving.SLO{} })
 	base := func() Config {
 		return Config{
-			Nodes: []serving.Config{
-				nodeCfg(serving.ArbExclusive, 1, false),
-				nodeCfg(serving.ArbExclusive, 1, false),
-			},
+			Nodes:  replicas(2, serving.ArbExclusive, 1),
 			Router: LeastLoaded(), Seed: 5,
 		}
 	}
@@ -157,9 +134,9 @@ func TestClusterLifecycleValidationNamedErrors(t *testing.T) {
 // positive while the oracle's is exactly zero.
 func TestDetectionLagIsPricedAgainstOracleAndOff(t *testing.T) {
 	trained(t)
-	hb, _ := runChaos(t, "heartbeat", false, 29, 0.02)
-	or, _ := runChaos(t, "oracle", false, 29, 0.02)
-	off, _ := runChaos(t, "off", false, 29, 0.02)
+	hb := runChaos(t, "heartbeat", 29, 0.02)
+	or := runChaos(t, "oracle", 29, 0.02)
+	off := runChaos(t, "off", 29, 0.02)
 
 	if hb.Failures == 0 || hb.Rejoins == 0 {
 		t.Fatalf("scenario broken: %d crashes, %d rejoins — chaos did not exercise crash+recover", hb.Failures, hb.Rejoins)
@@ -205,13 +182,11 @@ func TestEveryConfirmIsOfADeadNode(t *testing.T) {
 		for _, miss := range []int{1, 2, 4} {
 			for _, recover := range []int{6, 20} {
 				for _, mode := range []string{"heartbeat", "oracle"} {
-					c := chaosCluster(t, Detect{Mode: mode, MissConfirm: miss}, false,
+					r := chaosRow(t, Detect{Mode: mode, MissConfirm: miss},
 						faults.NodeChaos{Seed: seed, CrashRate: 0.04, RecoverTicks: recover})
-					rep, err := c.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
+					r.cfg.Obs = &obs.Config{}
 					name := fmt.Sprintf("seed=%d miss=%d recover=%d %s", seed, miss, recover, mode)
+					c, rep := drain(t, name, r.cfg, r.w(t))
 					n := 0
 					for _, ev := range c.Events() {
 						if ev.Kind != obs.KindConfirm {
@@ -239,40 +214,19 @@ func TestEveryConfirmIsOfADeadNode(t *testing.T) {
 }
 
 // The chaos acceptance pin: one unscripted crash+recover run — detector,
-// stranded placements, rejoins and all — must be bit-identical across
-// worker counts and the fused/unfused decode paths: rolled-up report via
-// DeepEqual, merged event log byte for byte. Run under -race this also
-// proves the detector never races the node fan-out.
+// stranded placements, rejoins and all — must be bit-identical across the
+// variant matrix: rolled-up report via DeepEqual, merged event log byte for
+// byte. Run under -race this also proves the detector never races the node
+// fan-out.
 func TestClusterChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
-	var baseRep *Report
-	var baseLog []byte
-	for _, noFuse := range []bool{false, true} {
-		for _, procs := range []int{4, 1} {
-			parallel.SetProcs(procs)
-			rep, events := runChaos(t, "heartbeat", noFuse, 19, 0.04)
-			stripWall(rep)
-			if rep.Rejoins == 0 || rep.Stranded == 0 || rep.DetectLagTicks == 0 {
-				t.Fatalf("scenario broken at noFuse=%v procs=%d: rejoins=%d stranded=%d lag=%d",
-					noFuse, procs, rep.Rejoins, rep.Stranded, rep.DetectLagTicks)
-			}
-			var buf bytes.Buffer
-			if err := obs.WriteJSONL(&buf, events); err != nil {
-				t.Fatal(err)
-			}
-			if baseRep == nil {
-				baseRep, baseLog = rep, buf.Bytes()
-				continue
-			}
-			if !reflect.DeepEqual(baseRep, rep) {
-				t.Fatalf("chaos report diverges at noFuse=%v procs=%d", noFuse, procs)
-			}
-			if !bytes.Equal(baseLog, buf.Bytes()) {
-				t.Fatalf("merged chaos event log diverges at noFuse=%v procs=%d", noFuse, procs)
-			}
+	r := chaosRow(t, Detect{Mode: "heartbeat"}, faults.NodeChaos{Seed: 19, CrashRate: 0.04, RecoverTicks: 20})
+	r.guard = func(t *testing.T, o outcome) {
+		if rep := o.rep; rep.Rejoins == 0 || rep.Stranded == 0 || rep.DetectLagTicks == 0 {
+			t.Fatalf("scenario broken: rejoins=%d stranded=%d lag=%d", rep.Rejoins, rep.Stranded, rep.DetectLagTicks)
 		}
 	}
+	matrix(t, r)
 }
 
 // A crashed node that recovers rejoins behind warm-up probation and then
@@ -287,37 +241,20 @@ func TestRejoinedNodeServesNewSessionsBitIdenticalToSolo(t *testing.T) {
 	// 9, and is mid-probation when "b" arrives at tick 12 — the least-loaded
 	// router places "b" on the rejoining node (one unit of warm-up work is
 	// allowed) while node 0 is still busy.
-	entries := []serving.TraceEntry{
+	w := must(serving.TraceWorkload([]serving.TraceEntry{
 		{ID: "a", Tick: 0, Tokens: 96, Start: 0},
 		{ID: "b", Tick: 12, Tokens: 96, Start: 256},
-	}
-	w, err := serving.TraceWorkload(entries, serving.TraceBinder{
+	}, serving.TraceBinder{
 		Corpus: zoo.tokens,
 		Scheme: func(string) (sparsity.Scheme, error) { return sparsity.NewDIPCA(0.5, 0.2), nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))(t)
 	cfg := Config{
-		Nodes: []serving.Config{
-			nodeCfg(serving.ArbExclusive, 1, false),
-			nodeCfg(serving.ArbExclusive, 1, false),
-		},
+		Nodes:  replicas(2, serving.ArbExclusive, 1),
 		Router: LeastLoaded(), Seed: 5,
 		Failures: []Failure{{Node: 1, Tick: 1, Ticks: 8}},
 		Obs:      &obs.Config{},
 	}
-	c, err := New(zoo.m, cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.ReconcileObs(); err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, cfg, w)
 	n1 := rep.Nodes[1]
 	if n1.Crashes != 1 || n1.Rejoins != 1 {
 		t.Fatalf("node 1 lifecycle: %d crashes, %d rejoins, want 1/1", n1.Crashes, n1.Rejoins)
@@ -329,10 +266,7 @@ func TestRejoinedNodeServesNewSessionsBitIdenticalToSolo(t *testing.T) {
 	if sm.Outcome != serving.OutcomeOK {
 		t.Fatalf("session b finished %q, want ok", sm.Outcome)
 	}
-	solo, err := eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), zoo.tokens[256:352], sysCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), zoo.tokens[256:352], sysCfg()))(t)
 	if sm.Point != solo {
 		t.Fatalf("rejoined node diverged from a never-failed node:\nserved %+v\nsolo   %+v", sm.Point, solo)
 	}
@@ -351,7 +285,7 @@ func TestRejoinedNodeServesNewSessionsBitIdenticalToSolo(t *testing.T) {
 func TestClusterFailoverUnderFairPaysReprefillNotQuality(t *testing.T) {
 	trained(t)
 	arb := serving.ArbFairShare
-	run := func(fail bool) *Report {
+	runFail := func(fail bool) *Report {
 		reqs := make([]serving.Request, 2)
 		for i := range reqs {
 			lo := i * 256
@@ -362,10 +296,7 @@ func TestClusterFailoverUnderFairPaysReprefillNotQuality(t *testing.T) {
 			}
 		}
 		cfg := Config{
-			Nodes: []serving.Config{
-				nodeCfg(arb, 1, false),
-				nodeCfg(arb, 1, false),
-			},
+			Nodes:  replicas(2, arb, 1),
 			Router: LeastLoaded(), Seed: 5,
 		}
 		if fail {
@@ -373,18 +304,10 @@ func TestClusterFailoverUnderFairPaysReprefillNotQuality(t *testing.T) {
 			// and never comes back; the detector confirms and evacuates.
 			cfg.Failures = []Failure{{Node: 1, Tick: 2, Ticks: 1000}}
 		}
-		c, err := New(zoo.m, cfg, serving.FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return run(t, cfg, serving.FixedBatch(reqs))
 	}
-	base := run(false)
-	fail := run(true)
+	base := runFail(false)
+	fail := runFail(true)
 	if fail.Migrations != 1 {
 		t.Fatalf("arb=%v: expected exactly one failover migration, got %d", arb, fail.Migrations)
 	}
@@ -443,16 +366,10 @@ func TestDetectTickZeroAllocWhenChaosOff(t *testing.T) {
 		func(i int) string { return "z" },
 		func(i int) int { return 2 },
 		func(i int) serving.SLO { return serving.SLO{} })
-	c, err := New(zoo.m, Config{
-		Nodes: []serving.Config{
-			nodeCfg(serving.ArbExclusive, 1, false),
-			nodeCfg(serving.ArbExclusive, 1, false),
-		},
+	c := must(New(zoo.m, Config{
+		Nodes:  replicas(2, serving.ArbExclusive, 1),
 		Router: LeastLoaded(), Seed: 5,
-	}, serving.FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, serving.FixedBatch(reqs)))(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := c.detectTick(7); err != nil {
 			t.Fatal(err)

@@ -79,9 +79,7 @@ func (e *Embedding) Forward(ids []int) []tensor.Vec {
 	}
 	xs := make([]tensor.Vec, len(ids))
 	for t, id := range ids {
-		x := e.Tok.W.Row(id).Clone()
-		x.Add(e.Pos.W.Row(t))
-		xs[t] = x
+		xs[t] = e.At(id, t)
 	}
 	return xs
 }

@@ -123,29 +123,24 @@ func (m *GLUMLP) ApplyInto(x, out tensor.Vec, s *MLPScratch) tensor.Vec {
 	return tensor.MatVec(m.Down.P.W, s.H, out)
 }
 
-// mlpCtx retains per-position intermediates for Backward.
+// mlpCtx is one token's Backward context: its input and the scratch
+// ApplyInto filled with that token's U, G and H.
 type mlpCtx struct {
-	x, u, g, h tensor.Vec
+	x tensor.Vec
+	MLPScratch
 }
 
-// Forward evaluates the block over a sequence. Tokens are independent, so
-// the loop fans out over the worker pool; every per-token intermediate is
-// retained for Backward, so outputs are written to disjoint slots and
-// results are bit-identical to a serial run.
+// Forward evaluates the block over a sequence: ApplyInto per token, each
+// with its own scratch, retained for Backward. Tokens are independent, so
+// the loop fans out over the worker pool; outputs are written to disjoint
+// slots and results are bit-identical to a serial run.
 func (m *GLUMLP) Forward(xs []tensor.Vec) (ys []tensor.Vec, ctx []mlpCtx) {
 	ys = make([]tensor.Vec, len(xs))
 	ctx = make([]mlpCtx, len(xs))
 	parallel.For(len(xs), tokenGrain, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			x := xs[t]
-			u := tensor.MatVec(m.Up.P.W, x, nil)
-			g := tensor.MatVec(m.Gate.P.W, x, nil)
-			h := tensor.NewVec(m.DFF)
-			for i := range h {
-				h[i] = u[i] * m.Act.Apply(g[i])
-			}
-			ys[t] = tensor.MatVec(m.Down.P.W, h, nil)
-			ctx[t] = mlpCtx{x: x, u: u, g: g, h: h}
+			ctx[t].x = xs[t]
+			ys[t] = m.ApplyInto(xs[t], nil, &ctx[t].MLPScratch)
 		}
 	})
 	return ys, ctx
@@ -163,14 +158,14 @@ func (m *GLUMLP) Backward(dys []tensor.Vec, ctx []mlpCtx) []tensor.Vec {
 	for t, dy := range dys {
 		c := ctx[t]
 		// Down projection.
-		tensor.AddOuter(m.Down.P.G, 1, dy, c.h)
+		tensor.AddOuter(m.Down.P.G, 1, dy, c.H)
 		dh.Zero()
 		tensor.MatTVec(m.Down.P.W, dy, dh)
 		// Gate product.
 		for i := range dh {
-			act := m.Act.Apply(c.g[i])
+			act := m.Act.Apply(c.G[i])
 			du[i] = dh[i] * act
-			dg[i] = dh[i] * c.u[i] * m.Act.Grad(c.g[i])
+			dg[i] = dh[i] * c.U[i] * m.Act.Grad(c.G[i])
 		}
 		tensor.AddOuter(m.Up.P.G, 1, du, c.x)
 		tensor.AddOuter(m.Gate.P.G, 1, dg, c.x)

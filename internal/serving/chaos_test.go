@@ -1,15 +1,14 @@
 package serving
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/parallel"
 	"repro/internal/serving/faults"
-	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -19,24 +18,13 @@ import (
 // hard case, its masks read the cache every token.
 func TestStepFaultRetryExclusiveMatchesSoloBitForBit(t *testing.T) {
 	trained(t)
-	script, err := faults.Scripted(faults.Event{Tick: 2, Kind: faults.Step, Slot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs := requests(t, 1,
 		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
 		func(int) int { return 4 }) // 128 tokens
-	e, err := NewEngine(zoo.m, Config{
+	rep := run(t, Config{
 		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1,
-		Faults: script,
+		Faults: must(faults.Scripted(faults.Event{Tick: 2, Kind: faults.Step, Slot: 0}))(t),
 	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.StepFaults != 1 || rep.Retries != 1 || rep.Injector != "scripted" {
 		t.Fatalf("fault accounting wrong: %+v", rep)
 	}
@@ -47,11 +35,8 @@ func TestStepFaultRetryExclusiveMatchesSoloBitForBit(t *testing.T) {
 	if sm.Outcome != OutcomeOK || sm.Faults != 1 || sm.Retries != 1 || sm.RecoverTicks <= 0 {
 		t.Fatalf("session fault accounting wrong: %+v", sm)
 	}
-	solo, err := eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[0].Tokens, sysCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pointsEqual(sm.Point, solo) {
+	solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[0].Tokens, sysCfg()))(t)
+	if sm.Point != solo {
 		t.Fatalf("faulted-and-retried session diverged from uninterrupted solo run:\nserved %+v\nsolo   %+v", sm.Point, solo)
 	}
 	// A transient fault wastes no decode work: the stream resumed in place.
@@ -70,24 +55,13 @@ func TestStepFaultRetryExclusiveMatchesSoloBitForBit(t *testing.T) {
 // Decoded and as the throughput−goodput gap.
 func TestRevocationRestartsFromScratch(t *testing.T) {
 	trained(t)
-	script, err := faults.Scripted(faults.Event{Tick: 2, Kind: faults.Revoke, Slot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs := requests(t, 1,
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(int) int { return 2 }) // 64 tokens
-	e, err := NewEngine(zoo.m, Config{
+	rep := run(t, Config{
 		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1,
-		Faults: script,
+		Faults: must(faults.Scripted(faults.Event{Tick: 2, Kind: faults.Revoke, Slot: 0}))(t),
 	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.Revocations != 1 || rep.Retries != 1 {
 		t.Fatalf("revocation accounting wrong: %+v", rep)
 	}
@@ -96,10 +70,7 @@ func TestRevocationRestartsFromScratch(t *testing.T) {
 	if sm.Tokens != 64 || sm.Decoded != 64+16 {
 		t.Fatalf("restart bookkeeping wrong: Tokens %d Decoded %d, want 64 / 80", sm.Tokens, sm.Decoded)
 	}
-	solo, err := eval.SystemEvaluate(zoo.m, sparsity.NewDIP(0.5), reqs[0].Tokens, sysCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIP(0.5), reqs[0].Tokens, sysCfg()))(t)
 	if sm.Point.PPL != solo.PPL || sm.Point.Density != solo.Density {
 		t.Fatalf("re-prefilled run's quality diverged from solo:\nserved %+v\nsolo   %+v", sm.Point, solo)
 	}
@@ -115,30 +86,20 @@ func TestRevocationRestartsFromScratch(t *testing.T) {
 // excluded from the completed-session turnaround percentiles.
 func TestCancelAndFailOutcomes(t *testing.T) {
 	trained(t)
-	script, err := faults.Scripted(
-		faults.Event{Tick: 1, Kind: faults.Cancel, Slot: 0},
-		faults.Event{Tick: 1, Kind: faults.Step, Slot: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs := requests(t, 2,
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(int) int { return 2 })
 	for i := range reqs {
 		reqs[i].SLO = SLO{Class: "interactive", DeadlineTicks: 50}
 	}
-	e, err := NewEngine(zoo.m, Config{
+	rep := run(t, Config{
 		System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 3,
-		Faults: script, Retry: faults.RetryPolicy{MaxAttempts: 1},
+		Faults: must(faults.Scripted(
+			faults.Event{Tick: 1, Kind: faults.Cancel, Slot: 0},
+			faults.Event{Tick: 1, Kind: faults.Step, Slot: 1},
+		))(t),
+		Retry: faults.RetryPolicy{MaxAttempts: 1},
 	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.Cancellations != 1 || rep.Failed != 1 || rep.Retries != 0 {
 		t.Fatalf("outcome accounting wrong: %+v", rep)
 	}
@@ -176,24 +137,13 @@ func TestCancelAndFailOutcomes(t *testing.T) {
 // attempts; they resume when capacity returns and still complete.
 func TestCapacityDipParksAndResumes(t *testing.T) {
 	trained(t)
-	script, err := faults.Scripted(faults.Event{Tick: 1, Kind: faults.Dip, Slots: 1, Ticks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs := requests(t, 2,
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(int) int { return 2 })
-	e, err := NewEngine(zoo.m, Config{
+	rep := run(t, Config{
 		System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 2,
-		Faults: script,
+		Faults: must(faults.Scripted(faults.Event{Tick: 1, Kind: faults.Dip, Slots: 1, Ticks: 2}))(t),
 	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.DipSlotTicks != 2 {
 		t.Fatalf("DipSlotTicks %d, want 2 (one slot for two ticks)", rep.DipSlotTicks)
 	}
@@ -214,71 +164,52 @@ func TestCapacityDipParksAndResumes(t *testing.T) {
 	}
 }
 
-// chaosObsRun executes the chaos determinism scenario with a fresh recorder
-// and returns the report plus the serialized JSONL event log.
-func chaosObsRun(t *testing.T, arb ArbPolicy, noFuse bool) (*Report, []byte) {
-	t.Helper()
-	plan, err := faults.Mix(0.08, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder(obs.Config{Window: 16})
-	e, err := NewEngine(zoo.m, Config{
+// chaosRow is the chaos determinism scenario under one arbitration policy:
+// the seeded fault mix over mixedPressureTrace with EDF, deadline
+// preemption, three retry attempts and a queue budget of three.
+func chaosRow(t *testing.T, arb ArbPolicy) row {
+	return row{name: "chaos arb=" + arb.String(), w: mixedPressureTrace, cfg: Config{
 		System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
-		MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
-		Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
+		MaxActive: 2, Quantum: 4, Seed: 5,
+		Faults: must(faults.Mix(0.08, 99))(t), Retry: faults.RetryPolicy{MaxAttempts: 3},
 		ShedQueueBudget: 3,
-		Obs:             rec,
-	}, mixedPressureTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	return rep, buf.Bytes()
+	}}
 }
-
-// chaosVariants are the execution paths every chaos determinism check
-// compares against the first: the fused decode at four workers.
-var chaosVariants = []struct {
-	procs  int
-	noFuse bool
-	name   string
-}{{4, false, "the fused path"}, {4, true, "the per-session path"}, {1, false, "one worker"}}
 
 // The determinism acceptance test for chaos runs: with a fixed fault seed,
 // the full report — faults injected, retries, sheds, outcomes, every session
-// metric, the observer snapshot — must be bit-identical across worker counts
-// and fused/unfused decode paths, for every arbitration policy. Run under
-// -race this also proves fault-driven batch recomposition never races the
-// decode phases.
+// metric, the observer snapshot — and the event log must be bit-identical
+// across the variant matrix, for every arbitration policy. Run under -race
+// this also proves fault-driven batch recomposition never races the decode
+// phases.
 func TestChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
-	injected := false
 	for _, arb := range Policies() {
-		var fused *Report
-		for i, v := range chaosVariants {
-			parallel.SetProcs(v.procs)
-			rep, _ := chaosObsRun(t, arb, v.noFuse)
-			rep = stripWall(rep)
-			if i == 0 {
-				fused = rep
-			} else if !reflect.DeepEqual(fused, rep) {
-				t.Fatalf("arb=%v: chaos report diverged on %s:\nfused   %+v\n%s %+v", arb, v.name, fused, v.name, rep)
+		r := chaosRow(t, arb)
+		r.guard = func(t *testing.T, o outcome) {
+			if rep := o.rep; rep.StepFaults+rep.Revocations+rep.Cancellations+rep.DipSlotTicks == 0 {
+				t.Fatalf("scenario broken: %s: the seeded plan injected nothing", r.name)
 			}
 		}
-		injected = injected || fused.StepFaults+fused.Revocations+fused.Cancellations+fused.DipSlotTicks > 0
+		matrix(t, r)
 	}
-	if !injected {
-		t.Fatal("scenario broken: the seeded plan injected nothing anywhere")
-	}
+}
+
+// shedRow is a hog holding the only slot while four more batch requests
+// arrive one per tick against a queue budget of two: some are shed at the
+// door, and four ticks at budget degrade queued ones.
+func shedRow(t *testing.T) row {
+	return row{name: "admission shed and degrade", cfg: Config{
+		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1, ShedQueueBudget: 2,
+	}, w: func(t *testing.T) Workload {
+		return trace(t,
+			TraceEntry{ID: "hog", Tick: 0, Tokens: 192, Start: 0, Class: "batch"},
+			TraceEntry{ID: "q1", Tick: 1, Tokens: 32, Start: 512, Class: "batch"},
+			TraceEntry{ID: "q2", Tick: 2, Tokens: 32, Start: 768, Class: "batch"},
+			TraceEntry{ID: "q3", Tick: 3, Tokens: 32, Start: 1024, Class: "batch"},
+			TraceEntry{ID: "q4", Tick: 4, Tokens: 32, Start: 1280, Class: "batch"},
+		)
+	}}
 }
 
 // Admission-control shedding and graceful degradation: arrivals beyond the
@@ -287,28 +218,8 @@ func TestChaosDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 // backlog (shed tick > arrival tick) instead of letting it rot.
 func TestAdmissionShedAndDegrade(t *testing.T) {
 	trained(t)
-	entries := []TraceEntry{
-		{ID: "hog", Tick: 0, Tokens: 192, Start: 0, Class: "batch"},
-		{ID: "q1", Tick: 1, Tokens: 32, Start: 512, Class: "batch"},
-		{ID: "q2", Tick: 2, Tokens: 32, Start: 768, Class: "batch"},
-		{ID: "q3", Tick: 3, Tokens: 32, Start: 1024, Class: "batch"},
-		{ID: "q4", Tick: 4, Tokens: 32, Start: 1280, Class: "batch"},
-	}
-	w, err := TraceWorkload(entries, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1,
-		ShedQueueBudget: 2,
-	}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := shedRow(t)
+	rep := run(t, r.cfg, r.w(t))
 	if rep.Shed == 0 {
 		t.Fatalf("nothing shed: %+v", rep)
 	}
@@ -334,33 +245,29 @@ func TestAdmissionShedAndDegrade(t *testing.T) {
 	}
 }
 
+// closedShedRow is two closed-loop users against one slot and a queue
+// budget of one: user 1's first request is shed at the door.
+func closedShedRow(t *testing.T) row {
+	return row{name: "closed-loop shed", cfg: Config{
+		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1, ShedQueueBudget: 1,
+	}, w: func(t *testing.T) Workload {
+		return must(ClosedLoop([][]Request{
+			{{ID: "u0r0", Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, 0, 2)}},
+			{
+				{ID: "u1r0", Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, 1, 1)},
+				{ID: "u1r1", Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, 2, 1)},
+			},
+		}, 1))(t)
+	}}
+}
+
 // Shedding must notify the workload like a completion, or a closed-loop
 // user whose request was shed would never issue their next one and the
 // engine would stall.
 func TestShedNotifiesClosedLoopWorkload(t *testing.T) {
 	trained(t)
-	scripts := [][]Request{
-		{{ID: "u0r0", Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, 0, 2)}},
-		{
-			{ID: "u1r0", Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, 1, 1)},
-			{ID: "u1r1", Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, 2, 1)},
-		},
-	}
-	w, err := ClosedLoop(scripts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1,
-		ShedQueueBudget: 1,
-	}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := closedShedRow(t)
+	rep := run(t, r.cfg, r.w(t))
 	if rep.Shed == 0 {
 		t.Fatalf("scenario broken: nothing shed: %+v", rep)
 	}
@@ -380,52 +287,38 @@ func TestShedNotifiesClosedLoopWorkload(t *testing.T) {
 	}
 }
 
+// recoveryRow is a seeded Poisson chaos trace of alternating deadlined
+// interactive and best-effort batch requests, under the given retry
+// attempts and queue budget.
+func recoveryRow(t *testing.T, attempts, shed int) row {
+	return row{name: fmt.Sprintf("recovery attempts=%d shed=%d", attempts, shed), cfg: Config{
+		System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: DeadlinePreempt(),
+		MaxActive: 2, Quantum: 8, Seed: 2,
+		Faults: must(faults.Mix(0.06, 17))(t), Retry: faults.RetryPolicy{MaxAttempts: attempts}, ShedQueueBudget: shed,
+	}, w: func(t *testing.T) Workload { return must(PoissonArrivals(classMix(t, 8, 24, 2), 0.25, 21))(t) }}
+}
+
+// classMix is n DIP requests alternating deadlined interactive ones (one
+// window, priority 2) with best-effort batch ones of batchWins windows.
+func classMix(t *testing.T, n, deadline, batchWins int) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{ID: string(rune('a' + i)), Scheme: sparsity.NewDIP(0.5), Tokens: streamFor(t, i, 1),
+			SLO: SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}}
+		if i%2 == 1 {
+			reqs[i].Tokens, reqs[i].SLO = streamFor(t, i, batchWins), SLO{Class: "batch"}
+		}
+	}
+	return reqs
+}
+
 // The recovery acceptance test: on a seeded Poisson chaos trace, retry +
 // shedding must strictly beat the no-recovery baseline's SLO attainment,
 // with positive goodput and at least one granted retry.
 func TestRetryAndSheddingBeatNoRecoveryBaseline(t *testing.T) {
 	trained(t)
-	plan, err := faults.Mix(0.06, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(retry faults.RetryPolicy, shed int) *Report {
-		reqs := make([]Request, 8)
-		for i := range reqs {
-			if i%2 == 0 {
-				reqs[i] = Request{
-					ID: string(rune('a' + i)), Scheme: sparsity.NewDIP(0.5),
-					Tokens: streamFor(t, i, 1),
-					SLO:    SLO{Class: "interactive", Priority: 2, DeadlineTicks: 24},
-				}
-			} else {
-				reqs[i] = Request{
-					ID: string(rune('a' + i)), Scheme: sparsity.NewDIP(0.5),
-					Tokens: streamFor(t, i, 2),
-					SLO:    SLO{Class: "batch"},
-				}
-			}
-		}
-		w, err := PoissonArrivals(reqs, 0.25, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: DeadlinePreempt(),
-			MaxActive: 2, Quantum: 8, Seed: 2,
-			Faults: plan, Retry: retry, ShedQueueBudget: shed,
-		}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	base := run(faults.RetryPolicy{MaxAttempts: 1}, 0)
-	rec := run(faults.RetryPolicy{MaxAttempts: 3}, 6)
+	b, r := recoveryRow(t, 1, 0), recoveryRow(t, 3, 6)
+	base, rec := run(t, b.cfg, b.w(t)), run(t, r.cfg, r.w(t))
 	if base.Failed == 0 {
 		t.Fatalf("scenario broken: no session failed without recovery: %+v", base)
 	}
@@ -449,26 +342,18 @@ func TestRetryAndSheddingBeatNoRecoveryBaseline(t *testing.T) {
 // fault-triggered restarts inherit.
 func TestSuspendResumeSpecUnderFair(t *testing.T) {
 	trained(t)
-	run := func(pre Preemptor) *Report {
-		e, err := NewEngine(zoo.m, Config{
+	runWith := func(pre Preemptor) *Report {
+		return run(t, Config{
 			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: pre,
 			MaxActive: 1, Quantum: 8, Seed: 3,
 		}, preemptTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
 	}
-	base := run(NoPreempt())
-	pre := run(DeadlinePreempt())
+	base := runWith(NoPreempt())
+	pre := runWith(DeadlinePreempt())
 	if pre.Preemptions == 0 {
 		t.Fatal("scenario broken, no preemption")
 	}
-	again := run(DeadlinePreempt())
+	again := runWith(DeadlinePreempt())
 	if !reflect.DeepEqual(stripWall(pre), stripWall(again)) {
 		t.Fatal("suspend/resume run not reproducible")
 	}
@@ -527,16 +412,13 @@ func TestConfigValidationNamedErrors(t *testing.T) {
 			cfg := Config{System: sysCfg()}
 			tc.mut(&cfg)
 			_, err := NewEngine(zoo.m, cfg, FixedBatch(good))
-			if err == nil || !containsStr(err.Error(), tc.want) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not name %q", err, tc.want)
 			}
 		})
 	}
 	// Zero MaxActive/Quantum keep their documented defaults.
-	e, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(good))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := must(NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(good)))(t)
 	if e.cfg.MaxActive != 4 || e.cfg.Quantum != 8 {
 		t.Fatalf("zero-value defaults changed: MaxActive %d Quantum %d", e.cfg.MaxActive, e.cfg.Quantum)
 	}
@@ -550,12 +432,12 @@ func TestWorkloadConstructorValidation(t *testing.T) {
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(int) int { return 1 })
 	t.Run("poisson", func(t *testing.T) {
-		for _, rate := range []float64{0, -0.5, inf(), -inf(), nanF()} {
-			if _, err := PoissonArrivals(good, rate, 1); err == nil || !containsStr(err.Error(), "rate") {
+		for _, rate := range []float64{0, -0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+			if _, err := PoissonArrivals(good, rate, 1); err == nil || !strings.Contains(err.Error(), "rate") {
 				t.Fatalf("rate %v: error %v does not name the rate", rate, err)
 			}
 		}
-		if _, err := PoissonArrivals(nil, 0.5, 1); err == nil || !containsStr(err.Error(), "request") {
+		if _, err := PoissonArrivals(nil, 0.5, 1); err == nil || !strings.Contains(err.Error(), "request") {
 			t.Fatalf("empty universe: %v", err)
 		}
 		if _, err := PoissonArrivals(good, 0.5, 1); err != nil {
@@ -563,10 +445,10 @@ func TestWorkloadConstructorValidation(t *testing.T) {
 		}
 	})
 	t.Run("closed", func(t *testing.T) {
-		if _, err := ClosedLoop([][]Request{good}, -1); err == nil || !containsStr(err.Error(), "think") {
+		if _, err := ClosedLoop([][]Request{good}, -1); err == nil || !strings.Contains(err.Error(), "think") {
 			t.Fatal("negative think time must be a named error")
 		}
-		if _, err := ClosedLoop(nil, 1); err == nil || !containsStr(err.Error(), "request") {
+		if _, err := ClosedLoop(nil, 1); err == nil || !strings.Contains(err.Error(), "request") {
 			t.Fatal("empty closed-loop universe must be a named error")
 		}
 	})
@@ -579,15 +461,3 @@ func TestWorkloadConstructorValidation(t *testing.T) {
 		}
 	})
 }
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-func inf() float64  { return math.Inf(1) }
-func nanF() float64 { return math.NaN() }

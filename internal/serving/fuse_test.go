@@ -1,79 +1,45 @@
 package serving
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/parallel"
 	"repro/internal/sparsity"
 )
 
-// runFuse runs one K-session DIP-CA workload with the fused path on or off.
-func runFuse(t *testing.T, arb ArbPolicy, seed uint64, noFuse bool) *Report {
-	t.Helper()
-	const k = 5
-	reqs := requests(t, k,
-		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
-		func(i int) int { return 2 + i%3 })
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: arb, MaxActive: 3, Quantum: 4, Seed: seed, NoFuse: noFuse,
-	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
-// stripWall zeroes the host annotation, the one Report block excluded from
-// the determinism contract.
-func stripWall(r *Report) *Report {
-	r.Wall = WallClock{}
-	return r
-}
-
 // The tentpole acceptance test: the fused multi-RHS path must reproduce
 // the per-session path bit for bit — the whole Report, every session, every
 // cache statistic — across arbitration policies, seeds, and worker counts
 // (run under -race this also proves the fused step phase never races the
-// shared-cache commits).
+// shared-cache commits). Rows: five DIP-CA sessions × policy × seed.
 func TestFusedEngineMatchesPerSessionEngineBitForBit(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
+	reqs := requests(t, 5,
+		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
+		func(i int) int { return 2 + i%3 })
+	var rows []row
 	for _, arb := range Policies() {
 		for _, seed := range []uint64{3, 17} {
-			parallel.SetProcs(4)
-			fused := stripWall(runFuse(t, arb, seed, false))
-			unfused := stripWall(runFuse(t, arb, seed, true))
-			if !reflect.DeepEqual(fused, unfused) {
-				t.Fatalf("arb=%v seed=%d: fused and per-session reports diverged:\nfused   %+v\nunfused %+v",
-					arb, seed, fused, unfused)
-			}
-			parallel.SetProcs(1)
-			serialFused := stripWall(runFuse(t, arb, seed, false))
-			if !reflect.DeepEqual(fused, serialFused) {
-				t.Fatalf("arb=%v seed=%d: fused report depends on worker count", arb, seed)
-			}
+			rows = append(rows, row{
+				name: fmt.Sprintf("arb=%v seed=%d", arb, seed),
+				w:    func(*testing.T) Workload { return FixedBatch(reqs) },
+				cfg:  Config{System: sysCfg(), Arb: arb, MaxActive: 3, Quantum: 4, Seed: seed},
+			})
 		}
 	}
+	matrix(t, rows...)
 }
 
-// steadyDecodeAllocs admits k long DIP-CA sessions straight into a shared-
-// cache engine, warms the arenas and KV capacity, and returns the objects one
-// steady-state decode of the batch allocates.
-func steadyDecodeAllocs(t *testing.T, k, quantum int, noFuse bool) float64 {
+// admitted builds a shared-cache engine over k long DIP-CA sessions and
+// admits every one straight into a slot, bypassing the run loop.
+func admitted(t *testing.T, k, quantum int, noFuse bool) (*Engine, []*Session) {
 	t.Helper()
-	e, err := NewEngine(zoo.m, Config{
+	e := must(NewEngine(zoo.m, Config{
 		System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: quantum, Seed: 1, NoFuse: noFuse,
 	}, FixedBatch(requests(t, k,
 		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
-		func(int) int { return 6 }))) // long enough to stay active throughout
-	if err != nil {
-		t.Fatal(err)
-	}
+		func(int) int { return 6 }))))(t) // long enough to stay active throughout
 	active := make([]*Session, 0, k)
 	for i := range e.reqs {
 		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
@@ -82,6 +48,14 @@ func steadyDecodeAllocs(t *testing.T, k, quantum int, noFuse bool) float64 {
 		}
 		active = append(active, sess)
 	}
+	return e, active
+}
+
+// steadyDecodeAllocs warms the arenas and KV capacity of admitted's batch
+// and returns the objects one steady-state decode of it allocates.
+func steadyDecodeAllocs(t *testing.T, k, quantum int, noFuse bool) float64 {
+	t.Helper()
+	e, active := admitted(t, k, quantum, noFuse)
 	for i := 0; i < 3; i++ {
 		e.decode(active)
 	}

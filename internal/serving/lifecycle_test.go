@@ -44,27 +44,21 @@ func TestLifecycleWalksEveryLegalEdge(t *testing.T) {
 	degrade6 := shed5 + degradeTicks - 1 // the queue is at budget from shed5 on
 	cancel2 := degrade6 + 1
 	park3 := cancel2 + 1
-	script, err := faults.Scripted(
-		faults.Event{Tick: 1, Kind: faults.Step, Slot: 0},
-		faults.Event{Tick: revoke2, Kind: faults.Revoke, Slot: 0},
-		faults.Event{Tick: fail0, Kind: faults.Step, Slot: 0},
-		faults.Event{Tick: dip1, Kind: faults.Dip, Slots: 1, Ticks: 1},
-		faults.Event{Tick: cancel2, Kind: faults.Cancel, Slot: 0},
-		faults.Event{Tick: park3, Kind: faults.Dip, Slots: 1, Ticks: 4},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: DeadlinePreempt(),
 		MaxActive: 2, Quantum: 8, Seed: 3,
-		Faults: script, Retry: faults.RetryPolicy{MaxAttempts: 2},
+		Faults: must(faults.Scripted(
+			faults.Event{Tick: 1, Kind: faults.Step, Slot: 0},
+			faults.Event{Tick: revoke2, Kind: faults.Revoke, Slot: 0},
+			faults.Event{Tick: fail0, Kind: faults.Step, Slot: 0},
+			faults.Event{Tick: dip1, Kind: faults.Dip, Slots: 1, Ticks: 1},
+			faults.Event{Tick: cancel2, Kind: faults.Cancel, Slot: 0},
+			faults.Event{Tick: park3, Kind: faults.Dip, Slots: 1, Ticks: 4},
+		))(t),
+		Retry:           faults.RetryPolicy{MaxAttempts: 2},
 		ShedQueueBudget: 3,
 	}
-	e, err := NewEngine(zoo.m, cfg, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := must(NewEngine(zoo.m, cfg, FixedBatch(reqs)))(t)
 	if err := e.begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +110,7 @@ func TestLifecycleWalksEveryLegalEdge(t *testing.T) {
 	// Migration moves the record without touching its state: the dip-parked
 	// session arrives Suspended{dip}, the waiting one Queued, and the source
 	// forgets both.
-	dst, err := NewEngine(zoo.m, cfg, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := must(NewEngine(zoo.m, cfg, FixedBatch(reqs)))(t)
 	if err := dst.begin(); err != nil {
 		t.Fatal(err)
 	}

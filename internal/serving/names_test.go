@@ -97,20 +97,13 @@ func TestWorkloadNamesMatchConstructors(t *testing.T) {
 	one := requests(t, 1,
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(int) int { return 1 })
-	poi, err := PoissonArrivals(one, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed, err := ClosedLoop([][]Request{one}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := TraceWorkload([]TraceEntry{{ID: "x", Tokens: 32}}, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	built := map[string]bool{}
-	for _, w := range []Workload{FixedBatch(one), poi, closed, tr} {
+	for _, w := range []Workload{
+		FixedBatch(one),
+		must(PoissonArrivals(one, 0.5, 1))(t),
+		must(ClosedLoop([][]Request{one}, 1))(t),
+		trace(t, TraceEntry{ID: "x", Tokens: 32}),
+	} {
 		built[w.Name()] = true
 	}
 	listed := map[string]bool{}

@@ -4,62 +4,73 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
-	"repro/internal/sparsity"
 )
 
+// goldenRow is TestEventLogGolden's scenario under one arbitration policy:
+// a step fault, a revocation and a cancellation scripted over
+// mixedPressureTrace with EDF, deadline preemption and a queue budget.
+func goldenRow(t *testing.T, arb ArbPolicy) row {
+	return row{name: "golden script arb=" + arb.String(), w: mixedPressureTrace, cfg: Config{
+		System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
+		MaxActive: 2, Quantum: 4, Seed: 5,
+		Faults: must(faults.Scripted(
+			faults.Event{Tick: 2, Kind: faults.Step, Slot: 0},
+			faults.Event{Tick: 4, Kind: faults.Revoke, Slot: 1},
+			faults.Event{Tick: 7, Kind: faults.Cancel, Slot: 0},
+		))(t),
+		Retry:           faults.RetryPolicy{MaxAttempts: 3},
+		ShedQueueBudget: 3,
+	}}
+}
+
 // The observability acceptance test: the full event log — not just the
-// aggregate Report — must be bit-identical across worker counts and the
-// fused/per-session decode paths, for every arbitration policy, under
-// chaos. Run under -race this also proves emissions never leave the
-// serial engine loop.
+// aggregate Report — must be bit-identical across the variant matrix, for
+// every arbitration policy, on the golden log's scripted faults. Run under
+// -race this also proves emissions never leave the serial engine loop.
 func TestEventLogDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
 	for _, arb := range Policies() {
-		var fused []byte
-		for i, v := range chaosVariants {
-			parallel.SetProcs(v.procs)
-			_, log := chaosObsRun(t, arb, v.noFuse)
-			if len(log) == 0 {
-				t.Fatalf("arb=%v: scenario produced an empty event log on %s", arb, v.name)
-			}
-			if i == 0 {
-				fused = log
-			} else if !bytes.Equal(fused, log) {
-				t.Fatalf("arb=%v: event log diverged on %s", arb, v.name)
+		r := goldenRow(t, arb)
+		r.guard = func(t *testing.T, o outcome) {
+			if len(o.log) == 0 {
+				t.Fatalf("%s: scenario produced an empty event log", r.name)
 			}
 		}
+		matrix(t, r)
 	}
 }
 
 // Every aggregate the recorder derives from the event stream must agree
 // exactly with the Report counters the engine maintains independently, on
 // every execution path; a divergence means an emission site was dropped or
-// double-fired.
+// double-fired. The rows are the recovery trace with and without recovery,
+// so both failures and retries fire.
 func TestEventCountsReconcileWithReport(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
-	for _, arb := range Policies() {
-		for _, v := range chaosVariants {
-			parallel.SetProcs(v.procs)
-			rep, _ := chaosObsRun(t, arb, v.noFuse)
-			if err := rep.ReconcileObs(); err != nil {
-				t.Errorf("arb=%v on %s: %v", arb, v.name, err)
-			}
+	base, rec := recoveryRow(t, 1, 0), recoveryRow(t, 3, 6)
+	base.guard = func(t *testing.T, o outcome) {
+		if o.rep.Failed == 0 {
+			t.Fatalf("scenario broken: no session failed without recovery: %+v", o.rep)
 		}
 	}
+	rec.guard = func(t *testing.T, o outcome) {
+		if o.rep.Retries == 0 {
+			t.Fatalf("scenario broken: recovery run granted no retries: %+v", o.rep)
+		}
+	}
+	matrix(t, base, rec)
 }
 
 func TestReconcileObsNamesTheFirstDivergentCounter(t *testing.T) {
 	trained(t)
-	rep, _ := chaosObsRun(t, ArbShared, false)
+	cfg := chaosRow(t, ArbShared).cfg
+	cfg.Obs = obs.NewRecorder(obs.Config{})
+	rep := run(t, cfg, mixedPressureTrace(t))
 	if rep.Obs == nil {
 		t.Fatal("report carries no snapshot")
 	}
@@ -85,107 +96,46 @@ func TestReconcileObsNamesTheFirstDivergentCounter(t *testing.T) {
 //	UPDATE_EVENTS_GOLDEN=1 go test ./internal/serving -run TestEventLogGolden
 func TestEventLogGolden(t *testing.T) {
 	trained(t)
-	script, err := faults.Scripted(
-		faults.Event{Tick: 2, Kind: faults.Step, Slot: 0},
-		faults.Event{Tick: 4, Kind: faults.Revoke, Slot: 1},
-		faults.Event{Tick: 7, Kind: faults.Cancel, Slot: 0},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := goldenRow(t, ArbShared).cfg
 	rec := obs.NewRecorder(obs.Config{Window: 8})
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbShared, Sched: EDF(), Preempt: DeadlinePreempt(),
-		MaxActive: 2, Quantum: 4, Seed: 5,
-		Faults: script, Retry: faults.RetryPolicy{MaxAttempts: 3},
-		ShedQueueBudget: 3,
-		Obs:             rec,
-	}, mixedPressureTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
+	cfg.Obs = rec
+	run(t, cfg, mixedPressureTrace(t))
+	got := jsonl(t, rec.Events())
 	golden := filepath.Join("testdata", "events.golden")
 	if os.Getenv("UPDATE_EVENTS_GOLDEN") != "" {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("event log drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	want := must(os.ReadFile(golden))(t)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("event log drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 
-// Attaching a recorder must not perturb the engine: under every arbitration
-// policy the report minus the snapshot itself (and the wall-clock
-// annotation, which is outside the determinism contract) must match an
-// unobserved run bit for bit. With the chaos determinism test this carries
-// its worker-count and decode-path guarantees over to unobserved runs.
+// Attaching a recorder must not perturb the engine: the report minus the
+// snapshot itself (and the wall-clock annotation, which is outside the
+// determinism contract) must match an unobserved run bit for bit. The
+// matrix's recorder-off variant holds that on every harness row; these rows
+// add the two shedding paths, whose shed and degrade events stand in for a
+// finish.
 func TestObserverDoesNotPerturbReport(t *testing.T) {
 	trained(t)
-	run := func(arb ArbPolicy, rec *obs.Recorder) *Report {
-		plan, err := faults.Mix(0.08, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: DeadlinePreempt(),
-			MaxActive: 2, Quantum: 4, Seed: 5,
-			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 3},
-			ShedQueueBudget: 3,
-			Obs:             rec,
-		}, mixedPressureTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Obs = nil
-		return stripWall(rep)
-	}
-	for _, arb := range Policies() {
-		observed := run(arb, obs.NewRecorder(obs.Config{}))
-		plain := run(arb, nil)
-		if !reflect.DeepEqual(observed, plain) {
-			t.Fatalf("arb=%v: observer perturbed the report:\nobserved %+v\nplain    %+v", arb, observed, plain)
+	shed, closedShed := shedRow(t), closedShedRow(t)
+	shed.guard = func(t *testing.T, o outcome) {
+		if o.rep.Shed == 0 {
+			t.Fatalf("scenario broken: nothing shed: %+v", o.rep)
 		}
 	}
+	closedShed.guard = shed.guard
+	matrix(t, shed, closedShed)
 }
 
 // The zero-overhead contract: with no recorder attached, the observability
 // hooks on the tick hot path must not allocate at all.
 func TestDisabledObserverAddsNoTickAllocations(t *testing.T) {
 	trained(t)
-	const k = 2
-	reqs := requests(t, k,
-		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
-		func(int) int { return 6 })
-	e, err := NewEngine(zoo.m, Config{
-		System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: 4, Seed: 1,
-	}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := make([]*Session, 0, k)
-	for i := range reqs {
-		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
-		if err := e.admit(sess, 0, i); err != nil {
-			t.Fatal(err)
-		}
-		active = append(active, sess)
-	}
+	e, active := admitted(t, 2, 4, false)
 	if e.obs != nil {
 		t.Fatal("engine bound a recorder nobody configured")
 	}

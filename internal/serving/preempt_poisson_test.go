@@ -1,10 +1,6 @@
 package serving
 
-import (
-	"testing"
-
-	"repro/internal/sparsity"
-)
+import "testing"
 
 // The acceptance scenario on an open-loop workload: Poisson arrivals of
 // short deadlined interactive requests interleaved with long best-effort
@@ -14,41 +10,14 @@ import (
 // deadlined class's attainment.
 func TestDeadlinePreemptImprovesPoissonAttainment(t *testing.T) {
 	trained(t)
-	run := func(pre Preemptor) *Report {
-		reqs := make([]Request, 6)
-		for i := range reqs {
-			if i%2 == 0 {
-				reqs[i] = Request{
-					ID: string(rune('a' + i)), Scheme: sparsity.NewDIP(0.5),
-					Tokens: streamFor(t, i, 1),
-					SLO:    SLO{Class: "interactive", Priority: 2, DeadlineTicks: 8},
-				}
-			} else {
-				reqs[i] = Request{
-					ID: string(rune('a' + i)), Scheme: sparsity.NewDIP(0.5),
-					Tokens: streamFor(t, i, 3),
-					SLO:    SLO{Class: "batch"},
-				}
-			}
-		}
-		w, err := PoissonArrivals(reqs, 0.1, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(zoo.m, Config{
+	reqs := classMix(t, 6, 8, 3)
+	runWith := func(pre Preemptor) *Report {
+		return run(t, Config{
 			System: sysCfg(), Arb: ArbFairShare, Sched: EDF(), Preempt: pre,
 			MaxActive: 1, Quantum: 8, Seed: 2,
-		}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		}, must(PoissonArrivals(reqs, 0.1, 21))(t))
 	}
-	base, pre := run(NoPreempt()), run(DeadlinePreempt())
+	base, pre := runWith(NoPreempt()), runWith(DeadlinePreempt())
 	attain := func(r *Report) float64 {
 		for _, cm := range r.Classes {
 			if cm.Class == "interactive" {

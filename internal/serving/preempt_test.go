@@ -1,11 +1,10 @@
 package serving
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/parallel"
 	"repro/internal/sparsity"
 )
 
@@ -15,16 +14,10 @@ import (
 // interactive request waits out the whole background stream and misses;
 // with DeadlinePreempt it displaces the background session and attains.
 func preemptTrace(t *testing.T) Workload {
-	t.Helper()
-	entries := []TraceEntry{
-		{ID: "bg", Tick: 0, Tokens: 128, Start: 0, Class: "batch"},
-		{ID: "urgent", Tick: 1, Tokens: 32, Start: 512, Class: "interactive", Priority: 2, DeadlineTicks: 8},
-	}
-	w, err := TraceWorkload(entries, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return trace(t,
+		TraceEntry{ID: "bg", Tick: 0, Tokens: 128, Start: 0, Class: "batch"},
+		TraceEntry{ID: "urgent", Tick: 1, Tokens: 32, Start: 512, Class: "interactive", Priority: 2, DeadlineTicks: 8},
+	)
 }
 
 // The tentpole acceptance test: on a workload where admission ordering
@@ -33,22 +26,14 @@ func preemptTrace(t *testing.T) Workload {
 // same seed, and the report must carry the preemption accounting.
 func TestDeadlinePreemptImprovesAttainment(t *testing.T) {
 	trained(t)
-	run := func(pre Preemptor) *Report {
-		e, err := NewEngine(zoo.m, Config{
+	runWith := func(pre Preemptor) *Report {
+		return run(t, Config{
 			System: sysCfg(), Arb: ArbExclusive, Sched: EDF(), Preempt: pre,
 			MaxActive: 1, Quantum: 8, Seed: 11,
 		}, preemptTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
 	}
-	base := run(NoPreempt())
-	pre := run(DeadlinePreempt())
+	base := runWith(NoPreempt())
+	pre := runWith(DeadlinePreempt())
 	if base.Preemptions != 0 || base.Preemptor != "none" {
 		t.Fatalf("NoPreempt run reports preemptions: %+v", base)
 	}
@@ -84,27 +69,18 @@ func TestDeadlinePreemptImprovesAttainment(t *testing.T) {
 // DIP-CA is the hard case, its masks read the cache every token.
 func TestPreemptedSessionMatchesUninterruptedSolo(t *testing.T) {
 	trained(t)
-	e, err := NewEngine(zoo.m, Config{
+	w := preemptCATrace(t)
+	rep := run(t, Config{
 		System: sysCfg(), Arb: ArbExclusive, Sched: EDF(), Preempt: DeadlinePreempt(),
 		MaxActive: 1, Quantum: 8, Seed: 3,
-	}, preemptCATrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, w)
 	if rep.Preemptions == 0 {
 		t.Fatalf("scenario broken: no preemption occurred: %+v", rep)
 	}
 	for _, sm := range rep.Sessions {
-		toks := e.reqs[sm.Index].Tokens
-		solo, err := eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), toks, sysCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pointsEqual(sm.Point, solo) {
+		toks := w.Requests()[sm.Index].Tokens
+		solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), toks, sysCfg()))(t)
+		if sm.Point != solo {
 			t.Fatalf("session %q (preemptions %d) diverged from uninterrupted solo run:\nserved %+v\nsolo   %+v",
 				sm.ID, sm.Preemptions, sm.Point, solo)
 		}
@@ -116,80 +92,47 @@ func TestPreemptedSessionMatchesUninterruptedSolo(t *testing.T) {
 
 // preemptCATrace is preemptTrace with the cache-aware scheme.
 func preemptCATrace(t *testing.T) Workload {
-	t.Helper()
-	entries := []TraceEntry{
-		{ID: "bg", Tick: 0, Tokens: 128, Start: 0, Scheme: "dipca", Class: "batch"},
-		{ID: "urgent", Tick: 1, Tokens: 32, Start: 512, Scheme: "dipca", Class: "interactive", Priority: 2, DeadlineTicks: 8},
-	}
-	w, err := TraceWorkload(entries, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return trace(t,
+		TraceEntry{ID: "bg", Tick: 0, Tokens: 128, Start: 0, Scheme: "dipca", Class: "batch"},
+		TraceEntry{ID: "urgent", Tick: 1, Tokens: 32, Start: 512, Scheme: "dipca", Class: "interactive", Priority: 2, DeadlineTicks: 8},
+	)
 }
 
 // mixedPressureTrace staggers five DIP-CA sessions with interleaved
 // deadlines and priorities so every preemptor has inversions to act on.
 func mixedPressureTrace(t *testing.T) Workload {
-	t.Helper()
-	entries := []TraceEntry{
-		{ID: "a", Tick: 0, Tokens: 96, Start: 0, Scheme: "dipca", Class: "batch"},
-		{ID: "b", Tick: 0, Tokens: 96, Start: 256, Scheme: "dipca", Class: "batch", Priority: 1},
-		{ID: "c", Tick: 2, Tokens: 32, Start: 512, Scheme: "dipca", Class: "interactive", Priority: 3, DeadlineTicks: 9},
-		{ID: "d", Tick: 3, Tokens: 64, Start: 768, Scheme: "dipca", Class: "interactive", Priority: 2, DeadlineTicks: 30},
-		{ID: "e", Tick: 4, Tokens: 32, Start: 1024, Scheme: "dipca", Class: "interactive", Priority: 3, DeadlineTicks: 12},
-	}
-	w, err := TraceWorkload(entries, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return trace(t,
+		TraceEntry{ID: "a", Tick: 0, Tokens: 96, Start: 0, Scheme: "dipca", Class: "batch"},
+		TraceEntry{ID: "b", Tick: 0, Tokens: 96, Start: 256, Scheme: "dipca", Class: "batch", Priority: 1},
+		TraceEntry{ID: "c", Tick: 2, Tokens: 32, Start: 512, Scheme: "dipca", Class: "interactive", Priority: 3, DeadlineTicks: 9},
+		TraceEntry{ID: "d", Tick: 3, Tokens: 64, Start: 768, Scheme: "dipca", Class: "interactive", Priority: 2, DeadlineTicks: 30},
+		TraceEntry{ID: "e", Tick: 4, Tokens: 32, Start: 1024, Scheme: "dipca", Class: "interactive", Priority: 3, DeadlineTicks: 12},
+	)
 }
 
-// The determinism acceptance test: for every preemptor × arbitration ×
-// fuse combination, the report must be bit-identical across worker counts
+// pressureRow is mixedPressureTrace on two slots under EDF.
+func pressureRow(name string, sched Scheduler, pre Preemptor, arb ArbPolicy) row {
+	return row{name: name, w: mixedPressureTrace, cfg: Config{
+		System: sysCfg(), Arb: arb, Sched: sched, Preempt: pre, MaxActive: 2, Quantum: 4, Seed: 5,
+	}}
+}
+
+// The determinism acceptance test: for every preemptor × arbitration
+// combination, the report must be bit-identical across the variant matrix
 // (run under -race this also proves preemption-driven batch recomposition
 // never races the shared-cache commits).
 func TestPreemptionDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
-	run := func(pre Preemptor, arb ArbPolicy, noFuse bool) *Report {
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: arb, Sched: EDF(), Preempt: pre,
-			MaxActive: 2, Quantum: 4, Seed: 5, NoFuse: noFuse,
-		}, mixedPressureTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	preempted := false
 	for _, pre := range Preemptors() {
 		for _, arb := range Policies() {
-			parallel.SetProcs(4)
-			fused := stripWall(run(pre, arb, false))
-			unfused := stripWall(run(pre, arb, true))
-			if !reflect.DeepEqual(fused, unfused) {
-				t.Fatalf("pre=%s arb=%v: fused and per-session reports diverged:\nfused   %+v\nunfused %+v",
-					pre.Name(), arb, fused, unfused)
+			r := pressureRow(fmt.Sprintf("pre=%s arb=%v", pre.Name(), arb), EDF(), pre, arb)
+			r.guard = func(t *testing.T, o outcome) {
+				if preempts := o.rep.Preemptions; (pre.Name() == "none") != (preempts == 0) {
+					t.Fatalf("%s: %d preemptions: NoPreempt must never preempt, DeadlinePreempt must", r.name, preempts)
+				}
 			}
-			parallel.SetProcs(1)
-			serial := stripWall(run(pre, arb, false))
-			if !reflect.DeepEqual(fused, serial) {
-				t.Fatalf("pre=%s arb=%v: report depends on worker count", pre.Name(), arb)
-			}
-			if pre.Name() == "none" && fused.Preemptions != 0 {
-				t.Fatalf("NoPreempt preempted: %+v", fused)
-			}
-			preempted = preempted || fused.Preemptions > 0
+			matrix(t, r)
 		}
-	}
-	if !preempted {
-		t.Fatal("scenario broken: no combination triggered a preemption")
 	}
 }
 
@@ -198,85 +141,40 @@ func TestPreemptionDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 // deterministic under every scheduler too.
 func TestPreemptionUnderEverySchedulerIsDeterministic(t *testing.T) {
 	trained(t)
-	run := func(sched Scheduler) *Report {
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbShared, Sched: sched, Preempt: DeadlinePreempt(),
-			MaxActive: 2, Quantum: 4, Seed: 5,
-		}, mixedPressureTrace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
 	for _, sched := range Schedulers() {
-		a, b := stripWall(run(sched)), stripWall(run(sched))
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("sched=%s: preempting run not reproducible", sched.Name())
-		}
+		matrix(t, pressureRow("sched="+sched.Name(), sched, DeadlinePreempt(), ArbShared))
 	}
 }
 
 // Sub-quantum finish offsets: a stream whose length is not a multiple of
 // the quantum drains mid-tick, and the report records the fractional
-// finish instead of quantizing to the tick boundary — identically on the
-// fused and per-session paths.
+// finish instead of quantizing to the tick boundary — identically across
+// the variant matrix, so on the fused and per-session paths alike.
 func TestFinishSubStepDeQuantizesTurnaround(t *testing.T) {
 	trained(t)
-	run := func(noFuse bool) *Report {
-		reqs := requests(t, 1,
-			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
-			func(int) int { return 1 }) // 32 tokens
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 5, Seed: 1, NoFuse: noFuse,
-		}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	fused, unfused := run(false), run(true)
-	if !reflect.DeepEqual(stripWall(fused), stripWall(unfused)) {
-		t.Fatalf("sub-quantum finish differs between paths:\nfused   %+v\nunfused %+v", fused.Sessions, unfused.Sessions)
-	}
-	sm := fused.Sessions[0]
-	// 32 tokens at quantum 5: six full ticks (30) plus 2 sub-steps.
-	if sm.FinishTick != 7 || sm.FinishSubStep != 2 {
-		t.Fatalf("finish timeline wrong: %+v", sm)
-	}
-	if want := 6 + 2.0/5; sm.FinishTime != want || sm.Turnaround != want {
-		t.Fatalf("de-quantized finish wrong: got %v/%v, want %v", sm.FinishTime, sm.Turnaround, want)
-	}
-	if sm.TurnaroundTicks != 7 {
-		t.Fatalf("whole-tick turnaround changed: %+v", sm)
-	}
-	if fused.TurnaroundP50 != 6+2.0/5 {
-		t.Fatalf("percentiles still quantized: %v", fused.TurnaroundP50)
-	}
+	reqs := requests(t, 1,
+		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
+		func(int) int { return 1 }) // 32 tokens
+	matrix(t, row{name: "32 tokens at quantum 5", w: func(*testing.T) Workload { return FixedBatch(reqs) },
+		cfg: Config{System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 5, Seed: 1},
+		guard: func(t *testing.T, o outcome) {
+			sm := o.rep.Sessions[0]
+			// 32 tokens at quantum 5: six full ticks (30) plus 2 sub-steps.
+			if sm.FinishTick != 7 || sm.FinishSubStep != 2 {
+				t.Fatalf("finish timeline wrong: %+v", sm)
+			}
+			if want := 6 + 2.0/5; sm.FinishTime != want || sm.Turnaround != want {
+				t.Fatalf("de-quantized finish wrong: got %v/%v, want %v", sm.FinishTime, sm.Turnaround, want)
+			}
+			if sm.TurnaroundTicks != 7 {
+				t.Fatalf("whole-tick turnaround changed: %+v", sm)
+			}
+			if o.rep.TurnaroundP50 != 6+2.0/5 {
+				t.Fatalf("percentiles still quantized: %v", o.rep.TurnaroundP50)
+			}
+		}})
 	// A stream draining exactly on the quantum boundary keeps integral time.
-	whole := func() *Report {
-		reqs := requests(t, 1,
-			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
-			func(int) int { return 1 })
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1,
-		}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}()
+	whole := run(t, Config{System: sysCfg(), Arb: ArbExclusive, MaxActive: 1, Quantum: 8, Seed: 1}, FixedBatch(reqs))
 	if sm := whole.Sessions[0]; sm.FinishSubStep != 8 || sm.FinishTime != float64(sm.FinishTick) {
 		t.Fatalf("boundary finish should stay integral: %+v", sm)
 	}
@@ -284,43 +182,29 @@ func TestFinishSubStepDeQuantizesTurnaround(t *testing.T) {
 
 // A request shorter than one evaluation window has no tokens to decode: its
 // stream is done before it ever steps, so it reports sub-step 0 and an
-// integral finish, fused and per-session — even while it shares the batch
-// with a session that does step, so the decode loop runs its sub-steps.
+// integral finish across the variant matrix, fused and per-session — even
+// while it shares the batch with a session that does step, so the decode
+// loop runs its sub-steps. The matrix's invariants hold that it is reported.
 func TestNeverSteppedStreamKeepsSubStepZero(t *testing.T) {
 	trained(t)
-	for _, noFuse := range []bool{false, true} {
-		reqs := requests(t, 2,
-			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
-			func(int) int { return 1 })
-		reqs[1].Tokens = reqs[1].Tokens[:10]
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbShared, MaxActive: 2, Quantum: 4, Seed: 1, NoFuse: noFuse,
-		}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, sm := range rep.Sessions {
-			if sm.ID != reqs[1].ID {
-				continue
-			}
-			found = true
+	reqs := requests(t, 2,
+		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
+		func(int) int { return 1 })
+	reqs[1].Tokens = reqs[1].Tokens[:10]
+	matrix(t, row{
+		name: "10-token request beside a 32-token one",
+		w:    func(*testing.T) Workload { return FixedBatch(reqs) },
+		cfg:  Config{System: sysCfg(), Arb: ArbShared, MaxActive: 2, Quantum: 4, Seed: 1},
+		guard: func(t *testing.T, o outcome) {
+			sm := o.rep.Sessions[1] // submission order
 			if sm.Decoded != 0 || sm.Outcome != OutcomeOK {
-				t.Fatalf("noFuse=%v: short request should finish without decoding: %+v", noFuse, sm)
+				t.Fatalf("short request should finish without decoding: %+v", sm)
 			}
 			if sm.FinishSubStep != 0 || sm.FinishTime != float64(sm.FinishTick) {
-				t.Fatalf("noFuse=%v: never-stepped stream reports sub-step %d, finish time %v at tick %d; want 0 and an integral finish",
-					noFuse, sm.FinishSubStep, sm.FinishTime, sm.FinishTick)
+				t.Fatalf("never-stepped stream reports sub-step %d, finish time %v at tick %d; want 0 and an integral finish",
+					sm.FinishSubStep, sm.FinishTime, sm.FinishTick)
 			}
-		}
-		if !found {
-			t.Fatalf("noFuse=%v: short request %q missing from the report", noFuse, reqs[1].ID)
-		}
-	}
+		}})
 }
 
 func TestParsePreemptor(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
@@ -68,10 +67,6 @@ func requests(t *testing.T, n int, scheme func(i int) sparsity.Scheme, wins func
 	return reqs
 }
 
-func pointsEqual(a, b eval.Point) bool {
-	return a == b
-}
-
 // The headline acceptance test: under exclusive arbitration every session
 // must reproduce a solo SystemEvaluate of its stream bit for bit — same
 // perplexity, density, simulated throughput, hit rate, latency. DIP-CA is
@@ -82,23 +77,10 @@ func TestExclusiveSessionsMatchSoloSystemEvaluateBitForBit(t *testing.T) {
 	reqs := requests(t, k,
 		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
 		func(i int) int { return 3 + i%2 })
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbExclusive, MaxActive: k, Quantum: 5, Seed: 11}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Sessions) != k {
-		t.Fatalf("%d sessions reported, want %d", len(rep.Sessions), k)
-	}
+	rep := run(t, Config{System: sysCfg(), Arb: ArbExclusive, MaxActive: k, Quantum: 5, Seed: 11}, FixedBatch(reqs))
 	for _, sm := range rep.Sessions {
-		solo, err := eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[sm.Index].Tokens, sysCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pointsEqual(sm.Point, solo) {
+		solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[sm.Index].Tokens, sysCfg()))(t)
+		if sm.Point != solo {
 			t.Fatalf("session %q diverged from solo evaluation:\nserved %+v\nsolo   %+v", sm.ID, sm.Point, solo)
 		}
 		if sm.Tokens != len(reqs[sm.Index].Tokens) {
@@ -107,53 +89,27 @@ func TestExclusiveSessionsMatchSoloSystemEvaluateBitForBit(t *testing.T) {
 	}
 }
 
-// runShared runs K DIP-CA sessions against one genuinely shared cache and
-// returns the report plus the shared cache's final fingerprint.
-func runShared(t *testing.T, seed uint64) (*Report, cache.Stats, int) {
-	t.Helper()
-	const k = 5
-	reqs := requests(t, k,
-		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
-		func(i int) int { return 2 + i%3 })
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbShared, MaxActive: 3, Quantum: 4, Seed: seed}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, e.SharedCache().TotalStats(), e.SharedCache().Occupancy()
-}
-
 // Sessions contending for one ModelCache must leave bit-identical final
 // occupancy, statistics, and per-session outputs for a fixed admission
-// order, no matter how many workers step the batch. Run under -race this
-// also proves the parallel step phase never races the serial commits.
+// order across the variant matrix. Run under -race this also proves the
+// parallel step phase never races the serial commits.
 func TestSharedCacheDeterministicAcrossWorkerCounts(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
+	reqs := requests(t, 5,
+		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
+		func(i int) int { return 2 + i%3 })
+	matrix(t, row{
+		name:  "shared seed=7",
+		w:     func(*testing.T) Workload { return FixedBatch(reqs) },
+		cfg:   Config{System: sysCfg(), Arb: ArbShared, MaxActive: 3, Quantum: 4, Seed: 7},
+		guard: sharedCacheFilled,
+	})
+}
 
-	parallel.SetProcs(1)
-	repSer, statsSer, occSer := runShared(t, 7)
-	parallel.SetProcs(8)
-	repPar, statsPar, occPar := runShared(t, 7)
-
-	if statsSer != statsPar {
-		t.Fatalf("shared cache stats depend on worker count: %+v vs %+v", statsSer, statsPar)
-	}
-	if occSer != occPar {
-		t.Fatalf("shared cache occupancy depends on worker count: %d vs %d", occSer, occPar)
-	}
-	for i := range repSer.Sessions {
-		a, b := repSer.Sessions[i], repPar.Sessions[i]
-		if !pointsEqual(a.Point, b.Point) || a.AdmitRank != b.AdmitRank ||
-			a.AdmitTick != b.AdmitTick || a.FinishTick != b.FinishTick {
-			t.Fatalf("session %d not deterministic:\nserial   %+v\nparallel %+v", i, a, b)
-		}
-	}
-	if occSer == 0 || statsSer.Hits == 0 {
-		t.Fatalf("shared cache never filled (occupancy %d, stats %+v)", occSer, statsSer)
+// sharedCacheFilled is the guard of the shared-cache rows.
+func sharedCacheFilled(t *testing.T, o outcome) {
+	if o.occ == 0 || o.stats.Hits == 0 {
+		t.Fatalf("scenario broken: shared cache never filled (occupancy %d, stats %+v)", o.occ, o.stats)
 	}
 }
 
@@ -162,19 +118,11 @@ func TestSharedCacheDeterministicAcrossWorkerCounts(t *testing.T) {
 // seeded serial queue: finish ticks follow admission ranks.
 func TestAdmissionOrderIsSeededAndReproducible(t *testing.T) {
 	trained(t)
-	run := func(seed uint64) *Report {
-		reqs := requests(t, 5,
-			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
-			func(int) int { return 2 })
-		e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 16, Seed: seed}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	reqs := requests(t, 5,
+		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
+		func(int) int { return 2 })
+	runSeed := func(seed uint64) *Report {
+		return run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 16, Seed: seed}, FixedBatch(reqs))
 	}
 	ranks := func(r *Report) []int {
 		out := make([]int, len(r.Sessions))
@@ -183,7 +131,7 @@ func TestAdmissionOrderIsSeededAndReproducible(t *testing.T) {
 		}
 		return out
 	}
-	a, b, c := run(1), run(1), run(99)
+	a, b, c := runSeed(1), runSeed(1), runSeed(99)
 	ra, rb, rc := ranks(a), ranks(b), ranks(c)
 	for i := range ra {
 		if ra[i] != rb[i] {
@@ -213,20 +161,13 @@ func TestAdmissionOrderIsSeededAndReproducible(t *testing.T) {
 // one-slot queue.
 func TestContinuousBatchingBackfillsFreedSlots(t *testing.T) {
 	trained(t)
-	build := func(maxActive int) *Engine {
-		reqs := requests(t, 4,
-			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
-			func(i int) int { return []int{4, 1, 1, 2}[i] })
-		e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: maxActive, Quantum: 8, Seed: 3}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+	reqs := requests(t, 4,
+		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
+		func(i int) int { return []int{4, 1, 1, 2}[i] })
+	slots := func(maxActive int) *Report {
+		return run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: maxActive, Quantum: 8, Seed: 3}, FixedBatch(reqs))
 	}
-	rep, err := build(2).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := slots(2)
 	backfilled := 0
 	for _, sm := range rep.Sessions {
 		if sm.AdmitRank >= 2 {
@@ -242,11 +183,7 @@ func TestContinuousBatchingBackfillsFreedSlots(t *testing.T) {
 	if backfilled != 2 {
 		t.Fatalf("expected 2 backfilled sessions, got %d", backfilled)
 	}
-	serial, err := build(1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ticks >= serial.Ticks {
+	if serial := slots(1); rep.Ticks >= serial.Ticks {
 		t.Fatalf("batched run took %d ticks, serial queue %d", rep.Ticks, serial.Ticks)
 	}
 }
@@ -256,21 +193,13 @@ func TestContinuousBatchingBackfillsFreedSlots(t *testing.T) {
 // must still hit, and cannot beat the exclusive upper bound.
 func TestFairShareAndExclusiveGrants(t *testing.T) {
 	trained(t)
-	run := func(arb ArbPolicy) *Report {
-		reqs := requests(t, 3,
-			func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
-			func(int) int { return 3 })
-		e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: arb, MaxActive: 3, Quantum: 8, Seed: 5}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	reqs := requests(t, 3,
+		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
+		func(int) int { return 3 })
+	runArb := func(arb ArbPolicy) *Report {
+		return run(t, Config{System: sysCfg(), Arb: arb, MaxActive: 3, Quantum: 8, Seed: 5}, FixedBatch(reqs))
 	}
-	fair := run(ArbFairShare)
+	fair := runArb(ArbFairShare)
 	for _, sm := range fair.Sessions {
 		if sm.Share != 1.0/3 {
 			t.Fatalf("fair-share grant %v for %q, want 1/3", sm.Share, sm.ID)
@@ -279,7 +208,7 @@ func TestFairShareAndExclusiveGrants(t *testing.T) {
 			t.Fatalf("fair-share session %q starved: %+v", sm.ID, sm.Point)
 		}
 	}
-	excl := run(ArbExclusive)
+	excl := runArb(ArbExclusive)
 	for _, sm := range excl.Sessions {
 		if sm.Share != 1 {
 			t.Fatalf("exclusive grant %v for %q, want 1", sm.Share, sm.ID)
@@ -297,14 +226,7 @@ func TestReportAggregates(t *testing.T) {
 	reqs := requests(t, 4,
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(i int) int { return 1 + i%2 })
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 2}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 2}, FixedBatch(reqs))
 	want := 0
 	for _, r := range reqs {
 		want += len(r.Tokens)
@@ -331,24 +253,25 @@ func TestEngineRejections(t *testing.T) {
 	good := requests(t, 1,
 		func(int) sparsity.Scheme { return sparsity.NewDIP(0.5) },
 		func(int) int { return 1 })
-	bad := sysCfg()
-	bad.Policy = cache.PolicyBelady
-	if _, err := NewEngine(zoo.m, Config{System: bad}, FixedBatch(good)); err == nil {
-		t.Fatal("Belady eviction must be rejected for serving")
-	}
-	if _, err := NewEngine(zoo.m, Config{System: sysCfg()}, nil); err == nil {
-		t.Fatal("nil workload must be rejected")
-	}
-	if _, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(nil)); err == nil {
-		t.Fatal("empty request batch must be rejected")
-	}
-	if _, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch([]Request{{ID: "x", Tokens: []int{1}}})); err == nil {
-		t.Fatal("nil scheme must be rejected")
-	}
-	if _, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch([]Request{
-		{ID: "x", Scheme: sparsity.NewDIP(0.5), Tokens: []int{1}, SLO: SLO{DeadlineTicks: -1}},
-	})); err == nil {
-		t.Fatal("negative deadline must be rejected")
+	belady, invalid := sysCfg(), sysCfg()
+	belady.Policy, invalid.Device.FlashBandwidth = cache.PolicyBelady, 0
+	for _, c := range []struct {
+		what string
+		sys  eval.SystemConfig
+		w    Workload
+	}{
+		{"Belady eviction (for serving)", belady, FixedBatch(good)},
+		{"an invalid SystemConfig", invalid, FixedBatch(good)},
+		{"a nil workload", sysCfg(), nil},
+		{"an empty request batch", sysCfg(), FixedBatch(nil)},
+		{"a nil scheme", sysCfg(), FixedBatch([]Request{{ID: "x", Tokens: []int{1}}})},
+		{"a negative deadline", sysCfg(), FixedBatch([]Request{
+			{ID: "x", Scheme: sparsity.NewDIP(0.5), Tokens: []int{1}, SLO: SLO{DeadlineTicks: -1}},
+		})},
+	} {
+		if _, err := NewEngine(zoo.m, Config{System: c.sys}, c.w); err == nil {
+			t.Fatalf("%s must be rejected", c.what)
+		}
 	}
 	// A rejected config leaves the caller's recorder unbound: fix the request,
 	// keep the recorder, and the retry succeeds.
@@ -359,18 +282,7 @@ func TestEngineRejections(t *testing.T) {
 	if _, err := NewEngine(zoo.m, Config{System: sysCfg(), Obs: rec}, FixedBatch(good)); err != nil {
 		t.Fatalf("retry with the same recorder after a rejected config: %v", err)
 	}
-	invalid := sysCfg()
-	invalid.Device.FlashBandwidth = 0
-	if _, err := NewEngine(zoo.m, Config{System: invalid}, FixedBatch(good)); err == nil {
-		t.Fatal("invalid SystemConfig must be rejected")
-	}
-	e, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e, _ := drain(t, "first Run", Config{System: sysCfg()}, FixedBatch(good))
 	if _, err := e.Run(); err == nil {
 		t.Fatal("second Run must be rejected")
 	}
@@ -408,20 +320,14 @@ func TestNewEngineProbesEachDistinctSchemeOnce(t *testing.T) {
 	reqs := requests(t, 12, func(i int) sparsity.Scheme {
 		return []sparsity.Scheme{a, b, sparsity.Dense{}, dip, uncomparable, a}[i%6]
 	}, func(int) int { return 1 })
-	e, err := NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := must(NewEngine(zoo.m, Config{System: sysCfg()}, FixedBatch(reqs)))(t)
 	if a.forwards != 1 || b.forwards != 1 {
 		t.Fatalf("shared schemes probed %d and %d times over 12 requests, want once each", a.forwards, b.forwards)
 	}
 	if uncomparable.forwards[0] != 2 {
 		t.Fatalf("an uncomparable scheme value was probed %d times, want once per request (2)", uncomparable.forwards[0])
 	}
-	want, err := hwsim.NewPlan(zoo.m, sysCfg().Device, hwsim.PlanOpts{Groups: [sparsity.NumGroups]bool{true, true, true, true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := must(hwsim.NewPlan(zoo.m, sysCfg().Device, hwsim.PlanOpts{Groups: [sparsity.NumGroups]bool{true, true, true, true}}))(t)
 	if !reflect.DeepEqual(e.plan, want) {
 		t.Fatal("the plan is not the one over the union of dense's row groups and DIP's column groups")
 	}

@@ -101,7 +101,11 @@ func parseTraceCSV(r io.Reader) ([]TraceEntry, error) {
 	}
 	col := make(map[string]int, len(header))
 	for i, h := range header {
-		col[strings.TrimSpace(h)] = i
+		name := strings.TrimSpace(h)
+		if j, dup := col[name]; dup {
+			return nil, fmt.Errorf("serving: CSV trace header names column %q twice (columns %d and %d)", name, j+1, i+1)
+		}
+		col[name] = i
 	}
 	for _, req := range traceColumns[:3] {
 		if _, ok := col[req]; !ok {

@@ -33,14 +33,8 @@ func TestParseTraceJSONAndCSVAgree(t *testing.T) {
 	csvSrc := "id,tick,tokens,start,class,priority,deadline_ticks,scheme\n" +
 		"a,0,32,0,interactive,2,40,\n" +
 		"b,3,64,256,,,,dipca\n"
-	je, err := ParseTrace(strings.NewReader(jsonSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, err := ParseTrace(strings.NewReader(csvSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	je := must(ParseTrace(strings.NewReader(jsonSrc)))(t)
+	ce := must(ParseTrace(strings.NewReader(csvSrc)))(t)
 	if len(je) != 2 || len(ce) != 2 {
 		t.Fatalf("entry counts: json %d csv %d", len(je), len(ce))
 	}
@@ -62,6 +56,7 @@ func TestParseTraceRejections(t *testing.T) {
 		"unknown field":  `[{"id": "a", "tick": 0, "tokens": 1, "wat": 2}]`,
 		"missing column": "id,tick\nx,0\n",
 		"unknown column": "id,tick,tokens,wat\nx,0,1,2\n",
+		"column twice":   "id,tick,tokens,tick\na,5,32,0\n",
 		"non-numeric":    "id,tick,tokens\nx,zero,1\n",
 		"ragged csv":     "id,tick,tokens\nx,0\n",
 		"negative tick":  `[{"id": "a", "tick": -3, "tokens": 1}]`,
@@ -89,23 +84,11 @@ func TestParseTraceRejections(t *testing.T) {
 // and binding errors are loud.
 func TestTraceWorkloadReplay(t *testing.T) {
 	trained(t)
-	entries := []TraceEntry{
-		{ID: "late", Tick: 9, Tokens: 32, Start: 0, Class: "batch"},
-		{ID: "first", Tick: 0, Tokens: 32, Start: 256, Class: "interactive", Priority: 1, DeadlineTicks: 400},
-		{ID: "second", Tick: 0, Tokens: 32, Start: 512, Scheme: "dipca"},
-	}
-	w, err := TraceWorkload(entries, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 4}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 4}, trace(t,
+		TraceEntry{ID: "late", Tick: 9, Tokens: 32, Start: 0, Class: "batch"},
+		TraceEntry{ID: "first", Tick: 0, Tokens: 32, Start: 256, Class: "interactive", Priority: 1, DeadlineTicks: 400},
+		TraceEntry{ID: "second", Tick: 0, Tokens: 32, Start: 512, Scheme: "dipca"},
+	))
 	if rep.Workload != "trace" {
 		t.Fatalf("workload name %q", rep.Workload)
 	}
@@ -147,10 +130,7 @@ func TestTraceWorkloadReplay(t *testing.T) {
 	}
 	// A start so large that start+tokens wraps negative must be rejected by
 	// name, not pass the bounds check and panic slicing the corpus.
-	wrap, err := ParseTrace(strings.NewReader("id,tick,tokens,start\nx,0,1,9223372036854775807\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrap := must(ParseTrace(strings.NewReader("id,tick,tokens,start\nx,0,1,9223372036854775807\n")))(t)
 	if _, err := TraceWorkload(wrap, testBinder(t)); err == nil || !strings.Contains(err.Error(), `trace entry "x"`) ||
 		!strings.Contains(err.Error(), "outside corpus") {
 		t.Fatalf("overflowing start should be a named error, got %v", err)
@@ -191,10 +171,7 @@ func TestEngineRejectsBrokenWorkloads(t *testing.T) {
 		"duplicate":    {{0}, {0}, {1}},
 		"stalled":      {{}, {}}, // not done, nothing active, no credible next arrival
 	} {
-		e, err := NewEngine(zoo.m, Config{System: sysCfg(), Seed: 1}, &brokenWorkload{reqs: reqs, emit: emit})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := must(NewEngine(zoo.m, Config{System: sysCfg(), Seed: 1}, &brokenWorkload{reqs: reqs, emit: emit}))(t)
 		if _, err := e.Run(); err == nil {
 			t.Fatalf("%s: expected run error", name)
 		}
@@ -207,22 +184,10 @@ func TestEngineRejectsBrokenWorkloads(t *testing.T) {
 func TestEngineFastForwardsSparseGaps(t *testing.T) {
 	trained(t)
 	const gap = 50_000_000
-	entries := []TraceEntry{
-		{ID: "early", Tick: 0, Tokens: 32, Start: 0},
-		{ID: "late", Tick: gap, Tokens: 32, Start: 256},
-	}
-	w, err := TraceWorkload(entries, testBinder(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 8, Seed: 1}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 8, Seed: 1}, trace(t,
+		TraceEntry{ID: "early", Tick: 0, Tokens: 32, Start: 0},
+		TraceEntry{ID: "late", Tick: gap, Tokens: 32, Start: 256},
+	))
 	if rep.Sessions[1].ArriveTick != gap || rep.Sessions[1].FinishTick <= gap {
 		t.Fatalf("late session timeline wrong: %+v", rep.Sessions[1])
 	}
@@ -276,6 +241,7 @@ func TestTraceWorkloadRejectsRepeatedIDs(t *testing.T) {
 func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte(`[{"tick":0,"tokens":32},{"id":"t000","tick":0,"tokens":64,"start":256}]`))
 	f.Add([]byte("id,tick,tokens,start\nx,0,1,9223372036854775807\n"))
+	f.Add([]byte("id,tick,tokens,tick\na,5,32,0\n"))
 	f.Add([]byte("id,tick,tokens,start,class,priority,deadline_ticks,scheme\na,0,32,0,interactive,2,40,\nb,3,64,256,,,,dense\n"))
 	f.Add([]byte(`[{"id":"a","tick":0,"tokens":32,"class":"interactive","priority":2,"deadline_ticks":40},{"id":"b","tick":3,"tokens":64,"start":256}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/parallel"
 	"repro/internal/sparsity"
 )
 
@@ -35,23 +33,12 @@ func admitOrder(rep *Report) []int {
 // arrival-dependent queueing that the report surfaces in simulated ticks.
 func TestPoissonArrivalsAreSeededAndSpread(t *testing.T) {
 	trained(t)
-	run := func(seed uint64) *Report {
-		reqs := slotted(t, 6, func(int) SLO { return SLO{} })
-		w, err := PoissonArrivals(reqs, 0.05, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 1}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	reqs := slotted(t, 6, func(int) SLO { return SLO{} })
+	runSeed := func(seed uint64) *Report {
+		w := must(PoissonArrivals(reqs, 0.05, seed))(t)
+		return run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 1}, w)
 	}
-	a, b, c := run(3), run(3), run(4)
+	a, b, c := runSeed(3), runSeed(3), runSeed(4)
 	lastArrive := 0
 	for i := range a.Sessions {
 		if a.Sessions[i].ArriveTick != b.Sessions[i].ArriveTick ||
@@ -81,51 +68,17 @@ func TestPoissonArrivalsAreSeededAndSpread(t *testing.T) {
 }
 
 // The acceptance determinism test: Poisson arrivals scheduled EDF against
-// the genuinely shared cache must be bit-identical across worker counts —
-// per-session outputs, queueing delays, SLO verdicts, and cache statistics.
-// Run under -race this also covers the parallel step phase.
+// the genuinely shared cache must be bit-identical across the variant
+// matrix — per-session outputs, queueing delays, SLO verdicts, and cache
+// statistics. Run under -race this also covers the parallel step phase.
 func TestPoissonEDFDeterministicAcrossWorkerCounts(t *testing.T) {
 	trained(t)
-	defer parallel.SetProcs(parallel.Procs())
-	run := func() (*Report, cache.Stats, int) {
-		reqs := slotted(t, 6, func(i int) SLO {
-			return SLO{Class: []string{"interactive", "batch"}[i%2], Priority: 1 - i%2, DeadlineTicks: 10 + 5*i}
-		})
-		w, err := PoissonArrivals(reqs, 0.2, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(zoo.m, Config{
-			System: sysCfg(), Arb: ArbShared, Sched: EDF(), MaxActive: 3, Quantum: 4, Seed: 9,
-		}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, e.SharedCache().TotalStats(), e.SharedCache().Occupancy()
-	}
-	parallel.SetProcs(1)
-	repSer, statsSer, occSer := run()
-	parallel.SetProcs(8)
-	repPar, statsPar, occPar := run()
-	if statsSer != statsPar || occSer != occPar {
-		t.Fatalf("shared cache depends on worker count: %+v/%d vs %+v/%d", statsSer, occSer, statsPar, occPar)
-	}
-	for i := range repSer.Sessions {
-		a, b := repSer.Sessions[i], repPar.Sessions[i]
-		if a != b {
-			t.Fatalf("session %d not deterministic:\nserial   %+v\nparallel %+v", i, a, b)
-		}
-	}
-	if repSer.SLOAttainRate != repPar.SLOAttainRate || repSer.QueueP99 != repPar.QueueP99 {
-		t.Fatalf("aggregates differ: %+v vs %+v", repSer, repPar)
-	}
-	if occSer == 0 || statsSer.Hits == 0 {
-		t.Fatalf("shared cache never filled (occupancy %d, stats %+v)", occSer, statsSer)
-	}
+	reqs := slotted(t, 6, func(i int) SLO {
+		return SLO{Class: []string{"interactive", "batch"}[i%2], Priority: 1 - i%2, DeadlineTicks: 10 + 5*i}
+	})
+	matrix(t, row{name: "poisson edf shared", guard: sharedCacheFilled,
+		w:   func(t *testing.T) Workload { return must(PoissonArrivals(reqs, 0.2, 17))(t) },
+		cfg: Config{System: sysCfg(), Arb: ArbShared, Sched: EDF(), MaxActive: 3, Quantum: 4, Seed: 9}})
 }
 
 // A closed loop with one user and positive think time is a strict sequence:
@@ -135,21 +88,8 @@ func TestClosedLoopThinkTime(t *testing.T) {
 	trained(t)
 	reqs := slotted(t, 3, func(int) SLO { return SLO{} })
 	const think = 5
-	w, err := ClosedLoop([][]Request{reqs}, think)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 1}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Sessions) != 3 {
-		t.Fatalf("%d sessions, want 3", len(rep.Sessions))
-	}
+	w := must(ClosedLoop([][]Request{reqs}, think))(t)
+	rep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 2, Quantum: 8, Seed: 1}, w)
 	for i, sm := range rep.Sessions {
 		if i > 0 {
 			prev := rep.Sessions[i-1]
@@ -174,34 +114,25 @@ func TestClosedLoopThinkTime(t *testing.T) {
 // deadline, and FCFS by the seeded arrival order regardless of either.
 func TestSchedulerOrdering(t *testing.T) {
 	trained(t)
-	run := func(sched Scheduler, slo func(i int) SLO) *Report {
-		reqs := slotted(t, 4, slo)
-		e, err := NewEngine(zoo.m, Config{
+	runSched := func(sched Scheduler, slo func(i int) SLO) *Report {
+		return run(t, Config{
 			System: sysCfg(), Arb: ArbFairShare, Sched: sched, MaxActive: 1, Quantum: 16, Seed: 6,
-		}, FixedBatch(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		}, FixedBatch(slotted(t, 4, slo)))
 	}
 	// Priorities 0..3 ascending by submission index. All four requests are
 	// queued before the first admission scan, so the seeded shuffle only
 	// breaks ties and priority admits 3,2,1,0.
-	prio := run(Priority(), func(i int) SLO { return SLO{Priority: i} })
+	prio := runSched(Priority(), func(i int) SLO { return SLO{Priority: i} })
 	if got := admitOrder(prio); got[0] != 3 || got[1] != 2 || got[2] != 1 || got[3] != 0 {
 		t.Fatalf("priority admission order %v, want [3 2 1 0]", got)
 	}
 	// Deadlines descending by submission index: EDF admits 3,2,1,0.
-	edf := run(EDF(), func(i int) SLO { return SLO{DeadlineTicks: 100 - 10*i} })
+	edf := runSched(EDF(), func(i int) SLO { return SLO{DeadlineTicks: 100 - 10*i} })
 	if got := admitOrder(edf); got[0] != 3 || got[1] != 2 || got[2] != 1 || got[3] != 0 {
 		t.Fatalf("EDF admission order %v, want [3 2 1 0]", got)
 	}
 	// EDF ranks deadline-less requests after every real deadline.
-	mixed := run(EDF(), func(i int) SLO {
+	mixed := runSched(EDF(), func(i int) SLO {
 		if i == 0 {
 			return SLO{}
 		}
@@ -212,8 +143,8 @@ func TestSchedulerOrdering(t *testing.T) {
 	}
 	// FCFS ignores both and follows the seeded arrival shuffle: identical to
 	// a run with no SLOs at all.
-	fcfsSLO := run(FCFS(), func(i int) SLO { return SLO{Priority: i, DeadlineTicks: 100 - 10*i} })
-	fcfsPlain := run(FCFS(), func(int) SLO { return SLO{} })
+	fcfsSLO := runSched(FCFS(), func(i int) SLO { return SLO{Priority: i, DeadlineTicks: 100 - 10*i} })
+	fcfsPlain := runSched(FCFS(), func(int) SLO { return SLO{} })
 	for i := range fcfsSLO.Sessions {
 		if fcfsSLO.Sessions[i].AdmitRank != fcfsPlain.Sessions[i].AdmitRank {
 			t.Fatalf("FCFS admission depends on SLO: %+v vs %+v", fcfsSLO.Sessions[i], fcfsPlain.Sessions[i])
@@ -231,14 +162,7 @@ func TestSLOAttainmentPerClass(t *testing.T) {
 		}
 		return SLO{Class: "loose", DeadlineTicks: 10000}
 	})
-	e, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 4, Seed: 2}, FixedBatch(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 4, Seed: 2}, FixedBatch(reqs))
 	if len(rep.Classes) != 2 || rep.Classes[0].Class != "loose" || rep.Classes[1].Class != "tight" {
 		t.Fatalf("class breakdown wrong: %+v", rep.Classes)
 	}
@@ -265,15 +189,8 @@ func TestSLOAttainmentPerClass(t *testing.T) {
 	}
 	// Sessions without deadlines are vacuously attained and excluded from
 	// the rate.
-	plain, err := NewEngine(zoo.m, Config{System: sysCfg(), Arb: ArbFairShare, Seed: 2},
+	prep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, Seed: 2},
 		FixedBatch(slotted(t, 2, func(int) SLO { return SLO{} })))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := plain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if prep.SLOAttainRate != 1 || len(prep.Classes) != 1 || prep.Classes[0].Class != "default" {
 		t.Fatalf("deadline-less run should be vacuously attained under 'default': %+v", prep.Classes)
 	}

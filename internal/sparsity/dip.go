@@ -152,43 +152,12 @@ func resize(v tensor.Vec, n int) tensor.Vec { return tensor.Reuse(v, n) }
 // AllocateDIP maps a target MLP density ρ to the per-group keep fractions
 // (ρ_in for the W_u/W_g columns, ρ_glu for the W_d columns) subject to
 // (2·ρ_in + ρ_glu)/3 = ρ. Following Appendix B.1, the rule is a linear
-// model in logit space, logit(ρ_in) = a + b·logit(ρ), with (a, b) fitted
-// on the Pareto front of a (ρ_in, ρ_glu) grid search over WikiText-style
+// model in logit space, logit(ρ_in) = a + b·logit(ρ), with (a, b) =
+// (0.62, 1.53) fitted on the Pareto front of a (ρ_in, ρ_glu) grid search over WikiText-style
 // perplexity (the fig12 experiment regenerates that calibration). On the
 // trained analogs the front allocates the *input* side more density than
 // the down projection — pruning residual-stream coordinates is the more
 // damaging of DIP's two approximations.
 func AllocateDIP(target float64) (rhoIn, rhoGLU float64) {
-	const (
-		fitA = 0.62
-		fitB = 1.53
-	)
-	if target <= 0 {
-		return 0.02, 0.02
-	}
-	if target >= 1 {
-		return 1, 1
-	}
-	rhoIn = tensor.Expit(fitA + fitB*tensor.Logit(target))
-	rhoGLU = 3*target - 2*rhoIn
-	// Enforce the density constraint within (0.02, 1] on both fractions.
-	if rhoGLU < 0.02 {
-		rhoIn -= (0.02 - rhoGLU) / 2
-		rhoGLU = 0.02
-	}
-	if rhoGLU > 1 {
-		rhoIn += (rhoGLU - 1) / 2
-		rhoGLU = 1
-	}
-	if rhoIn > 1 {
-		rhoGLU += 2 * (rhoIn - 1)
-		rhoIn = 1
-	}
-	if rhoIn < 0.02 {
-		rhoIn = 0.02
-	}
-	if rhoGLU > 1 {
-		rhoGLU = 1
-	}
-	return rhoIn, rhoGLU
+	return FittedAllocator{A: 0.62, B: 1.53}.Allocate(target)
 }
