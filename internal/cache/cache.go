@@ -97,15 +97,7 @@ func NewGroupCache(policy Policy, capacity, nunits int) *GroupCache {
 	if nunits < 0 {
 		panic("cache: negative unit universe")
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	if capacity > nunits {
-		capacity = nunits
-	}
-	if policy == PolicyNone {
-		capacity = 0
-	}
+	capacity = clampCapacity(policy, capacity, nunits)
 	g := &GroupCache{
 		policy:   policy,
 		capacity: capacity,
@@ -119,6 +111,30 @@ func NewGroupCache(policy Policy, capacity, nunits int) *GroupCache {
 		g.pos[u] = -1
 	}
 	return g
+}
+
+// clampCapacity is the capacity NewGroupCache gives a group: capacity
+// clamped to [0, nunits], and 0 when the policy caches nothing.
+func clampCapacity(policy Policy, capacity, nunits int) int {
+	if policy == PolicyNone || capacity < 0 {
+		return 0
+	}
+	return min(capacity, nunits)
+}
+
+// Reset empties the cache in place back to what NewGroupCache built with
+// the same arguments: nothing resident, every key, the clock and the
+// statistics zero, and no Belady trace.
+func (g *GroupCache) Reset() {
+	clear(g.resident)
+	clear(g.key)
+	for u := range g.pos {
+		g.pos[u] = -1
+	}
+	g.heap = g.heap[:0]
+	g.count, g.clock = 0, 0
+	g.future, g.cursor, g.syncPos = nil, nil, 0
+	g.stats = Stats{}
 }
 
 // Capacity returns the unit capacity.
@@ -383,6 +399,40 @@ func NewModelCache(policy Policy, caps, nunits [][sparsity.NumGroups]int) *Model
 		}
 	}
 	return mc
+}
+
+// Matches reports whether mc is laid out as NewModelCache(policy, caps,
+// nunits) lays one out — the same groups with the same universes and
+// capacities — so that after a Reset it cannot be told from a new one.
+func (mc *ModelCache) Matches(policy Policy, caps, nunits [][sparsity.NumGroups]int) bool {
+	if mc.Policy != policy || len(mc.groups) != len(caps) || len(caps) != len(nunits) {
+		return false
+	}
+	for l, gs := range mc.groups {
+		for g, gc := range gs {
+			n := nunits[l][g]
+			if gc == nil {
+				if n > 0 {
+					return false
+				}
+			} else if gc.nunits != n || gc.capacity != clampCapacity(policy, caps[l][g], n) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Reset empties every group (see GroupCache.Reset), so the cache is again
+// what NewModelCache built.
+func (mc *ModelCache) Reset() {
+	for l := range mc.groups {
+		for _, gc := range mc.groups[l] {
+			if gc != nil {
+				gc.Reset()
+			}
+		}
+	}
 }
 
 // Resident implements sparsity.CacheView: the group's live residency slice,

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sparsity"
@@ -219,6 +220,50 @@ func TestModelCacheAccessAndView(t *testing.T) {
 	st := mc.TotalStats()
 	if st.Hits != 3 || st.Misses != 3 {
 		t.Fatalf("total stats: %+v", st)
+	}
+}
+
+// A ModelCache that served accesses and was Reset is the one its
+// constructor builds, and Matches names exactly the constructor arguments
+// it can stand in for: the serving engine pools caches on that test.
+func TestModelCacheResetAndMatches(t *testing.T) {
+	caps, nunits := denseUniverse()
+	mc := NewModelCache(PolicyLFU, caps, nunits)
+	var ta sparsity.TokenAccess
+	ta.Groups[sparsity.GroupUpGate] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{1, 2, 3, 4, 5}}
+	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessDense}
+	for l := 0; l < 2; l++ {
+		mc.Access(l, &ta)
+		mc.Access(l, &ta)
+	}
+	mc.Reset()
+	if fresh := NewModelCache(PolicyLFU, caps, nunits); !reflect.DeepEqual(mc, fresh) {
+		t.Fatalf("Reset left %+v, the constructor builds %+v", mc, fresh)
+	}
+	other, wider := [][sparsity.NumGroups]int{caps[0], caps[1]}, [][sparsity.NumGroups]int{nunits[0], nunits[1]}
+	other[0][sparsity.GroupDown]--
+	wider[1][sparsity.GroupDown]++
+	for _, c := range []struct {
+		name         string
+		policy       Policy
+		caps, nunits [][sparsity.NumGroups]int
+		match        bool
+	}{
+		{"same arguments", PolicyLFU, caps, nunits, true},
+		{"another policy", PolicyLRU, caps, nunits, false},
+		{"another capacity", PolicyLFU, other, nunits, false},
+		{"another universe", PolicyLFU, caps, wider, false},
+		{"another layer count", PolicyLFU, caps[:1], nunits[:1], false},
+	} {
+		if got := mc.Matches(c.policy, c.caps, c.nunits); got != c.match {
+			t.Errorf("%s: Matches = %v, want %v", c.name, got, c.match)
+		}
+	}
+	// A capacity past the universe is clamped to it, by both.
+	full, over := [][sparsity.NumGroups]int{caps[0], caps[1]}, [][sparsity.NumGroups]int{caps[0], caps[1]}
+	full[1][sparsity.GroupDown], over[1][sparsity.GroupDown] = nunits[1][sparsity.GroupDown], 100
+	if !NewModelCache(PolicyLFU, full, nunits).Matches(PolicyLFU, over, nunits) {
+		t.Error("a cache at a clamped capacity does not match the unclamped arguments")
 	}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -301,6 +302,10 @@ func TestVictimSequenceMatchesScan(t *testing.T) {
 // FuzzGroupCacheVictims decodes bytes into a policy, a universe, a capacity
 // and an access script (255 is a dense access; any other byte is a list
 // length, followed by that many unit bytes) and holds the heap to the scan.
+// It then holds Reset to the constructor, under LRU, LFU, and None in place
+// of Belady: a cache that ran the script and was Reset equals a new one
+// field for field, and runs the script backwards with the same hits,
+// misses, victims and statistics.
 func FuzzGroupCacheVictims(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 9, 2, 1, 4, 255, 3, 1, 2, 3})
@@ -355,7 +360,42 @@ func FuzzGroupCacheVictims(f *testing.F) {
 					policy, capacity, nunits, i, dense[i], units, err)
 			}
 		}
+
+		if policy == PolicyBelady {
+			policy = PolicyNone
+		}
+		used := NewGroupCache(policy, capacity, nunits)
+		for i, units := range script {
+			access(used, dense[i], units)
+		}
+		used.Reset()
+		fresh := NewGroupCache(policy, capacity, nunits)
+		if !reflect.DeepEqual(used, fresh) {
+			t.Fatalf("%v capacity %d of %d: Reset left %+v, the constructor builds %+v", policy, capacity, nunits, used, fresh)
+		}
+		for i := len(script) - 1; i >= 0; i-- {
+			uh, um := access(used, dense[i], script[i])
+			fh, fm := access(fresh, dense[i], script[i])
+			if uh != fh || um != fm {
+				t.Fatalf("%v after Reset, backward access %d: hits/misses %d/%d, a new cache %d/%d", policy, i, uh, um, fh, fm)
+			}
+			if !reflect.DeepEqual(used.resident, fresh.resident) || used.Stats() != fresh.Stats() {
+				t.Fatalf("%v after Reset, backward access %d: residency %v stats %+v, a new cache %v %+v",
+					policy, i, used.resident, used.Stats(), fresh.resident, fresh.Stats())
+			}
+			if err := checkHeap(used); err != nil {
+				t.Fatalf("%v after Reset, backward access %d: %v", policy, i, err)
+			}
+		}
 	})
+}
+
+// access runs one script entry against g.
+func access(g *GroupCache, dense bool, units []int) (hits, misses int) {
+	if dense {
+		return g.AccessDense()
+	}
+	return g.AccessSparse(units)
 }
 
 // Belady's next-use order cannot be kept in a heap keyed when a unit was

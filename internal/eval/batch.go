@@ -10,8 +10,8 @@ import (
 // model-level decode arena, the per-slot scheme/view/access tables, and the
 // sparsity batch scratch. One arena serves one batch of streams at a time
 // (it is not safe for concurrent BatchStep calls); everything inside is
-// sized lazily and reused, so steady-state batched decode allocates only
-// the per-token KV-cache entries every decoder appends.
+// sized lazily and reused, and the decoders reuse their KV slots, so
+// steady-state batched decode allocates nothing here.
 type BatchArena struct {
 	db      model.DecodeBatch
 	sps     sparsity.BatchScratch

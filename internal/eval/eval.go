@@ -27,6 +27,10 @@ func NewDensityAccumulator(m *model.Model) *DensityAccumulator {
 	return &DensityAccumulator{dim: m.Cfg.Dim, dff: m.Cfg.DFF}
 }
 
+// Reset empties the accumulator back to what NewDensityAccumulator built,
+// keeping its MLP dims.
+func (d *DensityAccumulator) Reset() { d.sum, d.n = 0, 0 }
+
 // Add records one TokenAccess.
 func (d *DensityAccumulator) Add(ta *sparsity.TokenAccess) {
 	d.sum += ta.Density(d.dim, d.dff)

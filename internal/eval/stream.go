@@ -65,6 +65,12 @@ func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win
 // serving path (NewStreamWith), where StreamOpts.Deferred additionally
 // buffers each token's accesses for an explicitly ordered Commit instead of
 // applying them inside Step.
+//
+// Reuse recycles a finished stream and must leave it exactly as
+// NewStreamWith builds it: every counter, sum and the meter zeroed, the
+// density accumulator Reset, the decoder rewound at the first Step. It keeps
+// storage only — the decoder's KV slots and scratch, the accumulator, the
+// pending buffers and, when handed back, the scheme clone.
 type Stream struct {
 	m      *model.Model
 	s      sparsity.Scheme
@@ -74,7 +80,7 @@ type Stream struct {
 
 	plan  *hwsim.Plan
 	mc    *cache.ModelCache
-	meter *hwsim.Meter
+	meter hwsim.Meter
 	acc   *DensityAccumulator
 	hook  model.MLPHook
 	dec   *model.Decoder
@@ -135,9 +141,9 @@ func NewStream(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig
 		}
 		mc := plan.NewCache(cache.PolicyBelady)
 		mc.SetTraces(rec)
-		return newCoupled(m, s, tokens, win, total, plan, mc), nil
+		return new(Stream).couple(m, s, tokens, win, total, plan, mc), nil
 	}
-	return newCoupled(m, s, tokens, win, total, plan, plan.NewCache(cfg.Policy)), nil
+	return new(Stream).couple(m, s, tokens, win, total, plan, plan.NewCache(cfg.Policy)), nil
 }
 
 // NewStreamWith builds a stream against a caller-owned plan and cache — the
@@ -145,35 +151,61 @@ func NewStream(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig
 // Belady is rejected: its oracle needs a fixed single-stream future, which
 // an online multi-stream cache does not have.
 func NewStreamWith(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig, opts StreamOpts) (*Stream, error) {
-	if err := cfg.Validate(); err != nil {
+	st := new(Stream)
+	if err := st.Reuse(m, s, tokens, cfg, opts); err != nil {
 		return nil, err
-	}
-	if opts.Plan == nil || opts.Cache == nil {
-		return nil, fmt.Errorf("eval: StreamOpts.Plan and StreamOpts.Cache are required")
-	}
-	if cfg.Policy == cache.PolicyBelady {
-		return nil, fmt.Errorf("eval: Belady policy is not available for shared-cache streams")
-	}
-	tokens, win, total := evalWindow(m, tokens, cfg)
-	st := newCoupled(m, s, tokens, win, total, opts.Plan, opts.Cache)
-	if opts.Deferred {
-		st.deferred = true
-		st.pending = make([]sparsity.TokenAccess, len(m.Blocks))
 	}
 	return st, nil
 }
 
-// newCoupled wires a stream whose hook records every layer's accesses
-// against mc, with the meter and density accumulator attached.
-func newCoupled(m *model.Model, s sparsity.Scheme, tokens []int, win, total int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
-	st := &Stream{
-		m: m, s: s, tokens: tokens, win: win, total: total,
-		plan: plan, mc: mc, meter: plan.NewMeter(), acc: NewDensityAccumulator(m),
+// Reuse rebuilds st in place as the stream NewStreamWith(m, s, tokens, cfg,
+// opts) would return, keeping only its storage (see Stream): the serving
+// engine's way to give a finished session's stream to the next request. s
+// may be st.Scheme() when the new request runs the scheme the old one was
+// cloned from. On error st must not be used again.
+func (st *Stream) Reuse(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig, opts StreamOpts) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	st.hook = func(layer int, x tensor.Vec) tensor.Vec {
-		y, ta := st.s.Forward(layer, x, st.m.Blocks[layer].MLP, st.mc)
-		st.record(layer, &ta)
-		return y
+	if opts.Plan == nil || opts.Cache == nil {
+		return fmt.Errorf("eval: StreamOpts.Plan and StreamOpts.Cache are required")
+	}
+	if cfg.Policy == cache.PolicyBelady {
+		return fmt.Errorf("eval: Belady policy is not available for shared-cache streams")
+	}
+	tokens, win, total := evalWindow(m, tokens, cfg)
+	st.couple(m, s, tokens, win, total, opts.Plan, opts.Cache)
+	if opts.Deferred {
+		st.deferred = true
+		if len(st.pending) != len(m.Blocks) {
+			st.pending = make([]sparsity.TokenAccess, len(m.Blocks))
+		}
+	}
+	return nil
+}
+
+// couple resets st to a fresh stream over tokens whose hook records every
+// layer's accesses against mc, with a zeroed meter and density accumulator
+// attached. The decoder, accumulator, hook and pending buffers carry over
+// (the decoder and accumulator only for the same model); the decoder is
+// rewound at the first Step.
+func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, total int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
+	acc, dec := st.acc, st.dec
+	if acc == nil || st.m != m {
+		acc, dec = NewDensityAccumulator(m), nil
+	}
+	acc.Reset()
+	*st = Stream{
+		m: m, s: s, tokens: tokens, win: win, total: total,
+		plan: plan, mc: mc, meter: *plan.NewMeter(), acc: acc,
+		hook: st.hook, dec: dec, pending: st.pending,
+	}
+	if st.hook == nil {
+		st.hook = func(layer int, x tensor.Vec) tensor.Vec {
+			y, ta := st.s.Forward(layer, x, st.m.Blocks[layer].MLP, st.mc)
+			st.record(layer, &ta)
+			return y
+		}
 	}
 	return st
 }
@@ -321,7 +353,7 @@ func (st *Stream) Restart() {
 	st.pos, st.winPos = 0, 0
 	st.winCE, st.ce = 0, 0
 	st.preds = 0
-	st.acc = NewDensityAccumulator(st.m)
+	st.acc.Reset()
 }
 
 // Done reports whether every token has been consumed.
@@ -337,6 +369,9 @@ func (st *Stream) Decoded() int { return st.decoded }
 
 // TotalTokens returns the number of tokens the stream will consume.
 func (st *Stream) TotalTokens() int { return st.total }
+
+// Scheme returns the scheme instance the stream runs.
+func (st *Stream) Scheme() sparsity.Scheme { return st.s }
 
 // Cache returns the cache the stream is coupled to.
 func (st *Stream) Cache() *cache.ModelCache { return st.mc }

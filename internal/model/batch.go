@@ -15,9 +15,9 @@ type BatchMLPHook func(layer int, xs *tensor.Mat, out *tensor.Mat)
 // DecodeBatch is the scratch arena of fused multi-session decode steps: the
 // per-slot residual vectors, the gathered batch matrices handed to the
 // multi-RHS kernels, and the nn-level scratch. A zero value is ready to
-// use; everything is sized lazily and reused across steps, so a
-// steady-state StepBatch allocates nothing here (the only per-step
-// allocations are the appended KV entries, as in the single path).
+// use; everything is sized lazily and reused across steps, and the decoders'
+// KV caches reuse their slots as in the single path, so a StepBatch over
+// decoders that have each filled a window allocates nothing.
 type DecodeBatch struct {
 	x      []tensor.Vec // per-slot residual streams
 	buf    tensor.Vec   // per-slot norm staging (serial across slots)
@@ -61,7 +61,7 @@ func (s *DecodeBatch) ensure(m *Model, B int) {
 // The per-decoder MLPHook installed by NewDecoder is NOT consulted: hook is
 // required and replaces it for the whole batch. Apart from that
 // substitution, StepBatch is bit-identical per column to calling
-// decs[b].Step(ids[b]) independently — same KV appends, same accumulation
+// decs[b].Step(ids[b]) independently — same KV slots, same accumulation
 // orders — which is what makes the serving engine's fused and per-session
 // paths interchangeable.
 func (m *Model) StepBatch(decs []*Decoder, ids []int, hook BatchMLPHook, s *DecodeBatch) *tensor.Mat {
@@ -77,9 +77,7 @@ func (m *Model) StepBatch(decs []*Decoder, ids []int, hook BatchMLPHook, s *Deco
 		if d.pos >= m.Cfg.MaxSeq {
 			panic("model: decoder exceeded MaxSeq")
 		}
-		x := s.x[b]
-		copy(x, m.Embed.Tok.W.Row(ids[b]))
-		x.Add(m.Embed.Pos.W.Row(d.pos))
+		m.Embed.At(ids[b], d.pos, s.x[b])
 		d.pos++
 	}
 	for l, blk := range m.Blocks {

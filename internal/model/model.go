@@ -242,10 +242,11 @@ type Decoder struct {
 	pos    int
 	hook   MLPHook
 	// Per-session scratch: decoding is sequential by nature, so one set of
-	// buffers serves every step without reallocation.
-	buf, out tensor.Vec
-	mlp      nn.MLPScratch
-	attn     nn.AttnBatchScratch
+	// buffers serves every step without reallocation — the residual stream,
+	// the norm staging, the MLP output and the logits Step returns.
+	x, buf, out, logits tensor.Vec
+	mlp                 nn.MLPScratch
+	attn                nn.AttnBatchScratch
 }
 
 // NewDecoder returns a fresh decoding session.
@@ -258,8 +259,10 @@ func (m *Model) NewDecoder(hook MLPHook) *Decoder {
 		m:      m,
 		caches: caches,
 		hook:   hook,
+		x:      tensor.NewVec(m.Cfg.Dim),
 		buf:    tensor.NewVec(m.Cfg.Dim),
 		out:    tensor.NewVec(m.Cfg.Dim),
+		logits: tensor.NewVec(m.Cfg.Vocab),
 	}
 }
 
@@ -267,8 +270,8 @@ func (m *Model) NewDecoder(hook MLPHook) *Decoder {
 func (d *Decoder) Pos() int { return d.pos }
 
 // Reset rewinds the decoder to position zero, truncating the KV caches in
-// place and keeping the scratch buffers — a fresh context window without
-// reallocation. The hook and its state carry over.
+// place and keeping their slots and the scratch buffers — a fresh context
+// window without reallocation. The hook and its state carry over.
 func (d *Decoder) Reset() {
 	d.pos = 0
 	for _, c := range d.caches {
@@ -277,13 +280,15 @@ func (d *Decoder) Reset() {
 	}
 }
 
-// Step consumes one token id and returns the logits for the next token.
-// It panics when the positional table is exhausted.
+// Step consumes one token id and returns the logits for the next token,
+// valid until the next Step. It panics when the positional table is
+// exhausted. Every buffer it writes is the decoder's own, so a decoder that
+// has already decoded a whole window allocates nothing per step.
 func (d *Decoder) Step(id int) tensor.Vec {
 	if d.pos >= d.m.Cfg.MaxSeq {
 		panic("model: decoder exceeded MaxSeq")
 	}
-	x := d.m.Embed.At(id, d.pos)
+	x := d.m.Embed.At(id, d.pos, d.x)
 	d.pos++
 	buf := d.buf
 	for l, b := range d.m.Blocks {
@@ -300,7 +305,7 @@ func (d *Decoder) Step(id int) tensor.Vec {
 		x.Add(out)
 	}
 	d.m.NormF.Apply(x, buf)
-	return d.m.Head.Apply(buf, nil)
+	return d.m.Head.Apply(buf, d.logits)
 }
 
 // TrainStep runs one forward/backward pass over a sequence, accumulating

@@ -181,8 +181,25 @@ func (a *Attention) Backward(dys []tensor.Vec, c *attnCtx) []tensor.Vec {
 }
 
 // KVCache holds the per-layer key/value history for incremental decoding.
+// Truncating it (Ks[:0], Vs[:0], as Decoder.Reset does) keeps the vectors
+// beyond the new length in the backing arrays, and the next steps write
+// their keys and values into those slots instead of allocating.
 type KVCache struct {
 	Ks, Vs []tensor.Vec
+}
+
+// push extends the history by one position and returns its key and value
+// slots, of width n, for the caller to overwrite: the vectors a truncation
+// left behind when there are any, fresh ones otherwise.
+func (c *KVCache) push(n int) (k, v tensor.Vec) {
+	t := len(c.Ks)
+	if t < cap(c.Ks) && t < cap(c.Vs) {
+		c.Ks, c.Vs = c.Ks[:t+1], c.Vs[:t+1]
+	} else {
+		c.Ks, c.Vs = append(c.Ks, nil), append(c.Vs, nil)
+	}
+	c.Ks[t], c.Vs[t] = tensor.Grow(c.Ks[t], n), tensor.Grow(c.Vs[t], n)
+	return c.Ks[t], c.Vs[t]
 }
 
 // Step runs attention for one new position given the cache, appends the new
@@ -191,7 +208,9 @@ type KVCache struct {
 // teacher-forced value. The query, context, score and output buffers are
 // slot 0 of s — the buffers StepBatch uses for column 0 — so the returned
 // vector is valid until the next Step on s; nil allocates. The key and value
-// are retained by the cache and are the step's two allocations.
+// are written into the cache's next slot, which allocates only the first
+// time the history reaches that length: once a decoder has filled a window,
+// every later window's steps allocate nothing.
 func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch) tensor.Vec {
 	var local AttnBatchScratch
 	if s == nil {
@@ -202,8 +221,9 @@ func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch) tens
 	}
 	sl, n := &s.slots[0], a.NHeads*a.HeadDim
 	sl.q = tensor.MatVec(a.Wq.P.W, x, tensor.Grow(sl.q, n))
-	cache.Ks = append(cache.Ks, tensor.MatVec(a.Wk.P.W, x, nil))
-	cache.Vs = append(cache.Vs, tensor.MatVec(a.Wv.P.W, x, nil))
+	k, v := cache.push(a.NKV * a.HeadDim)
+	tensor.MatVec(a.Wk.P.W, x, k)
+	tensor.MatVec(a.Wv.P.W, x, v)
 	sl.cat = tensor.Grow(sl.cat, n)
 	sl.cat.Zero()
 	if T := len(cache.Ks); cap(sl.scores) < T {

@@ -56,11 +56,17 @@ type attnBatchSlot struct {
 type AttnBatchScratch struct {
 	Q, K, V, Cat *tensor.Mat
 	slots        []attnBatchSlot
+	// The running StepBatch's attention and caches, for attendCols: the
+	// per-slot fan-out is a method value bound once, so it allocates no
+	// closure per step.
+	a      *Attention
+	caches []*KVCache
+	cols   func(worker, lo, hi int)
 }
 
 // StepBatch runs one incremental attention step for B independent sessions
 // sharing the projection weights: xs (Dim × B) holds the post-norm inputs,
-// caches[b] is session b's KV history (appended to, exactly as Step does),
+// caches[b] is session b's KV history (extended, exactly as Step does),
 // and the outputs land in the columns of out (Dim × B, allocated when nil).
 // The four projections are fused multi-RHS products; the per-session
 // score/softmax/context loops — which read disjoint KV caches — fan out
@@ -75,29 +81,39 @@ func (a *Attention) StepBatch(xs *tensor.Mat, caches []*KVCache, out *tensor.Mat
 	s.Q = tensor.MatVecBatch(a.Wq.P.W, xs, tensor.ReuseMat(s.Q, a.NHeads*hd, B))
 	s.K = tensor.MatVecBatch(a.Wk.P.W, xs, tensor.ReuseMat(s.K, a.NKV*hd, B))
 	s.V = tensor.MatVecBatch(a.Wv.P.W, xs, tensor.ReuseMat(s.V, a.NKV*hd, B))
-	// Appended keys/values are retained by the caches, so they are the one
-	// genuine per-step allocation — the same two the single path makes.
+	// Each cache's next slot, reused as in the single path.
 	for b, c := range caches {
-		c.Ks = append(c.Ks, s.K.Col(b, tensor.NewVec(a.NKV*hd)))
-		c.Vs = append(c.Vs, s.V.Col(b, tensor.NewVec(a.NKV*hd)))
+		k, v := c.push(a.NKV * hd)
+		s.K.Col(b, k)
+		s.V.Col(b, v)
 	}
 	for len(s.slots) < B {
 		s.slots = append(s.slots, attnBatchSlot{})
 	}
 	s.Cat = tensor.ReuseMat(s.Cat, a.NHeads*hd, B)
-	parallel.For(B, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			sl := &s.slots[b]
-			sl.q = s.Q.Col(b, tensor.Grow(sl.q, a.NHeads*hd))
-			sl.cat = tensor.Grow(sl.cat, a.NHeads*hd)
-			sl.cat.Zero()
-			sl.scores = tensor.Grow(sl.scores, len(caches[b].Ks))
-			a.attend(sl.q, caches[b], sl.cat, sl.scores)
-			s.Cat.SetCol(b, sl.cat)
-		}
-	})
+	if s.cols == nil {
+		s.cols = s.attendCols
+	}
+	s.a, s.caches = a, caches
+	parallel.ForWorker(B, 1, s.cols)
+	s.a, s.caches = nil, nil
 	if out == nil {
 		out = tensor.NewMat(a.Dim, B)
 	}
 	return tensor.MatVecBatch(a.Wo.P.W, s.Cat, out)
+}
+
+// attendCols runs StepBatch's per-slot score → softmax → context loop for
+// columns [lo, hi).
+func (s *AttnBatchScratch) attendCols(_, lo, hi int) {
+	a, n := s.a, s.a.NHeads*s.a.HeadDim
+	for b := lo; b < hi; b++ {
+		sl := &s.slots[b]
+		sl.q = s.Q.Col(b, tensor.Grow(sl.q, n))
+		sl.cat = tensor.Grow(sl.cat, n)
+		sl.cat.Zero()
+		sl.scores = tensor.Grow(sl.scores, len(s.caches[b].Ks))
+		a.attend(sl.q, s.caches[b], sl.cat, sl.scores)
+		s.Cat.SetCol(b, sl.cat)
+	}
 }

@@ -79,17 +79,20 @@ func (e *Embedding) Forward(ids []int) []tensor.Vec {
 	}
 	xs := make([]tensor.Vec, len(ids))
 	for t, id := range ids {
-		xs[t] = e.At(id, t)
+		xs[t] = e.At(id, t, nil)
 	}
 	return xs
 }
 
-// At returns the embedding for a single (id, position) pair, used by the
-// incremental decoder.
-func (e *Embedding) At(id, pos int) tensor.Vec {
-	x := e.Tok.W.Row(id).Clone()
-	x.Add(e.Pos.W.Row(pos))
-	return x
+// At writes the embedding of a single (id, position) pair into dst and
+// returns it — the incremental decoders' residual stream; nil allocates.
+func (e *Embedding) At(id, pos int, dst tensor.Vec) tensor.Vec {
+	if dst == nil {
+		dst = tensor.NewVec(e.Tok.W.Cols)
+	}
+	copy(dst, e.Tok.W.Row(id))
+	dst.Add(e.Pos.W.Row(pos))
+	return dst
 }
 
 // Backward scatter-adds the position-wise gradients into both tables.

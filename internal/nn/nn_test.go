@@ -337,7 +337,7 @@ func TestEmbeddingAtMatchesForward(t *testing.T) {
 	ids := []int{1, 2, 3}
 	xs := emb.Forward(ids)
 	for t2, id := range ids {
-		x := emb.At(id, t2)
+		x := emb.At(id, t2, nil)
 		for i := range x {
 			if x[i] != xs[t2][i] {
 				t.Fatal("At disagrees with Forward")

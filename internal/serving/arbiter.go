@@ -56,13 +56,26 @@ func Policies() []ArbPolicy {
 }
 
 // grant issues a newly admitted (or resumed) session a private cache at its
-// policy share of the budget and records the share on the session.
+// policy share of the budget and records the share on the session: the
+// newest pooled cache, Reset, when there is one, else a new one.
 func (e *Engine) grant(sess *Session) *cache.ModelCache {
-	sess.Share = 1.0 // ArbExclusive: the full over-committed budget
-	if e.cfg.Arb == ArbFairShare {
-		sess.Share = 1 / float64(e.cfg.MaxActive)
+	sess.Share = grantShare(e.cfg)
+	if n := len(e.spareCaches); n > 0 {
+		mc := e.spareCaches[n-1]
+		e.spareCaches = e.spareCaches[:n-1]
+		mc.Reset()
+		return mc
 	}
-	return cache.NewModelCache(e.cfg.System.Policy, scaledCaps(e.plan.Caps, sess.Share), e.plan.NUnits)
+	return cache.NewModelCache(e.cfg.System.Policy, e.caps, e.plan.NUnits)
+}
+
+// grantShare is the budget fraction of a private grant: the full
+// over-committed budget under ArbExclusive, 1/MaxActive under fair share.
+func grantShare(cfg Config) float64 {
+	if cfg.Arb == ArbFairShare {
+		return 1 / float64(cfg.MaxActive)
+	}
+	return 1
 }
 
 // scaledCaps scales per-layer per-group unit capacities by a budget

@@ -233,7 +233,8 @@ func Reconcile(pkg string, checks []ObsCheck) error {
 }
 
 // Finalize closes a run at the given tick count and assembles the Report —
-// Run's last step when the workload drains, and a stepped driver's.
+// Run's last step when the workload drains, and a stepped driver's — from
+// the rows terminate folded, in submission order.
 func (e *Engine) Finalize(ticks int) *Report {
 	wall := time.Since(e.wallStart) //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
 	r := &Report{
@@ -261,50 +262,18 @@ func (e *Engine) Finalize(ticks int) *Report {
 		if s == nil || s.state != Done {
 			continue // never here, migrated away, or — a run cut short — unfinished
 		}
-		if s.outcome == OutcomeShed {
-			// Shed at admission control (or degraded away): never admitted,
-			// never decoded. A deadlined shed request is an SLO miss.
-			r.Sessions = append(r.Sessions, SessionMetrics{
-				ID: s.ID, Index: s.Index, SLO: s.SLO, Outcome: OutcomeShed,
-				ArriveTick: s.ArriveTick, FinishTick: s.finishTick,
-				FinishTime:   float64(s.finishTick),
-				Turnaround:   float64(s.finishTick - s.ArriveTick),
-				DeadlineTick: s.Deadline,
-			})
-			continue
-		}
-		pt := s.stream.Point()
-		finishTime := float64(s.finishTick)
-		if s.finishSub > 0 && s.finishSub < e.cfg.Quantum {
-			finishTime = float64(s.finishTick-1) + float64(s.finishSub)/float64(e.cfg.Quantum)
-		}
-		sm := SessionMetrics{
-			ID: s.ID, Index: s.Index, Point: pt,
-			Tokens: s.stream.Pos(), Decoded: s.stream.Decoded(),
-			Share: s.Share, SLO: s.SLO, AdmitRank: s.AdmitRank,
-			ArriveTick: s.ArriveTick, AdmitTick: s.admitTick, FinishTick: s.finishTick,
-			QueueTicks:       s.admitTick - s.ArriveTick,
-			TurnaroundTicks:  s.finishTick - s.ArriveTick,
-			FinishSubStep:    s.finishSub,
-			FinishTime:       finishTime,
-			Turnaround:       finishTime - float64(s.ArriveTick),
-			DeadlineTick:     s.Deadline,
-			Attained:         s.outcome == OutcomeOK && finishTime <= float64(s.Deadline),
-			Preemptions:      s.preempts,
-			ResumeDelayTicks: s.resumeDelay,
-			Outcome:          s.outcome,
-			Faults:           s.faultCount,
-			Retries:          s.attempts - 1,
-			RecoverTicks:     s.recoverTicks,
-		}
-		r.Sessions = append(r.Sessions, sm)
+		sm := &s.row
+		r.Sessions = append(r.Sessions, *sm)
 		r.TotalTokens += sm.Decoded
-		simSeconds += pt.LatencyS * float64(sm.Decoded)
-		h, m := s.stream.Traffic()
-		hits += h
-		misses += m
-		simLats = append(simLats, pt.LatencyS)
-		if s.outcome == OutcomeOK {
+		simSeconds += sm.Point.LatencyS * float64(sm.Decoded)
+		hits += s.hits
+		misses += s.misses
+		if sm.Decoded > 0 {
+			// A session that decoded nothing (shed, shorter than one window,
+			// or ended before its first step) has no per-token latency.
+			simLats = append(simLats, sm.Point.LatencyS)
+		}
+		if sm.Outcome == OutcomeOK {
 			r.GoodTokens += sm.Tokens
 		}
 	}
@@ -328,6 +297,47 @@ func (e *Engine) Finalize(ticks int) *Report {
 	r.SLOAttainRate = sum.AttainRate
 	r.Classes = sum.Classes
 	return r
+}
+
+// fold computes a terminated session's report row and cache traffic from
+// its stream, the last read of it before terminate recycles the stream.
+func (e *Engine) fold(s *Session) {
+	if s.outcome == OutcomeShed {
+		// Shed at admission control (or degraded away): never admitted,
+		// never decoded. A deadlined shed request is an SLO miss.
+		s.row = SessionMetrics{
+			ID: s.ID, Index: s.Index, SLO: s.SLO, Outcome: OutcomeShed,
+			ArriveTick: s.ArriveTick, FinishTick: s.finishTick,
+			FinishTime:   float64(s.finishTick),
+			Turnaround:   float64(s.finishTick - s.ArriveTick),
+			DeadlineTick: s.Deadline,
+		}
+		return
+	}
+	finishTime := float64(s.finishTick)
+	if s.finishSub > 0 && s.finishSub < e.cfg.Quantum {
+		finishTime = float64(s.finishTick-1) + float64(s.finishSub)/float64(e.cfg.Quantum)
+	}
+	s.row = SessionMetrics{
+		ID: s.ID, Index: s.Index, Point: s.stream.Point(),
+		Tokens: s.stream.Pos(), Decoded: s.stream.Decoded(),
+		Share: s.Share, SLO: s.SLO, AdmitRank: s.AdmitRank,
+		ArriveTick: s.ArriveTick, AdmitTick: s.admitTick, FinishTick: s.finishTick,
+		QueueTicks:       s.admitTick - s.ArriveTick,
+		TurnaroundTicks:  s.finishTick - s.ArriveTick,
+		FinishSubStep:    s.finishSub,
+		FinishTime:       finishTime,
+		Turnaround:       finishTime - float64(s.ArriveTick),
+		DeadlineTick:     s.Deadline,
+		Attained:         s.outcome == OutcomeOK && finishTime <= float64(s.Deadline),
+		Preemptions:      s.preempts,
+		ResumeDelayTicks: s.resumeDelay,
+		Outcome:          s.outcome,
+		Faults:           s.faultCount,
+		Retries:          s.attempts - 1,
+		RecoverTicks:     s.recoverTicks,
+	}
+	s.hits, s.misses = s.stream.Traffic()
 }
 
 // Summary is the aggregation of a set of session records that does not

@@ -174,7 +174,12 @@ type Session struct {
 	cause   Cause
 	outcome Outcome
 
-	stream *eval.Stream // nil until admitted
+	stream *eval.Stream // nil until admitted, and again once terminated
+
+	// row is the session's report row and hits/misses its cache traffic,
+	// both folded by terminate: all the report reads of a finished session.
+	row          SessionMetrics
+	hits, misses int64
 
 	// Simulated-clock timeline after arrival: admission and termination.
 	admitTick, finishTick int
@@ -336,6 +341,23 @@ type Engine struct {
 	arena    eval.BatchArena
 	batch    []*eval.Stream
 	stepEach func(worker, lo, hi int)
+
+	// Free lists: the streams and private caches of sessions that no longer
+	// hold them, for the next admission and grant to reuse. They are plain
+	// slices because only this engine's serial loop and its own stepTick
+	// touch them. caps is the capacity every private grant here has; a cache
+	// of any other shape (carried in from a differently configured engine)
+	// is dropped rather than pooled.
+	spareStreams []spareStream
+	spareCaches  []*cache.ModelCache
+	caps         [][sparsity.NumGroups]int
+}
+
+// spareStream is a pooled stream and the request scheme its clone was made
+// from, so a request of the same scheme can keep the clone.
+type spareStream struct {
+	st  *eval.Stream
+	src sparsity.Scheme
 }
 
 // NewEngine validates the configuration and lays out the shared memory
@@ -424,6 +446,7 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		retry:    cfg.Retry.WithDefaults(),
 		sessions: make([]*Session, len(reqs)),
 		batch:    make([]*eval.Stream, 0, cfg.MaxActive),
+		caps:     scaledCaps(plan.Caps, grantShare(cfg)),
 	}
 	e.stepEach = func(_, lo, hi int) {
 		for _, st := range e.batch[lo:hi] {
@@ -436,28 +459,31 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 	return e, nil
 }
 
-// probedBefore reports whether s is one of probed: the same pointer, or an
-// equal value of a comparable type. Requests that share a scheme touch the
-// same weight groups, so one probe forward stands for all of them; a scheme
-// of a type == would panic on is probed every time.
+// probedBefore reports whether s is one of probed. Requests that share a
+// scheme touch the same weight groups, so one probe forward stands for all
+// of them.
 func probedBefore(probed []sparsity.Scheme, s sparsity.Scheme) bool {
-	if !reflect.TypeOf(s).Comparable() {
-		return false
-	}
 	for _, p := range probed {
-		if p == s {
+		if sameScheme(p, s) {
 			return true
 		}
 	}
 	return false
 }
 
+// sameScheme reports whether a and b are one scheme: the same pointer, or
+// equal values of one comparable type. A scheme of a type == would panic on
+// is the same as nothing.
+func sameScheme(a, b sparsity.Scheme) bool {
+	ta := reflect.TypeOf(a)
+	return ta == reflect.TypeOf(b) && ta.Comparable() && a == b
+}
+
 // SharedCache returns the shared cache under ArbShared, else nil.
 func (e *Engine) SharedCache() *cache.ModelCache { return e.shared }
 
 // admit gives a queued session its first slot: an arbitrated cache grant, a
-// fresh stream over a clone of the request's scheme, and the next admission
-// rank.
+// stream over a clone of the request's scheme, and the next admission rank.
 func (e *Engine) admit(sess *Session, tick, slot int) error {
 	req := &e.reqs[sess.Index]
 	var (
@@ -469,9 +495,7 @@ func (e *Engine) admit(sess *Session, tick, slot int) error {
 	} else {
 		mc = e.grant(sess)
 	}
-	st, err := eval.NewStreamWith(e.m, sparsity.Clone(req.Scheme), req.Tokens, e.cfg.System, eval.StreamOpts{
-		Plan: e.plan, Cache: mc, Deferred: deferred,
-	})
+	st, err := e.newStream(req, eval.StreamOpts{Plan: e.plan, Cache: mc, Deferred: deferred})
 	if err != nil {
 		return fmt.Errorf("serving: admitting %q: %w", req.ID, err)
 	}
@@ -510,6 +534,41 @@ func (e *Engine) resume(sess *Session, tick, slot int) {
 		if regranted {
 			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindGrant, Session: sess.ID, Detail: shareDetail(sess.Share)})
 		}
+	}
+}
+
+// newStream builds the stream a session is admitted with, recycling the
+// newest spare when there is one: a spare whose clone was made from the
+// request's own scheme keeps that clone, any other is given a fresh one.
+// Reuse leaves the spare as NewStreamWith would build it, so which spare a
+// request gets changes nothing it reports.
+func (e *Engine) newStream(req *Request, opts eval.StreamOpts) (*eval.Stream, error) {
+	n := len(e.spareStreams)
+	if n == 0 {
+		return eval.NewStreamWith(e.m, sparsity.Clone(req.Scheme), req.Tokens, e.cfg.System, opts)
+	}
+	i := n - 1
+	for j := i; j >= 0; j-- {
+		if sameScheme(e.spareStreams[j].src, req.Scheme) {
+			i = j
+			break
+		}
+	}
+	sp := e.spareStreams[i]
+	e.spareStreams[i] = e.spareStreams[n-1]
+	e.spareStreams = e.spareStreams[:n-1]
+	s := sp.st.Scheme()
+	if !sameScheme(sp.src, req.Scheme) {
+		s = sparsity.Clone(req.Scheme)
+	}
+	return sp.st, sp.st.Reuse(e.m, s, req.Tokens, e.cfg.System, opts)
+}
+
+// spareCache pools a private cache no session holds any more, if it has
+// this engine's grant shape. The shared cache is never pooled.
+func (e *Engine) spareCache(mc *cache.ModelCache) {
+	if mc != nil && mc != e.shared && mc.Matches(e.cfg.System.Policy, e.caps, e.plan.NUnits) {
+		e.spareCaches = append(e.spareCaches, mc)
 	}
 }
 
@@ -556,7 +615,7 @@ func (e *Engine) displace(sess *Session, tick, slot int, cause Cause) {
 		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindSuspend, Session: sess.ID, Detail: row.detail})
 	}
 	if row.destructive || e.cfg.Arb == ArbFairShare {
-		e.detach(sess)
+		e.spareCache(e.detach(sess))
 		if row.destructive {
 			sess.stream.Restart()
 		}
@@ -586,8 +645,9 @@ func retryDetail(attempt, backoff int) string {
 }
 
 // detach uncouples the session's stream from its cache, handing that cache
-// back (nil if already released). displace drops it — the grant's memory is
-// freed — while a migration hop ships a private one with the session.
+// back (nil if already released). displace and terminate pool it — the
+// grant's memory is free for the next grant — while a migration hop ships a
+// private one with the session.
 func (e *Engine) detach(sess *Session) *cache.ModelCache {
 	mc := sess.stream.Cache()
 	sess.stream.Release()
@@ -596,11 +656,15 @@ func (e *Engine) detach(sess *Session) *cache.ModelCache {
 
 // terminate is the single exit from the lifecycle: it stamps the outcome
 // and finish tick, counts and logs the outcome, and posts the Finished
-// notice stepTick hands back to the workload. The stream stays with the
-// record, so the report still prices the partial work of failed and
-// cancelled sessions. Shed sessions leave from the queue — the caller has
-// logged the shed or degrade event that stands in for a finish — and
-// everything else from a slot.
+// notice stepTick hands back to the workload. It folds the session into its
+// report row — the SessionMetrics Finalize reports, plus the stream's cache
+// traffic — so the report still prices the partial work of failed and
+// cancelled sessions, and then returns the stream (decoder and KV slots,
+// scheme clone, meter, density accumulator, pending buffers) and any
+// private cache to the engine's free lists: a finished record holds no
+// decode state. Shed sessions leave from the queue, never having had a
+// stream — the caller has logged the shed or degrade event that stands in
+// for a finish — and everything else from a slot.
 func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
 	from := Active
 	if oc == OutcomeShed {
@@ -613,6 +677,12 @@ func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
 		e.failed++
 	case OutcomeShed:
 		e.shedCount++
+	}
+	e.fold(sess)
+	if st := sess.stream; st != nil {
+		e.spareCache(e.detach(sess))
+		e.spareStreams = append(e.spareStreams, spareStream{st: st, src: e.reqs[sess.Index].Scheme})
+		sess.stream = nil
 	}
 	e.emitFinish(tick, slot, sess)
 	e.fin = append(e.fin, Finished{Index: sess.Index, ID: sess.ID, Tick: tick})

@@ -583,3 +583,50 @@ func TestDIPForwardReusesItsOwnTopKScratch(t *testing.T) {
 		t.Errorf("DIP.Forward allocates %v objects/call at steady state, want 0", a)
 	}
 }
+
+// Recycled clones: a serving engine hands a finished session's scheme clone
+// to the next request of the same scheme, so for every StatefulScheme a
+// clone that has already run Forward — on another layer, another input,
+// another cache view and a larger MLP, which resizes its scratch — must give
+// the same output and TokenAccess as a fresh clone.
+func TestUsedCloneForwardsLikeAFreshClone(t *testing.T) {
+	mlp := newTestMLP(41, 20, 60, nn.ActSiLU)
+	big := newTestMLP(42, 28, 84, nn.ActSiLU)
+	thr := []float32{0.02, 0.04, 0.06}
+	score := func(layer int, x tensor.Vec) tensor.Vec { // both MLPs have dff = 3·dim
+		s := tensor.NewVec(3 * len(x))
+		for i := range s {
+			s[i] = x[i%len(x)] * float32(i%7-layer)
+		}
+		return s
+	}
+	schemes := []StatefulScheme{
+		NewDIP(0.5), NewDIPCA(0.5, 0.2),
+		&GLUPrune{RhoGLU: 0.4}, &GLUOracle{Rho: 0.4}, &GatePrune{Rho: 0.4}, &UpPrune{Rho: 0.4},
+		&CATS{Thresholds: thr}, &Predictive{Rho: 0.4, Score: score},
+		&GLUThreshold{Mode: ThresholdPerLayer, PerLayer: thr, LastDensity: make([]float64, 3)},
+		&GLUThreshold{Mode: ThresholdPerToken, Rho: 0.4},
+	}
+	for _, s := range schemes {
+		t.Run(s.Name(), func(t *testing.T) {
+			used := Clone(s)
+			for layer := 0; layer < 3; layer++ {
+				used.Forward(layer, randVec(uint64(50+layer), big.Dim), big, parityView{salt: layer})
+			}
+			for layer := 0; layer < 3; layer++ {
+				x := randVec(uint64(60+layer), mlp.Dim)
+				view := parityView{salt: layer + 1}
+				want, wantTA := Clone(s).Forward(layer, x, mlp, view)
+				got, gotTA := used.Forward(layer, x, mlp, view)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("layer %d: out[%d] = %v from the used clone, %v from a fresh one", layer, i, got[i], want[i])
+					}
+				}
+				if err := accessEqual(&gotTA, &wantTA); err != nil {
+					t.Fatalf("layer %d: TokenAccess diverged: %v", layer, err)
+				}
+			}
+		})
+	}
+}
