@@ -119,7 +119,7 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 		Wall: serving.WallClock{Seconds: wall.Seconds()},
 	}
 	var hits, misses int64
-	var sessions []serving.SessionMetrics
+	sets := make([][]serving.SessionMetrics, len(c.nodes))
 	for n, e := range c.nodes {
 		nr := e.Finalize(ticks)
 		r.Nodes = append(r.Nodes, NodeReport{
@@ -141,23 +141,25 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 		r.Retries += nr.Retries
 		r.Failed += nr.Failed
 		r.Shed += nr.Shed
-		sessions = append(sessions, nr.Sessions...)
+		sets[n] = nr.Sessions
+		r.Sessions += len(nr.Sessions)
 	}
-	r.Sessions = len(sessions)
 	if t := hits + misses; t > 0 {
 		r.HitRate = float64(hits) / float64(t)
 	}
 	if r.Wall.Seconds > 0 {
 		r.Wall.TokS = float64(r.TotalTokens) / r.Wall.Seconds
 	}
-	agg := serving.Summarize(sessions)
+	agg := serving.Summarize(sets...)
 	r.QueueP50, r.QueueP99 = agg.QueueP50, agg.QueueP99
 	r.TurnaroundP50, r.TurnaroundP99 = agg.TurnaroundP50, agg.TurnaroundP99
 	r.Deadlined, r.Attained, r.SLOAttainRate = agg.Deadlined, agg.Attained, agg.AttainRate
 	r.Classes = agg.Classes
-	for _, sm := range sessions {
-		if c.migrated[sm.Index] {
-			r.MigratedWaitTicks += sm.ResumeDelayTicks
+	for _, sms := range sets {
+		for i := range sms {
+			if c.migrated[sms[i].Index] {
+				r.MigratedWaitTicks += sms[i].ResumeDelayTicks
+			}
 		}
 	}
 	if r.Migrations > 0 {

@@ -58,8 +58,9 @@ type HookOpts struct {
 // Hook builds a model.MLPHook evaluating the scheme with the requested
 // instrumentation.
 func Hook(m *model.Model, s sparsity.Scheme, opts HookOpts) model.MLPHook {
+	var dense sparsity.DenseScratch
 	return func(layer int, x tensor.Vec) tensor.Vec {
-		y, ta := s.Forward(layer, x, m.Blocks[layer].MLP, nil)
+		y, ta := sparsity.ForwardColumn(layer, s, x, m.Blocks[layer].MLP, nil, &dense)
 		if opts.Density != nil {
 			opts.Density.Add(&ta)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
@@ -246,6 +247,28 @@ func TestStreamStepsMatchSystemEvaluate(t *testing.T) {
 	}
 	if math.Abs(stDip.Point().PPL-ppl)/ppl > 1e-3 {
 		t.Fatalf("incremental ppl %v far from windowed ppl %v", stDip.Point().PPL, ppl)
+	}
+}
+
+// A stream gives a Dense scheme its own MLP storage, so once it has decoded
+// a whole window (KV slots and buffers built) a Dense Step allocates
+// nothing, exactly like a DIP-CA one, whose scheme owns its scratch.
+func TestStreamStepAllocatesNothingAfterTheFirstWindow(t *testing.T) {
+	trained(t)
+	defer parallel.SetProcs(parallel.Procs())
+	parallel.SetProcs(1)
+	cfg := SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU}
+	for _, s := range []sparsity.Scheme{sparsity.Dense{}, sparsity.NewDIPCA(0.5, 0.2)} {
+		st, err := NewStream(zoo.m, s, zoo.test, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < zoo.m.Cfg.MaxSeq; i++ {
+			st.Step()
+		}
+		if a := testing.AllocsPerRun(20, func() { st.Step() }); a != 0 {
+			t.Errorf("%s: Stream.Step allocates %v objects after the first window, want 0", s.Name(), a)
+		}
 	}
 }
 

@@ -70,7 +70,8 @@ func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win
 // NewStreamWith builds it: every counter, sum and the meter zeroed, the
 // density accumulator Reset, the decoder rewound at the first Step. It keeps
 // storage only — the decoder's KV slots and scratch, the accumulator, the
-// pending buffers and, when handed back, the scheme clone.
+// pending buffers, a Dense scheme's MLP storage and, when handed back, the
+// scheme clone.
 type Stream struct {
 	m      *model.Model
 	s      sparsity.Scheme
@@ -84,6 +85,7 @@ type Stream struct {
 	acc   *DensityAccumulator
 	hook  model.MLPHook
 	dec   *model.Decoder
+	dense sparsity.DenseScratch // a Dense scheme's MLP storage, built on first use
 
 	pos     int // tokens consumed
 	decoded int // tokens ever stepped, including work a Restart discarded
@@ -94,9 +96,8 @@ type Stream struct {
 
 	hits, misses int64 // this stream's cache traffic (mc may be shared)
 
-	deferred bool
-	pending  []sparsity.TokenAccess // per-layer buffer, valid when dirty
-	dirty    bool
+	deferred, dirty bool                   // side by side: one word, not two
+	pending         []sparsity.TokenAccess // per-layer buffer, valid when dirty
 }
 
 // StreamOpts configures NewStreamWith beyond the SystemConfig.
@@ -186,9 +187,9 @@ func (st *Stream) Reuse(m *model.Model, s sparsity.Scheme, tokens []int, cfg Sys
 
 // couple resets st to a fresh stream over tokens whose hook records every
 // layer's accesses against mc, with a zeroed meter and density accumulator
-// attached. The decoder, accumulator, hook and pending buffers carry over
-// (the decoder and accumulator only for the same model); the decoder is
-// rewound at the first Step.
+// attached. The decoder, accumulator, hook, Dense storage and pending
+// buffers carry over (the decoder and accumulator only for the same model);
+// the decoder is rewound at the first Step.
 func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, total int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
 	acc, dec := st.acc, st.dec
 	if acc == nil || st.m != m {
@@ -198,11 +199,11 @@ func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, t
 	*st = Stream{
 		m: m, s: s, tokens: tokens, win: win, total: total,
 		plan: plan, mc: mc, meter: *plan.NewMeter(), acc: acc,
-		hook: st.hook, dec: dec, pending: st.pending,
+		hook: st.hook, dec: dec, dense: st.dense, pending: st.pending,
 	}
 	if st.hook == nil {
 		st.hook = func(layer int, x tensor.Vec) tensor.Vec {
-			y, ta := st.s.Forward(layer, x, st.m.Blocks[layer].MLP, st.mc)
+			y, ta := sparsity.ForwardColumn(layer, st.s, x, st.m.Blocks[layer].MLP, st.mc, &st.dense)
 			st.record(layer, &ta)
 			return y
 		}

@@ -2,7 +2,7 @@ package serving
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/eval"
@@ -255,9 +255,18 @@ func (e *Engine) Finalize(ticks int) *Report {
 	if e.recoveries > 0 {
 		r.MeanRecoverTicks = float64(e.recoverTicks) / float64(e.recoveries)
 	}
+	done := 0
+	for _, s := range e.sessions {
+		if s != nil && s.state == Done {
+			done++
+		}
+	}
+	// The report holds each finished row once, and one float buffer serves
+	// every percentile series in turn: the fold copies nothing else.
+	r.Sessions = make([]SessionMetrics, 0, done)
+	series := make([]float64, 0, done)
 	var simSeconds float64
 	var hits, misses int64
-	simLats := make([]float64, 0, len(e.sessions))
 	for _, s := range e.sessions {
 		if s == nil || s.state != Done {
 			continue // never here, migrated away, or — a run cut short — unfinished
@@ -271,7 +280,7 @@ func (e *Engine) Finalize(ticks int) *Report {
 		if sm.Decoded > 0 {
 			// A session that decoded nothing (shed, shorter than one window,
 			// or ended before its first step) has no per-token latency.
-			simLats = append(simLats, sm.Point.LatencyS)
+			series = append(series, sm.Point.LatencyS)
 		}
 		if sm.Outcome == OutcomeOK {
 			r.GoodTokens += sm.Tokens
@@ -288,10 +297,8 @@ func (e *Engine) Finalize(ticks int) *Report {
 	if t := hits + misses; t > 0 {
 		r.HitRate = float64(hits) / float64(t)
 	}
-	r.SimLatencyP50 = Percentile(simLats, 0.50)
-	r.SimLatencyP90 = Percentile(simLats, 0.90)
-	r.SimLatencyP99 = Percentile(simLats, 0.99)
-	sum := Summarize(r.Sessions)
+	r.SimLatencyP50, r.SimLatencyP90, r.SimLatencyP99 = quantiles(series)
+	sum := summarize(series, [][]SessionMetrics{r.Sessions})
 	r.QueueP50, r.QueueP90, r.QueueP99 = sum.QueueP50, sum.QueueP90, sum.QueueP99
 	r.TurnaroundP50, r.TurnaroundP90, r.TurnaroundP99 = sum.TurnaroundP50, sum.TurnaroundP90, sum.TurnaroundP99
 	r.SLOAttainRate = sum.AttainRate
@@ -352,25 +359,32 @@ type Summary struct {
 	Classes []ClassMetrics
 }
 
-// Summarize aggregates session records. Queueing delay is over admitted
-// sessions (shed requests never queued to admission), turnaround over
-// completed ones, and attainment over deadlined sessions that were not
+// Summarize aggregates session records, given as one or more slices read
+// in place (a cluster passes its nodes' report rows). Queueing delay is over
+// admitted sessions (shed requests never queued to admission), turnaround
+// over completed ones, and attainment over deadlined sessions that were not
 // cancelled — a failed or shed deadlined request is a miss.
-func Summarize(sms []SessionMetrics) Summary {
+func Summarize(sets ...[]SessionMetrics) Summary {
+	return summarize(nil, sets)
+}
+
+// summarize is Summarize with a caller's float buffer, reused for every
+// series: each is gathered, sorted once, and read at p50, p90 and p99.
+func summarize(buf []float64, sets [][]SessionMetrics) Summary {
 	var s Summary
-	s.ClassMetrics, s.QueueP90, s.TurnaroundP90 = classMetrics("", sms)
-	byClass := make(map[string][]SessionMetrics)
-	for _, sm := range sms {
-		byClass[className(sm.SLO)] = append(byClass[className(sm.SLO)], sm)
+	var names []string
+	for _, sms := range sets {
+		for i := range sms {
+			if name := className(sms[i].SLO); !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
 	}
-	names := make([]string, 0, len(byClass))
-	for name := range byClass {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cm, _, _ := classMetrics(name, byClass[name])
-		s.Classes = append(s.Classes, cm)
+	slices.Sort(names)
+	s.ClassMetrics, s.QueueP90, s.TurnaroundP90, buf = classMetrics("", sets, buf)
+	s.Classes = make([]ClassMetrics, len(names))
+	for i, name := range names {
+		s.Classes[i], _, _, buf = classMetrics(name, sets, buf)
 	}
 	return s
 }
@@ -391,48 +405,76 @@ func attainRate(attained, deadlined int) float64 {
 	return float64(attained) / float64(deadlined)
 }
 
-// classMetrics aggregates one group of sessions, also returning the two p90
-// delays only the whole-set summary reports.
-func classMetrics(name string, sms []SessionMetrics) (cm ClassMetrics, queueP90, turnP90 float64) {
-	cm = ClassMetrics{Class: name, Sessions: len(sms)}
-	queues := make([]float64, 0, len(sms))
-	turns := make([]float64, 0, len(sms))
-	for _, sm := range sms {
-		if sm.Outcome != OutcomeShed {
-			queues = append(queues, float64(sm.QueueTicks))
-		}
-		if sm.Outcome == OutcomeOK {
-			turns = append(turns, sm.Turnaround)
-		}
-		if sm.DeadlineTick != NoDeadline && sm.Outcome != OutcomeCancelled {
-			cm.Deadlined++
-			if sm.Attained {
-				cm.Attained++
+// classMetrics aggregates the sessions of class name (every session when
+// name is empty), also returning the two p90 delays only the whole-set
+// summary reports. It gathers the queue series into buf, then the
+// turnaround series, and returns buf for the next class.
+func classMetrics(name string, sets [][]SessionMetrics, buf []float64) (cm ClassMetrics, queueP90, turnP90 float64, _ []float64) {
+	cm.Class = name
+	buf = buf[:0]
+	for _, sms := range sets {
+		for i := range sms {
+			sm := &sms[i]
+			if !inClass(sm, name) {
+				continue
+			}
+			cm.Sessions++
+			if sm.Outcome != OutcomeShed {
+				buf = append(buf, float64(sm.QueueTicks))
+			}
+			if sm.DeadlineTick != NoDeadline && sm.Outcome != OutcomeCancelled {
+				cm.Deadlined++
+				if sm.Attained {
+					cm.Attained++
+				}
 			}
 		}
 	}
 	cm.AttainRate = attainRate(cm.Attained, cm.Deadlined)
-	cm.QueueP50 = Percentile(queues, 0.50)
-	cm.QueueP99 = Percentile(queues, 0.99)
-	cm.TurnaroundP50 = Percentile(turns, 0.50)
-	cm.TurnaroundP99 = Percentile(turns, 0.99)
-	return cm, Percentile(queues, 0.90), Percentile(turns, 0.90)
+	cm.QueueP50, queueP90, cm.QueueP99 = quantiles(buf)
+	buf = buf[:0]
+	for _, sms := range sets {
+		for i := range sms {
+			if sm := &sms[i]; sm.Outcome == OutcomeOK && inClass(sm, name) {
+				buf = append(buf, sm.Turnaround)
+			}
+		}
+	}
+	cm.TurnaroundP50, turnP90, cm.TurnaroundP99 = quantiles(buf)
+	return cm, queueP90, turnP90, buf
 }
 
-// Percentile returns the nearest-rank p-quantile (p in [0,1]) of vals,
-// or 0 when empty. The input is not modified.
+// inClass reports whether sm belongs to class name ("" is every class).
+func inClass(sm *SessionMetrics, name string) bool {
+	return name == "" || className(sm.SLO) == name
+}
+
+// quantiles sorts vals in place and reads its p50, p90 and p99 by the rule
+// Percentile states (all 0 when empty).
+func quantiles(vals []float64) (p50, p90, p99 float64) {
+	if len(vals) == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(vals)
+	n := len(vals)
+	return vals[rank(n, 0.50)], vals[rank(n, 0.90)], vals[rank(n, 0.99)]
+}
+
+// Percentile returns the p-quantile (p in [0,1]) of vals, or 0 when empty:
+// the value of 1-based rank round(p·n) in ascending order, halves rounded
+// up and the rank clamped to [1, n]. That is not nearest-rank (⌈p·n⌉): at
+// n = 7, p = 0.9 it is the 6th smallest value, where nearest-rank gives the
+// 7th. The input is not modified.
 func Percentile(vals []float64, p float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	i := int(p*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	s := slices.Clone(vals)
+	slices.Sort(s)
+	return s[rank(len(s), p)]
+}
+
+// rank is the 0-based index Percentile reads from n ≥ 1 sorted values.
+func rank(n int, p float64) int {
+	return min(max(int(p*float64(n)+0.5)-1, 0), n-1)
 }

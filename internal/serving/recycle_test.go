@@ -2,7 +2,9 @@ package serving
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/eval"
 	"repro/internal/parallel"
@@ -124,5 +126,54 @@ func TestSimLatencyPercentilesCountOnlySessionsThatDecoded(t *testing.T) {
 	if rep.SimLatencyP50 != lat || rep.SimLatencyP90 != lat || rep.SimLatencyP99 != lat {
 		t.Fatalf("latency percentiles %v/%v/%v, want all %v (the one session that decoded)",
 			rep.SimLatencyP50, rep.SimLatencyP90, rep.SimLatencyP99, lat)
+	}
+}
+
+// Finalize folds the report without copying rows it does not keep: the
+// report's one slice of rows, one float buffer every percentile series is
+// sorted in, and a constant rest. Over 100 and 1000 sessions in three
+// classes it must allocate the same objects, and its bytes must stay within
+// one SessionMetrics row and one float per session plus a constant: the
+// fixed objects and the allocator's rounding of the two large slices (up to
+// one 8 KiB page each).
+func TestFinalizeAllocatesOneRowPerSession(t *testing.T) {
+	trained(t)
+	classes := []string{"", "batch", "interactive"}
+	row := float64(unsafe.Sizeof(SessionMetrics{}) + unsafe.Sizeof(float64(0)))
+	const slack = 20 << 10
+	finalize := func(n int) (objs, bytes float64) {
+		reqs := make([]Request, n)
+		for i := range reqs {
+			tokens := zoo.tokens[i%64 : i%64+20] // under one window: finishes undecoded
+			if i%10 == 0 {
+				tokens = zoo.tokens[40*i/10 : 40*i/10+32]
+			}
+			reqs[i] = Request{ID: fmt.Sprintf("f%04d", i), Scheme: sparsity.Dense{}, Tokens: tokens,
+				SLO: SLO{Class: classes[i%3], DeadlineTicks: 1 + i%40}}
+		}
+		e, rep := drain(t, "finalize", Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 8, Quantum: 8, Seed: 1}, FixedBatch(reqs))
+		if len(rep.Classes) != 3 || rep.Classes[0].Deadlined == 0 || rep.SimLatencyP99 == 0 {
+			t.Fatalf("scenario broken: %d classes, %d deadlined, p99 latency %v", len(rep.Classes), rep.Classes[0].Deadlined, rep.SimLatencyP99)
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			e.Finalize(rep.Ticks)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	objs100, bytes100 := finalize(100)
+	objs1000, bytes1000 := finalize(1000)
+	t.Logf("100 sessions: %v objects, %v B; 1000 sessions: %v objects, %v B; row %v B", objs100, bytes100, objs1000, bytes1000, row)
+	if objs100 != objs1000 {
+		t.Errorf("Finalize allocates %v objects over 100 sessions and %v over 1000, want equal", objs100, objs1000)
+	}
+	for _, c := range []struct{ n, bytes float64 }{{100, bytes100}, {1000, bytes1000}} {
+		if limit := c.n*row + slack; c.bytes > limit {
+			t.Errorf("Finalize over %v sessions allocates %v B, want ≤ %v (one row and one float per session + %d B)", c.n, c.bytes, limit, slack)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -345,18 +346,41 @@ func TestParseArbPolicy(t *testing.T) {
 	}
 }
 
+// Percentile reads 1-based rank round(p·n), halves up, clamped to [1, n]
+// — not nearest-rank's ⌈p·n⌉, which the last two rows tell apart — and the
+// report fold's quantiles read the same ranks from one sorted copy.
 func TestPercentile(t *testing.T) {
-	vals := []float64{4, 1, 3, 2}
-	if got := Percentile(vals, 0.5); got != 2 {
-		t.Fatalf("p50 = %v", got)
+	ascending := func(n int) []float64 { // 1..n, shuffled
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64((i*7919)%n + 1)
+		}
+		return vals
 	}
-	if got := Percentile(vals, 0.99); got != 4 {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	if vals[0] != 4 {
-		t.Fatal("Percentile mutated its input")
+	for _, tc := range []struct {
+		name string
+		vals []float64
+		p    float64
+		want float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"p0 is the minimum", []float64{4, 1, 3, 2}, 0, 1},
+		{"p1 is the maximum", []float64{4, 1, 3, 2}, 1, 4},
+		{"p50 of four", []float64{4, 1, 3, 2}, 0.5, 2},
+		{"p99 of four", []float64{4, 1, 3, 2}, 0.99, 4},
+		{"n=7 p90 is the 6th", ascending(7), 0.9, 6},
+		{"n=1070 p99 is the 1059th", ascending(1070), 0.99, 1059},
+	} {
+		in := slices.Clone(tc.vals)
+		if got := Percentile(tc.vals, tc.p); got != tc.want {
+			t.Errorf("%s: Percentile = %v, want %v", tc.name, got, tc.want)
+		}
+		if !slices.Equal(in, tc.vals) {
+			t.Errorf("%s: Percentile mutated its input", tc.name)
+		}
+		p50, p90, p99 := quantiles(slices.Clone(tc.vals))
+		if p50 != Percentile(tc.vals, 0.5) || p90 != Percentile(tc.vals, 0.9) || p99 != Percentile(tc.vals, 0.99) {
+			t.Errorf("%s: quantiles %v/%v/%v disagree with Percentile", tc.name, p50, p90, p99)
+		}
 	}
 }

@@ -20,13 +20,44 @@ import (
 // TestForwardBatchMatchesPerSessionForwardBitForBit.
 
 // BatchScratch holds the reusable buffers of ForwardBatch calls: the dense
-// path's intermediates and the column gather buffer. A zero value is ready;
-// buffers grow lazily and are reused, so steady-state batched decode does
-// not allocate here. It owns no unit lists: the TokenAccess.Units of a
-// pruned column alias that column's scheme instance (see ForwardBatch).
+// path's intermediates, the column gather buffer and a Dense column's
+// storage. A zero value is ready; buffers grow lazily and are reused, so
+// steady-state batched decode does not allocate here. It owns no unit
+// lists: the TokenAccess.Units of a pruned column alias that column's
+// scheme instance (see ForwardBatch).
 type BatchScratch struct {
 	dense nn.MLPBatchScratch
 	xcol  tensor.Vec
+	col   DenseScratch
+}
+
+// DenseScratch is the caller-owned storage ForwardColumn gives a Dense
+// column: its output and its MLP intermediates. The zero value is ready and
+// is one nil pointer; the buffers are allocated on first Dense use, so a
+// caller whose schemes are never Dense carries only that word.
+type DenseScratch struct{ p *denseBuffers }
+
+type denseBuffers struct {
+	out tensor.Vec
+	mlp nn.MLPScratch
+}
+
+// ForwardColumn evaluates one column: s.Forward, bit for bit, except that a
+// Dense scheme computes into ds through GLUMLP.ApplyInto, so it allocates
+// nothing after its first call. A Dense output aliases ds until the next
+// ForwardColumn with ds; every other scheme's output and unit lists alias
+// its own scratch, as Forward's do. Every decode loop steps a column with
+// it: the eval stream's MLP hook, eval.Hook and ForwardBatch's per-column
+// loop.
+func ForwardColumn(layer int, s Scheme, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView, ds *DenseScratch) (tensor.Vec, TokenAccess) {
+	if _, ok := s.(Dense); !ok {
+		return s.Forward(layer, x, mlp, cache)
+	}
+	if ds.p == nil {
+		ds.p = new(denseBuffers)
+	}
+	ds.p.out = mlp.ApplyInto(x, tensor.Reuse(ds.p.out, mlp.Dim), &ds.p.mlp)
+	return ds.p.out, denseAccess
 }
 
 // ForwardBatch evaluates one MLP layer for the B sessions whose post-norm
@@ -36,7 +67,7 @@ type BatchScratch struct {
 // instance and cache view (views may be nil or differ per session).
 //
 // An all-Dense batch runs nn.GLUMLP.ApplyBatch; every other batch is each
-// column's own Forward, in column order.
+// column's ForwardColumn, in column order.
 //
 // schemes[b] are distinct instances; stateless values such as Dense{} may
 // repeat. tas[b].Units alias schemes[b]'s own scratch and stay valid until
@@ -58,25 +89,16 @@ func ForwardBatch(layer int, schemes []Scheme, xs *tensor.Mat, mlp *nn.GLUMLP, c
 		}
 	}
 	if dense == B {
-		forwardBatchDense(xs, mlp, out, tas, s)
+		mlp.ApplyBatch(xs, out, &s.dense)
+		for b := range tas {
+			tas[b] = denseAccess
+		}
 		return
 	}
 	for b, sc := range schemes {
 		s.xcol = xs.Col(b, tensor.Reuse(s.xcol, mlp.Dim))
-		y, ta := sc.Forward(layer, s.xcol, mlp, caches[b])
+		y, ta := ForwardColumn(layer, sc, s.xcol, mlp, caches[b], &s.col)
 		out.SetCol(b, y)
 		tas[b] = ta
-	}
-}
-
-// forwardBatchDense is the fused no-pruning path: one ApplyBatch for the
-// whole batch, dense access records per session.
-func forwardBatchDense(xs *tensor.Mat, mlp *nn.GLUMLP, out *tensor.Mat, tas []TokenAccess, s *BatchScratch) {
-	mlp.ApplyBatch(xs, out, &s.dense)
-	for b := range tas {
-		tas[b] = TokenAccess{}
-		tas[b].Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-		tas[b].Groups[GroupDown] = GroupAccess{Kind: AccessDense}
 	}
 }

@@ -208,3 +208,37 @@ func TestForwardBatchAllDIPDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// A Dense column in a mixed batch computes into the batch scratch through
+// ForwardColumn, so a Dense+DIP batch allocates nothing after warm-up
+// either: the pruned columns run on their own scratch, the Dense ones on
+// the one DenseScratch they share in turn.
+func TestForwardBatchMixedDenseAndDIPAllocatesNothing(t *testing.T) {
+	defer parallel.SetProcs(parallel.Procs())
+	parallel.SetProcs(1)
+	rng := tensor.NewRNG(10)
+	mlp := nn.NewGLUMLP("m", 64, 192, nn.ActSiLU, rng)
+	const B = 4
+	xs := tensor.NewMat(mlp.Dim, B)
+	for i := range xs.Data {
+		xs.Data[i] = rng.NormFloat32()
+	}
+	schemes := []Scheme{Dense{}, NewDIPCA(0.5, 0.2), Dense{}, NewDIP(0.5)}
+	views := []CacheView{nil, parityView{salt: 1}, nil, nil}
+	var scratch BatchScratch
+	out := tensor.NewMat(mlp.Dim, B)
+	tas := make([]TokenAccess, B)
+	step := func() { ForwardBatch(0, schemes, xs, mlp, views, out, tas, &scratch) }
+	step()
+	for b, sc := range schemes {
+		want, _ := sc.Forward(0, xs.Col(b, nil), mlp, views[b])
+		for i := range want {
+			if out.At(i, b) != want[i] {
+				t.Fatalf("col %d: out[%d] = %v, its own Forward %v", b, i, out.At(i, b), want[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, step); a != 0 {
+		t.Errorf("ForwardBatch allocates %v objects/call on a Dense+DIP batch, want 0", a)
+	}
+}

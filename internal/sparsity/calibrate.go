@@ -45,6 +45,11 @@ type GLUThreshold struct {
 	// LastDensity records the GLU keep fraction of the most recent call per
 	// layer, letting Figure 4 report per-layer achieved densities.
 	LastDensity []float64
+
+	h, score, y tensor.Vec
+	glu         nn.MLPScratch
+	topk        tensor.TopKScratch
+	idx         []int
 }
 
 // Name implements Scheme.
@@ -64,11 +69,13 @@ func (s *GLUThreshold) CloneStateless() Scheme {
 
 // Forward implements Scheme.
 func (s *GLUThreshold) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
-	h := mlp.GLU(x, nil)
-	var idx []int
+	s.h = mlp.GLUInto(x, resize(s.h, mlp.DFF), &s.glu)
+	h := s.h
+	idx := s.idx[:0]
 	switch s.Mode {
 	case ThresholdPerToken:
-		idx = tensor.TopKIndices(absScores(h, nil), keepCount(s.Rho, mlp.DFF))
+		s.score = absScores(h, resize(s.score, mlp.DFF))
+		idx = tensor.TopKIndicesInto(s.score, keepCount(s.Rho, mlp.DFF), &s.topk, idx)
 	default:
 		thr := s.Global
 		if s.Mode == ThresholdPerLayer {
@@ -87,12 +94,13 @@ func (s *GLUThreshold) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheV
 	if len(s.LastDensity) > layer {
 		s.LastDensity[layer] = float64(len(idx)) / float64(mlp.DFF)
 	}
-	y := tensor.MatVecSparse(mlp.Down.P.W, h, idx, nil)
+	s.idx = idx
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, h, idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return y, ta
+	return s.y, ta
 }
 
 // LayerStats collects per-layer activation magnitudes from a calibration

@@ -16,9 +16,12 @@ type GLUPrune struct {
 	RhoGLU float64
 
 	// scratch reused across calls (schemes are used sequentially; parallel
-	// evaluations give each worker its own copy via Clone).
+	// evaluations give each worker its own copy via Clone). The schemes of
+	// this file keep their unit list in idx, valid until their next Forward.
 	h, score, y tensor.Vec
 	glu         nn.MLPScratch
+	topk        tensor.TopKScratch
+	idx         []int
 }
 
 // Name implements Scheme.
@@ -32,12 +35,12 @@ func (s *GLUPrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (te
 	s.h = mlp.GLUInto(x, resize(s.h, mlp.DFF), &s.glu)
 	k := keepCount(s.RhoGLU, mlp.DFF)
 	s.score = absScores(s.h, resize(s.score, mlp.DFF))
-	idx := tensor.TopKIndices(s.score, k)
-	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, idx, resize(s.y, mlp.Dim))
+	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, s.idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idx}
 	return s.y, ta
 }
 
@@ -75,6 +78,8 @@ type GatePrune struct {
 	Rho float64
 
 	g, score, y tensor.Vec
+	topk        tensor.TopKScratch
+	idx         []int
 }
 
 // Name implements Scheme.
@@ -95,13 +100,19 @@ func (s *GatePrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (t
 		s.score[i] = a
 	}
 	k := keepCount(s.Rho, mlp.DFF)
-	idx := tensor.TopKIndices(s.score, k)
-	s.y = sparseRowsOutput(mlp, x, s.g, idx, resize(s.y, mlp.Dim))
+	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
+	s.y = sparseRowsOutput(mlp, x, s.g, s.idx, resize(s.y, mlp.Dim))
+	return s.y, rowsAccess(s.idx)
+}
+
+// rowsAccess is the access record of the schemes that read W_g densely and
+// the units of W_u rows and W_d columns (Gate pruning, CATS).
+func rowsAccess(idx []int) TokenAccess {
 	var ta TokenAccess
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
 	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return s.y, ta
+	return ta
 }
 
 // sparseRowsOutput computes Σ_{i∈idx} W_d[:,i] · (W_u[i,:]·x) · σ(g_i)
@@ -121,6 +132,8 @@ type UpPrune struct {
 	Rho float64
 
 	u, score, y tensor.Vec
+	topk        tensor.TopKScratch
+	idx         []int
 }
 
 // Name implements Scheme.
@@ -134,16 +147,16 @@ func (s *UpPrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (ten
 	s.u = tensor.MatVec(mlp.Up.P.W, x, resize(s.u, mlp.DFF))
 	k := keepCount(s.Rho, mlp.DFF)
 	s.score = absScores(s.u, resize(s.score, mlp.DFF))
-	idx := tensor.TopKIndices(s.score, k)
+	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
 	// u becomes the GLU activation h on the kept units.
-	for _, i := range idx {
+	for _, i := range s.idx {
 		s.u[i] *= mlp.Act.Apply(mlp.Gate.P.W.Row(i).Dot(x))
 	}
-	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.u, idx, resize(s.y, mlp.Dim))
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.u, s.idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
+	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: s.idx}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idx}
 	return s.y, ta
 }
 
@@ -155,6 +168,7 @@ type CATS struct {
 	Thresholds []float32
 
 	g, y tensor.Vec
+	idx  []int
 }
 
 // Name implements Scheme.
@@ -172,7 +186,7 @@ func (s *CATS) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (te
 	thr := s.Thresholds[layer]
 	s.g = tensor.MatVec(mlp.Gate.P.W, x, resize(s.g, mlp.DFF))
 	g := s.g
-	idx := make([]int, 0, mlp.DFF/2)
+	idx := s.idx[:0]
 	for i, v := range g {
 		a := mlp.Act.Apply(v)
 		if a < 0 {
@@ -195,12 +209,9 @@ func (s *CATS) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (te
 		}
 		idx = append(idx, best)
 	}
+	s.idx = idx
 	s.y = sparseRowsOutput(mlp, x, g, idx, resize(s.y, mlp.Dim))
-	var ta TokenAccess
-	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return s.y, ta
+	return s.y, rowsAccess(idx)
 }
 
 // ScoreFunc produces predictor logits over the dff intermediate units for
@@ -218,6 +229,8 @@ type Predictive struct {
 	Score ScoreFunc
 
 	h, y tensor.Vec
+	topk tensor.TopKScratch
+	idx  []int
 }
 
 // Name implements Scheme.
@@ -232,15 +245,15 @@ func (s *Predictive) CloneStateless() Scheme {
 func (s *Predictive) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
 	scores := s.Score(layer, x)
 	k := keepCount(s.Rho, mlp.DFF)
-	idx := tensor.TopKIndices(scores, k)
+	s.idx = tensor.TopKIndicesInto(scores, k, &s.topk, s.idx)
 	s.h = resize(s.h, mlp.DFF)
-	for _, i := range idx {
+	for _, i := range s.idx {
 		s.h[i] = mlp.Up.P.W.Row(i).Dot(x) * mlp.Act.Apply(mlp.Gate.P.W.Row(i).Dot(x))
 	}
-	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, idx, resize(s.y, mlp.Dim))
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, s.idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
-	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: idx}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
+	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: s.idx}
+	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: s.idx}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idx}
 	return s.y, ta
 }

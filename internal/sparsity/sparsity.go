@@ -135,10 +135,10 @@ type Scheme interface {
 	// Forward computes the MLP output for x at the given layer and reports
 	// the weight units it read. cache may be nil; only cache-aware schemes
 	// consult it. Every TokenAccess.Units list is ascending. The returned
-	// vector and the Units lists may alias the scheme's scratch (DIP's do):
-	// they stay valid until the next Forward on the same scheme, so a caller
-	// that keeps them across calls copies them — the rule BatchScratch states
-	// for ForwardBatch.
+	// vector and the Units lists may alias the scheme's scratch (every
+	// StatefulScheme's do): they stay valid until the next Forward on the
+	// same scheme, so a caller that keeps them across calls copies them — the
+	// rule BatchScratch states for ForwardBatch.
 	Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) (tensor.Vec, TokenAccess)
 }
 
@@ -172,15 +172,20 @@ type Dense struct{}
 // Name implements Scheme.
 func (Dense) Name() string { return "dense" }
 
-// Forward implements Scheme: the full MLP, reading every weight. Dense
-// traffic is reported on the row-axis groups (the natural storage layout).
+// Forward implements Scheme: the full MLP, reading every weight, into a
+// fresh output. Decode loops call ForwardColumn instead, which gives Dense
+// caller-owned storage.
 func (Dense) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
-	var ta TokenAccess
-	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessDense}
-	return mlp.Apply(x), ta
+	return mlp.Apply(x), denseAccess
 }
+
+// denseAccess is every Dense evaluation's access record: all three
+// matrices, reported on the row-axis groups (the natural storage layout).
+var denseAccess = TokenAccess{Groups: [NumGroups]GroupAccess{
+	GroupUpRows:   {Kind: AccessDense},
+	GroupGateRows: {Kind: AccessDense},
+	GroupDown:     {Kind: AccessDense},
+}}
 
 // keepCount converts a density ρ into a unit count over n units, clamped
 // to [1, n] so a scheme never prunes everything.

@@ -550,37 +550,51 @@ func TestKeepCount(t *testing.T) {
 	}
 }
 
-// DIP selects its units into scratch it owns: the lists must be the ones a
-// fresh scheme (fresh key buffer, fresh index slices) would return, in the same
-// order, on every call; a clone must not share the buffers; and a warmed-up
-// Forward must not allocate.
-func TestDIPForwardReusesItsOwnTopKScratch(t *testing.T) {
+// Every stateful scheme selects its units into scratch it owns: the lists
+// must be the ones a fresh clone (fresh key buffer, fresh index slices)
+// would return, in the same order, on every call; a clone must not share the
+// buffers; and a warmed-up Forward must not allocate.
+func TestEveryStatefulForwardReusesItsScratchAndAllocatesNothing(t *testing.T) {
 	defer parallel.SetProcs(parallel.Procs())
 	parallel.SetProcs(1)
 	mlp := newTestMLP(31, 32, 64, nn.ActSiLU)
-	s := NewDIP(0.5)
-	for tok := uint64(0); tok < 5; tok++ {
-		x := randVec(40+tok, 32)
-		y, ta := s.Forward(0, x, mlp, nil)
-		wantY, want := NewDIP(0.5).Forward(0, x, mlp, nil)
-		if !vecClose(y, wantY, 0) {
-			t.Fatalf("token %d: output differs from a fresh scheme's", tok)
-		}
-		for _, g := range []GroupID{GroupUpGate, GroupDown} {
-			if !reflect.DeepEqual(ta.Groups[g].Units, want.Groups[g].Units) {
-				t.Fatalf("token %d %v: units %v, fresh scheme says %v", tok, g, ta.Groups[g].Units, want.Groups[g].Units)
+	thr := []float32{0.02, 0.04}
+	fixed := randVec(39, mlp.DFF)
+	score := func(int, tensor.Vec) tensor.Vec { return fixed }
+	for _, base := range []StatefulScheme{
+		NewDIP(0.5), NewDIPCA(0.5, 0.2),
+		&GLUPrune{RhoGLU: 0.4}, &GLUOracle{Rho: 0.4}, &GatePrune{Rho: 0.4}, &UpPrune{Rho: 0.4},
+		&CATS{Thresholds: thr}, &Predictive{Rho: 0.4, Score: score},
+		&GLUThreshold{Mode: ThresholdGlobal, Global: 0.03},
+		&GLUThreshold{Mode: ThresholdPerLayer, PerLayer: thr, LastDensity: make([]float64, 2)},
+		&GLUThreshold{Mode: ThresholdPerToken, Rho: 0.4},
+	} {
+		t.Run(base.Name(), func(t *testing.T) {
+			s := Clone(base)
+			view := parityView{salt: 1}
+			for tok := uint64(0); tok < 5; tok++ {
+				layer := int(tok % 2)
+				x := randVec(40+tok, 32)
+				y, ta := s.Forward(layer, x, mlp, view)
+				wantY, want := Clone(base).Forward(layer, x, mlp, view)
+				if !vecClose(y, wantY, 0) {
+					t.Fatalf("token %d: output differs from a fresh clone's", tok)
+				}
+				if err := accessEqual(&ta, &want); err != nil {
+					t.Fatalf("token %d: %v", tok, err)
+				}
 			}
-		}
-	}
-	_, ta := s.Forward(0, randVec(50, 32), mlp, nil)
-	kept := append([]int(nil), ta.Groups[GroupDown].Units...)
-	Clone(s).Forward(0, randVec(51, 32), mlp, nil)
-	if !reflect.DeepEqual(ta.Groups[GroupDown].Units, kept) {
-		t.Fatal("a clone's Forward overwrote the original's unit list")
-	}
-	x := randVec(52, 32)
-	if a := testing.AllocsPerRun(10, func() { s.Forward(0, x, mlp, nil) }); a != 0 {
-		t.Errorf("DIP.Forward allocates %v objects/call at steady state, want 0", a)
+			_, ta := s.Forward(0, randVec(50, 32), mlp, view)
+			kept := append([]int(nil), ta.Groups[GroupDown].Units...)
+			Clone(s).Forward(0, randVec(51, 32), mlp, view)
+			if !reflect.DeepEqual(ta.Groups[GroupDown].Units, kept) {
+				t.Fatal("a clone's Forward overwrote the original's unit list")
+			}
+			x := randVec(52, 32)
+			if a := testing.AllocsPerRun(10, func() { s.Forward(1, x, mlp, view) }); a != 0 {
+				t.Errorf("%s.Forward allocates %v objects/call at steady state, want 0", s.Name(), a)
+			}
+		})
 	}
 }
 
