@@ -99,7 +99,6 @@ type Cluster struct {
 	recs   []*obs.Recorder // per node; nil entries with Obs unset
 
 	drained    []bool
-	failTicks  []int // per node: executed ticks spent ground-truth dead
 	placements []int
 	migrated   map[int]bool       // request indices that crossed nodes
 	parked     []*serving.Migrant // migrants with nowhere to go during a total outage
@@ -210,7 +209,6 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 		nodes:          make([]*serving.Engine, len(cfg.Nodes)),
 		recs:           make([]*obs.Recorder, len(cfg.Nodes)),
 		drained:        make([]bool, len(cfg.Nodes)),
-		failTicks:      make([]int, len(cfg.Nodes)),
 		placements:     make([]int, len(cfg.Nodes)),
 		migrated:       map[int]bool{},
 		loads:          make([]Load, len(cfg.Nodes)),
@@ -264,11 +262,7 @@ func (c *Cluster) Events() []obs.Event {
 	if c.cfg.Obs == nil {
 		return nil
 	}
-	logs := make([][]obs.Event, len(c.recs))
-	for i, r := range c.recs {
-		logs[i] = r.Events()
-	}
-	return obs.MergeEvents(logs...)
+	return obs.MergeEvents(c.recs...)
 }
 
 // routable collects the nodes accepting placements at tick, in ascending

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -213,7 +215,7 @@ func must[T any](v T, err error) func(*testing.T) T {
 
 // drain builds a cluster over w and runs it to the end, failing the test,
 // prefixed with what, on any error, on a broken end-of-run invariant and,
-// with Obs set, on a ReconcileObs mismatch.
+// with Obs set, on a ReconcileObs mismatch or a broken merged log.
 func drain(t *testing.T, what string, cfg Config, w serving.Workload) (*Cluster, *Report) {
 	t.Helper()
 	c := must(New(zoo.m, cfg, w))(t)
@@ -223,8 +225,31 @@ func drain(t *testing.T, what string, cfg Config, w serving.Workload) (*Cluster,
 		if err := rep.ReconcileObs(); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
+		checkMerge(t, what, c)
 	}
 	return c, rep
+}
+
+// checkMerge holds the merged event log to its precondition and its
+// definition: every node's log is non-decreasing in Tick, and Events() is
+// the stable sort of the node-stamped concatenation by (Tick, node).
+func checkMerge(t *testing.T, what string, c *Cluster) {
+	t.Helper()
+	var want []obs.Event
+	for n, r := range c.recs {
+		log := r.Events()
+		for i, ev := range log {
+			if i > 0 && ev.Tick < log[i-1].Tick {
+				t.Fatalf("%s: node %d's event %d is at tick %d, after tick %d", what, n, i, ev.Tick, log[i-1].Tick)
+			}
+			ev.Node = n
+			want = append(want, ev)
+		}
+	}
+	slices.SortStableFunc(want, func(a, b obs.Event) int { return cmp.Compare(a.Tick, b.Tick) })
+	if !slices.Equal(c.Events(), want) {
+		t.Fatalf("%s: merged event log is not the stable sort of the node logs by (tick, node)", what)
+	}
 }
 
 // run is drain for a caller that needs only the report.

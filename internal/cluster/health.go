@@ -197,7 +197,6 @@ func (c *Cluster) detectTick(tick int) error {
 			c.failures++
 		}
 		if dead {
-			c.failTicks[n]++
 			c.deadTicks++
 		}
 		c.wasDead[n] = dead

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/serving"
+	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -46,4 +47,24 @@ func TestMigrantsRecycleOnTheNodeTheyFinishOn(t *testing.T) {
 			}
 		},
 	})
+}
+
+// The merged event log reads the node recorders in place: Events()
+// allocates the merged slice and nothing else.
+func TestEventsAllocatesOnlyTheMergedLog(t *testing.T) {
+	trained(t)
+	reqs := requests(t, 6,
+		func(i int) string { return fmt.Sprintf("t%d", i%3) },
+		func(i int) int { return 2 },
+		func(i int) serving.SLO { return serving.SLO{} })
+	c, _ := drain(t, "run", Config{
+		Nodes: replicas(3, serving.ArbExclusive, 2), Router: LeastLoaded(), Seed: 5,
+		Obs: &obs.Config{},
+	}, serving.FixedBatch(reqs))
+	if len(c.Events()) == 0 {
+		t.Fatal("scenario broken: the run emitted no events")
+	}
+	if n := testing.AllocsPerRun(10, func() { c.Events() }); n != 1 {
+		t.Errorf("Events() allocated %v objects, want 1 (the merged slice)", n)
+	}
 }

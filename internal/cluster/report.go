@@ -11,21 +11,15 @@ import (
 // NodeReport is one replica's slice of the cluster run.
 type NodeReport struct {
 	Node int
-	// Drained / FailedTicks record the node's lifecycle: whether it was
-	// administratively drained, and how many executed ticks it spent
-	// ground-truth dead.
-	Drained     bool
-	FailedTicks int
+	// Drained records whether the node was administratively drained.
+	Drained bool
 	// Crashes counts ground-truth outage onsets (scripted and unscripted);
 	// DetectLagTicks sums, over this node's confirmed real crashes, the
 	// ticks between the crash and the detector's confirmation.
 	Crashes        int
 	DetectLagTicks int
-	// StrandedRequests counts placements the router made onto this node
-	// while it was already dead; Rejoins counts its returns from Down into
-	// warm-up probation.
-	StrandedRequests int
-	Rejoins          int
+	// Rejoins counts the node's returns from Down into warm-up probation.
+	Rejoins int
 	// Placements counts arrivals the router admitted to this node
 	// (migrations excluded — a migrated session keeps its original
 	// placement credit).
@@ -68,8 +62,8 @@ type Report struct {
 
 	// Router metrics: per-node placement counts, imbalance (max/mean
 	// placements — 1.0 is a perfect spread), and cross-node queueing: the
-	// total and per-migrant mean ticks migrated sessions spent suspended
-	// (their ResumeDelayTicks, which spans the node hop).
+	// total ticks migrated sessions spent suspended (their
+	// ResumeDelayTicks, which spans the node hop).
 	Placements []int
 	Imbalance  float64
 	Migrations int
@@ -78,7 +72,6 @@ type Report struct {
 	// migrations.
 	Requeues          int
 	MigratedWaitTicks int
-	MeanMigrantWait   float64
 
 	// Lifecycle tallies: drains performed and ground-truth crash onsets.
 	Drains, Failures int
@@ -123,9 +116,8 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 	for n, e := range c.nodes {
 		nr := e.Finalize(ticks)
 		r.Nodes = append(r.Nodes, NodeReport{
-			Node: n, Drained: c.drained[n], FailedTicks: c.failTicks[n],
-			Crashes: c.crashes[n], DetectLagTicks: c.detectLagN[n],
-			StrandedRequests: c.strandedN[n], Rejoins: c.rejoinsN[n],
+			Node: n, Drained: c.drained[n],
+			Crashes: c.crashes[n], DetectLagTicks: c.detectLagN[n], Rejoins: c.rejoinsN[n],
 			Placements: c.placements[n], Report: nr,
 		})
 		r.Rejoins += c.rejoinsN[n]
@@ -161,9 +153,6 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 				r.MigratedWaitTicks += sms[i].ResumeDelayTicks
 			}
 		}
-	}
-	if r.Migrations > 0 {
-		r.MeanMigrantWait = float64(r.MigratedWaitTicks) / float64(r.Migrations)
 	}
 	if r.Confirms > 0 {
 		r.MeanDetectLag = float64(r.DetectLagTicks) / float64(r.Confirms)

@@ -5,11 +5,12 @@
 //
 // Design notes:
 //
-//   - For/ForWorker split [0, n) into at most Procs() contiguous blocks and
-//     run them on helper goroutines drawn from a global token bucket. When
-//     no helper token is available — including when a parallel region nests
-//     inside another — blocks run inline on the caller, so nesting can never
-//     deadlock and total concurrency stays bounded by Procs().
+//   - SetProcs starts procs−1 persistent workers once. For/ForWorker split
+//     [0, n) into at most Procs() contiguous blocks and hand each block past
+//     the first to an idle worker. When no worker is idle — including when a
+//     parallel region nests inside another — blocks run inline on the
+//     caller, so nesting can never deadlock and total concurrency stays
+//     bounded by Procs(). A fan-out allocates nothing of its own.
 //   - Determinism contract: every index is processed exactly once and block
 //     boundaries depend only on (n, grain, Procs()), never on scheduling.
 //     Callers write disjoint output slots per index, so results are
@@ -24,15 +25,39 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
-// limiter is an immutable snapshot of the pool configuration; SetProcs swaps
-// the whole snapshot so in-flight For calls keep a consistent view.
+// limiter is one pool configuration: its procs−1 workers, each either
+// parked in idle or running a block for the ForWorker call that took it.
+// SetProcs swaps the whole limiter, so in-flight calls keep a consistent
+// view, and retires the old one's workers as they come back idle.
 type limiter struct {
-	procs  int
-	tokens chan struct{}
+	procs   int
+	idle    chan *worker // capacity procs−1: every worker fits
+	retired atomic.Bool
+}
+
+// worker is one persistent pool goroutine. Only the ForWorker call that
+// took it from idle sends it a block, reads its done signal and links it
+// into that call's dispatched list through next.
+type worker struct {
+	run  chan block
+	done chan struct{}
+	next *worker
+}
+
+// block is one dispatched range of a ForWorker call.
+type block struct {
+	fn        func(worker, lo, hi int)
+	w, lo, hi int
+}
+
+func (wk *worker) loop() {
+	for b := range wk.run {
+		b.fn(b.w, b.lo, b.hi)
+		wk.done <- struct{}{}
+	}
 }
 
 var lim atomic.Pointer[limiter]
@@ -52,16 +77,39 @@ func Procs() int { return lim.Load().procs }
 
 // SetProcs resizes the pool to n workers (clamped to ≥ 1). n == 1 makes
 // every For call run serially inline. Safe to call concurrently with For;
-// regions already running keep their previous size.
+// regions already running keep their previous size, and the previous
+// pool's workers exit as soon as they are idle. Setting the current size
+// keeps the running pool.
 func SetProcs(n int) {
-	if n < 1 {
-		n = 1
+	n = max(n, 1)
+	if old := lim.Load(); old != nil && old.procs == n {
+		return
 	}
-	l := &limiter{procs: n, tokens: make(chan struct{}, n-1)}
+	l := &limiter{procs: n, idle: make(chan *worker, n-1)}
 	for i := 0; i < n-1; i++ {
-		l.tokens <- struct{}{}
+		wk := &worker{run: make(chan block, 1), done: make(chan struct{}, 1)}
+		go wk.loop()
+		l.idle <- wk
 	}
-	lim.Store(l)
+	if old := lim.Swap(l); old != nil {
+		// A worker still running a block is stopped by the ForWorker call
+		// that dispatched it: that call hands it back to idle, then sees
+		// the mark and drains.
+		old.retired.Store(true)
+		old.drain()
+	}
+}
+
+// drain stops every worker parked in idle.
+func (l *limiter) drain() {
+	for {
+		select {
+		case wk := <-l.idle:
+			close(wk.run)
+		default:
+			return
+		}
+	}
 }
 
 // plan returns the number of blocks and the block size For will use for a
@@ -112,28 +160,27 @@ func ForWorker(n, grain int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var dispatched *worker
 	for w := 1; w < blocks; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		select {
-		case <-l.tokens:
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer func() {
-					l.tokens <- struct{}{}
-					wg.Done()
-				}()
-				fn(w, lo, hi)
-			}(w, lo, hi)
+		case wk := <-l.idle:
+			wk.run <- block{fn: fn, w: w, lo: lo, hi: hi}
+			wk.next, dispatched = dispatched, wk
 		default:
-			// Pool saturated (or nested region): run on the caller.
+			// Every worker busy (or a nested region): run on the caller.
 			fn(w, lo, hi)
 		}
 	}
 	fn(0, 0, chunk)
-	wg.Wait()
+	for wk := dispatched; wk != nil; {
+		next := wk.next
+		<-wk.done
+		l.idle <- wk
+		wk = next
+	}
+	if l.retired.Load() {
+		l.drain()
+	}
 }

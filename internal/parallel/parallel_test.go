@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversRangeOnce(t *testing.T) {
@@ -105,4 +106,79 @@ func TestConcurrentForCallers(t *testing.T) {
 	if total.Load() != 8000 {
 		t.Fatalf("concurrent For processed %d items, want 8000", total.Load())
 	}
+}
+
+// A fan-out hands blocks to the pool's standing workers: after warm-up it
+// allocates nothing, nested regions included (fn is built once, as a
+// caller's per-worker method value is).
+func TestForWorkerDoesNotAlloc(t *testing.T) {
+	defer SetProcs(Procs())
+	SetProcs(2)
+	var out [4][64]int
+	var inner [4]func(_, lo, hi int)
+	for w := range inner {
+		inner[w] = func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[w][i]++
+			}
+		}
+	}
+	outer := func(_, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			ForWorker(len(out[w]), 8, inner[w])
+		}
+	}
+	ForWorker(len(out), 1, outer)
+	if n := testing.AllocsPerRun(100, func() { ForWorker(len(out[0]), 8, inner[0]) }); n != 0 {
+		t.Errorf("ForWorker allocated %v objects per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ForWorker(len(out), 1, outer) }); n != 0 {
+		t.Errorf("nested ForWorker allocated %v objects per call, want 0", n)
+	}
+	if want := 1 + 101 + 101; out[0][0] != want || out[3][63] != 1+101 {
+		t.Errorf("fan-outs ran %d and %d times, want %d and %d", out[0][0], out[3][63], want, 1+101)
+	}
+}
+
+// Resizing the pool retires the previous workers once they are idle, so a
+// long run of SetProcs calls with fan-outs (nested ones too) in between
+// leaves exactly the current pool's procs−1 goroutines behind.
+func TestSetProcsRetiresIdleWorkers(t *testing.T) {
+	defer SetProcs(Procs())
+	SetProcs(1)
+	base := quiet()
+	var total atomic.Int64
+	for range 50 {
+		for _, p := range []int{1, 4, 2, 1} {
+			SetProcs(p)
+			For(8, 1, func(lo, hi int) {
+				For(8, 1, func(lo2, hi2 int) { total.Add(int64((hi - lo) * (hi2 - lo2))) })
+			})
+		}
+	}
+	if total.Load() != 50*4*64 {
+		t.Fatalf("fan-outs processed %d items, want %d", total.Load(), 50*4*64)
+	}
+	for _, p := range []int{3, 1} {
+		SetProcs(p)
+		if got := quiet(); got != base+p-1 {
+			t.Fatalf("procs %d: %d goroutines once settled, want %d + %d", p, got, base, p-1)
+		}
+	}
+}
+
+// quiet returns the goroutine count once it has held still for 20 polls a
+// millisecond apart: retired workers exit asynchronously once their run
+// channel closes.
+func quiet() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; {
+		time.Sleep(time.Millisecond) //lint:allow wallclock waits for retired pool goroutines to exit; no report reads it
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }

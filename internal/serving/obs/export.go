@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,22 +58,71 @@ func Export(w io.Writer, format string, events []Event) error {
 
 // WriteJSONL writes one JSON object per line in emission order. Every
 // field is an integer or a registry string, so for a fixed seed the bytes
-// are identical across platforms, worker counts, and decode paths.
+// are identical across platforms, worker counts, and decode paths. The
+// lines are exactly what encoding/json makes of an Event (field order and
+// omitempty rules from its tags), built without reflection in one reused
+// buffer; an out-of-range Kind is json.Marshal's error.
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range events {
-		data, err := json.Marshal(ev)
-		if err != nil {
+	buf := make([]byte, 0, jsonlFlush+256)
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind < 0 || ev.Kind >= numKinds {
+			_, err := json.Marshal(ev)
 			return err
 		}
-		if _, err := bw.Write(data); err != nil {
-			return err
+		buf = append(buf, `{"tick":`...)
+		buf = strconv.AppendInt(buf, int64(ev.Tick), 10)
+		if ev.SubStep != 0 {
+			buf = append(buf, `,"substep":`...)
+			buf = strconv.AppendInt(buf, int64(ev.SubStep), 10)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
+		if ev.Node != 0 {
+			buf = append(buf, `,"node":`...)
+			buf = strconv.AppendInt(buf, int64(ev.Node), 10)
+		}
+		buf = append(buf, `,"slot":`...)
+		buf = strconv.AppendInt(buf, int64(ev.Slot), 10)
+		buf = append(buf, `,"kind":"`...)
+		buf = append(buf, kindNames[ev.Kind]...)
+		buf = append(buf, '"')
+		if ev.Session != "" {
+			buf = appendJSONString(append(buf, `,"session":`...), ev.Session)
+		}
+		if ev.Detail != "" {
+			buf = appendJSONString(append(buf, `,"detail":`...), ev.Detail)
+		}
+		buf = append(buf, "}\n"...)
+		if len(buf) >= jsonlFlush {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// jsonlFlush is the buffered byte count at which WriteJSONL writes through.
+const jsonlFlush = 4096
+
+// appendJSONString appends s as a JSON string. Printable ASCII that
+// encoding/json writes verbatim (everything but '"', '\\' and the HTML
+// characters '<', '>', '&') is copied as is; any other string is
+// json.Marshal's, so the bytes match encoding/json by construction.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(buf, quoted...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // traceEvent is one Chrome trace-event record (the subset of the spec the

@@ -265,11 +265,25 @@ type Recorder struct {
 	window int
 	bound  bool
 
-	events []Event
-	counts Counts
+	// The log is a list of fixed-size chunks, so no event is copied while
+	// it grows; flat caches Events()'s flattening of a multi-chunk log.
+	head, tail *chunk
+	n          int
+	flat       []Event
+	counts     Counts
 
 	tokens *Tracker
 	queue  *Tracker
+}
+
+// chunkEvents is the number of events per log chunk: 255 events and the
+// link fill one 18 KB allocation size class exactly.
+const chunkEvents = 255
+
+// chunk is one fixed-size block of the event log.
+type chunk struct {
+	events [chunkEvents]Event
+	next   *chunk
 }
 
 // NewRecorder builds a recorder. A negative window is a caller bug and
@@ -300,7 +314,18 @@ func (r *Recorder) Bind() error {
 
 // Emit appends one event to the log and folds it into the aggregate counts.
 func (r *Recorder) Emit(ev Event) {
-	r.events = append(r.events, ev)
+	i := r.n % chunkEvents
+	if i == 0 {
+		c := new(chunk)
+		if r.tail == nil {
+			r.head = c
+		} else {
+			r.tail.next = c
+		}
+		r.tail = c
+	}
+	r.tail.events[i] = ev
+	r.n++
 	switch ev.Kind {
 	case KindArrive:
 		r.counts.Arrivals++
@@ -376,9 +401,24 @@ func (r *Recorder) ObserveQueue(tick, depth int) {
 	r.queue.Observe(tick, int64(depth))
 }
 
-// Events returns the full event log in emission order. The slice is the
-// recorder's own backing store; callers must not mutate it.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the full event log in emission order; callers must not
+// mutate it. A log that fits in one chunk is returned in place; a longer one
+// is flattened once into an exactly sized slice the recorder keeps, so
+// repeated calls return the same slice until the next Emit.
+func (r *Recorder) Events() []Event {
+	switch {
+	case r.n == 0:
+		return nil
+	case r.n <= chunkEvents:
+		return r.head.events[:r.n:r.n]
+	case len(r.flat) != r.n:
+		r.flat = make([]Event, 0, r.n)
+		for c := r.head; c != nil; c = c.next {
+			r.flat = append(r.flat, c.events[:min(r.n-len(r.flat), chunkEvents)]...)
+		}
+	}
+	return r.flat
+}
 
 // Counts returns the aggregate event counts so far.
 func (r *Recorder) Counts() Counts { return r.counts }
@@ -396,35 +436,55 @@ func (r *Recorder) Snapshot(tick int) Snapshot {
 }
 
 // MergeEvents interleaves per-node event logs into one cluster-wide log:
-// each event is stamped with its log's index as Node, and the logs are
+// each event is stamped with its recorder's index as Node, and the logs are
 // k-way merged by (Tick, node index) with intra-node order preserved.
 // Engine logs are non-decreasing in Tick, so the merge is a total,
 // deterministic order — the cluster's analogue of one engine's log, safe
-// to byte-compare across worker counts.
-func MergeEvents(logs ...[]Event) []Event {
+// to byte-compare across worker counts. It reads the recorders' chunks in
+// place and allocates only the merged slice (for up to eight recorders).
+func MergeEvents(recs ...*Recorder) []Event {
 	total := 0
-	for _, l := range logs {
-		total += len(l)
+	for _, r := range recs {
+		total += r.n
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]Event, 0, total)
-	pos := make([]int, len(logs))
-	for len(out) < total {
+	var stack [8]cursor
+	cur := stack[:0]
+	if len(recs) > len(stack) {
+		cur = make([]cursor, 0, len(recs))
+	}
+	for _, r := range recs {
+		cur = append(cur, cursor{c: r.head, left: r.n})
+	}
+	out := make([]Event, total)
+	for k := range out {
 		best := -1
-		for n, l := range logs {
-			if pos[n] >= len(l) {
-				continue
-			}
-			if best < 0 || l[pos[n]].Tick < logs[best][pos[best]].Tick {
+		for n := range cur {
+			if cur[n].left > 0 && (best < 0 || cur[n].peek().Tick < cur[best].peek().Tick) {
 				best = n
 			}
 		}
-		ev := logs[best][pos[best]]
-		ev.Node = best
-		out = append(out, ev)
-		pos[best]++
+		out[k] = *cur[best].peek()
+		out[k].Node = best
+		cur[best].advance()
 	}
 	return out
+}
+
+// cursor walks one recorder's chunks: the next event is c.events[i], and
+// left events remain.
+type cursor struct {
+	c       *chunk
+	i, left int
+}
+
+func (c *cursor) peek() *Event { return &c.c.events[c.i] }
+
+func (c *cursor) advance() {
+	c.left--
+	if c.i++; c.i == chunkEvents {
+		c.c, c.i = c.c.next, 0
+	}
 }

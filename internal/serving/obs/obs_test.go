@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -232,15 +233,15 @@ func TestChromeTraceBalancesResidencySpans(t *testing.T) {
 // the detector's events are drawn.
 func TestChromeTraceSeparatesNodes(t *testing.T) {
 	events := MergeEvents(
-		[]Event{
-			{Tick: 0, Slot: 0, Kind: KindAdmit, Session: "a"},
-			{Tick: 1, Slot: 0, Kind: KindFinish, Session: "a", Detail: DetailOK},
-			{Tick: 3, Slot: -1, Kind: KindConfirm, Detail: DetailDown},
-		},
-		[]Event{
-			{Tick: 0, Slot: 0, Kind: KindAdmit, Session: "b"},
-			{Tick: 2, Slot: 0, Kind: KindFinish, Session: "b", Detail: DetailOK},
-		},
+		recorded(
+			Event{Tick: 0, Slot: 0, Kind: KindAdmit, Session: "a"},
+			Event{Tick: 1, Slot: 0, Kind: KindFinish, Session: "a", Detail: DetailOK},
+			Event{Tick: 3, Slot: -1, Kind: KindConfirm, Detail: DetailDown},
+		),
+		recorded(
+			Event{Tick: 0, Slot: 0, Kind: KindAdmit, Session: "b"},
+			Event{Tick: 2, Slot: 0, Kind: KindFinish, Session: "b", Detail: DetailOK},
+		),
 	)
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events); err != nil {
@@ -290,5 +291,78 @@ func TestChromeTraceSeparatesNodes(t *testing.T) {
 	}
 	if confirms != 1 {
 		t.Errorf("drew %d confirm instants, want 1", confirms)
+	}
+}
+
+// recorded returns a recorder that has emitted events.
+func recorded(events ...Event) *Recorder {
+	r := NewRecorder(Config{})
+	for _, ev := range events {
+		r.Emit(ev)
+	}
+	return r
+}
+
+// nodeLog is a log of n events on non-decreasing ticks, every event
+// distinguishable by its SubStep.
+func nodeLog(n, step int) []Event {
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{Tick: i / step, SubStep: i, Slot: -1, Kind: KindStepBatch}
+	}
+	return events
+}
+
+// The log grows chunk by chunk: Emit allocates one chunk per chunkEvents
+// events and copies nothing, and Events returns the emitted log, flattened
+// once when it spans chunks.
+func TestEmitAllocatesOnlyChunks(t *testing.T) {
+	for _, n := range []int{1, chunkEvents, 3*chunkEvents + 1} {
+		const runs = 20
+		recs := make([]*Recorder, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range recs {
+			recs[i] = NewRecorder(Config{})
+		}
+		events, next := nodeLog(n, 5), 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			r := recs[next]
+			next++
+			for _, ev := range events {
+				r.Emit(ev)
+			}
+		})
+		if limit := float64((n+chunkEvents-1)/chunkEvents + 1); allocs > limit {
+			t.Errorf("Emit of %d events allocated %v objects, want at most %v", n, allocs, limit)
+		}
+		got := recs[0].Events()
+		if !slices.Equal(got, events) {
+			t.Errorf("Events() after %d emits does not return them in order", n)
+		}
+		if again := recs[0].Events(); &again[0] != &got[0] {
+			t.Errorf("repeated Events() over %d events rebuilt the log", n)
+		}
+	}
+}
+
+// MergeEvents reads every recorder's chunks in place: its result is the
+// stable sort of the node-stamped concatenation by (Tick, node), for logs
+// of any length, empty ones included.
+func TestMergeEventsIsTheStableSortByTickThenNode(t *testing.T) {
+	logs := [][]Event{nodeLog(3*chunkEvents+7, 4), nil, nodeLog(chunkEvents, 3), nodeLog(40, 1)}
+	recs := make([]*Recorder, len(logs))
+	var want []Event
+	for n, l := range logs {
+		recs[n] = recorded(l...)
+		for _, ev := range l {
+			ev.Node = n
+			want = append(want, ev)
+		}
+	}
+	slices.SortStableFunc(want, func(a, b Event) int { return a.Tick - b.Tick })
+	if got := MergeEvents(recs...); !slices.Equal(got, want) {
+		t.Fatalf("MergeEvents diverged from the stable sort by (tick, node)")
+	}
+	if got := MergeEvents(recs[1]); got != nil {
+		t.Fatalf("merging one empty log gave %d events, want none", len(got))
 	}
 }
