@@ -5,20 +5,24 @@
 //
 // Design notes:
 //
-//   - SetProcs starts procs−1 persistent workers once. For/ForWorker split
-//     [0, n) into at most Procs() contiguous blocks and hand each block past
-//     the first to an idle worker. When no worker is idle — including when a
-//     parallel region nests inside another — blocks run inline on the
-//     caller, so nesting can never deadlock and total concurrency stays
-//     bounded by Procs(). A fan-out allocates nothing of its own.
+//   - SetProcs starts procs−1 persistent workers once. For/ForWorker cut
+//     [0, n) into at most 4·Procs() contiguous blocks (one at Procs()==1),
+//     store the call in the first idle worker, send every other idle worker
+//     to it, and claim block ids in ascending order beside them until none
+//     remain, so a goroutine that finishes a light block takes the next one
+//     instead of idling behind a heavy one. When no worker is idle —
+//     including when a parallel region nests inside another — every block
+//     runs inline on the caller in order, so nesting can never deadlock and
+//     total concurrency stays bounded by Procs(). A fan-out allocates
+//     nothing of its own.
 //   - Determinism contract: every index is processed exactly once and block
-//     boundaries depend only on (n, grain, Procs()), never on scheduling.
-//     Callers write disjoint output slots per index, so results are
-//     bit-identical for any worker count; Procs()==1 degenerates to a plain
-//     loop with no goroutines and no channel traffic.
-//   - ForWorker passes a stable worker (block) id in [0, Workers(n, grain)),
-//     letting callers keep per-worker scratch arenas: slot w is only ever
-//     touched by the goroutine running block w.
+//     boundaries and ids depend only on (n, grain, Procs()), never on which
+//     goroutine claims a block. Callers write disjoint output slots per
+//     index, so results are bit-identical for any worker count; Procs()==1
+//     degenerates to a plain loop with no goroutines and no channel traffic.
+//   - ForWorker passes each block's id in [0, Workers(n, grain)), letting
+//     callers keep per-block scratch arenas: slot w is only ever touched by
+//     the one goroutine that claimed block w.
 package parallel
 
 import (
@@ -29,7 +33,7 @@ import (
 )
 
 // limiter is one pool configuration: its procs−1 workers, each either
-// parked in idle or running a block for the ForWorker call that took it.
+// parked in idle or claiming blocks for the ForWorker call that took it.
 // SetProcs swaps the whole limiter, so in-flight calls keep a consistent
 // view, and retires the old one's workers as they come back idle.
 type limiter struct {
@@ -39,23 +43,51 @@ type limiter struct {
 }
 
 // worker is one persistent pool goroutine. Only the ForWorker call that
-// took it from idle sends it a block, reads its done signal and links it
-// into that call's dispatched list through next.
+// took it from idle sends it a job, reads its done signal and links it into
+// that call's dispatched list through next. The first worker a call takes
+// also holds that call's job, so a fan-out allocates nothing.
 type worker struct {
-	run  chan block
+	run  chan *job
 	done chan struct{}
 	next *worker
+	job  job
 }
 
-// block is one dispatched range of a ForWorker call.
-type block struct {
-	fn        func(worker, lo, hi int)
-	w, lo, hi int
+// job is one ForWorker call: [0, n) cut into blocks of chunk items, handed
+// out in id order to whichever goroutine claims next. Exactly one of fn and
+// fnRange is set.
+type job struct {
+	fn               func(worker, lo, hi int)
+	fnRange          func(lo, hi int)
+	n, chunk, blocks int
+	next             atomic.Int64 // the next unclaimed block id
+}
+
+// runBlock runs block w of j.
+func (j *job) runBlock(w int) {
+	lo := w * j.chunk
+	hi := min(lo+j.chunk, j.n)
+	if j.fnRange != nil {
+		j.fnRange(lo, hi)
+	} else {
+		j.fn(w, lo, hi)
+	}
+}
+
+// claim runs unclaimed blocks of j until none remain.
+func (j *job) claim() {
+	for {
+		w := int(j.next.Add(1) - 1)
+		if w >= j.blocks {
+			return
+		}
+		j.runBlock(w)
+	}
 }
 
 func (wk *worker) loop() {
-	for b := range wk.run {
-		b.fn(b.w, b.lo, b.hi)
+	for j := range wk.run {
+		j.claim()
 		wk.done <- struct{}{}
 	}
 }
@@ -87,7 +119,7 @@ func SetProcs(n int) {
 	}
 	l := &limiter{procs: n, idle: make(chan *worker, n-1)}
 	for i := 0; i < n-1; i++ {
-		wk := &worker{run: make(chan block, 1), done: make(chan struct{}, 1)}
+		wk := &worker{run: make(chan *job, 1), done: make(chan struct{}, 1)}
 		go wk.loop()
 		l.idle <- wk
 	}
@@ -112,19 +144,23 @@ func (l *limiter) drain() {
 	}
 }
 
-// plan returns the number of blocks and the block size For will use for a
-// range of n items with the given minimum grain per block.
+// blocksPerProc is how many blocks per pool worker plan cuts a range into
+// when the pool has more than one: a goroutine that finishes a light block
+// claims the next one instead of idling while another runs a heavy one.
+const blocksPerProc = 4
+
+// plan returns the number of blocks and the block size ForWorker will use
+// for a range of n items with the given minimum grain per block: at most
+// blocksPerProc·procs blocks, and one block at procs 1.
 func plan(n, grain, procs int) (blocks, chunk int) {
 	if grain < 1 {
 		grain = 1
 	}
-	w := (n + grain - 1) / grain
-	if w > procs {
-		w = procs
+	most := blocksPerProc * procs
+	if procs == 1 {
+		most = 1
 	}
-	if w < 1 {
-		w = 1
-	}
+	w := max(min((n+grain-1)/grain, most), 1)
 	chunk = (n + w - 1) / w
 	blocks = (n + chunk - 1) / chunk
 	return blocks, chunk
@@ -144,39 +180,67 @@ func Workers(n, grain int) int {
 // For runs fn over [0, n) as parallel blocks of at least grain items.
 // fn(lo, hi) must be safe to call concurrently for disjoint ranges.
 func For(n, grain int, fn func(lo, hi int)) {
-	ForWorker(n, grain, func(_, lo, hi int) { fn(lo, hi) })
+	run(n, grain, nil, fn)
 }
 
-// ForWorker is For with a stable worker id per block: fn(w, lo, hi) is the
-// only invocation that receives id w, so fn may use w to index caller-owned
-// scratch without synchronization.
+// ForWorker is For with a block id: fn(w, lo, hi) is the only invocation
+// that receives id w, so fn may use w to index caller-owned scratch without
+// synchronization.
 func ForWorker(n, grain int, fn func(worker, lo, hi int)) {
+	run(n, grain, fn, nil)
+}
+
+// run is For and ForWorker: the job lives in the first idle worker taken,
+// every other idle worker is sent to the same job, and the caller claims
+// blocks beside them until none remain.
+func run(n, grain int, fn func(worker, lo, hi int), fnRange func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	l := lim.Load()
 	blocks, chunk := plan(n, grain, l.procs)
-	if blocks <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var dispatched *worker
-	for w := 1; w < blocks; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
+	var owner *worker
+	if blocks > 1 {
 		select {
-		case wk := <-l.idle:
-			wk.run <- block{fn: fn, w: w, lo: lo, hi: hi}
-			wk.next, dispatched = dispatched, wk
+		case owner = <-l.idle:
 		default:
-			// Every worker busy (or a nested region): run on the caller.
-			fn(w, lo, hi)
 		}
 	}
-	fn(0, 0, chunk)
+	if owner == nil {
+		// One block, or every worker busy (a nested region usually finds
+		// that): the caller claims every block, in order.
+		j := job{fn: fn, fnRange: fnRange, n: n, chunk: chunk, blocks: blocks}
+		for w := range blocks {
+			j.runBlock(w)
+		}
+		return
+	}
+	j := &owner.job
+	j.fn, j.fnRange, j.n, j.chunk, j.blocks = fn, fnRange, n, chunk, blocks
+	j.next.Store(0)
+	owner.run <- j
+	owner.next = nil
+	dispatched := owner
+	// The caller claims too, so blocks−1 workers are the most worth sending.
+dispatch:
+	for k := 2; k < blocks; k++ {
+		select {
+		case wk := <-l.idle:
+			wk.run <- j
+			wk.next, dispatched = dispatched, wk
+		default:
+			break dispatch
+		}
+	}
+	j.claim()
+	// owner went in first, so it comes back last, once no worker reads its
+	// job; the job drops fn then, so an idle worker keeps no closure alive.
 	for wk := dispatched; wk != nil; {
 		next := wk.next
 		<-wk.done
+		if wk == owner {
+			j.fn, j.fnRange = nil, nil
+		}
 		l.idle <- wk
 		wk = next
 	}

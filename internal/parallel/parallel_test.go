@@ -35,8 +35,8 @@ func TestForWorkerIdsAreStableAndBounded(t *testing.T) {
 	SetProcs(4)
 	n, grain := 100, 5
 	nw := Workers(n, grain)
-	if nw < 1 || nw > 4 {
-		t.Fatalf("Workers(%d,%d) = %d, want in [1,4]", n, grain, nw)
+	if nw < 1 || nw > 4*4 {
+		t.Fatalf("Workers(%d,%d) = %d, want in [1,16]", n, grain, nw)
 	}
 	owner := make([]int32, n)
 	var seen sync.Map
@@ -108,12 +108,88 @@ func TestConcurrentForCallers(t *testing.T) {
 	}
 }
 
-// A fan-out hands blocks to the pool's standing workers: after warm-up it
-// allocates nothing, nested regions included (fn is built once, as a
+// Every block id is claimed exactly once and every index falls in exactly
+// one block, whatever the pool size: below one item per worker, at the
+// block cap, past it, and with a fan-out nested in each block.
+func TestForWorkerClaimsEveryBlockOnce(t *testing.T) {
+	defer SetProcs(Procs())
+	for procs := 1; procs <= 4; procs++ {
+		SetProcs(procs)
+		bcap := blocksPerProc * procs
+		if procs == 1 {
+			bcap = 1
+		}
+		for _, n := range []int{1, procs - 1, bcap, bcap + 1, 100} {
+			nw := Workers(n, 1)
+			if nw > bcap || (n > 0 && nw < 1) || (n == bcap && nw != bcap) {
+				t.Fatalf("procs=%d: Workers(%d,1) = %d, want %d blocks at most and all of them at the cap", procs, n, nw, bcap)
+			}
+			hits := make([]int32, n)
+			ids := make([]int32, nw)
+			inner := make([][]int32, n)
+			ForWorker(n, 1, func(w, lo, hi int) {
+				atomic.AddInt32(&ids[w], 1)
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+					inner[i] = make([]int32, 3*procs)
+					ForWorker(len(inner[i]), 1, func(_, lo2, hi2 int) {
+						for j := lo2; j < hi2; j++ {
+							atomic.AddInt32(&inner[i][j], 1)
+						}
+					})
+				}
+			})
+			for w, c := range ids {
+				if c != 1 {
+					t.Fatalf("procs=%d n=%d: block %d claimed %d times", procs, n, w, c)
+				}
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("procs=%d n=%d: index %d visited %d times", procs, n, i, h)
+				}
+				for j, h := range inner[i] {
+					if h != 1 {
+						t.Fatalf("procs=%d n=%d: nested index %d/%d visited %d times", procs, n, i, j, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A block that waits on later items does not hold them up: the blocks after
+// it are claimed by whichever goroutine is free, so item 0 sees items 1–3
+// run while it waits. Were blocks fixed to goroutines up front, item 1
+// would share item 0's block and the wait would time out.
+func TestSlowBlockDoesNotIdleAWorker(t *testing.T) {
+	defer SetProcs(Procs())
+	SetProcs(2)
+	var ran atomic.Int32
+	rest := make(chan struct{})
+	For(4, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i > 0 {
+				if ran.Add(1) == 3 {
+					close(rest)
+				}
+				continue
+			}
+			select {
+			case <-rest:
+			case <-time.After(5 * time.Second): //lint:allow wallclock bounds the wait so a pool that fixes item 1 behind item 0 fails instead of hanging; no report reads it
+				t.Errorf("item 0 waited 5 s and saw %d of items 1–3 run", ran.Load())
+			}
+		}
+	})
+}
+
+// A fan-out hands its job to the pool's standing workers: after warm-up it
+// allocates nothing, at one worker or two, with more blocks than workers,
+// through For or ForWorker, nested regions included (fn is built once, as a
 // caller's per-worker method value is).
 func TestForWorkerDoesNotAlloc(t *testing.T) {
 	defer SetProcs(Procs())
-	SetProcs(2)
 	var out [4][64]int
 	var inner [4]func(_, lo, hi int)
 	for w := range inner {
@@ -128,15 +204,49 @@ func TestForWorkerDoesNotAlloc(t *testing.T) {
 			ForWorker(len(out[w]), 8, inner[w])
 		}
 	}
-	ForWorker(len(out), 1, outer)
-	if n := testing.AllocsPerRun(100, func() { ForWorker(len(out[0]), 8, inner[0]) }); n != 0 {
-		t.Errorf("ForWorker allocated %v objects per call, want 0", n)
+	var small [3][3]int
+	var smallRow [3]func(_, lo, hi int)
+	for i := range smallRow {
+		smallRow[i] = func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				small[i][j]++
+			}
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { ForWorker(len(out), 1, outer) }); n != 0 {
-		t.Errorf("nested ForWorker allocated %v objects per call, want 0", n)
+	smallNested := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ForWorker(3, 1, smallRow[i])
+		}
 	}
-	if want := 1 + 101 + 101; out[0][0] != want || out[3][63] != 1+101 {
-		t.Errorf("fan-outs ran %d and %d times, want %d and %d", out[0][0], out[3][63], want, 1+101)
+	ranged := func(lo, hi int) { inner[1](0, lo, hi) }
+	rangedNested := func(lo, hi int) { outer(0, lo, hi) }
+	for _, procs := range []int{1, 2} {
+		SetProcs(procs)
+		for _, c := range []struct {
+			what string
+			f    func()
+		}{
+			{"ForWorker", func() { ForWorker(len(out[0]), 8, inner[0]) }},
+			{"nested ForWorker", func() { ForWorker(len(out), 1, outer) }},
+			{"ForWorker with 3 blocks", func() { ForWorker(3, 1, smallRow[0]) }},
+			{"nested ForWorker with 3 blocks", func() { ForWorker(3, 1, smallNested) }},
+			{"For", func() { For(len(out[1]), 8, ranged) }},
+			{"nested For", func() { For(len(out), 1, rangedNested) }},
+		} {
+			c.f()
+			if n := testing.AllocsPerRun(100, c.f); n != 0 {
+				t.Errorf("procs %d: %s allocated %v objects per call, want 0", procs, c.what, n)
+			}
+		}
+	}
+	// Each fan-out ran once as warm-up and 101 times under AllocsPerRun, at
+	// each of the two pool sizes.
+	const runs = 2 * 102
+	if out[0][0] != 3*runs || out[1][63] != 3*runs || out[3][63] != 2*runs {
+		t.Errorf("fan-outs ran %d, %d and %d times, want %d, %d and %d", out[0][0], out[1][63], out[3][63], 3*runs, 3*runs, 2*runs)
+	}
+	if small[0][0] != 2*runs || small[2][2] != runs {
+		t.Errorf("3-block fan-outs ran %d and %d times, want %d and %d", small[0][0], small[2][2], 2*runs, runs)
 	}
 }
 
