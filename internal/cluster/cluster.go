@@ -100,13 +100,11 @@ type Cluster struct {
 
 	drained    []bool
 	placements []int
-	migrated   map[int]bool       // request indices that crossed nodes
 	parked     []*serving.Migrant // migrants with nowhere to go during a total outage
 	held       []int              // arrivals held at the ingress during a total outage
 	migrations int                // suspended-session migrations (fresh re-routes excluded)
 	requeues   int                // fresh queue entries re-routed by drain/failover
-	drains     int
-	failures   int // ground-truth crash onsets (scripted and unscripted)
+	failures   int                // ground-truth crash onsets (scripted and unscripted)
 	order      int
 	ran        bool
 
@@ -123,14 +121,13 @@ type Cluster struct {
 	wasDead        []bool
 	crashTick      []int
 	probation      []int
-	crashes        []int
-	detectLagN     []int
-	strandedN      []int
-	rejoinsN       []int
 	strandAttempts map[int]int
 	hbMisses       int
 	suspects       int
 	confirms       int
+	rejoins        int
+	stranded       int
+	detectLag      int // crash→confirmation ticks summed over the confirms
 	deadTicks      int // total node-ticks spent ground-truth dead
 	stallHorizon   int
 
@@ -210,17 +207,12 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 		recs:           make([]*obs.Recorder, len(cfg.Nodes)),
 		drained:        make([]bool, len(cfg.Nodes)),
 		placements:     make([]int, len(cfg.Nodes)),
-		migrated:       map[int]bool{},
 		loads:          make([]Load, len(cfg.Nodes)),
 		detect:         cfg.Detect.withDefaults(),
 		health:         make([]Health, len(cfg.Nodes)),
 		wasDead:        make([]bool, len(cfg.Nodes)),
 		crashTick:      make([]int, len(cfg.Nodes)),
 		probation:      make([]int, len(cfg.Nodes)),
-		crashes:        make([]int, len(cfg.Nodes)),
-		detectLagN:     make([]int, len(cfg.Nodes)),
-		strandedN:      make([]int, len(cfg.Nodes)),
-		rejoinsN:       make([]int, len(cfg.Nodes)),
 		strandAttempts: map[int]int{},
 	}
 	c.detectOff = c.detect.Mode == "off"
@@ -359,7 +351,6 @@ func (c *Cluster) migrate(migs []*serving.Migrant, tick int) error {
 		}
 		if sess.State() == serving.Suspended {
 			c.migrations++
-			c.migrated[sess.Index] = true
 		} else {
 			c.requeues++
 			// A re-route can itself land on a dead-but-unsuspected node.
@@ -379,7 +370,6 @@ func (c *Cluster) lifecycle(tick int) error {
 	for n := range c.nodes {
 		if c.cfg.DrainTick > 0 && n == c.cfg.DrainNode && !c.drained[n] && tick >= c.cfg.DrainTick {
 			c.drained[n] = true
-			c.drains++
 			if err := c.migrate(c.nodes[n].ExtractQueue(tick), tick); err != nil {
 				return err
 			}

@@ -184,8 +184,15 @@ func TestClusterDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 				if o.rep.Migrations == 0 {
 					t.Fatalf("router %s: failover scenario produced no migrations", name)
 				}
-				if o.rep.Drains != 1 || o.rep.Failures != 1 {
-					t.Fatalf("router %s: lifecycle ran %d drains / %d failures, want 1/1", name, o.rep.Drains, o.rep.Failures)
+				if o.rep.Failures != 1 {
+					t.Fatalf("router %s: lifecycle ran %d failures, want 1", name, o.rep.Failures)
+				}
+				// The drain at tick 9 stops node 2's placements: no session
+				// it reports arrived at or after the drain.
+				for _, sm := range o.rep.Nodes[2].Report.Sessions {
+					if sm.ArriveTick >= 9 {
+						t.Fatalf("router %s: drained node 2 took %q, which arrived at tick %d", name, sm.ID, sm.ArriveTick)
+					}
 				}
 			}})
 	}
@@ -215,11 +222,14 @@ func TestClusterMigratedExclusiveSessionMatchesUninterruptedSolo(t *testing.T) {
 	if rep.Migrations != 1 {
 		t.Fatalf("expected exactly one migrated session, got %d", rep.Migrations)
 	}
-	if rep.MigratedWaitTicks <= 0 {
-		t.Fatalf("migrated session shows no cross-node queueing (wait %d ticks)", rep.MigratedWaitTicks)
-	}
+	// Only the migrant is ever suspended: its row carries the cross-node
+	// queueing, the ticks it spent suspended across the hop.
+	waited := 0
 	for _, nr := range rep.Nodes {
 		for _, sm := range nr.Report.Sessions {
+			if sm.ResumeDelayTicks > 0 {
+				waited++
+			}
 			if sm.Outcome != serving.OutcomeOK {
 				t.Fatalf("session %q finished %q, want ok", sm.ID, sm.Outcome)
 			}
@@ -228,6 +238,9 @@ func TestClusterMigratedExclusiveSessionMatchesUninterruptedSolo(t *testing.T) {
 				t.Fatalf("session %q diverged from solo evaluation:\nserved %+v\nsolo   %+v", sm.ID, sm.Point, solo)
 			}
 		}
+	}
+	if waited != 1 {
+		t.Fatalf("%d sessions show cross-node queueing, want the one migrant", waited)
 	}
 	// Both sessions must have ended up on the surviving node.
 	if n := len(rep.Nodes[0].Report.Sessions); n != 2 {
@@ -286,8 +299,10 @@ func TestDrainStopsPlacementAndMigratesQueue(t *testing.T) {
 		DrainTick: 1, DrainNode: 1,
 	}
 	rep := run(t, cfg, serving.FixedBatch(reqs))
-	if rep.Drains != 1 || !rep.Nodes[1].Drained {
-		t.Fatalf("drain not recorded: drains=%d node1.Drained=%v", rep.Drains, rep.Nodes[1].Drained)
+	// The drain moved node 1's queued, never-admitted entry: a re-route,
+	// not a live-stream migration.
+	if rep.Requeues != 1 || rep.Migrations != 0 {
+		t.Fatalf("drain not recorded: %d requeues, %d migrations, want 1/0", rep.Requeues, rep.Migrations)
 	}
 	// Four sessions landed 2/2 at tick 0; the drain at tick 1 moved node
 	// 1's queued entry to node 0, so node 1 finishes only the session it
@@ -302,8 +317,8 @@ func TestDrainStopsPlacementAndMigratesQueue(t *testing.T) {
 			}
 		}
 	}
-	if rep.Nodes[1].Placements != 2 {
-		t.Fatalf("node 1 credited %d placements, want the 2 made before the drain", rep.Nodes[1].Placements)
+	if rep.Placements[1] != 2 {
+		t.Fatalf("node 1 credited %d placements, want the 2 made before the drain", rep.Placements[1])
 	}
 }
 

@@ -112,7 +112,7 @@ func runVariant(t *testing.T, r row, v variant) outcome {
 		if err := rep.ReconcileObs(); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		o.rep = &Report{Sessions: len(rep.Sessions), GoodTokens: rep.GoodTokens, Nodes: []NodeReport{{Report: rep}}}
+		o.rep = &Report{Report: *serving.Merge(rep), Sessions: len(rep.Sessions), Nodes: []NodeReport{{Report: rep}}}
 		checkInvariants(t, v.name, w.Requests(), o.rep)
 		events, engines = rec.Events(), []*serving.Engine{e}
 	} else {
@@ -168,7 +168,7 @@ func checkInvariants(t *testing.T, variant string, reqs []serving.Request, rep *
 	t.Helper()
 	seen := make([]int, len(reqs))
 	good := 0
-	for _, nr := range rep.Nodes {
+	for n, nr := range rep.Nodes {
 		nodeGood := 0
 		for _, sm := range nr.Report.Sessions {
 			seen[sm.Index]++
@@ -184,7 +184,7 @@ func checkInvariants(t *testing.T, variant string, reqs []serving.Request, rep *
 			}
 		}
 		if nr.Report.GoodTokens != nodeGood {
-			t.Fatalf("%s: node %d GoodTokens %d, its OK sessions decoded %d", variant, nr.Node, nr.Report.GoodTokens, nodeGood)
+			t.Fatalf("%s: node %d GoodTokens %d, its OK sessions decoded %d", variant, n, nr.Report.GoodTokens, nodeGood)
 		}
 		good += nodeGood
 	}

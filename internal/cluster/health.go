@@ -165,7 +165,7 @@ func (c *Cluster) confirmDown(tick, node int) error {
 	c.health[node] = Down
 	c.confirms++
 	c.emitHealth(tick, node, obs.KindConfirm, obs.DetailDown)
-	c.detectLagN[node] += tick - c.crashTick[node]
+	c.detectLag += tick - c.crashTick[node]
 	migs := c.nodes[node].Evacuate(tick)
 	for _, mig := range migs {
 		sess := mig.Sess
@@ -193,7 +193,6 @@ func (c *Cluster) detectTick(tick int) error {
 		dead := c.deadAt(tick, n)
 		if dead && !c.wasDead[n] {
 			c.crashTick[n] = tick
-			c.crashes[n]++
 			c.failures++
 		}
 		if dead {
@@ -265,7 +264,7 @@ func (c *Cluster) detectTick(tick int) error {
 func (c *Cluster) startRejoin(tick, node int) {
 	c.health[node] = Rejoining
 	c.probation[node] = tick + probationTicks
-	c.rejoinsN[node]++
+	c.rejoins++
 	c.emitHealth(tick, node, obs.KindRejoin, obs.DetailRejoining)
 }
 
@@ -277,7 +276,7 @@ func (c *Cluster) noteStrand(node, tick, idx int, id string) {
 	if !c.wasDead[node] {
 		return
 	}
-	c.strandedN[node]++
+	c.stranded++
 	c.strandAttempts[idx]++
 	if c.recs[node] != nil {
 		c.recs[node].Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindStrand, Session: id})

@@ -36,12 +36,12 @@ func TestMigrantsRecycleOnTheNodeTheyFinishOn(t *testing.T) {
 			if o.rep.Migrations == 0 {
 				t.Fatal("scenario broken: the failure migrated no session")
 			}
-			for _, nr := range o.rep.Nodes {
+			for n, nr := range o.rep.Nodes {
 				for _, sm := range nr.Report.Sessions {
 					solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[sm.Index].Tokens, sysCfg()))(t)
 					if sm.Outcome != serving.OutcomeOK || sm.Point != solo {
 						t.Fatalf("session %q on node %d diverged from its solo evaluation:\nserved %+v (%s)\nsolo   %+v",
-							sm.ID, nr.Node, sm.Point, sm.Outcome, solo)
+							sm.ID, n, sm.Point, sm.Outcome, solo)
 					}
 				}
 			}

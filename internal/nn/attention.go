@@ -206,32 +206,34 @@ func (c *KVCache) push(n int) (k, v tensor.Vec) {
 // key/value, and returns the attention output. It matches Forward exactly
 // (verified in tests), so perplexity measured incrementally equals the
 // teacher-forced value. The query, context, score and output buffers are
-// slot 0 of s — the buffers StepBatch uses for column 0 — so the returned
-// vector is valid until the next Step on s; nil allocates. The key and value
-// are written into the cache's next slot, which allocates only the first
-// time the history reaches that length: once a decoder has filled a window,
-// every later window's steps allocate nothing.
+// s's session buffers — the ones StepBatch reuses column by column — so the
+// returned vector is valid until the next Step on s; nil allocates. The key
+// and value are written into the cache's next slot, which allocates only
+// the first time the history reaches that length: once a decoder has filled
+// a window, every later window's steps allocate nothing.
 func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch) tensor.Vec {
 	var local AttnBatchScratch
 	if s == nil {
 		s = &local
 	}
-	if len(s.slots) == 0 {
-		s.slots = make([]attnBatchSlot, 1)
-	}
-	sl, n := &s.slots[0], a.NHeads*a.HeadDim
-	sl.q = tensor.MatVec(a.Wq.P.W, x, tensor.Grow(sl.q, n))
+	s.q = tensor.MatVec(a.Wq.P.W, x, tensor.Grow(s.q, a.NHeads*a.HeadDim))
 	k, v := cache.push(a.NKV * a.HeadDim)
 	tensor.MatVec(a.Wk.P.W, x, k)
 	tensor.MatVec(a.Wv.P.W, x, v)
-	sl.cat = tensor.Grow(sl.cat, n)
-	sl.cat.Zero()
-	if T := len(cache.Ks); cap(sl.scores) < T {
-		sl.scores = make(tensor.Vec, 2*T) // the history grows by one a step
+	s.attend(a, cache)
+	s.out = tensor.MatVec(a.Wo.P.W, s.cat, tensor.Grow(s.out, a.Dim))
+	return s.out
+}
+
+// attend runs a's score → softmax → context loop for the query in s.q
+// against cache into s.cat, sizing s's context and score buffers first.
+func (s *AttnBatchScratch) attend(a *Attention, cache *KVCache) {
+	s.cat = tensor.Grow(s.cat, a.NHeads*a.HeadDim)
+	s.cat.Zero()
+	if T := len(cache.Ks); cap(s.scores) < T {
+		s.scores = make(tensor.Vec, 2*T) // the history grows by one a step
 	}
-	a.attend(sl.q, cache, sl.cat, sl.scores[:len(cache.Ks)])
-	sl.out = tensor.MatVec(a.Wo.P.W, sl.cat, tensor.Grow(sl.out, a.Dim))
-	return sl.out
+	a.attend(s.q, cache, s.cat, s.scores[:len(cache.Ks)])
 }
 
 // attend is the per-session score → softmax → context loop of one decode

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"repro/internal/parallel"
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Batched (multi-RHS) decode-step entry points: B concurrent sessions step
 // through the same weights in one fused pass, walking each projection
@@ -43,25 +40,13 @@ func (m *GLUMLP) ApplyBatch(xs, out *tensor.Mat, s *MLPBatchScratch) *tensor.Mat
 	return tensor.MatVecBatch(m.Down.P.W, s.U, out)
 }
 
-// attnBatchSlot is one session's private buffers inside a fused attention
-// step: slot b is only ever touched by the goroutine handling column b. out
-// is the single-session Step's output; StepBatch writes its caller's Mat.
-type attnBatchSlot struct {
-	q, cat, scores, out tensor.Vec
-}
-
-// AttnBatchScratch holds the fused attention-step buffers for a batch of
-// sessions. A zero value is ready to use; buffers grow lazily and are
-// reused across steps.
+// AttnBatchScratch holds the attention-step buffers: a batch's fused
+// projections, and one session's query, context, score and output vectors,
+// which Step uses and StepBatch reuses column by column. A zero value is
+// ready to use; buffers grow lazily and are reused across steps.
 type AttnBatchScratch struct {
-	Q, K, V, Cat *tensor.Mat
-	slots        []attnBatchSlot
-	// The running StepBatch's attention and caches, for attendCols: the
-	// per-slot fan-out is a method value bound once, so it allocates no
-	// closure per step.
-	a      *Attention
-	caches []*KVCache
-	cols   func(worker, lo, hi int)
+	Q, K, V, Cat        *tensor.Mat
+	q, cat, scores, out tensor.Vec
 }
 
 // StepBatch runs one incremental attention step for B independent sessions
@@ -69,8 +54,8 @@ type AttnBatchScratch struct {
 // caches[b] is session b's KV history (extended, exactly as Step does),
 // and the outputs land in the columns of out (Dim × B, allocated when nil).
 // The four projections are fused multi-RHS products; the per-session
-// score/softmax/context loops — which read disjoint KV caches — fan out
-// over the worker pool with per-slot scratch. Bit-identical per column to B
+// score/softmax/context loops, which read disjoint KV caches, run column by
+// column on one set of session buffers. Bit-identical per column to B
 // independent Step calls.
 func (a *Attention) StepBatch(xs *tensor.Mat, caches []*KVCache, out *tensor.Mat, s *AttnBatchScratch) *tensor.Mat {
 	B := xs.Cols
@@ -87,33 +72,14 @@ func (a *Attention) StepBatch(xs *tensor.Mat, caches []*KVCache, out *tensor.Mat
 		s.K.Col(b, k)
 		s.V.Col(b, v)
 	}
-	for len(s.slots) < B {
-		s.slots = append(s.slots, attnBatchSlot{})
-	}
 	s.Cat = tensor.ReuseMat(s.Cat, a.NHeads*hd, B)
-	if s.cols == nil {
-		s.cols = s.attendCols
+	for b, c := range caches {
+		s.q = s.Q.Col(b, tensor.Grow(s.q, a.NHeads*hd))
+		s.attend(a, c)
+		s.Cat.SetCol(b, s.cat)
 	}
-	s.a, s.caches = a, caches
-	parallel.ForWorker(B, 1, s.cols)
-	s.a, s.caches = nil, nil
 	if out == nil {
 		out = tensor.NewMat(a.Dim, B)
 	}
 	return tensor.MatVecBatch(a.Wo.P.W, s.Cat, out)
-}
-
-// attendCols runs StepBatch's per-slot score → softmax → context loop for
-// columns [lo, hi).
-func (s *AttnBatchScratch) attendCols(_, lo, hi int) {
-	a, n := s.a, s.a.NHeads*s.a.HeadDim
-	for b := lo; b < hi; b++ {
-		sl := &s.slots[b]
-		sl.q = s.Q.Col(b, tensor.Grow(sl.q, n))
-		sl.cat = tensor.Grow(sl.cat, n)
-		sl.cat.Zero()
-		sl.scores = tensor.Grow(sl.scores, len(s.caches[b].Ks))
-		a.attend(sl.q, s.caches[b], sl.cat, sl.scores)
-		s.Cat.SetCol(b, sl.cat)
-	}
 }

@@ -66,14 +66,14 @@ func ExampleNewEngine() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%s / %s / %s: %.3f sim tok/s, hit rate %.3f, %d ticks, SLO attainment %.3f\n",
-		rep.Workload, rep.Sched, rep.Arb, rep.SimTokS, rep.HitRate, rep.Ticks, rep.SLOAttainRate)
-	for _, cm := range rep.Classes {
-		fmt.Printf("%-11s %d sessions, attain %.3f, queue p50 %.3f ticks, turnaround p99 %.3f ticks\n",
-			cm.Class, cm.Sessions, cm.AttainRate, cm.QueueP50, cm.TurnaroundP99)
+	fmt.Printf("%.3f sim tok/s, hit rate %.3f, %d ticks, SLO attainment %.3f, queue p50 %.3f ticks, turnaround p99 %.3f ticks\n",
+		rep.SimTokS, rep.HitRate, rep.Ticks, rep.SLOAttainRate, rep.QueueP50, rep.TurnaroundP99)
+	queued := map[string]int{}
+	for _, sm := range rep.Sessions {
+		queued[sm.SLO.Class] += sm.QueueTicks
 	}
+	fmt.Printf("ticks queued: batch %d, interactive %d\n", queued["batch"], queued["interactive"])
 	// Output:
-	// poisson / edf / shared: 1.595 sim tok/s, hit rate 0.727, 65 ticks, SLO attainment 1.000
-	// batch       4 sessions, attain 1.000, queue p50 10.000 ticks, turnaround p99 36.000 ticks
-	// interactive 4 sessions, attain 1.000, queue p50 0.000 ticks, turnaround p99 20.000 ticks
+	// 1.595 sim tok/s, hit rate 0.727, 65 ticks, SLO attainment 1.000, queue p50 4.000 ticks, turnaround p99 36.000 ticks
+	// ticks queued: batch 44, interactive 12
 }

@@ -123,16 +123,16 @@ func TestSimLatencyPercentilesCountOnlySessionsThatDecoded(t *testing.T) {
 		t.Fatalf("scenario broken: sessions decoded %d/%d/%d, latency %v",
 			rep.Sessions[0].Decoded, rep.Sessions[1].Decoded, rep.Sessions[2].Decoded, lat)
 	}
-	if rep.SimLatencyP50 != lat || rep.SimLatencyP90 != lat || rep.SimLatencyP99 != lat {
-		t.Fatalf("latency percentiles %v/%v/%v, want all %v (the one session that decoded)",
-			rep.SimLatencyP50, rep.SimLatencyP90, rep.SimLatencyP99, lat)
+	if rep.SimLatencyP50 != lat || rep.SimLatencyP99 != lat {
+		t.Fatalf("latency percentiles %v/%v, want both %v (the one session that decoded)",
+			rep.SimLatencyP50, rep.SimLatencyP99, lat)
 	}
 }
 
 // Finalize folds the report without copying rows it does not keep: the
 // report's one slice of rows, one float buffer every percentile series is
-// sorted in, and a constant rest. Over 100 and 1000 sessions in three
-// classes it must allocate the same objects, and its bytes must stay within
+// sorted in, and a constant rest. Over 100 and 1000 deadlined sessions it
+// must allocate the same objects, and its bytes must stay within
 // one SessionMetrics row and one float per session plus a constant: the
 // fixed objects and the allocator's rounding of the two large slices (up to
 // one 8 KiB page each).
@@ -152,8 +152,8 @@ func TestFinalizeAllocatesOneRowPerSession(t *testing.T) {
 				SLO: SLO{Class: classes[i%3], DeadlineTicks: 1 + i%40}}
 		}
 		e, rep := drain(t, "finalize", Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 8, Quantum: 8, Seed: 1}, FixedBatch(reqs))
-		if len(rep.Classes) != 3 || rep.Classes[0].Deadlined == 0 || rep.SimLatencyP99 == 0 {
-			t.Fatalf("scenario broken: %d classes, %d deadlined, p99 latency %v", len(rep.Classes), rep.Classes[0].Deadlined, rep.SimLatencyP99)
+		if rep.SLOAttainRate >= 1 || rep.SimLatencyP99 == 0 {
+			t.Fatalf("scenario broken: attainment %v (no deadline missed), p99 latency %v", rep.SLOAttainRate, rep.SimLatencyP99)
 		}
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		const runs = 4

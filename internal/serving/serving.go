@@ -49,8 +49,9 @@ import (
 
 // SLO is a request's service-level objective class.
 type SLO struct {
-	// Class labels the request for per-class reporting ("" reports as
-	// "default"). Classes are free-form — "interactive", "batch", ….
+	// Class labels the request on its report row and as the detail of its
+	// arrive and admit events ("" reports as "default" there). Classes are free-form —
+	// "interactive", "batch", ….
 	Class string
 	// Priority orders admission under the priority scheduler (higher wins).
 	Priority int

@@ -238,11 +238,8 @@ func TestReportAggregates(t *testing.T) {
 	if rep.SimTokS <= 0 || rep.Wall.TokS <= 0 || rep.Wall.Seconds <= 0 {
 		t.Fatalf("non-positive throughput aggregates: %+v", rep)
 	}
-	if rep.Workload != "fixed" || rep.Sched != "fcfs" {
-		t.Fatalf("report names wrong workload/scheduler: %q/%q", rep.Workload, rep.Sched)
-	}
-	if rep.SimLatencyP50 > rep.SimLatencyP90 || rep.SimLatencyP90 > rep.SimLatencyP99 {
-		t.Fatalf("latency percentiles out of order: %v %v %v", rep.SimLatencyP50, rep.SimLatencyP90, rep.SimLatencyP99)
+	if rep.SimLatencyP50 > rep.SimLatencyP99 {
+		t.Fatalf("latency percentiles out of order: %v %v", rep.SimLatencyP50, rep.SimLatencyP99)
 	}
 	if rep.SimLatencyP50 <= 0 {
 		t.Fatal("zero simulated latency percentile")
@@ -378,9 +375,9 @@ func TestPercentile(t *testing.T) {
 		if !slices.Equal(in, tc.vals) {
 			t.Errorf("%s: Percentile mutated its input", tc.name)
 		}
-		p50, p90, p99 := quantiles(slices.Clone(tc.vals))
-		if p50 != Percentile(tc.vals, 0.5) || p90 != Percentile(tc.vals, 0.9) || p99 != Percentile(tc.vals, 0.99) {
-			t.Errorf("%s: quantiles %v/%v/%v disagree with Percentile", tc.name, p50, p90, p99)
+		p50, p99 := quantiles(slices.Clone(tc.vals))
+		if p50 != Percentile(tc.vals, 0.5) || p99 != Percentile(tc.vals, 0.99) {
+			t.Errorf("%s: quantiles %v/%v disagree with Percentile", tc.name, p50, p99)
 		}
 	}
 }

@@ -89,9 +89,6 @@ func TestTraceWorkloadReplay(t *testing.T) {
 		TraceEntry{ID: "first", Tick: 0, Tokens: 32, Start: 256, Class: "interactive", Priority: 1, DeadlineTicks: 400},
 		TraceEntry{ID: "second", Tick: 0, Tokens: 32, Start: 512, Scheme: "dipca"},
 	))
-	if rep.Workload != "trace" {
-		t.Fatalf("workload name %q", rep.Workload)
-	}
 	byID := map[string]SessionMetrics{}
 	for _, sm := range rep.Sessions {
 		byID[sm.ID] = sm

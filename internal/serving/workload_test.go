@@ -153,7 +153,7 @@ func TestSchedulerOrdering(t *testing.T) {
 }
 
 // SLO attainment: impossible deadlines miss, generous ones hold, and the
-// report's class breakdown separates the two.
+// report's rate is attained over deadlined across both classes.
 func TestSLOAttainmentPerClass(t *testing.T) {
 	trained(t)
 	reqs := slotted(t, 4, func(i int) SLO {
@@ -163,36 +163,33 @@ func TestSLOAttainmentPerClass(t *testing.T) {
 		return SLO{Class: "loose", DeadlineTicks: 10000}
 	})
 	rep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, MaxActive: 1, Quantum: 4, Seed: 2}, FixedBatch(reqs))
-	if len(rep.Classes) != 2 || rep.Classes[0].Class != "loose" || rep.Classes[1].Class != "tight" {
-		t.Fatalf("class breakdown wrong: %+v", rep.Classes)
+	attained := map[string]int{}
+	for _, sm := range rep.Sessions {
+		if sm.Attained {
+			attained[sm.SLO.Class]++
+		}
+		// The sub-quantum turnaround lies within the session's last tick.
+		if whole := float64(sm.FinishTick - sm.ArriveTick); sm.Turnaround > whole || sm.Turnaround <= whole-1 {
+			t.Fatalf("turnaround %v outside its whole-tick span %v: %+v", sm.Turnaround, whole, sm)
+		}
 	}
-	loose, tight := rep.Classes[0], rep.Classes[1]
-	if loose.AttainRate != 1 || loose.Deadlined != 2 || loose.Attained != 2 {
-		t.Fatalf("generous deadlines should all hold: %+v", loose)
+	if attained["loose"] != 2 {
+		t.Fatalf("generous deadlines should all hold: %d of 2 attained", attained["loose"])
 	}
 	// With one slot and a 1-tick deadline, at most the first admitted tight
 	// session could conceivably attain; the queued one cannot.
-	if tight.Attained >= tight.Deadlined {
-		t.Fatalf("impossible deadlines should miss: %+v", tight)
+	if attained["tight"] >= 2 {
+		t.Fatalf("impossible deadlines should miss: %d of 2 attained", attained["tight"])
 	}
-	want := attainRate(loose.Attained+tight.Attained, 4)
-	if rep.SLOAttainRate != want {
+	if want := float64(attained["loose"]+attained["tight"]) / 4; rep.SLOAttainRate != want {
 		t.Fatalf("overall attainment %v, want %v", rep.SLOAttainRate, want)
-	}
-	for _, sm := range rep.Sessions {
-		if sm.SLO.Class == "loose" && !sm.Attained {
-			t.Fatalf("loose session missed: %+v", sm)
-		}
-		if sm.TurnaroundTicks != sm.FinishTick-sm.ArriveTick {
-			t.Fatalf("turnaround mismatch: %+v", sm)
-		}
 	}
 	// Sessions without deadlines are vacuously attained and excluded from
 	// the rate.
 	prep := run(t, Config{System: sysCfg(), Arb: ArbFairShare, Seed: 2},
 		FixedBatch(slotted(t, 2, func(int) SLO { return SLO{} })))
-	if prep.SLOAttainRate != 1 || len(prep.Classes) != 1 || prep.Classes[0].Class != "default" {
-		t.Fatalf("deadline-less run should be vacuously attained under 'default': %+v", prep.Classes)
+	if prep.SLOAttainRate != 1 {
+		t.Fatalf("deadline-less run should be vacuously attained: %v", prep.SLOAttainRate)
 	}
 }
 
