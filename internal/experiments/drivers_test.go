@@ -7,14 +7,11 @@ import (
 	"repro/internal/model"
 )
 
-// Focused shape tests for the drivers that TestRegistryRunsEverything only
-// smoke-runs.
+// Focused shape tests on the tables TestTablesGolden pins; both read the
+// same memoized tables (tablesOf).
 
 func TestTable4AggressiveSparsityOrdering(t *testing.T) {
-	tables, err := Table4(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "tab4")
 	tab := findTable(t, tables, "tab4")
 	name := model.Phi3MedSim
 	dense := cellF(t, tab, map[string]string{"model": name, "method": "dense"}, "ppl")
@@ -36,10 +33,7 @@ func TestTable4AggressiveSparsityOrdering(t *testing.T) {
 }
 
 func TestTable5TaskSpread(t *testing.T) {
-	tables, err := Table5(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "tab5")
 	tab := findTable(t, tables, "tab5")
 	// Every accuracy is a valid percentage and the dense model beats 4-way
 	// chance on the character-statistics task.
@@ -57,10 +51,7 @@ func TestTable5TaskSpread(t *testing.T) {
 }
 
 func TestTables6And7Monotonicity(t *testing.T) {
-	t6, err := Table6(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t6 := tablesOf(t, "tab6")
 	tab6 := findTable(t, t6, "tab6")
 	// Dense throughput strictly increases with DRAM size.
 	small := cellF(t, tab6, map[string]string{"device": "dram-2gb", "method": "dense"}, "tok_s_@+0.5ppl")
@@ -68,10 +59,7 @@ func TestTables6And7Monotonicity(t *testing.T) {
 	if big <= small {
 		t.Fatalf("dense throughput should grow with DRAM: %v -> %v", small, big)
 	}
-	t7, err := Table7(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t7 := tablesOf(t, "tab7")
 	tab7 := findTable(t, t7, "tab7")
 	slow := cellF(t, tab7, map[string]string{"device": "flash-0.5GBs", "method": "dense"}, "tok_s_@+0.5ppl")
 	fast := cellF(t, tab7, map[string]string{"device": "flash-2GBs", "method": "dense"}, "tok_s_@+0.5ppl")
@@ -85,10 +73,7 @@ func TestTables6And7Monotonicity(t *testing.T) {
 }
 
 func TestAblAllocNegativeFinding(t *testing.T) {
-	tables, err := AblAlloc(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "abl-alloc")
 	tab := findTable(t, tables, "abl-alloc")
 	uni := cellF(t, tab, map[string]string{"allocation": "uniform", "density": "0.500"}, "tok_s")
 	wtd := cellF(t, tab, map[string]string{"allocation": "trace-weighted", "density": "0.500"}, "tok_s")
@@ -108,10 +93,7 @@ func TestAblAllocNegativeFinding(t *testing.T) {
 }
 
 func TestFig14CoversOtherAnalogs(t *testing.T) {
-	tables, err := Fig14(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig14")
 	if len(tables) == 0 {
 		t.Fatal("no tables")
 	}

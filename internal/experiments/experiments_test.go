@@ -67,10 +67,7 @@ func findTable(t *testing.T, tables []*Table, id string) *Table {
 }
 
 func TestFig2TrendShapes(t *testing.T) {
-	tables, err := Fig2(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig2")
 	fits := findTable(t, tables, "fig2-fits")
 	npu := cellF(t, fits, map[string]string{"series": "npu_tops"}, "annual_rate")
 	mdl := cellF(t, fits, map[string]string{"series": "model_b_params"}, "annual_rate")
@@ -84,10 +81,7 @@ func TestFig2TrendShapes(t *testing.T) {
 }
 
 func TestFig3ZeroContrast(t *testing.T) {
-	tables, err := Fig3(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig3")
 	z := findTable(t, tables, "fig3-zeros")
 	swiglu := cellF(t, z, map[string]string{"model": model.Mistral7BSim}, "exact_zero_frac")
 	relu := cellF(t, z, map[string]string{"model": model.ReluFiedSim}, "exact_zero_frac")
@@ -103,10 +97,7 @@ func TestFig3ZeroContrast(t *testing.T) {
 }
 
 func TestFig4GlobalThresholdIsWorst(t *testing.T) {
-	tables, err := Fig4(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig4")
 	ppl := findTable(t, tables, "fig4-ppl")
 	global := cellF(t, ppl, map[string]string{"strategy": "global"}, "ppl")
 	perLayer := cellF(t, ppl, map[string]string{"strategy": "per-layer"}, "ppl")
@@ -121,10 +112,7 @@ func TestFig4GlobalThresholdIsWorst(t *testing.T) {
 }
 
 func TestFig6PredictorGap(t *testing.T) {
-	tables, err := Fig6(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig6")
 	tab := findTable(t, tables, "fig6")
 	// At 50% GLU density, recall on the ReLU-fied analog must beat the
 	// SwiGLU analog.
@@ -136,10 +124,7 @@ func TestFig6PredictorGap(t *testing.T) {
 }
 
 func TestTable1DIPBeatsBaselines(t *testing.T) {
-	tables, err := Table1(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "tab1")
 	tab := findTable(t, tables, "tab1")
 	// Orderings that hold even at the miniature test scale (the full
 	// DIP-vs-gate separation needs paper scale and aggressive sparsity;
@@ -170,10 +155,7 @@ func TestTable1DIPBeatsBaselines(t *testing.T) {
 }
 
 func TestTable2DIPCAWins(t *testing.T) {
-	tables, err := Table2(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "tab2")
 	tab := findTable(t, tables, "tab2")
 	name := model.Phi3MedSim
 	dense := cellF(t, tab, map[string]string{"model": name, "method": "dense"}, "tok_s_@+0.5ppl")
@@ -197,10 +179,7 @@ func TestTable2DIPCAWins(t *testing.T) {
 }
 
 func TestFig10GammaSweepShape(t *testing.T) {
-	tables, err := Fig10(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig10")
 	sweep := findTable(t, tables, "fig10")
 	// Throughput at γ=0.2 must exceed γ=1 (plain DIP).
 	t02 := cellF(t, sweep, map[string]string{"gamma": "0.200"}, "tok_s")
@@ -218,10 +197,7 @@ func TestFig10GammaSweepShape(t *testing.T) {
 }
 
 func TestFig11PolicyOrdering(t *testing.T) {
-	tables, err := Fig11(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig11")
 	tab := findTable(t, tables, "fig11")
 	// At the mid density, no-cache ≤ LRU/LFU ≤ Belady in throughput.
 	d := "0.600"
@@ -243,10 +219,7 @@ func TestFig11PolicyOrdering(t *testing.T) {
 }
 
 func TestFig12FitSane(t *testing.T) {
-	tables, err := Fig12(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig12")
 	fit := findTable(t, tables, "fig12")
 	for _, row := range fit.Rows {
 		for _, col := range []int{1, 2, 3, 4} {
@@ -263,10 +236,7 @@ func TestFig12FitSane(t *testing.T) {
 }
 
 func TestFig9Composes(t *testing.T) {
-	tables, err := Fig9(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := tablesOf(t, "fig9")
 	tab := findTable(t, tables, "fig9")
 	// BQ4 memory < dense-fp16 memory; BQ4+DIP memory < BQ4 memory.
 	dense := cellF(t, tab, map[string]string{"config": "dense-fp16"}, "memory_mb")
@@ -280,39 +250,6 @@ func TestFig9Composes(t *testing.T) {
 	p4 := cellF(t, tab, map[string]string{"config": "bq4"}, "ppl")
 	if p4 > p2 {
 		t.Fatalf("bq4 ppl %v should beat bq2 %v", p4, p2)
-	}
-}
-
-func TestRegistryRunsEverything(t *testing.T) {
-	if len(IDs()) != 21 {
-		t.Fatalf("expected 21 experiments, got %d: %v", len(IDs()), IDs())
-	}
-	if _, err := Run(sharedLab, "nope"); err == nil {
-		t.Fatal("unknown id should error")
-	}
-	// serve runs at its CI smoke size here; its wall-clock columns vary per
-	// run, so only the structural checks below apply.
-	sharedLab.Serve.Smoke = true
-	defer func() { sharedLab.Serve.Smoke = false }()
-	// Smoke-run the cheap drivers not covered above through the registry.
-	for _, id := range []string{"tab5", "tab6", "tab7", "fig8", "fig14", "tab3", "tab4", "abl-alloc", "serve", "chaos"} {
-		tables, err := Run(sharedLab, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", id)
-		}
-		for _, tab := range tables {
-			if len(tab.Rows) == 0 {
-				t.Fatalf("%s table %s empty", id, tab.ID)
-			}
-			var buf bytes.Buffer
-			tab.Render(&buf)
-			if !strings.Contains(buf.String(), tab.ID) {
-				t.Fatalf("render missing id for %s", tab.ID)
-			}
-		}
 	}
 }
 
