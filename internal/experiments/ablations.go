@@ -29,18 +29,15 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 	}
 	win := l.EvalWin()
 	densities := []float64{0.4, 0.5, 0.6}
-	type ablRes struct{ uni, wtd eval.Point }
-	results := make([]ablRes, len(densities))
 	// Each density is independent (own scheme instance, own caches); the
 	// uniform/recording/weighted sequence within a density stays ordered.
-	if err := forEach(len(densities), func(i int) error {
-		density := densities[i]
+	res, err := runGrid(densities, func(density float64) ([2]eval.Point, error) {
 		s := sparsity.NewDIP(density)
 		groups := hwsim.ProbeGroups(s, m)
 		// Uniform baseline.
 		uni, err := runPlanned(m, s, test, win, groups, nil)
 		if err != nil {
-			return err
+			return [2]eval.Point{}, err
 		}
 		// Trace-weighted: record one pass, derive per-layer weights.
 		rec := cache.NewTraceRecorder()
@@ -50,18 +47,16 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 		}
 		weights := hwsim.LayerWeightsFromTrace(rec, len(m.Blocks))
 		wtd, err := runPlanned(m, s, test, win, groups, weights)
-		if err != nil {
-			return err
-		}
-		results[i] = ablRes{uni, wtd}
-		return nil
-	}); err != nil {
+		return [2]eval.Point{uni, wtd}, err
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, density := range densities {
-		r := results[i]
-		out.AddRow("uniform", density, r.uni.PPL, r.uni.Throughput, r.uni.HitRate)
-		out.AddRow("trace-weighted", density, r.wtd.PPL, r.wtd.Throughput, r.wtd.HitRate)
+		for j, alloc := range []string{"uniform", "trace-weighted"} {
+			pt := res[i][j]
+			out.AddRow(alloc, density, pt.PPL, pt.Throughput, pt.HitRate)
+		}
 	}
 	out.Notes = append(out.Notes,
 		"paper Appendix A: non-uniform allocation gives no significant improvement — DIP's per-token unit counts are constant per layer, so miss pressure is already uniform")

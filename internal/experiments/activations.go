@@ -26,11 +26,10 @@ func Fig3(l *Lab) ([]*Table, error) {
 	}
 	names := []string{model.Mistral7BSim, model.ReluFiedSim}
 	l.Warm(names...)
-	stats := make([]*sparsity.LayerStats, len(names))
-	if err := forEach(len(names), func(i int) error {
-		stats[i] = sparsity.CollectStats(l.Model(names[i]), l.CalibTokens(), l.EvalWin(), 256)
-		return nil
-	}); err != nil {
+	stats, err := runGrid(names, func(name string) (*sparsity.LayerStats, error) {
+		return sparsity.CollectStats(l.Model(name), l.CalibTokens(), l.EvalWin(), 256), nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {
@@ -136,40 +135,38 @@ func Fig6(l *Lab) ([]*Table, error) {
 	items := l.MixedMCItems(99)
 	names := []string{model.Mistral7BSim, model.ReluFiedSim}
 	l.Warm(names...)
-	// Fan out the full (name × density) grid: per cell one GLU-pruned
-	// accuracy, one predictive accuracy, and one recall measurement.
+	// One cell per table row: the dense accuracy per analog, then per
+	// density the GLU-pruned and the predictive accuracy, the latter with
+	// the predictors' top-K recall.
 	type fig6Cell struct {
-		accG, accP, recall float64
+		name, strategy string
+		rho            float64
 	}
-	denseAccs := make([]float64, len(names))
-	cells := make([]fig6Cell, len(names)*len(densities))
-	if err := forEach(len(names)*(1+len(densities)), func(i int) error {
-		ni := i / (1 + len(densities))
-		name := names[ni]
-		m := l.Model(name)
-		di := i%(1+len(densities)) - 1
-		if di < 0 {
-			denseAccs[ni] = eval.MCAccuracy(m, nil, l.Tokenizer(), items)
-			return nil
+	var cells []fig6Cell
+	for _, name := range names {
+		cells = append(cells, fig6Cell{name, "dense", 1})
+		for _, rho := range densities {
+			cells = append(cells, fig6Cell{name, "glu", rho}, fig6Cell{name, "glu-predictive", rho})
 		}
-		rho := densities[di]
-		preds := l.Predictors(name)
-		c := &cells[ni*len(densities)+di]
-		c.accG = eval.MCAccuracy(m, &sparsity.GLUPrune{RhoGLU: rho}, l.Tokenizer(), items)
-		pred := &sparsity.Predictive{Rho: rho, Score: preds.ScoreFunc()}
-		c.accP = eval.MCAccuracy(m, pred, l.Tokenizer(), items)
-		c.recall = predictorRecall(l, name, rho)
-		return nil
-	}); err != nil {
+	}
+	rows, err := runGrid(cells, func(c fig6Cell) ([]any, error) {
+		m := l.Model(c.name)
+		var s sparsity.Scheme
+		recall := "-"
+		switch c.strategy {
+		case "glu":
+			s = &sparsity.GLUPrune{RhoGLU: c.rho}
+		case "glu-predictive":
+			s = &sparsity.Predictive{Rho: c.rho, Score: l.Predictors(c.name).ScoreFunc()}
+			recall = fmt.Sprintf("%.3f", predictorRecall(l, c.name, c.rho))
+		}
+		return []any{c.name, c.strategy, c.rho, eval.MCAccuracy(m, s, l.Tokenizer(), items), recall}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		out.AddRow(name, "dense", 1.0, denseAccs[ni], "-")
-		for di, rho := range densities {
-			c := cells[ni*len(densities)+di]
-			out.AddRow(name, "glu", rho, c.accG, "-")
-			out.AddRow(name, "glu-predictive", rho, c.accP, fmt.Sprintf("%.3f", c.recall))
-		}
+	for _, row := range rows {
+		out.AddRow(row...)
 	}
 	out.Notes = append(out.Notes,
 		"paper Figure 6: predictive pruning tracks GLU pruning on the ReLU-fied model and collapses on SwiGLU")

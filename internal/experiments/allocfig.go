@@ -26,16 +26,18 @@ func Fig12(l *Lab) ([]*Table, error) {
 		Title:   "Allocation trials: (rho_in, rho_glu) grid",
 		Columns: []string{"rho_in", "rho_glu", "mlp_density", "ppl"},
 	}
-	// The (rho_in × rho_glu) grid points are independent evaluations; fan
-	// them out and assemble rows in grid order afterwards.
-	all := make([]sparsity.AllocTrial, len(grid)*len(grid))
-	if err := forEach(len(all), func(i int) error {
-		rin, rglu := grid[i/len(grid)], grid[i%len(grid)]
-		s := &sparsity.DIP{RhoIn: rin, RhoGLU: rglu, Gamma: 1}
-		ppl, density := eval.PerplexityUnderScheme(m, s, test, l.EvalWin())
-		all[i] = sparsity.AllocTrial{RhoIn: rin, RhoGLU: rglu, Density: density, PPL: ppl}
-		return nil
-	}); err != nil {
+	// The (rho_in × rho_glu) grid points are independent evaluations.
+	var cells []sparsity.AllocTrial
+	for _, rin := range grid {
+		for _, rglu := range grid {
+			cells = append(cells, sparsity.AllocTrial{RhoIn: rin, RhoGLU: rglu})
+		}
+	}
+	all, err := runGrid(cells, func(tr sparsity.AllocTrial) (sparsity.AllocTrial, error) {
+		tr.PPL, tr.Density = eval.PerplexityUnderScheme(m, &sparsity.DIP{RhoIn: tr.RhoIn, RhoGLU: tr.RhoGLU, Gamma: 1}, test, l.EvalWin())
+		return tr, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, tr := range all {

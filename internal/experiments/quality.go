@@ -10,50 +10,35 @@ import (
 	"repro/internal/sparsity"
 )
 
-// methodEval is one (scheme or surgically-modified model) evaluated for
-// quality: the model to run and the scheme to mask it with (nil scheme =
-// dense evaluation, used for statically pruned models).
-type methodEval struct {
-	label  string
-	m      *model.Model
-	scheme sparsity.Scheme
-}
-
-// qualityMethods builds the Table-1 method grid for one analog at an MLP
-// density target. includeSemi adds the 2:4/4:8 SparseGPT variants (Table 1
-// only).
-func qualityMethods(l *Lab, name string, density float64, includeSemi bool) []methodEval {
+// qualityMethods builds the Table-1 method cells for one analog at an MLP
+// density target, scored on items. includeSemi adds the 2:4/4:8 SparseGPT
+// variants (Table 1 only).
+func qualityMethods(l *Lab, name string, density float64, includeSemi bool, items []data.MCItem) []qualCell {
 	m := l.Model(name)
-	// Intermediate-axis keep rate for Gate/Up/CATS at this MLP density:
-	// density = (1 + 2ρ)/3 → ρ = (3·density − 1)/2.
-	rowRho := (3*density - 1) / 2
-	if rowRho < 0.02 {
-		rowRho = 0.02
-	}
+	rho := rowRho(density)
 	preds := l.Predictors(name)
 	dip := sparsity.NewDIP(density)
-	cats := l.CATS(name, rowRho)
-	evals := []methodEval{
-		{"dense", m, nil},
-		{"glu-oracle", m, &sparsity.GLUOracle{Rho: density}},
-		{"sparsegpt-unstructured", l.SparseGPT(name, prune.Unstructured, 1-density), nil},
+	cats := l.CATS(name, rho)
+	cells := []qualCell{
+		{"dense", m, nil, items},
+		{"glu-oracle", m, &sparsity.GLUOracle{Rho: density}, items},
+		{"sparsegpt-unstructured", l.SparseGPT(name, prune.Unstructured, 1-density), nil, items},
 	}
 	if includeSemi {
-		evals = append(evals,
-			methodEval{"sparsegpt-2:4", l.SparseGPT(name, prune.Semi2of4, 0.5), nil},
-			methodEval{"sparsegpt-4:8", l.SparseGPT(name, prune.Semi4of8, 0.5), nil},
+		cells = append(cells,
+			qualCell{"sparsegpt-2:4", l.SparseGPT(name, prune.Semi2of4, 0.5), nil, items},
+			qualCell{"sparsegpt-4:8", l.SparseGPT(name, prune.Semi4of8, 0.5), nil, items},
 		)
 	}
-	evals = append(evals,
-		methodEval{"gate", m, &sparsity.GatePrune{Rho: rowRho}},
-		methodEval{"up", m, &sparsity.UpPrune{Rho: rowRho}},
-		methodEval{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}},
-		methodEval{"cats", m, cats},
-		methodEval{"cats+lora", l.Fused(name, cats, fmt.Sprintf("%.2f", rowRho), false), cats},
-		methodEval{"dip", m, dip},
-		methodEval{"dip+lora", l.Fused(name, dip, fmt.Sprintf("%.2f", density), true), dip},
+	return append(cells,
+		qualCell{"gate", m, &sparsity.GatePrune{Rho: rho}, items},
+		qualCell{"up", m, &sparsity.UpPrune{Rho: rho}, items},
+		qualCell{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}, items},
+		qualCell{"cats", m, cats, items},
+		qualCell{"cats+lora", l.Fused(name, cats, fmt.Sprintf("%.2f", rho), false), cats, items},
+		qualCell{"dip", m, dip, items},
+		qualCell{"dip+lora", l.Fused(name, dip, fmt.Sprintf("%.2f", density), true), dip, items},
 	)
-	return evals
 }
 
 // qualityTable runs the Table 1/3/4 grid at one density.
@@ -69,49 +54,28 @@ func qualityTable(l *Lab, id string, density float64, includeSemi bool) ([]*Tabl
 		out.Notes = append(out.Notes, "test scale: first two analogs only")
 	}
 	items := l.MixedMCItems(7)
-	test := l.TestTokens(0)
 	l.Warm(names...)
-	// Build each analog's method list (training predictors / pruned / fused
-	// artifacts on first use) with analogs in parallel, then evaluate the
-	// whole (name × method) grid concurrently. Shared schemes (CATS between
-	// "cats" and "cats+lora", DIP between "dip" and "dip+lora") are cloned
-	// per cell so scratch state is never shared.
-	methods := make([][]methodEval, len(names))
-	if err := forEach(len(names), func(ni int) error {
-		methods[ni] = qualityMethods(l, names[ni], density, includeSemi)
-		return nil
-	}); err != nil {
+	// Build each analog's cells (training predictors / pruned / fused
+	// artifacts on first use) with analogs in parallel, then score the
+	// whole (name × method) grid.
+	lists, err := runGrid(names, func(name string) ([]qualCell, error) {
+		return qualityMethods(l, name, density, includeSemi, items), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	type cellRes struct{ ppl, acc, d float64 }
-	results := make([][]cellRes, len(names))
-	if err := forEach(len(names), func(ni int) error {
-		results[ni] = make([]cellRes, len(methods[ni]))
-		return forEach(len(methods[ni]), func(mi int) error {
-			me := methods[ni][mi]
-			scheme := sparsity.Clone(me.scheme)
-			var r cellRes
-			if scheme == nil {
-				r.ppl = model.Perplexity(me.m, test, l.EvalWin(), nil)
-				r.d = 1
-				if me.label != "dense" {
-					r.d = 1 - prune.MLPSparsity(me.m) // statically pruned
-				}
-			} else {
-				r.ppl, r.d = eval.PerplexityUnderScheme(me.m, scheme, test, l.EvalWin())
-			}
-			r.acc = eval.MCAccuracy(me.m, scheme, l.Tokenizer(), items)
-			results[ni][mi] = r
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
-	for ni, name := range names {
-		for mi, me := range methods[ni] {
-			r := results[ni][mi]
-			out.AddRow(me.label, name, r.ppl, r.acc, r.d)
+	var g keyedCells[qualCell]
+	for i, name := range names {
+		for _, c := range lists[i] {
+			g.add(c, c.label, name)
 		}
+	}
+	res, err := runGrid(g.cells, l.quality)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range res {
+		out.AddRow(g.row(i, r.ppl, r.acc, r.density)...)
 	}
 	out.Notes = append(out.Notes,
 		"density ignores predictor/mask overheads, as in the paper's Table 1 footnote")
@@ -140,33 +104,36 @@ func Table5(l *Lab) ([]*Table, error) {
 	if l.Scale == model.ScaleTest {
 		names = names[:1]
 	}
+	var g keyedCells[qualCell]
 	for _, name := range names {
 		m := l.Model(name)
 		preds := l.Predictors(name)
-		methods := []methodEval{
-			{"dense", m, nil},
-			{"glu-oracle", m, &sparsity.GLUOracle{Rho: density}},
-			{"sparsegpt-unstructured", l.SparseGPT(name, prune.Unstructured, 0.5), nil},
-			{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}},
-			{"cats", m, l.CATS(name, 0.25)},
-			{"dip", m, sparsity.NewDIP(density)},
+		methods := []qualCell{
+			{"dense", m, nil, nil},
+			{"glu-oracle", m, &sparsity.GLUOracle{Rho: density}, nil},
+			{"sparsegpt-unstructured", l.SparseGPT(name, prune.Unstructured, 0.5), nil, nil},
+			{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}, nil},
+			{"cats", m, l.CATS(name, rowRho(density)), nil},
+			{"dip", m, sparsity.NewDIP(density), nil},
 		}
-		kinds := data.TaskKinds()
-		itemsByKind := make([][]data.MCItem, len(kinds))
-		for ki, kind := range kinds {
-			itemsByKind[ki] = l.MCItems(kind, 300+uint64(kind))
+		for _, kind := range data.TaskKinds() {
+			items := l.MCItems(kind, 300+uint64(kind))
+			for _, c := range methods {
+				c.items = items
+				g.add(c, name, c.label, kind.String())
+			}
 		}
-		accs := make([]float64, len(kinds)*len(methods))
-		if err := forEach(len(accs), func(i int) error {
-			me := methods[i%len(methods)]
-			accs[i] = eval.MCAccuracy(me.m, sparsity.Clone(me.scheme), l.Tokenizer(), itemsByKind[i/len(methods)])
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for i, acc := range accs {
-			out.AddRow(name, methods[i%len(methods)].label, kinds[i/len(methods)].String(), acc)
-		}
+	}
+	// Table 5 reports accuracy only, so its cells skip quality's perplexity
+	// pass; MCAccuracy clones the scheme per worker itself.
+	accs, err := runGrid(g.cells, func(c qualCell) (float64, error) {
+		return eval.MCAccuracy(c.m, c.scheme, l.Tokenizer(), c.items), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, acc := range accs {
+		out.AddRow(g.row(i, acc)...)
 	}
 	return []*Table{out}, nil
 }
@@ -191,63 +158,33 @@ func densitySweep(l *Lab, id, name string) ([]*Table, error) {
 		densities = []float64{0.4, 0.6}
 	}
 	items := l.MixedMCItems(11)
-	test := l.TestTokens(0)
-	densePPL := model.Perplexity(m, test, l.EvalWin(), nil)
-	denseAcc := eval.MCAccuracy(m, nil, l.Tokenizer(), items)
-	out.AddRow("dense", 1.0, densePPL, denseAcc)
-	// Flatten the (density × method) sweep and fan it out; emit rows from
-	// the indexed results in the original order.
-	type sweepCell struct {
-		label   string
-		density float64
-		me      methodEval
-	}
-	var cells []sweepCell
+	var g keyedCells[qualCell]
+	g.add(qualCell{"dense", m, nil, items}, "dense", 1.0)
 	for _, density := range densities {
-		rowRho := (3*density - 1) / 2
-		if rowRho < 0.02 {
-			rowRho = 0.02
+		cells := []qualCell{
+			{"sparsegpt-unstructured", l.SparseGPT(name, prune.Unstructured, 1-density), nil, items},
+			{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}, items},
+			{"cats", m, l.CATS(name, rowRho(density)), items},
+			{"dip", m, sparsity.NewDIP(density), items},
 		}
-		methods := []methodEval{
-			{"sparsegpt-unstructured", l.SparseGPT(name, prune.Unstructured, 1-density), nil},
-			{"dejavu", m, &sparsity.Predictive{Rho: density, Score: preds.ScoreFunc()}},
-			{"cats", m, l.CATS(name, rowRho)},
-			{"dip", m, sparsity.NewDIP(density)},
-		}
-		if l.Scale == model.ScalePaper {
-			methods = append(methods,
-				methodEval{"sparsegpt-2:4", l.SparseGPT(name, prune.Semi2of4, 0.5), nil},
-				methodEval{"sparsegpt-4:8", l.SparseGPT(name, prune.Semi4of8, 0.5), nil},
+		// Semi-structured points are fixed at 50% sparsity: one each, at
+		// density 0.5.
+		if l.Scale == model.ScalePaper && density == 0.5 {
+			cells = append(cells,
+				qualCell{"sparsegpt-2:4", l.SparseGPT(name, prune.Semi2of4, 0.5), nil, items},
+				qualCell{"sparsegpt-4:8", l.SparseGPT(name, prune.Semi4of8, 0.5), nil, items},
 			)
 		}
-		for _, me := range methods {
-			// Semi-structured points are fixed at 50% sparsity; skip
-			// repeats at other densities.
-			if (me.label == "sparsegpt-2:4" || me.label == "sparsegpt-4:8") && density != 0.5 {
-				continue
-			}
-			cells = append(cells, sweepCell{me.label, density, me})
+		for _, c := range cells {
+			g.add(c, c.label, density)
 		}
 	}
-	type sweepRes struct{ ppl, acc float64 }
-	results := make([]sweepRes, len(cells))
-	if err := forEach(len(cells), func(i int) error {
-		me := cells[i].me
-		scheme := sparsity.Clone(me.scheme)
-		var r sweepRes
-		if scheme == nil {
-			r.ppl = model.Perplexity(me.m, test, l.EvalWin(), nil)
-		} else {
-			r.ppl, _ = eval.PerplexityUnderScheme(me.m, scheme, test, l.EvalWin())
-		}
-		r.acc = eval.MCAccuracy(me.m, scheme, l.Tokenizer(), items)
-		results[i] = r
-		return nil
-	}); err != nil {
+	res, err := runGrid(g.cells, l.quality)
+	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		out.AddRow(c.label, c.density, results[i].ppl, results[i].acc)
+	for i, r := range res {
+		out.AddRow(g.row(i, r.ppl, r.acc)...)
 	}
 	out.Notes = append(out.Notes,
 		"paper Figure 8: DIP dominates static and predictive baselines at every density")

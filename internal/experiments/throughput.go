@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/eval"
@@ -28,10 +28,10 @@ func throughputFamilies(l *Lab, name string) []throughputFamily {
 			return &sparsity.GLUPrune{RhoGLU: 3*d - 2}
 		}, 0.70},
 		{"up", func(d float64) sparsity.Scheme {
-			return &sparsity.UpPrune{Rho: (3*d - 1) / 2}
+			return &sparsity.UpPrune{Rho: rowRho(d)}
 		}, 0.36},
 		{"cats", func(d float64) sparsity.Scheme {
-			return l.CATS(name, (3*d-1)/2)
+			return l.CATS(name, rowRho(d))
 		}, 0.36},
 		{"dip", func(d float64) sparsity.Scheme {
 			return sparsity.NewDIP(d)
@@ -64,40 +64,49 @@ func (l *Lab) evalTokens() int {
 	return 768
 }
 
-// operatingPoints sweeps one family's densities under a device/policy.
-// Each density is an independent coupled evaluation (own cache, own meter,
-// own scheme clone), so the sweep fans out over the worker pool.
-func operatingPoints(l *Lab, name string, fam throughputFamily, dev hwsim.Device, policy cache.Policy) ([]eval.Point, error) {
-	m := l.Model(name)
-	test := l.TestTokens(0)
-	densities := sweepDensities(l, fam.minDensity)
-	pts := make([]eval.Point, len(densities))
-	err := forEach(len(densities), func(i int) error {
-		d := densities[i]
-		// Clone: makeScheme may hand back a lab-memoized scheme (CATS)
-		// whose scratch must not be shared across concurrent evaluations.
-		s := sparsity.Clone(fam.makeScheme(d))
-		pt, err := eval.SystemEvaluate(m, s, test, eval.SystemConfig{
-			Device: dev, Policy: policy, MaxTokens: l.evalTokens(), Win: l.EvalWin(),
-		})
-		if err != nil {
-			return fmt.Errorf("%s @%.2f: %w", fam.label, d, err)
-		}
-		pts[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
+// frontier is the throughput frontier of one analog on one device: the
+// dense point and every family's points over its sweep densities.
+type frontier struct {
+	name  string
+	dev   hwsim.Device
+	fams  []throughputFamily
+	dense eval.Point
+	pts   [][]eval.Point // pts[f][i]: fams[f] at its i-th sweep density
 }
 
-// densePoint evaluates the dense baseline under the device.
-func densePoint(l *Lab, name string, dev hwsim.Device) (eval.Point, error) {
-	m := l.Model(name)
-	return eval.SystemEvaluate(m, sparsity.Dense{}, l.TestTokens(0), eval.SystemConfig{
-		Device: dev, Policy: cache.PolicyLFU, MaxTokens: l.evalTokens(), Win: l.EvalWin(),
-	})
+// evalFrontiers evaluates every frontier's dense point and family sweeps as
+// one flat grid of LFU cells, then hands the points back to each frontier
+// in cell order.
+func evalFrontiers(l *Lab, fs []frontier) error {
+	var cells []sysCell
+	for _, f := range fs {
+		cells = append(cells, sysCell{f.name, sparsity.Dense{}, f.dev, cache.PolicyLFU})
+		for _, fam := range f.fams {
+			for _, d := range sweepDensities(l, fam.minDensity) {
+				cells = append(cells, sysCell{f.name, fam.makeScheme(d), f.dev, cache.PolicyLFU})
+			}
+		}
+	}
+	pts, err := runGrid(cells, l.point)
+	if err != nil {
+		return err
+	}
+	for i := range fs {
+		f := &fs[i]
+		f.dense, pts = pts[0], pts[1:]
+		f.pts = make([][]eval.Point, len(f.fams))
+		for j, fam := range f.fams {
+			n := len(sweepDensities(l, fam.minDensity))
+			f.pts[j], pts = pts[:n], pts[n:]
+		}
+	}
+	return nil
+}
+
+// best returns family j's highest-throughput point whose perplexity is
+// within budget (in the paper's absolute units, see pplScale) of dense.
+func (f *frontier) best(j int, budget float64) (eval.Point, bool) {
+	return eval.BestThroughput(f.pts[j], f.dense.PPL+budget*pplScale(f.dense.PPL))
 }
 
 // Table2 reproduces the throughput comparison: best tok/s under +0.2 and
@@ -119,66 +128,31 @@ func Table2(l *Lab) ([]*Table, error) {
 		names = names[:2]
 		out.Notes = append(out.Notes, "test scale: first two analogs only")
 	}
-	// Warm the analogs concurrently, then fan out the whole (name × method)
-	// grid — each cell is an independent coupled evaluation. Rows are
-	// assembled from the indexed results afterwards, preserving the serial
-	// table order exactly.
 	l.Warm(names...)
-	type nameRes struct {
-		modelBytes float64
-		dense      eval.Point
-		fams       []throughputFamily
-		pts        [][]eval.Point
+	fs := make([]frontier, len(names))
+	for i, name := range names {
+		fs[i] = frontier{name: name, dev: dev, fams: throughputFamilies(l, name)}
 	}
-	results := make([]nameRes, len(names))
-	err := forEach(len(names), func(ni int) error {
-		name := names[ni]
-		m := l.Model(name)
-		plan, err := hwsim.NewPlan(m, dev, hwsim.PlanOpts{Groups: hwsim.ProbeGroups(sparsity.NewDIP(0.5), m)})
-		if err != nil {
-			return err
-		}
-		r := &results[ni]
-		r.modelBytes = plan.ModelBytes
-		r.fams = throughputFamilies(l, name)
-		r.pts = make([][]eval.Point, len(r.fams))
-		return forEach(1+len(r.fams), func(i int) error {
-			if i == 0 {
-				dense, err := densePoint(l, name, dev)
-				if err != nil {
-					return err
-				}
-				r.dense = dense
-				return nil
-			}
-			pts, err := operatingPoints(l, name, r.fams[i-1], dev, cache.PolicyLFU)
-			if err != nil {
-				return err
-			}
-			r.pts[i-1] = pts
-			return nil
-		})
-	})
-	if err != nil {
+	if err := evalFrontiers(l, fs); err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		r := &results[ni]
-		sizes.AddRow(name, r.modelBytes/1e9, dev.DRAMFraction*r.modelBytes/1e9)
-		dense := r.dense
-		out.AddRow(name, "dense", dense.Throughput, dense.Throughput, 1.0, dense.HitRate)
-		for fi, fam := range r.fams {
-			pts := r.pts[fi]
-			row := []any{name, fam.label}
-			best02, ok02 := eval.BestThroughput(pts, dense.PPL+0.2*pplScale(dense.PPL))
-			best05, ok05 := eval.BestThroughput(pts, dense.PPL+0.5*pplScale(dense.PPL))
-			if ok02 {
-				row = append(row, best02.Throughput)
+	for _, f := range fs {
+		m := l.Model(f.name)
+		plan, err := hwsim.NewPlan(m, dev, hwsim.PlanOpts{Groups: hwsim.ProbeGroups(sparsity.NewDIP(0.5), m)})
+		if err != nil {
+			return nil, err
+		}
+		sizes.AddRow(f.name, plan.ModelBytes/1e9, dev.DRAMFraction*plan.ModelBytes/1e9)
+		out.AddRow(f.name, "dense", f.dense.Throughput, f.dense.Throughput, 1.0, f.dense.HitRate)
+		for j, fam := range f.fams {
+			row := []any{f.name, fam.label}
+			if best, ok := f.best(j, 0.2); ok {
+				row = append(row, best.Throughput)
 			} else {
 				row = append(row, "-")
 			}
-			if ok05 {
-				row = append(row, best05.Throughput, best05.Density, best05.HitRate)
+			if best, ok := f.best(j, 0.5); ok {
+				row = append(row, best.Throughput, best.Density, best.HitRate)
 			} else {
 				row = append(row, "-", "-", "-")
 			}
@@ -233,23 +207,16 @@ func Fig10(l *Lab) ([]*Table, error) {
 	if l.Scale == model.ScaleTest {
 		gammas = []float64{1e-3, 0.2, 1.0}
 	}
-	test := l.TestTokens(0)
-	gpts := make([]eval.Point, len(gammas))
-	err := forEach(len(gammas), func(i int) error {
-		pt, err := eval.SystemEvaluate(m, sparsity.NewDIPCA(0.5, gammas[i]), test, eval.SystemConfig{
-			Device: hwsim.A18Like(), Policy: cache.PolicyLFU, MaxTokens: l.evalTokens(), Win: l.EvalWin(),
-		})
-		if err != nil {
-			return err
-		}
-		gpts[i] = pt
-		return nil
-	})
+	var g keyedCells[sysCell]
+	for _, gamma := range gammas {
+		g.add(sysCell{name, sparsity.NewDIPCA(0.5, gamma), hwsim.A18Like(), cache.PolicyLFU}, gamma)
+	}
+	pts, err := runGrid(g.cells, l.point)
 	if err != nil {
 		return nil, err
 	}
-	for i, g := range gammas {
-		sweep.AddRow(g, gpts[i].PPL, gpts[i].Throughput, gpts[i].HitRate)
+	for i, pt := range pts {
+		sweep.AddRow(g.row(i, pt.PPL, pt.Throughput, pt.HitRate)...)
 	}
 	sweep.Notes = append(sweep.Notes,
 		"paper Figure 10 (right): γ ≈ 0.1–0.3 maximizes throughput at minor perplexity cost; γ=1 is plain DIP")
@@ -260,19 +227,15 @@ func Fig10(l *Lab) ([]*Table, error) {
 // the throughput/perplexity plane.
 func Fig11(l *Lab) ([]*Table, error) {
 	name := model.Phi3MedSim
-	m := l.Model(name)
 	out := &Table{
 		ID:      "fig11",
 		Title:   "Eviction policies vs cache-aware masking (DIP @ swept densities)",
 		Columns: []string{"config", "density", "ppl", "tok_s", "hit_rate"},
 	}
-	test := l.TestTokens(0)
-	dense, err := densePoint(l, name, hwsim.A18Like())
-	if err != nil {
-		return nil, err
-	}
-	out.AddRow("dense", 1.0, dense.PPL, dense.Throughput, dense.HitRate)
-	configs := []struct {
+	dev := hwsim.A18Like()
+	var g keyedCells[sysCell]
+	g.add(sysCell{name, sparsity.Dense{}, dev, cache.PolicyLFU}, "dense", 1.0)
+	for _, c := range []struct {
 		label  string
 		policy cache.Policy
 		ca     bool
@@ -282,32 +245,21 @@ func Fig11(l *Lab) ([]*Table, error) {
 		{"dip-lfu", cache.PolicyLFU, false},
 		{"dip-belady", cache.PolicyBelady, false},
 		{"dip-ca-lfu", cache.PolicyLFU, true},
+	} {
+		for _, d := range sweepDensities(l, 0.25) {
+			var s sparsity.Scheme = sparsity.NewDIP(d)
+			if c.ca {
+				s = sparsity.NewDIPCA(d, 0.2)
+			}
+			g.add(sysCell{name, s, dev, c.policy}, c.label, d)
+		}
 	}
-	densities := sweepDensities(l, 0.25)
-	grid := make([]eval.Point, len(configs)*len(densities))
-	err = forEach(len(grid), func(i int) error {
-		cfg := configs[i/len(densities)]
-		d := densities[i%len(densities)]
-		var s sparsity.Scheme
-		if cfg.ca {
-			s = sparsity.NewDIPCA(d, 0.2)
-		} else {
-			s = sparsity.NewDIP(d)
-		}
-		pt, err := eval.SystemEvaluate(m, s, test, eval.SystemConfig{
-			Device: hwsim.A18Like(), Policy: cfg.policy, MaxTokens: l.evalTokens(), Win: l.EvalWin(),
-		})
-		if err != nil {
-			return err
-		}
-		grid[i] = pt
-		return nil
-	})
+	pts, err := runGrid(g.cells, l.point)
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range grid {
-		out.AddRow(configs[i/len(densities)].label, densities[i%len(densities)], pt.PPL, pt.Throughput, pt.HitRate)
+	for i, pt := range pts {
+		out.AddRow(g.row(i, pt.PPL, pt.Throughput, pt.HitRate)...)
 	}
 	out.Notes = append(out.Notes,
 		"paper Figure 11: LFU ≈ LRU ≲ Belady, all well below DIP-CA at equal perplexity")
@@ -342,55 +294,23 @@ func deviceAblation(l *Lab, id, title string, devices []hwsim.Device) ([]*Table,
 		Title:   title,
 		Columns: []string{"device", "method", "tok_s_@+0.5ppl", "hit_rate"},
 	}
-	allFams := throughputFamilies(l, name)
 	// The ablation tables track dense, GLU, Up, CATS, DIP-CA (paper).
-	keep := map[string]bool{"glu": true, "up": true, "cats": true, "dip-ca": true}
-	var fams []throughputFamily
-	for _, fam := range allFams {
-		if keep[fam.label] {
-			fams = append(fams, fam)
-		}
+	fams := slices.DeleteFunc(throughputFamilies(l, name), func(f throughputFamily) bool { return f.label == "dip" })
+	fs := make([]frontier, len(devices))
+	for i, dev := range devices {
+		fs[i] = frontier{name: name, dev: dev, fams: fams}
 	}
-	// The full (device × method) grid fans out: every cell owns its cache
-	// and meter, and rows are emitted in index order afterwards.
-	type cellRes struct {
-		dense eval.Point
-		pts   []eval.Point
-	}
-	cols := 1 + len(fams)
-	grid := make([]cellRes, len(devices)*cols)
-	err := forEach(len(grid), func(i int) error {
-		dev := devices[i/cols]
-		mi := i % cols
-		if mi == 0 {
-			dense, err := densePoint(l, name, dev)
-			if err != nil {
-				return err
-			}
-			grid[i].dense = dense
-			return nil
-		}
-		pts, err := operatingPoints(l, name, fams[mi-1], dev, cache.PolicyLFU)
-		if err != nil {
-			return err
-		}
-		grid[i].pts = pts
-		return nil
-	})
-	if err != nil {
+	if err := evalFrontiers(l, fs); err != nil {
 		return nil, err
 	}
-	for di, dev := range devices {
-		dense := grid[di*cols].dense
-		out.AddRow(dev.Name, "dense", dense.Throughput, dense.HitRate)
-		for fi, fam := range fams {
-			pts := grid[di*cols+1+fi].pts
-			best, ok := eval.BestThroughput(pts, dense.PPL+0.5*pplScale(dense.PPL))
-			if !ok {
-				out.AddRow(dev.Name, fam.label, "-", "-")
-				continue
+	for _, f := range fs {
+		out.AddRow(f.dev.Name, "dense", f.dense.Throughput, f.dense.HitRate)
+		for j, fam := range f.fams {
+			if best, ok := f.best(j, 0.5); ok {
+				out.AddRow(f.dev.Name, fam.label, best.Throughput, best.HitRate)
+			} else {
+				out.AddRow(f.dev.Name, fam.label, "-", "-")
 			}
-			out.AddRow(dev.Name, fam.label, best.Throughput, best.HitRate)
 		}
 	}
 	return []*Table{out}, nil
