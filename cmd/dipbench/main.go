@@ -91,7 +91,7 @@ func run() int {
 		scale      = flag.String("scale", "paper", "paper | test")
 		ckpt       = flag.String("ckpt", "", "checkpoint directory (written by the first run that trains them)")
 		outDir     = flag.String("out", "", "write each experiment's tables to <out>/<id>.txt as well as stdout")
-		csvOut     = flag.Bool("csv", false, "also write <out>/<id>-<table>.csv for plotting")
+		csvOut     = flag.Bool("csv", false, "also write <out>/<table id>.csv for plotting (e.g. tab2-sizes.csv)")
 		verbose    = flag.Bool("v", true, "log lab progress to stderr")
 		procs      = flag.Int("procs", 0, "worker-pool size (0 = GOMAXPROCS / $REPRO_PROCS; 1 = serial)")
 		serve      = flag.Bool("serve", false, "run the multi-stream serving scenario (shorthand for -exp serve)")
