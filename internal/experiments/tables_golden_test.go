@@ -18,32 +18,39 @@ type goldenRow struct {
 	scen     Scenario
 }
 
-// goldenRows lists every registry id once with the zero Scenario, except
-// the serving grids, which run at their CI smoke size.
-var goldenRows = sync.OnceValue(func() []goldenRow {
-	serving := map[string][]goldenRow{
-		"serve": {{"serve", "serve", Scenario{Smoke: true}}},
-		"cluster": {
-			// dipbench -exp cluster -small: the default grid, drain and
-			// fail replays included.
-			{"cluster-small", "cluster", Scenario{Smoke: true}},
-			// dipbench -serve -small -nodes 3 -node-chaos 0.03
-			// -recover-ticks 60 -router least-loaded -arb fair: the
-			// detector columns.
-			{"cluster-chaos", "cluster", Scenario{Smoke: true, Nodes: 3, NodeChaos: 0.03, RecoverTicks: 60, Router: "least-loaded", Arb: "fair"}},
-		},
-		// dipbench -exp chaos -small.
-		"chaos": {{"chaos-small", "chaos", Scenario{Smoke: true}}},
-	}
+// clusterGoldenRows are the serving grids' rows, pinned by
+// TestClusterTablesGolden at their CI smoke size.
+var clusterGoldenRows = []goldenRow{
+	// dipbench -exp cluster -small: the default grid, drain and fail
+	// replays included.
+	{"cluster-small", "cluster", Scenario{Smoke: true}},
+	// dipbench -serve -small -nodes 3 -node-chaos 0.03 -recover-ticks 60
+	// -router least-loaded -arb fair: the detector columns.
+	{"cluster-chaos", "cluster", Scenario{Smoke: true, Nodes: 3, NodeChaos: 0.03, RecoverTicks: 60, Router: "least-loaded", Arb: "fair"}},
+	// dipbench -exp chaos -small.
+	{"chaos-small", "chaos", Scenario{Smoke: true}},
+}
+
+// tableGoldenRows are the rows TestTablesGolden pins: every other registry
+// id once, serve at its smoke size and the offline drivers at the zero
+// Scenario.
+var tableGoldenRows = sync.OnceValue(func() []goldenRow {
 	var rows []goldenRow
 	for _, id := range IDs() {
-		if rs, ok := serving[id]; ok {
-			rows = append(rows, rs...)
-		} else {
+		switch id {
+		case "cluster", "chaos":
+		case "serve":
+			rows = append(rows, goldenRow{id, id, Scenario{Smoke: true}})
+		default:
 			rows = append(rows, goldenRow{id, id, Scenario{}})
 		}
 	}
 	return rows
+})
+
+// goldenRows is every pinned row: every registry id at least once.
+var goldenRows = sync.OnceValue(func() []goldenRow {
+	return append(slices.Clone(tableGoldenRows()), clusterGoldenRows...)
 })
 
 // rendered memoizes each golden row's tables, so a test binary runs every
@@ -80,14 +87,9 @@ func tablesOf(t *testing.T, name string) []*Table {
 	return tabs
 }
 
-// Every registered table at test scale, pinned byte for byte: every column
-// is on the simulated tick clock or deterministic in the lab's seeds except
-// wall_tok_s, which is stripped by name. A refactor must leave these files
-// unedited, and a new id with no golden fails. Float formatting is pinned
-// on amd64 only. Regenerate with
-//
-//	UPDATE_CSV_GOLDEN=1 go test ./internal/experiments -run TestTablesGolden
-func TestTablesGolden(t *testing.T) {
+// Every registered id runs through the registry at test scale and renders
+// non-empty tables under its id; an unknown id errors.
+func TestRegistryRunsEverything(t *testing.T) {
 	if len(IDs()) != 21 {
 		t.Fatalf("expected 21 experiments, got %d: %v", len(IDs()), IDs())
 	}
@@ -95,41 +97,70 @@ func TestTablesGolden(t *testing.T) {
 		t.Fatal("unknown id should error")
 	}
 	for _, row := range goldenRows() {
-		t.Run(row.name, func(t *testing.T) {
-			tables := tablesOf(t, row.name)
-			if len(tables) == 0 {
-				t.Fatalf("%s produced no tables", row.id)
+		tables := tablesOf(t, row.name)
+		if len(tables) == 0 {
+			t.Fatalf("%s produced no tables", row.id)
+		}
+		for _, tab := range tables {
+			if len(tab.Rows) == 0 {
+				t.Fatalf("%s table %s empty", row.id, tab.ID)
 			}
 			var buf bytes.Buffer
-			for _, tab := range tables {
-				if len(tab.Rows) == 0 {
-					t.Fatalf("%s table %s empty", row.id, tab.ID)
-				}
-				withoutColumn(tab, "wall_tok_s").Render(&buf)
-				if !strings.Contains(buf.String(), "== "+tab.ID+": ") {
-					t.Fatalf("render missing id for %s", tab.ID)
-				}
+			tab.Render(&buf)
+			if !strings.Contains(buf.String(), "== "+tab.ID+": ") {
+				t.Fatalf("render missing id for %s", tab.ID)
 			}
-			if runtime.GOARCH != "amd64" {
-				t.Skip("table goldens are pinned on amd64")
-			}
-			golden := filepath.Join("testdata", "tables", row.name+".txt")
-			if os.Getenv("UPDATE_CSV_GOLDEN") != "" {
-				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", row.name, golden, buf.Bytes(), want)
-			}
-		})
+		}
+	}
+}
+
+// Every registered table at test scale, pinned byte for byte: every column
+// is on the simulated tick clock or deterministic in the lab's seeds except
+// wall_tok_s, which is stripped by name. A refactor must leave these files
+// unedited, and a new id with no golden fails. Float formatting is pinned
+// on amd64 only. Regenerate with
+//
+//	UPDATE_CSV_GOLDEN=1 go test ./internal/experiments -run 'TestTablesGolden|TestClusterTablesGolden'
+func TestTablesGolden(t *testing.T) {
+	for _, row := range tableGoldenRows() {
+		t.Run(row.name, func(t *testing.T) { checkGolden(t, row.name) })
+	}
+}
+
+// The cluster and chaos tables, pinned the same way at their CI smoke
+// sizes.
+func TestClusterTablesGolden(t *testing.T) {
+	for _, row := range clusterGoldenRows {
+		t.Run(row.name, func(t *testing.T) { checkGolden(t, row.name) })
+	}
+}
+
+// checkGolden compares the named golden row's rendered tables, wall_tok_s
+// stripped, with testdata/tables/<name>.txt.
+func checkGolden(t *testing.T, name string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skip("table goldens are pinned on amd64")
+	}
+	var buf bytes.Buffer
+	for _, tab := range tablesOf(t, name) {
+		withoutColumn(tab, "wall_tok_s").Render(&buf)
+	}
+	golden := filepath.Join("testdata", "tables", name+".txt")
+	if os.Getenv("UPDATE_CSV_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", name, golden, buf.Bytes(), want)
 	}
 }
 
