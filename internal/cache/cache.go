@@ -504,51 +504,15 @@ func (mc *ModelCache) TotalStats() Stats {
 	return s
 }
 
-// SetTraces installs Belady traces recorded by a TraceRecorder.
-func (mc *ModelCache) SetTraces(tr *TraceRecorder) {
-	for l := range mc.groups {
-		for g := 0; g < int(sparsity.NumGroups); g++ {
-			if gc := mc.groups[l][g]; gc != nil && gc.policy == PolicyBelady {
-				gc.SetTrace(tr.Stream(l, sparsity.GroupID(g)))
+// SetFuture installs the Belady oracle's future in every Belady group:
+// stream(l, g) is group g's access stream at layer l, one unit list per
+// access in order (nil for a dense access), as GroupCache.SetTrace takes it.
+func (mc *ModelCache) SetFuture(stream func(layer int, g sparsity.GroupID) [][]int) {
+	for l, gs := range mc.groups {
+		for g, gc := range gs {
+			if gc != nil && gc.policy == PolicyBelady {
+				gc.SetTrace(stream(l, sparsity.GroupID(g)))
 			}
 		}
 	}
-}
-
-// TraceRecorder captures per-(layer, group) access streams for the Belady
-// oracle's first pass. Dense accesses are recorded as empty entries (they
-// produce no eviction decisions).
-type TraceRecorder struct {
-	streams map[traceKey][][]int
-}
-
-type traceKey struct {
-	layer int
-	group sparsity.GroupID
-}
-
-// NewTraceRecorder returns an empty recorder.
-func NewTraceRecorder() *TraceRecorder {
-	return &TraceRecorder{streams: make(map[traceKey][][]int)}
-}
-
-// Record appends one token's access at a layer.
-func (tr *TraceRecorder) Record(layer int, ta *sparsity.TokenAccess) {
-	for g := 0; g < int(sparsity.NumGroups); g++ {
-		acc := ta.Groups[g]
-		if acc.Kind == sparsity.AccessUnused {
-			continue
-		}
-		k := traceKey{layer, sparsity.GroupID(g)}
-		var units []int
-		if acc.Kind == sparsity.AccessSparse {
-			units = append([]int(nil), acc.Units...)
-		}
-		tr.streams[k] = append(tr.streams[k], units)
-	}
-}
-
-// Stream returns the recorded stream for (layer, group).
-func (tr *TraceRecorder) Stream(layer int, g sparsity.GroupID) [][]int {
-	return tr.streams[traceKey{layer, g}]
 }

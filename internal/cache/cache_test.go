@@ -280,37 +280,20 @@ func TestModelCacheUnconfiguredGroupPanics(t *testing.T) {
 	mc.Access(0, &ta)
 }
 
-func TestTraceRecorderRoundTrip(t *testing.T) {
-	tr := NewTraceRecorder()
-	var ta sparsity.TokenAccess
-	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{3, 1}}
-	tr.Record(0, &ta)
-	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{2}}
-	tr.Record(0, &ta)
-	stream := tr.Stream(0, sparsity.GroupDown)
-	if len(stream) != 2 || stream[0][0] != 3 || stream[1][0] != 2 {
-		t.Fatalf("stream = %v", stream)
-	}
-	if got := tr.Stream(5, sparsity.GroupDown); got != nil {
-		t.Fatal("unknown stream should be nil")
-	}
-}
-
 func TestModelCacheBeladyIntegration(t *testing.T) {
 	caps := make([][sparsity.NumGroups]int, 1)
 	nunits := make([][sparsity.NumGroups]int, 1)
 	nunits[0][sparsity.GroupDown] = 10
 	caps[0][sparsity.GroupDown] = 2
-	// Record a trace, install it, replay with identical accesses.
-	tr := NewTraceRecorder()
+	// Install the access stream as the future, replay the same accesses.
 	accesses := [][]int{{1}, {2}, {3}, {1}, {2}}
-	for _, u := range accesses {
-		var ta sparsity.TokenAccess
-		ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: u}
-		tr.Record(0, &ta)
-	}
 	mc := NewModelCache(PolicyBelady, caps, nunits)
-	mc.SetTraces(tr)
+	mc.SetFuture(func(l int, g sparsity.GroupID) [][]int {
+		if l != 0 || g != sparsity.GroupDown {
+			t.Fatalf("future asked for unconfigured group %v at layer %d", g, l)
+		}
+		return accesses
+	})
 	for _, u := range accesses {
 		var ta sparsity.TokenAccess
 		ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: u}

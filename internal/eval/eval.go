@@ -45,27 +45,15 @@ func (d *DensityAccumulator) Mean() float64 {
 	return d.sum / float64(d.n)
 }
 
-// HookOpts couples optional instrumentation into a scheme hook. A hook
-// passes no CacheView, so it scores plain masks; a cache-coupled evaluation
-// of a token stream is a Stream.
-type HookOpts struct {
-	// Recorder, when set, records access traces (for Belady's first pass).
-	Recorder *cache.TraceRecorder
-	// Density, when set, accumulates measured MLP density.
-	Density *DensityAccumulator
-}
-
-// Hook builds a model.MLPHook evaluating the scheme with the requested
-// instrumentation.
-func Hook(m *model.Model, s sparsity.Scheme, opts HookOpts) model.MLPHook {
+// Hook builds a model.MLPHook evaluating the scheme, adding each access to
+// density when it is non-nil. A hook passes no CacheView, so it scores plain
+// masks; a cache-coupled evaluation of a token stream is a Stream.
+func Hook(m *model.Model, s sparsity.Scheme, density *DensityAccumulator) model.MLPHook {
 	var dense sparsity.DenseScratch
 	return func(layer int, x tensor.Vec) tensor.Vec {
 		y, ta := sparsity.ForwardColumn(layer, s, x, m.Blocks[layer].MLP, nil, &dense)
-		if opts.Density != nil {
-			opts.Density.Add(&ta)
-		}
-		if opts.Recorder != nil {
-			opts.Recorder.Record(layer, &ta)
+		if density != nil {
+			density.Add(&ta)
 		}
 		return y
 	}
@@ -75,7 +63,7 @@ func Hook(m *model.Model, s sparsity.Scheme, opts HookOpts) model.MLPHook {
 // no hardware coupling, returning the perplexity and mean measured density.
 func PerplexityUnderScheme(m *model.Model, s sparsity.Scheme, tokens []int, win int) (ppl, density float64) {
 	acc := NewDensityAccumulator(m)
-	hook := Hook(m, s, HookOpts{Density: acc})
+	hook := Hook(m, s, acc)
 	return model.Perplexity(m, tokens, win, hook), acc.Mean()
 }
 
@@ -93,7 +81,7 @@ func MCAccuracy(m *model.Model, s sparsity.Scheme, tok *data.Tokenizer, items []
 	parallel.For(len(items), 1, func(lo, hi int) {
 		var hook model.MLPHook
 		if s != nil {
-			hook = Hook(m, sparsity.Clone(s), HookOpts{})
+			hook = Hook(m, sparsity.Clone(s), nil)
 		}
 		for i := lo; i < hi; i++ {
 			it := items[i]
@@ -143,11 +131,21 @@ type SystemConfig struct {
 // meter coupled, returning perplexity, measured density, hit rate, and
 // simulated throughput. It is a Stream run to completion — the serving
 // engine advances the identical per-token machinery, so a session evaluated
-// alone reproduces this function bit for bit. For the Belady policy the
-// stream construction runs a recording pass first and replays the identical
-// token stream against the oracle; cache-aware schemes are rejected there
-// because their masks would diverge between passes.
+// alone reproduces this function bit for bit. Under the Belady policy it is
+// Record followed by Replay: the oracle's future is the recorded trace, so
+// cache-aware schemes, whose accesses depend on the cache, are rejected.
 func SystemEvaluate(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig) (Point, error) {
+	if cfg.Policy == cache.PolicyBelady {
+		plan, err := systemPlan(m, s, cfg)
+		if err != nil {
+			return Point{}, err
+		}
+		tr, err := Record(m, s, tokens, cfg)
+		if err != nil {
+			return Point{}, err
+		}
+		return Replay(tr, plan, cfg.Policy).Point(), nil
+	}
 	st, err := NewStream(m, s, tokens, cfg)
 	if err != nil {
 		return Point{}, err

@@ -222,8 +222,8 @@ func TestStreamStepsMatchSystemEvaluate(t *testing.T) {
 	for st.Step() {
 		steps++
 	}
-	if steps != st.TotalTokens() || !st.Done() || st.Pos() != steps {
-		t.Fatalf("stepped %d, total %d, pos %d", steps, st.TotalTokens(), st.Pos())
+	if steps != st.total || !st.Done() || st.Pos() != steps {
+		t.Fatalf("stepped %d, total %d, pos %d", steps, st.total, st.Pos())
 	}
 	pt, err := SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), zoo.test, cfg)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestStreamStepsMatchSystemEvaluate(t *testing.T) {
 	}
 	// Incremental decoding vs teacher-forced windows: same math, only
 	// float accumulation order differs.
-	ppl := model.Perplexity(zoo.m, zoo.test[:640], zoo.m.Cfg.MaxSeq, Hook(zoo.m, sparsity.NewDIP(0.5), HookOpts{}))
+	ppl := model.Perplexity(zoo.m, zoo.test[:640], zoo.m.Cfg.MaxSeq, Hook(zoo.m, sparsity.NewDIP(0.5), nil))
 	stDip, err := NewStream(zoo.m, sparsity.NewDIP(0.5), zoo.test, cfg)
 	if err != nil {
 		t.Fatal(err)

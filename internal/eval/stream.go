@@ -115,42 +115,32 @@ type StreamOpts struct {
 	Deferred bool
 }
 
-// NewStream builds a self-contained stream: the memory plan and cache are
-// derived from cfg exactly as SystemEvaluate historically did, including the
-// Belady recording pass (which replays the identical per-token access
-// sequence because it runs through the same Step machinery).
+// NewStream builds a self-contained stream whose memory plan and cache are
+// derived from cfg. Belady is rejected, as in NewStreamWith; a Belady
+// evaluation is Record followed by Replay, whose future is the trace.
 func NewStream(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig) (*Stream, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	plan, err := hwsim.NewPlan(m, cfg.Device, hwsim.PlanOpts{
-		BytesPerWeight: cfg.BytesPerWeight,
-		Groups:         hwsim.ProbeGroups(s, m),
-	})
+	plan, err := systemPlan(m, s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tokens, win, total := evalWindow(m, tokens, cfg)
-	if cfg.Policy == cache.PolicyBelady {
-		if ca, ok := s.(interface{ IsCacheAware() bool }); ok && ca.IsCacheAware() {
-			return nil, fmt.Errorf("eval: Belady policy cannot replay a cache-aware scheme")
-		}
-		rec := cache.NewTraceRecorder()
-		recSt := &Stream{m: m, s: s, tokens: tokens, win: win, total: total}
-		recSt.hook = Hook(m, s, HookOpts{Recorder: rec})
-		for recSt.Step() {
-		}
-		mc := plan.NewCache(cache.PolicyBelady)
-		mc.SetTraces(rec)
-		return new(Stream).couple(m, s, tokens, win, total, plan, mc), nil
+	return NewStreamWith(m, s, tokens, cfg, StreamOpts{Plan: plan, Cache: plan.NewCache(cfg.Policy)})
+}
+
+// systemPlan validates cfg and lays out its device's memory for s's groups.
+func systemPlan(m *model.Model, s sparsity.Scheme, cfg SystemConfig) (*hwsim.Plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return new(Stream).couple(m, s, tokens, win, total, plan, plan.NewCache(cfg.Policy)), nil
+	return hwsim.NewPlan(m, cfg.Device, hwsim.PlanOpts{
+		BytesPerWeight: cfg.BytesPerWeight,
+		Groups:         hwsim.ProbeGroups(s, m),
+	})
 }
 
 // NewStreamWith builds a stream against a caller-owned plan and cache — the
 // serving engine's entry point, where many streams arbitrate one budget.
-// Belady is rejected: its oracle needs a fixed single-stream future, which
-// an online multi-stream cache does not have.
+// Belady is rejected: its oracle needs the future of the stream it serves,
+// which only a recorded Trace has.
 func NewStreamWith(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig, opts StreamOpts) (*Stream, error) {
 	st := new(Stream)
 	if err := st.Reuse(m, s, tokens, cfg, opts); err != nil {
@@ -172,7 +162,7 @@ func (st *Stream) Reuse(m *model.Model, s sparsity.Scheme, tokens []int, cfg Sys
 		return fmt.Errorf("eval: StreamOpts.Plan and StreamOpts.Cache are required")
 	}
 	if cfg.Policy == cache.PolicyBelady {
-		return fmt.Errorf("eval: Belady policy is not available for shared-cache streams")
+		return fmt.Errorf("eval: Belady policy needs a recorded future: use Record and Replay")
 	}
 	tokens, win, total := evalWindow(m, tokens, cfg)
 	st.couple(m, s, tokens, win, total, opts.Plan, opts.Cache)
@@ -229,16 +219,19 @@ func (st *Stream) record(layer int, ta *sparsity.TokenAccess) {
 		}
 		return
 	}
+	st.access(layer, ta)
+}
+
+// access prices one layer's accesses on the cache and the meter, opening
+// the token at layer 0, and counts them as this stream's hits and misses.
+// A coupled Step, Commit and Replay all make these calls, in layer order.
+func (st *Stream) access(layer int, ta *sparsity.TokenAccess) {
 	if layer == 0 {
 		st.meter.BeginToken()
 	}
 	res := st.mc.Access(layer, ta)
 	st.meter.AddAccess(res)
-	st.note(res)
-}
-
-func (st *Stream) note(res cache.AccessResult) {
-	for g := 0; g < int(sparsity.NumGroups); g++ {
+	for g := range res.HitUnits {
 		st.hits += int64(res.HitUnits[g])
 		st.misses += int64(res.MissUnits[g])
 	}
@@ -304,11 +297,8 @@ func (st *Stream) Commit() {
 	if !st.dirty {
 		return
 	}
-	st.meter.BeginToken()
 	for l := range st.pending {
-		res := st.mc.Access(l, &st.pending[l])
-		st.meter.AddAccess(res)
-		st.note(res)
+		st.access(l, &st.pending[l])
 	}
 	st.dirty = false
 }
@@ -367,9 +357,6 @@ func (st *Stream) Pos() int { return st.pos }
 // work discarded by Restart — the stream's throughput denominator, as
 // opposed to Pos, which only counts the surviving prefix.
 func (st *Stream) Decoded() int { return st.decoded }
-
-// TotalTokens returns the number of tokens the stream will consume.
-func (st *Stream) TotalTokens() int { return st.total }
 
 // Scheme returns the scheme instance the stream runs.
 func (st *Stream) Scheme() sparsity.Scheme { return st.s }

@@ -27,27 +27,26 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 		Title:   "Uniform vs trace-weighted per-layer cache allocation (DIP @ 50%, LFU)",
 		Columns: []string{"allocation", "density", "ppl", "tok_s", "hit_rate"},
 	}
-	win := l.EvalWin()
+	dev := hwsim.A18Like()
+	cfg := eval.SystemConfig{Device: dev, Policy: cache.PolicyLFU, Win: l.EvalWin()}
 	densities := []float64{0.4, 0.5, 0.6}
-	// Each density is independent (own scheme instance, own caches); the
-	// uniform/recording/weighted sequence within a density stays ordered.
+	// Each density is one recorded pass, priced twice: on the uniform plan,
+	// then on the same plan reweighted by the trace's per-layer traffic.
 	res, err := runGrid(densities, func(density float64) ([2]eval.Point, error) {
 		s := sparsity.NewDIP(density)
-		groups := hwsim.ProbeGroups(s, m)
-		// Uniform baseline.
-		uni, err := runPlanned(m, s, test, win, groups, nil)
+		plan, err := hwsim.NewPlan(m, dev, hwsim.PlanOpts{Groups: hwsim.ProbeGroups(s, m)})
 		if err != nil {
 			return [2]eval.Point{}, err
 		}
-		// Trace-weighted: record one pass, derive per-layer weights.
-		rec := cache.NewTraceRecorder()
-		recHook := eval.Hook(m, s, eval.HookOpts{Recorder: rec})
-		for start := 0; start+win <= len(test); start += win {
-			m.Forward(test[start:start+win], recHook)
+		tr, err := eval.Record(m, s, test, cfg)
+		if err != nil {
+			return [2]eval.Point{}, err
 		}
-		weights := hwsim.LayerWeightsFromTrace(rec, len(m.Blocks))
-		wtd, err := runPlanned(m, s, test, win, groups, weights)
-		return [2]eval.Point{uni, wtd}, err
+		uni := eval.Replay(tr, plan, cfg.Policy).Point()
+		if err := plan.ApplyLayerWeights(tr.LayerWeights()); err != nil {
+			return [2]eval.Point{}, err
+		}
+		return [2]eval.Point{uni, eval.Replay(tr, plan, cfg.Policy).Point()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -61,27 +60,4 @@ func AblAlloc(l *Lab) ([]*Table, error) {
 	out.Notes = append(out.Notes,
 		"paper Appendix A: non-uniform allocation gives no significant improvement — DIP's per-token unit counts are constant per layer, so miss pressure is already uniform")
 	return []*Table{out}, nil
-}
-
-// runPlanned evaluates a scheme as a cache-coupled stream under a custom
-// plan (optionally with non-uniform layer weights applied).
-func runPlanned(m *model.Model, s sparsity.Scheme, test []int, win int, groups [sparsity.NumGroups]bool, weights []float64) (eval.Point, error) {
-	dev := hwsim.A18Like()
-	plan, err := hwsim.NewPlan(m, dev, hwsim.PlanOpts{Groups: groups})
-	if err != nil {
-		return eval.Point{}, err
-	}
-	if weights != nil {
-		if err := plan.ApplyLayerWeights(weights); err != nil {
-			return eval.Point{}, err
-		}
-	}
-	st, err := eval.NewStreamWith(m, s, test, eval.SystemConfig{Device: dev, Policy: cache.PolicyLFU, Win: win},
-		eval.StreamOpts{Plan: plan, Cache: plan.NewCache(cache.PolicyLFU)})
-	if err != nil {
-		return eval.Point{}, err
-	}
-	for st.Step() {
-	}
-	return st.Point(), nil
 }

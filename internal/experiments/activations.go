@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -34,15 +35,8 @@ func Fig3(l *Lab) ([]*Table, error) {
 	}
 	for ni, name := range names {
 		st := stats[ni]
-		var all []float32
-		lastLayer := len(st.AbsGLU) - 1
-		all = append(all, st.AbsGLU[lastLayer]...) // the paper plots layer 31; we use the last layer
-		maxV := float32(0)
-		for _, v := range all {
-			if v > maxV {
-				maxV = v
-			}
-		}
+		all := st.AbsGLU[len(st.AbsGLU)-1] // the paper plots layer 31; we use the last layer
+		maxV := max(slices.Max(all), 0)
 		if maxV == 0 {
 			maxV = 1
 		}

@@ -42,18 +42,24 @@ func TestParallelRunsMatchSerialBitForBit(t *testing.T) {
 	parPPL := renderAll(t, Fig10)
 	parTrends := renderAll(t, Fig2)
 	parAbl := renderAll(t, AblAlloc)
+	parFig11 := renderAll(t, Fig11)
+	parTab6 := renderAll(t, Table6)
 
 	parallel.SetProcs(1)
 	serTab2 := renderAll(t, Table2)
 	serPPL := renderAll(t, Fig10)
 	serTrends := renderAll(t, Fig2)
 	serAbl := renderAll(t, AblAlloc)
+	serFig11 := renderAll(t, Fig11)
+	serTab6 := renderAll(t, Table6)
 
 	for _, c := range []struct{ name, ser, par string }{
 		{"tab2", serTab2, parTab2},
 		{"fig10", serPPL, parPPL},
 		{"fig2", serTrends, parTrends},
 		{"abl-alloc", serAbl, parAbl},
+		{"fig11", serFig11, parFig11},
+		{"tab6", serTab6, parTab6},
 	} {
 		if c.ser != c.par {
 			t.Errorf("%s: parallel output differs from serial output\n--- serial ---\n%s\n--- parallel ---\n%s", c.name, c.ser, c.par)

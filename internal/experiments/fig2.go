@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Figure 2 compares released-LLM sizes against NPU speed and DRAM capacity
@@ -77,31 +77,17 @@ func Fig2(l *Lab) ([]*Table, error) {
 		Title:   "NPU speed, DRAM capacity and LLM size by year",
 		Columns: []string{"year", "npu_tops", "dram_gb", "model_b_params"},
 	}
-	byYear := map[int][3]string{}
-	get := func(y int) [3]string {
-		if v, ok := byYear[y]; ok {
-			return v
+	byYear := make([][3]string, 2024-2017+1) // "-" where a series has no point
+	for i, points := range [][]trendPoint{npuTOPS, dramGB, modelBParams} {
+		for y := range byYear {
+			byYear[y][i] = "-"
 		}
-		return [3]string{"-", "-", "-"}
+		for _, p := range points {
+			byYear[p.Year-2017][i] = strconv.FormatFloat(p.Value, 'f', -1, 64)
+		}
 	}
-	for _, p := range npuTOPS {
-		v := get(p.Year)
-		v[0] = format(p.Value)
-		byYear[p.Year] = v
-	}
-	for _, p := range dramGB {
-		v := get(p.Year)
-		v[1] = format(p.Value)
-		byYear[p.Year] = v
-	}
-	for _, p := range modelBParams {
-		v := get(p.Year)
-		v[2] = format(p.Value)
-		byYear[p.Year] = v
-	}
-	for y := 2017; y <= 2024; y++ {
-		v := get(y)
-		series.AddRow(y, v[0], v[1], v[2])
+	for y, v := range byYear {
+		series.AddRow(2017+y, v[0], v[1], v[2])
 	}
 
 	npuGrowth, npuR2 := expFit(npuTOPS)
@@ -123,16 +109,4 @@ func Fig2(l *Lab) ([]*Table, error) {
 	fits.Notes = append(fits.Notes,
 		"paper's claim: compute and model size grow exponentially while DRAM grows ~linearly (<1 GB/year)")
 	return []*Table{series, fits}, nil
-}
-
-// format renders a trend value without trailing zeros.
-func format(v float64) string {
-	s := fmt.Sprintf("%.2f", v)
-	for len(s) > 1 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
-	}
-	if len(s) > 1 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
-	}
-	return s
 }

@@ -51,22 +51,50 @@ func (g *keyedCells[C]) row(i int, vals ...any) []any {
 	return append(slices.Clip(g.keys[i]), vals...)
 }
 
-// sysCell is one cache-coupled evaluation: a scheme on an analog under a
-// device and an eviction policy.
+// sysCell is one scheme on an analog, priced on every (device, policy)
+// system, device-major.
 type sysCell struct {
-	name   string
-	scheme sparsity.Scheme
-	dev    hwsim.Device
-	policy cache.Policy
+	name     string
+	scheme   sparsity.Scheme
+	devs     []hwsim.Device
+	policies []cache.Policy
 }
 
-// point runs the cell's stream over the scale's test tokens. The scheme is
-// cloned: a lab-memoized scheme (CATS) carries scratch that concurrent cells
-// must not share.
-func (l *Lab) point(c sysCell) (eval.Point, error) {
-	return eval.SystemEvaluate(l.Model(c.name), sparsity.Clone(c.scheme), l.TestTokens(0), eval.SystemConfig{
-		Device: c.dev, Policy: c.policy, MaxTokens: l.evalTokens(), Win: l.EvalWin(),
-	})
+// point evaluates the cell on each system over the scale's test tokens: one
+// eval.Record, then one eval.Replay per system, or for DIP-CA, whose masks
+// read the cache, one coupled eval.SystemEvaluate per system. Each decode
+// runs a clone: a lab-memoized scheme (CATS) has scratch cells must not share.
+func (l *Lab) point(c sysCell) ([]eval.Point, error) {
+	m, s := l.Model(c.name), sparsity.Clone(c.scheme)
+	groups := hwsim.ProbeGroups(s, m)
+	cfg := eval.SystemConfig{Device: c.devs[0], Policy: c.policies[0], MaxTokens: l.evalTokens(), Win: l.EvalWin()}
+	var tr *eval.Trace
+	if !sparsity.ReadsCache(s) {
+		var err error
+		if tr, err = eval.Record(m, s, l.TestTokens(0), cfg); err != nil {
+			return nil, err
+		}
+	}
+	var pts []eval.Point
+	for _, dev := range c.devs {
+		for _, policy := range c.policies {
+			cfg.Device, cfg.Policy = dev, policy
+			if tr == nil {
+				pt, err := eval.SystemEvaluate(m, sparsity.Clone(c.scheme), l.TestTokens(0), cfg)
+				if err != nil {
+					return nil, err
+				}
+				pts = append(pts, pt)
+				continue
+			}
+			plan, err := hwsim.NewPlan(m, cfg.Device, hwsim.PlanOpts{Groups: groups})
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, eval.Replay(tr, plan, cfg.Policy).Point())
+		}
+	}
+	return pts, nil
 }
 
 // qualCell is one quality evaluation: a model masked by a scheme (nil for a

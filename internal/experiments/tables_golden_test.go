@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // goldenRow is one pinned rendering: the registry id run under a scenario,
@@ -120,7 +126,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 // unedited, and a new id with no golden fails. Float formatting is pinned
 // on amd64 only. Regenerate with
 //
-//	UPDATE_CSV_GOLDEN=1 go test ./internal/experiments -run 'TestTablesGolden|TestClusterTablesGolden'
+//	UPDATE_CSV_GOLDEN=1 go test ./internal/experiments -run 'TestTablesGolden|TestClusterTablesGolden|TestArtifactPins'
 func TestTablesGolden(t *testing.T) {
 	for _, row := range tableGoldenRows() {
 		t.Run(row.name, func(t *testing.T) { checkGolden(t, row.name) })
@@ -146,12 +152,42 @@ func checkGolden(t *testing.T, name string) {
 	for _, tab := range tablesOf(t, name) {
 		withoutColumn(tab, "wall_tok_s").Render(&buf)
 	}
-	golden := filepath.Join("testdata", "tables", name+".txt")
+	matchGolden(t, filepath.Join("testdata", "tables", name+".txt"), buf.Bytes())
+}
+
+// The four trained analogs at test scale, pinned by the sha256 of their
+// float32 weight bits, one `sha256sum`-style line per analog: a table
+// golden can hold by luck while a weight moved. Pinned on amd64 only, with
+// the table goldens, and regenerated with them (UPDATE_CSV_GOLDEN=1).
+func TestArtifactPins(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("artifact pins are taken on amd64")
+	}
+	var buf bytes.Buffer
+	for _, name := range model.AnalogNames() {
+		h := sha256.New()
+		var b []byte
+		for _, p := range sharedLab.Model(name).Params() {
+			b = b[:0]
+			for _, w := range p.W.Data {
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(w))
+			}
+			h.Write(b)
+		}
+		fmt.Fprintf(&buf, "%x  %s\n", h.Sum(nil), name)
+	}
+	matchGolden(t, filepath.Join("testdata", "artifacts.sha256"), buf.Bytes())
+}
+
+// matchGolden fails unless got equals the golden file's bytes, writing the
+// file first when UPDATE_CSV_GOLDEN is set.
+func matchGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if os.Getenv("UPDATE_CSV_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,8 +195,8 @@ func checkGolden(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", name, golden, buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 

@@ -64,26 +64,28 @@ func (l *Lab) evalTokens() int {
 	return 768
 }
 
-// frontier is the throughput frontier of one analog on one device: the
-// dense point and every family's points over its sweep densities.
+// frontier is the throughput frontier of one analog on each of its
+// devices: the dense point and every family's points over its sweep
+// densities.
 type frontier struct {
 	name  string
-	dev   hwsim.Device
+	devs  []hwsim.Device
 	fams  []throughputFamily
-	dense eval.Point
-	pts   [][]eval.Point // pts[f][i]: fams[f] at its i-th sweep density
+	dense []eval.Point     // dense[k]: on devs[k]
+	pts   [][][]eval.Point // pts[f][i][k]: fams[f] at its i-th sweep density on devs[k]
 }
 
 // evalFrontiers evaluates every frontier's dense point and family sweeps as
-// one flat grid of LFU cells, then hands the points back to each frontier
-// in cell order.
+// one flat grid of cells, one per (analog, scheme) priced on each device
+// under LFU, then hands the points back to each frontier in cell order.
 func evalFrontiers(l *Lab, fs []frontier) error {
 	var cells []sysCell
+	lfu := []cache.Policy{cache.PolicyLFU}
 	for _, f := range fs {
-		cells = append(cells, sysCell{f.name, sparsity.Dense{}, f.dev, cache.PolicyLFU})
+		cells = append(cells, sysCell{f.name, sparsity.Dense{}, f.devs, lfu})
 		for _, fam := range f.fams {
 			for _, d := range sweepDensities(l, fam.minDensity) {
-				cells = append(cells, sysCell{f.name, fam.makeScheme(d), f.dev, cache.PolicyLFU})
+				cells = append(cells, sysCell{f.name, fam.makeScheme(d), f.devs, lfu})
 			}
 		}
 	}
@@ -94,7 +96,7 @@ func evalFrontiers(l *Lab, fs []frontier) error {
 	for i := range fs {
 		f := &fs[i]
 		f.dense, pts = pts[0], pts[1:]
-		f.pts = make([][]eval.Point, len(f.fams))
+		f.pts = make([][][]eval.Point, len(f.fams))
 		for j, fam := range f.fams {
 			n := len(sweepDensities(l, fam.minDensity))
 			f.pts[j], pts = pts[:n], pts[n:]
@@ -103,10 +105,16 @@ func evalFrontiers(l *Lab, fs []frontier) error {
 	return nil
 }
 
-// best returns family j's highest-throughput point whose perplexity is
-// within budget (in the paper's absolute units, see pplScale) of dense.
-func (f *frontier) best(j int, budget float64) (eval.Point, bool) {
-	return eval.BestThroughput(f.pts[j], f.dense.PPL+budget*pplScale(f.dense.PPL))
+// best returns family j's highest-throughput point on devs[k] whose
+// perplexity is within budget (in the paper's absolute units, see pplScale)
+// of dense on that device.
+func (f *frontier) best(j, k int, budget float64) (eval.Point, bool) {
+	pts := make([]eval.Point, len(f.pts[j]))
+	for i, p := range f.pts[j] {
+		pts[i] = p[k]
+	}
+	dense := f.dense[k].PPL
+	return eval.BestThroughput(pts, dense+budget*pplScale(dense))
 }
 
 // Table2 reproduces the throughput comparison: best tok/s under +0.2 and
@@ -131,7 +139,7 @@ func Table2(l *Lab) ([]*Table, error) {
 	l.Warm(names...)
 	fs := make([]frontier, len(names))
 	for i, name := range names {
-		fs[i] = frontier{name: name, dev: dev, fams: throughputFamilies(l, name)}
+		fs[i] = frontier{name: name, devs: []hwsim.Device{dev}, fams: throughputFamilies(l, name)}
 	}
 	if err := evalFrontiers(l, fs); err != nil {
 		return nil, err
@@ -143,15 +151,16 @@ func Table2(l *Lab) ([]*Table, error) {
 			return nil, err
 		}
 		sizes.AddRow(f.name, plan.ModelBytes/1e9, dev.DRAMFraction*plan.ModelBytes/1e9)
-		out.AddRow(f.name, "dense", f.dense.Throughput, f.dense.Throughput, 1.0, f.dense.HitRate)
+		dense := f.dense[0]
+		out.AddRow(f.name, "dense", dense.Throughput, dense.Throughput, 1.0, dense.HitRate)
 		for j, fam := range f.fams {
 			row := []any{f.name, fam.label}
-			if best, ok := f.best(j, 0.2); ok {
+			if best, ok := f.best(j, 0, 0.2); ok {
 				row = append(row, best.Throughput)
 			} else {
 				row = append(row, "-")
 			}
-			if best, ok := f.best(j, 0.5); ok {
+			if best, ok := f.best(j, 0, 0.5); ok {
 				row = append(row, best.Throughput, best.Density, best.HitRate)
 			} else {
 				row = append(row, "-", "-", "-")
@@ -183,12 +192,7 @@ func Fig10(l *Lab) ([]*Table, error) {
 		Columns: []string{"layer", "p30", "p50", "p80", "p99", "max"},
 	}
 	for layer, vals := range st.AbsGLU {
-		maxV := float32(0)
-		for _, v := range vals {
-			if v > maxV {
-				maxV = v
-			}
-		}
+		maxV := max(slices.Max(vals), 0)
 		if maxV == 0 {
 			maxV = 1
 		}
@@ -207,16 +211,17 @@ func Fig10(l *Lab) ([]*Table, error) {
 	if l.Scale == model.ScaleTest {
 		gammas = []float64{1e-3, 0.2, 1.0}
 	}
-	var g keyedCells[sysCell]
-	for _, gamma := range gammas {
-		g.add(sysCell{name, sparsity.NewDIPCA(0.5, gamma), hwsim.A18Like(), cache.PolicyLFU}, gamma)
+	cells := make([]sysCell, len(gammas))
+	for i, gamma := range gammas {
+		cells[i] = sysCell{name, sparsity.NewDIPCA(0.5, gamma), []hwsim.Device{hwsim.A18Like()}, []cache.Policy{cache.PolicyLFU}}
 	}
-	pts, err := runGrid(g.cells, l.point)
+	pts, err := runGrid(cells, l.point)
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
-		sweep.AddRow(g.row(i, pt.PPL, pt.Throughput, pt.HitRate)...)
+	for i, gamma := range gammas {
+		pt := pts[i][0]
+		sweep.AddRow(gamma, pt.PPL, pt.Throughput, pt.HitRate)
 	}
 	sweep.Notes = append(sweep.Notes,
 		"paper Figure 10 (right): γ ≈ 0.1–0.3 maximizes throughput at minor perplexity cost; γ=1 is plain DIP")
@@ -232,34 +237,34 @@ func Fig11(l *Lab) ([]*Table, error) {
 		Title:   "Eviction policies vs cache-aware masking (DIP @ swept densities)",
 		Columns: []string{"config", "density", "ppl", "tok_s", "hit_rate"},
 	}
-	dev := hwsim.A18Like()
-	var g keyedCells[sysCell]
-	g.add(sysCell{name, sparsity.Dense{}, dev, cache.PolicyLFU}, "dense", 1.0)
-	for _, c := range []struct {
-		label  string
-		policy cache.Policy
-		ca     bool
-	}{
-		{"dip-nocache", cache.PolicyNone, false},
-		{"dip-lru", cache.PolicyLRU, false},
-		{"dip-lfu", cache.PolicyLFU, false},
-		{"dip-belady", cache.PolicyBelady, false},
-		{"dip-ca-lfu", cache.PolicyLFU, true},
-	} {
-		for _, d := range sweepDensities(l, 0.25) {
-			var s sparsity.Scheme = sparsity.NewDIP(d)
-			if c.ca {
-				s = sparsity.NewDIPCA(d, 0.2)
-			}
-			g.add(sysCell{name, s, dev, c.policy}, c.label, d)
-		}
+	dev, lfu := []hwsim.Device{hwsim.A18Like()}, []cache.Policy{cache.PolicyLFU}
+	// One DIP cell per density is priced under every policy; DIP-CA reads
+	// the cache, so its cells run coupled under LFU alone.
+	labels := []string{"dip-nocache", "dip-lru", "dip-lfu", "dip-belady"}
+	policies := []cache.Policy{cache.PolicyNone, cache.PolicyLRU, cache.PolicyLFU, cache.PolicyBelady}
+	densities := sweepDensities(l, 0.25)
+	cells := []sysCell{{name, sparsity.Dense{}, dev, lfu}}
+	for _, d := range densities {
+		cells = append(cells, sysCell{name, sparsity.NewDIP(d), dev, policies})
 	}
-	pts, err := runGrid(g.cells, l.point)
+	for _, d := range densities {
+		cells = append(cells, sysCell{name, sparsity.NewDIPCA(d, 0.2), dev, lfu})
+	}
+	pts, err := runGrid(cells, l.point)
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
-		out.AddRow(g.row(i, pt.PPL, pt.Throughput, pt.HitRate)...)
+	add := func(label string, density float64, pt eval.Point) {
+		out.AddRow(label, density, pt.PPL, pt.Throughput, pt.HitRate)
+	}
+	add("dense", 1.0, pts[0][0])
+	for k, label := range labels {
+		for i, d := range densities {
+			add(label, d, pts[1+i][k])
+		}
+	}
+	for i, d := range densities {
+		add("dip-ca-lfu", d, pts[1+len(densities)+i][0])
 	}
 	out.Notes = append(out.Notes,
 		"paper Figure 11: LFU ≈ LRU ≲ Belady, all well below DIP-CA at equal perplexity")
@@ -296,20 +301,18 @@ func deviceAblation(l *Lab, id, title string, devices []hwsim.Device) ([]*Table,
 	}
 	// The ablation tables track dense, GLU, Up, CATS, DIP-CA (paper).
 	fams := slices.DeleteFunc(throughputFamilies(l, name), func(f throughputFamily) bool { return f.label == "dip" })
-	fs := make([]frontier, len(devices))
-	for i, dev := range devices {
-		fs[i] = frontier{name: name, dev: dev, fams: fams}
-	}
+	fs := []frontier{{name: name, devs: devices, fams: fams}}
 	if err := evalFrontiers(l, fs); err != nil {
 		return nil, err
 	}
-	for _, f := range fs {
-		out.AddRow(f.dev.Name, "dense", f.dense.Throughput, f.dense.HitRate)
+	f := &fs[0]
+	for k, dev := range devices {
+		out.AddRow(dev.Name, "dense", f.dense[k].Throughput, f.dense[k].HitRate)
 		for j, fam := range f.fams {
-			if best, ok := f.best(j, 0.5); ok {
-				out.AddRow(f.dev.Name, fam.label, best.Throughput, best.HitRate)
+			if best, ok := f.best(j, k, 0.5); ok {
+				out.AddRow(dev.Name, fam.label, best.Throughput, best.HitRate)
 			} else {
-				out.AddRow(f.dev.Name, fam.label, "-", "-")
+				out.AddRow(dev.Name, fam.label, "-", "-")
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package hwsim
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/sparsity"
 )
 
@@ -12,36 +11,7 @@ import (
 // improvements when exploring non-uniform cache allocation"). The repo
 // keeps it as a first-class option so that finding can be reproduced
 // rather than assumed: derive per-layer weights from a recorded access
-// trace and compare against the uniform default.
-
-// LayerWeightsFromTrace derives per-layer allocation weights from a
-// recorded access trace: each layer's weight is its total sparse-unit
-// traffic, so layers whose masks churn more get more cache. Dense group
-// accesses are excluded (pinning handles them). The result is normalized
-// to mean 1.
-func LayerWeightsFromTrace(tr *cache.TraceRecorder, layers int) []float64 {
-	w := make([]float64, layers)
-	var total float64
-	for l := 0; l < layers; l++ {
-		for g := sparsity.GroupID(0); g < sparsity.NumGroups; g++ {
-			for _, units := range tr.Stream(l, g) {
-				w[l] += float64(len(units))
-			}
-		}
-		total += w[l]
-	}
-	if total == 0 {
-		for l := range w {
-			w[l] = 1
-		}
-		return w
-	}
-	scale := float64(layers) / total
-	for l := range w {
-		w[l] *= scale
-	}
-	return w
-}
+// trace (eval.Trace.LayerWeights) and compare against the uniform default.
 
 // ApplyLayerWeights rescales the plan's per-layer cache capacities by the
 // given weights (mean-1 normalized internally), keeping the total cache

@@ -4,36 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/sparsity"
 )
-
-func TestLayerWeightsFromTrace(t *testing.T) {
-	tr := cache.NewTraceRecorder()
-	// Layer 0 touches 3 units per token, layer 1 touches 1.
-	for i := 0; i < 10; i++ {
-		var ta sparsity.TokenAccess
-		ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{1, 2, 3}}
-		tr.Record(0, &ta)
-		var tb sparsity.TokenAccess
-		tb.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{4}}
-		tr.Record(1, &tb)
-	}
-	w := LayerWeightsFromTrace(tr, 2)
-	if math.Abs(w[0]+w[1]-2) > 1e-9 {
-		t.Fatalf("weights not mean-1 normalized: %v", w)
-	}
-	if math.Abs(w[0]/w[1]-3) > 1e-9 {
-		t.Fatalf("weight ratio = %v, want 3", w[0]/w[1])
-	}
-	// Empty trace → uniform.
-	w2 := LayerWeightsFromTrace(cache.NewTraceRecorder(), 3)
-	for _, x := range w2 {
-		if x != 1 {
-			t.Fatalf("empty trace weights = %v", w2)
-		}
-	}
-}
 
 func TestApplyLayerWeights(t *testing.T) {
 	m := testModel()

@@ -68,9 +68,13 @@ func (s *DIP) Name() string {
 // TargetDensity returns the MLP density implied by the allocation.
 func (s *DIP) TargetDensity() float64 { return (2*s.RhoIn + s.RhoGLU) / 3 }
 
-// IsCacheAware reports whether the scheme's masks depend on cache state
-// (used by the evaluation harness to reject invalid Belady replays).
-func (s *DIP) IsCacheAware() bool { return s.CacheAware && s.Gamma < 1 }
+// ReadsCache reports whether s's masks depend on the CacheView it is given:
+// DIP-CA with γ < 1, the one scheme whose accesses cannot be recorded once
+// and replayed against another memory system.
+func ReadsCache(s Scheme) bool {
+	d, ok := s.(*DIP)
+	return ok && d.CacheAware && d.Gamma < 1
+}
 
 // score writes one stage's ranking scores into dst: |src_i|, and under
 // cache-aware masking Eq. 10's s_i = |src_i|·(c_i + γ(1−c_i)) / ‖src‖∞ with

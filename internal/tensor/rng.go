@@ -69,11 +69,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint32()>>8) / (1 << 24)
-}
-
 // Norm returns a standard normal variate via Box-Muller.
 func (r *RNG) Norm() float64 {
 	if r.hasSpare {
