@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -169,8 +170,8 @@ func findModule(dir string) (root, modpath string, err error) {
 	}
 }
 
-// parseTree parses every .go file under the root, skipping testdata,
-// vendor, hidden, and underscore directories.
+// parseTree parses every .go file the host build selects under the root,
+// skipping testdata, vendor, hidden, and underscore directories.
 func (l *loader) parseTree() error {
 	return filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -186,6 +187,12 @@ func (l *loader) parseTree() error {
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasPrefix(d.Name(), ".") {
 			return nil
+		}
+		// Keep only the files the host build compiles (GOOS/GOARCH file
+		// suffixes, //go:build lines), so a function declared once per
+		// architecture type-checks as one declaration.
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok {
+			return err
 		}
 		return l.parseFile(path)
 	})

@@ -96,3 +96,16 @@ func TestParseDirSyntaxOnly(t *testing.T) {
 		t.Errorf("parsed %d files, expected the full package", len(pkg.Files))
 	}
 }
+
+// A function declared once per architecture (a _amd64.go file and a
+// //go:build !amd64 file) loads as one declaration: the loader keeps only
+// the files the host build compiles.
+func TestLoadTreeHonorsBuildConstraints(t *testing.T) {
+	pkgs, err := LoadTree(filepath.Join("testdata", "buildtags"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 2 {
+		t.Fatalf("loaded %d packages, want one package of two files", len(pkgs))
+	}
+}

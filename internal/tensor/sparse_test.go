@@ -105,6 +105,57 @@ func TestSparseKernelMatchesOracleBitForBit(t *testing.T) {
 	}
 }
 
+// TestSparseAccumEveryLength runs the kernel at every output length 0…41 —
+// every residue mod 8 of the eight-float body and its scalar tail, with odd
+// lengths starting the mirror rows off 16-byte alignment — and every unit
+// count 0…9, so the leftover loop gets 0 to 3 units. Special values go into
+// the weights, the inputs, and both at once: the values a vector lane could
+// treat differently from the scalar loop — both zeros, both ends of the
+// denormal range (no flush to zero), the infinities, NaN, and the extremes
+// whose products overflow.
+func TestSparseAccumEveryLength(t *testing.T) {
+	rng := NewRNG(41)
+	const cols = 11
+	specials := []float32{
+		float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	special := func(v Vec) {
+		for p := range v {
+			if rng.Intn(5) == 0 {
+				v[p] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for rows := 0; rows <= 41; rows++ {
+		for k := 0; k <= 9; k++ {
+			for _, sp := range []struct{ w, x bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				m := NewMat(rows, cols)
+				m.RandNorm(rng, 1)
+				if sp.w {
+					special(m.Data)
+					m.Invalidate()
+				}
+				xs, idxs := make([]Vec, 2), make([][]int, 2)
+				for b := range xs {
+					xs[b] = NewVec(cols)
+					for j := range xs[b] {
+						xs[b][j] = rng.NormFloat32()
+					}
+					if sp.x {
+						special(xs[b])
+					}
+					idxs[b] = rng.Perm(cols)[:k]
+				}
+				checkSparseAgainstOracle(t, m, xs, idxs)
+			}
+		}
+	}
+}
+
 // With an ascending unit list — what TopKIndices returns — every output of
 // MatVecSparse adds its terms in ascending-j order, which is the masked
 // product of Eq. 3 term for term. Zero-free inputs: the sparse kernel skips a

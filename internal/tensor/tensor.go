@@ -343,6 +343,9 @@ func MaskedMatVecCols(m *Mat, x Vec, active []bool, out Vec) Vec {
 	if out == nil {
 		out = NewVec(m.Rows)
 	}
+	if len(out) != m.Rows {
+		panic("tensor: MaskedMatVecCols out length mismatch")
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float32
@@ -380,11 +383,16 @@ func MatVecSparse(m *Mat, x Vec, idx []int, out Vec) Vec {
 // sparseAccum is the one sparse kernel, shared by MatVecSparse and
 // MatVecSparseBatch: acc[i] += Σ t[j][i] · x[j·stride+first] over the
 // units j of idx whose input is non-zero, where t is the input-major mirror.
-// Four units go through each pass over acc, so acc is loaded and stored once
-// per four contiguous mirror rows; within a pass the four terms are added one
-// after another, so every acc[i] receives its terms in idx order — the same
-// float32 sequence as a unit-at-a-time loop.
+// Four units go through each pass over acc (accum4: SSE2 on amd64, a Go loop
+// elsewhere), so acc is loaded and stored once per four contiguous mirror
+// rows; within a pass the four terms are added one after another, so every
+// acc[i] receives its terms in idx order — the same float32 sequence as a
+// unit-at-a-time loop, on every architecture. The up to three units left
+// over after the last full pass go one at a time.
 func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float32) {
+	if len(acc) == 0 {
+		return
+	}
 	var off [4]int
 	var xv [4]float32
 	n := 0
@@ -398,16 +406,8 @@ func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float3
 			continue
 		}
 		n = 0
-		r0, r1 := t.Data[off[0]:][:len(acc)], t.Data[off[1]:][:len(acc)]
-		r2, r3 := t.Data[off[2]:][:len(acc)], t.Data[off[3]:][:len(acc)]
-		x0, x1, x2, x3 := xv[0], xv[1], xv[2], xv[3]
-		for i, s := range acc {
-			s += r0[i] * x0
-			s += r1[i] * x1
-			s += r2[i] * x2
-			s += r3[i] * x3
-			acc[i] = s
-		}
+		accum4(acc, t.Data[off[0]:][:len(acc)], t.Data[off[1]:][:len(acc)],
+			t.Data[off[2]:][:len(acc)], t.Data[off[3]:][:len(acc)], xv[0], xv[1], xv[2], xv[3])
 	}
 	for q := 0; q < n; q++ {
 		r, v := t.Data[off[q]:][:len(acc)], xv[q]

@@ -244,6 +244,22 @@ func TestMaskedMatVecEqualsZeroedInput(t *testing.T) {
 	}
 }
 
+// A short out would run off its end and a long one would keep stale entries
+// past m.Rows; both are named, as MatVec names them.
+func TestMaskedMatVecColsRejectsWrongOutLength(t *testing.T) {
+	m := NewMat(4, 3)
+	for _, n := range []int{3, 5} {
+		func() {
+			defer func() {
+				if r := recover(); r != "tensor: MaskedMatVecCols out length mismatch" {
+					t.Fatalf("out length %d for 4 rows: recovered %v, want the out length panic", n, r)
+				}
+			}()
+			MaskedMatVecCols(m, NewVec(3), make([]bool, 3), NewVec(n))
+		}()
+	}
+}
+
 // Property: MatVecSparse over the active index list matches MaskedMatVecCols.
 func TestMatVecSparseMatchesMask(t *testing.T) {
 	f := func(seed uint64) bool {
