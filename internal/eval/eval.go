@@ -70,9 +70,10 @@ func PerplexityUnderScheme(m *model.Model, s sparsity.Scheme, tokens []int, win 
 // MCAccuracy scores multiple-choice items under the scheme (no cache
 // coupling — quality metrics in the paper's Tables 1/3/4/5 use plain
 // masks) and returns the accuracy in percent. Items are independent, so
-// they fan out across the worker pool; each worker clones the scheme so
-// per-call scratch is never shared, and per-item verdicts are reduced in
-// item order — results match a serial run exactly.
+// they fan out across the worker pool; each block of items steps its own
+// decoder over its own clone of the scheme, so per-call scratch is never
+// shared, and per-item verdicts are reduced in item order — results match
+// a serial run exactly.
 func MCAccuracy(m *model.Model, s sparsity.Scheme, tok *data.Tokenizer, items []data.MCItem) float64 {
 	if len(items) == 0 {
 		return 0
@@ -83,14 +84,19 @@ func MCAccuracy(m *model.Model, s sparsity.Scheme, tok *data.Tokenizer, items []
 		if s != nil {
 			hook = Hook(m, sparsity.Clone(s), nil)
 		}
+		dec := m.NewDecoder(hook)
 		for i := lo; i < hi; i++ {
 			it := items[i]
-			prompt := tok.Encode(it.Prompt)
-			best, bestLP := -1, 0.0
+			conts := make([][]int, len(it.Choices))
 			for c, choice := range it.Choices {
-				lp := model.ContinuationLogProb(m, prompt, tok.Encode(choice), hook)
-				if best < 0 || lp > bestLP {
-					best, bestLP = c, lp
+				conts[c] = tok.Encode(choice)
+			}
+			lps := make([]float64, len(conts))
+			model.ChoiceLogProbs(dec, tok.Encode(it.Prompt), conts, lps)
+			best := 0
+			for c, lp := range lps {
+				if lp > lps[best] {
+					best = c
 				}
 			}
 			got[i] = best == it.Answer

@@ -59,6 +59,30 @@ func TestPerplexityUnderSchemeDenseMatchesNilHook(t *testing.T) {
 	}
 }
 
+// Uncoupled and coupled evaluation read a window length by one rule
+// (model.Model.Window: 0, or beyond MaxSeq, is MaxSeq) and step the same
+// decoder, so for a scheme that does not read the cache they agree on
+// perplexity and density bit for bit.
+func TestPerplexityUnderSchemeMatchesSystemEvaluate(t *testing.T) {
+	trained(t)
+	maxSeq := zoo.m.Cfg.MaxSeq
+	for _, s := range []sparsity.Scheme{sparsity.Dense{}, sparsity.NewDIP(0.5)} {
+		for _, win := range []int{0, 7, maxSeq / 2, maxSeq, maxSeq + 8} {
+			ppl, density := PerplexityUnderScheme(zoo.m, s, zoo.test, win)
+			pt, err := SystemEvaluate(zoo.m, s, zoo.test, SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(ppl) != math.Float64bits(pt.PPL) || math.Float64bits(density) != math.Float64bits(pt.Density) {
+				t.Errorf("%s win %d: PerplexityUnderScheme (%v, %v), SystemEvaluate (%v, %v)", s.Name(), win, ppl, density, pt.PPL, pt.Density)
+			}
+			if ppl == 0 {
+				t.Errorf("%s win %d: perplexity 0", s.Name(), win)
+			}
+		}
+	}
+}
+
 func TestSparserIsWorsePPL(t *testing.T) {
 	trained(t)
 	p80, d80 := PerplexityUnderScheme(zoo.m, sparsity.NewDIP(0.8), zoo.test, 32)
@@ -86,6 +110,65 @@ func TestMCAccuracy(t *testing.T) {
 	}
 	if got := MCAccuracy(zoo.m, nil, zoo.tok, nil); got != 0 {
 		t.Fatal("empty item list should score 0")
+	}
+}
+
+// ChoiceLogProbs decodes an item's prompt once and extends it per choice.
+// Under every scheme the quality tables score with, that equals decoding
+// prompt+choice afresh for each choice, in float64 bits: no scheme's hook
+// carries per-call state into the scores.
+func TestChoiceLogProbsSharesThePromptUnderEveryScheme(t *testing.T) {
+	trained(t)
+	m := zoo.m
+	thr := make([]float32, len(m.Blocks))
+	for l := range thr {
+		thr[l] = 0.05
+	}
+	score := func(layer int, x tensor.Vec) tensor.Vec {
+		u := tensor.NewVec(m.Cfg.DFF)
+		for i := range u {
+			u[i] = x[i%len(x)] * float32(layer+1)
+		}
+		return u
+	}
+	var items []data.MCItem
+	for _, kind := range data.TaskKinds() {
+		items = append(items, data.GenerateTask(kind, 3, tensor.NewRNG(uint64(80+kind)))...)
+	}
+	for _, s := range []sparsity.Scheme{
+		nil, sparsity.Dense{}, &sparsity.GLUOracle{Rho: 0.5}, &sparsity.GatePrune{Rho: 0.25},
+		&sparsity.UpPrune{Rho: 0.25}, &sparsity.CATS{Thresholds: thr},
+		&sparsity.Predictive{Rho: 0.5, Score: score}, sparsity.NewDIP(0.5),
+	} {
+		var hook model.MLPHook
+		if s != nil {
+			hook = Hook(m, sparsity.Clone(s), nil)
+		}
+		dec := m.NewDecoder(hook)
+		for i, it := range items {
+			prompt := zoo.tok.Encode(it.Prompt)
+			conts := make([][]int, len(it.Choices))
+			for c, choice := range it.Choices {
+				conts[c] = zoo.tok.Encode(choice)
+			}
+			got := make([]float64, len(conts))
+			model.ChoiceLogProbs(dec, prompt, conts, got)
+			for c, cont := range conts {
+				ids := append(append([]int{}, prompt...), cont...)
+				ids = ids[max(0, len(ids)-m.Cfg.MaxSeq):]
+				fresh := m.NewDecoder(hook)
+				var lp float64
+				for t, id := range ids[:len(ids)-1] {
+					logits := fresh.Step(id)
+					if t+1 >= len(ids)-len(cont) {
+						lp += float64(logits[ids[t+1]]) - tensor.LogSumExp(logits)
+					}
+				}
+				if want := lp / float64(len(cont)); math.Float64bits(got[c]) != math.Float64bits(want) {
+					t.Fatalf("%T, item %d choice %d: ChoiceLogProbs %v, fresh decode %v", s, i, c, got[c], want)
+				}
+			}
+		}
 	}
 }
 
@@ -235,18 +318,6 @@ func TestStreamStepsMatchSystemEvaluate(t *testing.T) {
 	hits, misses := st.Traffic()
 	if hits <= 0 || misses <= 0 {
 		t.Fatalf("traffic %d/%d", hits, misses)
-	}
-	// Incremental decoding vs teacher-forced windows: same math, only
-	// float accumulation order differs.
-	ppl := model.Perplexity(zoo.m, zoo.test[:640], zoo.m.Cfg.MaxSeq, Hook(zoo.m, sparsity.NewDIP(0.5), nil))
-	stDip, err := NewStream(zoo.m, sparsity.NewDIP(0.5), zoo.test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for stDip.Step() {
-	}
-	if math.Abs(stDip.Point().PPL-ppl)/ppl > 1e-3 {
-		t.Fatalf("incremental ppl %v far from windowed ppl %v", stDip.Point().PPL, ppl)
 	}
 }
 

@@ -35,17 +35,14 @@ func (cfg SystemConfig) Validate() error {
 }
 
 // evalWindow resolves the effective (tokens, window, total) of a coupled
-// evaluation: MaxTokens truncates the stream, Win defaults to the model's
-// MaxSeq, and the stream is consumed in whole windows only (matching
-// model.Perplexity's chunking).
+// evaluation: MaxTokens truncates the stream, Win is resolved by the
+// model's Window, and the stream is consumed in whole windows only
+// (model.Perplexity's chunking).
 func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win, total int) {
 	if cfg.MaxTokens > 0 && len(tokens) > cfg.MaxTokens {
 		tokens = tokens[:cfg.MaxTokens]
 	}
-	win = cfg.Win
-	if win == 0 || win > m.Cfg.MaxSeq {
-		win = m.Cfg.MaxSeq
-	}
+	win = m.Window(cfg.Win)
 	nWin := 0
 	if win > 0 {
 		nWin = len(tokens) / win

@@ -151,11 +151,11 @@ func TestFuseZeroAdaptersIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := m.Forward([]int{1, 2, 3}, nil)
-	b := fused.Forward([]int{1, 2, 3}, nil)
-	for t2 := range a {
-		for i := range a[t2] {
-			if a[t2][i] != b[t2][i] {
+	a, b := m.NewDecoder(nil), fused.NewDecoder(nil)
+	for _, id := range []int{1, 2, 3} {
+		la, lb := a.Step(id), b.Step(id)
+		for i := range la {
+			if la[i] != lb[i] {
 				t.Fatal("zero adapters should fuse to identity")
 			}
 		}

@@ -1,27 +1,25 @@
 // Package model assembles the nn layers into a decoder-only transformer
 // language model (RMSNorm → GQA attention → RMSNorm → gated MLP, with
 // residual connections), provides deterministic training from scratch,
-// teacher-forced scoring, incremental decoding, and checkpointing.
+// incremental decoding, teacher-forced scoring on the decoder, and
+// checkpointing.
 //
-// Inference entry points accept an MLPHook: a function that replaces the
-// dense MLP forward at each (layer, token). The sparsity package supplies
-// hooks implementing every pruning scheme in the paper; passing a nil hook
-// evaluates the dense model. Tokens flow through each layer in sequence
-// order, so hooks that carry state across tokens (the DRAM cache of
-// DIP-CA) observe the same order a real decoder would.
+// Inference is the Decoder: perplexity, multiple-choice scoring and
+// calibration capture step one, as a served session does. It accepts an
+// MLPHook, a function that replaces the dense MLP forward at each (layer,
+// token). The sparsity package supplies hooks implementing every pruning
+// scheme in the paper; passing a nil hook evaluates the dense model. Each
+// token passes through every layer before the next token starts, so hooks
+// that carry state across tokens (the DRAM cache of DIP-CA) observe the
+// order a real decoder would. Whole-sequence forwards are training only.
 package model
 
 import (
 	"fmt"
 
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
-
-// mlpTokenGrain is the minimum tokens per parallel block in the dense
-// inference loops (matches the nn package's sequence-loop granularity).
-const mlpTokenGrain = 4
 
 // Config describes a model architecture.
 type Config struct {
@@ -114,6 +112,16 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
+// Window resolves an evaluation window length: 0, or a length beyond
+// MaxSeq, means MaxSeq. Perplexity, MLPInputs and the eval package's
+// coupled streams all chunk a token stream by this rule.
+func (m *Model) Window(win int) int {
+	if win == 0 || win > m.Cfg.MaxSeq {
+		return m.Cfg.MaxSeq
+	}
+	return win
+}
+
 // MLPWeightCount returns the total scalar weights in all MLP blocks — the
 // denominator for MLP-density metrics.
 func (m *Model) MLPWeightCount() int {
@@ -135,107 +143,31 @@ func (m *Model) StaticWeightCount() int {
 // be added to the residual stream.
 type MLPHook func(layer int, x tensor.Vec) tensor.Vec
 
-// fwdScratch is one worker's reusable buffers for the dense token loops of
-// Forward: the post-norm input, the MLP intermediates, and the MLP output.
-type fwdScratch struct {
-	buf, out tensor.Vec
-	mlp      nn.MLPScratch
-}
-
-// Forward computes logits for every position with optional MLP hook. It is
-// the inference path: activations are not retained for backprop.
-//
-// With a nil hook (the dense model) the per-layer MLP loop and the head
-// projection fan out across the worker pool with per-worker scratch, making
-// the hot path free of per-token allocations. With a hook the MLP loop
-// stays strictly sequential in token order: hooks that carry state across
-// tokens (the DRAM cache of DIP-CA, trace recorders, density meters) must
-// observe the same order a real decoder would.
-func (m *Model) Forward(ids []int, hook MLPHook) []tensor.Vec {
-	xs := m.Embed.Forward(ids)
-	n := len(xs)
-	nw := parallel.Workers(n, mlpTokenGrain)
-	scr := make([]fwdScratch, nw)
-	var hookBuf tensor.Vec
-	if hook != nil {
-		hookBuf = tensor.NewVec(m.Cfg.Dim)
-	}
-	for l, b := range m.Blocks {
-		normed := make([]tensor.Vec, n)
-		parallel.For(n, mlpTokenGrain, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				normed[t] = b.Norm1.Apply(xs[t], nil)
-			}
-		})
-		attnOut, _ := b.Attn.Forward(normed)
-		for t := range xs {
-			xs[t].Add(attnOut[t])
-		}
-		if hook != nil {
-			for _, x := range xs {
-				b.Norm2.Apply(x, hookBuf)
-				x.Add(hook(l, hookBuf))
-			}
-			continue
-		}
-		parallel.ForWorker(n, mlpTokenGrain, func(w, lo, hi int) {
-			s := workerScratch(scr, w, m.Cfg.Dim)
-			for t := lo; t < hi; t++ {
-				b.Norm2.Apply(xs[t], s.buf)
-				b.MLP.ApplyInto(s.buf, s.out, &s.mlp)
-				xs[t].Add(s.out)
-			}
-		})
-	}
-	logits := make([]tensor.Vec, n)
-	parallel.ForWorker(n, mlpTokenGrain, func(w, lo, hi int) {
-		s := workerScratch(scr, w, m.Cfg.Dim)
-		for t := lo; t < hi; t++ {
-			m.NormF.Apply(xs[t], s.buf)
-			logits[t] = m.Head.Apply(s.buf, nil)
-		}
-	})
-	return logits
-}
-
-// MLPInputs runs the dense model over tokens in consecutive windows of win
-// and returns, per layer, the first maxTokens post-norm MLP inputs in token
-// order — the calibration set every offline fit (SparseGPT, GPTQ, CATS
-// thresholds, predictors, adapters) post-processes. Every layer records the
-// same tokens.
+// MLPInputs decodes tokens with the dense model in consecutive windows of
+// win (resolved by Model.Window) and returns, per layer, the first
+// maxTokens post-norm MLP inputs in token order — the calibration set every
+// offline fit (SparseGPT, GPTQ, CATS thresholds, predictors, adapters)
+// post-processes. Every layer records the same tokens; decoding stops once
+// they number maxTokens.
 func MLPInputs(m *Model, tokens []int, win, maxTokens int) [][]tensor.Vec {
+	win = m.Window(win)
 	ins := make([][]tensor.Vec, len(m.Blocks))
-	hook := func(layer int, x tensor.Vec) tensor.Vec {
-		if len(ins[layer]) < maxTokens {
-			ins[layer] = append(ins[layer], x.Clone())
-		}
+	dec := m.NewDecoder(func(layer int, x tensor.Vec) tensor.Vec {
+		ins[layer] = append(ins[layer], x.Clone())
 		return m.Blocks[layer].MLP.Apply(x)
-	}
-	last := len(ins) - 1
-	for start := 0; start+win <= len(tokens) && len(ins[last]) < maxTokens; start += win {
-		m.Forward(tokens[start:start+win], hook)
+	})
+	for t := 0; t < len(tokens)/win*win && t < maxTokens; t++ {
+		if t%win == 0 {
+			dec.Reset()
+		}
+		dec.Step(tokens[t])
 	}
 	return ins
 }
 
-// workerScratch returns worker w's scratch slot, sized on first use. A
-// worker id beyond the slice (possible only if the pool is resized while a
-// Forward is in flight — SetProcs is documented safe concurrently with For)
-// gets a private throwaway scratch rather than an out-of-range panic.
-func workerScratch(scr []fwdScratch, w, dim int) *fwdScratch {
-	s := &fwdScratch{}
-	if w < len(scr) {
-		s = &scr[w]
-	}
-	if s.buf == nil {
-		s.buf = tensor.NewVec(dim)
-		s.out = tensor.NewVec(dim)
-	}
-	return s
-}
-
 // Decoder performs incremental token-by-token decoding with per-layer KV
-// caches, honoring the same MLP hook contract as Forward.
+// caches. A non-nil hook replaces every MLP, one (layer, token) call at a
+// time in token-major order.
 type Decoder struct {
 	m      *Model
 	caches []*nn.KVCache
@@ -269,17 +201,6 @@ func (m *Model) NewDecoder(hook MLPHook) *Decoder {
 // Pos returns the number of tokens consumed so far.
 func (d *Decoder) Pos() int { return d.pos }
 
-// Reset rewinds the decoder to position zero, truncating the KV caches in
-// place and keeping their slots and the scratch buffers — a fresh context
-// window without reallocation. The hook and its state carry over.
-func (d *Decoder) Reset() {
-	d.pos = 0
-	for _, c := range d.caches {
-		c.Ks = c.Ks[:0]
-		c.Vs = c.Vs[:0]
-	}
-}
-
 // Step consumes one token id and returns the logits for the next token,
 // valid until the next Step. It panics when the positional table is
 // exhausted. Every buffer it writes is the decoder's own, so a decoder that
@@ -307,6 +228,25 @@ func (d *Decoder) Step(id int) tensor.Vec {
 	d.m.NormF.Apply(x, buf)
 	return d.m.Head.Apply(buf, d.logits)
 }
+
+// Rewind moves the decoder back to position pos, truncating the KV caches
+// to the first pos tokens in place and keeping their slots and the scratch
+// buffers: the next Step continues the context those tokens left, without
+// reallocation. The hook and its state carry over. It panics unless
+// 0 ≤ pos ≤ Pos().
+func (d *Decoder) Rewind(pos int) {
+	if uint(pos) > uint(d.pos) { // a negative pos wraps above every position
+		panic("model: Rewind outside the decoded positions")
+	}
+	d.pos = pos
+	for _, c := range d.caches {
+		c.Ks = c.Ks[:pos]
+		c.Vs = c.Vs[:pos]
+	}
+}
+
+// Reset is Rewind(0): a fresh context window.
+func (d *Decoder) Reset() { d.Rewind(0) }
 
 // TrainStep runs one forward/backward pass over a sequence, accumulating
 // gradients into the parameters, and returns the mean cross-entropy.

@@ -2,11 +2,13 @@ package model
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -44,7 +46,7 @@ func TestModelEndToEndGradients(t *testing.T) {
 	ids := []int{1, 4, 2, 9, 0, 3}
 	targets := []int{4, 2, 9, 0, 3, 5}
 	loss := func() float64 {
-		logits := m.Forward(ids, nil)
+		logits, _ := m.forwardTrain(ids)
 		return nn.CrossEntropy(logits, targets, nil)
 	}
 	for _, p := range m.Params() {
@@ -99,22 +101,62 @@ func TestTrainingLearnsGrammar(t *testing.T) {
 	}
 }
 
+// The decoder's logits are refForward's, float32 bit for bit, at one
+// worker and at two (refForward fans its dense loops out).
 func TestDecoderMatchesForward(t *testing.T) {
+	defer parallel.SetProcs(parallel.Procs())
 	m := New(tinyConfig(), 13)
-	ids := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	logits := m.Forward(ids, nil)
-	dec := m.NewDecoder(nil)
-	for t2, id := range ids {
-		lg := dec.Step(id)
-		for i := range lg {
-			if math.Abs(float64(lg[i]-logits[t2][i])) > 1e-4 {
-				t.Fatalf("decoder logits diverge at pos %d idx %d: %v vs %v", t2, i, lg[i], logits[t2][i])
-			}
+	ids := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7}
+	for _, procs := range []int{1, 2} {
+		parallel.SetProcs(procs)
+		logits := refForward(m, ids, nil)
+		dec := m.NewDecoder(nil)
+		for pos, id := range ids {
+			sameBits(t, fmt.Sprintf("procs %d pos %d", procs, pos), dec.Step(id), logits[pos])
+		}
+		if dec.Pos() != len(ids) {
+			t.Fatal("decoder position wrong")
 		}
 	}
-	if dec.Pos() != len(ids) {
-		t.Fatal("decoder position wrong")
+}
+
+// sameBits fails unless got and want hold the same float32 bits.
+func sameBits(t testing.TB, what string, got, want tensor.Vec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d logits, want %d", what, len(got), len(want))
 	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: index %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// Rewind keeps the first pos tokens' KV state: stepping on from there is
+// stepping a fresh decoder through those tokens and on.
+func TestRewindContinuesFromThePrefix(t *testing.T) {
+	m := New(tinyConfig(), 13)
+	dec := m.NewDecoder(nil)
+	for _, id := range []int{3, 1, 4, 1, 5} {
+		dec.Step(id)
+	}
+	dec.Rewind(2)
+	if dec.Pos() != 2 {
+		t.Fatalf("Pos after Rewind(2) = %d", dec.Pos())
+	}
+	fresh := m.NewDecoder(nil)
+	fresh.Step(3)
+	fresh.Step(1)
+	for _, id := range []int{9, 2, 6} {
+		sameBits(t, "rewound", dec.Step(id), fresh.Step(id))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rewind beyond Pos did not panic")
+		}
+	}()
+	dec.Rewind(dec.Pos() + 1)
 }
 
 // A decoder that has decoded a whole window allocates nothing per step: the
@@ -146,9 +188,12 @@ func TestHookInvocationOrder(t *testing.T) {
 		calls = append(calls, layer)
 		return m.Blocks[layer].MLP.Apply(x)
 	}
-	m.Forward(ids, hook)
-	// Per layer, tokens in order: layer0 x3, then layer1 x3.
-	want := []int{0, 0, 0, 1, 1, 1}
+	dec := m.NewDecoder(hook)
+	for _, id := range ids {
+		dec.Step(id)
+	}
+	// Token-major: each token passes through both layers before the next.
+	want := []int{0, 1, 0, 1, 0, 1}
 	if len(calls) != len(want) {
 		t.Fatalf("hook called %d times, want %d", len(calls), len(want))
 	}
@@ -161,32 +206,27 @@ func TestHookInvocationOrder(t *testing.T) {
 
 func TestDenseHookMatchesNilHook(t *testing.T) {
 	m := New(tinyConfig(), 19)
-	ids := []int{5, 6, 7, 8}
-	a := m.Forward(ids, nil)
-	b := m.Forward(ids, func(layer int, x tensor.Vec) tensor.Vec {
+	a := m.NewDecoder(nil)
+	b := m.NewDecoder(func(layer int, x tensor.Vec) tensor.Vec {
 		return m.Blocks[layer].MLP.Apply(x)
 	})
-	for t2 := range a {
-		for i := range a[t2] {
-			if math.Abs(float64(a[t2][i]-b[t2][i])) > 1e-5 {
-				t.Fatal("dense hook changes output")
-			}
-		}
+	for _, id := range []int{5, 6, 7, 8} {
+		sameBits(t, "dense hook", b.Step(id), a.Step(id))
 	}
 }
 
-// MLPInputs is the hook's view of the dense forward: layer l's inputs in
-// token order, the same first maxTokens on every layer even when the
-// budget ends inside a window.
+// MLPInputs is the hook's view of the dense forward (refForward, window by
+// window): layer l's inputs in token order, the same first maxTokens on
+// every layer even when the budget ends inside a window.
 func TestMLPInputsAreWhatTheHookSees(t *testing.T) {
 	m := New(tinyConfig(), 23)
 	ids := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2}
 	seen := make([][]tensor.Vec, len(m.Blocks))
-	m.Forward(ids[:5], func(layer int, x tensor.Vec) tensor.Vec {
+	refForward(m, ids[:5], func(layer int, x tensor.Vec) tensor.Vec {
 		seen[layer] = append(seen[layer], x.Clone())
 		return m.Blocks[layer].MLP.Apply(x)
 	})
-	m.Forward(ids[5:10], func(layer int, x tensor.Vec) tensor.Vec {
+	refForward(m, ids[5:10], func(layer int, x tensor.Vec) tensor.Vec {
 		if len(seen[layer]) < 7 {
 			seen[layer] = append(seen[layer], x.Clone())
 		}
@@ -239,22 +279,6 @@ func TestPerplexityUniformUntrained(t *testing.T) {
 	}
 }
 
-func TestContinuationLogProb(t *testing.T) {
-	m := New(tinyConfig(), 29)
-	prompt := []int{1, 2, 3}
-	cont := []int{4, 5}
-	lp := ContinuationLogProb(m, prompt, cont, nil)
-	if lp >= 0 || math.IsNaN(lp) {
-		t.Fatalf("log prob = %v", lp)
-	}
-	if got := ContinuationLogProb(m, prompt, nil, nil); got != 0 {
-		t.Fatal("empty continuation should score 0")
-	}
-	// Long inputs are truncated from the left rather than panicking.
-	long := make([]int, 200)
-	_ = ContinuationLogProb(m, long, cont, nil)
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	m := New(tinyConfig(), 43)
 	var buf bytes.Buffer
@@ -268,15 +292,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if m2.Cfg != m.Cfg {
 		t.Fatalf("config mismatch: %+v vs %+v", m2.Cfg, m.Cfg)
 	}
-	ids := []int{1, 2, 3, 4}
-	a := m.Forward(ids, nil)
-	b := m2.Forward(ids, nil)
-	for t2 := range a {
-		for i := range a[t2] {
-			if a[t2][i] != b[t2][i] {
-				t.Fatal("loaded model differs")
-			}
-		}
+	a, b := m.NewDecoder(nil), m2.NewDecoder(nil)
+	for _, id := range []int{1, 2, 3, 4} {
+		sameBits(t, "loaded model", b.Step(id), a.Step(id))
 	}
 }
 

@@ -71,79 +71,110 @@ func Train(m *Model, tokens []int, opts TrainOpts) (float64, error) {
 }
 
 // Perplexity evaluates teacher-forced perplexity of the model (with
-// optional MLP hook) over the token stream, chunked into windows of
-// winLen tokens. Predictions use each window's tokens 1..n; the first
-// token of each window is context only.
+// optional MLP hook) over the token stream, chunked into windows of winLen
+// tokens (resolved by Model.Window). Each window is decoded from position
+// zero; its tokens 1..n are predicted, and its last token is stepped as
+// context only, so a hook sees every token of every window.
 //
 // Windows are independent for the dense model, so with a nil hook they fan
-// out across the worker pool; per-window partial sums are reduced in window
-// order, making the result bit-identical for any worker count. Hooked
-// evaluation stays sequential — hooks may carry state across tokens.
+// out across the worker pool, each block of windows on its own decoder;
+// per-window partial sums are reduced in window order, making the result
+// bit-identical for any worker count. Hooked evaluation steps one decoder
+// through the windows in order — hooks may carry state across tokens.
 func Perplexity(m *Model, tokens []int, winLen int, hook MLPHook) float64 {
-	if winLen >= m.Cfg.MaxSeq {
-		winLen = m.Cfg.MaxSeq
-	}
-	nWin := 0
-	if winLen > 0 {
-		nWin = len(tokens) / winLen
-	}
-	if nWin == 0 {
+	winLen = m.Window(winLen)
+	nWin := len(tokens) / winLen
+	if nWin <= 0 {
 		return 0
 	}
 	ces := make([]float64, nWin)
-	counts := make([]int, nWin)
-	window := func(w int) {
-		ids := tokens[w*winLen : (w+1)*winLen]
-		logits := m.Forward(ids, hook)
-		var ce float64
-		for t := 0; t+1 < len(ids); t++ {
-			lse := tensor.LogSumExp(logits[t])
-			ce += lse - float64(logits[t][ids[t+1]])
-			counts[w]++
+	windows := func(dec *Decoder, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			ids := tokens[w*winLen : (w+1)*winLen]
+			dec.Reset()
+			var ce float64
+			for t, id := range ids {
+				logits := dec.Step(id)
+				if t+1 < len(ids) {
+					ce += tensor.LogSumExp(logits) - float64(logits[ids[t+1]])
+				}
+			}
+			ces[w] = ce
 		}
-		ces[w] = ce
 	}
 	if hook == nil {
-		parallel.For(nWin, 1, func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				window(w)
-			}
-		})
+		parallel.For(nWin, 1, func(lo, hi int) { windows(m.NewDecoder(nil), lo, hi) })
 	} else {
-		for w := 0; w < nWin; w++ {
-			window(w)
-		}
+		windows(m.NewDecoder(hook), 0, nWin)
 	}
 	var totalCE float64
-	var count int
-	for w := 0; w < nWin; w++ {
-		totalCE += ces[w]
-		count += counts[w]
+	for _, ce := range ces {
+		totalCE += ce
 	}
-	if count == 0 {
-		return 0
+	if winLen == 1 {
+		return 0 // no token is predicted
 	}
-	return nn.Perplexity(totalCE / float64(count))
+	return nn.Perplexity(totalCE / float64(nWin*(winLen-1)))
 }
 
-// ContinuationLogProb returns the mean per-token log-probability of the
-// continuation tokens given the prompt tokens, under an optional hook.
-// This is the scoring rule for multiple-choice evaluation.
-func ContinuationLogProb(m *Model, prompt, cont []int, hook MLPHook) float64 {
-	if len(cont) == 0 {
-		return 0
+// ChoiceLogProbs scores multiple-choice continuations: out[c] is the mean
+// per-token log-probability of conts[c] after the prompt (0 for an empty
+// continuation), as the model reads prompt+conts[c] left-trimmed to MaxSeq.
+// The prompt is decoded once on dec; each choice that fits beside it scores
+// its first token on the prompt's last logits and then extends the prompt's
+// KV state after a Rewind. A choice whose context is trimmed is decoded
+// again from position zero. The hook, if any, must keep no per-call state:
+// it sees the prompt once, not once per choice.
+//
+// It panics unless every non-empty continuation has a context token before
+// it: the prompt must be non-empty and the continuation shorter than MaxSeq.
+func ChoiceLogProbs(dec *Decoder, prompt []int, conts [][]int, out []float64) {
+	maxSeq := dec.m.Cfg.MaxSeq
+	decode := func(ids []int) (last tensor.Vec) {
+		dec.Reset()
+		for _, id := range ids {
+			last = dec.Step(id)
+		}
+		return last
 	}
-	ids := append(append([]int{}, prompt...), cont...)
-	if len(ids) > m.Cfg.MaxSeq {
-		ids = ids[len(ids)-m.Cfg.MaxSeq:]
+	// score parks the first token's log-probability in out[c]; extend adds
+	// the rest's, stepping on from the state the first token's context left.
+	score := func(c int, logits tensor.Vec) {
+		out[c] = float64(logits[conts[c][0]]) - tensor.LogSumExp(logits)
 	}
-	logits := m.Forward(ids, hook)
-	// Position t predicts ids[t+1]; continuation tokens occupy the tail.
-	first := len(ids) - len(cont)
-	var lp float64
-	for t := first - 1; t+1 < len(ids); t++ {
-		lse := tensor.LogSumExp(logits[t])
-		lp += float64(logits[t][ids[t+1]]) - lse
+	extend := func(c int) {
+		cont := conts[c]
+		for t := 1; t < len(cont); t++ {
+			logits := dec.Step(cont[t-1])
+			out[c] += float64(logits[cont[t]]) - tensor.LogSumExp(logits)
+		}
+		out[c] /= float64(len(cont))
 	}
-	return lp / float64(len(cont))
+	// A non-empty choice fits when prompt and choice share one window.
+	fits := func(cont []int) bool { return len(cont) > 0 && len(prompt)+len(cont) <= maxSeq }
+	var last tensor.Vec // the prompt's last logits, valid until the next Step
+	for c, cont := range conts {
+		out[c] = 0
+		if len(cont) > 0 && (len(prompt) == 0 || len(cont) >= maxSeq) {
+			panic("model: ChoiceLogProbs needs a context token before each continuation")
+		}
+		if fits(cont) {
+			if last == nil {
+				last = decode(prompt)
+			}
+			score(c, last)
+		}
+	}
+	for c, cont := range conts {
+		if fits(cont) {
+			dec.Rewind(len(prompt))
+			extend(c)
+		}
+	}
+	for c, cont := range conts {
+		if len(cont) > 0 && !fits(cont) {
+			score(c, decode(prompt[len(prompt)+len(cont)-maxSeq:]))
+			extend(c)
+		}
+	}
 }

@@ -181,7 +181,7 @@ func (a *Attention) Backward(dys []tensor.Vec, c *attnCtx) []tensor.Vec {
 }
 
 // KVCache holds the per-layer key/value history for incremental decoding.
-// Truncating it (Ks[:0], Vs[:0], as Decoder.Reset does) keeps the vectors
+// Truncating it (Ks[:pos], Vs[:pos], as Decoder.Rewind does) keeps the vectors
 // beyond the new length in the backing arrays, and the next steps write
 // their keys and values into those slots instead of allocating.
 type KVCache struct {
