@@ -173,11 +173,11 @@ func backwardMasked(mlp *nn.GLUMLP, ad LayerAdapters, x, dy tensor.Vec, inIdx, g
 		u = tensor.MatVecSparse(mlp.Up.P.W, x, inIdx, nil)
 		g = tensor.MatVecSparse(mlp.Gate.P.W, x, inIdx, nil)
 	}
-	h := tensor.NewVec(dff)
+	h := tensor.NewVec(dff) // u ⊙ σ(g) on the units of gluIdx, 0 elsewhere (below)
+	mlp.Act.GLU(h, u, g)
 	hMask := make([]bool, dff)
 	for _, i := range gluIdx {
 		hMask[i] = true
-		h[i] = u[i] * mlp.Act.Apply(g[i])
 	}
 	// xm: input with pruned coordinates zeroed (what W_u/W_g effectively saw).
 	xm := x
@@ -187,19 +187,20 @@ func backwardMasked(mlp *nn.GLUMLP, ad LayerAdapters, x, dy tensor.Vec, inIdx, g
 			xm[j] = x[j]
 		}
 	}
-	// Down adapter: y = (Wd + Bd Ad) h_masked.
-	adapterGrad(ad.Down, dy, h)
 	dh := tensor.MatTVec(mlp.Down.P.W, dy, nil)
 	du := tensor.NewVec(dff)
 	dg := tensor.NewVec(dff)
 	for i := 0; i < dff; i++ {
 		if !hMask[i] {
+			h[i] = 0
 			continue
 		}
 		act := mlp.Act.Apply(g[i])
 		du[i] = dh[i] * act
 		dg[i] = dh[i] * u[i] * mlp.Act.Grad(g[i])
 	}
+	// Down adapter: y = (Wd + Bd Ad) h_masked.
+	adapterGrad(ad.Down, dy, h)
 	adapterGrad(ad.Up, du, xm)
 	if ad.Gate != nil {
 		adapterGrad(ad.Gate, dg, xm)

@@ -31,9 +31,7 @@ func (m *GLUMLP) ApplyBatch(xs, out *tensor.Mat, s *MLPBatchScratch) *tensor.Mat
 	s.G = tensor.MatVecBatch(m.Gate.P.W, xs, tensor.ReuseMat(s.G, m.DFF, B))
 	// H = U ⊙ σ(G), written over U in place (same element order as the
 	// single-vector path, so the float32 results are identical).
-	for i, g := range s.G.Data {
-		s.U.Data[i] *= m.Act.Apply(g)
-	}
+	m.Act.GLU(s.U.Data, s.U.Data, s.G.Data)
 	if out == nil {
 		out = tensor.NewMat(m.Dim, B)
 	}

@@ -39,6 +39,21 @@ func (a Activation) Apply(x float32) float32 {
 	return tensor.SiLU(x)
 }
 
+// GLU writes dst[i] = u[i]·σ(g[i]), bit for bit u[i] * a.Apply(g[i]), for
+// every i < len(dst), choosing σ once outside the loop. dst may alias u or g.
+func (a Activation) GLU(dst, u, g tensor.Vec) {
+	u, g = u[:len(dst)], g[:len(dst)]
+	if a == ActReLU {
+		for i, x := range g {
+			dst[i] = u[i] * tensor.ReLU(x)
+		}
+		return
+	}
+	for i, x := range g {
+		dst[i] = u[i] * tensor.SiLU(x)
+	}
+}
+
 // Grad evaluates the activation derivative.
 func (a Activation) Grad(x float32) float32 {
 	if a == ActReLU {
@@ -98,12 +113,8 @@ func (m *GLUMLP) GLUInto(x, out tensor.Vec, s *MLPScratch) tensor.Vec {
 	}
 	s.U = tensor.MatVec(m.Up.P.W, x, tensor.Reuse(s.U, m.DFF))
 	s.G = tensor.MatVec(m.Gate.P.W, x, tensor.Reuse(s.G, m.DFF))
-	if out == nil {
-		out = tensor.NewVec(m.DFF)
-	}
-	for i := range out {
-		out[i] = s.U[i] * m.Act.Apply(s.G[i])
-	}
+	out = tensor.Reuse(out, m.DFF)
+	m.Act.GLU(out, s.U, s.G)
 	return out
 }
 

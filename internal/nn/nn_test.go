@@ -529,3 +529,29 @@ func TestActivationString(t *testing.T) {
 		t.Fatal("activation names wrong")
 	}
 }
+
+// GLU is the per-element u·Apply(g) loop to the bit, for both activations on
+// signed zeros, infinities and NaN, written to its own buffer and over u.
+func TestActivationGLUMatchesApplyBitForBit(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{0, negZero, inf, -inf, nan, 1, -2.5, 1e-40, 88.5, -104}
+	var u, g tensor.Vec
+	for _, a := range specials {
+		for _, b := range specials {
+			u, g = append(u, a), append(g, b)
+		}
+	}
+	for _, act := range []Activation{ActSiLU, ActReLU} {
+		dst := tensor.NewVec(len(u))
+		act.GLU(dst, u, g)
+		inPlace := append(tensor.Vec(nil), u...)
+		act.GLU(inPlace, inPlace, g)
+		for i := range u {
+			want := math.Float32bits(u[i] * act.Apply(g[i]))
+			if math.Float32bits(dst[i]) != want || math.Float32bits(inPlace[i]) != want {
+				t.Fatalf("%v: GLU(u=%v, g=%v) = %v (in place %v), Apply loop gives %v", act, u[i], g[i], dst[i], inPlace[i], math.Float32frombits(want))
+			}
+		}
+	}
+}

@@ -11,7 +11,8 @@ import (
 // scheme, DIP and DIP-CA included, runs column by column through its own
 // Forward, so its algorithm is written once: each session reads a different
 // set of weight columns, and a sparse multi-RHS kernel over them costs
-// exactly its single-RHS runs (ROADMAP item 3(c)).
+// exactly its single-RHS runs (a union-pass batched kernel, one walk over
+// the union of the columns' units, measured slower than them).
 //
 // Determinism contract: ForwardBatch(column b) is bit-identical to
 // schemes[b].Forward on the same input — same output floats, same

@@ -82,11 +82,7 @@ func (s *GLUThreshold) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheV
 			thr = s.PerLayer[layer]
 		}
 		for i, v := range h {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a >= thr {
+			if abs(v) >= thr {
 				idx = append(idx, i)
 			}
 		}
@@ -127,15 +123,8 @@ func CollectStats(m *model.Model, tokens []int, win, maxTokens int) *LayerStats 
 			g := tensor.MatVec(mlp.Gate.P.W, x, nil)
 			for i := range u {
 				ga := mlp.Act.Apply(g[i])
-				h := u[i] * ga
-				if h < 0 {
-					h = -h
-				}
-				if ga < 0 {
-					ga = -ga
-				}
-				st.AbsGLU[layer] = append(st.AbsGLU[layer], h)
-				st.AbsGate[layer] = append(st.AbsGate[layer], ga)
+				st.AbsGLU[layer] = append(st.AbsGLU[layer], abs(u[i]*ga))
+				st.AbsGate[layer] = append(st.AbsGate[layer], abs(ga))
 			}
 		}
 	}

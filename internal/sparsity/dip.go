@@ -1,7 +1,7 @@
 package sparsity
 
 import (
-	"math"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -34,9 +34,10 @@ type DIP struct {
 	// parallel evaluations give each worker its own copy via Clone). The
 	// unit lists Forward hands out through TokenAccess.Units are inIdx and
 	// gluIdx: they stay valid until the next Forward on this DIP.
-	scoreIn, scoreGLU, u, g, h, y tensor.Vec
-	topk                          tensor.TopKScratch
-	inIdx, gluIdx                 []int
+	g, h, y       tensor.Vec
+	keys          []uint32
+	topk          tensor.TopKScratch
+	inIdx, gluIdx []int
 }
 
 // CloneStateless implements StatefulScheme.
@@ -76,29 +77,27 @@ func ReadsCache(s Scheme) bool {
 	return ok && d.CacheAware && d.Gamma < 1
 }
 
-// score writes one stage's ranking scores into dst: |src_i|, and under
-// cache-aware masking Eq. 10's s_i = |src_i|·(c_i + γ(1−c_i)) / ‖src‖∞ with
-// c read from the group's residency slice. The ‖src‖∞ normalization keeps γ
-// comparable across tokens with different dynamic ranges; it does not change
-// the ranking for a fixed token but is retained for fidelity with the paper
-// (and because Figure 10's γ sweep reports the normalized scores).
-func (s *DIP) score(src, dst tensor.Vec, layer int, group GroupID, cache CacheView) tensor.Vec {
+// score writes one stage's ranking scores into keys as tensor.OrderKey keys:
+// |src_i|, and under cache-aware masking Eq. 10's s_i = |src_i|·(c_i +
+// γ(1−c_i)) / ‖src‖∞ with c read from the group's residency slice. The
+// ‖src‖∞ normalization keeps γ comparable across tokens with different
+// dynamic ranges; it does not change the ranking for a fixed token but is
+// retained for fidelity with the paper (and because Figure 10's γ sweep
+// reports the normalized scores). A key is written in the pass that takes
+// |src_i| and its weight, so no float score is stored.
+func (s *DIP) score(src tensor.Vec, keys []uint32, layer int, group GroupID, cache CacheView) []uint32 {
+	keys = keys[:len(src)]
 	if !s.CacheAware || s.Gamma >= 1 || cache == nil {
-		return absScores(src, dst)
+		for i, v := range src {
+			keys[i] = tensor.OrderKey(abs(v))
+		}
+		return keys
 	}
 	var norm float32
-	for i, v := range src {
-		// |v| as absScores takes it (−0 stays −0), written on the bits so the
-		// sign test compiles to a conditional move, not a coin-flip branch.
-		b := math.Float32bits(v)
-		if v < 0 {
-			b &^= 1 << 31
-		}
-		a := math.Float32frombits(b)
-		if a > norm {
+	for _, v := range src {
+		if a := abs(v); a > norm {
 			norm = a
 		}
-		dst[i] = a
 	}
 	if norm == 0 {
 		norm = 1
@@ -108,40 +107,36 @@ func (s *DIP) score(src, dst tensor.Vec, layer int, group GroupID, cache CacheVi
 	// cache state decides.
 	weight := [2]float32{float32(s.Gamma) * inv, inv}
 	resident := cache.Resident(layer, group)
-	resident = resident[:min(len(resident), len(dst))]
+	resident = resident[:min(len(resident), len(keys))]
 	for i, r := range resident {
 		c := 0
 		if r {
 			c = 1
 		}
-		dst[i] *= weight[c]
+		keys[i] = tensor.OrderKey(abs(src[i]) * weight[c])
 	}
-	for i := len(resident); i < len(dst); i++ {
-		dst[i] *= weight[0]
+	for i := len(resident); i < len(keys); i++ {
+		keys[i] = tensor.OrderKey(abs(src[i]) * weight[0])
 	}
-	return dst
+	return keys
 }
 
 // Forward implements Scheme.
 func (s *DIP) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView) (tensor.Vec, TokenAccess) {
 	dim, dff := mlp.Dim, mlp.DFF
+	s.keys = slices.Grow(s.keys[:0], max(dim, dff)) // both stages' keys, allocated once
 	// Stage 1: input pruning.
-	s.scoreIn = s.score(x, resize(s.scoreIn, dim), layer, GroupUpGate, cache)
-	kIn := keepCount(s.RhoIn, dim)
-	s.inIdx = tensor.TopKIndicesInto(s.scoreIn, kIn, &s.topk, s.inIdx)
-	// Stage 2: approximate GLU with pruned input columns.
-	s.u = resize(s.u, dff)
-	s.g = resize(s.g, dff)
-	tensor.MatVecSparse(mlp.Up.P.W, x, s.inIdx, s.u)
-	tensor.MatVecSparse(mlp.Gate.P.W, x, s.inIdx, s.g)
+	keys := s.score(x, s.keys, layer, GroupUpGate, cache)
+	s.inIdx = tensor.TopKKeysInto(keys, keepCount(s.RhoIn, dim), &s.topk, s.inIdx)
+	// Stage 2: approximate GLU on the pruned input columns, u ⊙ σ(g) in h.
 	s.h = resize(s.h, dff)
-	for i := range s.h {
-		s.h[i] = s.u[i] * mlp.Act.Apply(s.g[i])
-	}
+	s.g = resize(s.g, dff)
+	tensor.MatVecSparse(mlp.Up.P.W, x, s.inIdx, s.h)
+	tensor.MatVecSparse(mlp.Gate.P.W, x, s.inIdx, s.g)
+	mlp.Act.GLU(s.h, s.h, s.g)
 	// Stage 3: GLU pruning on the approximate activations.
-	s.scoreGLU = s.score(s.h, resize(s.scoreGLU, dff), layer, GroupDown, cache)
-	kGLU := keepCount(s.RhoGLU, dff)
-	s.gluIdx = tensor.TopKIndicesInto(s.scoreGLU, kGLU, &s.topk, s.gluIdx)
+	keys = s.score(s.h, s.keys, layer, GroupDown, cache)
+	s.gluIdx = tensor.TopKKeysInto(keys, keepCount(s.RhoGLU, dff), &s.topk, s.gluIdx)
 	s.y = resize(s.y, dim)
 	y := tensor.MatVecSparse(mlp.Down.P.W, s.h, s.gluIdx, s.y)
 	var ta TokenAccess

@@ -93,11 +93,7 @@ func (s *GatePrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (t
 	s.g = tensor.MatVec(mlp.Gate.P.W, x, resize(s.g, mlp.DFF))
 	s.score = resize(s.score, mlp.DFF)
 	for i, v := range s.g {
-		a := mlp.Act.Apply(v)
-		if a < 0 {
-			a = -a
-		}
-		s.score[i] = a
+		s.score[i] = abs(mlp.Act.Apply(v))
 	}
 	k := keepCount(s.Rho, mlp.DFF)
 	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
@@ -187,26 +183,17 @@ func (s *CATS) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (te
 	s.g = tensor.MatVec(mlp.Gate.P.W, x, resize(s.g, mlp.DFF))
 	g := s.g
 	idx := s.idx[:0]
+	best, bestV := 0, float32(-1)
 	for i, v := range g {
-		a := mlp.Act.Apply(v)
-		if a < 0 {
-			a = -a
-		}
+		a := abs(mlp.Act.Apply(v))
 		if a >= thr {
 			idx = append(idx, i)
 		}
+		if a > bestV {
+			best, bestV = i, a
+		}
 	}
 	if len(idx) == 0 { // keep at least the strongest unit
-		best, bestV := 0, float32(-1)
-		for i, v := range g {
-			a := mlp.Act.Apply(v)
-			if a < 0 {
-				a = -a
-			}
-			if a > bestV {
-				best, bestV = i, a
-			}
-		}
 		idx = append(idx, best)
 	}
 	s.idx = idx

@@ -13,6 +13,8 @@
 package sparsity
 
 import (
+	"math"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -206,11 +208,11 @@ func absScores(src, dst tensor.Vec) tensor.Vec {
 		dst = tensor.NewVec(len(src))
 	}
 	for i, v := range src {
-		if v < 0 {
-			dst[i] = -v
-		} else {
-			dst[i] = v
-		}
+		dst[i] = abs(v)
 	}
 	return dst
 }
+
+// abs is |v| with the sign bit cleared (−0 becomes +0, which ranks and
+// compares the same), so taking it is no branch.
+func abs(v float32) float32 { return math.Float32frombits(math.Float32bits(v) &^ (1 << 31)) }

@@ -330,9 +330,9 @@ func TestDIPForwardReturnsAscendingUnits(t *testing.T) {
 	}
 }
 
-// The one-pass score is Eq. 10 as the three passes it replaced computed it —
-// |x|, then ‖x‖∞, then ·(w·inv) — to the bit, −0 and an all-zero token
-// included, for resident, non-resident and out-of-slice units.
+// The score's keys are those of Eq. 10 as the three passes it replaced
+// computed it — |x|, then ‖x‖∞, then ·(w·inv) — to the bit, −0 and an
+// all-zero token included, for resident, non-resident and out-of-slice units.
 func TestDIPScoreMatchesThreePassReference(t *testing.T) {
 	s := NewDIPCA(0.5, 0.2)
 	fc := &fakeCache{cached: map[[3]int]bool{{0, int(GroupDown), 1}: true, {0, int(GroupDown), 4}: true}}
@@ -354,10 +354,10 @@ func TestDIPScoreMatchesThreePassReference(t *testing.T) {
 			}
 			want[i] *= w * inv
 		}
-		got := s.score(src, tensor.NewVec(len(src)), 0, GroupDown, fc)
+		got := s.score(src, make([]uint32, len(src)), 0, GroupDown, fc)
 		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("score[%d] of %v = %v, three-pass reference %v", i, src, got[i], want[i])
+			if got[i] != tensor.OrderKey(want[i]) {
+				t.Fatalf("key[%d] of %v = %#x, three-pass reference %v has key %#x", i, src, got[i], want[i], tensor.OrderKey(want[i]))
 			}
 		}
 	}

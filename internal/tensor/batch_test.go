@@ -151,6 +151,32 @@ func TestTopKIndicesIntoMatchesTopKIndices(t *testing.T) {
 	}
 }
 
+// With a scratch and an index buffer warmed at the largest n, neither entry
+// point allocates as n then shrinks and grows again.
+func TestTopKDoesNotAllocateWithWarmScratch(t *testing.T) {
+	rng := NewRNG(13)
+	var scratch TopKScratch
+	sizes := []int{768, 5, 192, 1, 64, 768, 32}
+	scores, keys := make([]Vec, len(sizes)), make([][]uint32, len(sizes))
+	for i, n := range sizes {
+		scores[i], keys[i] = NewVec(n), make([]uint32, n)
+		for j := range scores[i] {
+			scores[i][j] = rng.NormFloat32()
+			keys[i][j] = OrderKey(scores[i][j])
+		}
+	}
+	idx := TopKIndicesInto(scores[0], sizes[0]-1, &scratch, nil)
+	for i, n := range sizes {
+		k := n/5 + 1
+		if a := testing.AllocsPerRun(10, func() { idx = TopKIndicesInto(scores[i], k, &scratch, idx) }); a != 0 {
+			t.Errorf("n=%d: TopKIndicesInto allocates %v objects/call with a warm scratch, want 0", n, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { idx = TopKKeysInto(keys[i], k, &scratch, idx) }); a != 0 {
+			t.Errorf("n=%d: TopKKeysInto allocates %v objects/call with a warm scratch, want 0", n, a)
+		}
+	}
+}
+
 // hv and lessHV are the (value, index) entries and the order of the binary
 // min-heap TopKIndices selected with until it became a quickselect.
 type hv struct {
@@ -221,10 +247,18 @@ func refTopKIndices(score Vec, k int) []int {
 }
 
 // checkTopKAgainstHeap holds TopKIndices(score, k) to its contract on
-// NaN-free scores: strictly ascending, and as a set exactly the heap's.
+// NaN-free scores: strictly ascending, and as a set exactly the heap's. The
+// keys-in entry point, given the scores' OrderKeys, must select the same.
 func checkTopKAgainstHeap(t *testing.T, score Vec, k int) {
 	t.Helper()
 	got, want := TopKIndices(score, k), refTopKIndices(score, k)
+	keys := make([]uint32, len(score))
+	for i, v := range score {
+		keys[i] = OrderKey(v)
+	}
+	if viaKeys := TopKKeysInto(keys, k, nil, nil); fmt.Sprint(viaKeys) != fmt.Sprint(got) {
+		t.Fatalf("n=%d k=%d: TopKKeysInto selects %v, TopKIndices %v", len(score), k, viaKeys, got)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("n=%d k=%d: %d indices, reference has %d", len(score), k, len(got), len(want))
 	}

@@ -93,19 +93,34 @@ func TopKIndices(score Vec, k int) []int {
 	return TopKIndicesInto(score, k, nil, nil)
 }
 
-// TopKScratch holds the reusable key buffer of TopKIndicesInto.
+// TopKScratch holds the reusable buffers of a top-K selection: the float
+// form's key copy and the two sides each round partitions into.
 type TopKScratch struct {
-	keys []uint32
+	keys, hi, lo []uint32
 }
 
 // TopKIndicesInto is TopKIndices with caller-owned storage: the selection's
-// working copy comes from s and the result is written over idx[:0] (both may
-// be nil to allocate; k ≤ 0 returns idx[:0], so a hot loop keeps its buffer).
-// Each score becomes a uint32 key of the same order, kthLargestKey finds the
-// k-th largest on the key copy, and one ascending sweep emits every index
-// whose key is above that threshold plus the lowest-indexed ties at it.
+// working copies come from s and the result is written over idx[:0] (both
+// may be nil to allocate; k ≤ 0 returns idx[:0], so a hot loop keeps its
+// buffer). Each score becomes its OrderKey and TopKKeysInto selects on those.
 func TopKIndicesInto(score Vec, k int, s *TopKScratch, idx []int) []int {
-	n := len(score)
+	if s == nil {
+		s = new(TopKScratch)
+	}
+	s.keys = grow(s.keys, len(score))
+	for i, v := range score {
+		s.keys[i] = OrderKey(v)
+	}
+	return TopKKeysInto(s.keys, k, s, idx)
+}
+
+// TopKKeysInto is TopKIndicesInto on scores already mapped through OrderKey:
+// the indices of the k largest keys, ascending, the lower index first on
+// equal keys. keys is only read; s and idx are as in TopKIndicesInto.
+// kthLargestKey finds the k-th largest key, and one ascending sweep of keys
+// emits every index above it plus the lowest-indexed ties at it.
+func TopKKeysInto(keys []uint32, k int, s *TopKScratch, idx []int) []int {
+	n := len(keys)
 	if k >= n {
 		idx = grow(idx, n)
 		for i := range idx {
@@ -116,18 +131,13 @@ func TopKIndicesInto(score Vec, k int, s *TopKScratch, idx []int) []int {
 	if k <= 0 {
 		return idx[:0]
 	}
-	var local TopKScratch
 	if s == nil {
-		s = &local
+		s = new(TopKScratch)
 	}
-	s.keys = grow(s.keys, n)
-	for i, v := range score {
-		s.keys[i] = orderKey(v)
-	}
-	t, ties := kthLargestKey(s.keys, k)
+	t, ties := kthLargestKey(keys, k, s)
 	idx = grow(idx, k)
 	for i, w := 0, 0; w < k; i++ {
-		key := orderKey(score[i])
+		key := keys[i]
 		idx[w] = i
 		if key != t {
 			w += above(key, t)
@@ -139,11 +149,11 @@ func TopKIndicesInto(score Vec, k int, s *TopKScratch, idx []int) []int {
 	return idx
 }
 
-// orderKey maps v to a uint32 ordered like the scores top-K ranks: key(a) <
+// OrderKey maps v to a uint32 ordered like the scores top-K ranks: key(a) <
 // key(b) exactly when a < b, −0 and +0 share a key, and every NaN gets key 0,
 // below −Inf's. A non-negative float gets its sign bit set; a negative one
 // has every bit flipped, so the larger magnitude is the smaller key.
-func orderKey(v float32) uint32 {
+func OrderKey(v float32) uint32 {
 	if v != v {
 		return 0
 	}
@@ -155,40 +165,51 @@ func orderKey(v float32) uint32 {
 func above(a, b uint32) int { return int((uint64(b) - uint64(a)) >> 63) }
 
 // kthLargestKey returns the k-th largest of keys (1 ≤ k ≤ len(keys)) and how
-// many of the keys equal to it are among the k largest. keys is overwritten.
-// It is a three-way quickselect around a median-of-three pivot: one pass
-// counts the keys above and below the pivot, a second compacts the side the
-// k-th largest is on — or none when it is the pivot itself, which is how a
-// run of equal scores (ReLU's exact zeros) ends in one round. Both passes are
-// branch-free, so the cost does not depend on how predictable the scores are,
-// and every round removes at least the pivot.
-func kthLargestKey(keys []uint32, k int) (kth uint32, ties int) {
+// many of the keys equal to it are among the k largest; keys is only read. A
+// three-way quickselect: the pivot is the first, middle or last key, the one
+// whose rank among the three matches k's in the set, and one pass per round
+// parts the keys above it (to s.hi) from those below (to s.lo). A round whose
+// pivot is the k-th largest ends the selection, a run of equal keys (ReLU's
+// exact zeros) at once, and every round removes at least the pivot.
+func kthLargestKey(keys []uint32, k int, s *TopKScratch) (kth uint32, ties int) {
+	s.hi, s.lo = grow(s.hi, len(keys)), grow(s.lo, len(keys))
 	for {
-		x, y, z := keys[0], keys[len(keys)/2], keys[len(keys)-1]
+		n := len(keys)
+		x, y, z := keys[0], keys[n/2], keys[n-1]
 		p := max(min(x, y), min(max(x, y), z))
-		more, less := 0, 0
-		for _, c := range keys {
-			more += above(c, p)
-			less += above(p, c)
+		switch t := 3 * (k - 1); {
+		case t < n:
+			p = max(x, y, z)
+		case t >= 2*n:
+			p = min(x, y, z)
 		}
-		// flip = 0 keeps the keys above p; all-ones reverses the key order, so
-		// the same compaction keeps the keys below.
-		var flip uint32
-		if k > more {
-			equal := len(keys) - more - less
-			if k <= more+equal {
-				return p, k - more
-			}
-			k -= more + equal
-			flip = ^uint32(0)
+		a, b := partition(keys, s.hi, s.lo, p)
+		switch {
+		case k <= a:
+			keys = s.hi[:a]
+		case k <= n-b:
+			return p, k - a
+		default:
+			k -= n - b
+			keys = s.lo[:b]
 		}
-		w := 0
-		for _, c := range keys {
-			keys[w] = c
-			w += above(c^flip, p^flip)
-		}
-		keys = keys[:w]
 	}
+}
+
+// partition copies the keys above p to hi and those below it to lo, in
+// order and without a branch, and counts each. hi or lo may be keys itself:
+// each write lands at or before the key just read. Out of line its counters
+// stay in registers; inlined, they spill and a selection runs ~25% slower.
+//
+//go:noinline
+func partition(keys, hi, lo []uint32, p uint32) (a, b int) {
+	for _, c := range keys {
+		hi[a] = c
+		lo[b] = c
+		a += above(c, p)
+		b += above(p, c)
+	}
+	return a, b
 }
 
 // TopKAbsMask returns a boolean mask keeping the k largest-magnitude
@@ -199,11 +220,7 @@ func kthLargestKey(keys []uint32, k int) (kth uint32, ties int) {
 func TopKAbsMask(x Vec, k int, scratch Vec) []bool {
 	score := Reuse(scratch, len(x))
 	for i, v := range x {
-		if v < 0 {
-			score[i] = -v
-		} else {
-			score[i] = v
-		}
+		score[i] = float32(math.Abs(float64(v)))
 	}
 	mask := make([]bool, len(x))
 	for _, i := range TopKIndices(score, k) {
@@ -225,30 +242,19 @@ func Quantile(values []float32, q float64) float32 {
 	lo := int(pos)
 	keys := make([]uint32, n)
 	for i, v := range values {
-		keys[i] = orderKey(v)
+		keys[i] = OrderKey(v)
 	}
-	ka, _ := kthLargestKey(keys, n-lo) // the lo-th smallest
-	// The next order statistic is ka again when it repeats past position lo,
-	// else the smallest key above it.
-	atMost, next := 0, ^uint32(0)
-	for _, v := range values {
-		if k := orderKey(v); k <= ka {
-			atMost++
-		} else if k < next {
-			next = k
-		}
-	}
+	var s TopKScratch
+	ka, _ := kthLargestKey(keys, n-lo, &s) // the lo-th smallest
 	a, frac := keyValue(ka), float32(pos-float64(lo))
 	if lo+1 >= n || frac == 0 {
 		return a
 	}
-	if atMost > lo+1 {
-		next = ka
-	}
-	return a*(1-frac) + keyValue(next)*frac
+	kb, _ := kthLargestKey(keys, n-lo-1, &s) // the next order statistic
+	return a*(1-frac) + keyValue(kb)*frac
 }
 
-// keyValue is the float orderKey(v) came from (+0 for either zero).
+// keyValue is the float OrderKey(v) came from (+0 for either zero).
 func keyValue(k uint32) float32 {
 	return math.Float32frombits(k ^ (uint32(int32(^k)>>31) | 1<<31))
 }

@@ -9,10 +9,10 @@ package tensor
 func accum4(acc, r0, r1, r2, r3 []float32, x0, x1, x2, x3 float32) {
 	r0, r1, r2, r3 = r0[:len(acc)], r1[:len(acc)], r2[:len(acc)], r3[:len(acc)]
 	for i, s := range acc {
-		s += r0[i] * x0
-		s += r1[i] * x1
-		s += r2[i] * x2
-		s += r3[i] * x3
+		s += float32(r0[i] * x0)
+		s += float32(r1[i] * x1)
+		s += float32(r2[i] * x2)
+		s += float32(r3[i] * x3)
 		acc[i] = s
 	}
 }

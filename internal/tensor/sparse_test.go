@@ -233,6 +233,19 @@ func FuzzTopKIndices(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 0, 0, 0, 0, 0, 128})
 	f.Add([]byte{3, 0, 0, 192, 127, 0, 0, 128, 255, 0, 0, 128, 127, 1, 0, 0, 0, 0, 0, 192, 255, 219, 15, 73, 64})
+	// The inputs a pivot drawn from a few keys gets wrong: all keys equal,
+	// k = 1, k = n−1, and two distinct values.
+	seed := func(k int8, scores ...float32) []byte {
+		b := []byte{byte(k)}
+		for _, v := range scores {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	f.Add(seed(3, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5))
+	f.Add(seed(1, 0.5, -2, 3, 1.5, 3, 2))
+	f.Add(seed(5, 0.5, -2, 3, 1.5, 3, 2))
+	f.Add(seed(4, 2, 1, 1, 2, 1, 2, 2, 1, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -242,7 +242,8 @@ func (m *Mat) RandNorm(rng *RNG, std float32) {
 }
 
 // MatVec computes out = m · x where x has length m.Cols and out has length
-// m.Rows. out is allocated when nil.
+// m.Rows. out is allocated when nil. Each out[i] adds its products in
+// ascending j, each rounded to float32 first (no fused multiply-add).
 func MatVec(m *Mat, x Vec, out Vec) Vec {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("tensor: MatVec x length %d != cols %d", len(x), m.Cols))
@@ -256,8 +257,16 @@ func MatVec(m *Mat, x Vec, out Vec) Vec {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float32
-		for j, w := range row {
-			s += w * x[j]
+		j := 0
+		for ; j+4 <= len(row); j += 4 {
+			w, v := row[j:j+4:j+4], x[j:j+4:j+4]
+			s += float32(w[0] * v[0])
+			s += float32(w[1] * v[1])
+			s += float32(w[2] * v[2])
+			s += float32(w[3] * v[3])
+		}
+		for ; j < len(row); j++ {
+			s += float32(row[j] * x[j])
 		}
 		out[i] = s
 	}
@@ -412,7 +421,7 @@ func sparseAccum(t *Mat, x []float32, stride, first int, idx []int, acc []float3
 	for q := 0; q < n; q++ {
 		r, v := t.Data[off[q]:][:len(acc)], xv[q]
 		for i := range acc {
-			acc[i] += r[i] * v
+			acc[i] += float32(r[i] * v)
 		}
 	}
 }

@@ -489,6 +489,7 @@ func TestQuantileMatchesSortReference(t *testing.T) {
 		{1, 2},
 		{5, 5, 5, 5, 5}, // equal runs must not degrade quickselect
 		{0, 0, 0, 1, 2, 0, 0},
+		{2, 1, 1, 2, 1, 2, 2, 1, 1}, // two distinct values
 	}
 	big := make([]float32, 4001)
 	for i := range big {
