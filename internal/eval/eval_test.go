@@ -137,7 +137,7 @@ func TestChoiceLogProbsSharesThePromptUnderEveryScheme(t *testing.T) {
 	}
 	for _, s := range []sparsity.Scheme{
 		nil, sparsity.Dense{}, &sparsity.GLUOracle{Rho: 0.5}, &sparsity.GatePrune{Rho: 0.25},
-		&sparsity.UpPrune{Rho: 0.25}, &sparsity.CATS{Thresholds: thr},
+		&sparsity.UpPrune{Rho: 0.25}, &sparsity.GatePrune{Thresholds: thr},
 		&sparsity.Predictive{Rho: 0.5, Score: score}, sparsity.NewDIP(0.5),
 	} {
 		var hook model.MLPHook

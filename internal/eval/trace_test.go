@@ -43,7 +43,7 @@ func oracleSchemes(t *testing.T) []func() sparsity.Scheme {
 		func() sparsity.Scheme { return sparsity.Dense{} },
 		func() sparsity.Scheme { return &sparsity.GLUPrune{RhoGLU: 0.4} },
 		func() sparsity.Scheme { return &sparsity.UpPrune{Rho: 0.35} },
-		func() sparsity.Scheme { return &sparsity.CATS{Thresholds: cats} },
+		func() sparsity.Scheme { return &sparsity.GatePrune{Thresholds: cats} },
 		func() sparsity.Scheme { return sparsity.NewDIP(0.5) },
 	}
 }

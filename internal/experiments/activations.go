@@ -70,10 +70,14 @@ func Fig4(l *Lab) ([]*Table, error) {
 	m := l.Model(name)
 	st := sparsity.CollectStats(m, l.CalibTokens(), l.EvalWin(), 256)
 	const rho = 0.5
-	strategies := []*sparsity.GLUThreshold{
-		{Mode: sparsity.ThresholdGlobal, Global: st.GlobalThreshold(rho)},
-		{Mode: sparsity.ThresholdPerLayer, PerLayer: st.PerLayerThresholds(rho)},
-		{Mode: sparsity.ThresholdPerToken, Rho: rho},
+	L := len(m.Blocks)
+	strategies := []struct {
+		name   string
+		scheme *sparsity.GLUPrune
+	}{
+		{"global", &sparsity.GLUPrune{Thresholds: slices.Repeat([]float32{st.GlobalThreshold(rho)}, L)}},
+		{"per-layer", &sparsity.GLUPrune{Thresholds: st.PerLayerThresholds(rho)}},
+		{"per-token", &sparsity.GLUPrune{RhoGLU: rho}},
 	}
 	perLayer := &Table{
 		ID:      "fig4",
@@ -87,14 +91,13 @@ func Fig4(l *Lab) ([]*Table, error) {
 	}
 	test := l.TestTokens(0)
 	dense := model.Perplexity(m, test, l.EvalWin(), nil)
-	L := len(m.Blocks)
 	for _, s := range strategies {
-		s.LastDensity = make([]float64, L)
 		sums := make([]float64, L)
 		n := 0
 		hook := func(layer int, x tensor.Vec) tensor.Vec {
-			y, _ := s.Forward(layer, x, m.Blocks[layer].MLP, nil)
-			sums[layer] += s.LastDensity[layer]
+			mlp := m.Blocks[layer].MLP
+			y, ta := s.scheme.Forward(layer, x, mlp, nil)
+			sums[layer] += float64(len(ta.Groups[sparsity.GroupDown].Units)) / float64(mlp.DFF)
 			if layer == 0 {
 				n++
 			}
@@ -102,9 +105,9 @@ func Fig4(l *Lab) ([]*Table, error) {
 		}
 		ppl := model.Perplexity(m, test, l.EvalWin(), hook)
 		for layer := 0; layer < L; layer++ {
-			perLayer.AddRow(s.Mode.String(), layer, sums[layer]/float64(n))
+			perLayer.AddRow(s.name, layer, sums[layer]/float64(n))
 		}
-		ppls.AddRow(s.Mode.String(), ppl)
+		ppls.AddRow(s.name, ppl)
 	}
 	ppls.AddRow("dense", dense)
 	ppls.Notes = append(ppls.Notes,

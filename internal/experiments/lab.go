@@ -279,13 +279,14 @@ func (l *Lab) CalibStats(name string) *sparsity.LayerStats {
 	}).(*sparsity.LayerStats)
 }
 
-// CATS returns a calibrated CATS scheme at the intermediate keep rate.
-func (l *Lab) CATS(name string, rho float64) *sparsity.CATS {
+// CATS returns a calibrated CATS scheme, Gate pruning on per-layer
+// thresholds, at the intermediate keep rate.
+func (l *Lab) CATS(name string, rho float64) *sparsity.GatePrune {
 	st := l.CalibStats(name)
 	key := fmt.Sprintf("cats/%s/%.3f", name, rho)
 	return l.memoize(key, func() any {
-		return &sparsity.CATS{Thresholds: st.CATSThresholds(rho)}
-	}).(*sparsity.CATS)
+		return &sparsity.GatePrune{Thresholds: st.CATSThresholds(rho)}
+	}).(*sparsity.GatePrune)
 }
 
 // Fused returns the analog with LoRA adapters trained for the scheme and

@@ -185,7 +185,7 @@ func TestExtractMasks(t *testing.T) {
 func TestTrainWorksWithCATS(t *testing.T) {
 	m, calib, test := trainedTiny(t)
 	test = test[:1000]
-	cats := &sparsity.CATS{Thresholds: sparsity.CollectStats(m, calib, 31, 512).CATSThresholds(0.3)}
+	cats := &sparsity.GatePrune{Thresholds: sparsity.CollectStats(m, calib, 31, 512).CATSThresholds(0.3)}
 	before := schemePPL(m, cats, test)
 	opts := DefaultTrainOpts()
 	opts.AdaptGate = false // paper: CATS adapts up and down only

@@ -40,7 +40,8 @@ func ParetoFront(trials []AllocTrial) []AllocTrial {
 }
 
 // FitLogitLinear fits logit(ρ_in) = a + b·logit(density) to the Pareto
-// front by least squares, the linear-in-logit-space model of Figure 12.
+// front by least squares, the linear-in-logit-space model of Figure 12. It
+// and Allocate round each product before its add, so no host fuses them.
 func FitLogitLinear(front []AllocTrial) (a, b float64) {
 	if len(front) == 0 {
 		return 0, 1
@@ -55,15 +56,15 @@ func FitLogitLinear(front []AllocTrial) (a, b float64) {
 		y := tensor.Logit(tr.RhoIn)
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if math.Abs(den) < 1e-12 {
 		return sy/n - sx/n, 1
 	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
+	b = (float64(n*sxy) - float64(sx*sy)) / den
+	a = (sy - float64(b*sx)) / n
 	return a, b
 }
 
@@ -82,14 +83,14 @@ func (f FittedAllocator) Allocate(target float64) (rhoIn, rhoGLU float64) {
 	if target >= 1 {
 		return 1, 1
 	}
-	rhoIn = tensor.Expit(f.A + f.B*tensor.Logit(target))
-	rhoGLU = 3*target - 2*rhoIn
+	rhoIn = tensor.Expit(f.A + float64(f.B*tensor.Logit(target)))
+	rhoGLU = float64(3*target) - float64(2*rhoIn)
 	if rhoGLU > 1 {
-		rhoIn += (rhoGLU - 1) / 2
+		rhoIn += float64((rhoGLU - 1) / 2)
 		rhoGLU = 1
 	}
 	if rhoGLU < 0.02 {
-		rhoIn -= (0.02 - rhoGLU) / 2
+		rhoIn -= float64((0.02 - rhoGLU) / 2)
 		rhoGLU = 0.02
 	}
 	return min(max(rhoIn, 0.02), 1), rhoGLU

@@ -76,7 +76,7 @@ func TestForwardBatchMatchesPerSessionForwardBitForBit(t *testing.T) {
 		{"glu-oracle", func(b int) Scheme { return &GLUOracle{Rho: 0.3 + 0.1*float64(b)} }},
 		{"gate", func(b int) Scheme { return &GatePrune{Rho: 0.3 + 0.1*float64(b)} }},
 		{"up", func(b int) Scheme { return &UpPrune{Rho: 0.3 + 0.1*float64(b)} }},
-		{"cats", func(int) Scheme { return &CATS{Thresholds: thr} }},
+		{"cats", func(int) Scheme { return &GatePrune{Thresholds: thr} }},
 		{"mixed-fallback", func(b int) Scheme {
 			if b%2 == 0 {
 				return NewDIP(0.5)

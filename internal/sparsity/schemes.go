@@ -1,7 +1,8 @@
 package sparsity
 
 import (
-	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -10,37 +11,45 @@ import (
 // GLUPrune is "GLU pruning" (Figure 5a / Eq. 4): compute the GLU
 // activations densely, then keep only the top-K magnitude activations when
 // applying W_d. Only one of the three matrices sparsifies, so MLP density
-// is bounded below by 2/3.
+// is bounded below by 2/3. With Thresholds it keeps the units with |h_i| at
+// or above the layer's threshold: Figure 4's global (one value at every
+// layer) and per-layer strategies; its per-token strategy is top-K.
 type GLUPrune struct {
 	// RhoGLU is the fraction of GLU activations kept.
 	RhoGLU float64
+	// Thresholds, when non-nil, holds one |h| threshold per layer and
+	// replaces RhoGLU's top-K.
+	Thresholds []float32
 
 	// scratch reused across calls (schemes are used sequentially; parallel
 	// evaluations give each worker its own copy via Clone). The schemes of
-	// this file keep their unit list in idx, valid until their next Forward.
-	h, score, y tensor.Vec
-	glu         nn.MLPScratch
-	topk        tensor.TopKScratch
-	idx         []int
+	// this file keep their unit list in scratch until their next Forward.
+	h, y tensor.Vec
+	glu  nn.MLPScratch
+	sel  selector
 }
 
 // Name implements Scheme.
 func (s *GLUPrune) Name() string { return "glu" }
 
 // CloneStateless implements StatefulScheme.
-func (s *GLUPrune) CloneStateless() Scheme { return &GLUPrune{RhoGLU: s.RhoGLU} }
+func (s *GLUPrune) CloneStateless() Scheme {
+	return &GLUPrune{RhoGLU: s.RhoGLU, Thresholds: s.Thresholds}
+}
 
 // Forward implements Scheme.
-func (s *GLUPrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
+func (s *GLUPrune) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
 	s.h = mlp.GLUInto(x, resize(s.h, mlp.DFF), &s.glu)
-	k := keepCount(s.RhoGLU, mlp.DFF)
-	s.score = absScores(s.h, resize(s.score, mlp.DFF))
-	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
-	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, s.idx, resize(s.y, mlp.Dim))
+	keys := s.sel.keysFor(mlp.DFF)
+	for i, v := range s.h {
+		keys[i] = tensor.OrderKey(abs(v))
+	}
+	idx := s.sel.pick(layer, s.RhoGLU, s.Thresholds)
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.h, idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idx}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
 	return s.y, ta
 }
 
@@ -72,43 +81,45 @@ func (s *GLUOracle) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, cache Cache
 
 // GatePrune is "Gate pruning" (Figure 5b / Eq. 5): evaluate σ(W_g x)
 // densely, keep the top-K partial activations, and restrict W_u rows and
-// W_d columns to that set.
+// W_d columns to that set. With Thresholds it is CATS, contextually-aware
+// thresholding (Lee et al., 2024): a fixed per-layer threshold on
+// |σ(W_g x)| calibrated offline, so the kept count varies per token.
 type GatePrune struct {
 	// Rho is the fraction of intermediate units kept.
 	Rho float64
+	// Thresholds, when non-nil, holds one calibrated |σ(g)| threshold per
+	// layer and replaces Rho's top-K.
+	Thresholds []float32
 
-	g, score, y tensor.Vec
-	topk        tensor.TopKScratch
-	idx         []int
+	g, y tensor.Vec
+	sel  selector
 }
 
 // Name implements Scheme.
-func (s *GatePrune) Name() string { return "gate" }
-
-// CloneStateless implements StatefulScheme.
-func (s *GatePrune) CloneStateless() Scheme { return &GatePrune{Rho: s.Rho} }
-
-// Forward implements Scheme.
-func (s *GatePrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
-	s.g = tensor.MatVec(mlp.Gate.P.W, x, resize(s.g, mlp.DFF))
-	s.score = resize(s.score, mlp.DFF)
-	for i, v := range s.g {
-		s.score[i] = abs(mlp.Act.Apply(v))
+func (s *GatePrune) Name() string {
+	if s.Thresholds != nil {
+		return "cats"
 	}
-	k := keepCount(s.Rho, mlp.DFF)
-	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
-	s.y = sparseRowsOutput(mlp, x, s.g, s.idx, resize(s.y, mlp.Dim))
-	return s.y, rowsAccess(s.idx)
+	return "gate"
 }
 
-// rowsAccess is the access record of the schemes that read W_g densely and
-// the units of W_u rows and W_d columns (Gate pruning, CATS).
-func rowsAccess(idx []int) TokenAccess {
+// CloneStateless implements StatefulScheme.
+func (s *GatePrune) CloneStateless() Scheme { return &GatePrune{Rho: s.Rho, Thresholds: s.Thresholds} }
+
+// Forward implements Scheme.
+func (s *GatePrune) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
+	s.g = tensor.MatVec(mlp.Gate.P.W, x, resize(s.g, mlp.DFF))
+	keys := s.sel.keysFor(mlp.DFF)
+	for i, v := range s.g {
+		keys[i] = tensor.OrderKey(abs(mlp.Act.Apply(v)))
+	}
+	idx := s.sel.pick(layer, s.Rho, s.Thresholds)
+	s.y = sparseRowsOutput(mlp, x, s.g, idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessDense}
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessSparse, Units: idx}
 	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
-	return ta
+	return s.y, ta
 }
 
 // sparseRowsOutput computes Σ_{i∈idx} W_d[:,i] · (W_u[i,:]·x) · σ(g_i)
@@ -127,9 +138,8 @@ type UpPrune struct {
 	// Rho is the fraction of intermediate units kept.
 	Rho float64
 
-	u, score, y tensor.Vec
-	topk        tensor.TopKScratch
-	idx         []int
+	u, y tensor.Vec
+	sel  selector
 }
 
 // Name implements Scheme.
@@ -139,66 +149,67 @@ func (s *UpPrune) Name() string { return "up" }
 func (s *UpPrune) CloneStateless() Scheme { return &UpPrune{Rho: s.Rho} }
 
 // Forward implements Scheme.
-func (s *UpPrune) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
+func (s *UpPrune) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
 	s.u = tensor.MatVec(mlp.Up.P.W, x, resize(s.u, mlp.DFF))
-	k := keepCount(s.Rho, mlp.DFF)
-	s.score = absScores(s.u, resize(s.score, mlp.DFF))
-	s.idx = tensor.TopKIndicesInto(s.score, k, &s.topk, s.idx)
+	keys := s.sel.keysFor(mlp.DFF)
+	for i, v := range s.u {
+		keys[i] = tensor.OrderKey(abs(v))
+	}
+	idx := s.sel.pick(layer, s.Rho, nil)
 	// u becomes the GLU activation h on the kept units.
-	for _, i := range s.idx {
+	for _, i := range idx {
 		s.u[i] *= mlp.Act.Apply(mlp.Gate.P.W.Row(i).Dot(x))
 	}
-	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.u, s.idx, resize(s.y, mlp.Dim))
+	s.y = tensor.MatVecSparse(mlp.Down.P.W, s.u, idx, resize(s.y, mlp.Dim))
 	var ta TokenAccess
 	ta.Groups[GroupUpRows] = GroupAccess{Kind: AccessDense}
-	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: s.idx}
-	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: s.idx}
+	ta.Groups[GroupGateRows] = GroupAccess{Kind: AccessSparse, Units: idx}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: idx}
 	return s.y, ta
 }
 
-// CATS is contextually-aware thresholding (Lee et al., 2024): like
-// GatePrune but with a fixed per-layer threshold on |σ(W_g x)| calibrated
-// offline, so the kept count varies per token.
-type CATS struct {
-	// Thresholds holds one calibrated threshold per layer.
-	Thresholds []float32
-
-	g, y tensor.Vec
+// selector is the unit selection GLUPrune, GatePrune and UpPrune share:
+// the scheme writes keys[i] = tensor.OrderKey(|v_i|) of its score source v
+// into keysFor's slice, and pick turns the keys into the kept units.
+type selector struct {
+	keys []uint32
+	topk tensor.TopKScratch
 	idx  []int
 }
 
-// Name implements Scheme.
-func (s *CATS) Name() string { return "cats" }
+// keysFor returns the selector's key buffer sized to n units.
+func (s *selector) keysFor(n int) []uint32 {
+	s.keys = slices.Grow(s.keys[:0], n)[:n]
+	return s.keys
+}
 
-// CloneStateless implements StatefulScheme; the calibrated thresholds are
-// shared (read-only during Forward).
-func (s *CATS) CloneStateless() Scheme { return &CATS{Thresholds: s.Thresholds} }
-
-// Forward implements Scheme.
-func (s *CATS) Forward(layer int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.Vec, TokenAccess) {
-	if layer >= len(s.Thresholds) {
-		panic(fmt.Sprintf("sparsity: CATS has %d thresholds, layer %d requested", len(s.Thresholds), layer))
+// pick returns the kept units, ascending: the top-K by keep fraction rho
+// when thresholds is nil; otherwise every unit whose score is at or above
+// the layer's threshold, or the strongest unit (the lowest index on a tie)
+// when none is, CATS's rule. It compares keys, so the rule is |v| ≥ thr on
+// the floats: a NaN score passes no threshold and a NaN threshold admits no
+// unit, where the NaN key 0 alone would admit every one.
+func (s *selector) pick(layer int, rho float64, thresholds []float32) []int {
+	if thresholds == nil {
+		s.idx = tensor.TopKKeysInto(s.keys, keepCount(rho, len(s.keys)), &s.topk, s.idx)
+		return s.idx
 	}
-	thr := s.Thresholds[layer]
-	s.g = tensor.MatVec(mlp.Gate.P.W, x, resize(s.g, mlp.DFF))
-	g := s.g
+	thr := thresholds[layer]
+	t := tensor.OrderKey(thr)
+	if thr != thr {
+		t = math.MaxUint32 // above every key
+	}
 	idx := s.idx[:0]
-	best, bestV := 0, float32(-1)
-	for i, v := range g {
-		a := abs(mlp.Act.Apply(v))
-		if a >= thr {
+	for i, k := range s.keys {
+		if k >= t {
 			idx = append(idx, i)
 		}
-		if a > bestV {
-			best, bestV = i, a
-		}
 	}
-	if len(idx) == 0 { // keep at least the strongest unit
-		idx = append(idx, best)
+	if len(idx) == 0 {
+		idx = tensor.TopKKeysInto(s.keys, 1, &s.topk, idx)
 	}
 	s.idx = idx
-	s.y = sparseRowsOutput(mlp, x, g, idx, resize(s.y, mlp.Dim))
-	return s.y, rowsAccess(idx)
+	return idx
 }
 
 // ScoreFunc produces predictor logits over the dff intermediate units for

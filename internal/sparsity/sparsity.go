@@ -192,7 +192,7 @@ var denseAccess = TokenAccess{Groups: [NumGroups]GroupAccess{
 // keepCount converts a density ρ into a unit count over n units, clamped
 // to [1, n] so a scheme never prunes everything.
 func keepCount(rho float64, n int) int {
-	k := int(rho*float64(n) + 0.5)
+	k := int(float64(rho*float64(n)) + 0.5)
 	if k < 1 {
 		k = 1
 	}
@@ -200,17 +200,6 @@ func keepCount(rho float64, n int) int {
 		k = n
 	}
 	return k
-}
-
-// absScores fills dst with |src|.
-func absScores(src, dst tensor.Vec) tensor.Vec {
-	if dst == nil {
-		dst = tensor.NewVec(len(src))
-	}
-	for i, v := range src {
-		dst[i] = abs(v)
-	}
-	return dst
 }
 
 // abs is |v| with the sign bit cleared (−0 becomes +0, which ranks and

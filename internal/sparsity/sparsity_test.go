@@ -62,7 +62,8 @@ func TestSchemesAtFullDensityMatchDense(t *testing.T) {
 		&UpPrune{Rho: 1},
 		&Predictive{Rho: 1, Score: pred},
 		&DIP{RhoIn: 1, RhoGLU: 1, Gamma: 1},
-		&CATS{Thresholds: []float32{0}}, // threshold 0 keeps everything
+		&GatePrune{Thresholds: []float32{0}}, // threshold 0 keeps everything
+		&GLUPrune{Thresholds: []float32{0}},
 	}
 	x := randVec(4, 8)
 	want := mlp.Apply(x)
@@ -137,7 +138,7 @@ func TestUpPruneUsesUpScores(t *testing.T) {
 	y, ta := (&UpPrune{Rho: 0.5}).Forward(0, x, mlp, nil)
 	// Reference: keep top |W_u x| rows.
 	u := tensor.MatVec(mlp.Up.P.W, x, nil)
-	idx := tensor.TopKIndices(absScores(u, nil), 5)
+	idx := tensor.TopKIndices(absOf(u), 5)
 	h := tensor.NewVec(10)
 	g := tensor.MatVec(mlp.Gate.P.W, x, nil)
 	for _, i := range idx {
@@ -178,7 +179,7 @@ func TestPredictiveUsesScores(t *testing.T) {
 
 func TestCATSVariableDensity(t *testing.T) {
 	mlp := newTestMLP(13, 8, 16, nn.ActSiLU)
-	s := &CATS{Thresholds: []float32{0.2}}
+	s := &GatePrune{Thresholds: []float32{0.2}}
 	// Different inputs give different kept counts.
 	n1 := len(mustAccess(t, s, mlp, randVec(14, 8)).Groups[GroupDown].Units)
 	n2 := len(mustAccess(t, s, mlp, randVec(15, 8)).Groups[GroupDown].Units)
@@ -187,7 +188,7 @@ func TestCATSVariableDensity(t *testing.T) {
 		t.Fatalf("CATS keep counts identical (%d); expected variation", n1)
 	}
 	// A huge threshold still keeps at least one unit.
-	s2 := &CATS{Thresholds: []float32{1e9}}
+	s2 := &GatePrune{Thresholds: []float32{1e9}}
 	if n := len(mustAccess(t, s2, mlp, randVec(17, 8)).Groups[GroupDown].Units); n != 1 {
 		t.Fatalf("CATS with huge threshold kept %d units, want 1", n)
 	}
@@ -338,7 +339,7 @@ func TestDIPScoreMatchesThreePassReference(t *testing.T) {
 	fc := &fakeCache{cached: map[[3]int]bool{{0, int(GroupDown), 1}: true, {0, int(GroupDown), 4}: true}}
 	negZero := float32(math.Copysign(0, -1))
 	for _, src := range []tensor.Vec{{-3, 0.5, negZero, 2, -0.25, 7, -7}, {0, negZero, 0}, randVec(61, 200)} {
-		want := absScores(src, nil)
+		want := absOf(src)
 		var norm float32
 		for _, a := range want {
 			norm = max(norm, a)
@@ -504,37 +505,32 @@ func TestFitLogitLinearDegenerate(t *testing.T) {
 	FitLogitLinear(same) // must not panic on zero x-variance
 }
 
-func TestThresholdModeString(t *testing.T) {
-	if ThresholdGlobal.String() != "global" || ThresholdPerLayer.String() != "per-layer" || ThresholdPerToken.String() != "per-token" {
-		t.Fatal("mode names wrong")
-	}
-}
-
+// Figure 4's strategies are GLUPrune: a threshold of 0 keeps every unit,
+// and a threshold no |h_i| reaches keeps the strongest unit, as CATS does
+// (the GLUThreshold scheme this replaced zeroed the output there).
 func TestGLUThresholdModes(t *testing.T) {
 	mlp := newTestMLP(31, 8, 16, nn.ActSiLU)
 	x := randVec(32, 8)
-	// Per-token at rho=0.5 equals GLUPrune.
-	a, _ := (&GLUThreshold{Mode: ThresholdPerToken, Rho: 0.5}).Forward(0, x, mlp, nil)
-	b, _ := (&GLUPrune{RhoGLU: 0.5}).Forward(0, x, mlp, nil)
-	if !vecClose(a, b, 1e-5) {
-		t.Fatal("per-token threshold should equal top-K GLU pruning")
-	}
-	// Threshold 0 keeps everything (non-negative magnitudes).
-	s := &GLUThreshold{Mode: ThresholdGlobal, Global: 0, LastDensity: make([]float64, 1)}
-	y, _ := s.Forward(0, x, mlp, nil)
+	y, ta := (&GLUPrune{Thresholds: []float32{0}}).Forward(0, x, mlp, nil)
 	if !vecClose(y, mlp.Apply(x), 1e-5) {
 		t.Fatal("zero threshold should be dense")
 	}
-	if s.LastDensity[0] != 1 {
-		t.Fatalf("LastDensity = %v, want 1", s.LastDensity[0])
+	if n := len(ta.Groups[GroupDown].Units); n != 16 {
+		t.Fatalf("zero threshold kept %d of 16 units", n)
 	}
-	// A huge global threshold prunes everything.
-	s2 := &GLUThreshold{Mode: ThresholdGlobal, Global: 1e9, LastDensity: make([]float64, 1)}
-	y2, _ := s2.Forward(0, x, mlp, nil)
-	for _, v := range y2 {
-		if v != 0 {
-			t.Fatal("huge threshold should zero the output")
+	h := mlp.GLU(x, nil)
+	best := 0
+	for i := range h {
+		if abs(h[i]) > abs(h[best]) {
+			best = i
 		}
+	}
+	y2, ta2 := (&GLUPrune{Thresholds: []float32{1e9}}).Forward(0, x, mlp, nil)
+	if units := ta2.Groups[GroupDown].Units; len(units) != 1 || units[0] != best {
+		t.Fatalf("huge threshold kept %v, want only the strongest unit %d", units, best)
+	}
+	if want := tensor.MatVecSparse(mlp.Down.P.W, h, []int{best}, nil); !vecClose(y2, want, 0) {
+		t.Fatal("huge threshold should output the strongest unit's W_d column alone")
 	}
 }
 
@@ -561,15 +557,20 @@ func TestEveryStatefulForwardReusesItsScratchAndAllocatesNothing(t *testing.T) {
 	thr := []float32{0.02, 0.04}
 	fixed := randVec(39, mlp.DFF)
 	score := func(int, tensor.Vec) tensor.Vec { return fixed }
-	for _, base := range []StatefulScheme{
-		NewDIP(0.5), NewDIPCA(0.5, 0.2),
-		&GLUPrune{RhoGLU: 0.4}, &GLUOracle{Rho: 0.4}, &GatePrune{Rho: 0.4}, &UpPrune{Rho: 0.4},
-		&CATS{Thresholds: thr}, &Predictive{Rho: 0.4, Score: score},
-		&GLUThreshold{Mode: ThresholdGlobal, Global: 0.03},
-		&GLUThreshold{Mode: ThresholdPerLayer, PerLayer: thr, LastDensity: make([]float64, 2)},
-		&GLUThreshold{Mode: ThresholdPerToken, Rho: 0.4},
+	for _, tc := range []struct {
+		name string
+		base StatefulScheme
+	}{
+		{"dip", NewDIP(0.5)}, {"dip-ca", NewDIPCA(0.5, 0.2)},
+		{"glu", &GLUPrune{RhoGLU: 0.4}}, {"glu-oracle", &GLUOracle{Rho: 0.4}},
+		{"gate", &GatePrune{Rho: 0.4}}, {"up", &UpPrune{Rho: 0.4}},
+		{"cats", &GatePrune{Thresholds: thr}}, {"dejavu", &Predictive{Rho: 0.4, Score: score}},
+		{"glu-threshold-global", &GLUPrune{Thresholds: []float32{0.03, 0.03}}},
+		{"glu-threshold-per-layer", &GLUPrune{Thresholds: thr}},
+		{"glu-threshold-per-token", &GLUPrune{RhoGLU: 0.4}},
 	} {
-		t.Run(base.Name(), func(t *testing.T) {
+		base := tc.base
+		t.Run(tc.name, func(t *testing.T) {
 			s := Clone(base)
 			view := parityView{salt: 1}
 			for tok := uint64(0); tok < 5; tok++ {
@@ -614,15 +615,19 @@ func TestUsedCloneForwardsLikeAFreshClone(t *testing.T) {
 		}
 		return s
 	}
-	schemes := []StatefulScheme{
-		NewDIP(0.5), NewDIPCA(0.5, 0.2),
-		&GLUPrune{RhoGLU: 0.4}, &GLUOracle{Rho: 0.4}, &GatePrune{Rho: 0.4}, &UpPrune{Rho: 0.4},
-		&CATS{Thresholds: thr}, &Predictive{Rho: 0.4, Score: score},
-		&GLUThreshold{Mode: ThresholdPerLayer, PerLayer: thr, LastDensity: make([]float64, 3)},
-		&GLUThreshold{Mode: ThresholdPerToken, Rho: 0.4},
-	}
-	for _, s := range schemes {
-		t.Run(s.Name(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    StatefulScheme
+	}{
+		{"dip", NewDIP(0.5)}, {"dip-ca", NewDIPCA(0.5, 0.2)},
+		{"glu", &GLUPrune{RhoGLU: 0.4}}, {"glu-oracle", &GLUOracle{Rho: 0.4}},
+		{"gate", &GatePrune{Rho: 0.4}}, {"up", &UpPrune{Rho: 0.4}},
+		{"cats", &GatePrune{Thresholds: thr}}, {"dejavu", &Predictive{Rho: 0.4, Score: score}},
+		{"glu-threshold-per-layer", &GLUPrune{Thresholds: thr}},
+		{"glu-threshold-per-token", &GLUPrune{RhoGLU: 0.4}},
+	} {
+		s := tc.s
+		t.Run(tc.name, func(t *testing.T) {
 			used := Clone(s)
 			for layer := 0; layer < 3; layer++ {
 				used.Forward(layer, randVec(uint64(50+layer), big.Dim), big, parityView{salt: layer})

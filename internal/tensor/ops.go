@@ -152,12 +152,14 @@ func TopKKeysInto(keys []uint32, k int, s *TopKScratch, idx []int) []int {
 // OrderKey maps v to a uint32 ordered like the scores top-K ranks: key(a) <
 // key(b) exactly when a < b, −0 and +0 share a key, and every NaN gets key 0,
 // below −Inf's. A non-negative float gets its sign bit set; a negative one
-// has every bit flipped, so the larger magnitude is the smaller key.
+// has every bit flipped, so the larger magnitude is the smaller key. The
+// explicit conversion rounds an inlined caller's product before the + 0, so
+// no architecture fuses the two into one multiply-add.
 func OrderKey(v float32) uint32 {
 	if v != v {
 		return 0
 	}
-	b := math.Float32bits(v + 0) // −0 + 0 is +0
+	b := math.Float32bits(float32(v) + 0) // −0 + 0 is +0
 	return b ^ (uint32(int32(b)>>31) | 1<<31)
 }
 

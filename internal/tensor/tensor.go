@@ -70,14 +70,15 @@ func (v Vec) Scale(alpha float32) {
 	}
 }
 
-// Dot returns the inner product of v and w.
+// Dot returns the inner product of v and w, each product rounded to float32
+// before its add (no fused multiply-add).
 func (v Vec) Dot(w Vec) float32 {
 	if len(v) != len(w) {
 		panic("tensor: Vec.Dot length mismatch")
 	}
 	var s float32
 	for i := range v {
-		s += v[i] * w[i]
+		s += float32(v[i] * w[i])
 	}
 	return s
 }
