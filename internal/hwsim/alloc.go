@@ -39,7 +39,7 @@ func (p *Plan) ApplyLayerWeights(weights []float64) error {
 		var layerBytes float64
 		for g := sparsity.GroupID(0); g < sparsity.NumGroups; g++ {
 			if p.NUnits[l][g] > 0 {
-				layerBytes += float64(p.NUnits[l][g]) * p.unitBytes[g]
+				layerBytes += float64(float64(p.NUnits[l][g]) * p.unitBytes[g])
 			}
 		}
 		for g := sparsity.GroupID(0); g < sparsity.NumGroups; g++ {

@@ -131,7 +131,7 @@ func NewPlan(m *model.Model, dev Device, opts PlanOpts) (*Plan, error) {
 		return nil, fmt.Errorf("hwsim: no weight groups marked as used")
 	}
 	p := &Plan{Dev: dev, BytesPerWeight: opts.BytesPerWeight, layers: len(m.Blocks)}
-	rawMLPBytes := float64(m.MLPWeightCount()) * opts.BytesPerWeight
+	rawMLPBytes := float64(float64(m.MLPWeightCount()) * opts.BytesPerWeight)
 	var staticWeightBytes float64
 	if paper, ok := PaperModelBytes[m.Cfg.Name]; ok {
 		// Map onto the paper counterpart's proportions: the tiny analogs
@@ -143,14 +143,14 @@ func NewPlan(m *model.Model, dev Device, opts PlanOpts) (*Plan, error) {
 		p.KVBytes = kvFraction * paper
 	} else {
 		p.MLPByteScale = 1
-		staticWeightBytes = float64(m.StaticWeightCount()) * opts.BytesPerWeight
+		staticWeightBytes = float64(float64(m.StaticWeightCount()) * opts.BytesPerWeight)
 		p.ModelBytes = rawMLPBytes + staticWeightBytes
 		headDim := m.Cfg.Dim / m.Cfg.Heads
 		p.KVBytes = float64(2*m.Cfg.KVHeads*headDim*m.Cfg.MaxSeq*len(m.Blocks)) * 2
 	}
 	bpw := opts.BytesPerWeight * p.MLPByteScale
 	p.StaticBytes = staticWeightBytes + p.KVBytes
-	budget := dev.DRAMFraction * p.ModelBytes
+	budget := float64(dev.DRAMFraction * p.ModelBytes)
 	p.CacheBudgetBytes = budget - p.StaticBytes
 	if p.CacheBudgetBytes < 0 {
 		p.CacheBudgetBytes = 0
@@ -165,7 +165,7 @@ func NewPlan(m *model.Model, dev Device, opts PlanOpts) (*Plan, error) {
 		}
 		units, per := sparsity.GroupUnits(g, dim, dff)
 		p.unitBytes[g] = float64(per) * bpw
-		groupBytes[g] = float64(units*per) * bpw
+		groupBytes[g] = float64(float64(units*per) * bpw)
 		layerBytes += groupBytes[g]
 	}
 	perLayer := p.CacheBudgetBytes / float64(p.layers)
@@ -206,17 +206,19 @@ func (p *Plan) NewMeter() *Meter { return &Meter{plan: p} }
 
 // BeginToken accounts the per-token static reads: the pinned non-MLP
 // weights stream from DRAM every token, plus on average half the KV cache.
+// The halving compiles to a multiply by 0.5; its conversion keeps arm64 from
+// fusing it into the add.
 func (mt *Meter) BeginToken() {
 	mt.tokens++
-	mt.DRAMBytes += (mt.plan.StaticBytes - mt.plan.KVBytes) + mt.plan.KVBytes/2
+	mt.DRAMBytes += (mt.plan.StaticBytes - mt.plan.KVBytes) + float64(mt.plan.KVBytes/2)
 }
 
 // AddAccess accounts one layer's cache access result.
 func (mt *Meter) AddAccess(res cache.AccessResult) {
 	for g := sparsity.GroupID(0); g < sparsity.NumGroups; g++ {
 		ub := mt.plan.unitBytes[g]
-		mt.DRAMBytes += float64(res.HitUnits[g]) * ub
-		mt.FlashBytes += float64(res.MissUnits[g]) * ub
+		mt.DRAMBytes += float64(float64(res.HitUnits[g]) * ub)
+		mt.FlashBytes += float64(float64(res.MissUnits[g]) * ub)
 	}
 }
 

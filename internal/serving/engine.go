@@ -209,12 +209,12 @@ func busy(engines []*Engine) bool {
 // OK finishes carry the 1-based sub-quantum drain step, the same
 // path-identical offset the report's FinishSubStep uses.
 func (e *Engine) emitFinish(tick, slot int, sess *Session) {
-	if e.obs == nil || sess.outcome == OutcomeShed {
+	if e.obs == nil || sess.Outcome == OutcomeShed {
 		return
 	}
 	detail := obs.DetailOK
 	sub := sess.finishSub
-	switch sess.outcome {
+	switch sess.Outcome {
 	case OutcomeFailed:
 		detail, sub = obs.DetailFailed, 0
 	case OutcomeCancelled:
@@ -279,7 +279,7 @@ func (e *Engine) degrade(tick int) {
 	for len(e.queue) >= e.cfg.ShedQueueBudget {
 		drop := -1
 		for i, s := range e.queue {
-			if s.state == Queued && s.Deadline == NoDeadline && (drop < 0 || s.Order > e.queue[drop].Order) {
+			if s.state == Queued && s.DeadlineTick == NoDeadline && (drop < 0 || s.Order > e.queue[drop].Order) {
 				drop = i
 			}
 		}

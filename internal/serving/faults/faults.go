@@ -142,7 +142,8 @@ func (p *Plan) Offline(tick int) int {
 
 // draw hashes (seed, kind, tick, slot) to a uniform float64 in [0, 1). The
 // finalizer is splitmix64's: every input bit avalanches, so neighboring
-// ticks and slots draw independently.
+// ticks and slots draw independently. The conversion rounds the scaling
+// product, so Backoff's multiply cannot fuse into it on arm64.
 func draw(seed uint64, kind Kind, tick, slot int) float64 {
 	x := seed
 	x ^= (uint64(kind) + 1) * 0x9E3779B97F4A7C15
@@ -153,7 +154,7 @@ func draw(seed uint64, kind Kind, tick, slot int) float64 {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return float64(float64(x>>11) / (1 << 53))
 }
 
 // Event is one explicitly scheduled fault for a Scripted injector.

@@ -42,7 +42,7 @@ func admitted(t *testing.T, k, quantum int, noFuse bool) (*Engine, []*Session) {
 		func(int) int { return 6 }))))(t) // long enough to stay active throughout
 	active := make([]*Session, 0, k)
 	for i := range e.reqs {
-		sess := &Session{ID: e.reqs[i].ID, Index: i, ArriveTick: 0, Order: i, Deadline: NoDeadline}
+		sess := &Session{Order: i, SessionMetrics: SessionMetrics{ID: e.reqs[i].ID, Index: i, DeadlineTick: NoDeadline}}
 		if err := e.admit(sess, 0, i); err != nil {
 			t.Fatal(err)
 		}

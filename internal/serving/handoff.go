@@ -39,10 +39,10 @@ func (e *Engine) begin() error {
 // door-shed is not repeated there).
 func (e *Engine) Inject(idx, tick, order int) (shed bool) {
 	req := &e.reqs[idx]
-	sess := &Session{
+	sess := &Session{Order: order, SessionMetrics: SessionMetrics{
 		ID: req.ID, Index: idx, SLO: req.SLO,
-		ArriveTick: tick, Order: order, Deadline: deadlineOf(tick, req.SLO),
-	}
+		ArriveTick: tick, DeadlineTick: deadlineOf(tick, req.SLO),
+	}}
 	e.sessions[idx] = sess
 	if e.obs != nil {
 		e.obs.Emit(obs.Event{Tick: tick, Slot: -1, Kind: obs.KindArrive, Session: sess.ID, Detail: className(sess.SLO)})

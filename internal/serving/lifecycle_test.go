@@ -15,7 +15,7 @@ func render(s *Session) string {
 	case Suspended:
 		return "suspended/" + [...]string{CausePreempt: "preempt", CauseDip: "dip", CauseFault: "fault", CauseRevoke: "revoke"}[s.cause]
 	case Done:
-		return "done/" + string(s.outcome)
+		return "done/" + string(s.Outcome)
 	}
 	return s.state.String()
 }

@@ -9,12 +9,14 @@ import (
 	"repro/internal/serving/obs"
 )
 
-// SessionMetrics is one finished session's record. Every field is measured
-// on the simulated tick clock (or the simulated device model) and is
-// bit-identical across runs and worker counts for a fixed seed.
+// SessionMetrics is one session's report row, embedded in its Session and
+// written as the session moves: the report copies it once the session is
+// done. Every field is measured on the simulated tick clock (or the
+// simulated device model) and is bit-identical across runs and worker
+// counts for a fixed seed.
 type SessionMetrics struct {
 	ID    string
-	Index int
+	Index int // submission index in the workload's request universe
 	// Point carries the session's KPIs: perplexity, measured density,
 	// simulated tok/s and latency, and this session's cache hit rate.
 	Point eval.Point
@@ -22,7 +24,8 @@ type SessionMetrics struct {
 	// work discarded by destructive-fault restarts (equal without faults).
 	Tokens  int
 	Decoded int
-	// Share is the granted cache-budget fraction.
+	// Share is the granted cache-budget fraction (1 under ArbShared: the
+	// whole cache, shared).
 	Share float64
 	SLO   SLO
 	// AdmitRank is the session's admission position (0 = first admitted).
@@ -225,10 +228,10 @@ func (e *Engine) Finalize(ticks int) *Report {
 		if s == nil || s.state != Done {
 			continue // never here, migrated away, or — a run cut short — unfinished
 		}
-		sm := &s.row
+		sm := &s.SessionMetrics
 		r.Sessions = append(r.Sessions, *sm)
 		r.TotalTokens += sm.Decoded
-		simSeconds += sm.Point.LatencyS * float64(sm.Decoded)
+		simSeconds += float64(sm.Point.LatencyS * float64(sm.Decoded))
 		r.CacheHits += s.hits
 		r.CacheMisses += s.misses
 		if sm.Outcome == OutcomeOK {
@@ -341,40 +344,26 @@ func (r *Report) derive(buf []float64, sets ...[]SessionMetrics) {
 	}
 }
 
-// fold computes a terminated session's report row and cache traffic from
-// its stream, the last read of it before terminate recycles the stream.
+// fold completes a terminated session's row with what only the end of its
+// stream knows — the KPIs, token counts, queueing delay, turnaround and SLO
+// verdict — and takes its cache traffic: the last read of the stream before
+// terminate recycles it. Every other field was stamped where it happened.
 func (e *Engine) fold(s *Session) {
-	if s.outcome == OutcomeShed {
+	if s.Outcome == OutcomeShed {
 		// Shed at admission control (or degraded away): never admitted,
 		// never decoded. A deadlined shed request is an SLO miss.
-		s.row = SessionMetrics{
-			ID: s.ID, Index: s.Index, SLO: s.SLO, Outcome: OutcomeShed,
-			ArriveTick: s.ArriveTick, FinishTick: s.finishTick,
-			Turnaround:   float64(s.finishTick - s.ArriveTick),
-			DeadlineTick: s.Deadline,
-		}
+		s.Turnaround = float64(s.FinishTick - s.ArriveTick)
 		return
 	}
-	finishTime := float64(s.finishTick)
+	finishTime := float64(s.FinishTick)
 	if s.finishSub > 0 && s.finishSub < e.cfg.Quantum {
-		finishTime = float64(s.finishTick-1) + float64(s.finishSub)/float64(e.cfg.Quantum)
+		finishTime = float64(s.FinishTick-1) + float64(s.finishSub)/float64(e.cfg.Quantum)
 	}
-	s.row = SessionMetrics{
-		ID: s.ID, Index: s.Index, Point: s.stream.Point(),
-		Tokens: s.stream.Pos(), Decoded: s.stream.Decoded(),
-		Share: s.Share, SLO: s.SLO, AdmitRank: s.AdmitRank,
-		ArriveTick: s.ArriveTick, AdmitTick: s.admitTick, FinishTick: s.finishTick,
-		QueueTicks:       s.admitTick - s.ArriveTick,
-		Turnaround:       finishTime - float64(s.ArriveTick),
-		DeadlineTick:     s.Deadline,
-		Attained:         s.outcome == OutcomeOK && finishTime <= float64(s.Deadline),
-		Preemptions:      s.preempts,
-		ResumeDelayTicks: s.resumeDelay,
-		Outcome:          s.outcome,
-		Faults:           s.faultCount,
-		Retries:          s.attempts - 1,
-		RecoverTicks:     s.recoverTicks,
-	}
+	s.Point = s.stream.Point()
+	s.Tokens, s.Decoded = s.stream.Pos(), s.stream.Decoded()
+	s.QueueTicks = s.AdmitTick - s.ArriveTick
+	s.Turnaround = finishTime - float64(s.ArriveTick)
+	s.Attained = s.Outcome == OutcomeOK && finishTime <= float64(s.DeadlineTick)
 	s.hits, s.misses = s.stream.Traffic()
 }
 
@@ -413,5 +402,5 @@ func Percentile(vals []float64, p float64) float64 {
 
 // rank is the 0-based index Percentile reads from n ≥ 1 sorted values.
 func rank(n int, p float64) int {
-	return min(max(int(p*float64(n)+0.5)-1, 0), n-1)
+	return min(max(int(float64(p*float64(n))+0.5)-1, 0), n-1)
 }

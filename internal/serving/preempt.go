@@ -63,15 +63,15 @@ func (deadlinePreempt) Victim(active []*Session) int {
 	for i, s := range active {
 		// The loosest victim: latest deadline, then latest Order (the most
 		// recent arrival yields first among equals).
-		if v < 0 || s.Deadline > active[v].Deadline ||
-			(s.Deadline == active[v].Deadline && s.Order > active[v].Order) {
+		if v < 0 || s.DeadlineTick > active[v].DeadlineTick ||
+			(s.DeadlineTick == active[v].DeadlineTick && s.Order > active[v].Order) {
 			v = i
 		}
 	}
 	return v
 }
 func (deadlinePreempt) Outranks(waiting, running *Session) bool {
-	return waiting.Deadline < running.Deadline
+	return waiting.DeadlineTick < running.DeadlineTick
 }
 
 // Preemptors lists every built-in preemptor in declaration order.

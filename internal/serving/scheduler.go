@@ -2,13 +2,13 @@ package serving
 
 import "fmt"
 
-// NoDeadline is the Deadline of a request without an SLO deadline; it sorts
+// NoDeadline is the DeadlineTick of a request without an SLO deadline; it sorts
 // after every real deadline under EDF.
 const NoDeadline = int(^uint(0) >> 1)
 
 // Scheduler orders the admission queue. Whenever a batch slot frees, the
 // engine places the waiting session — fresh or suspended, ranked alike on
-// the Order, ArriveTick, and Deadline it arrived with — that Less ranks
+// the Order, ArriveTick, and DeadlineTick it arrived with — that Less ranks
 // first. Implementations must be total orders over live sessions — Order is
 // unique, so ending every comparison with it guarantees that (and keeps
 // admission deterministic).
@@ -52,8 +52,8 @@ func EDF() Scheduler { return edf{} }
 
 func (edf) Name() string { return "edf" }
 func (edf) Less(a, b *Session) bool {
-	if a.Deadline != b.Deadline {
-		return a.Deadline < b.Deadline
+	if a.DeadlineTick != b.DeadlineTick {
+		return a.DeadlineTick < b.DeadlineTick
 	}
 	return a.Order < b.Order
 }

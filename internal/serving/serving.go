@@ -141,61 +141,42 @@ type Config struct {
 }
 
 // Session is the one record a request has on an engine, from its arrival in
-// Inject until the report: the scheduling stamps the queue is ranked on, the
-// decode stream once admitted, and the lifecycle state below. The same
-// pointer sits in the queue while waiting and in the batch while running,
-// and crosses nodes inside a Migrant.
+// Inject until the report. Its embedded SessionMetrics is its report row,
+// written where each fact happens: Inject stamps ID, Index, SLO, ArriveTick
+// and DeadlineTick; admit, grant, resume, displace and terminate the rest of
+// the timeline and counters; and terminate's fold adds what the stream knows
+// at the end. The schedulers rank on ArriveTick, DeadlineTick and Order, all
+// fixed at arrival, so a suspended session ranks exactly as the fresh
+// request did. The same pointer sits in the queue while waiting and in the
+// batch while running, and crosses nodes inside a Migrant.
 type Session struct {
-	ID    string
-	Index int // submission index in the workload's request universe
-	SLO   SLO
-	// ArriveTick is when the workload released the request. Order is the
-	// seeded admission tiebreak: same-tick arrivals are ranked by a shuffle
-	// drawn from Drive's seeded RNG and Order increases monotonically
-	// across ticks, so sorting by Order alone is seeded FCFS. Deadline is the
-	// absolute SLO deadline tick (ArriveTick + SLO.DeadlineTicks), or
-	// NoDeadline. All three are fixed at arrival, so schedulers rank a
-	// suspended session exactly as they ranked the fresh request.
-	ArriveTick, Order, Deadline int
+	SessionMetrics
+	// Order is the seeded admission tiebreak: same-tick arrivals are ranked
+	// by a shuffle drawn from Drive's seeded RNG and Order increases
+	// monotonically across ticks, so sorting by Order alone is seeded FCFS.
+	Order int
 	// NotBefore is the earliest tick the session may be (re-)placed — a
 	// faulted session's retry backoff, or a stranded request's failover
 	// backoff. Backfill and preemption scans skip sessions still backing
 	// off; schedulers never see the field.
 	NotBefore int
-	// AdmitRank is the session's admission position (0 = first admitted).
-	AdmitRank int
-	// Share is the granted fraction of the cache budget (1 under ArbShared:
-	// the whole cache, shared).
-	Share float64
 
 	// Lifecycle: only admit, resume, displace, and terminate move state;
 	// cause is meaningful while Suspended (and until the next displacement),
-	// outcome once Done.
-	state   State
-	cause   Cause
-	outcome Outcome
+	// Outcome once Done.
+	state State
+	cause Cause
 
 	stream *eval.Stream // nil until admitted, and again once terminated
 
-	// row is the session's report row and hits/misses its cache traffic,
-	// both folded by terminate: all the report reads of a finished session.
-	row          SessionMetrics
+	// hits/misses are the stream's cache traffic, folded by terminate.
 	hits, misses int64
-
-	// Simulated-clock timeline after arrival: admission and termination.
-	admitTick, finishTick int
 	// finishSub is the 1-based sub-quantum step on which the stream drained
 	// (0 only for degenerate streams that never stepped): the sub-tick
 	// finish offset that de-quantizes turnaround and SLO accounting.
 	finishSub int
-	// Displacement bookkeeping: how often this session was preempted, the
-	// tick it last left its slot, and the cumulative ticks spent suspended
-	// (suspend → resume).
-	preempts, suspendTick, resumeDelay int
-	// Robustness bookkeeping: placement attempts consumed (1 after the
-	// first admission), faults suffered, and ticks spent fault-suspended
-	// (fault → re-place).
-	attempts, faultCount, recoverTicks int
+	// suspendTick is the tick the session last left its slot.
+	suspendTick int
 }
 
 // State is a session's position in its lifecycle:
@@ -501,8 +482,8 @@ func (e *Engine) admit(sess *Session, tick, slot int) error {
 		return fmt.Errorf("serving: admitting %q: %w", req.ID, err)
 	}
 	sess.transition(Queued, Active)
-	sess.stream, sess.attempts = st, 1
-	sess.AdmitRank, sess.admitTick = e.rank, tick
+	sess.stream = st
+	sess.AdmitRank, sess.AdmitTick = e.rank, tick
 	e.rank++
 	if e.obs != nil {
 		e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindAdmit, Session: sess.ID, Detail: className(sess.SLO)})
@@ -519,10 +500,10 @@ func (e *Engine) admit(sess *Session, tick, slot int) error {
 func (e *Engine) resume(sess *Session, tick, slot int) {
 	sess.transition(Suspended, Active)
 	delay := tick - sess.suspendTick
-	sess.resumeDelay += delay
+	sess.ResumeDelayTicks += delay
 	if displacements[sess.cause].fault != "" {
 		// Time-to-recover: fault tick → the tick the session is re-placed.
-		sess.recoverTicks += delay
+		sess.RecoverTicks += delay
 		e.recoverTicks += delay
 		e.recoveries++
 	}
@@ -599,16 +580,18 @@ func (e *Engine) displace(sess *Session, tick, slot int, cause Cause) {
 	e.displaced[cause]++
 	if row.fault != "" {
 		e.emitFault(tick, slot, sess, row.fault)
-		sess.faultCount++
-		if sess.attempts >= e.retry.MaxAttempts {
+		sess.Faults++
+		// Placement attempts consumed so far: the first admission plus
+		// every granted retry.
+		if sess.Retries+1 >= e.retry.MaxAttempts {
 			e.terminate(sess, tick, slot, OutcomeFailed)
 			return
 		}
-		sess.attempts++
+		sess.Retries++
 		e.retries++
 	}
 	if cause == CausePreempt {
-		sess.preempts++ // the per-session share of displaced[CausePreempt]
+		sess.Preemptions++ // the per-session share of displaced[CausePreempt]
 	}
 	sess.transition(Active, Suspended)
 	sess.cause, sess.suspendTick, sess.NotBefore = cause, tick, 0
@@ -625,11 +608,11 @@ func (e *Engine) displace(sess *Session, tick, slot int, cause Cause) {
 		}
 	}
 	if row.fault != "" {
-		backoff := e.retry.Backoff(e.cfg.Seed, sess.Index, sess.attempts-1)
+		backoff := e.retry.Backoff(e.cfg.Seed, sess.Index, sess.Retries)
 		sess.NotBefore = tick + backoff
 		if e.obs != nil {
 			e.obs.Emit(obs.Event{Tick: tick, Slot: slot, Kind: obs.KindRetry, Session: sess.ID,
-				Detail: retryDetail(sess.attempts, backoff)})
+				Detail: retryDetail(sess.Retries+1, backoff)})
 		}
 	}
 	e.queue = append(e.queue, sess)
@@ -657,8 +640,8 @@ func (e *Engine) detach(sess *Session) *cache.ModelCache {
 
 // terminate is the single exit from the lifecycle: it stamps the outcome
 // and finish tick, counts and logs the outcome, and posts the Finished
-// notice stepTick hands back to the workload. It folds the session into its
-// report row — the SessionMetrics Finalize reports, plus the stream's cache
+// notice stepTick hands back to the workload. Its fold completes the
+// session's row from the stream — the end-of-stream facts and the cache
 // traffic — so the report still prices the partial work of failed and
 // cancelled sessions, and then returns the stream (decoder and KV slots,
 // scheme clone, meter, density accumulator, pending buffers) and any
@@ -672,7 +655,7 @@ func (e *Engine) terminate(sess *Session, tick, slot int, oc Outcome) {
 		from = Queued
 	}
 	sess.transition(from, Done)
-	sess.finishTick, sess.outcome = tick, oc
+	sess.FinishTick, sess.Outcome = tick, oc
 	switch oc {
 	case OutcomeFailed:
 		e.failed++

@@ -235,12 +235,14 @@ func TopKAbsMask(x Vec, k int, scratch Vec) []bool {
 // interpolation between order statistics. The input is not modified. The
 // order statistics come from the selection top-K uses (expected O(n) rather
 // than a full sort); results are identical to the sort-based computation.
+// Every product is rounded before its add, so calibrated thresholds carry
+// the same bits on arm64 as on amd64.
 func Quantile(values []float32, q float64) float32 {
 	n := len(values)
 	if n == 0 {
 		return 0
 	}
-	pos := min(max(q, 0), 1) * float64(n-1)
+	pos := float64(min(max(q, 0), 1) * float64(n-1))
 	lo := int(pos)
 	keys := make([]uint32, n)
 	for i, v := range values {
@@ -253,7 +255,7 @@ func Quantile(values []float32, q float64) float32 {
 		return a
 	}
 	kb, _ := kthLargestKey(keys, n-lo-1, &s) // the next order statistic
-	return a*(1-frac) + keyValue(kb)*frac
+	return float32(a*(1-frac)) + float32(keyValue(kb)*frac)
 }
 
 // keyValue is the float OrderKey(v) came from (+0 for either zero).
