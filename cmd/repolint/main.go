@@ -5,11 +5,16 @@
 // ranges, fan-out only through internal/parallel, nil-guarded obs emission
 // — is a checked property of the code, not a hope backed by seed sampling.
 //
+// Patterns mean what they mean to the go command (lint.LoadModule runs
+// `go list` in the working directory), so ./... stops at a nested module's
+// go.mod: the bench module is linted by a run inside it.
+//
 // Usage:
 //
-//	go run ./cmd/repolint ./...          # whole module (the CI invocation)
-//	go run ./cmd/repolint ./internal/... # one subtree
-//	go run ./cmd/repolint -list          # registered checks
+//	go run ./cmd/repolint ./...              # whole module (the CI invocation)
+//	go -C bench run repro/cmd/repolint ./... # the bench module (also CI)
+//	go run ./cmd/repolint ./internal/...     # one subtree
+//	go run ./cmd/repolint -list              # registered checks
 //
 // Suppress a finding with a justified directive on (or directly above) the
 // offending line:
@@ -36,11 +41,7 @@ func main() {
 		listChecks(os.Stdout)
 		return
 	}
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.LoadModule(".", patterns...)
+	pkgs, err := lint.LoadModule(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(2)

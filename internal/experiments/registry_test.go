@@ -15,10 +15,15 @@ import (
 	"repro/internal/lint"
 )
 
-// srcPkg parses the package source exactly once, through the shared lint
-// loader — the same parse code path the repolint analyzers and dipbench's
-// keep-in-sync tests use.
-var srcPkg = sync.OnceValues(func() (*lint.Package, error) { return lint.ParseDir(".") })
+// srcPkg loads the package source, tests included, exactly once through
+// the repolint loader, so this scan and the analyzers read one tree.
+var srcPkg = sync.OnceValues(func() (*lint.Package, error) {
+	pkgs, err := lint.LoadModule(".", ".")
+	if err != nil {
+		return nil, err
+	}
+	return pkgs[0], nil
+})
 
 // driverFuncNames returns every exported top-level function with the
 // Driver signature func(*Lab) ([]*Table, error), sorted.

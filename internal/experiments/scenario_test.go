@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -185,5 +188,66 @@ func TestEveryScenarioFieldHasOneFlag(t *testing.T) {
 		if n != 1 {
 			t.Errorf("Scenario.%s is written by %d flag rows, want 1", v.Type().Field(i).Name, n)
 		}
+	}
+}
+
+// The serve grid's trace workload: one four-entry trace, written as JSON
+// and as CSV, replays to the same serve table through the file load and
+// the dip/dipca binder table, and a scheme the table lacks fails by name.
+func TestServeReplaysOneTraceFromJSONAndCSV(t *testing.T) {
+	files := map[string]string{
+		"trace.json": `[
+  {"id": "a", "tick": 0, "tokens": 128},
+  {"id": "b", "tick": 0, "tokens": 96, "start": 40, "scheme": "dip"},
+  {"id": "c", "tick": 3, "tokens": 80, "start": 120, "class": "interactive", "priority": 2, "deadline_ticks": 60},
+  {"id": "d", "tick": 5, "tokens": 128, "start": 200, "scheme": "dipca"}
+]`,
+		"trace.csv": `id,tick,tokens,start,class,priority,deadline_ticks,scheme
+a,0,128,,,,,
+b,0,96,40,,,,dip
+c,3,80,120,interactive,2,60,
+d,5,128,200,,,,dipca
+`,
+		"unknown.csv": "id,tick,tokens,scheme\na,0,128,cats\n",
+	}
+	dir := t.TempDir()
+	serve := func(name string) ([]*Table, error) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(files[name]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		defer func(s Scenario) { sharedLab.Serve = s }(sharedLab.Serve)
+		sharedLab.Serve = Scenario{Smoke: true, Workload: "trace", Trace: path}
+		return Run(sharedLab, "serve")
+	}
+	render := func(tabs []*Table) string {
+		var buf bytes.Buffer
+		for _, tab := range tabs {
+			withoutColumn(tab, "wall_tok_s").Render(&buf)
+		}
+		return buf.String()
+	}
+	fromJSON, err := serve("trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCSV, err := serve("trace.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(fromJSON) != render(fromCSV) {
+		t.Fatalf("the JSON and CSV traces render different tables:\n--- json ---\n%s--- csv ---\n%s", render(fromJSON), render(fromCSV))
+	}
+	tab := findTable(t, fromJSON, "serve")
+	workload, sessions := slices.Index(tab.Columns, "workload"), slices.Index(tab.Columns, "sessions")
+	simTokS := slices.Index(tab.Columns, "sim_tok_s")
+	for _, row := range tab.Rows {
+		if row[workload] != "trace" || row[sessions] != "4" || row[simTokS] == "0.000" {
+			t.Fatalf("row %v: want the trace workload's 4 sessions, decoding", row)
+		}
+	}
+	if _, err := serve("unknown.csv"); err == nil || !strings.Contains(err.Error(), `"cats"`) {
+		t.Fatalf("unknown trace scheme: err = %v, want an error naming \"cats\"", err)
 	}
 }

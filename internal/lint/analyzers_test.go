@@ -58,7 +58,7 @@ func TestDirectivesSuppressAndAreCounted(t *testing.T) {
 // justifications, and directives that suppress nothing all surface, and
 // the findings those directives failed to suppress survive.
 func TestDirectiveErrors(t *testing.T) {
-	pkgs, err := LoadTree(filepath.Join("testdata", "directive-errors"), "fixture")
+	pkgs, err := LoadModule(filepath.Join("testdata", "directive-errors"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,15 @@ import (
 // diagnostic whose message matches the pattern.
 var fixtureWantRe = regexp.MustCompile(`// want ("(?:[^"\\]|\\.)*")`)
 
-// CheckFixture loads the fixture tree at root as a miniature module
-// (module path "fixture") and runs the analyzers over it, diffing produced
-// diagnostics against the fixtures' `// want "regexp"` comments. It
+// CheckFixture loads the fixture tree at root, a miniature module with its
+// own go.mod (module path "fixture"), and runs the analyzers over it,
+// diffing produced diagnostics against the fixtures' `// want "regexp"`
+// comments. It
 // returns the number of suppressed findings (so directive tests can assert
 // suppressions landed) and a list of mismatches; an empty problems list
 // means the fixture behaved exactly as annotated.
 func CheckFixture(root string, analyzers ...*Analyzer) (suppressed int, problems []string, err error) {
-	pkgs, err := LoadTree(root, "fixture")
+	pkgs, err := LoadModule(root)
 	if err != nil {
 		return 0, nil, err
 	}

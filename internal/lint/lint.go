@@ -1,6 +1,7 @@
 // Package lint is the repo's std-lib-only static-analysis framework: a
-// shared package loader (go/parser + go/types, no external dependencies,
-// matching the module's zero-dep stance), a small analyzer interface, and
+// package loader (LoadModule: `go list` names the packages, go/parser +
+// go/types check each from source; no external dependencies, matching the
+// module's zero-dep stance), a small analyzer interface, and
 // `//lint:allow <check> <justification>` suppression directives.
 //
 // The analyzers encode the invariants the runtime tests sample but cannot

@@ -10,7 +10,7 @@ import (
 // module-internal imports must come back type-checked, in import-path
 // order.
 func TestLoadTreeResolvesModuleInternalImports(t *testing.T) {
-	pkgs, err := LoadTree(filepath.Join("testdata", "obsguard"), "fixture")
+	pkgs, err := LoadModule(filepath.Join("testdata", "obsguard"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestLoadTreeResolvesModuleInternalImports(t *testing.T) {
 // Nested package trees load whole, so path-scoped analyzer exemptions
 // (goroutine's internal/parallel carve-out) see the real import path.
 func TestLoadTreeBuildsNestedImportPaths(t *testing.T) {
-	pkgs, err := LoadTree(filepath.Join("testdata", "goroutine"), "fixture")
+	pkgs, err := LoadModule(filepath.Join("testdata", "goroutine"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,33 +79,24 @@ func TestLoadModulePatternSelection(t *testing.T) {
 	}
 }
 
-// ParseDir is the syntax-only path the keep-in-sync tests share: no type
-// info, but full file and source coverage of one directory.
-func TestParseDirSyntaxOnly(t *testing.T) {
-	pkg, err := ParseDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkg.Name != "lint" {
-		t.Fatalf("package name %q, want lint", pkg.Name)
-	}
-	if pkg.Types != nil || pkg.Info != nil {
-		t.Error("syntax-only load must not type-check")
-	}
-	if len(pkg.Files) < 8 {
-		t.Errorf("parsed %d files, expected the full package", len(pkg.Files))
-	}
-}
-
 // A function declared once per architecture (a _amd64.go file and a
-// //go:build !amd64 file) loads as one declaration: the loader keeps only
-// the files the host build compiles.
+// //go:build !amd64 file) loads as one declaration: the loader checks only
+// the files the go command compiles for the host.
 func TestLoadTreeHonorsBuildConstraints(t *testing.T) {
-	pkgs, err := LoadTree(filepath.Join("testdata", "buildtags"), "fixture")
+	pkgs, err := LoadModule(filepath.Join("testdata", "buildtags"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 || len(pkgs[0].Files) != 2 {
 		t.Fatalf("loaded %d packages, want one package of two files", len(pkgs))
+	}
+}
+
+// A unit that does not type-check fails the load, and the error names the
+// file: a unit skipped in silence would hide its findings.
+func TestLoadModuleRejectsATypeError(t *testing.T) {
+	_, err := LoadModule(filepath.Join("testdata", "typeerror"))
+	if err == nil || !strings.Contains(err.Error(), "bad.go") {
+		t.Fatalf("err = %v, want a type error naming bad.go", err)
 	}
 }

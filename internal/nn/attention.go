@@ -252,7 +252,7 @@ func (a *Attention) attend(q tensor.Vec, cache *KVCache, cat, scores tensor.Vec)
 			ks := cache.Ks[s][g*hd : (g+1)*hd]
 			var dot float32
 			for i := 0; i < hd; i++ {
-				dot += qh[i] * ks[i]
+				dot += float32(qh[i] * ks[i])
 			}
 			scores[s] = dot * a.scale
 		}
@@ -262,7 +262,7 @@ func (a *Attention) attend(q tensor.Vec, cache *KVCache, cat, scores tensor.Vec)
 			vs := cache.Vs[s][g*hd : (g+1)*hd]
 			ps := p[s]
 			for i := 0; i < hd; i++ {
-				out[i] += ps * vs[i]
+				out[i] += float32(ps * vs[i])
 			}
 		}
 	}

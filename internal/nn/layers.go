@@ -127,7 +127,7 @@ func (n *RMSNorm) Apply(x, out tensor.Vec) tensor.Vec {
 	}
 	var ss float64
 	for _, v := range x {
-		ss += float64(v) * float64(v)
+		ss += float64(float64(v) * float64(v))
 	}
 	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(n.eps)))
 	g := n.Gain.W.Row(0)

@@ -67,8 +67,6 @@ func (k Kind) String() string {
 // worker count and decode-path choice. Slots index the engine's active
 // batch at tick start (0-based).
 type Injector interface {
-	// Name identifies the plan for reports.
-	Name() string
 	// StepFault reports whether the session in the given slot aborts its
 	// decode quantum this tick.
 	StepFault(tick, slot int) bool
@@ -105,9 +103,6 @@ func Mix(rate float64, seed uint64) (*Plan, error) {
 	}
 	return &Plan{seed: seed, rate: rate}, nil
 }
-
-// Name identifies the plan.
-func (p *Plan) Name() string { return "seeded" }
 
 // StepFault draws the slot's transient-fault decision for this tick.
 func (p *Plan) StepFault(tick, slot int) bool {
@@ -195,9 +190,6 @@ func Scripted(events ...Event) (*Script, error) {
 	}
 	return &Script{events: append([]Event(nil), events...)}, nil
 }
-
-// Name identifies the script.
-func (s *Script) Name() string { return "scripted" }
 
 func (s *Script) fires(kind Kind, tick, slot int) bool {
 	for _, e := range s.events {

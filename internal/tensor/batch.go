@@ -92,14 +92,14 @@ func MatVecBatch(m *Mat, xs *Mat, out *Mat) *Mat {
 			off := b
 			for _, w := range row {
 				xr := (*[8]float32)(xs.Data[off : off+8])
-				s0 += w * xr[0]
-				s1 += w * xr[1]
-				s2 += w * xr[2]
-				s3 += w * xr[3]
-				s4 += w * xr[4]
-				s5 += w * xr[5]
-				s6 += w * xr[6]
-				s7 += w * xr[7]
+				s0 += float32(w * xr[0])
+				s1 += float32(w * xr[1])
+				s2 += float32(w * xr[2])
+				s3 += float32(w * xr[3])
+				s4 += float32(w * xr[4])
+				s5 += float32(w * xr[5])
+				s6 += float32(w * xr[6])
+				s7 += float32(w * xr[7])
 				off += B
 			}
 			orow[b], orow[b+1], orow[b+2], orow[b+3] = s0, s1, s2, s3
@@ -110,10 +110,10 @@ func MatVecBatch(m *Mat, xs *Mat, out *Mat) *Mat {
 			off := b
 			for _, w := range row {
 				xr := (*[4]float32)(xs.Data[off : off+4])
-				s0 += w * xr[0]
-				s1 += w * xr[1]
-				s2 += w * xr[2]
-				s3 += w * xr[3]
+				s0 += float32(w * xr[0])
+				s1 += float32(w * xr[1])
+				s2 += float32(w * xr[2])
+				s3 += float32(w * xr[3])
 				off += B
 			}
 			orow[b], orow[b+1], orow[b+2], orow[b+3] = s0, s1, s2, s3
@@ -122,7 +122,7 @@ func MatVecBatch(m *Mat, xs *Mat, out *Mat) *Mat {
 			var s float32
 			off := b
 			for _, w := range row {
-				s += w * xs.Data[off]
+				s += float32(w * xs.Data[off])
 				off += B
 			}
 			orow[b] = s
@@ -156,7 +156,7 @@ func MatTVecBatch(m *Mat, xs *Mat, out *Mat) *Mat {
 				if x == 0 {
 					continue
 				}
-				orow[b] += w * x
+				orow[b] += float32(w * x)
 			}
 		}
 	}
@@ -197,10 +197,10 @@ func MaskedMatVecColsBatch(m *Mat, xs *Mat, active [][]bool, out *Mat) *Mat {
 			for j, w := range row {
 				base := j*B + b
 				if a0[j] {
-					s0 += w * xs.Data[base]
+					s0 += float32(w * xs.Data[base])
 				}
 				if a1[j] {
-					s1 += w * xs.Data[base+1]
+					s1 += float32(w * xs.Data[base+1])
 				}
 			}
 			orow[b], orow[b+1] = s0, s1
@@ -210,7 +210,7 @@ func MaskedMatVecColsBatch(m *Mat, xs *Mat, active [][]bool, out *Mat) *Mat {
 			var s float32
 			for j, w := range row {
 				if a[j] {
-					s += w * xs.Data[j*B+b]
+					s += float32(w * xs.Data[j*B+b])
 				}
 			}
 			orow[b] = s

@@ -36,7 +36,7 @@ func (m *SymMat) AddOuterF64(alpha float64, x Vec) {
 		}
 		row := m.Data[i*m.N : (i+1)*m.N]
 		for j := 0; j < m.N; j++ {
-			row[j] += xi * float64(x[j])
+			row[j] += float64(xi * float64(x[j]))
 		}
 	}
 }
@@ -66,7 +66,7 @@ func (m *SymMat) Cholesky() (*SymMat, error) {
 		for j := 0; j <= i; j++ {
 			sum := m.At(i, j)
 			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+				sum -= float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				if sum <= 0 {
@@ -95,7 +95,7 @@ func (m *SymMat) Inverse() (*SymMat, error) {
 		for j := 0; j < i; j++ {
 			var sum float64
 			for k := j; k < i; k++ {
-				sum += l.At(i, k) * linv.At(k, j)
+				sum += float64(l.At(i, k) * linv.At(k, j))
 			}
 			linv.Set(i, j, -sum/l.At(i, i))
 		}
@@ -106,7 +106,7 @@ func (m *SymMat) Inverse() (*SymMat, error) {
 		for j := 0; j <= i; j++ {
 			var sum float64
 			for k := i; k < n; k++ { // linv is lower: linv[k,i], linv[k,j] nonzero for k ≥ max(i,j)
-				sum += linv.At(k, i) * linv.At(k, j)
+				sum += float64(linv.At(k, i) * linv.At(k, j))
 			}
 			inv.Set(i, j, sum)
 			inv.Set(j, i, sum)

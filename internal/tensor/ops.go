@@ -16,7 +16,7 @@ func SiLU(x float32) float32 { return x * Sigmoid(x) }
 // SiLUGrad returns d SiLU(x)/dx = sigmoid(x)·(1 + x·(1-sigmoid(x))).
 func SiLUGrad(x float32) float32 {
 	s := Sigmoid(x)
-	return s * (1 + x*(1-s))
+	return s * (1 + float32(x*(1-s)))
 }
 
 // ReLU returns max(x, 0).
@@ -271,7 +271,7 @@ func Histogram(values []float32, nbins int, minV, maxV float32) (counts []int, e
 	edges = make([]float32, nbins+1)
 	width := (maxV - minV) / float32(nbins)
 	for i := range edges {
-		edges[i] = minV + float32(i)*width
+		edges[i] = minV + float32(float32(i)*width)
 	}
 	if width <= 0 {
 		return counts, edges

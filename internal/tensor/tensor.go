@@ -59,7 +59,7 @@ func (v Vec) AddScaled(alpha float32, w Vec) {
 		panic("tensor: Vec.AddScaled length mismatch")
 	}
 	for i := range v {
-		v[i] += alpha * w[i]
+		v[i] += float32(alpha * w[i])
 	}
 }
 
@@ -87,7 +87,7 @@ func (v Vec) Dot(w Vec) float32 {
 func (v Vec) Norm2() float32 {
 	var s float64
 	for _, x := range v {
-		s += float64(x) * float64(x)
+		s += float64(float64(x) * float64(x))
 	}
 	return float32(math.Sqrt(s))
 }
@@ -295,7 +295,7 @@ func MatTVec(m *Mat, x Vec, out Vec) Vec {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, w := range row {
-			out[j] += w * xi
+			out[j] += float32(w * xi)
 		}
 	}
 	return out
@@ -315,7 +315,7 @@ func AddOuter(m *Mat, alpha float32, a, b Vec) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j := range row {
-			row[j] += ai * b[j]
+			row[j] += float32(ai * b[j])
 		}
 	}
 }
@@ -335,7 +335,7 @@ func MatMul(a, b *Mat) *Mat {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -361,7 +361,7 @@ func MaskedMatVecCols(m *Mat, x Vec, active []bool, out Vec) Vec {
 		var s float32
 		for j, w := range row {
 			if active[j] {
-				s += w * x[j]
+				s += float32(w * x[j])
 			}
 		}
 		out[i] = s
