@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -209,6 +210,7 @@ c,3,80,120,interactive,2,60,
 d,5,128,200,,,,dipca
 `,
 		"unknown.csv": "id,tick,tokens,scheme\na,0,128,cats\n",
+		"short.csv":   "id,tick,tokens\na,0,128\nshort,2,8\n",
 	}
 	dir := t.TempDir()
 	serve := func(name string) ([]*Table, error) {
@@ -249,5 +251,10 @@ d,5,128,200,,,,dipca
 	}
 	if _, err := serve("unknown.csv"); err == nil || !strings.Contains(err.Error(), `"cats"`) {
 		t.Fatalf("unknown trace scheme: err = %v, want an error naming \"cats\"", err)
+	}
+	// An entry shorter than the evaluation window would decode nothing.
+	want := fmt.Sprintf(`trace entry "short" has 8 tokens, fewer than the %d-token evaluation window`, sharedLab.EvalWin())
+	if _, err := serve("short.csv"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("8-token trace entry: err = %v, want it to contain %q", err, want)
 	}
 }

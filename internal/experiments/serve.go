@@ -53,6 +53,13 @@ func Serve(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The stream evaluates whole windows, so a shorter entry would be
+		// admitted, finish and report a session that decoded nothing.
+		for _, e := range entries {
+			if e.Tokens < x.win {
+				return nil, fmt.Errorf("serve: trace entry %q has %d tokens, fewer than the %d-token evaluation window", e.ID, e.Tokens, x.win)
+			}
+		}
 		traceEntries = entries
 	}
 

@@ -11,7 +11,11 @@
 // scheme in the paper; passing a nil hook evaluates the dense model. Each
 // token passes through every layer before the next token starts, so hooks
 // that carry state across tokens (the DRAM cache of DIP-CA) observe the
-// order a real decoder would. Whole-sequence forwards are training only.
+// order a real decoder would.
+//
+// Training steps the Decoder too: TrainStep decodes a sequence with a tape
+// that records what each layer's backward pass reads, so the repo has one
+// forward pass.
 package model
 
 import (
@@ -179,6 +183,7 @@ type Decoder struct {
 	x, buf, out, logits tensor.Vec
 	mlp                 nn.MLPScratch
 	attn                nn.AttnBatchScratch
+	tape                *tape // TrainStep's; nil on every inference path
 }
 
 // NewDecoder returns a fresh decoding session.
@@ -213,14 +218,21 @@ func (d *Decoder) Step(id int) tensor.Vec {
 	d.pos++
 	buf := d.buf
 	for l, b := range d.m.Blocks {
+		var rec *nn.AttnRecord
+		if d.tape != nil {
+			rec = d.tape.attn(l, x)
+		}
 		b.Norm1.Apply(x, buf)
-		attnOut := b.Attn.Step(buf, d.caches[l], &d.attn)
+		attnOut := b.Attn.Step(buf, d.caches[l], &d.attn, rec)
 		x.Add(attnOut)
 		b.Norm2.Apply(x, buf)
 		var out tensor.Vec
-		if d.hook != nil {
+		switch {
+		case d.hook != nil:
 			out = d.hook(l, buf)
-		} else {
+		case d.tape != nil:
+			out = b.MLP.ApplyInto(buf, d.out, d.tape.mlp(l, x, buf))
+		default:
 			out = b.MLP.ApplyInto(buf, d.out, &d.mlp)
 		}
 		x.Add(out)
@@ -250,59 +262,69 @@ func (d *Decoder) Reset() { d.Rewind(0) }
 
 // TrainStep runs one forward/backward pass over a sequence, accumulating
 // gradients into the parameters, and returns the mean cross-entropy.
-// targets[t] is the token that should follow ids[t].
+// targets[t] is the token that should follow ids[t]. The forward is a
+// Decoder stepping ids with a tape; the backward walks the tape from the
+// logits down, layer by layer, each layer's tokens in ascending order.
 func (m *Model) TrainStep(ids, targets []int) float64 {
-	logits, back := m.forwardTrain(ids)
-	dlogits := make([]tensor.Vec, len(logits))
+	d := m.NewDecoder(nil)
+	tp := &tape{layers: make([]layerTape, len(m.Blocks))}
+	d.tape = tp
+	for _, id := range ids {
+		logits := d.Step(id)
+		tp.normF = append(tp.normF, d.x.Clone())
+		tp.head = append(tp.head, d.buf.Clone())
+		tp.logits = append(tp.logits, logits.Clone())
+	}
+	dlogits := make([]tensor.Vec, len(ids))
 	for i := range dlogits {
 		dlogits[i] = tensor.NewVec(m.Cfg.Vocab)
 	}
-	loss := nn.CrossEntropy(logits, targets, dlogits)
-	back(dlogits)
+	loss := nn.CrossEntropy(tp.logits, targets, dlogits)
+	dxs := m.NormF.Backward(m.Head.Backward(dlogits, tp.head), tp.normF)
+	for l := len(m.Blocks) - 1; l >= 0; l-- {
+		b, lt := m.Blocks[l], &tp.layers[l]
+		// Each residual sub-block passes its gradient through and adds the
+		// branch's.
+		dxs = addSeq(dxs, b.Norm2.Backward(b.MLP.Backward(dxs, lt.mlp), lt.norm2))
+		dxs = addSeq(dxs, b.Norm1.Backward(b.Attn.Backward(dxs, lt.attn, d.caches[l]), lt.norm1))
+	}
+	m.Embed.Backward(dxs, ids)
 	return loss
 }
 
-// forwardTrain runs the full forward pass retaining every layer context and
-// returns the logits plus a backward closure that accumulates parameter
-// gradients when fed ∂loss/∂logits.
-func (m *Model) forwardTrain(ids []int) ([]tensor.Vec, func([]tensor.Vec)) {
-	xs := m.Embed.Forward(ids)
-	type blockBack func(dxs []tensor.Vec) []tensor.Vec
-	var backs []blockBack
-	for _, b := range m.Blocks {
-		b := b
-		// Attention sub-block with residual.
-		normed, n1ctx := b.Norm1.Forward(xs)
-		attnOut, actx := b.Attn.Forward(normed)
-		pre := xs
-		xs = addSeq(pre, attnOut)
-		backs = append(backs, func(dxs []tensor.Vec) []tensor.Vec {
-			dattn := b.Attn.Backward(dxs, actx)
-			dpre := b.Norm1.Backward(dattn, n1ctx)
-			return addSeq(dxs, dpre) // residual: gradient flows both ways
-		})
-		// MLP sub-block with residual.
-		normed2, n2ctx := b.Norm2.Forward(xs)
-		mlpOut, mctx := b.MLP.Forward(normed2)
-		pre2 := xs
-		xs = addSeq(pre2, mlpOut)
-		backs = append(backs, func(dxs []tensor.Vec) []tensor.Vec {
-			dmlp := b.MLP.Backward(dxs, mctx)
-			dpre := b.Norm2.Backward(dmlp, n2ctx)
-			return addSeq(dxs, dpre)
-		})
-	}
-	normedF, nfctx := m.NormF.Forward(xs)
-	logits, hctx := m.Head.Forward(normedF)
-	backward := func(dlogits []tensor.Vec) {
-		dnf := m.Head.Backward(dlogits, hctx)
-		dxs := m.NormF.Backward(dnf, nfctx)
-		for i := len(backs) - 1; i >= 0; i-- {
-			dxs = backs[i](dxs)
-		}
-		m.Embed.Backward(dxs, ids)
-	}
-	return logits, backward
+// tape is what TrainStep's backward passes read of the forward, one entry
+// per token: each layer's records, which Decoder.Step appends, and the
+// final norm's input, the head's input and the logits. The keys and values
+// stay in the decoder's KV caches.
+type tape struct {
+	layers              []layerTape
+	normF, head, logits []tensor.Vec
+}
+
+// layerTape is one layer's records: the residual stream each norm read,
+// and the attention and MLP records.
+type layerTape struct {
+	norm1, norm2 []tensor.Vec
+	attn         []nn.AttnRecord
+	mlp          []nn.MLPRecord
+}
+
+// attn records Norm1's input x at layer l and returns the slot for the
+// layer's attention record.
+func (tp *tape) attn(l int, x tensor.Vec) *nn.AttnRecord {
+	lt := &tp.layers[l]
+	lt.norm1 = append(lt.norm1, x.Clone())
+	lt.attn = append(lt.attn, nn.AttnRecord{})
+	return &lt.attn[len(lt.attn)-1]
+}
+
+// mlp records Norm2's input x and the MLP's input in at layer l and returns
+// the scratch the MLP fills with the token's U, G and H.
+func (tp *tape) mlp(l int, x, in tensor.Vec) *nn.MLPScratch {
+	lt := &tp.layers[l]
+	lt.norm2 = append(lt.norm2, x.Clone())
+	lt.mlp = append(lt.mlp, nn.MLPRecord{X: in.Clone()})
+	return &lt.mlp[len(lt.mlp)-1].MLPScratch
 }
 
 // addSeq returns element-wise a[t] + b[t] as fresh vectors.

@@ -46,7 +46,11 @@ func TestModelEndToEndGradients(t *testing.T) {
 	ids := []int{1, 4, 2, 9, 0, 3}
 	targets := []int{4, 2, 9, 0, 3, 5}
 	loss := func() float64 {
-		logits, _ := m.forwardTrain(ids)
+		dec := m.NewDecoder(nil)
+		logits := make([]tensor.Vec, len(ids))
+		for t, id := range ids {
+			logits[t] = dec.Step(id).Clone()
+		}
 		return nn.CrossEntropy(logits, targets, nil)
 	}
 	for _, p := range m.Params() {
@@ -98,6 +102,36 @@ func TestTrainingLearnsGrammar(t *testing.T) {
 	// below the uniform baseline (vocab size).
 	if after > float64(cfg.Vocab)/2 {
 		t.Fatalf("perplexity %.3f suspiciously high after training", after)
+	}
+}
+
+// Training is serial, so its weights are the same bits at any worker count.
+func TestTrainIsBitIdenticalAcrossProcs(t *testing.T) {
+	defer parallel.SetProcs(parallel.Procs())
+	tokens := make([]int, 400)
+	rng := tensor.NewRNG(37)
+	for i := range tokens {
+		tokens[i] = rng.Intn(tinyConfig().Vocab)
+	}
+	opts := TrainOpts{Steps: 4, Batch: 2, SeqLen: 24, Seed: 41}
+	var want []*nn.Param
+	for _, procs := range []int{1, 2} {
+		parallel.SetProcs(procs)
+		m := New(tinyConfig(), 43)
+		if _, err := Train(m, tokens, opts); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = m.Params()
+			continue
+		}
+		for i, p := range m.Params() {
+			for j, w := range p.W.Data {
+				if math.Float32bits(w) != math.Float32bits(want[i].W.Data[j]) {
+					t.Fatalf("procs %d: %s[%d] is %v, want %v at procs 1", procs, p.Name, j, w, want[i].W.Data[j])
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -25,7 +27,10 @@ type fwdScratch struct {
 // hook layer-major: every token of layer l before any token of layer l+1.
 // With a nil hook the MLP loop and the head fan out over the worker pool.
 func refForward(m *Model, ids []int, hook MLPHook) []tensor.Vec {
-	xs := m.Embed.Forward(ids)
+	xs := make([]tensor.Vec, len(ids))
+	for t, id := range ids {
+		xs[t] = m.Embed.At(id, t, nil)
+	}
 	n := len(xs)
 	nw := parallel.Workers(n, mlpTokenGrain)
 	scr := make([]fwdScratch, nw)
@@ -40,7 +45,7 @@ func refForward(m *Model, ids []int, hook MLPHook) []tensor.Vec {
 				normed[t] = b.Norm1.Apply(xs[t], nil)
 			}
 		})
-		attnOut, _ := b.Attn.Forward(normed)
+		attnOut := refAttention(b.Attn, normed)
 		for t := range xs {
 			xs[t].Add(attnOut[t])
 		}
@@ -69,6 +74,46 @@ func refForward(m *Model, ids []int, hook MLPHook) []tensor.Vec {
 		}
 	})
 	return logits
+}
+
+// refAttention is causal attention over a whole sequence at once, each
+// position's heads scored against every earlier position's key.
+func refAttention(a *nn.Attention, xs []tensor.Vec) []tensor.Vec {
+	T, hd, group := len(xs), a.HeadDim, a.NHeads/a.NKV
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	qs, ks, vs := make([]tensor.Vec, T), make([]tensor.Vec, T), make([]tensor.Vec, T)
+	for t, x := range xs {
+		qs[t] = a.Wq.Apply(x, nil)
+		ks[t] = a.Wk.Apply(x, nil)
+		vs[t] = a.Wv.Apply(x, nil)
+	}
+	ys := make([]tensor.Vec, T)
+	for t := range xs {
+		cat := tensor.NewVec(a.NHeads * hd)
+		for h := 0; h < a.NHeads; h++ {
+			g := h / group
+			q := qs[t][h*hd : (h+1)*hd]
+			scores := tensor.NewVec(t + 1)
+			for s := 0; s <= t; s++ {
+				k := ks[s][g*hd : (g+1)*hd]
+				var dot float32
+				for i := range q {
+					dot += float32(q[i] * k[i])
+				}
+				scores[s] = dot * scale
+			}
+			p := tensor.Softmax(scores, scores)
+			out := cat[h*hd : (h+1)*hd]
+			for s := 0; s <= t; s++ {
+				v := vs[s][g*hd : (g+1)*hd]
+				for i := range out {
+					out[i] += float32(p[s] * v[i])
+				}
+			}
+		}
+		ys[t] = a.Wo.Apply(cat, nil)
+	}
+	return ys
 }
 
 // workerScratch returns worker w's scratch slot, sized on first use, or a

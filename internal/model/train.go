@@ -61,7 +61,7 @@ func Train(m *Model, tokens []int, opts TrainOpts) (float64, error) {
 		if running == 0 {
 			running = batchLoss
 		} else {
-			running = 0.95*running + 0.05*batchLoss
+			running = float64(0.95*running) + float64(0.05*batchLoss)
 		}
 	}
 	if err := nn.CheckFinite(m); err != nil {

@@ -27,7 +27,7 @@ func (a *Adam) Step(params []*Param, lrScale float32) {
 		var ss float64
 		for _, p := range params {
 			for _, g := range p.G.Data {
-				ss += float64(g) * float64(g)
+				ss += float64(float64(g) * float64(g))
 			}
 		}
 		norm := float32(math.Sqrt(ss))
@@ -52,8 +52,8 @@ func (a *Adam) Step(params []*Param, lrScale float32) {
 		}
 		v := a.v[p]
 		for i, g := range p.G.Data {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float32(a.Beta1*m[i]) + float32((1-a.Beta1)*g)
+			v[i] = float32(a.Beta2*v[i]) + float32((1-a.Beta2)*g*g)
 			mhat := m[i] / bc1
 			vhat := v[i] / bc2
 			p.W.Data[i] -= lr * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)
@@ -73,7 +73,7 @@ func CosineLR(t, warmup, total int) float32 {
 		return 0.05
 	}
 	prog := float64(t-warmup) / float64(total-warmup)
-	return float32(0.05 + 0.95*0.5*(1+math.Cos(math.Pi*prog)))
+	return float32(0.05 + float64(0.95*0.5*(1+math.Cos(math.Pi*prog))))
 }
 
 // GradCheck compares the analytic gradient of param entry (i) against a

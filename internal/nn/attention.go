@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -47,73 +46,17 @@ func (a *Attention) Params() []*Param {
 	return []*Param{a.Wq.P, a.Wk.P, a.Wv.P, a.Wo.P}
 }
 
-// attnCtx retains the intermediates Backward needs.
-type attnCtx struct {
-	xs         []tensor.Vec   // inputs
-	qs, ks, vs []tensor.Vec   // projected sequences
-	probs      [][]tensor.Vec // probs[t][h] over s ≤ t
-	cat        []tensor.Vec   // concatenated head contexts per t
+// AttnRecord is what Backward reads of one position besides the keys and
+// values in the KV cache: the input, the query, every head's softmax
+// probabilities over the positions so far (head h's at [h·n, (h+1)·n) for
+// n = position+1) and the concatenated head contexts.
+type AttnRecord struct {
+	X, Q, Probs, Cat tensor.Vec
 }
 
-// Forward runs causal attention over the sequence. The projection loop and
-// the per-position attention loop both fan out over the worker pool: every
-// position writes only its own slots (qs/ks/vs[t], probs[t], cat[t], ys[t])
-// and reads earlier positions' projections, which are complete before the
-// second loop starts, so results are bit-identical to a serial run.
-func (a *Attention) Forward(xs []tensor.Vec) (ys []tensor.Vec, ctx *attnCtx) {
-	T := len(xs)
-	c := &attnCtx{xs: xs}
-	c.qs = make([]tensor.Vec, T)
-	c.ks = make([]tensor.Vec, T)
-	c.vs = make([]tensor.Vec, T)
-	parallel.For(T, tokenGrain, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			c.qs[t] = tensor.MatVec(a.Wq.P.W, xs[t], nil)
-			c.ks[t] = tensor.MatVec(a.Wk.P.W, xs[t], nil)
-			c.vs[t] = tensor.MatVec(a.Wv.P.W, xs[t], nil)
-		}
-	})
-	group := a.NHeads / a.NKV
-	hd := a.HeadDim
-	c.probs = make([][]tensor.Vec, T)
-	c.cat = make([]tensor.Vec, T)
-	ys = make([]tensor.Vec, T)
-	parallel.For(T, tokenGrain, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			c.probs[t] = make([]tensor.Vec, a.NHeads)
-			cat := tensor.NewVec(a.NHeads * hd)
-			for h := 0; h < a.NHeads; h++ {
-				g := h / group
-				q := c.qs[t][h*hd : (h+1)*hd]
-				scores := tensor.NewVec(t + 1)
-				for s := 0; s <= t; s++ {
-					k := c.ks[s][g*hd : (g+1)*hd]
-					var dot float32
-					for i := 0; i < hd; i++ {
-						dot += q[i] * k[i]
-					}
-					scores[s] = dot * a.scale
-				}
-				p := tensor.Softmax(scores, scores)
-				c.probs[t][h] = p
-				out := cat[h*hd : (h+1)*hd]
-				for s := 0; s <= t; s++ {
-					v := c.vs[s][g*hd : (g+1)*hd]
-					ps := p[s]
-					for i := 0; i < hd; i++ {
-						out[i] += ps * v[i]
-					}
-				}
-			}
-			c.cat[t] = cat
-			ys[t] = tensor.MatVec(a.Wo.P.W, cat, nil)
-		}
-	})
-	return ys, c
-}
-
-// Backward propagates gradients through the attention computed by Forward.
-func (a *Attention) Backward(dys []tensor.Vec, c *attnCtx) []tensor.Vec {
+// Backward propagates gradients through the positions recs records, whose
+// keys and values are cache.Ks and cache.Vs.
+func (a *Attention) Backward(dys []tensor.Vec, recs []AttnRecord, cache *KVCache) []tensor.Vec {
 	T := len(dys)
 	group := a.NHeads / a.NKV
 	hd := a.HeadDim
@@ -126,52 +69,53 @@ func (a *Attention) Backward(dys []tensor.Vec, c *attnCtx) []tensor.Vec {
 		dvs[t] = tensor.NewVec(a.NKV * hd)
 	}
 	for t := 0; t < T; t++ {
-		dy := dys[t]
-		tensor.AddOuter(a.Wo.P.G, 1, dy, c.cat[t])
+		dy, r := dys[t], &recs[t]
+		tensor.AddOuter(a.Wo.P.G, 1, dy, r.Cat)
 		dcat := tensor.MatTVec(a.Wo.P.W, dy, nil)
 		for h := 0; h < a.NHeads; h++ {
 			g := h / group
 			dctx := dcat[h*hd : (h+1)*hd]
-			p := c.probs[t][h]
+			p := r.Probs[h*(t+1) : (h+1)*(t+1)]
 			// dp and the softmax Jacobian.
 			dp := tensor.NewVec(t + 1)
 			var pdot float32
 			for s := 0; s <= t; s++ {
-				v := c.vs[s][g*hd : (g+1)*hd]
+				v := cache.Vs[s][g*hd : (g+1)*hd]
 				var d float32
 				for i := 0; i < hd; i++ {
-					d += dctx[i] * v[i]
+					d += float32(dctx[i] * v[i])
 				}
 				dp[s] = d
-				pdot += p[s] * d
+				pdot += float32(p[s] * d)
 				// dv accumulation
 				dv := dvs[s][g*hd : (g+1)*hd]
 				ps := p[s]
 				for i := 0; i < hd; i++ {
-					dv[i] += ps * dctx[i]
+					dv[i] += float32(ps * dctx[i])
 				}
 			}
-			q := c.qs[t][h*hd : (h+1)*hd]
+			q := r.Q[h*hd : (h+1)*hd]
 			dq := dqs[t][h*hd : (h+1)*hd]
 			for s := 0; s <= t; s++ {
 				ds := p[s] * (dp[s] - pdot) * a.scale
 				if ds == 0 {
 					continue
 				}
-				k := c.ks[s][g*hd : (g+1)*hd]
+				k := cache.Ks[s][g*hd : (g+1)*hd]
 				dk := dks[s][g*hd : (g+1)*hd]
 				for i := 0; i < hd; i++ {
-					dq[i] += ds * k[i]
-					dk[i] += ds * q[i]
+					dq[i] += float32(ds * k[i])
+					dk[i] += float32(ds * q[i])
 				}
 			}
 		}
 	}
 	dxs := make([]tensor.Vec, T)
 	for t := 0; t < T; t++ {
-		tensor.AddOuter(a.Wq.P.G, 1, dqs[t], c.xs[t])
-		tensor.AddOuter(a.Wk.P.G, 1, dks[t], c.xs[t])
-		tensor.AddOuter(a.Wv.P.G, 1, dvs[t], c.xs[t])
+		x := recs[t].X
+		tensor.AddOuter(a.Wq.P.G, 1, dqs[t], x)
+		tensor.AddOuter(a.Wk.P.G, 1, dks[t], x)
+		tensor.AddOuter(a.Wv.P.G, 1, dvs[t], x)
 		dx := tensor.MatTVec(a.Wq.P.W, dqs[t], nil)
 		tensor.MatTVec(a.Wk.P.W, dks[t], dx)
 		tensor.MatTVec(a.Wv.P.W, dvs[t], dx)
@@ -203,15 +147,15 @@ func (c *KVCache) push(n int) (k, v tensor.Vec) {
 }
 
 // Step runs attention for one new position given the cache, appends the new
-// key/value, and returns the attention output. It matches Forward exactly
-// (verified in tests), so perplexity measured incrementally equals the
-// teacher-forced value. The query, context, score and output buffers are
-// s's session buffers — the ones StepBatch reuses column by column — so the
-// returned vector is valid until the next Step on s; nil allocates. The key
-// and value are written into the cache's next slot, which allocates only
-// the first time the history reaches that length: once a decoder has filled
-// a window, every later window's steps allocate nothing.
-func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch) tensor.Vec {
+// key/value, and returns the attention output. The query, context, score
+// and output buffers are s's session buffers — the ones StepBatch reuses
+// column by column — so the returned vector is valid until the next Step on
+// s; nil allocates. The key and value are written into the cache's next
+// slot, which allocates only the first time the history reaches that
+// length: once a decoder has filled a window, every later window's steps
+// allocate nothing. A non-nil rec is filled, in fresh vectors, with what
+// Backward reads of this position; inference passes nil.
+func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch, rec *AttnRecord) tensor.Vec {
 	var local AttnBatchScratch
 	if s == nil {
 		s = &local
@@ -220,34 +164,49 @@ func (a *Attention) Step(x tensor.Vec, cache *KVCache, s *AttnBatchScratch) tens
 	k, v := cache.push(a.NKV * a.HeadDim)
 	tensor.MatVec(a.Wk.P.W, x, k)
 	tensor.MatVec(a.Wv.P.W, x, v)
-	s.attend(a, cache)
-	s.out = tensor.MatVec(a.Wo.P.W, s.cat, tensor.Grow(s.out, a.Dim))
+	var cat tensor.Vec
+	if rec == nil {
+		cat = s.attend(a, cache)
+	} else {
+		*rec = AttnRecord{X: x.Clone(), Q: s.q.Clone(), Probs: tensor.NewVec(a.NHeads * len(cache.Ks)), Cat: tensor.NewVec(a.NHeads * a.HeadDim)}
+		a.attend(rec.Q, cache, rec.Cat, rec.Probs)
+		cat = rec.Cat
+	}
+	s.out = tensor.MatVec(a.Wo.P.W, cat, tensor.Grow(s.out, a.Dim))
 	return s.out
 }
 
 // attend runs a's score → softmax → context loop for the query in s.q
-// against cache into s.cat, sizing s's context and score buffers first.
-func (s *AttnBatchScratch) attend(a *Attention, cache *KVCache) {
+// against cache into s.cat, sizing s's context and score buffers first,
+// and returns s.cat.
+func (s *AttnBatchScratch) attend(a *Attention, cache *KVCache) tensor.Vec {
 	s.cat = tensor.Grow(s.cat, a.NHeads*a.HeadDim)
 	s.cat.Zero()
 	if T := len(cache.Ks); cap(s.scores) < T {
 		s.scores = make(tensor.Vec, 2*T) // the history grows by one a step
 	}
 	a.attend(s.q, cache, s.cat, s.scores[:len(cache.Ks)])
+	return s.cat
 }
 
 // attend is the per-session score → softmax → context loop of one decode
 // step, shared by Step and StepBatch: for each head of the query q it
 // scores every cached key, normalises, and accumulates the weighted values
-// into that head's slice of cat, which must arrive zeroed. scores is
-// scratch of len(cache.Ks), overwritten per head.
+// into that head's slice of cat, which must arrive zeroed. scores holds
+// len(cache.Ks) floats, scratch overwritten head by head, or NHeads times
+// that, where head h's probabilities stay at [h·len(cache.Ks), …).
 func (a *Attention) attend(q tensor.Vec, cache *KVCache, cat, scores tensor.Vec) {
 	T := len(cache.Ks)
+	stride := 0
+	if len(scores) > T {
+		stride = T
+	}
 	group := a.NHeads / a.NKV
 	hd := a.HeadDim
 	for h := 0; h < a.NHeads; h++ {
 		g := h / group
 		qh := q[h*hd : (h+1)*hd]
+		scores := scores[h*stride : h*stride+T]
 		for s := 0; s < T; s++ {
 			ks := cache.Ks[s][g*hd : (g+1)*hd]
 			var dot float32

@@ -73,8 +73,7 @@ func (a *Attention) StepBatch(xs *tensor.Mat, caches []*KVCache, out *tensor.Mat
 	s.Cat = tensor.ReuseMat(s.Cat, a.NHeads*hd, B)
 	for b, c := range caches {
 		s.q = s.Q.Col(b, tensor.Grow(s.q, a.NHeads*hd))
-		s.attend(a, c)
-		s.Cat.SetCol(b, s.cat)
+		s.Cat.SetCol(b, s.attend(a, c))
 	}
 	if out == nil {
 		out = tensor.NewMat(a.Dim, B)

@@ -66,7 +66,7 @@ func TestAttentionStepBatchMatchesStepBitForBit(t *testing.T) {
 			}
 			out := attn.StepBatch(batchCols(xs), batched, nil, &scratch)
 			for b := range xs {
-				want := attn.Step(xs[b], single[b], nil)
+				want := attn.Step(xs[b], single[b], nil, nil)
 				for i := range want {
 					if out.At(i, b) != want[i] {
 						t.Fatalf("procs=%d step %d: StepBatch[%d,%d] = %v, Step %v",

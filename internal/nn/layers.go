@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -29,32 +28,20 @@ func (l *Linear) Apply(x, out tensor.Vec) tensor.Vec {
 	return tensor.MatVec(l.P.W, x, out)
 }
 
-// Forward maps each vector of the sequence and returns the outputs along
-// with the retained inputs needed by Backward. Tokens fan out over the
-// worker pool (disjoint output slots, bit-identical to serial).
-func (l *Linear) Forward(xs []tensor.Vec) (ys []tensor.Vec, ctx []tensor.Vec) {
-	ys = make([]tensor.Vec, len(xs))
-	parallel.For(len(xs), tokenGrain, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			ys[t] = tensor.MatVec(l.P.W, xs[t], nil)
-		}
-	})
-	return ys, xs
-}
-
-// Backward consumes the upstream gradients dys and the ctx from Forward,
-// accumulates the weight gradient and returns gradients w.r.t. inputs.
-func (l *Linear) Backward(dys []tensor.Vec, ctx []tensor.Vec) []tensor.Vec {
+// Backward consumes the upstream gradients dys of the outputs Apply made
+// from the inputs xs, accumulates the weight gradient and returns gradients
+// w.r.t. inputs.
+func (l *Linear) Backward(dys, xs []tensor.Vec) []tensor.Vec {
 	dxs := make([]tensor.Vec, len(dys))
 	for t, dy := range dys {
-		tensor.AddOuter(l.P.G, 1, dy, ctx[t])
+		tensor.AddOuter(l.P.G, 1, dy, xs[t])
 		dxs[t] = tensor.MatTVec(l.P.W, dy, nil)
 	}
 	return dxs
 }
 
 // Embedding combines a token-embedding table with learned absolute
-// positional embeddings. Forward output at position t is Tok[id_t] + Pos[t].
+// positional embeddings. The embedding at position t is Tok[id_t] + Pos[t].
 type Embedding struct {
 	Tok *Param // vocab × dim
 	Pos *Param // maxSeq × dim
@@ -72,18 +59,6 @@ func NewEmbedding(vocab, maxSeq, dim int, rng *tensor.RNG) *Embedding {
 // Params implements Module.
 func (e *Embedding) Params() []*Param { return []*Param{e.Tok, e.Pos} }
 
-// Forward embeds the token ids. len(ids) must be ≤ maxSeq.
-func (e *Embedding) Forward(ids []int) []tensor.Vec {
-	if len(ids) > e.Pos.W.Rows {
-		panic("nn: sequence longer than positional table")
-	}
-	xs := make([]tensor.Vec, len(ids))
-	for t, id := range ids {
-		xs[t] = e.At(id, t, nil)
-	}
-	return xs
-}
-
 // At writes the embedding of a single (id, position) pair into dst and
 // returns it — the incremental decoders' residual stream; nil allocates.
 func (e *Embedding) At(id, pos int, dst tensor.Vec) tensor.Vec {
@@ -95,7 +70,8 @@ func (e *Embedding) At(id, pos int, dst tensor.Vec) tensor.Vec {
 	return dst
 }
 
-// Backward scatter-adds the position-wise gradients into both tables.
+// Backward scatter-adds the gradients of the embeddings of ids at positions
+// 0, 1, … into both tables.
 func (e *Embedding) Backward(dxs []tensor.Vec, ids []int) {
 	for t, dx := range dxs {
 		e.Tok.G.Row(ids[t]).Add(dx)
@@ -125,11 +101,7 @@ func (n *RMSNorm) Apply(x, out tensor.Vec) tensor.Vec {
 	if out == nil {
 		out = tensor.NewVec(len(x))
 	}
-	var ss float64
-	for _, v := range x {
-		ss += float64(float64(v) * float64(v))
-	}
-	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(n.eps)))
+	inv := n.invRMS(x)
 	g := n.Gain.W.Row(0)
 	for i, v := range x {
 		out[i] = v * inv * g[i]
@@ -137,56 +109,41 @@ func (n *RMSNorm) Apply(x, out tensor.Vec) tensor.Vec {
 	return out
 }
 
-// rmsCtx retains what RMSNorm.Backward needs per position.
-type rmsCtx struct {
-	x   tensor.Vec
-	inv float32
-}
-
-// Forward normalizes the sequence.
-func (n *RMSNorm) Forward(xs []tensor.Vec) (ys []tensor.Vec, ctx []rmsCtx) {
-	ys = make([]tensor.Vec, len(xs))
-	ctx = make([]rmsCtx, len(xs))
-	g := n.Gain.W.Row(0)
-	for t, x := range xs {
-		var ss float64
-		for _, v := range x {
-			ss += float64(v) * float64(v)
-		}
-		inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(n.eps)))
-		y := tensor.NewVec(len(x))
-		for i, v := range x {
-			y[i] = v * inv * g[i]
-		}
-		ys[t] = y
-		ctx[t] = rmsCtx{x: x, inv: inv}
+// invRMS is 1/√(mean(x²)+eps), the scale Apply multiplies x by.
+func (n *RMSNorm) invRMS(x tensor.Vec) float32 {
+	var ss float64
+	for _, v := range x {
+		ss += float64(float64(v) * float64(v))
 	}
-	return ys, ctx
+	return float32(1 / math.Sqrt(ss/float64(len(x))+float64(n.eps)))
 }
 
-// Backward propagates gradients through the normalization.
+// Backward propagates the gradients dys of the outputs Apply made from the
+// inputs xs through the normalization, recomputing each input's inverse
+// RMS with Apply's own arithmetic.
 //
 // With x̂ = x·inv and y = g ⊙ x̂:
 //
 //	dg += dy ⊙ x̂
 //	dx  = inv·(g⊙dy) − x·inv³·⟨g⊙dy, x⟩/n
-func (n *RMSNorm) Backward(dys []tensor.Vec, ctx []rmsCtx) []tensor.Vec {
+func (n *RMSNorm) Backward(dys, xs []tensor.Vec) []tensor.Vec {
 	g := n.Gain.W.Row(0)
 	gGrad := n.Gain.G.Row(0)
 	dxs := make([]tensor.Vec, len(dys))
 	for t, dy := range dys {
-		x, inv := ctx[t].x, ctx[t].inv
+		x := xs[t]
+		inv := n.invRMS(x)
 		dim := len(x)
 		var dot float64
 		for i := range dy {
 			gd := g[i] * dy[i]
-			dot += float64(gd) * float64(x[i])
-			gGrad[i] += dy[i] * x[i] * inv
+			dot += float64(float64(gd) * float64(x[i]))
+			gGrad[i] += float32(dy[i] * x[i] * inv)
 		}
 		coef := float32(dot) * inv * inv * inv / float32(dim)
 		dx := tensor.NewVec(dim)
 		for i := range dy {
-			dx[i] = g[i]*dy[i]*inv - x[i]*coef
+			dx[i] = float32(g[i]*dy[i]*inv) - float32(x[i]*coef)
 		}
 		dxs[t] = dx
 	}

@@ -3,14 +3,8 @@ package nn
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
-
-// tokenGrain is the minimum tokens per parallel block in sequence loops: a
-// token's MLP/attention work is tens of microseconds at analog scale, so a
-// few tokens per block amortize the scheduling cost.
-const tokenGrain = 4
 
 // Activation selects the MLP non-linearity σ in GLU(x) = W_u x ⊙ σ(W_g x).
 type Activation int
@@ -134,40 +128,25 @@ func (m *GLUMLP) ApplyInto(x, out tensor.Vec, s *MLPScratch) tensor.Vec {
 	return tensor.MatVec(m.Down.P.W, s.H, out)
 }
 
-// mlpCtx is one token's Backward context: its input and the scratch
+// MLPRecord is what Backward reads of one token: its input and the scratch
 // ApplyInto filled with that token's U, G and H.
-type mlpCtx struct {
-	x tensor.Vec
+type MLPRecord struct {
+	X tensor.Vec
 	MLPScratch
 }
 
-// Forward evaluates the block over a sequence: ApplyInto per token, each
-// with its own scratch, retained for Backward. Tokens are independent, so
-// the loop fans out over the worker pool; outputs are written to disjoint
-// slots and results are bit-identical to a serial run.
-func (m *GLUMLP) Forward(xs []tensor.Vec) (ys []tensor.Vec, ctx []mlpCtx) {
-	ys = make([]tensor.Vec, len(xs))
-	ctx = make([]mlpCtx, len(xs))
-	parallel.For(len(xs), tokenGrain, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			ctx[t].x = xs[t]
-			ys[t] = m.ApplyInto(xs[t], nil, &ctx[t].MLPScratch)
-		}
-	})
-	return ys, ctx
-}
-
-// Backward accumulates weight gradients and returns input gradients. The
-// token loop stays serial so gradients accumulate into the parameters in a
+// Backward accumulates weight gradients from the upstream gradients dys
+// of the tokens recs records and returns input gradients. The token loop
+// stays serial so gradients accumulate into the parameters in a
 // fixed order (bit-reproducible training); the per-token scratch vectors
 // are reused across iterations instead of reallocated.
-func (m *GLUMLP) Backward(dys []tensor.Vec, ctx []mlpCtx) []tensor.Vec {
+func (m *GLUMLP) Backward(dys []tensor.Vec, recs []MLPRecord) []tensor.Vec {
 	dxs := make([]tensor.Vec, len(dys))
 	dh := tensor.NewVec(m.DFF)
 	du := tensor.NewVec(m.DFF)
 	dg := tensor.NewVec(m.DFF)
 	for t, dy := range dys {
-		c := ctx[t]
+		c := &recs[t]
 		// Down projection.
 		tensor.AddOuter(m.Down.P.G, 1, dy, c.H)
 		dh.Zero()
@@ -178,8 +157,8 @@ func (m *GLUMLP) Backward(dys []tensor.Vec, ctx []mlpCtx) []tensor.Vec {
 			du[i] = dh[i] * act
 			dg[i] = dh[i] * c.U[i] * m.Act.Grad(c.G[i])
 		}
-		tensor.AddOuter(m.Up.P.G, 1, du, c.x)
-		tensor.AddOuter(m.Gate.P.G, 1, dg, c.x)
+		tensor.AddOuter(m.Up.P.G, 1, du, c.X)
+		tensor.AddOuter(m.Gate.P.G, 1, dg, c.X)
 		dx := tensor.MatTVec(m.Up.P.W, du, nil)
 		tensor.MatTVec(m.Gate.P.W, dg, dx)
 		dxs[t] = dx

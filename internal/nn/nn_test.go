@@ -49,32 +49,67 @@ func checkGrads(t *testing.T, params []*Param, loss func() float64, run func(), 
 	}
 }
 
+// halfSqErr is ½‖y − target‖² summed over the sequence, with its gradient
+// y − target per position.
+func halfSqErr(ys, target []tensor.Vec) (float64, []tensor.Vec) {
+	var s float64
+	dys := make([]tensor.Vec, len(ys))
+	for t := range ys {
+		dys[t] = tensor.NewVec(len(ys[t]))
+		for i := range ys[t] {
+			d := ys[t][i] - target[t][i]
+			s += 0.5 * float64(d) * float64(d)
+			dys[t][i] = d
+		}
+	}
+	return s, dys
+}
+
+// applySeq maps every vector of xs through f.
+func applySeq(xs []tensor.Vec, f func(tensor.Vec) tensor.Vec) []tensor.Vec {
+	ys := make([]tensor.Vec, len(xs))
+	for t, x := range xs {
+		ys[t] = f(x)
+	}
+	return ys
+}
+
+// mlpSeq runs mlp over xs one token at a time, recording each for Backward.
+func mlpSeq(mlp *GLUMLP, xs []tensor.Vec) ([]tensor.Vec, []MLPRecord) {
+	recs := make([]MLPRecord, len(xs))
+	ys := make([]tensor.Vec, len(xs))
+	for t, x := range xs {
+		recs[t].X = x
+		ys[t] = mlp.ApplyInto(x, nil, &recs[t].MLPScratch)
+	}
+	return ys, recs
+}
+
+// attnSeq steps attn over xs on a fresh cache, recording each position for
+// Backward.
+func attnSeq(attn *Attention, xs []tensor.Vec) ([]tensor.Vec, []AttnRecord, *KVCache) {
+	cache := &KVCache{}
+	recs := make([]AttnRecord, len(xs))
+	ys := make([]tensor.Vec, len(xs))
+	for t, x := range xs {
+		ys[t] = attn.Step(x, cache, nil, &recs[t])
+	}
+	return ys, recs, cache
+}
+
 func TestLinearGradients(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	lin := NewLinear("lin", 5, 4, rng)
 	xs := randSeq(rng, 3, 4)
 	target := randSeq(rng, 3, 5)
+	fwd := func(x tensor.Vec) tensor.Vec { return lin.Apply(x, nil) }
 	loss := func() float64 {
-		ys, _ := lin.Forward(xs)
-		var s float64
-		for t := range ys {
-			for i := range ys[t] {
-				d := float64(ys[t][i] - target[t][i])
-				s += 0.5 * d * d
-			}
-		}
+		s, _ := halfSqErr(applySeq(xs, fwd), target)
 		return s
 	}
 	run := func() {
-		ys, ctx := lin.Forward(xs)
-		dys := make([]tensor.Vec, len(ys))
-		for t := range ys {
-			dys[t] = tensor.NewVec(len(ys[t]))
-			for i := range ys[t] {
-				dys[t][i] = ys[t][i] - target[t][i]
-			}
-		}
-		lin.Backward(dys, ctx)
+		_, dys := halfSqErr(applySeq(xs, fwd), target)
+		lin.Backward(dys, xs)
 	}
 	checkGrads(t, lin.Params(), loss, run, 0.03)
 }
@@ -83,30 +118,28 @@ func TestLinearInputGradient(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	lin := NewLinear("lin", 4, 3, rng)
 	xs := randSeq(rng, 1, 3)
-	ys, ctx := lin.Forward(xs)
 	dys := []tensor.Vec{tensor.NewVec(4)}
 	for i := range dys[0] {
 		dys[0][i] = 1
 	}
-	dxs := lin.Backward(dys, ctx)
+	dxs := lin.Backward(dys, xs)
 	// Finite difference on the input.
 	for j := 0; j < 3; j++ {
 		const h = 1e-3
 		orig := xs[0][j]
 		xs[0][j] = orig + h
-		up, _ := lin.Forward(xs)
+		up := lin.Apply(xs[0], nil)
 		xs[0][j] = orig - h
-		down, _ := lin.Forward(xs)
+		down := lin.Apply(xs[0], nil)
 		xs[0][j] = orig
 		var num float64
-		for i := range up[0] {
-			num += float64(up[0][i]-down[0][i]) / (2 * h)
+		for i := range up {
+			num += float64(up[i]-down[i]) / (2 * h)
 		}
 		if math.Abs(num-float64(dxs[0][j])) > 1e-2 {
 			t.Fatalf("input grad %d: analytic %v numeric %v", j, dxs[0][j], num)
 		}
 	}
-	_ = ys
 }
 
 func TestRMSNormGradients(t *testing.T) {
@@ -118,27 +151,14 @@ func TestRMSNormGradients(t *testing.T) {
 	}
 	xs := randSeq(rng, 2, 6)
 	target := randSeq(rng, 2, 6)
+	fwd := func(x tensor.Vec) tensor.Vec { return norm.Apply(x, nil) }
 	loss := func() float64 {
-		ys, _ := norm.Forward(xs)
-		var s float64
-		for t := range ys {
-			for i := range ys[t] {
-				d := float64(ys[t][i] - target[t][i])
-				s += 0.5 * d * d
-			}
-		}
+		s, _ := halfSqErr(applySeq(xs, fwd), target)
 		return s
 	}
 	run := func() {
-		ys, ctx := norm.Forward(xs)
-		dys := make([]tensor.Vec, len(ys))
-		for t := range ys {
-			dys[t] = tensor.NewVec(len(ys[t]))
-			for i := range ys[t] {
-				dys[t][i] = ys[t][i] - target[t][i]
-			}
-		}
-		norm.Backward(dys, ctx)
+		_, dys := halfSqErr(applySeq(xs, fwd), target)
+		norm.Backward(dys, xs)
 	}
 	checkGrads(t, norm.Params(), loss, run, 0.03)
 }
@@ -147,18 +167,17 @@ func TestRMSNormInputGradient(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	norm := NewRMSNorm("norm", 5)
 	xs := randSeq(rng, 1, 5)
-	_, ctx := norm.Forward(xs)
 	dys := []tensor.Vec{{0.3, -0.2, 0.5, 0.1, -0.4}}
-	dxs := norm.Backward(dys, ctx)
+	dxs := norm.Backward(dys, xs)
 	for j := 0; j < 5; j++ {
 		const h = 1e-3
 		orig := xs[0][j]
 		eval := func(v float32) float64 {
 			xs[0][j] = v
-			ys, _ := norm.Forward(xs)
+			y := norm.Apply(xs[0], nil)
 			var s float64
-			for i := range ys[0] {
-				s += float64(dys[0][i] * ys[0][i])
+			for i := range y {
+				s += float64(dys[0][i] * y[i])
 			}
 			return s
 		}
@@ -170,21 +189,6 @@ func TestRMSNormInputGradient(t *testing.T) {
 	}
 }
 
-func TestRMSNormApplyMatchesForward(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	norm := NewRMSNorm("norm", 8)
-	xs := randSeq(rng, 3, 8)
-	ys, _ := norm.Forward(xs)
-	for t2, x := range xs {
-		y := norm.Apply(x, nil)
-		for i := range y {
-			if math.Abs(float64(y[i]-ys[t2][i])) > 1e-6 {
-				t.Fatal("Apply and Forward disagree")
-			}
-		}
-	}
-}
-
 func TestGLUMLPGradients(t *testing.T) {
 	for _, act := range []Activation{ActSiLU, ActReLU} {
 		rng := tensor.NewRNG(6)
@@ -192,43 +196,16 @@ func TestGLUMLPGradients(t *testing.T) {
 		xs := randSeq(rng, 2, 5)
 		target := randSeq(rng, 2, 5)
 		loss := func() float64 {
-			ys, _ := mlp.Forward(xs)
-			var s float64
-			for t := range ys {
-				for i := range ys[t] {
-					d := float64(ys[t][i] - target[t][i])
-					s += 0.5 * d * d
-				}
-			}
+			ys, _ := mlpSeq(mlp, xs)
+			s, _ := halfSqErr(ys, target)
 			return s
 		}
 		run := func() {
-			ys, ctx := mlp.Forward(xs)
-			dys := make([]tensor.Vec, len(ys))
-			for t := range ys {
-				dys[t] = tensor.NewVec(len(ys[t]))
-				for i := range ys[t] {
-					dys[t][i] = ys[t][i] - target[t][i]
-				}
-			}
-			mlp.Backward(dys, ctx)
+			ys, recs := mlpSeq(mlp, xs)
+			_, dys := halfSqErr(ys, target)
+			mlp.Backward(dys, recs)
 		}
 		checkGrads(t, mlp.Params(), loss, run, 0.05)
-	}
-}
-
-func TestGLUMLPApplyMatchesForward(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	mlp := NewGLUMLP("mlp", 6, 10, ActSiLU, rng)
-	xs := randSeq(rng, 4, 6)
-	ys, _ := mlp.Forward(xs)
-	for t2, x := range xs {
-		y := mlp.Apply(x)
-		for i := range y {
-			if math.Abs(float64(y[i]-ys[t2][i])) > 1e-5 {
-				t.Fatal("Apply and Forward disagree")
-			}
-		}
 	}
 }
 
@@ -238,42 +215,66 @@ func TestAttentionGradients(t *testing.T) {
 	xs := randSeq(rng, 3, 8)
 	target := randSeq(rng, 3, 8)
 	loss := func() float64 {
-		ys, _ := attn.Forward(xs)
-		var s float64
-		for t := range ys {
-			for i := range ys[t] {
-				d := float64(ys[t][i] - target[t][i])
-				s += 0.5 * d * d
-			}
-		}
+		ys, _, _ := attnSeq(attn, xs)
+		s, _ := halfSqErr(ys, target)
 		return s
 	}
 	run := func() {
-		ys, ctx := attn.Forward(xs)
-		dys := make([]tensor.Vec, len(ys))
-		for t := range ys {
-			dys[t] = tensor.NewVec(len(ys[t]))
-			for i := range ys[t] {
-				dys[t][i] = ys[t][i] - target[t][i]
-			}
-		}
-		attn.Backward(dys, ctx)
+		ys, recs, cache := attnSeq(attn, xs)
+		_, dys := halfSqErr(ys, target)
+		attn.Backward(dys, recs, cache)
 	}
 	checkGrads(t, attn.Params(), loss, run, 0.05)
+}
+
+// A recorded Step returns the bits an unrecorded one does, and its record
+// holds one probability distribution per head and the context Wo read.
+func TestAttentionStepRecordIsStep(t *testing.T) {
+	rng := tensor.NewRNG(10)
+	attn := NewAttention("attn", 12, 4, 2, rng)
+	xs := randSeq(rng, 6, 12)
+	ys, recs, _ := attnSeq(attn, xs)
+	cache, s := &KVCache{}, &AttnBatchScratch{}
+	for t2, x := range xs {
+		y := attn.Step(x, cache, s, nil)
+		for i := range y {
+			if math.Float32bits(y[i]) != math.Float32bits(ys[t2][i]) {
+				t.Fatalf("position %d: recorded Step gives %v at %d, Step %v", t2, ys[t2][i], i, y[i])
+			}
+		}
+		r := recs[t2]
+		if len(r.Probs) != attn.NHeads*(t2+1) {
+			t.Fatalf("position %d: %d probabilities, want %d", t2, len(r.Probs), attn.NHeads*(t2+1))
+		}
+		for h := 0; h < attn.NHeads; h++ {
+			var sum float64
+			for _, p := range r.Probs[h*(t2+1) : (h+1)*(t2+1)] {
+				sum += float64(p)
+			}
+			if math.Abs(sum-1) > 1e-5 {
+				t.Fatalf("position %d head %d: probabilities sum to %v", t2, h, sum)
+			}
+		}
+		for i, v := range attn.Wo.Apply(r.Cat, nil) {
+			if math.Float32bits(v) != math.Float32bits(y[i]) {
+				t.Fatalf("position %d: Wo·Cat differs from the output at %d", t2, i)
+			}
+		}
+	}
 }
 
 func TestAttentionCausality(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	attn := NewAttention("attn", 8, 4, 2, rng)
 	xs := randSeq(rng, 5, 8)
-	ys, _ := attn.Forward(xs)
+	ys, _, _ := attnSeq(attn, xs)
 	// Changing a future input must not change a past output.
 	xs2 := make([]tensor.Vec, len(xs))
 	for i, x := range xs {
 		xs2[i] = x.Clone()
 	}
 	xs2[4].Fill(99)
-	ys2, _ := attn.Forward(xs2)
+	ys2, _, _ := attnSeq(attn, xs2)
 	for t2 := 0; t2 < 4; t2++ {
 		for i := range ys[t2] {
 			if ys[t2][i] != ys2[t2][i] {
@@ -283,34 +284,15 @@ func TestAttentionCausality(t *testing.T) {
 	}
 }
 
-func TestAttentionStepMatchesForward(t *testing.T) {
-	rng := tensor.NewRNG(10)
-	attn := NewAttention("attn", 12, 4, 2, rng)
-	xs := randSeq(rng, 6, 12)
-	ys, _ := attn.Forward(xs)
-	cache := &KVCache{}
-	for t2, x := range xs {
-		y := attn.Step(x, cache, nil)
-		for i := range y {
-			if math.Abs(float64(y[i]-ys[t2][i])) > 1e-5 {
-				t.Fatalf("Step diverges from Forward at position %d", t2)
-			}
-		}
-	}
-}
-
 func TestEmbeddingForwardBackward(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	emb := NewEmbedding(10, 8, 4, rng)
 	ids := []int{3, 7, 3}
-	xs := emb.Forward(ids)
-	if len(xs) != 3 {
-		t.Fatal("wrong length")
-	}
+	x0, x2 := emb.At(ids[0], 0, nil), emb.At(ids[2], 2, nil)
 	// Same token at different positions differs by positional embedding.
 	diff := false
-	for i := range xs[0] {
-		if xs[0][i] != xs[2][i] {
+	for i := range x0 {
+		if x0[i] != x2[i] {
 			diff = true
 		}
 	}
@@ -328,21 +310,6 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	}
 	if emb.Pos.G.At(1, 1) != 1 {
 		t.Fatal("positional grad wrong")
-	}
-}
-
-func TestEmbeddingAtMatchesForward(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	emb := NewEmbedding(10, 8, 4, rng)
-	ids := []int{1, 2, 3}
-	xs := emb.Forward(ids)
-	for t2, id := range ids {
-		x := emb.At(id, t2, nil)
-		for i := range x {
-			if x[i] != xs[t2][i] {
-				t.Fatal("At disagrees with Forward")
-			}
-		}
 	}
 }
 
@@ -400,12 +367,12 @@ func TestAdamReducesLoss(t *testing.T) {
 	opt := NewAdam(0.05)
 	first := lossAt()
 	for step := 0; step < 200; step++ {
-		ys, ctx := lin.Forward([]tensor.Vec{x})
-		dys := []tensor.Vec{tensor.NewVec(3)}
-		for i := range ys[0] {
-			dys[0][i] = ys[0][i] - target[i]
+		y := lin.Apply(x, nil)
+		dy := tensor.NewVec(3)
+		for i := range y {
+			dy[i] = y[i] - target[i]
 		}
-		lin.Backward(dys, ctx)
+		lin.Backward([]tensor.Vec{dy}, []tensor.Vec{x})
 		opt.Step(lin.Params(), 1)
 	}
 	last := lossAt()

@@ -1,10 +1,12 @@
 // Package nn implements the neural-network substrate: linear, embedding,
-// RMSNorm, gated-MLP and causal grouped-query attention layers, each with
-// hand-written forward and backward passes, plus the Adam optimizer and
-// binary parameter serialization. There is no autograd graph — the model
-// package composes these layers explicitly, which keeps the inner loops
-// allocation-free and the gradient code auditable (and gradient-checked in
-// the tests).
+// RMSNorm, gated-MLP and causal grouped-query attention layers, plus the
+// Adam optimizer and binary parameter serialization. Each layer's forward
+// is one token at a time (Apply, At, ApplyInto, Attention.Step), the step
+// a decoder takes; its hand-written Backward takes a sequence's gradients
+// and the inputs or records that forward left (MLPRecord, AttnRecord).
+// There is no autograd graph — the model package composes these layers
+// explicitly, which keeps the inner loops allocation-free and the gradient
+// code auditable (and gradient-checked in the tests).
 package nn
 
 import (
