@@ -30,15 +30,9 @@
 // each; experiments.Scenario holds the one table and every rule). -nodes
 // routes -serve to the cluster grid; -small conflicts with an explicit
 // -scale paper.
-//
-// Every run also emits a machine-readable BENCH_results.json (per
-// experiment: wall time in ns and the headline row of each table) into -out
-// when set, else the working directory; -json overrides the path and
-// -json none disables it.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,27 +45,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/parallel"
 )
-
-// benchTable is the JSON record of one rendered table.
-type benchTable struct {
-	ID          string            `json:"id"`
-	Rows        int               `json:"rows"`
-	HeadlineRow map[string]string `json:"headline_row,omitempty"`
-}
-
-// benchResult is the JSON record of one experiment run.
-type benchResult struct {
-	ID     string       `json:"id"`
-	NS     int64        `json:"ns"`
-	Tables []benchTable `json:"tables"`
-}
-
-// benchReport is the BENCH_results.json document.
-type benchReport struct {
-	Scale   string        `json:"scale"`
-	Procs   int           `json:"procs"`
-	Results []benchResult `json:"results"`
-}
 
 // fail reports an error and returns the process exit code; callers return
 // it up through run so deferred cleanup (CPU profile flushing) still fires.
@@ -95,7 +68,6 @@ func run() int {
 		verbose    = flag.Bool("v", true, "log lab progress to stderr")
 		procs      = flag.Int("procs", 0, "worker-pool size (0 = GOMAXPROCS / $REPRO_PROCS; 1 = serial)")
 		serve      = flag.Bool("serve", false, "run the multi-stream serving scenario (shorthand for -exp serve)")
-		jsonPath   = flag.String("json", "", "BENCH_results.json path ('' = <out>/BENCH_results.json or ./BENCH_results.json; 'none' disables)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -175,15 +147,13 @@ func run() int {
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
-	report := benchReport{Scale: *scale, Procs: parallel.Procs()}
 	for _, id := range ids {
-		start := time.Now() //lint:allow wallclock ns/op benchmark annotation; the tables themselves are tick-clocked
+		start := time.Now() //lint:allow wallclock the stderr progress line; the tables themselves are tick-clocked
 		tables, err := experiments.Run(lab, id)
 		if err != nil {
 			return fail("%s: %v", id, err)
 		}
-		elapsed := time.Since(start) //lint:allow wallclock ns/op benchmark annotation; the tables themselves are tick-clocked
-		res := benchResult{ID: id, NS: elapsed.Nanoseconds()}
+		elapsed := time.Since(start) //lint:allow wallclock the stderr progress line; the tables themselves are tick-clocked
 		var sink *os.File
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -213,26 +183,11 @@ func run() int {
 					return fail("%v", err)
 				}
 			}
-			bt := benchTable{ID: tab.ID, Rows: len(tab.Rows)}
-			if len(tab.Rows) > 0 {
-				last := tab.Rows[len(tab.Rows)-1]
-				bt.HeadlineRow = make(map[string]string, len(tab.Columns))
-				for ci, col := range tab.Columns {
-					if ci < len(last) {
-						bt.HeadlineRow[col] = last[ci]
-					}
-				}
-			}
-			res.Tables = append(res.Tables, bt)
 		}
 		if sink != nil {
 			sink.Close()
 		}
-		report.Results = append(report.Results, res)
 		fmt.Fprintf(os.Stderr, "dipbench: %s done in %v\n", id, elapsed.Round(time.Millisecond))
-	}
-	if err := writeReport(&report, *jsonPath, *outDir); err != nil {
-		return fail("results json: %v", err)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -247,30 +202,4 @@ func run() int {
 		f.Close()
 	}
 	return 0
-}
-
-// writeReport emits BENCH_results.json. An explicit -json path wins; with
-// -out set the report lands beside the per-experiment files; otherwise it
-// goes to the working directory.
-func writeReport(report *benchReport, jsonPath, outDir string) error {
-	if jsonPath == "none" {
-		return nil
-	}
-	path := jsonPath
-	if path == "" {
-		path = "BENCH_results.json"
-		if outDir != "" {
-			path = filepath.Join(outDir, "BENCH_results.json")
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dipbench: wrote %s\n", path)
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -59,37 +60,61 @@ var goldenRows = sync.OnceValue(func() []goldenRow {
 	return append(slices.Clone(tableGoldenRows()), clusterGoldenRows...)
 })
 
-// rendered memoizes each golden row's tables, so a test binary runs every
-// driver once: TestTablesGolden and the pin tests read the same tables.
-var rendered struct {
-	sync.Mutex
-	tables map[string][]*Table
+// run is one driver invocation: a registry id under a scenario.
+type run struct {
+	id   string
+	scen Scenario
 }
 
-// tablesOf returns the tables of the golden row with the given name,
-// running its driver on sharedLab on first use.
+// rendered memoizes each run's tables, so a test binary runs every driver
+// invocation once: TestTablesGolden, the pin tests and TestClaims read the
+// same tables.
+var rendered struct {
+	sync.Mutex
+	tables map[run][]*Table
+}
+
+// tablesOf returns the tables of the golden row with the given name.
 func tablesOf(t *testing.T, name string) []*Table {
 	t.Helper()
-	rendered.Lock()
-	defer rendered.Unlock()
-	if tabs, ok := rendered.tables[name]; ok {
-		return tabs
-	}
 	i := slices.IndexFunc(goldenRows(), func(r goldenRow) bool { return r.name == name })
 	if i < 0 {
 		t.Fatalf("no golden row named %q", name)
 	}
 	row := goldenRows()[i]
+	return tablesFor(t, run{row.id, row.scen})
+}
+
+// tablesFor returns r's tables, running its driver on sharedLab on first
+// use. r must be a run dipbench accepts: its scenario passes Validate with
+// the flags its non-zero fields stand for.
+func tablesFor(t *testing.T, r run) []*Table {
+	t.Helper()
+	rendered.Lock()
+	defer rendered.Unlock()
+	if tabs, ok := rendered.tables[r]; ok {
+		return tabs
+	}
+	set := make(map[string]bool)
+	for _, f := range scenarioFlags {
+		if !reflect.ValueOf(f.field(&r.scen)).Elem().IsZero() {
+			set[f.name] = true
+		}
+	}
+	s := r.scen // Validate resolves -trace into Workload; the run keeps its own
+	if err := s.Validate(r.id, set); err != nil {
+		t.Fatalf("-exp %s %+v: dipbench rejects it: %v", r.id, r.scen, err)
+	}
 	defer func(s Scenario) { sharedLab.Serve = s }(sharedLab.Serve)
-	sharedLab.Serve = row.scen
-	tabs, err := Run(sharedLab, row.id)
+	sharedLab.Serve = r.scen
+	tabs, err := Run(sharedLab, r.id)
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatalf("-exp %s %+v: %v", r.id, r.scen, err)
 	}
 	if rendered.tables == nil {
-		rendered.tables = make(map[string][]*Table)
+		rendered.tables = make(map[run][]*Table)
 	}
-	rendered.tables[name] = tabs
+	rendered.tables[r] = tabs
 	return tabs
 }
 

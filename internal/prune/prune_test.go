@@ -136,7 +136,8 @@ func TestSparseGPTBeatsMagnitudeOnCalibrationLoss(t *testing.T) {
 }
 
 func TestMagnitudeMatrix(t *testing.T) {
-	w := tensor.NewMatFrom(1, 4, []float32{0.1, -5, 0.2, 3})
+	w := tensor.NewMat(1, 4)
+	copy(w.Data, []float32{0.1, -5, 0.2, 3})
 	MagnitudeMatrix(w, 0.5)
 	if w.Data[0] != 0 || w.Data[2] != 0 || w.Data[1] == 0 || w.Data[3] == 0 {
 		t.Fatalf("magnitude pruning wrong: %v", w.Data)

@@ -53,16 +53,6 @@ func (v Vec) Add(w Vec) {
 	}
 }
 
-// AddScaled accumulates alpha*w into v.
-func (v Vec) AddScaled(alpha float32, w Vec) {
-	if len(v) != len(w) {
-		panic("tensor: Vec.AddScaled length mismatch")
-	}
-	for i := range v {
-		v[i] += float32(alpha * w[i])
-	}
-}
-
 // Scale multiplies every element of v by alpha.
 func (v Vec) Scale(alpha float32) {
 	for i := range v {
@@ -81,15 +71,6 @@ func (v Vec) Dot(w Vec) float32 {
 		s += float32(v[i] * w[i])
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vec) Norm2() float32 {
-	var s float64
-	for _, x := range v {
-		s += float64(float64(x) * float64(x))
-	}
-	return float32(math.Sqrt(s))
 }
 
 // Sum returns the sum of the elements of v in float64 precision.
@@ -126,14 +107,6 @@ func NewMat(rows, cols int) *Mat {
 		panic("tensor: NewMat with negative dimension")
 	}
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// NewMatFrom wraps data (length rows*cols) without copying.
-func NewMatFrom(rows, cols int, data []float32) *Mat {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: NewMatFrom data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Mat{Rows: rows, Cols: cols, Data: data}
 }
 
 // At returns element (i, j).
