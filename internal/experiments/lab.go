@@ -2,8 +2,8 @@
 // paper's evaluation (registry.go is the index; dipbench -list prints it).
 // Each driver takes a Lab — a cache of trained model analogs, corpus splits,
 // predictors and adapters at a chosen scale — and returns renderable Tables
-// with the same rows/series the paper reports. cmd/dipbench and
-// bench_test.go share these drivers.
+// with the same rows/series the paper reports. cmd/dipbench runs these
+// drivers.
 package experiments
 
 import (

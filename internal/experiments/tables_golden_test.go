@@ -67,7 +67,7 @@ type run struct {
 }
 
 // rendered memoizes each run's tables, so a test binary runs every driver
-// invocation once: TestTablesGolden, the pin tests and TestClaims read the
+// invocation once: TestTablesGolden and the claims (TestClaims) read the
 // same tables.
 var rendered struct {
 	sync.Mutex
