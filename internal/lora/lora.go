@@ -45,11 +45,6 @@ func NewAdapter(name string, out, in, rank int, rng *tensor.RNG) *Adapter {
 // Params returns the learnable parameters.
 func (a *Adapter) Params() []*nn.Param { return []*nn.Param{a.A, a.B} }
 
-// Delta materializes B·A.
-func (a *Adapter) Delta() *tensor.Mat {
-	return tensor.MatMul(a.B.W, a.A.W)
-}
-
 // LayerAdapters carries the three adapters of one MLP block. Any of the
 // fields may be nil (CATS adapts only up and down, per the paper).
 type LayerAdapters struct {
@@ -217,24 +212,12 @@ func adapterGrad(a *Adapter, dout, xin tensor.Vec) {
 	tensor.AddOuter(a.A.G, 1, dz, xin)
 }
 
-// applyDelta writes base + B·A into dst.
+// applyDelta writes base + B·A into dst: row i gains Σ_k B[i,k]·A[k,:],
+// k ascending.
 func applyDelta(dst, base *tensor.Mat, a *Adapter) {
 	copy(dst.Data, base.Data)
-	// dst += B·A, computed as rank-r outer products.
-	r := a.Rank
-	for k := 0; k < r; k++ {
-		bcol := a.B.W.Col(k, nil)
-		arow := a.A.W.Row(k)
-		for i := 0; i < dst.Rows; i++ {
-			bi := bcol[i]
-			if bi == 0 {
-				continue
-			}
-			row := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j := range row {
-				row[j] += bi * arow[j]
-			}
-		}
+	for i := 0; i < dst.Rows; i++ {
+		tensor.MatTVec(a.A.W, a.B.W.Row(i), dst.Row(i))
 	}
 	dst.Invalidate()
 }

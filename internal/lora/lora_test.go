@@ -14,31 +14,54 @@ import (
 	"repro/internal/tensor"
 )
 
+// refApplyDelta is base + B·A as a B·A product: element (i, j) adds
+// B[i,k]·A[k,j] over k ascending, each product rounded, zero B entries
+// skipped.
+func refApplyDelta(base *tensor.Mat, a *Adapter) *tensor.Mat {
+	out := base.Clone()
+	for i := 0; i < out.Rows; i++ {
+		for j := 0; j < out.Cols; j++ {
+			s := out.At(i, j)
+			for k := 0; k < a.Rank; k++ {
+				if b := a.B.W.At(i, k); b != 0 {
+					s += float32(b * a.A.W.At(k, j))
+				}
+			}
+			out.Data[i*out.Cols+j] = s
+		}
+	}
+	return out
+}
+
 func TestApplyDelta(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	base := tensor.NewMat(4, 3)
 	base.RandNorm(rng, 1)
 	a := NewAdapter("t", 4, 3, 2, rng)
-	// Give B nonzero values.
+	// Give B nonzero values, and one zero the fold must skip.
 	a.B.W.RandNorm(rng, 1)
+	a.B.W.Set(2, 1, 0)
 	dst := tensor.NewMat(4, 3)
 	applyDelta(dst, base, a)
-	delta := a.Delta()
+	want := refApplyDelta(base, a)
 	for i := range dst.Data {
-		want := base.Data[i] + delta.Data[i]
-		if math.Abs(float64(dst.Data[i]-want)) > 1e-5 {
-			t.Fatalf("applyDelta[%d] = %v, want %v", i, dst.Data[i], want)
+		if math.Float32bits(dst.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("applyDelta[%d] = %v, want %v", i, dst.Data[i], want.Data[i])
 		}
 	}
 }
 
 func TestZeroInitAdapterIsIdentity(t *testing.T) {
 	rng := tensor.NewRNG(2)
+	base := tensor.NewMat(5, 4)
+	base.RandNorm(rng, 1)
+	base.Set(1, 2, float32(math.Copysign(0, -1)))
 	a := NewAdapter("t", 5, 4, 2, rng)
-	d := a.Delta()
-	for _, x := range d.Data {
-		if x != 0 {
-			t.Fatal("B zero-init should give zero delta")
+	dst := tensor.NewMat(5, 4)
+	applyDelta(dst, base, a)
+	for i, x := range dst.Data {
+		if math.Float32bits(x) != math.Float32bits(base.Data[i]) {
+			t.Fatalf("zero-init B: applyDelta[%d] = %v, want base %v", i, x, base.Data[i])
 		}
 	}
 }

@@ -28,6 +28,32 @@ func refMatVecSparse(m *Mat, x Vec, idx []int) Vec {
 	return out
 }
 
+// refMatTVec is the row loop MatTVec ran before it called sparseAccum, kept
+// as its oracle: out[j] += float32(m[i][j]·x[i]) for ascending i, zero
+// inputs skipped.
+func refMatTVec(m *Mat, x Vec, out Vec) Vec {
+	for i := 0; i < m.Rows; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, w := range row {
+			out[j] += float32(w * xi)
+		}
+	}
+	return out
+}
+
+// checkMatTVecAgainstOracle holds MatTVec to refMatTVec bit for bit, both
+// accumulating into copies of acc.
+func checkMatTVecAgainstOracle(t *testing.T, m *Mat, x, acc Vec) {
+	t.Helper()
+	if err := sameBits(MatTVec(m, x, acc.Clone()), refMatTVec(m, x, acc.Clone())); err != nil {
+		t.Fatalf("%dx%d MatTVec%v", m.Rows, m.Cols, err)
+	}
+}
+
 // sameBits compares bit patterns, so -0 ≠ +0; two NaNs count as equal
 // whatever their payloads (the fuzzer feeds NaN inputs, and which operand's
 // payload an add propagates is the instruction selector's business).
@@ -108,7 +134,9 @@ func TestSparseKernelMatchesOracleBitForBit(t *testing.T) {
 // TestSparseAccumEveryLength runs the kernel at every output length 0…41 —
 // every residue mod 8 of the eight-float body and its scalar tail, with odd
 // lengths starting the mirror rows off 16-byte alignment — and every unit
-// count 0…9, so the leftover loop gets 0 to 3 units. Special values go into
+// count 0…9, so the leftover loop gets 0 to 3 units; MatTVec runs it at the
+// same lengths and counts on a k×rows view of the weights, into an
+// accumulator seeded with the same kind of values. Special values go into
 // the weights, the inputs, and both at once: the values a vector lane could
 // treat differently from the scalar loop — both zeros, both ends of the
 // denormal range (no flush to zero), the infinities, NaN, and the extremes
@@ -151,6 +179,14 @@ func TestSparseAccumEveryLength(t *testing.T) {
 					idxs[b] = rng.Perm(cols)[:k]
 				}
 				checkSparseAgainstOracle(t, m, xs, idxs)
+				acc := NewVec(rows)
+				for i := range acc {
+					acc[i] = 100 * rng.NormFloat32()
+				}
+				if sp.x {
+					special(acc)
+				}
+				checkMatTVecAgainstOracle(t, &Mat{Rows: k, Cols: rows, Data: m.Data[:k*rows]}, xs[0][:k], acc)
 			}
 		}
 	}
@@ -221,6 +257,41 @@ func FuzzMatVecSparse(f *testing.F) {
 		if err := sameBits(got.Col(0, nil), NewVec(rows)); err != nil {
 			t.Fatalf("MatVecSparseBatch empty column 0 %v", err)
 		}
+	})
+}
+
+// FuzzMatTVec decodes bytes into (shape, operands): a unit-count byte (0…9,
+// so the four-unit pass and its leftover loop both run), an output-length
+// byte (0…41), then four-byte values written in turn over x, the
+// accumulator and the weights (any bit pattern, so ±0, ±Inf, NaN and
+// denormals reach the kernel, and the accumulator starts as junk); what the
+// bytes leave unwritten keeps its seeded value.
+func FuzzMatTVec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 9, 0, 0, 0, 128, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 192, 127, 0, 0, 0, 0, 219, 15, 73, 64})
+	f.Add([]byte{8, 7, 0, 0, 128, 63, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 192, 255, 1, 0, 0, 0, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 64, 64, 255, 255, 127, 127})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := int(data[0]%10), int(data[1]%42)
+		rng := NewRNG(uint64(rows)<<8 | uint64(cols))
+		m := NewMat(rows, cols)
+		m.RandNorm(rng, 1)
+		x, acc := NewVec(rows), NewVec(cols)
+		for i := range x {
+			x[i] = rng.NormFloat32()
+		}
+		for j := range acc {
+			acc[j] = 100 * rng.NormFloat32()
+		}
+		data = data[2:]
+		for _, v := range []Vec{x, acc, m.Data} {
+			for p := 0; p < len(v) && len(data) >= 4; p, data = p+1, data[4:] {
+				v[p] = math.Float32frombits(binary.LittleEndian.Uint32(data))
+			}
+		}
+		checkMatTVecAgainstOracle(t, m, x, acc)
 	})
 }
 
@@ -402,8 +473,9 @@ func TestSparseKernelsDoNotAllocate(t *testing.T) {
 
 // Nodes of a cluster share one model, so the first sparse products on a
 // matrix can arrive from several goroutines at once: each builds the same
-// mirror, one is published, and every caller gets the oracle's product. Run
-// under -race.
+// mirror, one is published, and every caller gets the oracle's product.
+// Training fans out the same way, so callers of MatTVec with different row
+// counts grow its shared unit list at once. Run under -race.
 func TestConcurrentFirstUseBuildsOneMirror(t *testing.T) {
 	defer parallel.SetProcs(parallel.Procs())
 	parallel.SetProcs(4)
@@ -412,14 +484,25 @@ func TestConcurrentFirstUseBuildsOneMirror(t *testing.T) {
 		m, xs, idxs := sparseCase(rng, 24, 16, 9, 1)
 		want := refMatVecSparse(m, xs[0], idxs[0])
 		errs := make([]error, 8)
+		mts, ys := make([]*Mat, len(errs)), make([]Vec, len(errs))
+		for g := range mts {
+			mts[g] = NewMat(1+8*round+g, 5)
+			mts[g].RandNorm(rng, 1)
+			ys[g] = NewVec(mts[g].Rows)
+			ys[g].Fill(0.5)
+		}
 		parallel.For(len(errs), 1, func(lo, hi int) {
 			for g := lo; g < hi; g++ {
-				errs[g] = sameBits(MatVecSparse(m, xs[0], idxs[0], nil), want)
+				if err := sameBits(MatVecSparse(m, xs[0], idxs[0], nil), want); err != nil {
+					errs[g] = fmt.Errorf("MatVecSparse%v", err)
+				} else if err := sameBits(MatTVec(mts[g], ys[g], nil), refMatTVec(mts[g], ys[g], NewVec(5))); err != nil {
+					errs[g] = fmt.Errorf("%d-row MatTVec%v", mts[g].Rows, err)
+				}
 			}
 		})
 		for g, err := range errs {
 			if err != nil {
-				t.Fatalf("round %d caller %d: MatVecSparse%v", round, g, err)
+				t.Fatalf("round %d caller %d: %v", round, g, err)
 			}
 		}
 	}

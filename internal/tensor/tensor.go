@@ -250,7 +250,9 @@ func MatVec(m *Mat, x Vec, out Vec) Vec {
 // MatTVec computes out = mᵀ · x where x has length m.Rows and out has
 // length m.Cols. out is allocated when nil, and is NOT zeroed when
 // provided — callers that reuse buffers must zero first. This accumulate
-// form is what backprop needs (dL/dx += Wᵀ dL/dy).
+// form is what backprop needs (dL/dx += Wᵀ dL/dy). It is the sparse kernel
+// over every row: row-major m is already unit-major for this product, so
+// each out[j] adds its terms in ascending i with zero inputs skipped.
 func MatTVec(m *Mat, x Vec, out Vec) Vec {
 	if len(x) != m.Rows {
 		panic("tensor: MatTVec x length mismatch")
@@ -261,17 +263,26 @@ func MatTVec(m *Mat, x Vec, out Vec) Vec {
 	if len(out) != m.Cols {
 		panic("tensor: MatTVec out length mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			out[j] += float32(w * xi)
-		}
-	}
+	sparseAccum(m, x, 1, 0, allUnits(m.Rows), out)
 	return out
+}
+
+// units is the list 0, 1, 2, … that allUnits hands out. A published list is
+// never written; a longer one replaces it.
+var units atomic.Pointer[[]int]
+
+// allUnits returns the read-only list 0, 1, …, n-1.
+func allUnits(n int) []int {
+	p := units.Load()
+	if p != nil && len(*p) >= n {
+		return (*p)[:n]
+	}
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	units.CompareAndSwap(p, &s)
+	return s
 }
 
 // AddOuter accumulates alpha * a bᵀ into m, where a has length m.Rows and b
@@ -291,28 +302,6 @@ func AddOuter(m *Mat, alpha float32, a, b Vec) {
 			row[j] += float32(ai * b[j])
 		}
 	}
-}
-
-// MatMul returns a·b for a (n×k) and b (k×m).
-func MatMul(a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic("tensor: MatMul inner dimension mismatch")
-	}
-	out := NewMat(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += float32(av * bv)
-			}
-		}
-	}
-	return out
 }
 
 // MaskedMatVecCols computes out = m~ · x where m~ keeps only the columns j
@@ -363,11 +352,12 @@ func MatVecSparse(m *Mat, x Vec, idx []int, out Vec) Vec {
 	return out
 }
 
-// sparseAccum is the one sparse kernel, shared by MatVecSparse and
-// MatVecSparseBatch: acc[i] += Σ t[j][i] · x[j·stride+first] over the
-// units j of idx whose input is non-zero, where t is the input-major mirror.
+// sparseAccum is the one accumulate kernel, shared by MatVecSparse,
+// MatVecSparseBatch and MatTVec: acc[i] += Σ t[j][i] · x[j·stride+first] over
+// the units j of idx whose input is non-zero, where row j of t is unit j's
+// weights (the input-major mirror, or a row-major matrix for MatTVec).
 // Four units go through each pass over acc (accum4: SSE2 on amd64, a Go loop
-// elsewhere), so acc is loaded and stored once per four contiguous mirror
+// elsewhere), so acc is loaded and stored once per four contiguous unit
 // rows; within a pass the four terms are added one after another, so every
 // acc[i] receives its terms in idx order — the same float32 sequence as a
 // unit-at-a-time loop, on every architecture. The up to three units left

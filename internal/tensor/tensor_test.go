@@ -138,18 +138,6 @@ func TestAddOuter(t *testing.T) {
 	}
 }
 
-func TestMatMul(t *testing.T) {
-	a := &Mat{Rows: 2, Cols: 2, Data: []float32{1, 2, 3, 4}}
-	b := &Mat{Rows: 2, Cols: 2, Data: []float32{5, 6, 7, 8}}
-	c := MatMul(a, b)
-	want := []float32{19, 22, 43, 50}
-	for i := range want {
-		if c.Data[i] != want[i] {
-			t.Fatalf("MatMul = %v", c.Data)
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	r := NewRNG(9)
 	m := NewMat(5, 7)
