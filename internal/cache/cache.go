@@ -61,15 +61,12 @@ func (s Stats) HitRate() float64 {
 
 // GroupCache caches the units of one weight group at one layer.
 //
-// Eviction order is one total order for every policy: the victim is the
-// evictable unit with the smallest (key, unit) pair, where key[u] is the
-// policy's single per-unit number — the last-use stamp (LRU) or the use
-// count (LFU; counted for non-resident units too, so a returning unit keeps
-// its history). The evictable units — resident and not part of the access
-// being processed — sit in an indexed binary min-heap on that order. A unit
-// of the current access leaves the heap when the access starts and re-enters
-// under its new key when it ends, so "in the heap" is the
-// eviction-protection test and a miss takes the heap top in O(log capacity).
+// Every policy evicts by one total order: the evictable unit (resident, and
+// not part of the access being processed) with the smallest (key, unit)
+// pair, where key[u] is the last-use stamp (LRU) or the use count (LFU;
+// counted for non-resident units too, so a returning unit keeps its
+// history). The evictable units are an unordered list of eviction words
+// key<<unitBits | unit, whose integer order is that pair order.
 type GroupCache struct {
 	policy   Policy
 	capacity int
@@ -77,10 +74,10 @@ type GroupCache struct {
 	count    int
 	clock    int64
 
-	resident []bool
-	key      []int64
-	heap     []int32 // evictable units, min-heap on (key, unit)
-	pos      []int32 // pos[u] is u's index in heap, or -1
+	resident  []bool
+	key       []int64
+	stamp     []uint32 // uint32(clock) on the units of the access in progress
+	evictable []uint64 // eviction words of the evictable units
 
 	// Belady state: for each unit, the (ascending) positions in the access
 	// stream where it is used, and a cursor into that list.
@@ -91,26 +88,33 @@ type GroupCache struct {
 	stats Stats
 }
 
+// An eviction word holds a unit in its low unitBits bits and the unit's key
+// in the keyBits above them, so a universe holds at most 1<<unitBits units
+// and a key stays below 1<<keyBits: the clock, which bounds every use count
+// too, panics there, after weeks of one group's accesses at microseconds each.
+const (
+	unitBits = 24
+	keyBits  = 64 - unitBits
+	unitMask = 1<<unitBits - 1
+)
+
 // NewGroupCache returns a cache over nunits units holding at most capacity
-// of them. capacity is clamped to [0, nunits]; a negative nunits panics.
+// of them. capacity is clamped to [0, nunits]; an nunits outside [0,
+// 1<<unitBits], the units an eviction word holds, panics.
 func NewGroupCache(policy Policy, capacity, nunits int) *GroupCache {
-	if nunits < 0 {
-		panic("cache: negative unit universe")
+	if uint(nunits) > 1<<unitBits {
+		panic(fmt.Sprintf("cache: unit universe %d outside [0, %d]", nunits, 1<<unitBits))
 	}
 	capacity = clampCapacity(policy, capacity, nunits)
-	g := &GroupCache{
-		policy:   policy,
-		capacity: capacity,
-		nunits:   nunits,
-		resident: make([]bool, nunits),
-		key:      make([]int64, nunits),
-		heap:     make([]int32, 0, capacity),
-		pos:      make([]int32, nunits),
+	return &GroupCache{
+		policy:    policy,
+		capacity:  capacity,
+		nunits:    nunits,
+		resident:  make([]bool, nunits),
+		key:       make([]int64, nunits),
+		stamp:     make([]uint32, nunits),
+		evictable: make([]uint64, 0, capacity),
 	}
-	for u := range g.pos {
-		g.pos[u] = -1
-	}
-	return g
 }
 
 // clampCapacity is the capacity NewGroupCache gives a group: capacity
@@ -123,15 +127,13 @@ func clampCapacity(policy Policy, capacity, nunits int) int {
 }
 
 // Reset empties the cache in place back to what NewGroupCache built with
-// the same arguments: nothing resident, every key, the clock and the
+// the same arguments: nothing resident, every key, stamp, the clock and the
 // statistics zero, and no Belady trace.
 func (g *GroupCache) Reset() {
 	clear(g.resident)
 	clear(g.key)
-	for u := range g.pos {
-		g.pos[u] = -1
-	}
-	g.heap = g.heap[:0]
+	clear(g.stamp)
+	g.evictable = g.evictable[:0]
 	g.count, g.clock = 0, 0
 	g.future, g.cursor, g.syncPos = nil, nil, 0
 	g.stats = Stats{}
@@ -182,6 +184,9 @@ func (g *GroupCache) nextUse(u int) int32 {
 	return f[c]
 }
 
+// word is u's eviction word under its current key.
+func (g *GroupCache) word(u int) uint64 { return uint64(g.key[u])<<unitBits | uint64(u) }
+
 // AccessSparse processes one token's access to the listed units, updating
 // residency per the policy, and returns the hit and miss unit counts. A
 // unit listed twice is touched twice: the first occurrence may miss and
@@ -191,17 +196,34 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		g.stats.Misses += int64(len(units))
 		return 0, len(units)
 	}
+	// The access's stamp is uint32(clock). Stamps only grow between wraps of
+	// the low 32 bits, so an old one never matches; at a wrap every stamp is
+	// cleared and the clock skips 0, which leaves the LRU keys' order as it was.
 	g.clock++
+	if uint32(g.clock) == 0 {
+		if g.clock == 1<<keyBits {
+			panic(fmt.Sprintf("cache: clock reached 1<<%d, past the key an eviction word holds", keyBits))
+		}
+		clear(g.stamp)
+		g.clock++
+	}
+	s := uint32(g.clock)
 	// Every unit of the access is needed this token, so none may be evicted
-	// by another's miss: take the resident ones out of the heap up front.
+	// by another's miss: stamp them and drop the resident ones' words.
 	for _, u := range units {
 		if uint(u) >= uint(g.nunits) {
 			panic(fmt.Sprintf("cache: unit %d outside the universe of %d", u, g.nunits))
 		}
-		if p := g.pos[u]; p >= 0 {
-			g.heapRemove(int(p))
+		g.stamp[u] = s
+	}
+	kept := g.evictable[:0]
+	for _, w := range g.evictable {
+		if g.stamp[w&unitMask] != s {
+			kept = append(kept, w)
 		}
 	}
+	g.evictable = kept
+	evicts := 0
 	for _, u := range units {
 		switch g.policy {
 		case PolicyLRU:
@@ -214,11 +236,39 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 			continue
 		}
 		misses++
-		g.insert(u)
+		// With no room and no victim, u bypasses the cache (the paper's
+		// low-density regime, where the active units exceed the cache and are
+		// loaded straight to the processing unit).
+		switch {
+		case g.count < g.capacity:
+			g.count++
+		case g.policy == PolicyBelady:
+			if !g.beladyEvictFor(u) {
+				continue
+			}
+		case evicts < len(g.evictable):
+			evicts++
+		default:
+			continue
+		}
+		g.resident[u] = true
 	}
+	// The evictable list does not change during an LRU or LFU walk, so the
+	// victims counted there are its smallest words, whichever miss took
+	// which: one selection finds them all.
+	if evicts > 0 {
+		selectSmallest(g.evictable, evicts)
+		for _, w := range g.evictable[:evicts] {
+			g.resident[w&unitMask] = false
+		}
+		g.evictable = append(g.evictable[:0], g.evictable[evicts:]...)
+		g.stats.Evictions += int64(evicts)
+	}
+	// The resident units of the access become evictable again, once each.
 	for _, u := range units {
-		if g.resident[u] && g.pos[u] < 0 {
-			g.heapPush(u)
+		if g.resident[u] && g.stamp[u] == s {
+			g.stamp[u] = s - 1
+			g.evictable = append(g.evictable, g.word(u))
 		}
 	}
 	g.stats.Hits += int64(hits)
@@ -229,126 +279,75 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	return hits, misses
 }
 
-// insert makes u, a unit of the access being processed, resident when the
-// cache has room or a victim to give up; otherwise u bypasses the cache
-// (the paper's low-density regime, where the active units exceed the cache
-// and are loaded straight to the processing unit). u joins the heap when
-// the access ends.
-func (g *GroupCache) insert(u int) {
-	if g.count < g.capacity {
-		g.count++
-	} else if !g.evictFor(u) {
-		return
-	}
-	g.resident[u] = true
-}
-
-// evictFor frees one slot for u by evicting the heap top, and reports
-// false when nothing may be evicted: every resident unit is needed this
-// token, or (Belady) keeping the cache contents serves the future better.
-func (g *GroupCache) evictFor(u int) bool {
-	if len(g.heap) == 0 {
+// beladyEvictFor makes room for u by swap-deleting the evictable unit used
+// farthest in the future, and reports false when nothing may be evicted:
+// every resident unit is needed this token, or keeping the cache contents
+// serves the future better.
+func (g *GroupCache) beladyEvictFor(u int) bool {
+	h := g.evictable
+	if len(h) == 0 {
 		return false
 	}
-	at := 0
-	if g.policy == PolicyBelady {
-		at = g.beladyVictim()
-		if g.nextUse(u) >= g.nextUse(int(g.heap[at])) {
-			// Optimal-with-bypass: the incoming unit is needed again no sooner
-			// than the best victim, so caching it cannot help.
-			return false
-		}
+	at := g.beladyVictim()
+	if g.nextUse(u) >= g.nextUse(int(h[at]&unitMask)) {
+		// Optimal-with-bypass: the incoming unit is needed again no sooner
+		// than the best victim, so caching it cannot help.
+		return false
 	}
-	g.resident[g.heap[at]] = false
-	g.heapRemove(at)
+	g.resident[h[at]&unitMask] = false
 	g.stats.Evictions++
+	h[at] = h[len(h)-1]
+	g.evictable = h[:len(h)-1]
 	return true
 }
 
-// beladyVictim returns the heap index of the evictable unit whose next use
-// is farthest away, lowest unit on ties. Belady keeps a scan (over the
+// beladyVictim returns the index of the evictable unit whose next use is
+// farthest away, lowest unit on ties. Belady keeps a scan (over the
 // evictable units, not the universe) because its order cannot be
 // maintained incrementally: next use is a function of the stream position,
 // not of the unit's own touches, so a key computed at a unit's last touch
 // goes stale as soon as the replayed stream departs from the recorded one
 // (a position the trace promised passes without the touch; see
 // TestBeladyKeyAtLastTouchGoesStale). It is an offline oracle; its keys
-// stay zero and the heap serves it only as the set of evictable units.
+// stay zero.
 func (g *GroupCache) beladyVictim() int {
-	best, bestUnit, bestNext := 0, int32(-1), int32(-1)
-	for i, v := range g.heap {
-		if nu := g.nextUse(int(v)); nu > bestNext || (nu == bestNext && v < bestUnit) {
+	best, bestUnit, bestNext := 0, -1, int32(-1)
+	for i, w := range g.evictable {
+		v := int(w & unitMask)
+		if nu := g.nextUse(v); nu > bestNext || (nu == bestNext && v < bestUnit) {
 			best, bestUnit, bestNext = i, v, nu
 		}
 	}
 	return best
 }
 
-// less orders the heap: smaller key first, lower unit on ties.
-func (g *GroupCache) less(u, v int32) bool {
-	ku, kv := g.key[u], g.key[v]
-	return ku < kv || (ku == kv && u < v)
-}
-
-// heapPush adds u to the evictable set.
-func (g *GroupCache) heapPush(u int) {
-	g.heap = append(g.heap, int32(u))
-	g.siftUp(len(g.heap) - 1)
-}
-
-// heapRemove takes the unit at heap index i out of the evictable set.
-func (g *GroupCache) heapRemove(i int) {
-	last := len(g.heap) - 1
-	g.pos[g.heap[i]] = -1
-	moved := g.heap[last]
-	g.heap = g.heap[:last]
-	if i == last {
-		return
-	}
-	g.heap[i] = moved
-	g.siftDown(i)
-	if g.heap[i] == moved {
-		g.siftUp(i)
-	}
-}
-
-// siftUp moves the unit at heap index i toward the root until its parent is
-// not larger, carrying it in a register and writing it once.
-func (g *GroupCache) siftUp(i int) {
-	u := g.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		v := g.heap[parent]
-		if !g.less(u, v) {
-			break
+// selectSmallest moves the k smallest of the distinct words h to h[:k], in
+// no order, by quickselect on the middle word.
+func selectSmallest(h []uint64, k int) {
+	lo, hi := 0, len(h)-1
+	for lo < hi && k < len(h) {
+		p := h[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for h[i] < p {
+				i++
+			}
+			for h[j] > p {
+				j--
+			}
+			if i <= j {
+				h[i], h[j] = h[j], h[i]
+				i, j = i+1, j-1
+			}
 		}
-		g.heap[i], g.pos[v] = v, int32(i)
-		i = parent
+		if k-1 <= j {
+			hi = j
+		} else if k-1 >= i {
+			lo = i
+		} else {
+			return
+		}
 	}
-	g.heap[i], g.pos[u] = u, int32(i)
-}
-
-// siftDown moves the unit at heap index i toward the leaves until neither
-// child is smaller.
-func (g *GroupCache) siftDown(i int) {
-	n := len(g.heap)
-	u := g.heap[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		v := g.heap[child]
-		if r := child + 1; r < n && g.less(g.heap[r], v) {
-			child, v = r, g.heap[r]
-		}
-		if !g.less(v, u) {
-			break
-		}
-		g.heap[i], g.pos[v] = v, int32(i)
-		i = child
-	}
-	g.heap[i], g.pos[u] = u, int32(i)
 }
 
 // AccessDense processes a token that reads every unit of the group. Dense
@@ -362,7 +361,7 @@ func (g *GroupCache) AccessDense() (hits, misses int) {
 		if !g.resident[u] {
 			g.resident[u] = true
 			g.count++
-			g.heapPush(u)
+			g.evictable = append(g.evictable, g.word(u))
 		}
 	}
 	hits = g.count

@@ -1,11 +1,15 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // refCache is GroupCache as it stood before the heap: last-use stamps, use
@@ -171,25 +175,28 @@ func (g *refCache) accessDense() (hits, misses int) {
 
 var victimPolicies = []Policy{PolicyLRU, PolicyLFU, PolicyBelady}
 
-// checkHeap holds g, between accesses, to the structure's invariants: pos
-// and heap describe the same set, that set is exactly the resident units
-// (every heap member resident, and nothing in flight between accesses), and
-// every parent orders before its children.
-func checkHeap(g *GroupCache) error {
-	if len(g.heap) != g.count || g.count > g.capacity {
-		return fmt.Errorf("heap holds %d units, occupancy %d, capacity %d", len(g.heap), g.count, g.capacity)
+// checkEvictable holds g, between accesses, to the structure's invariant:
+// the evictable set is exactly the resident units (nothing is in flight
+// between accesses), each once, each word carrying its unit's current key.
+func checkEvictable(g *GroupCache) error {
+	if len(g.evictable) != g.count || g.count > g.capacity {
+		return fmt.Errorf("evictable set holds %d units, occupancy %d, capacity %d", len(g.evictable), g.count, g.capacity)
 	}
-	for i, u := range g.heap {
-		if g.pos[u] != int32(i) {
-			return fmt.Errorf("heap[%d] = %d but pos[%d] = %d", i, u, u, g.pos[u])
+	units := make([]int, len(g.evictable))
+	for i, w := range g.evictable {
+		u := int(w & unitMask)
+		if u >= g.nunits || !g.resident[u] {
+			return fmt.Errorf("evictable[%d] = unit %d, universe %d, not resident", i, u, g.nunits)
 		}
-		if i > 0 && g.less(u, g.heap[(i-1)/2]) {
-			return fmt.Errorf("heap[%d] = %d orders before its parent %d", i, u, g.heap[(i-1)/2])
+		if w != g.word(u) {
+			return fmt.Errorf("evictable[%d] = %#x, unit %d's word under key %d is %#x", i, w, u, g.key[u], g.word(u))
 		}
+		units[i] = u
 	}
-	for u, p := range g.pos {
-		if (p >= 0) != g.resident[u] {
-			return fmt.Errorf("unit %d: pos %d, resident %v", u, p, g.resident[u])
+	slices.Sort(units)
+	for i := 1; i < len(units); i++ {
+		if units[i] == units[i-1] {
+			return fmt.Errorf("unit %d is evictable twice", units[i])
 		}
 	}
 	return nil
@@ -209,15 +216,17 @@ func sameAccess(g *GroupCache, ref *refCache, dense bool, units []int) error {
 	if h != rh || m != rm {
 		return fmt.Errorf("hits/misses %d/%d, scan says %d/%d", h, m, rh, rm)
 	}
-	for u := 0; u < ref.nunits; u++ {
-		if g.Resident(u) != ref.resident[u] {
-			return fmt.Errorf("unit %d resident %v, scan says %v", u, g.Resident(u), ref.resident[u])
+	if !slices.Equal(g.resident, ref.resident) {
+		u := 0
+		for g.Resident(u) == ref.resident[u] {
+			u++
 		}
+		return fmt.Errorf("unit %d resident %v, scan says %v", u, g.Resident(u), ref.resident[u])
 	}
 	if g.Stats() != ref.stats || g.Occupancy() != ref.count {
 		return fmt.Errorf("stats %+v occupancy %d, scan says %+v / %d", g.Stats(), g.Occupancy(), ref.stats, ref.count)
 	}
-	return checkHeap(g)
+	return checkEvictable(g)
 }
 
 // The heap must evict exactly the unit the scan would have, on every miss
@@ -299,35 +308,45 @@ func TestVictimSequenceMatchesScan(t *testing.T) {
 	}
 }
 
-// FuzzGroupCacheVictims decodes bytes into a policy, a universe, a capacity
-// and an access script (255 is a dense access; any other byte is a list
-// length, followed by that many unit bytes) and holds the heap to the scan.
-// It then holds Reset to the constructor, under LRU, LFU, and None in place
-// of Belady: a cache that ran the script and was Reset equals a new one
-// field for field, and runs the script backwards with the same hits,
-// misses, victims and statistics.
+// FuzzGroupCacheVictims decodes bytes into a policy, a universe of up to
+// 4096 units (two bytes, little-endian, mod 4096: the scan costs a wider
+// universe more executions than it adds paths), a capacity and an access script
+// (255 is a dense access; any other byte is a list length, followed by that
+// many unit bytes, each scaled by a stride of nunits>>8 so a wide universe
+// lists high unit ids) and holds the eviction words to the scan. It then
+// holds Reset to the constructor, under LRU, LFU, and None in place of
+// Belady: a cache that ran the script and was Reset equals a new one field
+// for field, and runs the script backwards with the same hits, misses,
+// victims and statistics.
 func FuzzGroupCacheVictims(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 9, 2, 1, 4, 255, 3, 1, 2, 3})
-	f.Add([]byte{1, 11, 3, 5, 0, 1, 2, 3, 4, 2, 5, 6, 2, 0, 0, 4, 7, 8, 9, 10, 255, 1, 3})
-	f.Add([]byte{2, 4, 4, 6, 0, 1, 2, 3, 0, 1, 255, 0, 2, 3, 3})
-	f.Add([]byte{4, 30, 7, 3, 1, 2, 3, 3, 9, 9, 1, 2, 20, 21, 255, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 9, 0, 2, 1, 4, 255, 3, 1, 2, 3})
+	f.Add([]byte{1, 11, 0, 3, 5, 0, 1, 2, 3, 4, 2, 5, 6, 2, 0, 0, 4, 7, 8, 9, 10, 255, 1, 3})
+	f.Add([]byte{2, 4, 0, 4, 6, 0, 1, 2, 3, 0, 1, 255, 0, 2, 3, 3})
+	f.Add([]byte{4, 30, 0, 7, 3, 1, 2, 3, 3, 9, 9, 1, 2, 20, 21, 255, 4, 5, 6, 7, 8})
 	// A long script on a small cache: hundreds of evictions, counts that grow.
-	long := []byte{1, 7, 3}
+	long := []byte{1, 7, 0, 3}
 	for i := 0; i < 276; i++ {
 		long = append(long, 2, byte(i*i), byte(i/3))
 	}
 	f.Add(long)
+	// The widest universe, a capacity above 64, lists of unit ids 16 apart.
+	wide := []byte{0, 0xff, 0x0f, 70}
+	for i := 0; i < 40; i++ {
+		wide = append(wide, 3, byte(i*7), byte(i*i), byte(i*5/2))
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		policy := victimPolicies[int(data[0])%len(victimPolicies)]
-		nunits := 1 + int(data[1])%64
-		capacity := int(data[2]) % (nunits + 1)
+		nunits := 1 + int(binary.LittleEndian.Uint16(data[1:]))%4096
+		capacity := int(data[3]) % (nunits + 1)
+		stride := max(1, nunits>>8)
 		var dense []bool
 		var script [][]int
-		for data = data[3:]; len(data) > 0; {
+		for data = data[4:]; len(data) > 0; {
 			n := int(data[0])
 			data = data[1:]
 			if n == 255 {
@@ -339,7 +358,7 @@ func FuzzGroupCacheVictims(f *testing.F) {
 			}
 			units := make([]int, n)
 			for i, b := range data[:n] {
-				units[i] = int(b) % nunits
+				units[i] = int(b) * stride % nunits
 			}
 			data = data[n:]
 			dense, script = append(dense, false), append(script, units)
@@ -379,11 +398,11 @@ func FuzzGroupCacheVictims(f *testing.F) {
 			if uh != fh || um != fm {
 				t.Fatalf("%v after Reset, backward access %d: hits/misses %d/%d, a new cache %d/%d", policy, i, uh, um, fh, fm)
 			}
-			if !reflect.DeepEqual(used.resident, fresh.resident) || used.Stats() != fresh.Stats() {
+			if !slices.Equal(used.resident, fresh.resident) || used.Stats() != fresh.Stats() {
 				t.Fatalf("%v after Reset, backward access %d: residency %v stats %+v, a new cache %v %+v",
 					policy, i, used.resident, used.Stats(), fresh.resident, fresh.Stats())
 			}
-			if err := checkHeap(used); err != nil {
+			if err := checkEvictable(used); err != nil {
 				t.Fatalf("%v after Reset, backward access %d: %v", policy, i, err)
 			}
 		}
@@ -503,7 +522,13 @@ func TestHostileInputsPanicByName(t *testing.T) {
 		name, want string
 		fn         func()
 	}{
-		{"negative universe", "cache: negative unit universe", func() { NewGroupCache(PolicyLRU, 2, -1) }},
+		{"negative universe", "cache: unit universe -1 outside [0, 16777216]", func() { NewGroupCache(PolicyLRU, 2, -1) }},
+		{"universe past the eviction word", "cache: unit universe 16777217 outside [0, 16777216]", func() { NewGroupCache(PolicyLRU, 2, 1<<unitBits+1) }},
+		{"clock past the eviction word", "cache: clock reached 1<<40, past the key an eviction word holds", func() {
+			g := NewGroupCache(PolicyLRU, 2, 5)
+			g.clock = 1<<keyBits - 1
+			g.AccessSparse([]int{1})
+		}},
 		{"unit past the universe", "cache: unit 5 outside the universe of 5", func() { NewGroupCache(PolicyLFU, 2, 5).AccessSparse([]int{1, 5}) }},
 		{"negative unit", "cache: unit -1 outside the universe of 5", func() { NewGroupCache(PolicyLFU, 2, 5).AccessSparse([]int{-1}) }},
 	} {
@@ -518,6 +543,55 @@ func TestHostileInputsPanicByName(t *testing.T) {
 	}
 }
 
+// The stamps are the clock's low 32 bits. Across their wrap every stamp is
+// cleared and the clock skips the stamp 0, so no unit of an old access looks
+// like one of the current access and the victims stay the scan's. Units 0..9
+// are accessed one per token at clocks 1..10 and left resident with stamps
+// 0..9, which the stamp passes again just after the wrap.
+func TestStampWrapKeepsVictims(t *testing.T) {
+	for _, policy := range []Policy{PolicyLRU, PolicyLFU} {
+		g, ref := NewGroupCache(policy, 20, 64), newRefCache(policy, 20, 64)
+		for u := 0; u < 40; u++ {
+			if u == 10 {
+				g.clock, ref.clock = 1<<32-3, 1<<32-3
+			}
+			if err := sameAccess(g, ref, false, []int{u}); err != nil {
+				t.Fatalf("%v, unit %d at clock %#x: %v", policy, u, g.clock, err)
+			}
+		}
+		if g.clock != 1<<32+28 || g.Stats().Evictions != 20 {
+			t.Fatalf("%v: clock %#x, %d evictions; the script should cross the wrap and evict 20", policy, g.clock, g.Stats().Evictions)
+		}
+	}
+}
+
+// NewGroupCache allocates 13 bytes per unit (resident 1, key 8, stamp 4)
+// and 8 per unit of capacity (the eviction words), plus the struct. For the
+// bandwidth-bound analog's down group, 768 units with a 158-unit share, that
+// is 11 488 bytes after size-class rounding.
+func TestNewGroupCacheAllocBytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit size classes")
+	}
+	// The least of a few rounds: the test binary's own goroutines allocate
+	// now and then while one runs.
+	const n = 64
+	keep := make([]*GroupCache, n)
+	got := uint64(math.MaxUint64)
+	for round := 0; round < 4; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = NewGroupCache(PolicyLFU, 158, 768)
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	if got != 11488 {
+		t.Fatalf("NewGroupCache(LFU, 158, 768) allocates %d bytes, want 11488", got)
+	}
+}
+
 // A unit listed twice is touched twice — the first occurrence misses and
 // inserts, the repeat hits — and enters the eviction order once.
 func TestRepeatedUnitHitsOnRepeat(t *testing.T) {
@@ -529,7 +603,7 @@ func TestRepeatedUnitHitsOnRepeat(t *testing.T) {
 		if h, m := g.AccessSparse([]int{3, 1, 3}); h != 2 || m != 1 {
 			t.Fatalf("%v: warm repeat hits=%d misses=%d, want 2/1", policy, h, m)
 		}
-		if err := checkHeap(g); err != nil {
+		if err := checkEvictable(g); err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
 		// Full cache, every resident unit in the access: 5 bypasses, twice.
@@ -566,3 +640,37 @@ func BenchmarkGroupCacheAccessSparse256k166(b *testing.B) { benchAccessSparse(b,
 
 // Down columns: 154 of 768 units per token against a 158-unit share.
 func BenchmarkGroupCacheAccessSparse768k154(b *testing.B) { benchAccessSparse(b, 768, 154, 158) }
+
+// selectSmallest leaves the k smallest words in front of the rest, whatever
+// their order going in: every k of every length up to 40, on ascending,
+// descending and shuffled distinct words.
+func TestSelectSmallest(t *testing.T) {
+	state := uint64(1)
+	for n := 1; n <= 40; n++ {
+		for k := 1; k <= n; k++ {
+			for layout := 0; layout < 3; layout++ {
+				h := make([]uint64, n)
+				for i := range h {
+					h[i] = uint64(i)<<unitBits | uint64(n-i)
+					if layout == 1 {
+						h[i] = uint64(n-i)<<unitBits | uint64(i)
+					}
+				}
+				if layout == 2 {
+					for i := n - 1; i > 0; i-- {
+						state = state*6364136223846793005 + 1442695040888963407
+						j := int((state >> 33) % uint64(i+1))
+						h[i], h[j] = h[j], h[i]
+					}
+				}
+				want := slices.Sorted(slices.Values(h))
+				selectSmallest(h, k)
+				front := slices.Sorted(slices.Values(h[:k]))
+				back := slices.Sorted(slices.Values(h[k:]))
+				if !slices.Equal(append(front, back...), want) {
+					t.Fatalf("n %d k %d layout %d: front %v back %v", n, k, layout, front, back)
+				}
+			}
+		}
+	}
+}

@@ -74,7 +74,7 @@ func steadyDecodeAllocs(t *testing.T, k, quantum int, noFuse bool) float64 {
 // write into the slots it created, so a steady-state tick allocates
 // nothing — not the KV entries, not per-step logits, attention scores,
 // batch tables or fan-out closures. The cache simulator's bookkeeping is
-// zero too: its eviction heap is sized to the capacity at construction. The
+// zero too: its evictable list is sized to the capacity at construction. The
 // count moves with worker-pool hand-offs, so it is taken at one worker;
 // NoFuse, which steps each session on its own, is held to the same zero.
 func TestFusedTickSteadyStateAllocations(t *testing.T) {
