@@ -132,12 +132,29 @@ var claims = []claim{
 		if dip >= up {
 			t.Errorf("DIP ppl %v should beat up pruning %v", dip, up)
 		}
-		if dipLora > dip+0.02 {
-			t.Errorf("DIP+LoRA ppl %v should not exceed DIP %v", dipLora, dip)
+		if !(dipLora < dip) {
+			t.Errorf("DIP+LoRA ppl %v, want below DIP %v", dipLora, dip)
 		}
 		// DIP density must sit near the 50% target.
 		if d := cellF(t, tab, map[string]string{"model": model.Phi3MedSim, "method": "dip"}, "measured_density"); d < 0.4 || d > 0.6 {
 			t.Errorf("DIP measured density %v far from 0.5", d)
+		}
+	}},
+	{"tab1/lora-recovers-sparse-loss", "Tables 1, 3 and 4", []run{{"tab1", Scenario{}}, {"tab3", Scenario{}}, {"tab4", Scenario{}}}, func(t *testing.T, _ string, tabs [][]*Table) {
+		// Adapters fine-tuned on the language-modelling loss with the sparse
+		// MLP active lower DIP's and CATS's perplexity on every analog at
+		// 50, 60 and 40 % density.
+		for i, id := range []string{"tab1", "tab3", "tab4"} {
+			tab := findTable(t, tabs[i], id)
+			for _, row := range tab.Rows {
+				if method, analog := row[0], row[1]; method == "dip" || method == "cats" {
+					base := cellF(t, tab, map[string]string{"model": analog, "method": method}, "ppl")
+					tuned := cellF(t, tab, map[string]string{"model": analog, "method": method + "+lora"}, "ppl")
+					if !(tuned < base) {
+						t.Errorf("%s %s: %s+lora ppl %v, want below %s's %v", id, analog, method, tuned, method, base)
+					}
+				}
+			}
 		}
 	}},
 	{"tab2/dipca-beats-dense", "Table 2", []run{{"tab2", Scenario{}}}, func(t *testing.T, _ string, tabs [][]*Table) {
@@ -150,9 +167,11 @@ var claims = []claim{
 			t.Errorf("DIP-CA throughput %v should beat dense %v", dipca, dense)
 		}
 		// At miniature scale DIP-CA's perplexity cost can push its qualifying
-		// density above plain DIP's, so only require it to stay competitive;
-		// the strict DIP-CA > DIP separation is a paper-scale result (see
-		// dipbench -exp tab2, where it holds with margin).
+		// density above plain DIP's, so only require it to stay competitive.
+		// The strict DIP-CA > DIP separation does not hold at paper scale
+		// either (dipbench -exp tab2 -scale paper): at +0.5 ppl only on
+		// phi3med (0.695 against 0.661 tok/s), and at +0.2 it fails on three
+		// of the four analogs (DIP-CA ≤ DIP).
 		if dipca < 0.7*dip {
 			t.Errorf("DIP-CA throughput %v collapsed relative to DIP %v", dipca, dip)
 		}

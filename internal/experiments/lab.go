@@ -299,10 +299,7 @@ func (l *Lab) Fused(name string, scheme sparsity.Scheme, densityKey string, adap
 		opts := lora.DefaultTrainOpts()
 		opts.AdaptGate = adaptGate
 		if l.Scale == model.ScaleTest {
-			opts.Iterations = 250
-			opts.MaxTokens = 128
-		} else {
-			opts.Iterations = 700
+			opts.Iterations = 60
 		}
 		adapters, err := lora.Train(m, sparsity.Clone(scheme), l.CalibTokens(), l.EvalWin(), opts)
 		if err != nil {

@@ -1,22 +1,23 @@
 // Package lora implements the lightweight low-rank adapters of Section 4
-// (Eq. 9): rank-r matrices A, B added to the up, gate and down projections
-// so that the *sparsified* MLP with W' = W + B·A matches the dense MLP.
-// Adapters are applied before column selection and fused into the base
-// weights afterwards, so inference carries no extra memory or compute.
+// (Eq. 9): rank-r matrices A, B added to the up, gate and down projections,
+// W' = W + B·A, trained so that the model with the *sparsified* MLP
+// recovers the language-modelling loss. Adapters are applied before column
+// selection and fused into the base weights afterwards, so inference
+// carries no extra memory or compute.
 //
-// Training difference from the paper: the paper distills end-to-end
-// against dense logits; this implementation distills layer-locally — each
-// layer's adapters minimize ‖MLP_sparse,W'(x) − MLP_dense,W(x)‖² over
-// calibration activations, with the pruning masks treated as constants
-// (straight-through). Layer-local reconstruction is the same relaxation
-// GPTQ/SparseGPT use and preserves the paper's qualitative result: adapters
-// recover a large share of the sparsification loss, with larger gains at
-// aggressive sparsity.
+// Train fine-tunes them as the paper does (Section 6.1): each iteration is
+// one model.TrainStep over a calibration window with the scheme running
+// every MLP on the fused weights. The backward is the model's own,
+// straight-through on the scheme's masks (nn.GLUMLP.Backward on a masked
+// nn.MLPRecord); each fused weight's gradient G folds into its adapter as
+// dB = G·Aᵀ and dA = Bᵀ·G, and only the adapters learn.
 package lora
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -27,23 +28,28 @@ import (
 // Adapter is one low-rank pair: ΔW = B·A with A (r×in) and B (out×r).
 type Adapter struct {
 	A, B *nn.Param
-	Rank int
 }
 
 // NewAdapter allocates an adapter with standard LoRA init: A random, B
 // zero, so ΔW = 0 at the start of training.
 func NewAdapter(name string, out, in, rank int, rng *tensor.RNG) *Adapter {
-	a := &Adapter{
-		A:    nn.NewParam(name+".A", rank, in),
-		B:    nn.NewParam(name+".B", out, rank),
-		Rank: rank,
-	}
+	a := &Adapter{A: nn.NewParam(name+".A", rank, in), B: nn.NewParam(name+".B", out, rank)}
 	a.A.Init(rng, float32(1/math.Sqrt(float64(in))))
 	return a
 }
 
 // Params returns the learnable parameters.
 func (a *Adapter) Params() []*nn.Param { return []*nn.Param{a.A, a.B} }
+
+// fold adds g, the gradient of the fused weight W + B·A, to the adapter's
+// gradients: dB += g·Aᵀ and dA += Bᵀ·g, one row of g at a time.
+func (a *Adapter) fold(g *tensor.Mat) {
+	z := tensor.NewVec(a.A.W.Rows)
+	for i := 0; i < g.Rows; i++ {
+		a.B.G.Row(i).Add(tensor.MatVec(a.A.W, g.Row(i), z))
+		tensor.AddOuter(a.A.G, 1, a.B.W.Row(i), g.Row(i))
+	}
+}
 
 // LayerAdapters carries the three adapters of one MLP block. Any of the
 // fields may be nil (CATS adapts only up and down, per the paper).
@@ -53,10 +59,8 @@ type LayerAdapters struct {
 
 // TrainOpts configures adapter fine-tuning.
 type TrainOpts struct {
-	// Iterations of Adam over the calibration samples (default 400).
+	// Iterations of Adam, one calibration window each (default 200).
 	Iterations int
-	// MaxTokens bounds calibration MLP evaluations per layer (default 256).
-	MaxTokens int
 	// AdaptGate controls whether the gate matrix receives an adapter
 	// (true for DIP, false for CATS, following Section 6.1).
 	AdaptGate bool
@@ -64,152 +68,89 @@ type TrainOpts struct {
 
 const (
 	trainLR   = 2e-3 // Adam learning rate
-	trainSeed = 55   // adapter init and sample-order seed
+	trainSeed = 55   // adapter init and window-order seed
 )
 
 // DefaultTrainOpts returns the settings used by the experiment drivers.
 func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{Iterations: 400, MaxTokens: 256, AdaptGate: true}
+	return TrainOpts{Iterations: 200, AdaptGate: true}
 }
 
-// Train fits adapters for every layer so the scheme's sparse MLP output
-// matches the dense output on calibration activations. The scheme is
-// evaluated against a temporary fused model each iteration via explicit
-// delta application, with masks recomputed per sample (straight-through).
+// ErrShortStream is Train's error for a calibration stream too short for
+// one window and the token that follows it.
+var ErrShortStream = errors.New("lora: calibration stream shorter than one window plus one token")
+
+// Train fits adapters for every layer so the model, with the scheme running
+// each MLP on the fused weights W + B·A, predicts the calibration tokens.
+// Each iteration refreshes one clone of m with the current adapters, takes
+// one TrainStep on a random window of win tokens (resolved by Model.Window)
+// with the scheme's masks recorded for the backward, folds the clone's MLP
+// weight gradients into the adapters and steps Adam on the adapters alone.
 // Adapters have rank dim/8, at least 2 (the paper's 32 at 4k width, scaled).
 func Train(m *model.Model, scheme sparsity.Scheme, tokens []int, win int, opts TrainOpts) ([]LayerAdapters, error) {
-	rank := max(m.Cfg.Dim/8, 2)
+	win = m.Window(win)
+	if len(tokens) < win+1 {
+		return nil, fmt.Errorf("%w: %d tokens, window %d", ErrShortStream, len(tokens), win)
+	}
+	dim, dff, rank := m.Cfg.Dim, m.Cfg.DFF, max(m.Cfg.Dim/8, 2)
 	rng := tensor.NewRNG(trainSeed)
-	ins := model.MLPInputs(m, tokens, win, opts.MaxTokens)
-	adapters := make([]LayerAdapters, len(ins))
-	for l, xs := range ins {
-		if len(xs) == 0 {
-			return nil, fmt.Errorf("lora: no calibration samples for layer %d", l)
+	adapters := make([]LayerAdapters, len(m.Blocks))
+	var params []*nn.Param
+	for l := range adapters {
+		r := rng.Split(uint64(l))
+		ad := LayerAdapters{
+			Up:   NewAdapter(fmt.Sprintf("l%d.up", l), dff, dim, rank, r.Split(1)),
+			Down: NewAdapter(fmt.Sprintf("l%d.down", l), dim, dff, rank, r.Split(2)),
 		}
-		mlp := m.Blocks[l].MLP
-		ys := make([]tensor.Vec, len(xs))
-		for i, x := range xs {
-			ys[i] = mlp.Apply(x)
+		if opts.AdaptGate {
+			ad.Gate = NewAdapter(fmt.Sprintf("l%d.gate", l), dff, dim, rank, r.Split(3))
 		}
-		adapters[l] = trainLayer(mlp, scheme, l, xs, ys, rank, opts, rng.Split(uint64(l)))
+		adapters[l] = ad
+	}
+	each(adapters, m, m, func(a *Adapter, _, _ *nn.Param) { params = append(params, a.Params()...) })
+	fused := m.Clone()
+	hook := schemeHook(scheme, fused)
+	opt := nn.NewAdam(trainLR)
+	for it := 0; it < opts.Iterations; it++ {
+		each(adapters, fused, m, func(a *Adapter, dst, base *nn.Param) { applyDelta(dst.W, base.W, a) })
+		start := rng.Intn(len(tokens) - win)
+		fused.TrainStep(tokens[start:start+win], tokens[start+1:start+win+1], hook)
+		each(adapters, fused, m, func(a *Adapter, dst, _ *nn.Param) { a.fold(dst.G) })
+		for _, p := range fused.Params() {
+			p.ZeroGrad()
+		}
+		opt.Step(params, 1)
 	}
 	return adapters, nil
 }
 
-// trainLayer fits one layer's adapters by straight-through gradient descent
-// on the masked reconstruction loss.
-func trainLayer(mlp *nn.GLUMLP, scheme sparsity.Scheme, layer int, xs, ys []tensor.Vec, rank int, opts TrainOpts, rng *tensor.RNG) LayerAdapters {
-	dim, dff := mlp.Dim, mlp.DFF
-	ad := LayerAdapters{
-		Up:   NewAdapter(fmt.Sprintf("l%d.up", layer), dff, dim, rank, rng.Split(1)),
-		Down: NewAdapter(fmt.Sprintf("l%d.down", layer), dim, dff, rank, rng.Split(2)),
-	}
-	params := append(ad.Up.Params(), ad.Down.Params()...)
-	if opts.AdaptGate {
-		ad.Gate = NewAdapter(fmt.Sprintf("l%d.gate", layer), dff, dim, rank, rng.Split(3))
-		params = append(params, ad.Gate.Params()...)
-	}
-	opt := nn.NewAdam(trainLR)
-	fused := cloneMLP(mlp)
-	for it := 0; it < opts.Iterations; it++ {
-		i := rng.Intn(len(xs))
-		x, yStar := xs[i], ys[i]
-		// Refresh the fused weights with the current adapters.
-		applyDelta(fused.Up.P.W, mlp.Up.P.W, ad.Up)
-		applyDelta(fused.Down.P.W, mlp.Down.P.W, ad.Down)
-		if ad.Gate != nil {
-			applyDelta(fused.Gate.P.W, mlp.Gate.P.W, ad.Gate)
-		} else {
-			copy(fused.Gate.P.W.Data, mlp.Gate.P.W.Data)
-			fused.Gate.P.W.Invalidate()
-		}
-		// Masked forward through the scheme on the fused weights.
-		y, ta := scheme.Forward(layer, x, fused, nil)
-		inIdx, gluIdx := extractMasks(&ta, dim, dff)
-		// Straight-through backward with fixed masks.
-		dy := tensor.NewVec(dim)
-		for j := range dy {
-			dy[j] = 2 * (y[j] - yStar[j])
-		}
-		backwardMasked(fused, ad, x, dy, inIdx, gluIdx)
-		opt.Step(params, 1)
-	}
-	return ad
-}
-
-// extractMasks derives the active input-column set (nil = all) and the
-// active GLU-unit set from a TokenAccess.
-func extractMasks(ta *sparsity.TokenAccess, dim, dff int) (inIdx, gluIdx []int) {
-	if g := ta.Groups[sparsity.GroupUpGate]; g.Kind == sparsity.AccessSparse {
-		inIdx = g.Units
-	}
-	switch d := ta.Groups[sparsity.GroupDown]; d.Kind {
-	case sparsity.AccessSparse:
-		gluIdx = d.Units
-	default:
-		gluIdx = make([]int, dff)
-		for i := range gluIdx {
-			gluIdx[i] = i
-		}
-	}
-	return inIdx, gluIdx
-}
-
-// backwardMasked accumulates adapter gradients for one sample through the
-// masked GLU computation (masks fixed).
-func backwardMasked(mlp *nn.GLUMLP, ad LayerAdapters, x, dy tensor.Vec, inIdx, gluIdx []int) {
-	dim, dff := mlp.Dim, mlp.DFF
-	// Recompute the masked intermediates on the fused weights.
-	var u, g tensor.Vec
-	if inIdx == nil {
-		u = tensor.MatVec(mlp.Up.P.W, x, nil)
-		g = tensor.MatVec(mlp.Gate.P.W, x, nil)
-	} else {
-		u = tensor.MatVecSparse(mlp.Up.P.W, x, inIdx, nil)
-		g = tensor.MatVecSparse(mlp.Gate.P.W, x, inIdx, nil)
-	}
-	h := tensor.NewVec(dff) // u ⊙ σ(g) on the units of gluIdx, 0 elsewhere (below)
-	mlp.Act.GLU(h, u, g)
-	hMask := make([]bool, dff)
-	for _, i := range gluIdx {
-		hMask[i] = true
-	}
-	// xm: input with pruned coordinates zeroed (what W_u/W_g effectively saw).
-	xm := x
-	if inIdx != nil {
-		xm = tensor.NewVec(dim)
-		for _, j := range inIdx {
-			xm[j] = x[j]
-		}
-	}
-	dh := tensor.MatTVec(mlp.Down.P.W, dy, nil)
-	du := tensor.NewVec(dff)
-	dg := tensor.NewVec(dff)
-	for i := 0; i < dff; i++ {
-		if !hMask[i] {
-			h[i] = 0
-			continue
-		}
-		act := mlp.Act.Apply(g[i])
-		du[i] = dh[i] * act
-		dg[i] = dh[i] * u[i] * mlp.Act.Grad(g[i])
-	}
-	// Down adapter: y = (Wd + Bd Ad) h_masked.
-	adapterGrad(ad.Down, dy, h)
-	adapterGrad(ad.Up, du, xm)
-	if ad.Gate != nil {
-		adapterGrad(ad.Gate, dg, xm)
+// schemeHook returns the TrainHook that runs scheme on m's MLPs and fills
+// each token's record with the scheme's masks and the masked input, U, G
+// and H that the straight-through backward reads.
+func schemeHook(scheme sparsity.Scheme, m *model.Model) model.TrainHook {
+	return func(l int, rec *nn.MLPRecord) tensor.Vec {
+		mlp := m.Blocks[l].MLP
+		y, ta := scheme.Forward(l, rec.X, mlp, nil)
+		in, glu := ta.Kept()
+		rec.In, rec.Units = slices.Clone(in), slices.Clone(glu) // ta's lists are the scheme's scratch
+		nn.KeepOnly(rec.X, rec.In)
+		rec.H = mlp.GLUInto(rec.X, nil, &rec.MLPScratch)
+		nn.KeepOnly(rec.H, rec.Units)
+		return y
 	}
 }
 
-// adapterGrad accumulates dA, dB for ΔW = B·A given upstream gradient dout
-// (w.r.t. the matrix output) and the matrix input xin:
-// dB += dout·(A xin)ᵀ, dA += (Bᵀ dout)·xinᵀ.
-func adapterGrad(a *Adapter, dout, xin tensor.Vec) {
-	z := tensor.MatVec(a.A.W, xin, nil)
-	tensor.AddOuter(a.B.G, 1, dout, z)
-	dz := tensor.MatTVec(a.B.W, dout, nil)
-	tensor.AddOuter(a.A.G, 1, dz, xin)
+// each calls f with every adapter of ads and the MLP weight it adapts in
+// dst and in base.
+func each(ads []LayerAdapters, dst, base *model.Model, f func(a *Adapter, dst, base *nn.Param)) {
+	for l, ad := range ads {
+		dp, bp := dst.Blocks[l].MLP.Params(), base.Blocks[l].MLP.Params()
+		for i, a := range []*Adapter{ad.Up, ad.Gate, ad.Down} {
+			if a != nil {
+				f(a, dp[i], bp[i])
+			}
+		}
+	}
 }
 
 // applyDelta writes base + B·A into dst: row i gains Σ_k B[i,k]·A[k,:],
@@ -222,17 +163,6 @@ func applyDelta(dst, base *tensor.Mat, a *Adapter) {
 	dst.Invalidate()
 }
 
-func cloneMLP(mlp *nn.GLUMLP) *nn.GLUMLP {
-	c := nn.NewGLUMLP("fused", mlp.Dim, mlp.DFF, mlp.Act, tensor.NewRNG(0))
-	copy(c.Up.P.W.Data, mlp.Up.P.W.Data)
-	copy(c.Gate.P.W.Data, mlp.Gate.P.W.Data)
-	copy(c.Down.P.W.Data, mlp.Down.P.W.Data)
-	c.Up.P.W.Invalidate()
-	c.Gate.P.W.Invalidate()
-	c.Down.P.W.Invalidate()
-	return c
-}
-
 // Fuse returns a copy of m with every layer's adapters folded into the MLP
 // weights (Eq. 9's fusion step). The returned model is evaluated with the
 // same sparsity schemes as the original — adapters add no runtime cost.
@@ -241,17 +171,6 @@ func Fuse(m *model.Model, adapters []LayerAdapters) (*model.Model, error) {
 		return nil, fmt.Errorf("lora: %d adapter sets for %d layers", len(adapters), len(m.Blocks))
 	}
 	clone := m.Clone()
-	for l, ad := range adapters {
-		mlp := clone.Blocks[l].MLP
-		if ad.Up != nil {
-			applyDelta(mlp.Up.P.W, m.Blocks[l].MLP.Up.P.W, ad.Up)
-		}
-		if ad.Gate != nil {
-			applyDelta(mlp.Gate.P.W, m.Blocks[l].MLP.Gate.P.W, ad.Gate)
-		}
-		if ad.Down != nil {
-			applyDelta(mlp.Down.P.W, m.Blocks[l].MLP.Down.P.W, ad.Down)
-		}
-	}
+	each(adapters, clone, m, func(a *Adapter, dst, base *nn.Param) { applyDelta(dst.W, base.W, a) })
 	return clone, nil
 }

@@ -2,7 +2,9 @@ package lora
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -22,7 +24,7 @@ func refApplyDelta(base *tensor.Mat, a *Adapter) *tensor.Mat {
 	for i := 0; i < out.Rows; i++ {
 		for j := 0; j < out.Cols; j++ {
 			s := out.At(i, j)
-			for k := 0; k < a.Rank; k++ {
+			for k := 0; k < a.A.W.Rows; k++ {
 				if b := a.B.W.At(i, k); b != 0 {
 					s += float32(b * a.A.W.At(k, j))
 				}
@@ -66,25 +68,29 @@ func TestZeroInitAdapterIsIdentity(t *testing.T) {
 	}
 }
 
+// fold is the chain rule through W' = base + B·A: given the gradient of a
+// loss in W', it gives the loss's gradient in A and B. The loss here is
+// dout · (W' xin), whose gradient in W' is dout·xinᵀ.
 func TestAdapterGradFiniteDifference(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	a := NewAdapter("t", 3, 4, 2, rng)
 	a.B.W.RandNorm(rng, 0.5)
+	base := tensor.NewMat(3, 4)
+	base.RandNorm(rng, 1)
 	xin := tensor.Vec{0.5, -1, 2, 0.3}
 	dout := tensor.Vec{1, -0.5, 2}
-	// Loss = dout · (B A xin); gradient of loss w.r.t. A, B entries.
+	w := tensor.NewMat(3, 4)
 	loss := func() float64 {
-		z := tensor.MatVec(a.A.W, xin, nil)
-		y := tensor.MatVec(a.B.W, z, nil)
+		applyDelta(w, base, a)
 		var s float64
-		for i := range y {
-			s += float64(dout[i] * y[i])
+		for i, y := range tensor.MatVec(w, xin, nil) {
+			s += float64(dout[i] * y)
 		}
 		return s
 	}
-	a.A.ZeroGrad()
-	a.B.ZeroGrad()
-	adapterGrad(a, dout, xin)
+	g := tensor.NewMat(3, 4)
+	tensor.AddOuter(g, 1, dout, xin)
+	a.fold(g)
 	for _, p := range a.Params() {
 		for i := 0; i < p.Size(); i++ {
 			analytic, numeric := nn.GradCheck(p, i, loss, 1e-3)
@@ -129,7 +135,7 @@ func TestLoRARecoversDIPLoss(t *testing.T) {
 	before := schemePPL(m, scheme, test)
 	dense := model.Perplexity(m, test, 31, nil)
 	opts := DefaultTrainOpts()
-	opts.Iterations = 600
+	opts.Iterations = 100
 	adapters, err := Train(m, scheme, calib, 31, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -185,23 +191,61 @@ func TestFuseZeroAdaptersIsIdentity(t *testing.T) {
 	}
 }
 
-func TestExtractMasks(t *testing.T) {
-	var ta sparsity.TokenAccess
-	ta.Groups[sparsity.GroupUpGate] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{1, 3}}
-	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{0, 2}}
-	in, glu := extractMasks(&ta, 4, 6)
-	if len(in) != 2 || in[0] != 1 {
-		t.Fatalf("in = %v", in)
+// A stream with no window plus its next token has nothing to train on.
+func TestTrainRejectsShortStream(t *testing.T) {
+	m, calib, _ := trainedTiny(t)
+	for _, n := range []int{0, 31} {
+		if _, err := Train(m, sparsity.NewDIP(0.5), calib[:n], 31, DefaultTrainOpts()); !errors.Is(err, ErrShortStream) {
+			t.Fatalf("%d tokens, window 31: err = %v, want ErrShortStream", n, err)
+		}
 	}
-	if len(glu) != 2 || glu[1] != 2 {
-		t.Fatalf("glu = %v", glu)
+	if _, err := Train(m, sparsity.NewDIP(0.5), calib[:32], 31, TrainOpts{Iterations: 1}); err != nil {
+		t.Fatalf("32 tokens, window 31: %v", err)
 	}
-	// Dense down access → all units.
-	var ta2 sparsity.TokenAccess
-	ta2.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessDense}
-	in2, glu2 := extractMasks(&ta2, 4, 6)
-	if in2 != nil || len(glu2) != 6 {
-		t.Fatalf("dense extract wrong: %v %v", in2, glu2)
+}
+
+// The record the hook leaves is the scheme's forward, masked: the scheme's
+// own output and masks, X zero outside the kept inputs, H zero outside the
+// kept units, and W_d·H the scheme's output up to summation order.
+func TestSchemeHookRecordsTheMaskedForward(t *testing.T) {
+	m, calib, _ := trainedTiny(t)
+	cats := &sparsity.GatePrune{Thresholds: sparsity.CollectStats(m, calib, 31, 512).CATSThresholds(0.3)}
+	rng := tensor.NewRNG(7)
+	for _, s := range []sparsity.Scheme{sparsity.NewDIP(0.4), cats} {
+		hook := schemeHook(s, m)
+		for l, b := range m.Blocks {
+			x := tensor.NewVec(m.Cfg.Dim)
+			for i := range x {
+				x[i] = rng.NormFloat32()
+			}
+			rec := &nn.MLPRecord{X: x.Clone()}
+			y := hook(l, rec).Clone()
+			want, ta := s.Forward(l, x, b.MLP, nil)
+			in, glu := ta.Kept()
+			if !slices.Equal(rec.In, in) || !slices.Equal(rec.Units, glu) || glu == nil {
+				t.Fatalf("%s layer %d: record masks %v, %v; scheme kept %v, %v", s.Name(), l, rec.In, rec.Units, in, glu)
+			}
+			for i := range y {
+				if math.Float32bits(y[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s layer %d: hook output[%d] = %v, scheme's %v", s.Name(), l, i, y[i], want[i])
+				}
+			}
+			for j, v := range rec.X {
+				if kept := in == nil || slices.Contains(in, j); (kept && v != x[j]) || (!kept && v != 0) {
+					t.Fatalf("%s layer %d: X[%d] = %v (input %v, kept %v)", s.Name(), l, j, v, x[j], kept)
+				}
+			}
+			for i, v := range rec.H {
+				if !slices.Contains(glu, i) && v != 0 {
+					t.Fatalf("%s layer %d: H[%d] = %v on a pruned unit", s.Name(), l, i, v)
+				}
+			}
+			for i, v := range tensor.MatVec(b.MLP.Down.P.W, rec.H, nil) {
+				if math.Abs(float64(v-y[i])) > 1e-4*(1+math.Abs(float64(y[i]))) {
+					t.Fatalf("%s layer %d: (W_d·H)[%d] = %v, scheme output %v", s.Name(), l, i, v, y[i])
+				}
+			}
+		}
 	}
 }
 
@@ -212,7 +256,7 @@ func TestTrainWorksWithCATS(t *testing.T) {
 	before := schemePPL(m, cats, test)
 	opts := DefaultTrainOpts()
 	opts.AdaptGate = false // paper: CATS adapts up and down only
-	opts.Iterations = 400
+	opts.Iterations = 100
 	adapters, err := Train(m, cats, calib, 31, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +272,8 @@ func TestTrainWorksWithCATS(t *testing.T) {
 	}
 	after := schemePPL(fused, cats, test)
 	t.Logf("CATS %.3f -> CATS+LoRA %.3f", before, after)
-	if after >= before*1.05 {
-		t.Fatalf("CATS+LoRA much worse than CATS: %.4f -> %.4f", before, after)
+	if after >= before {
+		t.Fatalf("LoRA did not improve CATS ppl: %.4f -> %.4f", before, after)
 	}
 }
 

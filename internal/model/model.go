@@ -150,7 +150,7 @@ type MLPHook func(layer int, x tensor.Vec) tensor.Vec
 // MLPInputs decodes tokens with the dense model in consecutive windows of
 // win (resolved by Model.Window) and returns, per layer, the first
 // maxTokens post-norm MLP inputs in token order — the calibration set every
-// offline fit (SparseGPT, GPTQ, CATS thresholds, predictors, adapters)
+// offline fit (SparseGPT, GPTQ, CATS thresholds, predictors)
 // post-processes. Every layer records the same tokens; decoding stops once
 // they number maxTokens.
 func MLPInputs(m *Model, tokens []int, win, maxTokens int) [][]tensor.Vec {
@@ -231,7 +231,7 @@ func (d *Decoder) Step(id int) tensor.Vec {
 		case d.hook != nil:
 			out = d.hook(l, buf)
 		case d.tape != nil:
-			out = b.MLP.ApplyInto(buf, d.out, d.tape.mlp(l, x, buf))
+			out = d.tape.mlp(l, x, buf, b.MLP, d.out)
 		default:
 			out = b.MLP.ApplyInto(buf, d.out, &d.mlp)
 		}
@@ -260,14 +260,21 @@ func (d *Decoder) Rewind(pos int) {
 // Reset is Rewind(0): a fresh context window.
 func (d *Decoder) Reset() { d.Rewind(0) }
 
+// TrainHook replaces the dense MLP under TrainStep's tape. rec.X holds the
+// post-norm MLP input of the given layer; the hook returns the block output
+// and fills rec with what GLUMLP.Backward reads of its forward: the masks,
+// and the masked input, U, G and H.
+type TrainHook func(layer int, rec *nn.MLPRecord) tensor.Vec
+
 // TrainStep runs one forward/backward pass over a sequence, accumulating
 // gradients into the parameters, and returns the mean cross-entropy.
 // targets[t] is the token that should follow ids[t]. The forward is a
-// Decoder stepping ids with a tape; the backward walks the tape from the
+// Decoder stepping ids with a tape, its MLPs the dense ones when hook is
+// nil and the hook's otherwise; the backward walks the tape from the
 // logits down, layer by layer, each layer's tokens in ascending order.
-func (m *Model) TrainStep(ids, targets []int) float64 {
+func (m *Model) TrainStep(ids, targets []int, hook TrainHook) float64 {
 	d := m.NewDecoder(nil)
-	tp := &tape{layers: make([]layerTape, len(m.Blocks))}
+	tp := &tape{layers: make([]layerTape, len(m.Blocks)), hook: hook}
 	d.tape = tp
 	for _, id := range ids {
 		logits := d.Step(id)
@@ -299,6 +306,7 @@ func (m *Model) TrainStep(ids, targets []int) float64 {
 type tape struct {
 	layers              []layerTape
 	normF, head, logits []tensor.Vec
+	hook                TrainHook
 }
 
 // layerTape is one layer's records: the residual stream each norm read,
@@ -318,13 +326,18 @@ func (tp *tape) attn(l int, x tensor.Vec) *nn.AttnRecord {
 	return &lt.attn[len(lt.attn)-1]
 }
 
-// mlp records Norm2's input x and the MLP's input in at layer l and returns
-// the scratch the MLP fills with the token's U, G and H.
-func (tp *tape) mlp(l int, x, in tensor.Vec) *nn.MLPScratch {
+// mlp records Norm2's input x and the MLP's input in at layer l, runs the
+// hook or the dense mlp (into out) on the token's record, and returns the
+// block output.
+func (tp *tape) mlp(l int, x, in tensor.Vec, mlp *nn.GLUMLP, out tensor.Vec) tensor.Vec {
 	lt := &tp.layers[l]
 	lt.norm2 = append(lt.norm2, x.Clone())
 	lt.mlp = append(lt.mlp, nn.MLPRecord{X: in.Clone()})
-	return &lt.mlp[len(lt.mlp)-1].MLPScratch
+	rec := &lt.mlp[len(lt.mlp)-1]
+	if tp.hook != nil {
+		return tp.hook(l, rec)
+	}
+	return mlp.ApplyInto(in, out, &rec.MLPScratch)
 }
 
 // addSeq returns element-wise a[t] + b[t] as fresh vectors.

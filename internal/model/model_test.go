@@ -41,6 +41,41 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// The hook is the step's MLP: one that runs the dense MLP into the record,
+// unmasked, trains exactly as no hook (same loss, same gradient bits), and
+// it sees every (layer, token) of the sequence.
+func TestTrainHookIsTheStepsMLP(t *testing.T) {
+	ids, targets := []int{1, 4, 2, 9, 0, 3}, []int{4, 2, 9, 0, 3, 5}
+	step := func(hooked bool) (loss float64, grads []float32, calls int) {
+		m := New(tinyConfig(), 7)
+		var hook TrainHook
+		if hooked {
+			hook = func(l int, rec *nn.MLPRecord) tensor.Vec {
+				calls++
+				return m.Blocks[l].MLP.ApplyInto(rec.X, nil, &rec.MLPScratch)
+			}
+		}
+		loss = m.TrainStep(ids, targets, hook)
+		for _, p := range m.Params() {
+			grads = append(grads, p.G.Data...)
+		}
+		return loss, grads, calls
+	}
+	loss, grads, _ := step(false)
+	hLoss, hGrads, calls := step(true)
+	if calls != len(ids)*tinyConfig().Layers {
+		t.Fatalf("hook called %d times, want %d", calls, len(ids)*tinyConfig().Layers)
+	}
+	if math.Float64bits(hLoss) != math.Float64bits(loss) {
+		t.Fatalf("loss %v with the dense hook, %v without", hLoss, loss)
+	}
+	for i, g := range grads {
+		if math.Float32bits(hGrads[i]) != math.Float32bits(g) {
+			t.Fatalf("gradient %d: %v with the dense hook, %v without", i, hGrads[i], g)
+		}
+	}
+}
+
 func TestModelEndToEndGradients(t *testing.T) {
 	m := New(tinyConfig(), 7)
 	ids := []int{1, 4, 2, 9, 0, 3}
@@ -56,7 +91,7 @@ func TestModelEndToEndGradients(t *testing.T) {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-	m.TrainStep(ids, targets)
+	m.TrainStep(ids, targets, nil)
 	rng := tensor.NewRNG(31)
 	checked := 0
 	for _, p := range m.Params() {

@@ -45,7 +45,7 @@ func Train(m *Model, tokens []int, opts TrainOpts) (float64, error) {
 			start := rng.Intn(len(tokens) - opts.SeqLen - 1)
 			ids := tokens[start : start+opts.SeqLen]
 			targets := tokens[start+1 : start+opts.SeqLen+1]
-			batchLoss += m.TrainStep(ids, targets)
+			batchLoss += m.TrainStep(ids, targets, nil)
 		}
 		batchLoss /= float64(opts.Batch)
 		// Average the accumulated gradients over the batch.

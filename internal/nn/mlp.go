@@ -128,16 +128,37 @@ func (m *GLUMLP) ApplyInto(x, out tensor.Vec, s *MLPScratch) tensor.Vec {
 	return tensor.MatVec(m.Down.P.W, s.H, out)
 }
 
-// MLPRecord is what Backward reads of one token: its input and the scratch
-// ApplyInto filled with that token's U, G and H.
+// MLPRecord is what Backward reads of one token: its input, the scratch
+// ApplyInto filled with that token's U, G and H, and the masks of a sparse
+// forward: the input columns (In) and GLU units (Units) it kept, ascending,
+// each nil for all of them. A masked record's X is zero outside In, its U
+// and G are the projections of that X, and its H is zero outside Units.
 type MLPRecord struct {
 	X tensor.Vec
 	MLPScratch
+	In, Units []int
+}
+
+// KeepOnly zeroes v outside the ascending index list idx; a nil idx keeps
+// all of v.
+func KeepOnly(v tensor.Vec, idx []int) {
+	if idx == nil {
+		return
+	}
+	for i := range v {
+		if len(idx) > 0 && idx[0] == i {
+			idx = idx[1:]
+			continue
+		}
+		v[i] = 0
+	}
 }
 
 // Backward accumulates weight gradients from the upstream gradients dys
-// of the tokens recs records and returns input gradients. The token loop
-// stays serial so gradients accumulate into the parameters in a
+// of the tokens recs records and returns input gradients. A masked record
+// gets the straight-through gradient of its masked forward: the masks are
+// constants, dh is zeroed outside its Units and dx outside its In. The
+// token loop stays serial so gradients accumulate into the parameters in a
 // fixed order (bit-reproducible training); the per-token scratch vectors
 // are reused across iterations instead of reallocated.
 func (m *GLUMLP) Backward(dys []tensor.Vec, recs []MLPRecord) []tensor.Vec {
@@ -151,6 +172,7 @@ func (m *GLUMLP) Backward(dys []tensor.Vec, recs []MLPRecord) []tensor.Vec {
 		tensor.AddOuter(m.Down.P.G, 1, dy, c.H)
 		dh.Zero()
 		tensor.MatTVec(m.Down.P.W, dy, dh)
+		KeepOnly(dh, c.Units)
 		// Gate product.
 		for i := range dh {
 			act := m.Act.Apply(c.G[i])
@@ -161,6 +183,7 @@ func (m *GLUMLP) Backward(dys []tensor.Vec, recs []MLPRecord) []tensor.Vec {
 		tensor.AddOuter(m.Gate.P.G, 1, dg, c.X)
 		dx := tensor.MatTVec(m.Up.P.W, du, nil)
 		tensor.MatTVec(m.Gate.P.W, dg, dx)
+		KeepOnly(dx, c.In)
 		dxs[t] = dx
 	}
 	return dxs

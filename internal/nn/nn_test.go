@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -75,12 +76,18 @@ func applySeq(xs []tensor.Vec, f func(tensor.Vec) tensor.Vec) []tensor.Vec {
 }
 
 // mlpSeq runs mlp over xs one token at a time, recording each for Backward.
-func mlpSeq(mlp *GLUMLP, xs []tensor.Vec) ([]tensor.Vec, []MLPRecord) {
+// Each record keeps the input columns in and the GLU units units (nil for
+// all), zeroed elsewhere as a sparse scheme's forward leaves them.
+func mlpSeq(mlp *GLUMLP, xs []tensor.Vec, in, units []int) ([]tensor.Vec, []MLPRecord) {
 	recs := make([]MLPRecord, len(xs))
 	ys := make([]tensor.Vec, len(xs))
 	for t, x := range xs {
-		recs[t].X = x
-		ys[t] = mlp.ApplyInto(x, nil, &recs[t].MLPScratch)
+		r := &recs[t]
+		r.X, r.In, r.Units = x.Clone(), in, units
+		KeepOnly(r.X, in)
+		r.H = mlp.GLUInto(r.X, nil, &r.MLPScratch)
+		KeepOnly(r.H, units)
+		ys[t] = tensor.MatVec(mlp.Down.P.W, r.H, nil)
 	}
 	return ys, recs
 }
@@ -189,23 +196,49 @@ func TestRMSNormInputGradient(t *testing.T) {
 	}
 }
 
+// The dense case, and a masked one: inputs 1 and 4 and GLU units 0, 2, 3
+// and 6 pruned, whose weight gradients and input gradients are exactly zero.
 func TestGLUMLPGradients(t *testing.T) {
 	for _, act := range []Activation{ActSiLU, ActReLU} {
-		rng := tensor.NewRNG(6)
-		mlp := NewGLUMLP("mlp", 5, 8, act, rng)
-		xs := randSeq(rng, 2, 5)
-		target := randSeq(rng, 2, 5)
-		loss := func() float64 {
-			ys, _ := mlpSeq(mlp, xs)
-			s, _ := halfSqErr(ys, target)
-			return s
+		for _, mask := range []struct{ in, units []int }{{nil, nil}, {[]int{0, 2, 3}, []int{1, 4, 5, 7}}} {
+			rng := tensor.NewRNG(6)
+			mlp := NewGLUMLP("mlp", 5, 8, act, rng)
+			xs := randSeq(rng, 2, 5)
+			target := randSeq(rng, 2, 5)
+			loss := func() float64 {
+				ys, _ := mlpSeq(mlp, xs, mask.in, mask.units)
+				s, _ := halfSqErr(ys, target)
+				return s
+			}
+			var dxs []tensor.Vec
+			run := func() {
+				ys, recs := mlpSeq(mlp, xs, mask.in, mask.units)
+				_, dys := halfSqErr(ys, target)
+				dxs = mlp.Backward(dys, recs)
+			}
+			checkGrads(t, mlp.Params(), loss, run, 0.05)
+			if mask.in == nil {
+				continue
+			}
+			for i := 0; i < mlp.DFF; i++ {
+				for j := 0; j < mlp.Dim; j++ {
+					keptUnit, keptIn := slices.Contains(mask.units, i), slices.Contains(mask.in, j)
+					for _, p := range []*Param{mlp.Up.P, mlp.Gate.P} {
+						if g := p.G.At(i, j); (!keptUnit || !keptIn) && g != 0 {
+							t.Fatalf("%s %s[%d,%d] = %v, want 0 (unit kept %v, input kept %v)", act, p.Name, i, j, g, keptUnit, keptIn)
+						}
+					}
+					if g := mlp.Down.P.G.At(j, i); !keptUnit && g != 0 {
+						t.Fatalf("%s down[%d,%d] = %v on a pruned unit, want 0", act, j, i, g)
+					}
+				}
+			}
+			for _, dx := range dxs {
+				if dx[1] != 0 || dx[4] != 0 {
+					t.Fatalf("%s: dx = %v, want 0 at the pruned inputs 1 and 4", act, dx)
+				}
+			}
 		}
-		run := func() {
-			ys, recs := mlpSeq(mlp, xs)
-			_, dys := halfSqErr(ys, target)
-			mlp.Backward(dys, recs)
-		}
-		checkGrads(t, mlp.Params(), loss, run, 0.05)
 	}
 }
 

@@ -120,6 +120,19 @@ func (ta *TokenAccess) Density(dim, dff int) float64 {
 	return float64(ta.WeightsTouched(dim, dff)) / float64(3*dim*dff)
 }
 
+// Kept returns the input columns and the GLU units the access kept,
+// ascending, each nil when the scheme kept all of them: the masks of
+// nn.MLPRecord. The lists alias the access's.
+func (ta *TokenAccess) Kept() (in, glu []int) {
+	if g := ta.Groups[GroupUpGate]; g.Kind == AccessSparse {
+		in = g.Units
+	}
+	if g := ta.Groups[GroupDown]; g.Kind == AccessSparse {
+		glu = g.Units
+	}
+	return in, glu
+}
+
 // CacheView exposes the DRAM cache state to cache-aware schemes. A nil
 // CacheView reduces DIP-CA to DIP.
 type CacheView interface {

@@ -3,6 +3,7 @@ package sparsity
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -436,6 +437,25 @@ func TestGroupIDStrings(t *testing.T) {
 			t.Fatalf("bad group name %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// Kept reads the masks off the two groups that carry them: the input
+// columns off GroupUpGate and the GLU units off GroupDown, nil for all.
+func TestTokenAccessKept(t *testing.T) {
+	var ta TokenAccess
+	ta.Groups[GroupUpGate] = GroupAccess{Kind: AccessSparse, Units: []int{1, 3}}
+	ta.Groups[GroupDown] = GroupAccess{Kind: AccessSparse, Units: []int{0, 2}}
+	if in, glu := ta.Kept(); !slices.Equal(in, []int{1, 3}) || !slices.Equal(glu, []int{0, 2}) {
+		t.Fatalf("sparse access: Kept() = %v, %v", in, glu)
+	}
+	if in, glu := denseAccess.Kept(); in != nil || glu != nil {
+		t.Fatalf("dense access: Kept() = %v, %v, want nil, nil", in, glu)
+	}
+	// Gate pruning reads every input column but on no column group.
+	_, ta = (&GatePrune{Rho: 0.5}).Forward(0, randVec(1, 8), newTestMLP(1, 8, 16, nn.ActSiLU), nil)
+	if in, glu := ta.Kept(); in != nil || len(glu) != 8 {
+		t.Fatalf("gate access: Kept() = %v, %v, want nil and 8 units", in, glu)
 	}
 }
 
