@@ -12,11 +12,11 @@
 // arrivals with the seeded RNG and hands them over one at a time to be
 // routed (each placement sees the loads left by the previous one),
 // lifecycle transitions and the failure-detector pass fire before routing,
-// and migrants are re-placed through the same router. Only the node decode
-// ticks fan out over internal/parallel, with results collected in node
-// index order, so the whole cluster — the rolled-up Report and the merged
-// per-node event logs — is bit-identical across worker counts,
-// fused/unfused decode, and REPRO_PROCS.
+// and migrants are re-placed through the same router. Node ticks open and
+// close in node order too; only decode fans out over internal/parallel (a
+// partitioned node's sessions one by one, a shared-cache node whole), so
+// the rolled-up Report and the merged per-node event logs are bit-identical
+// across worker counts, fused/unfused decode, and REPRO_PROCS.
 //
 // Failure is not free: nodes go down unannounced — on a scripted Failure
 // tick or an unscripted chaos draw — and the cluster only learns of it

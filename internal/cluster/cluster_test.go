@@ -151,7 +151,7 @@ func TestConsistentHashIsTenantAffineAndStableUnderNodeLoss(t *testing.T) {
 // exercises failover migration AND an administrative drain: three
 // heterogeneous nodes (different arbitration and batch widths), Poisson
 // arrivals, a mid-run failure on node 1 and a later drain of node 2. Run
-// under -race this also proves the parallel node fan-out never races.
+// under -race this also proves the parallel decode fan-out never races.
 func TestClusterDeterministicAcrossWorkerCountsAndFuse(t *testing.T) {
 	trained(t)
 	reqs := requests(t, 8,

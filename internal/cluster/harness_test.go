@@ -17,7 +17,7 @@ import (
 // is a list of rows run through one fixed variant matrix — the serving
 // harness's, plus the bare serving.Engine for a one-node row, which must be
 // indistinguishable from the cluster wrapping it. Run under -race, every row
-// also proves the parallel node fan-out never races the serial control
+// also proves the parallel decode fan-out never races the serial control
 // plane.
 
 // row is one scenario: a cluster config (the matrix sets each node's NoFuse

@@ -77,11 +77,14 @@ func (s solo) Place(idx, tick int) (bool, error) {
 // shared tick clock and returns the tick count the reports close at. Each
 // tick runs ctl.Before, shuffles the workload's same-tick arrivals with the
 // seeded RNG (ties are deterministic without privileging emission order) and
-// places them one at a time, then steps every unfrozen engine — concurrently,
-// engine state being disjoint, with results collected in index order so the
-// outcome is independent of the worker pool. A tick on which nothing decoded
-// fast-forwards the clock to the earliest event that can change that. horizon
-// bounds how far the clock may run with no engine stepping and no arrival.
+// places them one at a time. The unfrozen engines then step: every
+// openTick in index order, one worker-pool fan-out over the decode units
+// they open, and every closeTick in index order. Units share no mutable
+// state and only the serial phases emit events, so the outcome is
+// independent of the worker pool. A tick on which nothing decoded
+// fast-forwards the clock to the earliest event that can change that.
+// horizon bounds how far the clock may run with no engine stepping and no
+// arrival.
 func Drive(w Workload, seed uint64, engines []*Engine, ctl Control, horizon int) (ticks int, err error) {
 	for _, e := range engines {
 		if err := e.begin(); err != nil {
@@ -93,21 +96,14 @@ func Drive(w Workload, seed uint64, engines []*Engine, ctl Control, horizon int)
 	rng := tensor.NewRNG(seed)
 	var finished []Finished
 	var shuffle []int
-	type result struct {
-		fin     []Finished
-		stepped bool
-		err     error
-	}
-	steps := make([]result, len(engines))
-	tick, lastProgress := 0, 0
-	step := func(_, lo, hi int) {
-		for n := lo; n < hi; n++ {
-			steps[n] = result{}
-			if !ctl.Frozen(n) {
-				steps[n].fin, steps[n].stepped, steps[n].err = engines[n].stepTick(tick)
-			}
+	// Built once per run, so a steady-state tick allocates nothing here.
+	var units []unit
+	decodeUnits := func(_, lo, hi int) {
+		for _, u := range units[lo:hi] {
+			u.run()
 		}
 	}
+	tick, lastProgress := 0, 0
 	for !w.Done() || ctl.Pending() > 0 || busy(engines) {
 		if finished, err = ctl.Before(tick, finished); err != nil {
 			return 0, err
@@ -138,15 +134,16 @@ func Drive(w Workload, seed uint64, engines []*Engine, ctl Control, horizon int)
 				finished = append(finished, Finished{Index: idx, ID: reqs[idx].ID, Tick: tick})
 			}
 		}
-		parallel.ForWorker(len(engines), 1, step)
-		stepped := false
-		for n := range steps {
-			if steps[n].err != nil {
-				return 0, fmt.Errorf("serving: engine %d: %w", n, steps[n].err)
-			}
-			finished = append(finished, steps[n].fin...)
-			stepped = stepped || steps[n].stepped
+		if units, err = openAll(tick, engines, ctl, units[:0]); err != nil {
+			return 0, err
 		}
+		parallel.ForWorker(len(units), 1, decodeUnits)
+		for n, e := range engines {
+			if !ctl.Frozen(n) {
+				finished = append(finished, e.closeTick(tick)...)
+			}
+		}
+		stepped := len(units) > 0
 		if stepped || len(arrivals) > 0 {
 			lastProgress = tick
 		}
@@ -192,6 +189,20 @@ func Drive(w Workload, seed uint64, engines []*Engine, ctl Control, horizon int)
 		tick = next
 	}
 	return tick, nil
+}
+
+// openAll runs openTick on every unfrozen engine in index order and returns
+// units with the tick's decode units appended.
+func openAll(tick int, engines []*Engine, ctl Control, units []unit) (_ []unit, err error) {
+	for n, e := range engines {
+		if ctl.Frozen(n) {
+			continue
+		}
+		if units, err = e.openTick(tick, units); err != nil {
+			return units, fmt.Errorf("serving: engine %d: %w", n, err)
+		}
+	}
+	return units, nil
 }
 
 // busy reports whether any engine still holds queued or active sessions.
@@ -302,18 +313,36 @@ func deadlineOf(arriveTick int, slo SLO) int {
 	return arriveTick + slo.DeadlineTicks
 }
 
-// decode advances the active batch by the token quantum in lockstep
-// sub-steps. Sub-step q collects the unfinished sessions in slot order and
-// advances each by one token: through one fused eval.BatchStep, which walks
-// every weight matrix once for the whole batch, or — under NoFuse, and for a
-// lone session, where there is nothing to fuse — through each stream's own
-// Step, fanned out over the worker pool (partitioned sessions share no
-// mutable state, and deferred ones only read the shared cache). Under
-// ArbShared the buffered accesses are then committed serially in slot order,
-// so the shared cache sees one deterministic interleaving for any worker
-// count; partitioned sessions apply theirs to their private caches inside
-// the step. Either advance is bit-identical to the other (the fuse tests pin
-// it). A session that drains records q, its 1-based finish sub-step.
+// unit is one decode task of Drive's fan-out: one session of a partitioned
+// engine, or, with sess nil, an ArbShared engine's whole lockstep decode.
+type unit struct {
+	e    *Engine
+	sess *Session
+}
+
+// run advances the unit through the tick's quantum. A session steps on its
+// own, into its private cache, and records its finish sub-step as decode does.
+func (u unit) run() {
+	if u.sess == nil {
+		u.e.decode(u.e.active)
+		return
+	}
+	for q := 1; q <= u.e.cfg.Quantum && u.sess.stream.Step(); q++ {
+		if u.sess.stream.Done() {
+			u.sess.finishSub = q
+		}
+	}
+}
+
+// decode is a shared-cache engine's decode unit: the active batch advances
+// by the token quantum in lockstep sub-steps. Sub-step q advances each
+// unfinished session, in slot order, by one token: through one fused
+// eval.BatchStep, which walks every weight matrix once for the whole batch,
+// or — under NoFuse, and for a lone session — through each stream's own
+// Step. Either is bit-identical to the other (the fuse tests pin it). The
+// buffered accesses are then committed in slot order, so the shared cache
+// sees one interleaving for any worker count. A session that drains records
+// q, its 1-based finish sub-step.
 func (e *Engine) decode(active []*Session) {
 	for q := 1; q <= e.cfg.Quantum; q++ {
 		e.batch = e.batch[:0]
@@ -326,14 +355,14 @@ func (e *Engine) decode(active []*Session) {
 			return
 		}
 		if e.cfg.NoFuse || len(e.batch) == 1 {
-			parallel.ForWorker(len(e.batch), 1, e.stepEach)
+			for _, st := range e.batch {
+				st.Step()
+			}
 		} else {
 			eval.BatchStep(e.batch, &e.arena)
 		}
-		if e.cfg.Arb == ArbShared {
-			for _, st := range e.batch {
-				st.Commit()
-			}
+		for _, st := range e.batch {
+			st.Commit()
 		}
 		for _, s := range active {
 			// Done and not yet stamped: drained on this sub-step — unless it

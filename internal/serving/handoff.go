@@ -9,9 +9,9 @@ import (
 )
 
 // This file is one engine's share of a tick and the surface a Control works
-// through. Drive (engine.go) is the only caller of begin/stepTick/nextEvent;
-// a Control's Place calls Inject, and a cluster's lifecycle moves queued or
-// suspended sessions between engines for drain and failover with
+// through. Only Drive (engine.go) calls begin, openTick, closeTick and
+// nextEvent; a Control's Place calls Inject, and a cluster's lifecycle moves
+// queued or suspended sessions between engines for drain and failover with
 // ExtractQueue/Evacuate/Accept, carrying private cache state through the
 // eval.Stream Release/Regrant hooks. Finalize closes the run.
 
@@ -35,7 +35,7 @@ func (e *Engine) begin() error {
 // and is consumed only when the arrival is queued. Inject reports shed=true
 // when admission control drops the arrival at the door: the engine has done
 // the shed accounting and event emission, and Drive reports it back to the
-// workload as finished (stepTick's notices start over each tick, so the
+// workload as finished (openTick's notices start over each tick, so the
 // door-shed is not repeated there).
 func (e *Engine) Inject(idx, tick, order int) (shed bool) {
 	req := &e.reqs[idx]
@@ -61,15 +61,15 @@ func (e *Engine) Inject(idx, tick, order int) (shed bool) {
 	return false
 }
 
-// stepTick executes one engine tick after the tick's arrivals have been
-// injected: degradation under sustained pressure, the fault plan in slot
-// order, backfill, preemption, and — when anything is active — one decode
-// quantum with retirements stamped at tick+1. It returns the sessions that
-// terminated this tick (sheds via Inject excluded; Drive already has those)
-// and stepped=false when nothing decoded, in which case Drive decides how far
-// to fast-forward (see nextEvent). The returned slice is scratch reused by
-// the next call.
-func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
+// openTick is the half of one engine tick before its decode, run after the
+// tick's arrivals have been injected: degradation under sustained pressure,
+// the fault plan in slot order, backfill, preemption and the tick-start
+// telemetry. It appends the engine's decode units to units: one per active
+// session of a partitioned engine, whose streams share no mutable state, and
+// one for a busy shared-cache engine, whose commits must interleave in slot
+// order. An idle engine appends none; Drive then decides how far to
+// fast-forward (see nextEvent).
+func (e *Engine) openTick(tick int, units []unit) ([]unit, error) {
 	e.fin = e.fin[:0]
 	if e.cfg.ShedQueueBudget > 0 {
 		if len(e.queue) >= e.cfg.ShedQueueBudget {
@@ -126,7 +126,7 @@ func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 		}
 		sess := e.take(best)
 		if err := e.place(sess, tick, len(e.active)); err != nil {
-			return nil, false, err
+			return units, err
 		}
 		e.active = append(e.active, sess)
 	}
@@ -152,19 +152,35 @@ func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 		sess := e.take(qi)
 		e.displace(e.active[slot], tick, slot, CausePreempt)
 		if err := e.place(sess, tick, slot); err != nil {
-			return nil, false, err
+			return units, err
 		}
 		e.active[slot] = sess
 	}
 	if len(e.active) == 0 {
-		return e.fin, false, nil
+		return units, nil
 	}
-	// Telemetry brackets the decode from the serial loop: decode itself
+	// Telemetry brackets the decode from the serial halves: a decode unit
 	// never touches the recorder, so the event stream and tracker feed are
 	// identical for any worker count and either way of advancing a sub-step.
-	pre := e.obsTickStart(tick, e.active, len(e.queue))
-	e.decode(e.active)
-	e.obsTickEnd(tick, e.active, pre)
+	e.pre = e.obsTickStart(tick, e.active, len(e.queue))
+	if e.cfg.Arb == ArbShared {
+		return append(units, unit{e: e}), nil
+	}
+	for _, s := range e.active {
+		units = append(units, unit{e: e, sess: s})
+	}
+	return units, nil
+}
+
+// closeTick is the half of one engine tick after its decode units have run:
+// the tick-end telemetry and the retirements, stamped at tick+1. It returns
+// the sessions that terminated this tick (sheds via Inject excluded; Drive
+// already has those), in scratch the next openTick reuses.
+func (e *Engine) closeTick(tick int) []Finished {
+	if len(e.active) == 0 {
+		return e.fin
+	}
+	e.obsTickEnd(tick, e.active, e.pre)
 	post := tick + 1
 	live := e.active[:0]
 	for slot, s := range e.active {
@@ -175,7 +191,7 @@ func (e *Engine) stepTick(tick int) (fin []Finished, stepped bool, err error) {
 		}
 	}
 	e.active = live
-	return e.fin, true, nil
+	return e.fin
 }
 
 // nextEvent reports the earliest future tick at which this engine's queue

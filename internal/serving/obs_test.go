@@ -135,7 +135,8 @@ func TestObserverDoesNotPerturbReport(t *testing.T) {
 // hooks on the tick hot path must not allocate at all.
 func TestDisabledObserverAddsNoTickAllocations(t *testing.T) {
 	trained(t)
-	e, active := admitted(t, 2, 4, false)
+	e := admitted(t, ArbShared, 2, 4, false)
+	active := e.active
 	if e.obs != nil {
 		t.Fatal("engine bound a recorder nobody configured")
 	}

@@ -91,7 +91,7 @@ func TestSessionChurnAllocatesOnlyItsReportRow(t *testing.T) {
 			next++
 			e.Inject(idx, tick, idx)
 			for e.sessions[idx].state != Done {
-				if _, _, err := e.stepTick(tick); err != nil {
+				if err := stepTick(e, tick); err != nil {
 					t.Fatal(err)
 				}
 				tick++

@@ -101,11 +101,11 @@ type Config struct {
 	// Seed drives the same-tick arrival shuffle. Fixed seed ⇒ fixed
 	// admission tiebreaks ⇒ bit-identical outputs and cache statistics.
 	Seed uint64
-	// NoFuse advances each session with its own Step inside the one decode
-	// loop — the reference the bit-identity suites and bench/ compare the
-	// fused step against. By default each token sub-step of a multi-session
-	// batch is one fused step that walks every weight matrix once for the
-	// whole batch. Reports are bit-identical either way (enforced in tests).
+	// NoFuse advances each session of an ArbShared engine with its own Step
+	// — the reference the bit-identity suites and bench/ compare the fused
+	// step against; by default a multi-session shared batch's sub-step is one
+	// fused step that walks every weight matrix once. A partitioned engine
+	// never fuses. Reports are bit-identical either way (enforced in tests).
 	NoFuse bool
 
 	// Faults injects seeded failures into the engine loop (nil = reliable
@@ -290,15 +290,16 @@ type Engine struct {
 	ran       bool
 	wallStart time.Time
 
-	// Run state Drive advances through Inject and stepTick: the admission
-	// queue, the active batch, the admission-rank counter, the arrival order
-	// counter of a lone run (a cluster passes its own global order), and the
-	// per-tick Finished scratch stepTick returns.
+	// Run state Drive advances through Inject and the tick halves: the
+	// admission queue, the active batch, the admission-rank counter, the
+	// arrival order counter of a lone run (a cluster passes its own global
+	// order), and the per-tick Finished scratch closeTick returns.
 	queue  []*Session
 	active []*Session
 	rank   int
 	order  int
 	fin    []Finished
+	pre    int // the decoded total obsTickStart hands to obsTickEnd
 
 	// Robustness state: displacements by cause (preemptions, step faults,
 	// and revocations report from it), the resolved retry policy, aggregate
@@ -317,16 +318,15 @@ type Engine struct {
 	// on the tick).
 	obs *obs.Recorder
 
-	// Per-tick scratch, reused across the run so steady-state ticks do not
-	// allocate engine-side: the sub-step's streams, the fused step's arena,
-	// and the per-session step decode fans batch out with.
-	arena    eval.BatchArena
-	batch    []*eval.Stream
-	stepEach func(worker, lo, hi int)
+	// Per-tick scratch of a shared-cache engine's decode, reused across the
+	// run so steady-state ticks do not allocate engine-side: the sub-step's
+	// streams and the fused step's arena.
+	arena eval.BatchArena
+	batch []*eval.Stream
 
 	// Free lists: the streams and private caches of sessions that no longer
 	// hold them, for the next admission and grant to reuse. They are plain
-	// slices because only this engine's serial loop and its own stepTick
+	// slices because only this engine's serial loop and its own tick halves
 	// touch them. caps is the capacity every private grant here has; a cache
 	// of any other shape (carried in from a differently configured engine)
 	// is dropped rather than pooled.
@@ -429,11 +429,6 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		sessions: make([]*Session, len(reqs)),
 		batch:    make([]*eval.Stream, 0, cfg.MaxActive),
 		caps:     scaledCaps(plan.Caps, grantShare(cfg)),
-	}
-	e.stepEach = func(_, lo, hi int) {
-		for _, st := range e.batch[lo:hi] {
-			st.Step()
-		}
 	}
 	if cfg.Arb == ArbShared {
 		e.shared = plan.NewCache(cfg.System.Policy)
@@ -640,7 +635,7 @@ func (e *Engine) detach(sess *Session) *cache.ModelCache {
 
 // terminate is the single exit from the lifecycle: it stamps the outcome
 // and finish tick, counts and logs the outcome, and posts the Finished
-// notice stepTick hands back to the workload. Its fold completes the
+// notice Drive hands back to the workload. Its fold completes the
 // session's row from the stream — the end-of-stream facts and the cache
 // traffic — so the report still prices the partial work of failed and
 // cancelled sessions, and then returns the stream (decoder and KV slots,
