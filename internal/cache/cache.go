@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sparsity"
 )
@@ -190,7 +191,10 @@ func (g *GroupCache) word(u int) uint64 { return uint64(g.key[u])<<unitBits | ui
 // AccessSparse processes one token's access to the listed units, updating
 // residency per the policy, and returns the hit and miss unit counts. A
 // unit listed twice is touched twice: the first occurrence may miss and
-// insert, the repeat then hits.
+// insert, the repeat then hits. Misses are admitted in list order while there
+// is room (free slots and evictable units), but LFU admits the ones it
+// counts most, this access included, and Belady only ones used sooner than
+// their victims.
 func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	if g.capacity == 0 {
 		g.stats.Misses += int64(len(units))
@@ -209,10 +213,16 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	}
 	s := uint32(g.clock)
 	// Every unit of the access is needed this token, so none may be evicted
-	// by another's miss: stamp them and drop the resident ones' words.
+	// by another's miss: stamp them, update their keys, drop resident words.
 	for _, u := range units {
 		if uint(u) >= uint(g.nunits) {
 			panic(fmt.Sprintf("cache: unit %d outside the universe of %d", u, g.nunits))
+		}
+		switch g.policy {
+		case PolicyLRU:
+			g.key[u] = g.clock
+		case PolicyLFU:
+			g.key[u]++
 		}
 		g.stamp[u] = s
 	}
@@ -222,23 +232,28 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 			kept = append(kept, w)
 		}
 	}
+	listedResident := len(g.evictable) - len(kept)
 	g.evictable = kept
+	// A miss counted below t, or at t past the first ties, or past the room
+	// bypasses the cache (the paper's low-density regime, where the active
+	// units exceed the cache and are loaded straight to the processing unit).
+	t, ties := int64(-1), 0
+	room := g.capacity - g.count + len(kept)
+	if g.policy == PolicyLFU && 0 < room && room < len(units)-listedResident {
+		t, ties = g.admission(units, room, s)
+	}
 	evicts := 0
 	for _, u := range units {
-		switch g.policy {
-		case PolicyLRU:
-			g.key[u] = g.clock
-		case PolicyLFU:
-			g.key[u]++
-		}
 		if g.resident[u] {
 			hits++
 			continue
 		}
 		misses++
-		// With no room and no victim, u bypasses the cache (the paper's
-		// low-density regime, where the active units exceed the cache and are
-		// loaded straight to the processing unit).
+		if k := g.key[u]; k < t || k == t && ties == 0 {
+			continue
+		} else if k == t {
+			ties--
+		}
 		switch {
 		case g.count < g.capacity:
 			g.count++
@@ -251,7 +266,7 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		default:
 			continue
 		}
-		g.resident[u] = true
+		g.resident[u], g.stamp[u] = true, s // admission may have left s-1
 	}
 	// The evictable list does not change during an LRU or LFU walk, so the
 	// victims counted there are its smallest words, whichever miss took
@@ -277,6 +292,42 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		g.syncPos++
 	}
 	return hits, misses
+}
+
+// admission picks the room misses of an LFU access stamped s with the
+// highest counts: those counted above t and the first ties counted t. It
+// keeps no list: each pass bins the misses' counts in [lo, hi] (no count
+// exceeds the units listed so far) 256 ways and narrows to one bin. A pass
+// moves the misses' stamps between s and s-1, so a unit listed twice is
+// counted once.
+func (g *GroupCache) admission(units []int, room int, s uint32) (t int64, ties int) {
+	from, to := s, s-1
+	lo, hi := int64(0), g.stats.Hits+g.stats.Misses+int64(len(units))
+	t, above := -1, 0 // above: misses counted above hi
+	for t < 0 {
+		var bins [256]int
+		shift, n := max(bits.Len64(uint64(hi-lo))-8, 0), 0
+		for _, u := range units {
+			if !g.resident[u] && g.stamp[u] == from {
+				g.stamp[u] = to
+				if c := g.key[u]; lo <= c && c <= hi {
+					bins[(c-lo)>>shift]++
+					n++
+				}
+			}
+		}
+		// A unit listed twice can leave fewer misses than room: all fit.
+		from, to, room = to, from, min(room, above+n)
+		b := (hi - lo) >> shift
+		for ; above+bins[b] < room; b-- {
+			above += bins[b]
+		}
+		lo, hi = lo+b<<shift, min(hi, lo+(b+1)<<shift-1)
+		if lo == hi {
+			t, ties = lo, room-above
+		}
+	}
+	return t, ties
 }
 
 // beladyEvictFor makes room for u by swap-deleting the evictable unit used

@@ -132,26 +132,40 @@ func TestResidentSetIndependentOfListOrderWithoutBypass(t *testing.T) {
 }
 
 // The one place list order decides what the cache holds: an access with more
-// units than there is room for admits its first misses in list order until
-// nothing is evictable, and the rest bypass.
+// units than there is room for admits its misses until nothing is
+// evictable, and the rest bypass. LRU, whose misses all tie, admits the
+// first ones listed; so does LFU among misses of equal count, and a cold
+// miss counts one use. A warm miss, counted before, LFU admits first.
 func TestBypassAdmitsFirstMissesInListOrder(t *testing.T) {
 	for _, p := range []Policy{PolicyLRU, PolicyLFU} {
 		for _, c := range []struct {
 			list, want []int
+			// warm is accessed beside residents 0–3 before list: with no room
+			// it bypasses, counted but not cached. lfu is then LFU's residents.
+			warm, lfu []int
 		}{
 			// Residents 1, 2, 3 are hits and protected; only 0 is evictable,
 			// so exactly one miss is admitted: the first one listed.
-			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}},
-			{[]int{2, 14, 7, 1, 5, 12, 3, 9}, []int{1, 2, 3, 14}},
-			{[]int{1, 2, 3, 5, 7, 9, 12, 14}, []int{1, 2, 3, 5}},
+			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}, nil, nil},
+			{[]int{2, 14, 7, 1, 5, 12, 3, 9}, []int{1, 2, 3, 14}, nil, nil},
+			{[]int{1, 2, 3, 5, 7, 9, 12, 14}, []int{1, 2, 3, 5}, nil, nil},
+			// 14 was used once before: LFU admits it, though it is listed last.
+			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}, []int{14}, []int{1, 2, 3, 14}},
 		} {
 			g := NewGroupCache(p, 4, 16)
 			g.AccessSparse([]int{0})
 			g.AccessSparse([]int{1, 2, 3})
+			want := c.want
+			if c.warm != nil {
+				g.AccessSparse(append([]int{0, 1, 2, 3}, c.warm...))
+				if p == PolicyLFU {
+					want = c.lfu
+				}
+			}
 			h, m := g.AccessSparse(c.list)
-			if got := residents(g); h != 3 || m != 5 || g.Stats().Evictions != 1 || !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("%v list %v: %d hits %d misses %d evictions, resident %v; want 3/5/1 and %v",
-					p, c.list, h, m, g.Stats().Evictions, got, c.want)
+			if got := residents(g); h != 3 || m != 5 || g.Stats().Evictions != 1 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v list %v (warm %v): %d hits %d misses %d evictions, resident %v; want 3/5/1 and %v",
+					p, c.list, c.warm, h, m, g.Stats().Evictions, got, want)
 			}
 		}
 		// A cold cache admits the first capacity units of the list.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -16,7 +17,8 @@ import (
 // counts and in-flight stamps in three arrays, and a linear scan over the
 // whole universe per miss. It is the oracle the heap is held to — same
 // (hits, misses) per call, same residency, same Stats — and carries the
-// AccessDense capacity fix so the two can be compared across dense accesses.
+// AccessDense capacity fix so the two can be compared across dense accesses,
+// and LFU's admission by count when misses outnumber the room.
 type refCache struct {
 	policy   Policy
 	capacity int
@@ -86,16 +88,41 @@ func (g *refCache) accessSparse(units []int) (hits, misses int) {
 	g.clock++
 	for _, u := range units {
 		g.inflight[u] = g.clock
-	}
-	for _, u := range units {
 		g.freq[u]++
 		g.lastUse[u] = g.clock
+	}
+	// LFU admits its misses, each once, by count, highest first, then by
+	// list position, as long as there is a free slot or a resident unit
+	// outside the access; the rest bypass.
+	var bypass []bool
+	if g.policy == PolicyLFU {
+		bypass = make([]bool, g.nunits)
+		var missed []int
+		for _, u := range units {
+			if !g.resident[u] && !slices.Contains(missed, u) {
+				missed = append(missed, u)
+			}
+		}
+		room := g.capacity - g.count
+		for v := 0; v < g.nunits; v++ {
+			if g.resident[v] && g.inflight[v] != g.clock {
+				room++
+			}
+		}
+		slices.SortStableFunc(missed, func(a, b int) int { return cmp.Compare(g.freq[b], g.freq[a]) })
+		for _, u := range missed[min(room, len(missed)):] {
+			bypass[u] = true
+		}
+	}
+	for _, u := range units {
 		if g.resident[u] {
 			hits++
 			continue
 		}
 		misses++
-		g.insert(u)
+		if bypass == nil || !bypass[u] {
+			g.insert(u)
+		}
 	}
 	g.stats.Hits += int64(hits)
 	g.stats.Misses += int64(misses)
@@ -336,6 +363,22 @@ func FuzzGroupCacheVictims(f *testing.F) {
 		wide = append(wide, 3, byte(i*7), byte(i*i), byte(i*5/2))
 	}
 	f.Add(wide)
+	// LFU with more misses than room (16 units, capacity 1 or 2). Distinct
+	// counts: 2 was counted twice while bypassing, so it is admitted over 5,
+	// listed first. Equal counts: five cold misses, the first two admitted.
+	f.Add([]byte{1, 16, 0, 1, 3, 1, 2, 3, 3, 1, 2, 3, 2, 5, 2})
+	f.Add([]byte{1, 16, 0, 2, 5, 9, 3, 12, 5, 7})
+	// Room 0: every resident unit is in the access, so every miss bypasses.
+	f.Add([]byte{1, 16, 0, 2, 2, 1, 2, 4, 1, 2, 3, 4})
+	// Units listed twice: 3 counts two uses and is admitted with 4 over 5;
+	// then 6 and 7 are admitted at a tie and 8 bypasses twice.
+	f.Add([]byte{1, 16, 0, 2, 2, 1, 2, 4, 3, 4, 3, 5, 6, 6, 7, 6, 7, 8, 8})
+	// A unit listed three times counts past the clock: 2 is admitted over 1.
+	// Listed three times on a cold cache, 4 is one miss, with room to spare;
+	// resident, 5 is no miss at all, though listed more times than the room.
+	f.Add([]byte{1, 16, 0, 1, 4, 1, 2, 2, 2})
+	f.Add([]byte{1, 16, 0, 2, 3, 4, 4, 4})
+	f.Add([]byte{1, 16, 0, 2, 1, 5, 3, 5, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -475,10 +518,16 @@ func steadyLists(n, k, nunits int, skew float64) [][]int {
 	return lists
 }
 
+// Steady-state accesses allocate nothing: 40-unit lists against 60 units of
+// room, and against 20 under LFU, where misses outnumber the room and are
+// admitted by their (skewed, so distinct) counts.
 func TestAccessSparseDoesNotAllocate(t *testing.T) {
 	lists := steadyLists(64, 40, 256, 1)
-	for _, policy := range []Policy{PolicyLRU, PolicyLFU} {
-		g := NewGroupCache(policy, 60, 256)
+	for _, c := range []struct {
+		policy   Policy
+		capacity int
+	}{{PolicyLRU, 60}, {PolicyLFU, 60}, {PolicyLFU, 20}} {
+		g := NewGroupCache(c.policy, c.capacity, 256)
 		i := 0
 		access := func() {
 			g.AccessSparse(lists[i%len(lists)])
@@ -487,11 +536,15 @@ func TestAccessSparseDoesNotAllocate(t *testing.T) {
 		for i < 512 {
 			access()
 		}
-		if g.Stats().Evictions == 0 {
-			t.Fatalf("%v: warm-up never evicted", policy)
+		st := g.Stats()
+		if st.Evictions == 0 {
+			t.Fatalf("%v capacity %d: warm-up never evicted", c.policy, c.capacity)
+		}
+		if bypassed := st.Misses > st.Evictions+int64(c.capacity); bypassed != (c.capacity == 20) {
+			t.Fatalf("%v capacity %d: %d misses, %d evictions; bypassed %v", c.policy, c.capacity, st.Misses, st.Evictions, bypassed)
 		}
 		if allocs := testing.AllocsPerRun(512, access); allocs != 0 {
-			t.Errorf("%v: %v allocations per AccessSparse at steady state", policy, allocs)
+			t.Errorf("%v capacity %d: %v allocations per AccessSparse at steady state", c.policy, c.capacity, allocs)
 		}
 	}
 }
@@ -640,6 +693,10 @@ func BenchmarkGroupCacheAccessSparse256k166(b *testing.B) { benchAccessSparse(b,
 
 // Down columns: 154 of 768 units per token against a 158-unit share.
 func BenchmarkGroupCacheAccessSparse768k154(b *testing.B) { benchAccessSparse(b, 768, 154, 158) }
+
+// Down columns at half density: 384 of 768 units per token against the same
+// share, so every access has more misses than room and ranks them by count.
+func BenchmarkGroupCacheAccessSparse768k384(b *testing.B) { benchAccessSparse(b, 768, 384, 158) }
 
 // selectSmallest leaves the k smallest words in front of the rest, whatever
 // their order going in: every k of every length up to 40, on ascending,

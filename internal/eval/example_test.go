@@ -45,6 +45,6 @@ func ExampleSystemEvaluate() {
 	// Output:
 	// scheme   density     ppl    tok/s hit rate
 	// dense      1.000  14.176    0.476    0.375
-	// dip        0.479  14.537    1.248    0.604
-	// dip-ca     0.479  14.823    1.634    0.733
+	// dip        0.479  14.537    1.395    0.643
+	// dip-ca     0.479  14.882    1.667    0.738
 }

@@ -1,14 +1,14 @@
 // Package parallel is the shared worker-pool layer for the repository: a
 // blocked-range executor sized from GOMAXPROCS (overridable via the
-// REPRO_PROCS environment variable or SetProcs) that the nn token loops,
-// the serving tick and the experiment drivers all use.
+// REPRO_PROCS environment variable or SetProcs) that the serving tick, the
+// experiment drivers, eval's items and the trainers' windows use.
 //
 // Design notes:
 //
 //   - SetProcs starts procs−1 persistent workers once. For/ForWorker cut
-//     [0, n) into at most 4·Procs() contiguous blocks (one at Procs()==1),
-//     store the call in the first idle worker, send every other idle worker
-//     to it, and claim block ids in ascending order beside them until none
+//     [0, n) into blocks of grain items (one block at Procs()==1), store
+//     the call in the first idle worker, send every other idle worker to
+//     it, and claim block ids in ascending order beside them until none
 //     remain, so a goroutine that finishes a light block takes the next one
 //     instead of idling behind a heavy one. When no worker is idle —
 //     including when a parallel region nests inside another — every block
@@ -144,26 +144,15 @@ func (l *limiter) drain() {
 	}
 }
 
-// blocksPerProc is how many blocks per pool worker plan cuts a range into
-// when the pool has more than one: a goroutine that finishes a light block
-// claims the next one instead of idling while another runs a heavy one.
-const blocksPerProc = 4
-
 // plan returns the number of blocks and the block size ForWorker will use
-// for a range of n items with the given minimum grain per block: at most
-// blocksPerProc·procs blocks, and one block at procs 1.
+// for a range of n > 0 items: one block at procs 1, else one per grain
+// items (the last may be shorter).
 func plan(n, grain, procs int) (blocks, chunk int) {
-	if grain < 1 {
-		grain = 1
-	}
-	most := blocksPerProc * procs
 	if procs == 1 {
-		most = 1
+		return 1, n
 	}
-	w := max(min((n+grain-1)/grain, most), 1)
-	chunk = (n + w - 1) / w
-	blocks = (n + chunk - 1) / chunk
-	return blocks, chunk
+	chunk = max(grain, 1)
+	return (n + chunk - 1) / chunk, chunk
 }
 
 // Workers returns the number of blocks (and therefore distinct worker ids)
@@ -177,7 +166,7 @@ func Workers(n, grain int) int {
 	return blocks
 }
 
-// For runs fn over [0, n) as parallel blocks of at least grain items.
+// For runs fn over [0, n) as parallel blocks of grain items.
 // fn(lo, hi) must be safe to call concurrently for disjoint ranges.
 func For(n, grain int, fn func(lo, hi int)) {
 	run(n, grain, nil, fn)

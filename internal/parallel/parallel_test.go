@@ -35,8 +35,8 @@ func TestForWorkerIdsAreStableAndBounded(t *testing.T) {
 	SetProcs(4)
 	n, grain := 100, 5
 	nw := Workers(n, grain)
-	if nw < 1 || nw > 4*4 {
-		t.Fatalf("Workers(%d,%d) = %d, want in [1,16]", n, grain, nw)
+	if nw != n/grain {
+		t.Fatalf("Workers(%d,%d) = %d, want one block per grain items, %d", n, grain, nw, n/grain)
 	}
 	owner := make([]int32, n)
 	var seen sync.Map
@@ -109,20 +109,21 @@ func TestConcurrentForCallers(t *testing.T) {
 }
 
 // Every block id is claimed exactly once and every index falls in exactly
-// one block, whatever the pool size: below one item per worker, at the
-// block cap, past it, and with a fan-out nested in each block.
+// one block, whatever the pool size: below one item per worker, at 4·procs
+// items and past them, and with a fan-out nested in each block. At procs > 1
+// each item is its own block; at procs 1 the range is one.
 func TestForWorkerClaimsEveryBlockOnce(t *testing.T) {
 	defer SetProcs(Procs())
 	for procs := 1; procs <= 4; procs++ {
 		SetProcs(procs)
-		bcap := blocksPerProc * procs
-		if procs == 1 {
-			bcap = 1
-		}
-		for _, n := range []int{1, procs - 1, bcap, bcap + 1, 100} {
+		for _, n := range []int{1, procs - 1, 4 * procs, 4*procs + 1, 100} {
+			want := n
+			if procs == 1 {
+				want = min(n, 1)
+			}
 			nw := Workers(n, 1)
-			if nw > bcap || (n > 0 && nw < 1) || (n == bcap && nw != bcap) {
-				t.Fatalf("procs=%d: Workers(%d,1) = %d, want %d blocks at most and all of them at the cap", procs, n, nw, bcap)
+			if nw != want {
+				t.Fatalf("procs=%d: Workers(%d,1) = %d, want %d", procs, n, nw, want)
 			}
 			hits := make([]int32, n)
 			ids := make([]int32, nw)
@@ -159,29 +160,32 @@ func TestForWorkerClaimsEveryBlockOnce(t *testing.T) {
 }
 
 // A block that waits on later items does not hold them up: the blocks after
-// it are claimed by whichever goroutine is free, so item 0 sees items 1–3
-// run while it waits. Were blocks fixed to goroutines up front, item 1
-// would share item 0's block and the wait would time out.
+// it are claimed by whichever goroutine is free, so item 0 sees every other
+// item run while it waits, past 4·procs items too. Were blocks fixed to
+// goroutines up front, or several items cut into one block, item 1 would
+// share item 0's goroutine or block and the wait would time out.
 func TestSlowBlockDoesNotIdleAWorker(t *testing.T) {
 	defer SetProcs(Procs())
 	SetProcs(2)
-	var ran atomic.Int32
-	rest := make(chan struct{})
-	For(4, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i > 0 {
-				if ran.Add(1) == 3 {
-					close(rest)
+	for _, n := range []int{4, 4*Procs() + 2} {
+		var ran atomic.Int32
+		rest := make(chan struct{})
+		For(n, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if i > 0 {
+					if ran.Add(1) == int32(n-1) {
+						close(rest)
+					}
+					continue
 				}
-				continue
+				select {
+				case <-rest:
+				case <-time.After(5 * time.Second): //lint:allow wallclock bounds the wait so a pool that fixes item 1 behind item 0 fails instead of hanging; no report reads it
+					t.Errorf("n %d: item 0 waited 5 s and saw %d of the other %d items run", n, ran.Load(), n-1)
+				}
 			}
-			select {
-			case <-rest:
-			case <-time.After(5 * time.Second): //lint:allow wallclock bounds the wait so a pool that fixes item 1 behind item 0 fails instead of hanging; no report reads it
-				t.Errorf("item 0 waited 5 s and saw %d of items 1–3 run", ran.Load())
-			}
-		}
-	})
+		})
+	}
 }
 
 // A fan-out hands its job to the pool's standing workers: after warm-up it
