@@ -221,13 +221,18 @@ func (st *Stream) record(layer int, ta *sparsity.TokenAccess) {
 
 // access prices one layer's accesses on the cache and the meter, opening
 // the token at layer 0, and counts them as this stream's hits and misses.
-// A coupled Step, Commit and Replay all make these calls, in layer order.
+// A coupled Step and Replay both make these calls, in layer order.
 func (st *Stream) access(layer int, ta *sparsity.TokenAccess) {
 	if layer == 0 {
 		st.meter.BeginToken()
 	}
 	res := st.mc.Access(layer, ta)
 	st.meter.AddAccess(res)
+	st.count(res)
+}
+
+// count adds one layer's cache result to this stream's hits and misses.
+func (st *Stream) count(res cache.AccessResult) {
 	for g := range res.HitUnits {
 		st.hits += int64(res.HitUnits[g])
 		st.misses += int64(res.MissUnits[g])
@@ -283,21 +288,31 @@ func (st *Stream) score(logits tensor.Vec) {
 	}
 }
 
-// Commit applies the deferred accesses of the last Step to the (shared)
-// cache and prices them on this stream's meter. The caller chooses the
-// cross-stream ordering; a fixed ordering makes shared-cache stats
-// deterministic. Commit panics on a non-deferred stream.
-func (st *Stream) Commit() {
-	if !st.deferred {
-		panic("eval: Commit on a non-deferred Stream")
+// Commit applies the deferred accesses of each stream's last Step to its
+// cache, in the order of sts — one lockstep sub-step of streams that share
+// a cache — and prices the sub-step once on step (see hwsim.Step): a unit
+// several streams list is fetched once, by the first, and every stream's
+// meter is charged the whole step for its token, so one stream alone is
+// priced as its own Step would price it. Each stream still counts its own
+// cache hits and misses. The caller chooses the order; a fixed order makes
+// shared-cache stats deterministic. It returns the step's simulated
+// seconds, and panics on a stream that is not deferred or has not stepped
+// since its last Commit.
+func Commit(sts []*Stream, step *hwsim.Step) float64 {
+	step.Begin()
+	for _, st := range sts {
+		if !st.deferred || !st.dirty {
+			panic("eval: Commit of a Stream with no deferred step")
+		}
+		for l := range st.pending {
+			st.count(step.Access(l, &st.pending[l], st.mc))
+		}
 	}
-	if !st.dirty {
-		return
+	for _, st := range sts {
+		st.meter.ChargeStep(step)
+		st.dirty = false
 	}
-	for l := range st.pending {
-		st.access(l, &st.pending[l])
-	}
-	st.dirty = false
+	return step.Seconds()
 }
 
 // Release detaches the stream from its cache for a suspension: all decode

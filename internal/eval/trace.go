@@ -46,7 +46,7 @@ func Record(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig) (
 
 // Replay prices the recorded stream on a fresh cache of plan under policy,
 // a Belady cache taking its future from the trace, and returns the drained
-// stream. It makes Commit's calls in a coupled Step's order, so Point, CE
+// stream. It makes a coupled Step's calls in their order, so Point, CE
 // and Traffic equal the coupled stream's bit for bit. The returned stream
 // cannot be stepped or restarted.
 func Replay(tr *Trace, plan *hwsim.Plan, policy cache.Policy) *Stream {

@@ -193,7 +193,9 @@ func (p *Plan) NewCache(policy cache.Policy) *cache.ModelCache {
 // UnitBytes returns the scaled byte size of one unit of group g.
 func (p *Plan) UnitBytes(g sparsity.GroupID) float64 { return p.unitBytes[g] }
 
-// Meter accumulates per-token transfer costs for a decoding run.
+// Meter accumulates per-token transfer costs for a decoding run: a token
+// priced alone (BeginToken, then each layer's AddAccess), or one column's
+// token of a Step it waited for (ChargeStep).
 type Meter struct {
 	plan   *Plan
 	tokens int
@@ -206,11 +208,17 @@ func (p *Plan) NewMeter() *Meter { return &Meter{plan: p} }
 
 // BeginToken accounts the per-token static reads: the pinned non-MLP
 // weights stream from DRAM every token, plus on average half the KV cache.
-// The halving compiles to a multiply by 0.5; its conversion keeps arm64 from
-// fusing it into the add.
 func (mt *Meter) BeginToken() {
 	mt.tokens++
-	mt.DRAMBytes += (mt.plan.StaticBytes - mt.plan.KVBytes) + float64(mt.plan.KVBytes/2)
+	mt.DRAMBytes += mt.plan.staticBytes(1)
+}
+
+// staticBytes is what a step of width columns reads besides the MLP units:
+// the pinned non-MLP weights once, and on average half of each column's KV
+// cache. The halving compiles to a multiply by 0.5; the conversions keep
+// arm64 from fusing either product into an add.
+func (p *Plan) staticBytes(width int) float64 {
+	return (p.StaticBytes - p.KVBytes) + float64(float64(width)*float64(p.KVBytes/2))
 }
 
 // AddAccess accounts one layer's cache access result.
@@ -219,6 +227,18 @@ func (mt *Meter) AddAccess(res cache.AccessResult) {
 		ub := mt.plan.unitBytes[g]
 		mt.DRAMBytes += float64(float64(res.HitUnits[g]) * ub)
 		mt.FlashBytes += float64(float64(res.MissUnits[g]) * ub)
+	}
+}
+
+// ChargeStep accounts one token that waited for the whole of step: its
+// column is charged every byte the step moved, so a column's latency is the
+// step's. A one-column step charges what BeginToken and that column's
+// AddAccess calls do, bit for bit.
+func (mt *Meter) ChargeStep(s *Step) {
+	mt.tokens++
+	mt.DRAMBytes += mt.plan.staticBytes(s.width)
+	for _, res := range s.fetched {
+		mt.AddAccess(res)
 	}
 }
 
@@ -241,4 +261,116 @@ func (mt *Meter) Throughput() float64 {
 		return 0
 	}
 	return 1 / l
+}
+
+// Step prices one lockstep sub-step of columns — one token each — that
+// share a cache: the pinned non-MLP weights stream once, each column streams
+// its own KV, and each unit the columns list in a (layer, group) is fetched
+// once, from DRAM if it is resident when the first column listing it
+// commits and from flash otherwise; later columns reuse that fetch. The
+// cache sees every column's access unchanged, so its state and each
+// column's hit and miss counts are what per-column accesses give. Step
+// stamps each unit with the id of the last step that fetched it, so opening
+// a step clears no per-unit state and nothing is allocated after NewStep.
+type Step struct {
+	plan    *Plan
+	width   int
+	id      uint32
+	stamps  []uint32                       // backs stamp
+	stamp   [][sparsity.NumGroups][]uint32 // per layer and group, by unit
+	fetched []cache.AccessResult           // per layer: the step's DRAM and flash fetches, in units
+}
+
+// NewStep returns an empty step over the plan's unit universes.
+func (p *Plan) NewStep() *Step {
+	s := &Step{plan: p, stamp: make([][sparsity.NumGroups][]uint32, p.layers), fetched: make([]cache.AccessResult, p.layers)}
+	n := 0
+	for l := range p.NUnits {
+		for _, u := range p.NUnits[l] {
+			n += u
+		}
+	}
+	s.stamps = make([]uint32, n)
+	n = 0
+	for l := range p.NUnits {
+		for g, u := range p.NUnits[l] {
+			s.stamp[l][g] = s.stamps[n : n+u : n+u]
+			n += u
+		}
+	}
+	return s
+}
+
+// Begin opens the next step: no columns and no fetches yet. The step id
+// skips 0 at a wrap of its 32 bits, clearing every stamp, so an old stamp
+// never matches.
+func (s *Step) Begin() {
+	s.width = 0
+	clear(s.fetched)
+	s.id++
+	if s.id == 0 {
+		clear(s.stamps)
+		s.id++
+	}
+}
+
+// Access applies one column's accesses at a layer to mc and adds them to
+// the step, returning the cache's result for the column's own hit and miss
+// counts. A unit no earlier column of the step listed is fetched from where
+// the cache serves it: a sparse unit from DRAM if it was resident before
+// this access, a dense group's from DRAM if it is resident after it (a
+// dense access only pins, as the cache counts it). A unit listed twice is
+// fetched once. A column accesses its layers in order, and layer 0 opens it.
+func (s *Step) Access(layer int, ta *sparsity.TokenAccess, mc *cache.ModelCache) cache.AccessResult {
+	if layer == 0 {
+		s.width++
+	}
+	s.fetch(layer, ta, mc, sparsity.AccessSparse)
+	res := mc.Access(layer, ta)
+	s.fetch(layer, ta, mc, sparsity.AccessDense)
+	return res
+}
+
+// fetch adds the units of ta's groups of the given kind that the step has
+// not fetched yet, priced by mc's residency now.
+func (s *Step) fetch(layer int, ta *sparsity.TokenAccess, mc *cache.ModelCache, kind sparsity.AccessKind) {
+	res := &s.fetched[layer]
+	for g := range ta.Groups {
+		acc := &ta.Groups[g]
+		if acc.Kind != kind {
+			continue
+		}
+		stamp := s.stamp[layer][g]
+		resident := mc.Resident(layer, sparsity.GroupID(g))
+		if resident == nil {
+			continue // a group mc does not hold: its Access panics, naming it
+		}
+		n := len(acc.Units)
+		if kind == sparsity.AccessDense {
+			n = len(stamp)
+		}
+		for i := range n {
+			u := i
+			if kind == sparsity.AccessSparse {
+				u = acc.Units[i]
+			}
+			if stamp[u] == s.id {
+				continue
+			}
+			stamp[u] = s.id
+			if resident[u] {
+				res.HitUnits[g]++
+			} else {
+				res.MissUnits[g]++
+			}
+		}
+	}
+}
+
+// Seconds returns the step's simulated transfer time: what one column's
+// meter is charged for it.
+func (s *Step) Seconds() float64 {
+	mt := Meter{plan: s.plan}
+	mt.ChargeStep(s)
+	return mt.Latency()
 }

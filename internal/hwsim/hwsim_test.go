@@ -255,3 +255,25 @@ func TestMeterEmpty(t *testing.T) {
 		t.Fatal("empty meter should report zeros")
 	}
 }
+
+// A step id that wraps its 32 bits clears every stamp, so a unit stamped by
+// the step 2^32 steps back is fetched again, not taken as fetched already.
+func TestStepIdWrapFetchesAgain(t *testing.T) {
+	p, err := NewPlan(testModel(), A18Like(), PlanOpts{Groups: dipGroups()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := cache.NewModelCache(cache.PolicyNone, p.Caps, p.NUnits)
+	ta := &sparsity.TokenAccess{}
+	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{3}}
+	s := p.NewStep()
+	s.Begin()
+	s.Access(0, ta, mc)
+	fresh := s.Seconds()
+	s.id = math.MaxUint32 // unit 3 keeps step 1's stamp; the next id wraps to it
+	s.Begin()
+	s.Access(0, ta, mc)
+	if got := s.Seconds(); s.id != 1 || got != fresh {
+		t.Fatalf("step %d priced %v s, want step 1 and a fresh fetch's %v s", s.id, got, fresh)
+	}
+}

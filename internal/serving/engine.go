@@ -340,9 +340,11 @@ func (u unit) run() {
 // eval.BatchStep, which walks every weight matrix once for the whole batch,
 // or — under NoFuse, and for a lone session — through each stream's own
 // Step. Either is bit-identical to the other (the fuse tests pin it). The
-// buffered accesses are then committed in slot order, so the shared cache
-// sees one interleaving for any worker count. A session that drains records
-// q, its 1-based finish sub-step.
+// buffered accesses are then committed in slot order by one eval.Commit, so
+// the shared cache sees one interleaving for any worker count, and the
+// engine's step prices the sub-step once: a unit several columns list is
+// fetched once, and each column's token costs the whole step. A session
+// that drains records q, its 1-based finish sub-step.
 func (e *Engine) decode(active []*Session) {
 	for q := 1; q <= e.cfg.Quantum; q++ {
 		e.batch = e.batch[:0]
@@ -361,9 +363,7 @@ func (e *Engine) decode(active []*Session) {
 		} else {
 			eval.BatchStep(e.batch, &e.arena)
 		}
-		for _, st := range e.batch {
-			st.Commit()
-		}
+		e.stepSeconds += eval.Commit(e.batch, e.step)
 		for _, s := range active {
 			// Done and not yet stamped: drained on this sub-step — unless it
 			// never stepped at all (a request shorter than one window), which

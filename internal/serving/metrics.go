@@ -79,9 +79,11 @@ type Report struct {
 
 	// TotalTokens is the token count decoded across all sessions.
 	TotalTokens int
-	// SimTokS is the simulated aggregate throughput: all of one engine's
+	// SimTokS is the simulated aggregate throughput. A partitioned engine's
 	// sessions time-share its memory system, so their simulated transfer
-	// times serialize (engines merged by Merge add their rates instead).
+	// times serialize; a shared-cache engine's seconds are its priced
+	// sub-steps', each fetching a unit its columns share once (see
+	// hwsim.Step). Engines merged by Merge add their rates instead.
 	SimTokS float64
 	// HitRate is the unit-weighted cache hit rate across sessions, from the
 	// raw CacheHits/CacheMisses totals (which Merge adds, rather than
@@ -89,7 +91,8 @@ type Report struct {
 	HitRate                float64
 	CacheHits, CacheMisses int64
 	// SimLatencyP50/P99 are percentiles, across sessions, of the mean
-	// simulated seconds per token.
+	// simulated seconds per token; on a shared-cache engine a token costs
+	// the whole sub-step it was decoded in.
 	SimLatencyP50, SimLatencyP99 float64
 	// QueueP50/P99 are percentiles of arrival→admission delay in ticks.
 	QueueP50, QueueP99 float64
@@ -201,7 +204,10 @@ func Reconcile(pkg string, checks []ObsCheck) error {
 
 // Finalize closes a run at the given tick count and assembles the Report —
 // Run's last step when the workload drains, and a stepped driver's — from
-// the rows terminate folded, in submission order.
+// the rows terminate folded, in submission order. SimTokS and Goodput divide
+// by the finished sessions' summed seconds on a partitioned engine, and by
+// the seconds of every sub-step it priced on a shared-cache engine, which
+// include the steps of a session that migrated away or never finished.
 func (e *Engine) Finalize(ticks int) *Report {
 	wall := time.Since(e.wallStart) //lint:allow wallclock feeds Report.Wall only; every other report field is tick-clocked
 	r := &Report{
@@ -223,7 +229,7 @@ func (e *Engine) Finalize(ticks int) *Report {
 	// The report holds each finished row once, and one float buffer serves
 	// every percentile series in turn: the fold copies nothing else.
 	r.Sessions = make([]SessionMetrics, 0, done)
-	var simSeconds float64
+	simSeconds := e.stepSeconds
 	for _, s := range e.sessions {
 		if s == nil || s.state != Done {
 			continue // never here, migrated away, or — a run cut short — unfinished
@@ -231,7 +237,9 @@ func (e *Engine) Finalize(ticks int) *Report {
 		sm := &s.SessionMetrics
 		r.Sessions = append(r.Sessions, *sm)
 		r.TotalTokens += sm.Decoded
-		simSeconds += float64(sm.Point.LatencyS * float64(sm.Decoded))
+		if e.step == nil {
+			simSeconds += float64(sm.Point.LatencyS * float64(sm.Decoded))
+		}
 		r.CacheHits += s.hits
 		r.CacheMisses += s.misses
 		if sm.Outcome == OutcomeOK {

@@ -96,7 +96,8 @@ type Config struct {
 	MaxActive int
 	// Quantum is how many tokens each active session advances per tick
 	// (default 8). Under ArbShared every token is individually committed to
-	// the shared cache in slot order, regardless of quantum.
+	// the shared cache in slot order, and every sub-step priced, regardless
+	// of quantum.
 	Quantum int
 	// Seed drives the same-tick arrival shuffle. Fixed seed ⇒ fixed
 	// admission tiebreaks ⇒ bit-identical outputs and cache statistics.
@@ -105,7 +106,9 @@ type Config struct {
 	// — the reference the bit-identity suites and bench/ compare the fused
 	// step against; by default a multi-session shared batch's sub-step is one
 	// fused step that walks every weight matrix once. A partitioned engine
-	// never fuses. Reports are bit-identical either way (enforced in tests).
+	// never fuses. Only the host work differs: both paths commit and price
+	// each sub-step through the same slot-ordered eval.Commit, so reports are
+	// bit-identical either way (enforced in tests).
 	NoFuse bool
 
 	// Faults injects seeded failures into the engine loop (nil = reliable
@@ -320,9 +323,12 @@ type Engine struct {
 
 	// Per-tick scratch of a shared-cache engine's decode, reused across the
 	// run so steady-state ticks do not allocate engine-side: the sub-step's
-	// streams and the fused step's arena.
-	arena eval.BatchArena
-	batch []*eval.Stream
+	// streams, the fused step's arena and the step that prices each sub-step
+	// once (nil on a partitioned engine); stepSeconds sums what it priced.
+	arena       eval.BatchArena
+	batch       []*eval.Stream
+	step        *hwsim.Step
+	stepSeconds float64
 
 	// Free lists: the streams and private caches of sessions that no longer
 	// hold them, for the next admission and grant to reuse. They are plain
@@ -431,7 +437,7 @@ func NewEngine(m *model.Model, cfg Config, w Workload) (*Engine, error) {
 		caps:     scaledCaps(plan.Caps, grantShare(cfg)),
 	}
 	if cfg.Arb == ArbShared {
-		e.shared = plan.NewCache(cfg.System.Policy)
+		e.shared, e.step = plan.NewCache(cfg.System.Policy), plan.NewStep()
 	}
 	return e, nil
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -87,6 +88,47 @@ func TestExclusiveSessionsMatchSoloSystemEvaluateBitForBit(t *testing.T) {
 		if sm.Tokens != len(reqs[sm.Index].Tokens) {
 			t.Fatalf("session %q decoded %d of %d tokens", sm.ID, sm.Tokens, len(reqs[sm.Index].Tokens))
 		}
+	}
+}
+
+// A lone session on a shared-cache engine is every sub-step's only column,
+// so it is priced exactly as a solo SystemEvaluate prices its stream, and
+// the engine's throughput is that stream's.
+func TestLoneSharedSessionMatchesSoloSystemEvaluateBitForBit(t *testing.T) {
+	trained(t)
+	reqs := requests(t, 1,
+		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
+		func(int) int { return 3 })
+	rep := run(t, Config{System: sysCfg(), Arb: ArbShared, MaxActive: 2, Quantum: 5, Seed: 11}, FixedBatch(reqs))
+	solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), reqs[0].Tokens, sysCfg()))(t)
+	if sm := rep.Sessions[0]; sm.Point != solo {
+		t.Fatalf("lone shared session diverged from solo evaluation:\nserved %+v\nsolo   %+v", sm.Point, solo)
+	}
+	if math.Abs(rep.SimTokS-solo.Throughput) > 1e-12*solo.Throughput {
+		t.Fatalf("engine priced %v tok/s, solo stream %v", rep.SimTokS, solo.Throughput)
+	}
+}
+
+// Sessions that decode in lockstep on one shared cache wait for the same
+// sub-steps: each one's latency is the whole step's, the same for all of
+// them bit for bit, and the engine's seconds are those steps', not the
+// sessions' added, so its throughput is the batch width over that latency.
+func TestLockstepSharedSessionsShareEachStepsLatency(t *testing.T) {
+	trained(t)
+	const k = 3
+	reqs := requests(t, k,
+		func(int) sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
+		func(int) int { return 2 })
+	rep := run(t, Config{System: sysCfg(), Arb: ArbShared, MaxActive: k, Quantum: 4, Seed: 5}, FixedBatch(reqs))
+	lat := rep.Sessions[0].Point.LatencyS
+	for _, sm := range rep.Sessions[1:] {
+		if math.Float64bits(sm.Point.LatencyS) != math.Float64bits(lat) {
+			t.Fatalf("session %q latency %v, session %q %v: lockstep columns wait for the same steps",
+				sm.ID, sm.Point.LatencyS, rep.Sessions[0].ID, lat)
+		}
+	}
+	if want := k / lat; math.Abs(rep.SimTokS-want) > 1e-12*want {
+		t.Fatalf("engine priced %v tok/s, want %d columns per %v s step = %v", rep.SimTokS, k, lat, want)
 	}
 }
 
