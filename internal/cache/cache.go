@@ -9,7 +9,7 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"repro/internal/sparsity"
 )
@@ -191,14 +191,17 @@ func (g *GroupCache) word(u int) uint64 { return uint64(g.key[u])<<unitBits | ui
 // AccessSparse processes one token's access to the listed units, updating
 // residency per the policy, and returns the hit and miss unit counts. A
 // unit listed twice is touched twice: the first occurrence may miss and
-// insert, the repeat then hits. Misses are admitted in list order while there
-// is room (free slots and evictable units), but LFU admits the ones it
-// counts most, this access included, and Belady only ones used sooner than
-// their victims.
+// insert, the repeat then hits. Misses are admitted while there is room
+// (free slots and evictable units), highest key first and then in list
+// order, and Belady admits only ones used sooner than their victims. A list
+// longer than 1<<unitBits, the positions an admission word holds, panics.
 func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 	if g.capacity == 0 {
 		g.stats.Misses += int64(len(units))
 		return 0, len(units)
+	}
+	if len(units) > 1<<unitBits {
+		panic(fmt.Sprintf("cache: access lists %d units, past the %d positions an admission word holds", len(units), 1<<unitBits))
 	}
 	// The access's stamp is uint32(clock). Stamps only grow between wraps of
 	// the low 32 bits, so an old one never matches; at a wrap every stamp is
@@ -232,15 +235,30 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 			kept = append(kept, w)
 		}
 	}
-	listedResident := len(g.evictable) - len(kept)
+	listed := len(units) - (len(g.evictable) - len(kept)) // listings of misses
 	g.evictable = kept
-	// A miss counted below t, or at t past the first ties, or past the room
-	// bypasses the cache (the paper's low-density regime, where the active
-	// units exceed the cache and are loaded straight to the processing unit).
-	t, ties := int64(-1), 0
-	room := g.capacity - g.count + len(kept)
-	if g.policy == PolicyLFU && 0 < room && room < len(units)-listedResident {
-		t, ties = g.admission(units, room, s)
+	// Misses past the room bypass the cache (the paper's low-density regime,
+	// where the active units exceed the cache and are loaded straight to the
+	// processing unit). LRU and LFU keep the room distinct ones of highest
+	// key, earliest first listing on ties (LRU's keys all tie), picked as
+	// victims are: one selection over a word per miss, ^(key<<unitBits |
+	// unitMask-pos) with pos its first listing, in the list's spare capacity,
+	// which grows once to hold the capacity and an access of this length.
+	// The rest are stamped s-1 and bypass, as every miss does with no room.
+	if room := g.capacity - g.count + len(kept); 0 < room && room < listed && g.policy != PolicyBelady {
+		g.evictable = slices.Grow(g.evictable, g.capacity+len(units)-len(kept))
+		words := g.evictable[len(kept):len(kept)]
+		for pos, u := range units {
+			if !g.resident[u] && g.stamp[u] == s {
+				g.stamp[u] = s - 1
+				words = append(words, ^uint64(g.key[u])<<unitBits|uint64(pos))
+			}
+		}
+		room = min(room, len(words))
+		selectSmallest(words, room)
+		for _, w := range words[:room] {
+			g.stamp[units[w&unitMask]] = s
+		}
 	}
 	evicts := 0
 	for _, u := range units {
@@ -249,12 +267,9 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 			continue
 		}
 		misses++
-		if k := g.key[u]; k < t || k == t && ties == 0 {
-			continue
-		} else if k == t {
-			ties--
-		}
 		switch {
+		case g.stamp[u] != s:
+			continue
 		case g.count < g.capacity:
 			g.count++
 		case g.policy == PolicyBelady:
@@ -266,7 +281,7 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		default:
 			continue
 		}
-		g.resident[u], g.stamp[u] = true, s // admission may have left s-1
+		g.resident[u] = true
 	}
 	// The evictable list does not change during an LRU or LFU walk, so the
 	// victims counted there are its smallest words, whichever miss took
@@ -292,42 +307,6 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		g.syncPos++
 	}
 	return hits, misses
-}
-
-// admission picks the room misses of an LFU access stamped s with the
-// highest counts: those counted above t and the first ties counted t. It
-// keeps no list: each pass bins the misses' counts in [lo, hi] (no count
-// exceeds the units listed so far) 256 ways and narrows to one bin. A pass
-// moves the misses' stamps between s and s-1, so a unit listed twice is
-// counted once.
-func (g *GroupCache) admission(units []int, room int, s uint32) (t int64, ties int) {
-	from, to := s, s-1
-	lo, hi := int64(0), g.stats.Hits+g.stats.Misses+int64(len(units))
-	t, above := -1, 0 // above: misses counted above hi
-	for t < 0 {
-		var bins [256]int
-		shift, n := max(bits.Len64(uint64(hi-lo))-8, 0), 0
-		for _, u := range units {
-			if !g.resident[u] && g.stamp[u] == from {
-				g.stamp[u] = to
-				if c := g.key[u]; lo <= c && c <= hi {
-					bins[(c-lo)>>shift]++
-					n++
-				}
-			}
-		}
-		// A unit listed twice can leave fewer misses than room: all fit.
-		from, to, room = to, from, min(room, above+n)
-		b := (hi - lo) >> shift
-		for ; above+bins[b] < room; b-- {
-			above += bins[b]
-		}
-		lo, hi = lo+b<<shift, min(hi, lo+(b+1)<<shift-1)
-		if lo == hi {
-			t, ties = lo, room-above
-		}
-	}
-	return t, ties
 }
 
 // beladyEvictFor makes room for u by swap-deleting the evictable unit used

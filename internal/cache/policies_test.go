@@ -135,7 +135,9 @@ func TestResidentSetIndependentOfListOrderWithoutBypass(t *testing.T) {
 // units than there is room for admits its misses until nothing is
 // evictable, and the rest bypass. LRU, whose misses all tie, admits the
 // first ones listed; so does LFU among misses of equal count, and a cold
-// miss counts one use. A warm miss, counted before, LFU admits first.
+// miss counts one use. A warm miss, counted before, LFU admits first. A miss
+// listed twice counts two uses and is ranked once, at its first listing;
+// admitted, its repeat hits.
 func TestBypassAdmitsFirstMissesInListOrder(t *testing.T) {
 	for _, p := range []Policy{PolicyLRU, PolicyLFU} {
 		for _, c := range []struct {
@@ -143,14 +145,19 @@ func TestBypassAdmitsFirstMissesInListOrder(t *testing.T) {
 			// warm is accessed beside residents 0–3 before list: with no room
 			// it bypasses, counted but not cached. lfu is then LFU's residents.
 			warm, lfu []int
+			hits      int
 		}{
 			// Residents 1, 2, 3 are hits and protected; only 0 is evictable,
 			// so exactly one miss is admitted: the first one listed.
-			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}, nil, nil},
-			{[]int{2, 14, 7, 1, 5, 12, 3, 9}, []int{1, 2, 3, 14}, nil, nil},
-			{[]int{1, 2, 3, 5, 7, 9, 12, 14}, []int{1, 2, 3, 5}, nil, nil},
+			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}, nil, nil, 3},
+			{[]int{2, 14, 7, 1, 5, 12, 3, 9}, []int{1, 2, 3, 14}, nil, nil, 3},
+			{[]int{1, 2, 3, 5, 7, 9, 12, 14}, []int{1, 2, 3, 5}, nil, nil, 3},
 			// 14 was used once before: LFU admits it, though it is listed last.
-			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}, []int{14}, []int{1, 2, 3, 14}},
+			{[]int{9, 3, 12, 5, 1, 7, 14, 2}, []int{1, 2, 3, 9}, []int{14}, []int{1, 2, 3, 14}, 3},
+			// 9 and 12 both count two uses: 9 is admitted at its first
+			// listing, ahead of 12's, and its repeat hits. Ranked at its
+			// second listing, 9 would lose the tie to 12.
+			{[]int{9, 3, 12, 5, 1, 9, 2, 7}, []int{1, 2, 3, 9}, []int{12}, []int{1, 2, 3, 9}, 4},
 		} {
 			g := NewGroupCache(p, 4, 16)
 			g.AccessSparse([]int{0})
@@ -163,9 +170,9 @@ func TestBypassAdmitsFirstMissesInListOrder(t *testing.T) {
 				}
 			}
 			h, m := g.AccessSparse(c.list)
-			if got := residents(g); h != 3 || m != 5 || g.Stats().Evictions != 1 || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v list %v (warm %v): %d hits %d misses %d evictions, resident %v; want 3/5/1 and %v",
-					p, c.list, c.warm, h, m, g.Stats().Evictions, got, want)
+			if got := residents(g); h != c.hits || h+m != len(c.list) || g.Stats().Evictions != 1 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v list %v (warm %v): %d hits %d misses %d evictions, resident %v; want %d/%d/1 and %v",
+					p, c.list, c.warm, h, m, g.Stats().Evictions, got, c.hits, len(c.list)-c.hits, want)
 			}
 		}
 		// A cold cache admits the first capacity units of the list.

@@ -519,14 +519,15 @@ func steadyLists(n, k, nunits int, skew float64) [][]int {
 }
 
 // Steady-state accesses allocate nothing: 40-unit lists against 60 units of
-// room, and against 20 under LFU, where misses outnumber the room and are
-// admitted by their (skewed, so distinct) counts.
+// room, and against 20, where misses outnumber the room and one selection
+// admits them: LRU the first listed, LFU by their (skewed, so distinct)
+// counts.
 func TestAccessSparseDoesNotAllocate(t *testing.T) {
 	lists := steadyLists(64, 40, 256, 1)
 	for _, c := range []struct {
 		policy   Policy
 		capacity int
-	}{{PolicyLRU, 60}, {PolicyLFU, 60}, {PolicyLFU, 20}} {
+	}{{PolicyLRU, 60}, {PolicyLFU, 60}, {PolicyLRU, 20}, {PolicyLFU, 20}} {
 		g := NewGroupCache(c.policy, c.capacity, 256)
 		i := 0
 		access := func() {
@@ -666,13 +667,13 @@ func TestRepeatedUnitHitsOnRepeat(t *testing.T) {
 	}
 }
 
-// benchAccessSparse drives an LFU group of the bandwidth-bound analog's
-// shape (bench/: dim 256, dff 768, DIP-CA-50 on the A18-like plan) with
-// k-unit skewed lists, reporting the miss count beside the time so the
-// structure's cost per miss can be read without a profile.
-func benchAccessSparse(b *testing.B, nunits, k, capacity int) {
+// benchAccessSparse drives a group of the bandwidth-bound analog's shape
+// (bench/: dim 256, dff 768, DIP-CA-50 on the A18-like plan) with k-unit
+// skewed lists, reporting the miss count beside the time so the structure's
+// cost per miss can be read without a profile.
+func benchAccessSparse(b *testing.B, policy Policy, nunits, k, capacity int) {
 	lists := steadyLists(256, k, nunits, 1.3)
-	g := NewGroupCache(PolicyLFU, capacity, nunits)
+	g := NewGroupCache(policy, capacity, nunits)
 	for _, units := range lists {
 		g.AccessSparse(units)
 	}
@@ -687,16 +688,27 @@ func benchAccessSparse(b *testing.B, nunits, k, capacity int) {
 	b.ReportMetric(float64(st.Evictions-before.Evictions)/float64(b.N), "evictions/access")
 }
 
-// Up/gate columns: 166 of 256 units per token against a 52-unit share, so
-// most misses bypass.
-func BenchmarkGroupCacheAccessSparse256k166(b *testing.B) { benchAccessSparse(b, 256, 166, 52) }
+// Up/gate columns under LFU: 166 of 256 units per token against a 52-unit
+// share, so most misses bypass.
+func BenchmarkGroupCacheAccessSparse256k166(b *testing.B) {
+	benchAccessSparse(b, PolicyLFU, 256, 166, 52)
+}
 
-// Down columns: 154 of 768 units per token against a 158-unit share.
-func BenchmarkGroupCacheAccessSparse768k154(b *testing.B) { benchAccessSparse(b, 768, 154, 158) }
+// Down columns under LFU: 154 of 768 units per token against a 158-unit share.
+func BenchmarkGroupCacheAccessSparse768k154(b *testing.B) {
+	benchAccessSparse(b, PolicyLFU, 768, 154, 158)
+}
 
 // Down columns at half density: 384 of 768 units per token against the same
-// share, so every access has more misses than room and ranks them by count.
-func BenchmarkGroupCacheAccessSparse768k384(b *testing.B) { benchAccessSparse(b, 768, 384, 158) }
+// share, so every access has more misses than room and ranks them by count
+// (LFU) or by list position (LRU).
+func BenchmarkGroupCacheAccessSparse768k384(b *testing.B) {
+	benchAccessSparse(b, PolicyLFU, 768, 384, 158)
+}
+
+func BenchmarkGroupCacheAccessSparse768k384LRU(b *testing.B) {
+	benchAccessSparse(b, PolicyLRU, 768, 384, 158)
+}
 
 // selectSmallest leaves the k smallest words in front of the rest, whatever
 // their order going in: every k of every length up to 40, on ascending,

@@ -64,9 +64,9 @@ func (p *Predictor) trainStep(x tensor.Vec, target []bool) float64 {
 		// Stable BCE: log(1+exp(-|z|)) + max(z,0) − z·y.
 		z := float64(lg)
 		if z > 0 {
-			loss += z - z*float64(y) + logOnePlusExp(-z)
+			loss += z - float64(z*float64(y)) + logOnePlusExp(-z)
 		} else {
-			loss += -z*float64(y) + logOnePlusExp(z)
+			loss += float64(-z*float64(y)) + logOnePlusExp(z)
 		}
 		dlogits[i] = (pi - y) / float32(len(logits))
 	}
@@ -160,7 +160,7 @@ func Train(m *model.Model, tokens []int, win int, opts TrainOpts) *Set {
 // none is), the topFrac largest |h| otherwise.
 func target(h tensor.Vec, act nn.Activation, scratch tensor.Vec) []bool {
 	if act != nn.ActReLU {
-		return tensor.TopKAbsMask(h, max(int(topFrac*float64(len(h))+0.5), 1), scratch)
+		return tensor.TopKAbsMask(h, max(int(float64(topFrac*float64(len(h)))+0.5), 1), scratch)
 	}
 	t := make([]bool, len(h))
 	anyActive := false
@@ -203,7 +203,7 @@ func RecallAtK(m *model.Model, s *Set, tokens []int, win int, rho float64, maxTo
 	for l, xs := range model.MLPInputs(m, tokens, win, maxTokens) {
 		for _, x := range xs {
 			h := m.Blocks[l].MLP.GLU(x, nil)
-			k := max(int(rho*float64(len(h))+0.5), 1)
+			k := max(int(float64(rho*float64(len(h)))+0.5), 1)
 			truth := tensor.TopKAbsMask(h, k, scratch)
 			hit := 0
 			for _, i := range tensor.TopKIndices(s.Per[l].Score(x), k) {

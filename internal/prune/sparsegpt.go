@@ -109,7 +109,7 @@ func Sweep(w *tensor.Mat, xs []tensor.Vec, plan Plan) error {
 				e := (x - q) / d
 				row[j] = q
 				for k := j + 1; k < n; k++ {
-					row[k] -= e * u.At(j, k)
+					row[k] -= float64(e * u.At(j, k))
 				}
 			}
 		}
@@ -131,7 +131,7 @@ func Sweep(w *tensor.Mat, xs []tensor.Vec, plan Plan) error {
 func MaskPlan(pattern Pattern, sparsity float64) Plan {
 	return func(rows [][]float64, u *tensor.SymMat, b0, b1 int) func(r, j int, x float64) float64 {
 		width := b1 - b0
-		groupLen, drop := width, int(sparsity*float64(width)+0.5)
+		groupLen, drop := width, int(float64(sparsity*float64(width))+0.5)
 		switch pattern {
 		case Semi2of4:
 			groupLen, drop = 4, 2
@@ -165,7 +165,7 @@ func MaskPlan(pattern Pattern, sparsity float64) Plan {
 // (the no-compensation baseline).
 func MagnitudeMatrix(w *tensor.Mat, sparsity float64) {
 	n := len(w.Data)
-	k := int(sparsity*float64(n) + 0.5)
+	k := int(float64(sparsity*float64(n)) + 0.5)
 	score := make(tensor.Vec, n)
 	for i, x := range w.Data {
 		if x < 0 {

@@ -130,7 +130,7 @@ func dist2(a, b []float32) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i] - b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

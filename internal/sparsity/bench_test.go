@@ -31,6 +31,12 @@ func BenchmarkSchemeGate50(b *testing.B) { benchScheme(b, &GatePrune{Rho: 0.25})
 func BenchmarkSchemeUp50(b *testing.B)   { benchScheme(b, &UpPrune{Rho: 0.25}) }
 func BenchmarkSchemeGLU(b *testing.B)    { benchScheme(b, &GLUPrune{RhoGLU: 0.5}) }
 
+// groupResidency is a fixed CacheView with one residency slice per group,
+// handed out as is, as ModelCache.Resident hands out a group's own slice.
+type groupResidency [NumGroups][]bool
+
+func (r *groupResidency) Resident(_ int, g GroupID) []bool { return r[g] }
+
 func BenchmarkSchemeDIPCA50(b *testing.B) {
 	mlp := nn.NewGLUMLP("m", 64, 192, nn.ActSiLU, tensor.NewRNG(1))
 	rng := tensor.NewRNG(2)
@@ -38,15 +44,15 @@ func BenchmarkSchemeDIPCA50(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat32()
 	}
-	fc := &fakeCache{cached: map[[3]int]bool{}}
+	view := &groupResidency{GroupUpGate: make([]bool, 64), GroupDown: make([]bool, 192)}
 	for i := 0; i < 32; i++ {
-		fc.cached[[3]int{0, int(GroupUpGate), i}] = true
-		fc.cached[[3]int{0, int(GroupDown), i * 3}] = true
+		view[GroupUpGate][i] = true
+		view[GroupDown][i*3] = true
 	}
 	s := NewDIPCA(0.5, 0.2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Forward(0, x, mlp, fc)
+		s.Forward(0, x, mlp, view)
 	}
 }
