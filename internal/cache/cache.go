@@ -91,8 +91,8 @@ type GroupCache struct {
 
 // An eviction word holds a unit in its low unitBits bits and the unit's key
 // in the keyBits above them, so a universe holds at most 1<<unitBits units
-// and a key stays below 1<<keyBits: the clock, which bounds every use count
-// too, panics there, after weeks of one group's accesses at microseconds each.
+// and a key stays below 1<<keyBits: the clock and an LFU use count (which
+// repeated listings drive past the clock) panic there.
 const (
 	unitBits = 24
 	keyBits  = 64 - unitBits
@@ -225,7 +225,9 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		case PolicyLRU:
 			g.key[u] = g.clock
 		case PolicyLFU:
-			g.key[u]++
+			if g.key[u]++; g.key[u] == 1<<keyBits {
+				panic(fmt.Sprintf("cache: unit %d's use count reached 1<<%d, past the key an eviction word holds", u, keyBits))
+			}
 		}
 		g.stamp[u] = s
 	}

@@ -583,6 +583,11 @@ func TestHostileInputsPanicByName(t *testing.T) {
 			g.clock = 1<<keyBits - 1
 			g.AccessSparse([]int{1})
 		}},
+		{"use count past the eviction word", "cache: unit 3's use count reached 1<<40, past the key an eviction word holds", func() {
+			g := NewGroupCache(PolicyLFU, 2, 5)
+			g.key[3] = 1<<keyBits - 1
+			g.AccessSparse([]int{3})
+		}},
 		{"unit past the universe", "cache: unit 5 outside the universe of 5", func() { NewGroupCache(PolicyLFU, 2, 5).AccessSparse([]int{1, 5}) }},
 		{"negative unit", "cache: unit -1 outside the universe of 5", func() { NewGroupCache(PolicyLFU, 2, 5).AccessSparse([]int{-1}) }},
 	} {

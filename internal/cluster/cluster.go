@@ -190,17 +190,6 @@ func New(m *model.Model, cfg Config, w serving.Workload) (*Cluster, error) {
 	if cfg.Obs != nil && cfg.Obs.Window < 0 {
 		return nil, fmt.Errorf("cluster: Config.Obs.Window must be non-negative (0 = default %d), got %d", obs.DefaultWindow, cfg.Obs.Window)
 	}
-	if cfg.DrainTick > 0 || len(cfg.Failures) > 0 || cfg.Chaos.Enabled() {
-		// Migration moves live streams between nodes, and a stream's
-		// deferred-commit mode is fixed at construction: shared and
-		// partitioned arbitration cannot exchange sessions.
-		shared := cfg.Nodes[0].Arb == serving.ArbShared
-		for i, nc := range cfg.Nodes[1:] {
-			if (nc.Arb == serving.ArbShared) != shared {
-				return nil, fmt.Errorf("cluster: node %d mixes shared and partitioned arbitration; migration cannot cross that boundary", i+1)
-			}
-		}
-	}
 	c := &Cluster{
 		cfg: cfg, w: w, reqs: w.Requests(), router: cfg.Router,
 		nodes:          make([]*serving.Engine, len(cfg.Nodes)),
@@ -302,20 +291,17 @@ func warmCap(slots int) int {
 	return cap
 }
 
-// refreshLoads snapshots every node's load signal for the router.
-func (c *Cluster) refreshLoads() []Load {
+// route picks the node for one request among the currently routable nodes,
+// from one snapshot of every node's load signal and of the candidates, or
+// returns -1 when no node is routable: every surviving node is down or
+// drained.
+func (c *Cluster) route(req serving.Request, tick int) (int, error) {
 	for n, e := range c.nodes {
 		c.loads[n] = Load{Queued: e.QueueDepth(), Active: e.ActiveCount(), Slots: e.Slots()}
 	}
-	return c.loads
-}
-
-// route picks the node for one request among the currently routable nodes.
-func (c *Cluster) route(req serving.Request, tick int) (int, error) {
-	c.refreshLoads()
 	cand := c.routable(tick)
 	if len(cand) == 0 {
-		return 0, fmt.Errorf("cluster: no routable node at tick %d (all drained or down)", tick)
+		return -1, nil
 	}
 	n := c.router.Route(req, cand, c.loads)
 	for _, ok := range cand {
@@ -333,18 +319,17 @@ func (c *Cluster) route(req serving.Request, tick int) (int, error) {
 // never-admitted ones are just re-routed paperwork.
 func (c *Cluster) migrate(migs []*serving.Migrant, tick int) error {
 	for _, mig := range migs {
-		c.refreshLoads()
-		if len(c.routable(tick)) == 0 {
+		sess := mig.Sess
+		node, err := c.route(c.reqs[sess.Index], tick)
+		if err != nil {
+			return fmt.Errorf("cluster: migrating %q: %w", sess.ID, err)
+		}
+		if node < 0 {
 			// Total outage: every surviving node is down or drained. The
 			// migrant parks in the control plane and re-places on the first
 			// detector pass that finds a routable node again.
 			c.parked = append(c.parked, mig)
 			continue
-		}
-		sess := mig.Sess
-		node, err := c.route(c.reqs[sess.Index], tick)
-		if err != nil {
-			return fmt.Errorf("cluster: migrating %q: %w", sess.ID, err)
 		}
 		if err := c.nodes[node].Accept(mig, tick); err != nil {
 			return err
@@ -424,14 +409,13 @@ func (c control) Before(tick int, fin []serving.Finished) ([]serving.Finished, e
 // cluster ingress instead and is injected when the detector readmits a node;
 // its SLO clock starts at that later injection tick.
 func (c control) Place(idx, tick int) (shed bool, err error) {
-	c.refreshLoads()
-	if len(c.routable(tick)) == 0 {
-		c.held = append(c.held, idx)
-		return false, nil
-	}
 	node, err := c.route(c.reqs[idx], tick)
 	if err != nil {
 		return false, err
+	}
+	if node < 0 {
+		c.held = append(c.held, idx)
+		return false, nil
 	}
 	if c.nodes[node].Inject(idx, tick, c.order) {
 		return true, nil

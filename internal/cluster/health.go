@@ -247,15 +247,10 @@ func (c *Cluster) detectTick(tick int) error {
 	if len(c.parked) > 0 {
 		// A prior failover found no routable node; re-place the parked
 		// migrants now that the detector pass may have readmitted one
-		// (migrate re-parks whatever still has nowhere to go).
-		c.refreshLoads()
-		if len(c.routable(tick)) > 0 {
-			migs := c.parked
-			c.parked = nil
-			if err := c.migrate(migs, tick); err != nil {
-				return err
-			}
-		}
+		// (migrate re-parks, in order, whatever still has nowhere to go).
+		migs := c.parked
+		c.parked = nil
+		return c.migrate(migs, tick)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -385,5 +387,84 @@ func TestDetectTickZeroAllocWhenChaosOff(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("detector pass allocates %v objects/tick with chaos off, want 0", allocs)
+	}
+}
+
+// Shared and partitioned nodes exchange sessions: a stream commits alone or
+// in its engine's shared sub-step as that engine decodes it, so the chaos
+// scenario on one node of each arbitration policy — sessions failing over
+// across the shared/partitioned boundary — holds every variant, the
+// end-of-run invariants and ReconcileObs.
+func TestMixedArbitrationClusterUnderChaos(t *testing.T) {
+	trained(t)
+	r := chaosRow(t, Detect{Mode: "heartbeat"}, faults.NodeChaos{Seed: 19, CrashRate: 0.04, RecoverTicks: 20})
+	r.name = "mixed arbitration " + r.name
+	r.cfg.Nodes = []serving.Config{
+		nodeCfg(serving.ArbShared, 2),
+		nodeCfg(serving.ArbFairShare, 2),
+		nodeCfg(serving.ArbExclusive, 1),
+	}
+	r.guard = func(t *testing.T, o outcome) {
+		// A session with events on node 0 and on another node crossed.
+		sides := map[string][2]bool{}
+		crossed := 0
+		for _, line := range bytes.Split(bytes.TrimSpace(o.log), []byte("\n")) {
+			var ev struct {
+				Node    int
+				Session string
+			}
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Session == "" {
+				continue
+			}
+			s := sides[ev.Session]
+			if s[0] && s[1] {
+				continue
+			}
+			s[min(ev.Node, 1)] = true
+			if sides[ev.Session] = s; s[0] && s[1] {
+				crossed++
+			}
+		}
+		if o.rep.Migrations == 0 || crossed == 0 {
+			t.Fatalf("scenario broken: %d migrations, %d sessions crossed between shared and partitioned nodes", o.rep.Migrations, crossed)
+		}
+	}
+	matrix(t, r)
+}
+
+// A suspended session migrates partitioned→shared and back: evacuated off
+// a failed fair-share node onto a shared one and, when that one fails,
+// back to the recovered fair-share node, it finishes there at the share of
+// its last grant. DIP reads no cache, so its perplexity and density equal
+// an uninterrupted solo evaluation's whichever way each token committed.
+func TestSuspendedSessionMigratesAcrossArbitration(t *testing.T) {
+	trained(t)
+	toks := zoo.tokens[:6*32]
+	req := serving.Request{ID: "solo/s00", Scheme: sparsity.NewDIP(0.5), Tokens: toks}
+	cfg := Config{
+		Nodes:  []serving.Config{nodeCfg(serving.ArbFairShare, 2), nodeCfg(serving.ArbShared, 2)},
+		Router: LeastLoaded(), Seed: 5,
+		Detect: Detect{Mode: "oracle"},
+		// Node 0 fails mid-decode and recovers; node 1 fails after the
+		// session reached it, and stays down.
+		Failures: []Failure{{Node: 0, Tick: 2, Ticks: 6}, {Node: 1, Tick: 20, Ticks: 1000}},
+	}
+	rep := run(t, cfg, serving.FixedBatch([]serving.Request{req}))
+	if rep.Migrations != 2 {
+		t.Fatalf("%d migrations, want 2: partitioned to shared and back", rep.Migrations)
+	}
+	sm := rep.Nodes[0].Report.Sessions
+	if len(sm) != 1 || sm[0].Outcome != serving.OutcomeOK {
+		t.Fatalf("node 0 reports %+v, want the session finished ok", sm)
+	}
+	if sm[0].Share != 0.5 {
+		t.Fatalf("finished at share %v, want its last grant's 0.5", sm[0].Share)
+	}
+	solo := must(eval.SystemEvaluate(zoo.m, sparsity.NewDIP(0.5), toks, sysCfg()))(t)
+	if got := sm[0].Point; got.PPL != solo.PPL || got.Density != solo.Density {
+		t.Fatalf("migrated session diverged from solo evaluation:\nserved %+v\nsolo   %+v", got, solo)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // BatchArena owns the shared scratch of fused multi-stream stepping: the
 // model-level decode arena, the per-slot scheme/view/access tables, and the
 // sparsity batch scratch. One arena serves one batch of streams at a time
-// (it is not safe for concurrent BatchStep calls); everything inside is
+// (it is not safe for concurrent BatchDecode calls); everything inside is
 // sized lazily and reused, and the decoders reuse their KV slots, so
 // steady-state batched decode allocates nothing here.
 type BatchArena struct {
@@ -51,19 +51,19 @@ func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 	}
 }
 
-// BatchStep advances every unfinished stream in sts by one token through a
-// single fused decode step — the multi-RHS batched analogue of calling
-// Step on each stream in order, and bit-identical to it: same outputs, same
-// CE sums, same cache and meter traffic per stream. Streams must share one
+// BatchDecode advances every unfinished stream in sts by one token through
+// a single fused decode step — the multi-RHS batched analogue of calling
+// Decode on each stream in order, and bit-identical to it: same outputs,
+// same CE sums, same pending accesses per stream. Streams must share one
 // model; KV caches, window state, scheme state, and (possibly shared)
 // caches stay per-stream. Finished streams are skipped, so a draining batch
-// shrinks naturally. In deferred mode the caller must Commit every stepped
-// stream between BatchSteps, exactly as with Step. The streams' schemes are
+// shrinks naturally. The caller must Commit every advanced stream before
+// its next decode, exactly as with Decode. The streams' schemes are
 // distinct instances; stateless values such as Dense{} may repeat (a
 // column's unit lists alias its scheme's scratch, see sparsity.ForwardBatch).
 //
 // It returns the number of streams advanced (0 when every stream is done).
-func BatchStep(sts []*Stream, a *BatchArena) int {
+func BatchDecode(sts []*Stream, a *BatchArena) int {
 	a.active = a.active[:0]
 	for _, st := range sts {
 		if st.pos < st.total {
@@ -78,7 +78,7 @@ func BatchStep(sts []*Stream, a *BatchArena) int {
 	m := a.active[0].m
 	for b, st := range a.active {
 		if st.m != m {
-			panic("eval: BatchStep streams must share one model")
+			panic("eval: BatchDecode streams must share one model")
 		}
 		a.decs[b] = st.decoder()
 		a.ids[b] = st.tokens[st.pos]
@@ -92,4 +92,15 @@ func BatchStep(sts []*Stream, a *BatchArena) int {
 		st.score(logits.Col(b, a.lcol))
 	}
 	return B
+}
+
+// BatchStep is BatchDecode, then each advanced stream's commit alone, as its
+// Step commits: with private caches, bit-identical to calling Step on each
+// stream in order. It returns the number of streams advanced.
+func BatchStep(sts []*Stream, a *BatchArena) int {
+	n := BatchDecode(sts, a)
+	for _, st := range a.active {
+		st.commit(st.pending)
+	}
+	return n
 }

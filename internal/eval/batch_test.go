@@ -111,31 +111,22 @@ func TestBatchStepMixedSchemesMatchesPerStream(t *testing.T) {
 	}
 }
 
-// Deferred streams must refuse a fused step while accesses are pending,
-// exactly like Step.
-func TestBatchStepPanicsOnUncommittedDeferredStream(t *testing.T) {
+// A decoded stream must refuse a fused decode until it is committed,
+// exactly like Decode.
+func TestBatchDecodePanicsOnUncommittedStream(t *testing.T) {
 	trained(t)
-	cfg := batchSysCfg()
-	plan, err := hwsim.NewPlan(zoo.m, cfg.Device, hwsim.PlanOpts{
-		Groups: hwsim.ProbeGroups(sparsity.NewDIP(0.5), zoo.m),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewStreamWith(zoo.m, sparsity.NewDIP(0.5), zoo.test[:32], cfg, StreamOpts{
-		Plan: plan, Cache: plan.NewCache(cfg.Policy), Deferred: true,
-	})
+	st, err := NewStream(zoo.m, sparsity.NewDIP(0.5), zoo.test[:32], batchSysCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var arena BatchArena
-	if n := BatchStep([]*Stream{st}, &arena); n != 1 {
-		t.Fatalf("first BatchStep advanced %d streams", n)
+	if n := BatchDecode([]*Stream{st}, &arena); n != 1 {
+		t.Fatalf("first BatchDecode advanced %d streams", n)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BatchStep on an uncommitted deferred stream must panic")
+			t.Fatal("BatchDecode on an uncommitted stream must panic")
 		}
 	}()
-	BatchStep([]*Stream{st}, &arena)
+	BatchDecode([]*Stream{st}, &arena)
 }

@@ -32,13 +32,13 @@ func newStepBench(t *testing.T, capDown int) *stepBench {
 	return &stepBench{plan: plan, mc: cache.NewModelCache(cache.PolicyLRU, caps, plan.NUnits), step: plan.NewStep()}
 }
 
-// column returns a deferred stream on the bench's cache whose pending step
+// column returns a stream on the bench's cache whose pending token
 // lists units of the down group at layer 0 and nothing elsewhere, as if it
 // had just stepped.
 func (b *stepBench) column(t *testing.T, units ...int) *Stream {
 	t.Helper()
 	st, err := NewStreamWith(zoo.m, sparsity.Dense{}, zoo.test[:32], SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLRU},
-		StreamOpts{Plan: b.plan, Cache: b.mc, Deferred: true})
+		StreamOpts{Plan: b.plan, Cache: b.mc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCommitPricesAUnitAtItsFirstTouch(t *testing.T) {
 }
 
 // A one-column sub-step is priced as the stream's own Step prices its
-// token: a deferred stream committed alone every token ends bit-identical to
+// token: a stream decoded and committed alone every token ends bit-identical to
 // the coupled stream SystemEvaluate runs, for a sparse, a dense and a mixed
 // scheme (GatePrune reads the gate rows densely).
 func TestOneColumnCommitMatchesSystemEvaluate(t *testing.T) {
@@ -136,12 +136,12 @@ func TestOneColumnCommitMatchesSystemEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewStreamWith(zoo.m, mk(), toks, cfg, StreamOpts{Plan: plan, Cache: plan.NewCache(cfg.Policy), Deferred: true})
+		st, err := NewStreamWith(zoo.m, mk(), toks, cfg, StreamOpts{Plan: plan, Cache: plan.NewCache(cfg.Policy)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		step := plan.NewStep()
-		for st.Step() {
+		for st.Decode() {
 			Commit([]*Stream{st}, step)
 		}
 		if got := st.Point(); got != solo {

@@ -323,13 +323,14 @@ func TestStreamStepsMatchSystemEvaluate(t *testing.T) {
 
 // A stream gives a Dense scheme its own MLP storage, so once it has decoded
 // a whole window (KV slots and buffers built) a Dense Step allocates
-// nothing, exactly like a DIP-CA one, whose scheme owns its scratch.
+// nothing, exactly like a DIP-CA or GatePrune one, whose scheme owns its
+// scratch: the token's decode, its pending copy and its one-column commit.
 func TestStreamStepAllocatesNothingAfterTheFirstWindow(t *testing.T) {
 	trained(t)
 	defer parallel.SetProcs(parallel.Procs())
 	parallel.SetProcs(1)
 	cfg := SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU}
-	for _, s := range []sparsity.Scheme{sparsity.Dense{}, sparsity.NewDIPCA(0.5, 0.2)} {
+	for _, s := range []sparsity.Scheme{sparsity.Dense{}, sparsity.NewDIPCA(0.5, 0.2), &sparsity.GatePrune{Rho: 0.5}} {
 		st, err := NewStream(zoo.m, s, zoo.test, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -341,6 +342,69 @@ func TestStreamStepAllocatesNothingAfterTheFirstWindow(t *testing.T) {
 			t.Errorf("%s: Stream.Step allocates %v objects after the first window, want 0", s.Name(), a)
 		}
 	}
+}
+
+// Step is Decode and then a Commit of the stream alone, bit for bit: for
+// DIP-CA, Dense and GatePrune (which reads the gate rows densely) on a
+// private LFU cache, and for a Belady Replay, whose commits equal a Commit
+// of the replayed stream alone, token by token.
+func TestStepIsDecodeThenCommitAlone(t *testing.T) {
+	trained(t)
+	same := func(what string, got, want *Stream) {
+		t.Helper()
+		if streamBits(got) != streamBits(want) || got.mc.TotalStats() != want.mc.TotalStats() {
+			t.Fatalf("%s: Step %+v (cache %+v) != Decode+Commit %+v (cache %+v)",
+				what, got.Point(), got.mc.TotalStats(), want.Point(), want.mc.TotalStats())
+		}
+	}
+	cfg := SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: 32}
+	toks := zoo.test[:96]
+	for _, mk := range []func() sparsity.Scheme{
+		func() sparsity.Scheme { return sparsity.NewDIPCA(0.5, 0.2) },
+		func() sparsity.Scheme { return sparsity.Dense{} },
+		func() sparsity.Scheme { return &sparsity.GatePrune{Rho: 0.5} },
+	} {
+		stepped, err := NewStream(zoo.m, mk(), toks, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed, err := NewStream(zoo.m, mk(), toks, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := committed.step.Plan().NewStep()
+		for stepped.Step() {
+			if !committed.Decode() {
+				t.Fatal("Decode drained before Step")
+			}
+			Commit([]*Stream{committed}, step)
+		}
+		if committed.Decode() {
+			t.Fatal("Step drained before Decode")
+		}
+		same(mk().Name(), stepped, committed)
+	}
+
+	cfg.Policy, cfg.MaxTokens = cache.PolicyBelady, 96
+	s := sparsity.NewDIP(0.5)
+	tr, err := Record(zoo.m, s, zoo.test, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := systemPlan(zoo.m, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tr.st
+	acc := *tr.st.acc
+	want.acc, want.mc, want.meter = &acc, plan.NewCache(cache.PolicyBelady), *plan.NewMeter()
+	want.mc.SetFuture(tr.units)
+	step, layers := plan.NewStep(), len(zoo.m.Blocks)
+	for t0 := 0; t0 < len(tr.acc); t0 += layers {
+		want.pending, want.dirty = tr.acc[t0:t0+layers], true
+		Commit([]*Stream{&want}, step)
+	}
+	same("belady replay", Replay(tr, plan, cache.PolicyBelady), &want)
 }
 
 func TestBestThroughput(t *testing.T) {
@@ -416,29 +480,21 @@ func TestStreamRestartReplaysFromScratch(t *testing.T) {
 	}
 }
 
-// Restart is a tick-boundary operation: a deferred stream with uncommitted
-// accesses must refuse it, exactly like Release.
+// Restart is a tick-boundary operation: a stream with a decoded token not
+// yet committed must refuse it, exactly like Release.
 func TestStreamRestartPanicsOnUncommittedAccesses(t *testing.T) {
 	trained(t)
 	cfg := SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU}
-	plan, err := hwsim.NewPlan(zoo.m, cfg.Device, hwsim.PlanOpts{
-		Groups: hwsim.ProbeGroups(sparsity.NewDIP(0.5), zoo.m),
-	})
+	st, err := NewStream(zoo.m, sparsity.NewDIP(0.5), zoo.test[:32], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStreamWith(zoo.m, sparsity.NewDIP(0.5), zoo.test[:32], cfg, StreamOpts{
-		Plan: plan, Cache: plan.NewCache(cfg.Policy), Deferred: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Step() {
-		t.Fatal("first Step failed")
+	if !st.Decode() {
+		t.Fatal("first Decode failed")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Restart on an uncommitted deferred stream must panic")
+			t.Fatal("Restart on an uncommitted stream must panic")
 		}
 	}()
 	st.Restart()

@@ -59,16 +59,17 @@ func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win
 // A stream owns all of its mutable state — scheme scratch, decoder, density
 // accumulator, meter, CE sums — so independent streams may step concurrently.
 // The cache is owned in the solo path (NewStream) and caller-provided in the
-// serving path (NewStreamWith), where StreamOpts.Deferred additionally
-// buffers each token's accesses for an explicitly ordered Commit instead of
-// applying them inside Step.
+// serving path (NewStreamWith). Every token is priced as a column of a
+// hwsim.Step: Step decodes it and commits its accesses as a one-column step
+// of the stream's own, while Decode leaves them pending for a Commit that
+// steps several streams sharing a cache in the caller's order.
 //
 // Reuse recycles a finished stream and must leave it exactly as
 // NewStreamWith builds it: every counter, sum and the meter zeroed, the
 // density accumulator Reset, the decoder rewound at the first Step. It keeps
 // storage only — the decoder's KV slots and scratch, the accumulator, the
-// pending buffers, a Dense scheme's MLP storage and, when handed back, the
-// scheme clone.
+// pending buffers, the step of the same plan, a Dense scheme's MLP storage
+// and, when handed back, the scheme clone.
 type Stream struct {
 	m      *model.Model
 	s      sparsity.Scheme
@@ -76,7 +77,7 @@ type Stream struct {
 	win    int
 	total  int
 
-	plan  *hwsim.Plan
+	step  *hwsim.Step // prices the stream's own one-column commits; its plan is the stream's
 	mc    *cache.ModelCache
 	meter hwsim.Meter
 	acc   *DensityAccumulator
@@ -93,8 +94,8 @@ type Stream struct {
 
 	hits, misses int64 // this stream's cache traffic (mc may be shared)
 
-	deferred, dirty bool                   // side by side: one word, not two
-	pending         []sparsity.TokenAccess // per-layer buffer, valid when dirty
+	dirty   bool                   // a decoded token awaits its commit
+	pending []sparsity.TokenAccess // its per-layer accesses, valid when dirty
 }
 
 // StreamOpts configures NewStreamWith beyond the SystemConfig.
@@ -103,13 +104,9 @@ type StreamOpts struct {
 	Plan *hwsim.Plan
 	// Cache receives the stream's accesses; required. It may be sized
 	// differently from Plan.Caps (cache-budget arbitration) or shared with
-	// other streams (with Deferred set).
+	// other streams, which the caller then advances with Decode and commits
+	// in its chosen order with Commit.
 	Cache *cache.ModelCache
-	// Deferred buffers each Step's accesses instead of applying them; the
-	// caller applies them in its chosen order via Commit. The scheme still
-	// sees Cache as its CacheView, so cache-aware masks read the state as of
-	// the last Commit — the serving engine's tick-boundary semantics.
-	Deferred bool
 }
 
 // NewStream builds a self-contained stream whose memory plan and cache are
@@ -163,30 +160,30 @@ func (st *Stream) Reuse(m *model.Model, s sparsity.Scheme, tokens []int, cfg Sys
 	}
 	tokens, win, total := evalWindow(m, tokens, cfg)
 	st.couple(m, s, tokens, win, total, opts.Plan, opts.Cache)
-	if opts.Deferred {
-		st.deferred = true
-		if len(st.pending) != len(m.Blocks) {
-			st.pending = make([]sparsity.TokenAccess, len(m.Blocks))
-		}
-	}
 	return nil
 }
 
 // couple resets st to a fresh stream over tokens whose hook records every
 // layer's accesses against mc, with a zeroed meter and density accumulator
-// attached. The decoder, accumulator, hook, Dense storage and pending
-// buffers carry over (the decoder and accumulator only for the same model);
-// the decoder is rewound at the first Step.
+// and, unless plan is nil, a step over plan. The decoder (rewound at the
+// first decode), accumulator, hook, Dense storage, pending buffers and step
+// carry over: the first two for the same model, the step for the same plan.
 func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, total int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
-	acc, dec := st.acc, st.dec
+	acc, dec, step, pending := st.acc, st.dec, st.step, st.pending
 	if acc == nil || st.m != m {
 		acc, dec = NewDensityAccumulator(m), nil
 	}
 	acc.Reset()
+	if len(pending) != len(m.Blocks) {
+		pending = make([]sparsity.TokenAccess, len(m.Blocks))
+	}
+	if plan != nil && (step == nil || step.Plan() != plan) {
+		step = plan.NewStep()
+	}
 	*st = Stream{
 		m: m, s: s, tokens: tokens, win: win, total: total,
-		plan: plan, mc: mc, meter: *plan.NewMeter(), acc: acc,
-		hook: st.hook, dec: dec, dense: st.dense, pending: st.pending,
+		step: step, mc: mc, meter: *plan.NewMeter(), acc: acc,
+		hook: st.hook, dec: dec, dense: st.dense, pending: pending,
 	}
 	if st.hook == nil {
 		st.hook = func(layer int, x tensor.Vec) tensor.Vec {
@@ -199,51 +196,59 @@ func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, t
 }
 
 // record books one layer's accesses, however they were computed (the
-// stream's own hook, or a fused BatchStep): density accounting, then either
-// the cache access itself, priced on the meter with per-stream hit/miss
-// counts (the cache's own totals would mix streams when it is shared), or —
-// deferred — a copy into the pending buffer for Commit, the scheme having
-// seen the cache's tick-start state. Unit lists are copied because schemes
+// stream's own hook, or a fused BatchDecode): density accounting, then a
+// copy into the pending buffer for the token's commit, the scheme having
+// seen the cache as of the last one. Unit lists are copied because schemes
 // reuse their scratch between calls; the buffers are reused across tokens,
 // so steady-state stepping does not allocate.
 func (st *Stream) record(layer int, ta *sparsity.TokenAccess) {
 	st.acc.Add(ta)
-	if st.deferred {
-		p := &st.pending[layer]
-		for g := range ta.Groups {
-			p.Groups[g].Kind = ta.Groups[g].Kind
-			p.Groups[g].Units = append(p.Groups[g].Units[:0], ta.Groups[g].Units...)
+	p := &st.pending[layer]
+	for g := range ta.Groups {
+		p.Groups[g].Kind = ta.Groups[g].Kind
+		p.Groups[g].Units = append(p.Groups[g].Units[:0], ta.Groups[g].Units...)
+	}
+}
+
+// apply applies one token's accesses, layer by layer, to the stream's cache
+// as a column of step, counting the column's own hits and misses (the
+// cache's totals would mix streams when it is shared).
+func (st *Stream) apply(step *hwsim.Step, token []sparsity.TokenAccess) {
+	for l := range token {
+		res := step.Access(l, &token[l], st.mc)
+		for g := range res.HitUnits {
+			st.hits += int64(res.HitUnits[g])
+			st.misses += int64(res.MissUnits[g])
 		}
-		return
-	}
-	st.access(layer, ta)
-}
-
-// access prices one layer's accesses on the cache and the meter, opening
-// the token at layer 0, and counts them as this stream's hits and misses.
-// A coupled Step and Replay both make these calls, in layer order.
-func (st *Stream) access(layer int, ta *sparsity.TokenAccess) {
-	if layer == 0 {
-		st.meter.BeginToken()
-	}
-	res := st.mc.Access(layer, ta)
-	st.meter.AddAccess(res)
-	st.count(res)
-}
-
-// count adds one layer's cache result to this stream's hits and misses.
-func (st *Stream) count(res cache.AccessResult) {
-	for g := range res.HitUnits {
-		st.hits += int64(res.HitUnits[g])
-		st.misses += int64(res.MissUnits[g])
 	}
 }
 
-// Step consumes the next token: one incremental decode through every layer
-// with the scheme hooked in, plus cross-entropy scoring against the token
-// that follows. It returns false once the stream is exhausted. In deferred
-// mode the caller must Commit between Steps.
+// commit applies and prices one token of the stream alone, as a one-column
+// step of its own: what Commit of this stream by itself does.
+func (st *Stream) commit(token []sparsity.TokenAccess) {
+	st.step.Begin(1)
+	st.apply(st.step, token)
+	st.meter.ChargeStep(st.step)
+	st.dirty = false
+}
+
+// Step consumes the next token: Decode, then the token's cache accesses
+// committed alone, as a one-column hwsim.Step. It returns false once the
+// stream is exhausted.
 func (st *Stream) Step() bool {
+	if !st.Decode() {
+		return false
+	}
+	st.commit(st.pending)
+	return true
+}
+
+// Decode consumes the next token — one incremental decode through every
+// layer with the scheme hooked in, scored against the token that follows —
+// and leaves its cache accesses pending, so cache-aware masks read the cache
+// as of the last commit. The caller must Commit the stream before its next
+// Decode. It returns false once the stream is exhausted.
+func (st *Stream) Decode() bool {
 	if st.pos >= st.total {
 		return false
 	}
@@ -252,10 +257,10 @@ func (st *Stream) Step() bool {
 }
 
 // decoder returns the decoder the next token steps through, fresh at a
-// window boundary. It is the prologue of every step, solo or fused.
+// window boundary. It is the prologue of every decode, solo or fused.
 func (st *Stream) decoder() *model.Decoder {
-	if st.deferred && st.dirty {
-		panic("eval: deferred Stream stepped with uncommitted accesses")
+	if st.dirty {
+		panic("eval: Stream decoded with uncommitted accesses")
 	}
 	if st.winPos == 0 {
 		if st.dec == nil {
@@ -283,30 +288,26 @@ func (st *Stream) score(logits tensor.Vec) {
 		st.winCE = 0
 		st.winPos = 0
 	}
-	if st.deferred {
-		st.dirty = true
-	}
+	st.dirty = true
 }
 
-// Commit applies the deferred accesses of each stream's last Step to its
+// Commit applies the pending accesses of each stream's last Decode to its
 // cache, in the order of sts — one lockstep sub-step of streams that share
 // a cache — and prices the sub-step once on step (see hwsim.Step): a unit
 // several streams list is fetched once, by the first, and every stream's
 // meter is charged the whole step for its token, so one stream alone is
-// priced as its own Step would price it. Each stream still counts its own
-// cache hits and misses. The caller chooses the order; a fixed order makes
+// priced as its own Step prices it. Each stream still counts its own cache
+// hits and misses. The caller chooses the order; a fixed order makes
 // shared-cache stats deterministic. It returns the step's simulated
-// seconds, and panics on a stream that is not deferred or has not stepped
-// since its last Commit.
+// seconds, and panics on a stream that has not decoded since its last
+// commit.
 func Commit(sts []*Stream, step *hwsim.Step) float64 {
-	step.Begin()
+	step.Begin(len(sts))
 	for _, st := range sts {
-		if !st.deferred || !st.dirty {
-			panic("eval: Commit of a Stream with no deferred step")
+		if !st.dirty {
+			panic("eval: Commit of a Stream with no decoded token")
 		}
-		for l := range st.pending {
-			st.count(step.Access(l, &st.pending[l], st.mc))
-		}
+		st.apply(step, st.pending)
 	}
 	for _, st := range sts {
 		st.meter.ChargeStep(step)
@@ -319,8 +320,8 @@ func Commit(sts []*Stream, step *hwsim.Step) float64 {
 // state (decoder, KV caches, scheme scratch, CE sums, meter, traffic
 // counters) is retained, so a later Regrant resumes the stream exactly
 // where it stopped. Stepping a released stream fails loudly. Suspension is
-// a tick-boundary operation — releasing with uncommitted deferred accesses
-// panics.
+// a tick-boundary operation — releasing a stream whose decoded token is not
+// committed yet panics.
 func (st *Stream) Release() {
 	if st.dirty {
 		panic("eval: Release on a Stream with uncommitted accesses")
@@ -348,7 +349,7 @@ func (st *Stream) Regrant(mc *cache.ModelCache) {
 // throughput-vs-goodput gap chaos reports measure. After a restarted stream
 // drains, its CE, perplexity, and density equal a fresh run's (bit-identical
 // for cache-independent schemes). Restart is a tick-boundary operation —
-// restarting with uncommitted deferred accesses panics.
+// restarting a stream whose decoded token is not committed yet panics.
 func (st *Stream) Restart() {
 	if st.dirty {
 		panic("eval: Restart on a Stream with uncommitted accesses")
@@ -375,13 +376,6 @@ func (st *Stream) Scheme() sparsity.Scheme { return st.s }
 
 // Cache returns the cache the stream is coupled to.
 func (st *Stream) Cache() *cache.ModelCache { return st.mc }
-
-// Deferred reports whether the stream buffers cache accesses for an
-// explicit Commit (the shared-cache mode, fixed at construction). Callers
-// moving a stream between owners — e.g. a cluster migrating a session —
-// use this to check grant compatibility: a deferred stream can only ever
-// be re-granted a shared cache, an undeferred one a private cache.
-func (st *Stream) Deferred() bool { return st.deferred }
 
 // Traffic returns this stream's cumulative cache traffic in units. Unlike
 // the cache's own totals, these stay per-stream when the cache is shared.

@@ -34,10 +34,9 @@ func Record(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig) (
 	layers := len(m.Blocks)
 	tr := &Trace{acc: make([]sparsity.TokenAccess, total*layers)}
 	st := tr.st.couple(m, s, tokens, win, total, nil, nil)
-	st.deferred = true
 	for t := 0; t < total; t++ {
-		st.pending = tr.acc[t*layers : (t+1)*layers] // Step copies units into the trace's own slots
-		st.Step()
+		st.pending = tr.acc[t*layers : (t+1)*layers] // Decode copies units into the trace's own slots
+		st.Decode()
 		st.dirty = false
 	}
 	st.hook, st.dec, st.pending = nil, nil, nil
@@ -46,18 +45,19 @@ func Record(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig) (
 
 // Replay prices the recorded stream on a fresh cache of plan under policy,
 // a Belady cache taking its future from the trace, and returns the drained
-// stream. It makes a coupled Step's calls in their order, so Point, CE
-// and Traffic equal the coupled stream's bit for bit. The returned stream
-// cannot be stepped or restarted.
+// stream. It commits each recorded token as a coupled Step does, a
+// one-column step of its own, so Point, CE and Traffic equal the coupled
+// stream's bit for bit. The returned stream cannot be stepped or restarted.
 func Replay(tr *Trace, plan *hwsim.Plan, policy cache.Policy) *Stream {
 	st := tr.st
 	acc := *tr.st.acc
-	st.acc, st.plan, st.mc, st.meter = &acc, plan, plan.NewCache(policy), *plan.NewMeter()
+	st.acc, st.step, st.mc, st.meter = &acc, plan.NewStep(), plan.NewCache(policy), *plan.NewMeter()
 	if policy == cache.PolicyBelady {
 		st.mc.SetFuture(tr.units)
 	}
-	for i := range tr.acc {
-		st.access(i%len(st.m.Blocks), &tr.acc[i])
+	layers := len(st.m.Blocks)
+	for t := 0; t < len(tr.acc); t += layers {
+		st.commit(tr.acc[t : t+layers])
 	}
 	return &st
 }

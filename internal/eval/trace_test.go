@@ -104,7 +104,8 @@ func refBelady(t *testing.T, s sparsity.Scheme, cfg SystemConfig) *Stream {
 		}
 		return y
 	}
-	for rec.Step() {
+	for rec.Decode() {
+		rec.dirty = false
 	}
 	mc := plan.NewCache(cache.PolicyBelady)
 	mc.SetFuture(func(l int, g sparsity.GroupID) [][]int { return streams[[2]int{l, int(g)}] })

@@ -44,25 +44,26 @@ func expFit(points []trendPoint) (growth, r2 float64) {
 	return math.Exp(b), r
 }
 
-// linFit returns the least-squares slope and R² of y on x.
+// linFit returns the least-squares slope and R² of y on x. Every product is
+// converted before its add, so arm64 cannot fuse them and gets amd64's bits.
 func linFit(xs, ys []float64) (slope, r2 float64) {
 	n := float64(len(xs))
 	var sx, sy, sxx, sxy, syy float64
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
+		syy += float64(ys[i] * ys[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return 0, 0
 	}
-	slope = (n*sxy - sx*sy) / den
+	slope = (float64(n*sxy) - float64(sx*sy)) / den
 	// R² from the correlation coefficient.
-	num := n*sxy - sx*sy
-	den2 := math.Sqrt(den * (n*syy - sy*sy))
+	num := float64(n*sxy) - float64(sx*sy)
+	den2 := math.Sqrt(den * (float64(n*syy) - float64(sy*sy)))
 	if den2 == 0 {
 		return slope, 1
 	}

@@ -131,6 +131,7 @@ func (l *Lab) quality(c qualCell) (qual, error) {
 
 // rowRho is the intermediate-axis keep rate of Gate/Up/CATS at an MLP
 // density: density = (1 + 2ρ)/3, so ρ = (3·density − 1)/2, floored at 0.02.
+// The conversion keeps arm64 from fusing the product into the subtraction.
 func rowRho(density float64) float64 {
-	return max((3*density-1)/2, 0.02)
+	return max((float64(3*density)-1)/2, 0.02)
 }

@@ -18,7 +18,7 @@ func memoryMB(m *model.Model, bytesPerWeight, density float64) float64 {
 	const staticFraction = 0.15
 	// Paper footprints assume INT4 (0.5 B/w); rescale the MLP share.
 	mlpBytes := (1 - staticFraction) * paper * (bytesPerWeight / 0.5) * density
-	return (staticFraction*paper + mlpBytes) / 1e6
+	return (float64(staticFraction*paper) + float64(mlpBytes)) / 1e6
 }
 
 // Fig9 compares and combines DIP with quantization and static pruning on

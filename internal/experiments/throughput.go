@@ -25,7 +25,7 @@ type throughputFamily struct {
 func throughputFamilies(l *Lab, name string) []throughputFamily {
 	return []throughputFamily{
 		{"glu", func(d float64) sparsity.Scheme {
-			return &sparsity.GLUPrune{RhoGLU: 3*d - 2}
+			return &sparsity.GLUPrune{RhoGLU: float64(3*d) - 2}
 		}, 0.70},
 		{"up", func(d float64) sparsity.Scheme {
 			return &sparsity.UpPrune{Rho: rowRho(d)}
@@ -114,7 +114,7 @@ func (f *frontier) best(j, k int, budget float64) (eval.Point, bool) {
 		pts[i] = p[k]
 	}
 	dense := f.dense[k].PPL
-	return eval.BestThroughput(pts, dense+budget*pplScale(dense))
+	return eval.BestThroughput(pts, dense+float64(budget*pplScale(dense)))
 }
 
 // Table2 reproduces the throughput comparison: best tok/s under +0.2 and

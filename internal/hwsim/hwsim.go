@@ -193,9 +193,10 @@ func (p *Plan) NewCache(policy cache.Policy) *cache.ModelCache {
 // UnitBytes returns the scaled byte size of one unit of group g.
 func (p *Plan) UnitBytes(g sparsity.GroupID) float64 { return p.unitBytes[g] }
 
-// Meter accumulates per-token transfer costs for a decoding run: a token
-// priced alone (BeginToken, then each layer's AddAccess), or one column's
-// token of a Step it waited for (ChargeStep).
+// Meter accumulates per-token transfer costs for a decoding run: each token
+// is one column of a Step it waited for (ChargeStep). BeginToken and then
+// each layer's AddAccess price a token by hand as a one-column step does;
+// the benchmark module's traced decode is their caller.
 type Meter struct {
 	plan   *Plan
 	tokens int
@@ -269,21 +270,43 @@ func (mt *Meter) Throughput() float64 {
 // once, from DRAM if it is resident when the first column listing it
 // commits and from flash otherwise; later columns reuse that fetch. The
 // cache sees every column's access unchanged, so its state and each
-// column's hit and miss counts are what per-column accesses give. Step
+// column's hit and miss counts are what per-column accesses give. A
+// one-column step's fetch is its column's own cache result. A wider step
 // stamps each unit with the id of the last step that fetched it, so opening
-// a step clears no per-unit state and nothing is allocated after NewStep.
+// a step clears no per-unit state, and nothing is allocated after the first
+// step wider than one column.
 type Step struct {
 	plan    *Plan
 	width   int
 	id      uint32
-	stamps  []uint32                       // backs stamp
+	stamps  []uint32                       // backs stamp; nil until a step is wider than one column
 	stamp   [][sparsity.NumGroups][]uint32 // per layer and group, by unit
 	fetched []cache.AccessResult           // per layer: the step's DRAM and flash fetches, in units
 }
 
 // NewStep returns an empty step over the plan's unit universes.
 func (p *Plan) NewStep() *Step {
-	s := &Step{plan: p, stamp: make([][sparsity.NumGroups][]uint32, p.layers), fetched: make([]cache.AccessResult, p.layers)}
+	return &Step{plan: p, fetched: make([]cache.AccessResult, p.layers)}
+}
+
+// Plan returns the plan the step prices on.
+func (s *Step) Plan() *Plan { return s.plan }
+
+// Begin opens the next step, of width columns, with no fetches yet. The
+// step id skips 0 at a wrap of its 32 bits, clearing every stamp, so an old
+// stamp never matches. A step wider than one column lays out one stamp per
+// unit of every (layer, group), the first time one opens.
+func (s *Step) Begin(width int) {
+	s.width = width
+	clear(s.fetched)
+	if s.id++; s.id == 0 {
+		clear(s.stamps)
+		s.id++
+	}
+	if width == 1 || s.stamps != nil {
+		return
+	}
+	p := s.plan
 	n := 0
 	for l := range p.NUnits {
 		for _, u := range p.NUnits[l] {
@@ -291,26 +314,13 @@ func (p *Plan) NewStep() *Step {
 		}
 	}
 	s.stamps = make([]uint32, n)
+	s.stamp = make([][sparsity.NumGroups][]uint32, p.layers)
 	n = 0
 	for l := range p.NUnits {
 		for g, u := range p.NUnits[l] {
 			s.stamp[l][g] = s.stamps[n : n+u : n+u]
 			n += u
 		}
-	}
-	return s
-}
-
-// Begin opens the next step: no columns and no fetches yet. The step id
-// skips 0 at a wrap of its 32 bits, clearing every stamp, so an old stamp
-// never matches.
-func (s *Step) Begin() {
-	s.width = 0
-	clear(s.fetched)
-	s.id++
-	if s.id == 0 {
-		clear(s.stamps)
-		s.id++
 	}
 }
 
@@ -320,10 +330,11 @@ func (s *Step) Begin() {
 // the cache serves it: a sparse unit from DRAM if it was resident before
 // this access, a dense group's from DRAM if it is resident after it (a
 // dense access only pins, as the cache counts it). A unit listed twice is
-// fetched once. A column accesses its layers in order, and layer 0 opens it.
+// fetched once. Each column accesses a layer once.
 func (s *Step) Access(layer int, ta *sparsity.TokenAccess, mc *cache.ModelCache) cache.AccessResult {
-	if layer == 0 {
-		s.width++
+	if s.width == 1 {
+		s.fetched[layer] = mc.Access(layer, ta)
+		return s.fetched[layer]
 	}
 	s.fetch(layer, ta, mc, sparsity.AccessSparse)
 	res := mc.Access(layer, ta)

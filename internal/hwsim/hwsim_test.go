@@ -2,12 +2,14 @@ package hwsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/sparsity"
+	"repro/internal/tensor"
 )
 
 func testModel() *model.Model {
@@ -258,6 +260,7 @@ func TestMeterEmpty(t *testing.T) {
 
 // A step id that wraps its 32 bits clears every stamp, so a unit stamped by
 // the step 2^32 steps back is fetched again, not taken as fetched already.
+// The steps are two columns wide, so they stamp; the second column is idle.
 func TestStepIdWrapFetchesAgain(t *testing.T) {
 	p, err := NewPlan(testModel(), A18Like(), PlanOpts{Groups: dipGroups()})
 	if err != nil {
@@ -267,13 +270,83 @@ func TestStepIdWrapFetchesAgain(t *testing.T) {
 	ta := &sparsity.TokenAccess{}
 	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{3}}
 	s := p.NewStep()
-	s.Begin()
+	s.Begin(2)
 	s.Access(0, ta, mc)
 	fresh := s.Seconds()
 	s.id = math.MaxUint32 // unit 3 keeps step 1's stamp; the next id wraps to it
-	s.Begin()
+	s.Begin(2)
 	s.Access(0, ta, mc)
 	if got := s.Seconds(); s.id != 1 || got != fresh {
 		t.Fatalf("step %d priced %v s, want step 1 and a fresh fetch's %v s", s.id, got, fresh)
+	}
+}
+
+// A one-column step's fetch is its column's own cache result, so opening
+// and pricing one builds no per-unit stamps and allocates nothing; the
+// first step wider than one column builds them.
+func TestOneColumnStepAllocatesNoStamps(t *testing.T) {
+	p, err := NewPlan(testModel(), A18Like(), PlanOpts{Groups: dipGroups()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := p.NewCache(cache.PolicyLFU)
+	ta := &sparsity.TokenAccess{}
+	ta.Groups[sparsity.GroupUpGate] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{0, 5}}
+	ta.Groups[sparsity.GroupDown] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: []int{1, 2, 3}}
+	s := p.NewStep()
+	mt := p.NewMeter()
+	if a := testing.AllocsPerRun(20, func() {
+		s.Begin(1)
+		for l := range p.NUnits {
+			s.Access(l, ta, mc)
+		}
+		mt.ChargeStep(s)
+	}); a != 0 {
+		t.Fatalf("a one-column step allocates %v objects, want 0", a)
+	}
+	if s.stamps != nil || s.stamp != nil {
+		t.Fatal("a one-column step built per-unit stamps")
+	}
+	s.Begin(2)
+	if len(s.stamps) == 0 || len(s.stamp) != len(p.NUnits) {
+		t.Fatal("a two-column step opened without its stamps")
+	}
+}
+
+// A one-column step's fetch, the column's own cache result, is the fetch
+// the stamps give that column alone: twin caches see the same seeded
+// accesses (distinct sparse units, or the whole group dense), one priced by
+// one-column steps and one by two-column steps whose second column is idle.
+func TestOneColumnFetchIsTheStampedFetch(t *testing.T) {
+	p, err := NewPlan(testModel(), A18Like(), PlanOpts{Groups: dipGroups()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(5)
+	for _, policy := range []cache.Policy{cache.PolicyLRU, cache.PolicyLFU} {
+		alone, stamped := p.NewStep(), p.NewStep()
+		mcA, mcS := p.NewCache(policy), p.NewCache(policy)
+		for tok := 0; tok < 200; tok++ {
+			alone.Begin(1)
+			stamped.Begin(2)
+			for l := range p.NUnits {
+				var ta sparsity.TokenAccess
+				for _, g := range []sparsity.GroupID{sparsity.GroupUpGate, sparsity.GroupDown} {
+					if rng.Intn(8) == 0 {
+						ta.Groups[g].Kind = sparsity.AccessDense
+						continue
+					}
+					units := rng.Perm(p.NUnits[l][g])[:1+rng.Intn(p.NUnits[l][g])]
+					slices.Sort(units)
+					ta.Groups[g] = sparsity.GroupAccess{Kind: sparsity.AccessSparse, Units: units}
+				}
+				if a, s := alone.Access(l, &ta, mcA), stamped.Access(l, &ta, mcS); a != s {
+					t.Fatalf("%v token %d layer %d: cache results %+v and %+v", policy, tok, l, a, s)
+				}
+				if alone.fetched[l] != stamped.fetched[l] {
+					t.Fatalf("%v token %d layer %d: one-column fetch %+v, stamped %+v", policy, tok, l, alone.fetched[l], stamped.fetched[l])
+				}
+			}
+		}
 	}
 }

@@ -335,12 +335,12 @@ func (u unit) run() {
 }
 
 // decode is a shared-cache engine's decode unit: the active batch advances
-// by the token quantum in lockstep sub-steps. Sub-step q advances each
+// by the token quantum in lockstep sub-steps. Sub-step q decodes each
 // unfinished session, in slot order, by one token: through one fused
-// eval.BatchStep, which walks every weight matrix once for the whole batch,
-// or — under NoFuse, and for a lone session — through each stream's own
-// Step. Either is bit-identical to the other (the fuse tests pin it). The
-// buffered accesses are then committed in slot order by one eval.Commit, so
+// eval.BatchDecode, which walks every weight matrix once for the whole
+// batch, or — under NoFuse, and for a lone session — through each stream's
+// own Decode. Either is bit-identical to the other (the fuse tests pin it).
+// The pending accesses are then committed in slot order by one eval.Commit, so
 // the shared cache sees one interleaving for any worker count, and the
 // engine's step prices the sub-step once: a unit several columns list is
 // fetched once, and each column's token costs the whole step. A session
@@ -358,10 +358,10 @@ func (e *Engine) decode(active []*Session) {
 		}
 		if e.cfg.NoFuse || len(e.batch) == 1 {
 			for _, st := range e.batch {
-				st.Step()
+				st.Decode()
 			}
 		} else {
-			eval.BatchStep(e.batch, &e.arena)
+			eval.BatchDecode(e.batch, &e.arena)
 		}
 		e.stepSeconds += eval.Commit(e.batch, e.step)
 		for _, s := range active {

@@ -250,10 +250,10 @@ func (e *Engine) Slots() int { return e.cfg.MaxActive }
 // Queued, or Suspended with its live stream — plus any private cache the
 // stream held, released on the source and re-granted verbatim on the target
 // — the simulated analogue of shipping KV/cache state with the session.
-// Shared-arbitration sessions never carry a cache; they re-attach to the
-// target's shared cache. Fair-share sessions are granted a fresh partition
-// by the target at placement, and a revoked exclusive session migrates
-// stateless and is re-granted a full budget on resume.
+// Shared-arbitration sessions never carry a cache: a partitioned target
+// grants them one on resume. Fair-share sessions are granted a fresh
+// partition by the target at placement, and a revoked exclusive session
+// migrates stateless and is re-granted a full budget on resume.
 type Migrant struct {
 	Sess  *Session
 	Cache *cache.ModelCache
@@ -320,11 +320,12 @@ func (e *Engine) shrink(n, tick int) {
 // its arrival stamp, order, deadline, and — if suspended — cause intact; it
 // is placed through the ordinary backfill path. Its arrival was already
 // admitted and logged on the source, so migration bypasses this node's shed
-// budget. A suspended session re-attaches to this engine's shared cache or,
-// under ArbExclusive, to the private cache it carried; otherwise resume
-// grants it a fresh cache on this engine. The migrant is input from another
-// engine, so a session that is running or finished there is rejected rather
-// than adopted.
+// budget. A suspended session, from either side of the shared/partitioned
+// line, re-attaches to this engine's shared cache at share 1 or, under
+// ArbExclusive, to the private cache it carried; otherwise resume grants it
+// a fresh cache on this engine. The migrant is input from another engine,
+// so a session that is running or finished there is rejected rather than
+// adopted.
 func (e *Engine) Accept(mig *Migrant, tick int) error {
 	if !e.ran {
 		return fmt.Errorf("serving: Accept outside a run")
@@ -343,12 +344,10 @@ func (e *Engine) Accept(mig *Migrant, tick int) error {
 	switch sess.state {
 	case Queued:
 	case Suspended:
-		if sess.stream.Deferred() != (e.cfg.Arb == ArbShared) {
-			return fmt.Errorf("serving: session %q cannot migrate between shared and partitioned arbitration", sess.ID)
-		}
 		switch {
 		case e.cfg.Arb == ArbShared:
 			sess.stream.Regrant(e.shared)
+			sess.Share = 1
 		case e.cfg.Arb == ArbExclusive && mig.Cache != nil:
 			sess.stream.Regrant(mig.Cache)
 		}

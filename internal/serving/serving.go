@@ -95,14 +95,14 @@ type Config struct {
 	// break the bit-identical-for-any-worker-count contract.
 	MaxActive int
 	// Quantum is how many tokens each active session advances per tick
-	// (default 8). Under ArbShared every token is individually committed to
-	// the shared cache in slot order, and every sub-step priced, regardless
-	// of quantum.
+	// (default 8). Every token is committed and priced as it is decoded,
+	// regardless of quantum: alone, or in slot order in an ArbShared
+	// engine's one step per sub-step.
 	Quantum int
 	// Seed drives the same-tick arrival shuffle. Fixed seed ⇒ fixed
 	// admission tiebreaks ⇒ bit-identical outputs and cache statistics.
 	Seed uint64
-	// NoFuse advances each session of an ArbShared engine with its own Step
+	// NoFuse decodes each session of an ArbShared engine with its own Decode
 	// — the reference the bit-identity suites and bench/ compare the fused
 	// step against; by default a multi-session shared batch's sub-step is one
 	// fused step that walks every weight matrix once. A partitioned engine
@@ -469,16 +469,13 @@ func (e *Engine) SharedCache() *cache.ModelCache { return e.shared }
 // stream over a clone of the request's scheme, and the next admission rank.
 func (e *Engine) admit(sess *Session, tick, slot int) error {
 	req := &e.reqs[sess.Index]
-	var (
-		mc       *cache.ModelCache
-		deferred bool
-	)
+	var mc *cache.ModelCache
 	if e.cfg.Arb == ArbShared {
-		mc, sess.Share, deferred = e.shared, 1, true
+		mc, sess.Share = e.shared, 1
 	} else {
 		mc = e.grant(sess)
 	}
-	st, err := e.newStream(req, eval.StreamOpts{Plan: e.plan, Cache: mc, Deferred: deferred})
+	st, err := e.newStream(req, eval.StreamOpts{Plan: e.plan, Cache: mc})
 	if err != nil {
 		return fmt.Errorf("serving: admitting %q: %w", req.ID, err)
 	}
