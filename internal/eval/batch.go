@@ -7,11 +7,11 @@ import (
 )
 
 // BatchArena owns the shared scratch of fused multi-stream stepping: the
-// model-level decode arena, the per-slot scheme/view/access tables, and the
-// sparsity batch scratch. One arena serves one batch of streams at a time
-// (it is not safe for concurrent BatchDecode calls); everything inside is
-// sized lazily and reused, and the decoders reuse their KV slots, so
-// steady-state batched decode allocates nothing here.
+// model-level decode arena, the per-slot scheme/view/access tables, the
+// sparsity batch scratch and the column buffers. One arena serves one batch
+// of streams at a time (it is not safe for concurrent BatchDecode calls);
+// everything inside is sized lazily and reused, and the decoders reuse
+// their KV slots, so steady-state batched decode allocates nothing here.
 type BatchArena struct {
 	db      model.DecodeBatch
 	sps     sparsity.BatchScratch
@@ -19,9 +19,11 @@ type BatchArena struct {
 	decs    []*model.Decoder
 	ids     []int
 	schemes []sparsity.Scheme
-	views   []sparsity.CacheView
+	views   []sparsity.CacheView // all nil: a Dense column reads no cache
 	tas     []sparsity.TokenAccess
-	lcol    tensor.Vec
+	xcol    tensor.Vec // one column's MLP input
+	lcol    tensor.Vec // one column's logits
+	dense   bool       // every column is Dense
 	m       *model.Model
 	hookFn  model.BatchMLPHook
 }
@@ -40,11 +42,19 @@ func (a *BatchArena) ensure(B int) {
 	}
 }
 
-// mlpHook is the batched MLP hook: one ForwardBatch per layer, then
-// each stream records its column's accesses, in slot order, exactly as its
-// own hook does one token at a time.
+// mlpHook is the batched MLP hook: for an all-Dense batch one ForwardBatch
+// per layer, then each stream records its column; for any other, each
+// stream's own hook in slot order, so that a column is marked in an open
+// SubStepView before the next one's masks read it, as under Decode.
 func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 	B := len(a.active)
+	if !a.dense {
+		for b, st := range a.active {
+			a.xcol = xs.Col(b, tensor.Reuse(a.xcol, xs.Rows))
+			out.SetCol(b, st.hook(layer, a.xcol))
+		}
+		return
+	}
 	sparsity.ForwardBatch(layer, a.schemes[:B], xs, a.m.Blocks[layer].MLP, a.views[:B], out, a.tas[:B], &a.sps)
 	for b, st := range a.active {
 		st.record(layer, &a.tas[b])
@@ -66,7 +76,7 @@ func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 func BatchDecode(sts []*Stream, a *BatchArena) int {
 	a.active = a.active[:0]
 	for _, st := range sts {
-		if st.pos < st.total {
+		if !st.Done() {
 			a.active = append(a.active, st)
 		}
 	}
@@ -76,6 +86,7 @@ func BatchDecode(sts []*Stream, a *BatchArena) int {
 	}
 	a.ensure(B)
 	m := a.active[0].m
+	a.dense = true
 	for b, st := range a.active {
 		if st.m != m {
 			panic("eval: BatchDecode streams must share one model")
@@ -83,7 +94,8 @@ func BatchDecode(sts []*Stream, a *BatchArena) int {
 		a.decs[b] = st.decoder()
 		a.ids[b] = st.tokens[st.pos]
 		a.schemes[b] = st.s
-		a.views[b] = st.mc
+		_, ok := st.s.(sparsity.Dense)
+		a.dense = a.dense && ok
 	}
 	a.m = m
 	logits := m.StepBatch(a.decs[:B], a.ids[:B], a.hookFn, &a.db)

@@ -68,7 +68,7 @@ func TestBatchStepMatchesPerStreamStepBitForBit(t *testing.T) {
 	}
 	// The drain must have taken exactly as many fused steps as the longest
 	// stream has tokens (shorter streams drop out, the batch keeps going).
-	if want := solo[2].total; steps != want {
+	if want := len(solo[2].tokens); steps != want {
 		t.Fatalf("drained in %d fused steps, want %d (longest stream)", steps, want)
 	}
 }

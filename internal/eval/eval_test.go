@@ -305,8 +305,8 @@ func TestStreamStepsMatchSystemEvaluate(t *testing.T) {
 	for st.Step() {
 		steps++
 	}
-	if steps != st.total || !st.Done() || st.Pos() != steps {
-		t.Fatalf("stepped %d, total %d, pos %d", steps, st.total, st.Pos())
+	if steps != len(st.tokens) || !st.Done() || st.Pos() != steps {
+		t.Fatalf("stepped %d, total %d, pos %d", steps, len(st.tokens), st.Pos())
 	}
 	pt, err := SystemEvaluate(zoo.m, sparsity.NewDIPCA(0.5, 0.2), zoo.test, cfg)
 	if err != nil {

@@ -34,11 +34,11 @@ func (cfg SystemConfig) Validate() error {
 	return nil
 }
 
-// evalWindow resolves the effective (tokens, window, total) of a coupled
+// evalWindow resolves the effective tokens and window of a coupled
 // evaluation: MaxTokens truncates the stream, Win is resolved by the
-// model's Window, and the stream is consumed in whole windows only
+// model's Window, and the stream is cut to whole windows
 // (model.Perplexity's chunking).
-func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win, total int) {
+func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win int) {
 	if cfg.MaxTokens > 0 && len(tokens) > cfg.MaxTokens {
 		tokens = tokens[:cfg.MaxTokens]
 	}
@@ -47,7 +47,7 @@ func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win
 	if win > 0 {
 		nWin = len(tokens) / win
 	}
-	return tokens, win, nWin * win
+	return tokens[:nWin*win], win
 }
 
 // Stream is a resumable cache-coupled evaluation of one token stream: the
@@ -73,12 +73,12 @@ func evalWindow(m *model.Model, tokens []int, cfg SystemConfig) (toks []int, win
 type Stream struct {
 	m      *model.Model
 	s      sparsity.Scheme
-	tokens []int
+	tokens []int // the whole windows the stream evaluates
 	win    int
-	total  int
 
 	step  *hwsim.Step // prices the stream's own one-column commits; its plan is the stream's
 	mc    *cache.ModelCache
+	sub   *SubStepView // the open sub-step's view of mc, nil outside one
 	meter hwsim.Meter
 	acc   *DensityAccumulator
 	hook  model.MLPHook
@@ -158,8 +158,8 @@ func (st *Stream) Reuse(m *model.Model, s sparsity.Scheme, tokens []int, cfg Sys
 	if cfg.Policy == cache.PolicyBelady {
 		return fmt.Errorf("eval: Belady policy needs a recorded future: use Record and Replay")
 	}
-	tokens, win, total := evalWindow(m, tokens, cfg)
-	st.couple(m, s, tokens, win, total, opts.Plan, opts.Cache)
+	tokens, win := evalWindow(m, tokens, cfg)
+	st.couple(m, s, tokens, win, opts.Plan, opts.Cache)
 	return nil
 }
 
@@ -168,7 +168,7 @@ func (st *Stream) Reuse(m *model.Model, s sparsity.Scheme, tokens []int, cfg Sys
 // and, unless plan is nil, a step over plan. The decoder (rewound at the
 // first decode), accumulator, hook, Dense storage, pending buffers and step
 // carry over: the first two for the same model, the step for the same plan.
-func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, total int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
+func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win int, plan *hwsim.Plan, mc *cache.ModelCache) *Stream {
 	acc, dec, step, pending := st.acc, st.dec, st.step, st.pending
 	if acc == nil || st.m != m {
 		acc, dec = NewDensityAccumulator(m), nil
@@ -181,13 +181,13 @@ func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, t
 		step = plan.NewStep()
 	}
 	*st = Stream{
-		m: m, s: s, tokens: tokens, win: win, total: total,
+		m: m, s: s, tokens: tokens, win: win,
 		step: step, mc: mc, meter: *plan.NewMeter(), acc: acc,
 		hook: st.hook, dec: dec, dense: st.dense, pending: pending,
 	}
 	if st.hook == nil {
 		st.hook = func(layer int, x tensor.Vec) tensor.Vec {
-			y, ta := sparsity.ForwardColumn(layer, st.s, x, st.m.Blocks[layer].MLP, st.mc, &st.dense)
+			y, ta := sparsity.ForwardColumn(layer, st.s, x, st.m.Blocks[layer].MLP, st.view(), &st.dense)
 			st.record(layer, &ta)
 			return y
 		}
@@ -195,14 +195,25 @@ func (st *Stream) couple(m *model.Model, s sparsity.Scheme, tokens []int, win, t
 	return st
 }
 
+// view is the cache the stream's masks read: the open sub-step's, or mc.
+func (st *Stream) view() sparsity.CacheView {
+	if st.sub != nil {
+		return st.sub
+	}
+	return st.mc
+}
+
 // record books one layer's accesses, however they were computed (the
-// stream's own hook, or a fused BatchDecode): density accounting, then a
-// copy into the pending buffer for the token's commit, the scheme having
-// seen the cache as of the last one. Unit lists are copied because schemes
-// reuse their scratch between calls; the buffers are reused across tokens,
-// so steady-state stepping does not allocate.
+// stream's own hook, or a fused BatchDecode): density accounting, a mark in
+// an open sub-step's view, then a copy into the pending buffer for the
+// token's commit. Unit lists are copied because schemes reuse their scratch
+// between calls; the buffers are reused across tokens, so steady-state
+// stepping does not allocate.
 func (st *Stream) record(layer int, ta *sparsity.TokenAccess) {
 	st.acc.Add(ta)
+	if st.sub != nil {
+		st.sub.mark(layer, ta)
+	}
 	p := &st.pending[layer]
 	for g := range ta.Groups {
 		p.Groups[g].Kind = ta.Groups[g].Kind
@@ -246,10 +257,11 @@ func (st *Stream) Step() bool {
 // Decode consumes the next token — one incremental decode through every
 // layer with the scheme hooked in, scored against the token that follows —
 // and leaves its cache accesses pending, so cache-aware masks read the cache
-// as of the last commit. The caller must Commit the stream before its next
-// Decode. It returns false once the stream is exhausted.
+// as of the last commit, or an open SubStepView of it. The caller must
+// Commit the stream before its next Decode. It returns false once the
+// stream is exhausted.
 func (st *Stream) Decode() bool {
-	if st.pos >= st.total {
+	if st.pos >= len(st.tokens) {
 		return false
 	}
 	st.score(st.decoder().Step(st.tokens[st.pos]))
@@ -298,9 +310,9 @@ func (st *Stream) score(logits tensor.Vec) {
 // meter is charged the whole step for its token, so one stream alone is
 // priced as its own Step prices it. Each stream still counts its own cache
 // hits and misses. The caller chooses the order; a fixed order makes
-// shared-cache stats deterministic. It returns the step's simulated
-// seconds, and panics on a stream that has not decoded since its last
-// commit.
+// shared-cache stats deterministic. It closes an open SubStepView, returns
+// the step's simulated seconds, and panics on a stream that has not decoded
+// since its last commit.
 func Commit(sts []*Stream, step *hwsim.Step) float64 {
 	step.Begin(len(sts))
 	for _, st := range sts {
@@ -311,9 +323,66 @@ func Commit(sts []*Stream, step *hwsim.Step) float64 {
 	}
 	for _, st := range sts {
 		st.meter.ChargeStep(step)
-		st.dirty = false
+		st.dirty, st.sub = false, nil
 	}
 	return step.Seconds()
+}
+
+// SubStepView is the cache a column of a lockstep sub-step on a shared cache
+// reads: the residency when the sub-step opened plus every unit an earlier
+// column listed at the same layer and group (a dense access lists its whole
+// group). The sub-step's hwsim.Step fetches such a unit once, for its first
+// column, so Eq. 10 scores it as cached for the later ones. Its storage is
+// built by the first columns to list each group and then reused.
+type SubStepView struct {
+	mc     *cache.ModelCache
+	listed [][sparsity.NumGroups]bool   // per layer and group: a column of this sub-step listed there
+	seen   [][sparsity.NumGroups][]bool // per layer and group, by unit: the view's residency once listed
+}
+
+// Open opens the next sub-step over sts, which share one cache: until their
+// Commit, each Decode or BatchDecode of them reads v and marks its accesses
+// in it, column by column in the order they run.
+func (v *SubStepView) Open(sts []*Stream) {
+	if layers := len(sts[0].m.Blocks); len(v.listed) != layers {
+		v.listed = make([][sparsity.NumGroups]bool, layers)
+		v.seen = make([][sparsity.NumGroups][]bool, layers)
+	}
+	v.mc = sts[0].mc
+	clear(v.listed)
+	for _, st := range sts {
+		st.sub = v
+	}
+}
+
+// Resident implements sparsity.CacheView.
+func (v *SubStepView) Resident(layer int, g sparsity.GroupID) []bool {
+	if v.listed[layer][g] {
+		return v.seen[layer][g]
+	}
+	return v.mc.Resident(layer, g)
+}
+
+// mark adds one column's accesses at a layer to the view.
+func (v *SubStepView) mark(layer int, ta *sparsity.TokenAccess) {
+	for g, acc := range ta.Groups {
+		res := v.mc.Resident(layer, sparsity.GroupID(g))
+		if acc.Kind == sparsity.AccessUnused || res == nil {
+			continue // nil: a group the cache does not hold, which Commit names
+		}
+		if !v.listed[layer][g] {
+			v.seen[layer][g], v.listed[layer][g] = append(v.seen[layer][g][:0], res...), true
+		}
+		seen := v.seen[layer][g]
+		if acc.Kind == sparsity.AccessDense {
+			for u := range seen {
+				seen[u] = true
+			}
+		}
+		for _, u := range acc.Units {
+			seen[u] = true
+		}
+	}
 }
 
 // Release detaches the stream from its cache for a suspension: all decode
@@ -361,7 +430,7 @@ func (st *Stream) Restart() {
 }
 
 // Done reports whether every token has been consumed.
-func (st *Stream) Done() bool { return st.pos >= st.total }
+func (st *Stream) Done() bool { return st.pos >= len(st.tokens) }
 
 // Pos returns the number of tokens consumed so far (Restart resets it).
 func (st *Stream) Pos() int { return st.pos }

@@ -30,11 +30,11 @@ func Record(m *model.Model, s sparsity.Scheme, tokens []int, cfg SystemConfig) (
 	if sparsity.ReadsCache(s) {
 		return nil, fmt.Errorf("eval: %s reads the cache, so its accesses cannot be recorded once for every memory system", s.Name())
 	}
-	tokens, win, total := evalWindow(m, tokens, cfg)
+	tokens, win := evalWindow(m, tokens, cfg)
 	layers := len(m.Blocks)
-	tr := &Trace{acc: make([]sparsity.TokenAccess, total*layers)}
-	st := tr.st.couple(m, s, tokens, win, total, nil, nil)
-	for t := 0; t < total; t++ {
+	tr := &Trace{acc: make([]sparsity.TokenAccess, len(tokens)*layers)}
+	st := tr.st.couple(m, s, tokens, win, nil, nil)
+	for t := range tokens {
 		st.pending = tr.acc[t*layers : (t+1)*layers] // Decode copies units into the trace's own slots
 		st.Decode()
 		st.dirty = false

@@ -87,10 +87,10 @@ func refBelady(t *testing.T, s sparsity.Scheme, cfg SystemConfig) *Stream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tokens, win, total := evalWindow(zoo.m, zoo.test, cfg)
+	tokens, win := evalWindow(zoo.m, zoo.test, cfg)
 	streams := map[[2]int][][]int{}
 	var dense sparsity.DenseScratch
-	rec := &Stream{m: zoo.m, s: s, tokens: tokens, win: win, total: total}
+	rec := &Stream{m: zoo.m, s: s, tokens: tokens, win: win}
 	rec.hook = func(layer int, x tensor.Vec) tensor.Vec {
 		y, ta := sparsity.ForwardColumn(layer, s, x, zoo.m.Blocks[layer].MLP, nil, &dense)
 		for g, a := range ta.Groups {
@@ -109,7 +109,7 @@ func refBelady(t *testing.T, s sparsity.Scheme, cfg SystemConfig) *Stream {
 	}
 	mc := plan.NewCache(cache.PolicyBelady)
 	mc.SetFuture(func(l int, g sparsity.GroupID) [][]int { return streams[[2]int{l, int(g)}] })
-	st := new(Stream).couple(zoo.m, s, tokens, win, total, plan, mc)
+	st := new(Stream).couple(zoo.m, s, tokens, win, plan, mc)
 	for st.Step() {
 	}
 	return st

@@ -339,7 +339,10 @@ func (u unit) run() {
 // unfinished session, in slot order, by one token: through one fused
 // eval.BatchDecode, which walks every weight matrix once for the whole
 // batch, or — under NoFuse, and for a lone session — through each stream's
-// own Decode. Either is bit-identical to the other (the fuse tests pin it).
+// own Decode. A sub-step of several columns first opens the engine's
+// eval.SubStepView, so a column's masks count the units earlier columns
+// listed as cached. Both paths decode a layer's columns in slot order, so
+// either is bit-identical to the other (the fuse tests pin it).
 // The pending accesses are then committed in slot order by one eval.Commit, so
 // the shared cache sees one interleaving for any worker count, and the
 // engine's step prices the sub-step once: a unit several columns list is
@@ -355,6 +358,12 @@ func (e *Engine) decode(active []*Session) {
 		}
 		if len(e.batch) == 0 {
 			return
+		}
+		if len(e.batch) > 1 {
+			if e.view == nil {
+				e.view = new(eval.SubStepView)
+			}
+			e.view.Open(e.batch)
 		}
 		if e.cfg.NoFuse || len(e.batch) == 1 {
 			for _, st := range e.batch {

@@ -74,6 +74,6 @@ func ExampleNewEngine() {
 	}
 	fmt.Printf("ticks queued: batch %d, interactive %d\n", queued["batch"], queued["interactive"])
 	// Output:
-	// 2.013 sim tok/s, hit rate 0.730, 65 ticks, SLO attainment 1.000, queue p50 4.000 ticks, turnaround p99 36.000 ticks
+	// 2.389 sim tok/s, hit rate 0.727, 65 ticks, SLO attainment 1.000, queue p50 4.000 ticks, turnaround p99 36.000 ticks
 	// ticks queued: batch 44, interactive 12
 }

@@ -323,10 +323,13 @@ type Engine struct {
 
 	// Per-tick scratch of a shared-cache engine's decode, reused across the
 	// run so steady-state ticks do not allocate engine-side: the sub-step's
-	// streams, the fused step's arena and the step that prices each sub-step
-	// once (nil on a partitioned engine); stepSeconds sums what it priced.
+	// streams, the fused step's arena, the view its columns read (built by
+	// the first sub-step of several columns) and the step that prices each
+	// sub-step once (nil on a partitioned engine); stepSeconds sums what it
+	// priced.
 	arena       eval.BatchArena
 	batch       []*eval.Stream
+	view        *eval.SubStepView
 	step        *hwsim.Step
 	stepSeconds float64
 

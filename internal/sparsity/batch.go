@@ -48,8 +48,8 @@ type denseBuffers struct {
 // nothing after its first call. A Dense output aliases ds until the next
 // ForwardColumn with ds; every other scheme's output and unit lists alias
 // its own scratch, as Forward's do. Every decode loop steps a column with
-// it: the eval stream's MLP hook, eval.Hook and ForwardBatch's per-column
-// loop.
+// it: the eval stream's MLP hook (which a fused batch of pruned columns
+// runs column by column), eval.Hook and ForwardBatch's per-column loop.
 func ForwardColumn(layer int, s Scheme, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView, ds *DenseScratch) (tensor.Vec, TokenAccess) {
 	if _, ok := s.(Dense); !ok {
 		return s.Forward(layer, x, mlp, cache)
@@ -68,7 +68,10 @@ func ForwardColumn(layer int, s Scheme, x tensor.Vec, mlp *nn.GLUMLP, cache Cach
 // instance and cache view (views may be nil or differ per session).
 //
 // An all-Dense batch runs nn.GLUMLP.ApplyBatch; every other batch is each
-// column's ForwardColumn, in column order.
+// column's ForwardColumn, in column order. The serving engine's fused
+// decode calls it for all-Dense batches only: it runs a pruned batch's
+// columns through each stream's own hook, so that each column is marked in
+// the sub-step's eval.SubStepView before the next one reads it.
 //
 // schemes[b] are distinct instances; stateless values such as Dense{} may
 // repeat. tas[b].Units alias schemes[b]'s own scratch and stay valid until

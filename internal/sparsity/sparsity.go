@@ -137,9 +137,11 @@ func (ta *TokenAccess) Kept() (in, glu []int) {
 // CacheView reduces DIP-CA to DIP.
 type CacheView interface {
 	// Resident returns the residency of group g at the given layer: element
-	// u is true while unit u resides in DRAM. The slice is the cache's own —
-	// read-only, current until the next access — and a nil or short slice
-	// means the units beyond it are not resident.
+	// u is true while unit u resides in DRAM. The slice is read-only and
+	// current until the next access: the cache's own, or, for a column of a
+	// shared sub-step, a view that also marks what earlier columns listed
+	// (eval.SubStepView). A nil or short slice means the units beyond it are
+	// not resident.
 	Resident(layer int, g GroupID) []bool
 }
 
