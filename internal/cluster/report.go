@@ -63,8 +63,8 @@ type Report struct {
 	MeanDetectLag   float64
 	Availability    float64
 
-	// Counts is the merged per-node event tally when Config.Obs was set
-	// (nil otherwise) — the input to ReconcileObs.
+	// Counts is the Tally of every node's event log when Config.Obs was
+	// set (nil otherwise) — the input to ReconcileObs.
 	Counts *obs.Counts
 }
 
@@ -98,10 +98,7 @@ func (c *Cluster) report(ticks int, wall time.Duration) *Report {
 		r.Imbalance = float64(slices.Max(r.Placements)) / (float64(total) / float64(len(r.Placements)))
 	}
 	if c.cfg.Obs != nil {
-		merged := obs.Counts{}
-		for _, rec := range c.recs {
-			merged.Add(rec.Counts())
-		}
+		merged := obs.Tally(c.recs...)
 		r.Counts = &merged
 	}
 	return r

@@ -2,30 +2,28 @@ package eval
 
 import (
 	"repro/internal/model"
+	"repro/internal/nn"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
 
 // BatchArena owns the shared scratch of fused multi-stream stepping: the
-// model-level decode arena, the per-slot scheme/view/access tables, the
-// sparsity batch scratch and the column buffers. One arena serves one batch
-// of streams at a time (it is not safe for concurrent BatchDecode calls);
-// everything inside is sized lazily and reused, and the decoders reuse
-// their KV slots, so steady-state batched decode allocates nothing here.
+// model-level decode arena, the per-slot decoder tables, a dense batch's MLP
+// scratch and the column buffers. One arena serves one batch of streams at a
+// time (it is not safe for concurrent BatchDecode calls); everything inside
+// is sized lazily and reused, and the decoders reuse their KV slots, so
+// steady-state batched decode allocates nothing here.
 type BatchArena struct {
-	db      model.DecodeBatch
-	sps     sparsity.BatchScratch
-	active  []*Stream
-	decs    []*model.Decoder
-	ids     []int
-	schemes []sparsity.Scheme
-	views   []sparsity.CacheView // all nil: a Dense column reads no cache
-	tas     []sparsity.TokenAccess
-	xcol    tensor.Vec // one column's MLP input
-	lcol    tensor.Vec // one column's logits
-	dense   bool       // every column is Dense
-	m       *model.Model
-	hookFn  model.BatchMLPHook
+	db     model.DecodeBatch
+	mlp    nn.MLPBatchScratch
+	active []*Stream
+	decs   []*model.Decoder
+	ids    []int
+	xcol   tensor.Vec // one column's MLP input
+	lcol   tensor.Vec // one column's logits
+	dense  bool       // every column is Dense
+	m      *model.Model
+	hookFn model.BatchMLPHook
 }
 
 // ensure sizes the arena tables for a batch of width B.
@@ -33,21 +31,18 @@ func (a *BatchArena) ensure(B int) {
 	for len(a.decs) < B {
 		a.decs = append(a.decs, nil)
 		a.ids = append(a.ids, 0)
-		a.schemes = append(a.schemes, nil)
-		a.views = append(a.views, nil)
-		a.tas = append(a.tas, sparsity.TokenAccess{})
 	}
 	if a.hookFn == nil {
 		a.hookFn = a.mlpHook
 	}
 }
 
-// mlpHook is the batched MLP hook: for an all-Dense batch one ForwardBatch
-// per layer, then each stream records its column; for any other, each
-// stream's own hook in slot order, so that a column is marked in an open
-// SubStepView before the next one's masks read it, as under Decode.
+// mlpHook is the batched MLP hook: for an all-Dense batch one fused
+// GLUMLP.ApplyBatch per layer, then each stream records the Dense access;
+// for any other, each stream's own hook in slot order, so that a column is
+// marked in an open SubStepView before the next one's masks read it, as
+// under Decode.
 func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
-	B := len(a.active)
 	if !a.dense {
 		for b, st := range a.active {
 			a.xcol = xs.Col(b, tensor.Reuse(a.xcol, xs.Rows))
@@ -55,9 +50,10 @@ func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 		}
 		return
 	}
-	sparsity.ForwardBatch(layer, a.schemes[:B], xs, a.m.Blocks[layer].MLP, a.views[:B], out, a.tas[:B], &a.sps)
-	for b, st := range a.active {
-		st.record(layer, &a.tas[b])
+	a.m.Blocks[layer].MLP.ApplyBatch(xs, out, &a.mlp)
+	ta := sparsity.DenseAccess()
+	for _, st := range a.active {
+		st.record(layer, &ta)
 	}
 }
 
@@ -70,7 +66,7 @@ func (a *BatchArena) mlpHook(layer int, xs *tensor.Mat, out *tensor.Mat) {
 // shrinks naturally. The caller must Commit every advanced stream before
 // its next decode, exactly as with Decode. The streams' schemes are
 // distinct instances; stateless values such as Dense{} may repeat (a
-// column's unit lists alias its scheme's scratch, see sparsity.ForwardBatch).
+// column's unit lists alias its scheme's scratch, see sparsity.Scheme).
 //
 // It returns the number of streams advanced (0 when every stream is done).
 func BatchDecode(sts []*Stream, a *BatchArena) int {
@@ -93,7 +89,6 @@ func BatchDecode(sts []*Stream, a *BatchArena) int {
 		}
 		a.decs[b] = st.decoder()
 		a.ids[b] = st.tokens[st.pos]
-		a.schemes[b] = st.s
 		_, ok := st.s.(sparsity.Dense)
 		a.dense = a.dense && ok
 	}

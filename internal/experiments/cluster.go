@@ -68,9 +68,10 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 	}
 
 	// runScenario replays one seeded trace through a cluster configured for
-	// the cell, optionally with a drain or failure scripted in. failNode
-	// picks the outage target for the "fail" scenario.
-	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, scenario string, failNode int) (*cluster.Report, []obs.Event, error) {
+	// the cell, optionally with a drain or failure scripted in, and returns
+	// its report and the merger of its event logs. failNode picks the
+	// outage target for the "fail" scenario.
+	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, scenario string, failNode int) (*cluster.Report, func() []obs.Event, error) {
 		router, err := cluster.ParseRouter(routerName)
 		if err != nil {
 			return nil, nil, err
@@ -124,7 +125,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		if err := rep.ReconcileObs(); err != nil {
 			return nil, nil, fmt.Errorf("cluster: n%d/%s/%s/%s: %w", nodes, routerName, arb, scenario, err)
 		}
-		return rep, c.Events(), nil
+		return rep, c.Events, nil
 	}
 
 	out := &Table{

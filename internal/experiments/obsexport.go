@@ -18,8 +18,8 @@ func (l *Lab) obsTracing() bool { return l.Serve.Events != "" || l.Serve.ObsWind
 // (recorders are single-run; tracing is on for every cell whether or not the
 // user asked for exports, only the telemetry columns and log files are gated
 // on obsTracing), the report reconciled against its event log — cheap, and it
-// means an exported log always sums to the report beside it — and the log
-// exported under the cell's name.
+// means an exported log always sums to the report beside it — and, under
+// -events, the log exported under the cell's name.
 func (l *Lab) runEngine(x mix, cfg serving.Config, w serving.Workload, cell string) (*serving.Report, error) {
 	rec := obs.NewRecorder(obs.Config{Window: l.Serve.ObsWindow})
 	cfg.Obs = rec
@@ -34,7 +34,7 @@ func (l *Lab) runEngine(x mix, cfg serving.Config, w serving.Workload, cell stri
 	if err := rep.ReconcileObs(); err != nil {
 		return nil, fmt.Errorf("cell %s: %w", cell, err)
 	}
-	return rep, l.writeCellEvents(cell, rec.Events())
+	return rep, l.writeCellEvents(cell, rec.Events)
 }
 
 // obsFormat resolves the lab's event-log format ("" defaults to JSONL).
@@ -46,10 +46,10 @@ func (l *Lab) obsFormat() (string, error) {
 }
 
 // writeCellEvents exports one cell's event log — a recorder's, or the
-// cluster grid's node logs already merged onto the shared tick timeline —
-// to <Events>-<cell>.<ext>, creating parent directories as needed. An unset
-// -events prefix is a no-op.
-func (l *Lab) writeCellEvents(cell string, events []obs.Event) error {
+// cluster grid's node logs merged onto the shared tick timeline — to
+// <Events>-<cell>.<ext>, creating parent directories as needed. An unset
+// -events prefix is a no-op that never calls events, so no log is built.
+func (l *Lab) writeCellEvents(cell string, events func() []obs.Event) error {
 	if l.Serve.Events == "" {
 		return nil
 	}
@@ -67,7 +67,7 @@ func (l *Lab) writeCellEvents(cell string, events []obs.Event) error {
 	if err != nil {
 		return err
 	}
-	if err := obs.Export(f, format, events); err != nil {
+	if err := obs.Export(f, format, events()); err != nil {
 		f.Close()
 		return err
 	}

@@ -8,8 +8,9 @@ import (
 // BatchMLPHook replaces the dense MLP for a whole batch of decode steps:
 // xs (Dim × B) holds the post-norm MLP inputs of the B sessions and the
 // hook must write each session's block output into the matching column of
-// out (Dim × B). It is the batched analogue of MLPHook; the sparsity
-// package's ForwardBatch provides implementations for every scheme.
+// out (Dim × B). It is the batched analogue of MLPHook; eval.BatchArena's
+// hook fuses an all-Dense batch through nn.GLUMLP.ApplyBatch and runs any
+// other column by column through its stream's own MLP hook.
 type BatchMLPHook func(layer int, xs *tensor.Mat, out *tensor.Mat)
 
 // DecodeBatch is the scratch arena of fused multi-session decode steps: the
@@ -56,7 +57,7 @@ func (s *DecodeBatch) ensure(m *Model, B int) {
 // decoder keeps its own KV caches and position; the shared work — the
 // attention projections and the output head — runs as multi-RHS kernels
 // that walk each weight matrix once for the whole batch, and the MLP is
-// hook's (sparsity.ForwardBatch fuses the dense one the same way).
+// hook's (a dense one fuses the same way through nn.GLUMLP.ApplyBatch).
 //
 // The per-decoder MLPHook installed by NewDecoder is NOT consulted: hook is
 // required and replaces it for the whole batch. Apart from that

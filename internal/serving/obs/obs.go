@@ -11,9 +11,11 @@
 // the fused/unfused decode paths, so a trace file is a reproducible
 // artifact, not a sample.
 //
-// On top of the bus, a Recorder keeps two moving-window trackers (decoded
-// throughput and admission-queue depth) with windows measured in simulated
-// ticks, exposed through Snapshot, which the serve grid's obs columns read.
+// The log is the one record of those decisions: Tally derives the counts
+// reconciliation reads from it, for one recorder or a cluster's. Beside it,
+// a Recorder keeps two moving-window trackers (decoded throughput and
+// admission-queue depth) with windows measured in simulated ticks, exposed
+// through Snapshot, which the serve grid's obs columns read.
 // Exporters serialize the event log as JSONL or as Chrome trace-event JSON
 // (see export.go).
 //
@@ -109,8 +111,8 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + kindNames[k] + `"`), nil
 }
 
-// Detail constants for the kinds whose detail field is an enumeration; the
-// Recorder's aggregate Counts switch on these.
+// Detail constants for the kinds whose detail field is an enumeration;
+// Tally switches on these.
 const (
 	DetailPreempt   = "preempt"
 	DetailFault     = "fault"
@@ -163,28 +165,23 @@ type Event struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-// Counts aggregates the event log by kind (and detail, where the detail is
-// an enumeration). The serving report reconciles these against its own
-// counters — see serving.Report.ReconcileObs — so silent metrics drift
-// between the event stream and the aggregate report fails loudly.
+// Counts is the event log's tally by kind (and detail, where the detail is
+// an enumeration), as Tally reads it. The serving report reconciles these
+// against its own counters — see serving.Report.ReconcileObs — so silent
+// metrics drift between the event stream and the aggregate report fails
+// loudly; a kind no reconciliation row reads has no tally.
 type Counts struct {
 	Arrivals      int `json:"arrivals"`
 	ShedArrivals  int `json:"shed_arrivals"`
 	Degraded      int `json:"degraded"`
 	Admits        int `json:"admits"`
-	Resumes       int `json:"resumes"`
-	Grants        int `json:"grants"`
-	Releases      int `json:"releases"`
 	Preemptions   int `json:"preemptions"`
 	FaultSuspends int `json:"fault_suspends"`
-	DipParks      int `json:"dip_parks"`
 	Migrations    int `json:"migrations"`
 	StepFaults    int `json:"step_faults"`
 	Revocations   int `json:"revocations"`
 	Cancellations int `json:"cancellations"`
 	Retries       int `json:"retries"`
-	StepTicks     int `json:"step_ticks"`
-	Commits       int `json:"commits"`
 	FinishedOK    int `json:"finished_ok"`
 	Failed        int `json:"failed"`
 	Cancelled     int `json:"cancelled"`
@@ -197,34 +194,67 @@ type Counts struct {
 	Stranded        int `json:"stranded,omitempty"`
 }
 
-// Add accumulates another recorder's counts — the cluster rollup merging
-// per-node tallies into one cluster-wide Counts.
-func (c *Counts) Add(o Counts) {
-	c.Arrivals += o.Arrivals
-	c.ShedArrivals += o.ShedArrivals
-	c.Degraded += o.Degraded
-	c.Admits += o.Admits
-	c.Resumes += o.Resumes
-	c.Grants += o.Grants
-	c.Releases += o.Releases
-	c.Preemptions += o.Preemptions
-	c.FaultSuspends += o.FaultSuspends
-	c.DipParks += o.DipParks
-	c.Migrations += o.Migrations
-	c.StepFaults += o.StepFaults
-	c.Revocations += o.Revocations
-	c.Cancellations += o.Cancellations
-	c.Retries += o.Retries
-	c.StepTicks += o.StepTicks
-	c.Commits += o.Commits
-	c.FinishedOK += o.FinishedOK
-	c.Failed += o.Failed
-	c.Cancelled += o.Cancelled
-	c.HeartbeatMisses += o.HeartbeatMisses
-	c.Suspects += o.Suspects
-	c.Confirms += o.Confirms
-	c.Rejoins += o.Rejoins
-	c.Stranded += o.Stranded
+// Tally counts the events in the recorders' logs: the one mapping from an
+// event to a tally, so the counts of a cluster are those of its merged log.
+// It reads each recorder's chunks in place and allocates nothing.
+func Tally(recs ...*Recorder) Counts {
+	var c Counts
+	for _, r := range recs {
+		for cur := (cursor{c: r.head, left: r.n}); cur.left > 0; cur.advance() {
+			switch ev := cur.peek(); ev.Kind {
+			case KindArrive:
+				c.Arrivals++
+			case KindShed:
+				c.ShedArrivals++
+			case KindDegrade:
+				c.Degraded++
+			case KindAdmit:
+				c.Admits++
+			case KindSuspend:
+				switch ev.Detail {
+				case DetailPreempt:
+					c.Preemptions++
+				case DetailFault:
+					c.FaultSuspends++
+				case DetailMigrate:
+					c.Migrations++
+				}
+			case KindFault:
+				switch ev.Detail {
+				case DetailStep:
+					c.StepFaults++
+				case DetailRevoke:
+					c.Revocations++
+				case DetailCancel:
+					c.Cancellations++
+				}
+			case KindRetry:
+				c.Retries++
+			case KindFinish:
+				switch ev.Detail {
+				case DetailOK:
+					c.FinishedOK++
+				case DetailFailed:
+					c.Failed++
+				case DetailCancelled:
+					c.Cancelled++
+				}
+			case KindHeartbeatMiss:
+				c.HeartbeatMisses++
+			case KindSuspect:
+				c.Suspects++
+			case KindConfirm:
+				c.Confirms++
+			case KindRejoin:
+				if ev.Detail == DetailRejoining {
+					c.Rejoins++
+				}
+			case KindStrand:
+				c.Stranded++
+			}
+		}
+	}
+	return c
 }
 
 // Snapshot is the moving-window view at a tick — every field derives from
@@ -242,7 +272,7 @@ type Snapshot struct {
 	// MeanQueueDepth averages the admission-queue depth at decode time over
 	// the window; ticks the engine fast-forwarded past count as empty.
 	MeanQueueDepth float64 `json:"mean_queue_depth"`
-	// Counts aggregates the full event log since the start of the run.
+	// Counts is the Tally of the full event log since the start of the run.
 	Counts Counts `json:"counts"`
 }
 
@@ -270,7 +300,6 @@ type Recorder struct {
 	head, tail *chunk
 	n          int
 	flat       []Event
-	counts     Counts
 
 	tokens *Tracker
 	queue  *Tracker
@@ -301,7 +330,7 @@ func NewRecorder(cfg Config) *Recorder {
 }
 
 // Bind marks the recorder as owned by one engine run. A recorder carries
-// cumulative counts and an append-only log, so sharing one across engines
+// an append-only log and cumulative windows, so sharing one across engines
 // would silently merge two runs' telemetry; NewEngine calls Bind and
 // surfaces the error as a Config validation failure.
 func (r *Recorder) Bind() error {
@@ -312,7 +341,7 @@ func (r *Recorder) Bind() error {
 	return nil
 }
 
-// Emit appends one event to the log and folds it into the aggregate counts.
+// Emit appends one event to the log.
 func (r *Recorder) Emit(ev Event) {
 	i := r.n % chunkEvents
 	if i == 0 {
@@ -326,69 +355,6 @@ func (r *Recorder) Emit(ev Event) {
 	}
 	r.tail.events[i] = ev
 	r.n++
-	switch ev.Kind {
-	case KindArrive:
-		r.counts.Arrivals++
-	case KindShed:
-		r.counts.ShedArrivals++
-	case KindDegrade:
-		r.counts.Degraded++
-	case KindAdmit:
-		r.counts.Admits++
-	case KindResume:
-		r.counts.Resumes++
-	case KindGrant:
-		r.counts.Grants++
-	case KindRelease:
-		r.counts.Releases++
-	case KindSuspend:
-		switch ev.Detail {
-		case DetailPreempt:
-			r.counts.Preemptions++
-		case DetailFault:
-			r.counts.FaultSuspends++
-		case DetailDip:
-			r.counts.DipParks++
-		case DetailMigrate:
-			r.counts.Migrations++
-		}
-	case KindFault:
-		switch ev.Detail {
-		case DetailStep:
-			r.counts.StepFaults++
-		case DetailRevoke:
-			r.counts.Revocations++
-		case DetailCancel:
-			r.counts.Cancellations++
-		}
-	case KindRetry:
-		r.counts.Retries++
-	case KindStepBatch:
-		r.counts.StepTicks++
-	case KindCommit:
-		r.counts.Commits++
-	case KindFinish:
-		switch ev.Detail {
-		case DetailOK:
-			r.counts.FinishedOK++
-		case DetailFailed:
-			r.counts.Failed++
-		case DetailCancelled:
-			r.counts.Cancelled++
-		}
-	case KindHeartbeatMiss:
-		r.counts.HeartbeatMisses++
-	case KindSuspect:
-		r.counts.Suspects++
-	case KindConfirm:
-		r.counts.Confirms++
-	case KindRejoin:
-		if ev.Detail == DetailRejoining {
-			r.counts.Rejoins++
-		}
-	case KindStrand:
-		r.counts.Stranded++
-	}
 }
 
 // ObserveDecode records one executed tick's decoded tokens.
@@ -420,14 +386,11 @@ func (r *Recorder) Events() []Event {
 	return r.flat
 }
 
-// Counts returns the aggregate event counts so far.
-func (r *Recorder) Counts() Counts { return r.counts }
-
 // Snapshot assembles the moving-window view at the given tick. The engine
 // takes one at drain time and attaches it to the Report; callers holding
 // the recorder may also sample mid-run between ticks.
 func (r *Recorder) Snapshot(tick int) Snapshot {
-	s := Snapshot{Tick: tick, Window: r.window, Counts: r.counts}
+	s := Snapshot{Tick: tick, Window: r.window, Counts: Tally(r)}
 	if span := float64(r.tokens.Span(tick)); span > 0 {
 		s.TokensPerTick = float64(r.tokens.Sum(tick)) / span
 		s.MeanQueueDepth = float64(r.queue.Sum(tick)) / span

@@ -65,11 +65,15 @@ func TestRecorderCountsFollowKindAndDetail(t *testing.T) {
 	} {
 		r.Emit(ev)
 	}
-	c := r.Counts()
-	want := Counts{Arrivals: 1, ShedArrivals: 1, Admits: 1, Grants: 1,
-		StepFaults: 1, FaultSuspends: 1, Retries: 1, Resumes: 1, StepTicks: 1, FinishedOK: 1}
+	// Grant, resume and step-batch events are logged but have no tally.
+	c := Tally(r)
+	want := Counts{Arrivals: 1, ShedArrivals: 1, Admits: 1,
+		StepFaults: 1, FaultSuspends: 1, Retries: 1, FinishedOK: 1}
 	if c != want {
-		t.Fatalf("Counts = %+v, want %+v", c, want)
+		t.Fatalf("Tally = %+v, want %+v", c, want)
+	}
+	if s := r.Snapshot(4); s.Counts != want {
+		t.Fatalf("Snapshot.Counts = %+v, want the Tally %+v", s.Counts, want)
 	}
 	if len(r.Events()) != 10 {
 		t.Fatalf("event log holds %d events, want 10", len(r.Events()))
@@ -341,6 +345,47 @@ func TestEmitAllocatesOnlyChunks(t *testing.T) {
 		if again := recs[0].Events(); &again[0] != &got[0] {
 			t.Errorf("repeated Events() over %d events rebuilt the log", n)
 		}
+	}
+}
+
+// Tally reads the chunks in place, as MergeEvents does: over several
+// multi-chunk logs it and Snapshot allocate nothing, and the tally of the
+// recorders counts every log once.
+func TestTallyAllocatesNothing(t *testing.T) {
+	kinds := []Event{
+		{Slot: -1, Kind: KindArrive},
+		{Slot: 0, Kind: KindAdmit},
+		{Slot: 0, Kind: KindSuspend, Detail: DetailMigrate},
+		{Slot: 0, Kind: KindFinish, Detail: DetailOK},
+		{Slot: -1, Kind: KindStepBatch},
+	}
+	recs := make([]*Recorder, 3)
+	for n := range recs {
+		recs[n] = NewRecorder(Config{})
+		for i := range (n + 1) * len(kinds) * 60 { // 300, 600 and 900 events
+			ev := kinds[i%len(kinds)]
+			ev.Tick = i
+			recs[n].Emit(ev)
+		}
+	}
+	var c Counts
+	var s Snapshot
+	if a := testing.AllocsPerRun(20, func() { c = Tally(recs...) }); a != 0 {
+		t.Errorf("Tally of three multi-chunk logs allocated %v objects, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { s = recs[2].Snapshot(900) }); a != 0 {
+		t.Errorf("Snapshot of a multi-chunk log allocated %v objects, want 0", a)
+	}
+	for n, r := range recs {
+		if r.flat != nil { // Events caches its one copy, which AllocsPerRun's warm-up would hide
+			t.Errorf("Tally or Snapshot flattened log %d", n)
+		}
+	}
+	if want := (Counts{Arrivals: 360, Admits: 360, Migrations: 360, FinishedOK: 360}); c != want {
+		t.Fatalf("Tally of three logs = %+v, want %+v", c, want)
+	}
+	if want := (Counts{Arrivals: 180, Admits: 180, Migrations: 180, FinishedOK: 180}); s.Counts != want {
+		t.Fatalf("Snapshot.Counts = %+v, want %+v", s.Counts, want)
 	}
 }
 

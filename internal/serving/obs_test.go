@@ -2,8 +2,10 @@ package serving
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,6 +112,60 @@ func TestEventLogGolden(t *testing.T) {
 	want := must(os.ReadFile(golden))(t)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("event log drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// The exported JSONL is the complete account of a run: parsed back line by
+// line into a fresh recorder, its Tally is the report's Counts and it
+// reconciles with the report on its own. A log missing one ok finish line
+// fails on the row that counts them.
+func TestExportedLogReconcilesAlone(t *testing.T) {
+	trained(t)
+	cfg := goldenRow(t, ArbShared).cfg
+	rec := obs.NewRecorder(obs.Config{Window: 8})
+	cfg.Obs = rec
+	rep := run(t, cfg, mixedPressureTrace(t))
+	kinds := make(map[string]obs.Kind)
+	for k := obs.Kind(0); !strings.HasPrefix(k.String(), "kind("); k++ {
+		kinds[k.String()] = k
+	}
+	replay := func(lines []string) obs.Counts {
+		r := obs.NewRecorder(obs.Config{})
+		for _, line := range lines {
+			var ev struct {
+				obs.Event
+				Kind string `json:"kind"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			k, ok := kinds[ev.Kind]
+			if !ok {
+				t.Fatalf("%s: unknown kind %q", line, ev.Kind)
+			}
+			ev.Event.Kind = k
+			r.Emit(ev.Event) //lint:allow obsguard a replay into the test's own recorder, never nil and off the tick path
+		}
+		return obs.Tally(r)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(jsonl(t, rec.Events())), "\n"), "\n")
+	tally := replay(lines)
+	if tally != rep.Obs.Counts {
+		t.Fatalf("Tally of the parsed log = %+v, want the report's %+v", tally, rep.Obs.Counts)
+	}
+	if err := Reconcile("serving", ObsChecks(tally, rep, rep.Sessions)); err != nil {
+		t.Fatalf("the exported log does not reconcile: %v", err)
+	}
+	ok := slices.IndexFunc(lines, func(l string) bool {
+		return strings.Contains(l, `"kind":"finish"`) && strings.Contains(l, `"detail":"ok"`)
+	})
+	if ok < 0 {
+		t.Fatal("scenario broken: no ok finish in the log")
+	}
+	short := replay(slices.Delete(slices.Clone(lines), ok, ok+1))
+	err := Reconcile("serving", ObsChecks(short, rep, rep.Sessions))
+	if err == nil || !strings.Contains(err.Error(), "ok finish events") {
+		t.Fatalf("a log missing an ok finish reconciled, or failed on another row: %v", err)
 	}
 }
 

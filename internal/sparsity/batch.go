@@ -49,7 +49,7 @@ type denseBuffers struct {
 // ForwardColumn with ds; every other scheme's output and unit lists alias
 // its own scratch, as Forward's do. Every decode loop steps a column with
 // it: the eval stream's MLP hook (which a fused batch of pruned columns
-// runs column by column), eval.Hook and ForwardBatch's per-column loop.
+// runs column by column) and eval.Hook.
 func ForwardColumn(layer int, s Scheme, x tensor.Vec, mlp *nn.GLUMLP, cache CacheView, ds *DenseScratch) (tensor.Vec, TokenAccess) {
 	if _, ok := s.(Dense); !ok {
 		return s.Forward(layer, x, mlp, cache)
@@ -68,10 +68,12 @@ func ForwardColumn(layer int, s Scheme, x tensor.Vec, mlp *nn.GLUMLP, cache Cach
 // instance and cache view (views may be nil or differ per session).
 //
 // An all-Dense batch runs nn.GLUMLP.ApplyBatch; every other batch is each
-// column's ForwardColumn, in column order. The serving engine's fused
-// decode calls it for all-Dense batches only: it runs a pruned batch's
-// columns through each stream's own hook, so that each column is marked in
-// the sub-step's eval.SubStepView before the next one reads it.
+// column's ForwardColumn, in column order. No decode loop calls it: the
+// fused decode (eval.BatchArena) runs nn.GLUMLP.ApplyBatch itself for an
+// all-Dense batch and each stream's own hook otherwise, so that each column
+// is marked in the sub-step's eval.SubStepView before the next one reads
+// it. ForwardBatch and BatchScratch stay as the benchmark module's probe of
+// the batched MLP against per-column Forward.
 //
 // schemes[b] are distinct instances; stateless values such as Dense{} may
 // repeat. tas[b].Units alias schemes[b]'s own scratch and stay valid until

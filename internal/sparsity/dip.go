@@ -25,10 +25,9 @@ type DIP struct {
 	// RhoGLU is the fraction of intermediate units kept (W_d columns).
 	RhoGLU float64
 	// Gamma is the cache-aware penalty on non-cached units (Eq. 10).
-	// Gamma == 1 disables re-weighting (plain DIP); the paper tunes 0.2.
+	// Gamma < 1 is DIP-CA, named "dip-ca"; Gamma == 1 is plain DIP, with
+	// no re-weighting. The paper tunes 0.2.
 	Gamma float64
-	// CacheAware names the scheme "dip-ca" and enables re-weighting.
-	CacheAware bool
 
 	// scratch buffers reused across calls (schemes are used sequentially;
 	// parallel evaluations give each worker its own copy via Clone). The
@@ -42,7 +41,7 @@ type DIP struct {
 
 // CloneStateless implements StatefulScheme.
 func (s *DIP) CloneStateless() Scheme {
-	return &DIP{RhoIn: s.RhoIn, RhoGLU: s.RhoGLU, Gamma: s.Gamma, CacheAware: s.CacheAware}
+	return &DIP{RhoIn: s.RhoIn, RhoGLU: s.RhoGLU, Gamma: s.Gamma}
 }
 
 // NewDIP returns plain DIP with the density allocation for the target MLP
@@ -52,15 +51,16 @@ func NewDIP(targetDensity float64) *DIP {
 	return &DIP{RhoIn: rin, RhoGLU: rglu, Gamma: 1}
 }
 
-// NewDIPCA returns cache-aware DIP with penalty gamma (the paper fixes 0.2).
+// NewDIPCA returns cache-aware DIP with penalty gamma (the paper fixes 0.2);
+// at gamma 1 it is plain DIP.
 func NewDIPCA(targetDensity, gamma float64) *DIP {
 	rin, rglu := AllocateDIP(targetDensity)
-	return &DIP{RhoIn: rin, RhoGLU: rglu, Gamma: gamma, CacheAware: true}
+	return &DIP{RhoIn: rin, RhoGLU: rglu, Gamma: gamma}
 }
 
 // Name implements Scheme.
 func (s *DIP) Name() string {
-	if s.CacheAware {
+	if s.Gamma < 1 {
 		return "dip-ca"
 	}
 	return "dip"
@@ -70,11 +70,11 @@ func (s *DIP) Name() string {
 func (s *DIP) TargetDensity() float64 { return (2*s.RhoIn + s.RhoGLU) / 3 }
 
 // ReadsCache reports whether s's masks depend on the CacheView it is given:
-// DIP-CA with γ < 1, the one scheme whose accesses cannot be recorded once
-// and replayed against another memory system.
+// DIP-CA (DIP with γ < 1), the one scheme whose accesses cannot be recorded
+// once and replayed against another memory system.
 func ReadsCache(s Scheme) bool {
 	d, ok := s.(*DIP)
-	return ok && d.CacheAware && d.Gamma < 1
+	return ok && d.Gamma < 1
 }
 
 // score writes one stage's ranking scores into keys as tensor.OrderKey keys:
@@ -87,7 +87,7 @@ func ReadsCache(s Scheme) bool {
 // |src_i| and its weight, so no float score is stored.
 func (s *DIP) score(src tensor.Vec, keys []uint32, layer int, group GroupID, cache CacheView) []uint32 {
 	keys = keys[:len(src)]
-	if !s.CacheAware || s.Gamma >= 1 || cache == nil {
+	if s.Gamma >= 1 || cache == nil {
 		for i, v := range src {
 			keys[i] = tensor.OrderKey(abs(v))
 		}

@@ -196,8 +196,11 @@ func (Dense) Forward(_ int, x tensor.Vec, mlp *nn.GLUMLP, _ CacheView) (tensor.V
 	return mlp.Apply(x), denseAccess
 }
 
-// denseAccess is every Dense evaluation's access record: all three
+// DenseAccess returns every Dense evaluation's access record: all three
 // matrices, reported on the row-axis groups (the natural storage layout).
+// A fused dense batch records it for each column.
+func DenseAccess() TokenAccess { return denseAccess }
+
 var denseAccess = TokenAccess{Groups: [NumGroups]GroupAccess{
 	GroupUpRows:   {Kind: AccessDense},
 	GroupGateRows: {Kind: AccessDense},

@@ -274,7 +274,7 @@ func TestDIPCAPrefersCachedUnits(t *testing.T) {
 			fc.cached[[3]int{0, int(GroupUpGate), i}] = true
 		}
 	}
-	ca := &DIP{RhoIn: 0.5, RhoGLU: 0.5, Gamma: 0.01, CacheAware: true}
+	ca := &DIP{RhoIn: 0.5, RhoGLU: 0.5, Gamma: 0.01}
 	_, taCA := ca.Forward(0, x, mlp, fc)
 	hits := 0
 	for _, u := range taCA.Groups[GroupUpGate].Units {
@@ -291,10 +291,14 @@ func TestDIPCAGammaOneEqualsDIP(t *testing.T) {
 	mlp := newTestMLP(25, 12, 24, nn.ActSiLU)
 	x := randVec(26, 12)
 	fc := &fakeCache{cached: map[[3]int]bool{{0, int(GroupUpGate), 0}: true}}
-	a, _ := (&DIP{RhoIn: 0.5, RhoGLU: 0.5, Gamma: 1, CacheAware: true}).Forward(0, x, mlp, fc)
-	b, _ := (&DIP{RhoIn: 0.5, RhoGLU: 0.5, Gamma: 1}).Forward(0, x, mlp, nil)
+	ca := NewDIPCA(0.5, 1)
+	a, _ := ca.Forward(0, x, mlp, fc)
+	b, _ := NewDIP(0.5).Forward(0, x, mlp, nil)
 	if !vecClose(a, b, 1e-6) {
 		t.Fatal("gamma=1 DIP-CA should equal plain DIP")
+	}
+	if ca.Name() != "dip" || ReadsCache(ca) {
+		t.Fatalf("gamma=1 DIP-CA is named %q and reads the cache: %v; want plain DIP", ca.Name(), ReadsCache(ca))
 	}
 }
 
