@@ -358,10 +358,10 @@ var claims = []claim{
 		tab := findTable(t, tabs[0], "serve")
 		n := kinds(t, filepath.Join(dir, "ev-poisson-edf-none-shared.jsonl"))
 		positive(t, tab, edfShared, "retries")
-		if retries := cellF(t, tab, edfShared, "retries"); float64(n[obs.KindRetry.String()]) != retries {
-			t.Errorf("log has %d retry events, report %v retries", n[obs.KindRetry.String()], retries)
+		if retries := cellF(t, tab, edfShared, "retries"); float64(n[obs.KindRetry]) != retries {
+			t.Errorf("log has %d retry events, report %v retries", n[obs.KindRetry], retries)
 		}
-		if shed, logged := cellF(t, tab, edfShared, "shed"), n[obs.KindShed.String()]+n[obs.KindDegrade.String()]; float64(logged) != shed {
+		if shed, logged := cellF(t, tab, edfShared, "shed"), n[obs.KindShed]+n[obs.KindDegrade]; float64(logged) != shed {
 			t.Errorf("log has %d shed+degrade events, report %v shed", logged, shed)
 		}
 	}},
@@ -396,8 +396,25 @@ var claims = []claim{
 		}
 		n := kinds(t, filepath.Join(dir, "ev-n3-least-loaded-fair-chaos.jsonl"))
 		for _, k := range []obs.Kind{obs.KindHeartbeatMiss, obs.KindConfirm, obs.KindRejoin} {
-			if n[k.String()] == 0 {
+			if n[k] == 0 {
 				t.Errorf("chaos log has no %s event", k)
+			}
+		}
+		// The oracle confirms on its first miss, the crash tick, so no
+		// node is ever only suspect; detection off gives no verdict.
+		n = kinds(t, filepath.Join(dir, "ev-n3-least-loaded-fair-chaos-oracle.jsonl"))
+		if n[obs.KindConfirm] == 0 || n[obs.KindSuspect] != 0 {
+			t.Errorf("oracle log has %d confirm and %d suspect events, want some and none", n[obs.KindConfirm], n[obs.KindSuspect])
+		}
+		n = kinds(t, filepath.Join(dir, "ev-n3-least-loaded-fair-chaos-off.jsonl"))
+		for _, k := range []obs.Kind{obs.KindHeartbeatMiss, obs.KindSuspect, obs.KindConfirm} {
+			if n[k] != 0 {
+				t.Errorf("detection-off log has %d %s events, want none", n[k], k)
+			}
+		}
+		for _, scenario := range []string{"steady", "drain", "fail"} {
+			if len(kinds(t, filepath.Join(dir, "ev-n3-least-loaded-fair-"+scenario+".jsonl"))) == 0 {
+				t.Errorf("%s log has no events", scenario)
 			}
 		}
 	}},
@@ -440,17 +457,17 @@ func positive(t *testing.T, tab *Table, keys map[string]string, cols ...string) 
 	}
 }
 
-// kinds counts a JSONL event log's events by kind.
-func kinds(t *testing.T, path string) map[string]int {
+// kinds decodes a JSONL event log into obs.Events and counts them by kind.
+func kinds(t *testing.T, path string) map[obs.Kind]int {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	n := make(map[string]int)
+	n := make(map[obs.Kind]int)
 	for dec := json.NewDecoder(f); ; {
-		var ev struct{ Kind string }
+		var ev obs.Event
 		if err := dec.Decode(&ev); errors.Is(err, io.EOF) {
 			return n
 		} else if err != nil {

@@ -67,14 +67,17 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		return nil, err
 	}
 
-	// runScenario replays one seeded trace through a cluster configured for
-	// the cell, optionally with a drain or failure scripted in, and returns
-	// its report and the merger of its event logs. failNode picks the
-	// outage target for the "fail" scenario.
-	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, scenario string, failNode int) (*cluster.Report, func() []obs.Event, error) {
+	// runScenario replays the cell's seeded trace through a cluster
+	// configured for it, optionally with a drain, a failure or node chaos
+	// scripted in (failNode picks the "fail" outage target), as
+	// Lab.runEngine runs an engine cell: the report is reconciled against
+	// the merged per-node event log, and under -events that log is exported
+	// as n<N>-<router>-<arb>-<scenario>. The heartbeat chaos replay, the
+	// measured system, keeps the shorter name "chaos".
+	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, scenario string, failNode int) (*cluster.Report, error) {
 		router, err := cluster.ParseRouter(routerName)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		nodeCfgs := make([]serving.Config, nodes)
 		for i := range nodeCfgs {
@@ -112,20 +115,21 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		}
 		w, err := makeWorkload(nodes)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		c, err := cluster.New(x.m, cfg, w)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rep, err := c.Run()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		cell := fmt.Sprintf("n%d-%s-%s-%s", nodes, routerName, arb, strings.TrimSuffix(scenario, "-heartbeat"))
 		if err := rep.ReconcileObs(); err != nil {
-			return nil, nil, fmt.Errorf("cluster: n%d/%s/%s/%s: %w", nodes, routerName, arb, scenario, err)
+			return nil, fmt.Errorf("cell %s: %w", cell, err)
 		}
-		return rep, c.Events, nil
+		return rep, l.writeCellEvents(cell, c.Events)
 	}
 
 	out := &Table{
@@ -148,21 +152,15 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		}
 		for _, routerName := range rs {
 			for _, arb := range arbs {
-				rep, events, err := runScenario(nodes, routerName, arb, "steady", 0)
+				rep, err := runScenario(nodes, routerName, arb, "steady", 0)
 				if err != nil {
-					return nil, err
-				}
-				if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-steady", nodes, routerName, arb), events); err != nil {
 					return nil, err
 				}
 				drainMoved, drainAttain := any("-"), any("-")
 				failMigr, failGoodput := any("-"), any("-")
 				if nodes > 1 {
-					drain, devents, err := runScenario(nodes, routerName, arb, "drain", 0)
+					drain, err := runScenario(nodes, routerName, arb, "drain", 0)
 					if err != nil {
-						return nil, err
-					}
-					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-drain", nodes, routerName, arb), devents); err != nil {
 						return nil, err
 					}
 					drainMoved, drainAttain = drain.Migrations+drain.Requeues, drain.SLOAttainRate
@@ -176,47 +174,38 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 							hottest = n
 						}
 					}
-					fail, fevents, err := runScenario(nodes, routerName, arb, "fail", hottest)
+					fail, err := runScenario(nodes, routerName, arb, "fail", hottest)
 					if err != nil {
-						return nil, err
-					}
-					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-fail", nodes, routerName, arb), fevents); err != nil {
 						return nil, err
 					}
 					failMigr, failGoodput = fail.Migrations, fail.Goodput
 				}
 				detectLag, rejoins, stranded := any("-"), any("-"), any("-")
-				chaosAttain, oracleAttain, offAttain := any("-"), any("-"), any("-")
+				attain := []any{"-", "-", "-"}
 				if nodes > 1 && s.NodeChaos > 0 {
 					// The chaos replay: the same trace under unscripted
-					// crash+recover chaos, once per detector mode. The
-					// heartbeat run is the measured system, the zero-lag
-					// oracle bounds it from above, and the detector-off run
-					// (stranded work frozen until restart) from below.
-					hb, cevents, err := runScenario(nodes, routerName, arb, "chaos-heartbeat", 0)
-					if err != nil {
-						return nil, err
+					// crash+recover chaos, once per detector mode, in the
+					// attainment columns' order. The heartbeat run is the
+					// measured system, the zero-lag oracle bounds it from
+					// above, and the detector-off run (stranded work frozen
+					// until restart) from below.
+					for i, mode := range cluster.DetectModes() {
+						chaos, err := runScenario(nodes, routerName, arb, "chaos-"+mode, 0)
+						if err != nil {
+							return nil, err
+						}
+						if mode == "heartbeat" {
+							detectLag, rejoins, stranded = chaos.MeanDetectLag, chaos.Rejoins, chaos.Stranded
+						}
+						attain[i] = chaos.SLOAttainRate
 					}
-					if err := l.writeCellEvents(fmt.Sprintf("n%d-%s-%s-chaos", nodes, routerName, arb), cevents); err != nil {
-						return nil, err
-					}
-					oracle, _, err := runScenario(nodes, routerName, arb, "chaos-oracle", 0)
-					if err != nil {
-						return nil, err
-					}
-					offRep, _, err := runScenario(nodes, routerName, arb, "chaos-off", 0)
-					if err != nil {
-						return nil, err
-					}
-					detectLag, rejoins, stranded = hb.MeanDetectLag, hb.Rejoins, hb.Stranded
-					chaosAttain, oracleAttain, offAttain = hb.SLOAttainRate, oracle.SLOAttainRate, offRep.SLOAttainRate
 				}
 				out.AddRow(nodes, routerName, arb.String(), rep.Sessions, slotsPerNode,
 					rep.SimTokS, rep.Goodput, rep.HitRate, rep.SLOAttainRate, rep.Imbalance,
 					rep.QueueP50, rep.TurnaroundP99, drainMoved, drainAttain,
 					failMigr, failGoodput,
 					detectLag, rejoins, stranded,
-					chaosAttain, oracleAttain, offAttain,
+					attain[0], attain[1], attain[2],
 					rep.Wall.TokS)
 			}
 		}
@@ -235,7 +224,7 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 	}
 	if s.Events != "" {
 		out.Notes = append(out.Notes,
-			"with -events each scenario wrote <prefix>-n<N>-<router>-<arb>-<scenario> merged event logs (node field disambiguates replicas)")
+			"with -events each scenario wrote <prefix>-n<N>-<router>-<arb>-<scenario> merged event logs (scenario steady, drain, fail, chaos, chaos-oracle or chaos-off; node field disambiguates replicas)")
 	}
 	return []*Table{out}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -43,14 +42,11 @@ func FuzzWriteJSONL(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
-		var ev struct {
-			Tick, SubStep, Node, Slot int
-			Kind, Session, Detail     string
-		}
+		var ev Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(ev.Tick, ev.SubStep, ev.Node, ev.Slot, slices.Index(kindNames[:], ev.Kind), ev.Session, ev.Detail, uint8(0))
+		f.Add(ev.Tick, ev.SubStep, ev.Node, ev.Slot, int(ev.Kind), ev.Session, ev.Detail, uint8(0))
 	}
 	f.Add(0, 0, 0, 0, 0, "", "", uint8(1))
 	f.Add(-1, -7, -2, -1, int(numKinds), "s", "d", uint8(0))
@@ -75,7 +71,56 @@ func FuzzWriteJSONL(f *testing.F) {
 		if gotErr == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("WriteJSONL wrote\n%s\njson.Marshal wrote\n%s", got.Bytes(), want.Bytes())
 		}
+		if gotErr != nil {
+			return
+		}
+		dec := json.NewDecoder(&got)
+		for i, ev := range events {
+			var back Event
+			if err := dec.Decode(&back); err != nil {
+				t.Fatalf("line %d does not decode: %v", i+1, err)
+			}
+			ev.Session, ev.Detail = jsonString(ev.Session), jsonString(ev.Detail)
+			if back != ev {
+				t.Fatalf("line %d decodes to %+v, want %+v", i+1, back, ev)
+			}
+		}
 	})
+}
+
+// jsonString is s as encoding/json writes it and reads it back: each byte
+// that is not valid UTF-8 becomes U+FFFD.
+func jsonString(s string) string {
+	data, err := json.Marshal(s)
+	if err == nil {
+		err = json.Unmarshal(data, &s)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// Kind's JSON form round-trips for every kind, and an unknown name fails
+// by name.
+func TestKindUnmarshalJSONInvertsMarshal(t *testing.T) {
+	for k := range numKinds {
+		data, err := json.Marshal(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Kind
+		if err := json.Unmarshal(data, &back); err != nil || back != k {
+			t.Errorf("%s decodes to %v, %v", data, back, err)
+		}
+	}
+	var k Kind
+	for _, bad := range []string{`"no-such-kind"`, `3`} {
+		err := json.Unmarshal([]byte(bad), &k)
+		if err == nil || !strings.Contains(err.Error(), strings.Trim(bad, `"`)) {
+			t.Errorf("%s decoded with error %v, want one naming it", bad, err)
+		}
+	}
 }
 
 // The encoder's only allocations are its line buffer: a log a hundred

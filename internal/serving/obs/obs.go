@@ -24,7 +24,11 @@
 // formatting to the tick hot path.
 package obs
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"slices"
+)
 
 // Kind classifies an engine decision.
 type Kind int
@@ -109,6 +113,22 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 		return nil, fmt.Errorf("obs: cannot marshal unknown event kind %d", int(k))
 	}
 	return []byte(`"` + kindNames[k] + `"`), nil
+}
+
+// UnmarshalJSON parses a registry name back into its kind, the inverse of
+// MarshalJSON, so an exported JSONL line decodes into an Event. An unknown
+// name is an error that names it.
+func (k *Kind) UnmarshalJSON(data []byte) error {
+	var name string
+	if err := json.Unmarshal(data, &name); err != nil {
+		return fmt.Errorf("obs: event kind %s is not a string", data)
+	}
+	i := slices.Index(kindNames[:], name)
+	if i < 0 {
+		return fmt.Errorf("obs: unknown event kind %q", name)
+	}
+	*k = Kind(i)
+	return nil
 }
 
 // Detail constants for the kinds whose detail field is an enumeration;
@@ -296,10 +316,9 @@ type Recorder struct {
 	bound  bool
 
 	// The log is a list of fixed-size chunks, so no event is copied while
-	// it grows; flat caches Events()'s flattening of a multi-chunk log.
+	// it grows.
 	head, tail *chunk
 	n          int
-	flat       []Event
 
 	tokens *Tracker
 	queue  *Tracker
@@ -367,24 +386,10 @@ func (r *Recorder) ObserveQueue(tick, depth int) {
 	r.queue.Observe(tick, int64(depth))
 }
 
-// Events returns the full event log in emission order; callers must not
-// mutate it. A log that fits in one chunk is returned in place; a longer one
-// is flattened once into an exactly sized slice the recorder keeps, so
-// repeated calls return the same slice until the next Emit.
-func (r *Recorder) Events() []Event {
-	switch {
-	case r.n == 0:
-		return nil
-	case r.n <= chunkEvents:
-		return r.head.events[:r.n:r.n]
-	case len(r.flat) != r.n:
-		r.flat = make([]Event, 0, r.n)
-		for c := r.head; c != nil; c = c.next {
-			r.flat = append(r.flat, c.events[:min(r.n-len(r.flat), chunkEvents)]...)
-		}
-	}
-	return r.flat
-}
+// Events returns the full event log in emission order: the one-recorder
+// MergeEvents, so every exported log, an engine's or a cluster's, is made by
+// one merge. Each call builds a fresh slice.
+func (r *Recorder) Events() []Event { return MergeEvents(r) }
 
 // Snapshot assembles the moving-window view at the given tick. The engine
 // takes one at drain time and attaches it to the Report; callers holding
@@ -403,8 +408,9 @@ func (r *Recorder) Snapshot(tick int) Snapshot {
 // k-way merged by (Tick, node index) with intra-node order preserved.
 // Engine logs are non-decreasing in Tick, so the merge is a total,
 // deterministic order — the cluster's analogue of one engine's log, safe
-// to byte-compare across worker counts. It reads the recorders' chunks in
-// place and allocates only the merged slice (for up to eight recorders).
+// to byte-compare across worker counts; one recorder's merge is its own log
+// (Recorder.Events). It reads the recorders' chunks in place and allocates
+// only the merged slice (for up to eight recorders).
 func MergeEvents(recs ...*Recorder) []Event {
 	total := 0
 	for _, r := range recs {

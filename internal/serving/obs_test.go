@@ -125,26 +125,14 @@ func TestExportedLogReconcilesAlone(t *testing.T) {
 	rec := obs.NewRecorder(obs.Config{Window: 8})
 	cfg.Obs = rec
 	rep := run(t, cfg, mixedPressureTrace(t))
-	kinds := make(map[string]obs.Kind)
-	for k := obs.Kind(0); !strings.HasPrefix(k.String(), "kind("); k++ {
-		kinds[k.String()] = k
-	}
 	replay := func(lines []string) obs.Counts {
 		r := obs.NewRecorder(obs.Config{})
 		for _, line := range lines {
-			var ev struct {
-				obs.Event
-				Kind string `json:"kind"`
-			}
+			var ev obs.Event
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
 				t.Fatalf("%s: %v", line, err)
 			}
-			k, ok := kinds[ev.Kind]
-			if !ok {
-				t.Fatalf("%s: unknown kind %q", line, ev.Kind)
-			}
-			ev.Event.Kind = k
-			r.Emit(ev.Event) //lint:allow obsguard a replay into the test's own recorder, never nil and off the tick path
+			r.Emit(ev) //lint:allow obsguard a replay into the test's own recorder, never nil and off the tick path
 		}
 		return obs.Tally(r)
 	}

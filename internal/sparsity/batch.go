@@ -6,13 +6,13 @@ import (
 )
 
 // Batched scheme evaluation: ForwardBatch computes one MLP layer for B
-// concurrent sessions. Only the dense MLP is fused — one walk over W_u, W_g
-// and W_d for the whole batch, through nn.GLUMLP.ApplyBatch. Every pruning
-// scheme, DIP and DIP-CA included, runs column by column through its own
-// Forward, so its algorithm is written once: each session reads a different
-// set of weight columns, and a sparse multi-RHS kernel over them costs
-// exactly its single-RHS runs (a union-pass batched kernel, one walk over
-// the union of the columns' units, measured slower than them).
+// concurrent sessions, column by column through each column's
+// ForwardColumn, so every scheme's algorithm is written once. No pruning
+// scheme is fused: each session reads a different set of weight columns,
+// and a sparse multi-RHS kernel over them costs exactly its single-RHS runs
+// (a union-pass batched kernel, one walk over the union of the columns'
+// units, measured slower than them). The one fused MLP, an all-Dense batch
+// through nn.GLUMLP.ApplyBatch, is eval.BatchArena's.
 //
 // Determinism contract: ForwardBatch(column b) is bit-identical to
 // schemes[b].Forward on the same input — same output floats, same
@@ -20,16 +20,14 @@ import (
 // feeds both sparse accumulation and cache replacement). Enforced by
 // TestForwardBatchMatchesPerSessionForwardBitForBit.
 
-// BatchScratch holds the reusable buffers of ForwardBatch calls: the dense
-// path's intermediates, the column gather buffer and a Dense column's
-// storage. A zero value is ready; buffers grow lazily and are reused, so
-// steady-state batched decode does not allocate here. It owns no unit
-// lists: the TokenAccess.Units of a pruned column alias that column's
-// scheme instance (see ForwardBatch).
+// BatchScratch holds the reusable buffers of ForwardBatch calls: the column
+// gather buffer and a Dense column's storage. A zero value is ready;
+// buffers grow lazily and are reused, so steady-state batched decode does
+// not allocate here. It owns no unit lists: the TokenAccess.Units of a
+// pruned column alias that column's scheme instance (see ForwardBatch).
 type BatchScratch struct {
-	dense nn.MLPBatchScratch
-	xcol  tensor.Vec
-	col   DenseScratch
+	xcol tensor.Vec
+	col  DenseScratch
 }
 
 // DenseScratch is the caller-owned storage ForwardColumn gives a Dense
@@ -67,13 +65,12 @@ func ForwardColumn(layer int, s Scheme, x tensor.Vec, mlp *nn.GLUMLP, cache Cach
 // record into tas[b]. schemes[b] and caches[b] are session b's scheme
 // instance and cache view (views may be nil or differ per session).
 //
-// An all-Dense batch runs nn.GLUMLP.ApplyBatch; every other batch is each
-// column's ForwardColumn, in column order. No decode loop calls it: the
-// fused decode (eval.BatchArena) runs nn.GLUMLP.ApplyBatch itself for an
-// all-Dense batch and each stream's own hook otherwise, so that each column
-// is marked in the sub-step's eval.SubStepView before the next one reads
-// it. ForwardBatch and BatchScratch stay as the benchmark module's probe of
-// the batched MLP against per-column Forward.
+// Each column is its ForwardColumn, in column order. No decode loop calls
+// it: the fused decode (eval.BatchArena) runs nn.GLUMLP.ApplyBatch itself
+// for an all-Dense batch and each stream's own hook otherwise, so that each
+// column is marked in the sub-step's eval.SubStepView before the next one
+// reads it. ForwardBatch and BatchScratch stay as the benchmark module's
+// probe of a batch of pruned columns.
 //
 // schemes[b] are distinct instances; stateless values such as Dense{} may
 // repeat. tas[b].Units alias schemes[b]'s own scratch and stay valid until
@@ -87,19 +84,6 @@ func ForwardBatch(layer int, schemes []Scheme, xs *tensor.Mat, mlp *nn.GLUMLP, c
 	}
 	if out == nil || out.Rows != mlp.Dim || out.Cols != B {
 		panic("sparsity: ForwardBatch out shape mismatch")
-	}
-	dense := 0
-	for _, sc := range schemes {
-		if _, ok := sc.(Dense); ok {
-			dense++
-		}
-	}
-	if dense == B {
-		mlp.ApplyBatch(xs, out, &s.dense)
-		for b := range tas {
-			tas[b] = denseAccess
-		}
-		return
 	}
 	for b, sc := range schemes {
 		s.xcol = xs.Col(b, tensor.Reuse(s.xcol, mlp.Dim))

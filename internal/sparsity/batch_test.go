@@ -53,7 +53,7 @@ func accessEqual(a, b *TokenAccess) error {
 	return nil
 }
 
-// Every scheme's fused path (and the fallback) must reproduce per-session
+// For every scheme, Dense included, ForwardBatch must reproduce per-session
 // Forward bit for bit: outputs, access kinds, and unit lists in order —
 // with per-session parameters and per-session cache views differing across
 // the batch.
